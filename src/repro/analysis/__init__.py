@@ -4,8 +4,7 @@ Three passes defend the contracts the paper's performance story rests on:
 
 * :mod:`repro.analysis.contracts` — kernel-contract checker over every
   ``@register_kernel`` site (KC rules: backend completeness, signature
-  consistency, no dense materialisation on fast paths, no deprecated staged
-  entry points).
+  consistency, no dense materialisation on fast paths).
 * :mod:`repro.analysis.aliasing` — may-alias dataflow pass flagging in-place
   mutation of buffers reachable from parameters or cached structures (AL
   rules), with an inventoried ``# repro: owns-buffer`` waiver syntax.

@@ -18,11 +18,6 @@ pass proves the contract *statically* for every registered kernel:
   Fast kernels must touch compressed operands only through the
   :class:`~repro.core.layout.CompressedLayout` protocol
   (``gather_dense`` / ``scatter_compressed`` / ``to_scattered``).
-* **KC005** — deprecated staged entry points (``softmax_spmm``,
-  ``dfss_attention_bwd``) referenced by Python name outside their shim homes.
-  The deprecation shims exist for external users; internal code must go
-  through the compiled :class:`~repro.core.plan.AttentionPlan` or
-  ``masked_attention_bwd``.
 * **KC006** (warning) — kernel bodies reaching into private layout internals
   (``_shared``, ``_scatter_cache``, …) instead of the protocol surface.
 
@@ -39,18 +34,6 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.findings import ERROR, WARNING, Finding
-
-#: Python names whose use marks a deprecated staged call site.
-DEPRECATED_NAMES = ("softmax_spmm", "dfss_attention_bwd")
-
-#: Modules allowed to reference the deprecated names: the shims' own homes and
-#: the re-exporting package __init__.  (Path suffixes, POSIX-style.)
-DEPRECATED_ALLOWLIST = (
-    "repro/core/__init__.py",
-    "repro/core/spmm.py",
-    "repro/core/attention_grad.py",
-    "tests/core/test_deprecated_staged.py",
-)
 
 #: Backend constant names resolvable without importing the module.
 _BACKEND_CONSTANTS = {"FAST": "fast", "REFERENCE": "reference"}
@@ -241,45 +224,6 @@ def _private_access_findings(impl: KernelImpl) -> List[Finding]:
     return findings
 
 
-# --------------------------------------------------------------------- KC005
-def _deprecated_name_findings(tree: ast.Module, file: str) -> List[Finding]:
-    posix = Path(file).as_posix()
-    if any(posix.endswith(suffix) for suffix in DEPRECATED_ALLOWLIST):
-        return []
-    findings: List[Finding] = []
-
-    def flag(line: int, name: str, how: str) -> None:
-        replacement = (
-            "the compiled AttentionPlan (repro.core.plan)"
-            if name == "softmax_spmm"
-            else "masked_attention_bwd / AttentionPlan.backward"
-        )
-        findings.append(
-            Finding(
-                rule="KC005",
-                severity=ERROR,
-                file=file,
-                line=line,
-                message=(
-                    f"deprecated staged entry point {name!r} {how}; internal call "
-                    f"sites must use {replacement} (the shim remains for external "
-                    f"users only)"
-                ),
-            )
-        )
-
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
-            for alias in node.names:
-                if alias.name.split(".")[-1] in DEPRECATED_NAMES:
-                    flag(node.lineno, alias.name.split(".")[-1], "imported")
-        elif isinstance(node, ast.Name) and node.id in DEPRECATED_NAMES:
-            flag(node.lineno, node.id, "referenced")
-        elif isinstance(node, ast.Attribute) and node.attr in DEPRECATED_NAMES:
-            flag(node.lineno, node.attr, "referenced")
-    return findings
-
-
 # ---------------------------------------------------------------------- pass
 def check_contracts(files: Sequence[Path], root: Optional[Path] = None):
     """Run the kernel-contract checks over ``files``.
@@ -309,7 +253,6 @@ def check_contracts(files: Sequence[Path], root: Optional[Path] = None):
         rel = _rel(path, root)
         for impl in collect_kernels(tree, rel):
             by_kernel.setdefault(impl.kernel, []).append(impl)
-        findings.extend(_deprecated_name_findings(tree, rel))
 
     registrations = 0
     for kernel, impls in sorted(by_kernel.items()):

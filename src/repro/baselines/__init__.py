@@ -9,7 +9,7 @@ the trainable counterparts used for the accuracy experiments live in
 induce so the lottery-ticket quality metric can be evaluated on them.
 """
 
-from repro.baselines.base import AttentionMechanism, MECHANISM_REGISTRY, create_mechanism
+from repro.baselines.base import AttentionMechanism, MECHANISM_REGISTRY
 from repro.baselines.full import FullAttention
 from repro.baselines.dfss import DfssMechanism
 from repro.baselines.topk import ExplicitTopKAttention
@@ -33,7 +33,6 @@ from repro.baselines.combos import DfssBigBirdAttention, DfssLinformerAttention,
 __all__ = [
     "AttentionMechanism",
     "MECHANISM_REGISTRY",
-    "create_mechanism",
     "FullAttention",
     "DfssMechanism",
     "ExplicitTopKAttention",

@@ -77,24 +77,3 @@ def register(cls: Type[AttentionMechanism]) -> Type[AttentionMechanism]:
         raise ValueError(f"{cls.__name__} must define a unique .name")
     MECHANISM_REGISTRY[cls.name] = cls
     return cls
-
-
-def create_mechanism(name: str, **kwargs) -> AttentionMechanism:
-    """Instantiate a registered mechanism by name.
-
-    .. deprecated::
-        Thin wrapper over the unified registry; use
-        ``repro.attention(...)`` / :class:`repro.engine.AttentionEngine` or
-        :func:`repro.registry.make_mechanism` instead.
-    """
-    import warnings
-
-    warnings.warn(
-        "create_mechanism() is deprecated; use repro.attention(...), "
-        "repro.AttentionEngine, or repro.registry.make_mechanism()",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.registry import make_mechanism
-
-    return make_mechanism(name, **kwargs)

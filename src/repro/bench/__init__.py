@@ -1,7 +1,7 @@
 """Benchmark runner for the DFSS kernels and the end-to-end attention layer.
 
 ``python -m repro.bench`` times every registered kernel (``sddmm_nm``,
-``masked_softmax``, ``spmm``, fused ``softmax_spmm``) plus the end-to-end
+``masked_softmax``, ``spmm``) plus the end-to-end
 multi-head DFSS attention pipeline under both the ``reference`` and ``fast``
 backends, the padded-CSR kernel pipeline on a ragged Longformer-style mask
 (``*_csr`` rows), and the per-mechanism train-step matrix

@@ -14,7 +14,6 @@ Larger problem, one kernel, more repeats::
 from __future__ import annotations
 
 import argparse
-import contextlib
 import sys
 
 from repro.bench.report import format_table, results_to_payload, write_payload
@@ -22,7 +21,6 @@ from repro.bench.runner import (
     ALL_BENCH_KERNELS,
     BENCH_KERNELS,
     CSR_BENCH_KERNELS,
-    FUSED_BENCH_KERNELS,
     MULTICORE_BENCH_KERNELS,
     SERVING_KERNEL,
     SERVING_LATENCY_KERNEL,
@@ -31,14 +29,12 @@ from repro.bench.runner import (
     BenchShape,
     run_benchmarks,
     run_csr_benchmarks,
-    run_fused_benchmarks,
     run_multicore_benchmarks,
     run_serving_benchmark,
     run_serving_open_loop,
     run_train_matrix,
 )
 from repro.core.backend import available_backends
-from repro.core.plan import KNOWN_PIPELINES, use_pipeline
 
 
 def _parse_shape(text: str) -> BenchShape:
@@ -100,12 +96,6 @@ def main(argv=None) -> int:
     parser.add_argument("--serve-deadline-ms", type=float, default=50.0,
                         help="per-request latency deadline the serving_latency "
                              "row counts misses against (default: 50 ms)")
-    parser.add_argument("--pipeline", default=None, choices=sorted(KNOWN_PIPELINES),
-                        help="attention pipeline scoped around every run: the "
-                             "compiled fused plan or the staged three-kernel "
-                             "oracle (default: the REPRO_PIPELINE env var, "
-                             "else fused); the attention_fused rows always "
-                             "time both arms explicitly")
     parser.add_argument("--backends", nargs="+", default=["reference", "fast"],
                         choices=available_backends(),
                         help="backends to time; the first is the speedup baseline "
@@ -121,15 +111,9 @@ def main(argv=None) -> int:
     selected = tuple(args.kernels) if args.kernels else ALL_BENCH_KERNELS
     classic = [k for k in selected if k in BENCH_KERNELS]
     csr = [k for k in selected if k in CSR_BENCH_KERNELS]
-    fused = [k for k in selected if k in FUSED_BENCH_KERNELS]
     multicore = [k for k in selected if k in MULTICORE_BENCH_KERNELS]
 
-    pipeline_scope = (
-        use_pipeline(args.pipeline) if args.pipeline else contextlib.nullcontext()
-    )
-    results = []
-    with pipeline_scope:
-        results += _run_selected(args, classic, csr, fused, multicore, selected)
+    results = _run_selected(args, classic, csr, multicore, selected)
     print(format_table(results))
     if args.output:
         payload = results_to_payload(
@@ -141,7 +125,7 @@ def main(argv=None) -> int:
     return 0
 
 
-def _run_selected(args, classic, csr, fused, multicore, selected):
+def _run_selected(args, classic, csr, multicore, selected):
     results = []
     if classic:
         results += run_benchmarks(
@@ -162,16 +146,6 @@ def _run_selected(args, classic, csr, fused, multicore, selected):
             window=args.csr_window,
             backends=tuple(args.backends),
             kernels=csr,
-            seed=args.seed,
-            shape=args.shape,
-        )
-    if fused:
-        results += run_fused_benchmarks(
-            scale=args.scale,
-            repeats=args.repeats,
-            warmup=args.warmup,
-            patterns=tuple(args.patterns),
-            kernels=fused,
             seed=args.seed,
             shape=args.shape,
         )

@@ -62,7 +62,6 @@ BENCH_KERNELS = (
     "sddmm_nm",
     "masked_softmax",
     "spmm",
-    "softmax_spmm",
     "attention_e2e",
     "attention_train_step",
 )
@@ -74,15 +73,6 @@ CSR_BENCH_KERNELS = (
     "masked_softmax_csr",
     "spmm_csr",
     "spmm_t_csr",
-)
-
-#: Fused compiled-plan pipeline vs the staged three-kernel pipeline, both on
-#: the fast backend, produced by :func:`run_fused_benchmarks`.  The ``fused``
-#: row's parity against ``staged`` must be exactly 0.0 (same kernels, same
-#: softmax core — the plan only pre-resolves dispatch and reuses buffers).
-FUSED_BENCH_KERNELS = (
-    "attention_fused",
-    "attention_fused_train",
 )
 
 #: Multicore tiled backend vs the single-core fast backend, forward and
@@ -115,7 +105,6 @@ SERVING_LATENCY_KERNEL = "serving_latency"
 ALL_BENCH_KERNELS = (
     BENCH_KERNELS
     + CSR_BENCH_KERNELS
-    + FUSED_BENCH_KERNELS
     + MULTICORE_BENCH_KERNELS
     + (TRAIN_MATRIX_KERNEL, SERVING_KERNEL, SERVING_LATENCY_KERNEL)
 )
@@ -201,10 +190,6 @@ def _bench_cases(
         ),
         "spmm": (
             lambda backend: get_kernel("spmm", backend)(weights, v),
-            lambda out: out,
-        ),
-        "softmax_spmm": (
-            lambda backend: get_kernel("softmax_spmm", backend)(scores, v),
             lambda out: out,
         ),
         "attention_e2e": (
@@ -427,105 +412,6 @@ def run_csr_benchmarks(
     return results
 
 
-def run_fused_benchmarks(
-    scale: str = "smoke",
-    repeats: int = 5,
-    warmup: int = 1,
-    patterns: Sequence[str] = ("1:2", "2:4"),
-    kernels: Optional[Sequence[str]] = None,
-    seed: int = 0,
-    shape: Optional[BenchShape] = None,
-) -> List[BenchResult]:
-    """Fused compiled-plan pipeline vs the staged pipeline, forward and train.
-
-    Both arms run the *fast* kernel backend; what differs is the execution
-    pipeline: ``staged`` dispatches sddmm → masked-softmax → spmm through the
-    registry per call (the parity oracle), ``fused`` executes the compiled
-    :class:`~repro.core.plan.AttentionPlan` — kernels pre-resolved once per
-    plan, the softmax normalising the score buffer in place.  Rows land in
-    ``BENCH_kernels.json`` as ``attention_fused`` (inference forward) and
-    ``attention_fused_train`` (fwd+bwd step on fresh leaf tensors) with the
-    pipeline name in the backend column, mirroring the serving benchmark's
-    ``sequential``/``batched`` convention.  The ``fused`` row's parity against
-    ``staged`` must be exactly 0.0 — the plan runs the same kernel functions
-    over the same values, so any nonzero bit is a fusion bug, never noise.
-
-    The two arms do near-identical work, so their speedup ratio is far more
-    sensitive to host drift than any other row; the repeats are therefore
-    *interleaved* (staged, fused, staged, fused, ...) so a slow episode on a
-    shared box lands on both arms' samples instead of skewing one of them.
-    """
-    from repro.core.plan import FUSED, STAGED
-    from repro.nn.sparse_attention import dfss_sparse_attention
-
-    if repeats < 1:
-        raise ValueError(f"repeats must be >= 1, got {repeats}")
-    shape = _resolve_shape(scale, shape)
-    selected = tuple(kernels) if kernels else FUSED_BENCH_KERNELS
-    unknown = set(selected) - set(FUSED_BENCH_KERNELS)
-    if unknown:
-        raise ValueError(
-            f"unknown kernels {sorted(unknown)}; expected {FUSED_BENCH_KERNELS}"
-        )
-
-    results: List[BenchResult] = []
-    for pattern in patterns:
-        resolve_pattern(pattern)  # fail fast on typos
-        rng = new_rng(seed)
-        dims = (shape.batch, shape.heads, shape.seq_len, shape.head_dim)
-        q = rng.normal(size=dims).astype(np.float32)
-        k = rng.normal(size=dims).astype(np.float32)
-        v = rng.normal(size=dims).astype(np.float32)
-
-        def forward(pipeline: str) -> np.ndarray:
-            return dfss_attention(q, k, v, pattern=pattern, pipeline=pipeline)
-
-        def train(pipeline: str) -> np.ndarray:
-            qt = Tensor(q, requires_grad=True)
-            kt = Tensor(k, requires_grad=True)
-            vt = Tensor(v, requires_grad=True)
-            out, _ = dfss_sparse_attention(
-                qt, kt, vt, pattern=pattern, pipeline=pipeline
-            )
-            out.sum().backward()
-            return np.concatenate(
-                [out.data.ravel(), qt.grad.ravel(), kt.grad.ravel(), vt.grad.ravel()]
-            )
-
-        cases: Dict[str, Callable[[str], np.ndarray]] = {
-            "attention_fused": forward,
-            "attention_fused_train": train,
-        }
-        label = shape.label(pattern)
-        for kernel in selected:
-            run = cases[kernel]
-            baseline_out = run(STAGED)
-            parity = _rel_frobenius(run(FUSED), baseline_out)
-            for _ in range(warmup):
-                run(STAGED)
-                run(FUSED)
-            staged_timings: List[float] = []
-            fused_timings: List[float] = []
-            for _ in range(repeats):
-                start = time.perf_counter()
-                run(STAGED)
-                staged_timings.append(time.perf_counter() - start)
-                start = time.perf_counter()
-                run(FUSED)
-                fused_timings.append(time.perf_counter() - start)
-            staged_row = _row_from_timings(
-                kernel, label, STAGED, staged_timings, None, None
-            )
-            results.append(staged_row)
-            results.append(
-                _row_from_timings(
-                    kernel, label, FUSED, fused_timings,
-                    staged_row.median_s, parity,
-                )
-            )
-    return results
-
-
 @contextlib.contextmanager
 def _scoped_workers(workers: Optional[int]):
     """Temporarily pin ``$REPRO_MULTICORE_WORKERS`` (the pool re-resolves it
@@ -585,9 +471,9 @@ def run_multicore_benchmarks(
     ``attention_multicore_scaling`` rows (backend ``w<N>``) whose speedup
     baseline is the single-worker arm — the workers-vs-speedup curve.
 
-    Like the fused benchmark's arms, the two backends do near-identical work
-    per stage, so repeats are interleaved (fast, multicore, fast, ...) to
-    keep host drift off the ratio.
+    The two backends do near-identical work per stage, so repeats are
+    interleaved (fast, multicore, fast, ...) to keep host drift off the
+    ratio.
     """
     from repro.core.backend import FAST, MULTICORE
     from repro.core.multicore import resolve_worker_count

@@ -23,10 +23,9 @@ import numpy as np
 
 from repro.core.blocked_ell import BlockedEllMask
 from repro.core.patterns import default_pattern_for_dtype, resolve_pattern
-from repro.core.plan import FUSED, plan_for_nm, resolve_pipeline
-from repro.core.sddmm import sddmm_dense, sddmm_nm
-from repro.core.softmax import dense_softmax, masked_dense_softmax, sparse_softmax
-from repro.core.spmm import spmm
+from repro.core.plan import plan_for_nm
+from repro.core.sddmm import sddmm_dense
+from repro.core.softmax import dense_softmax, masked_dense_softmax
 
 
 def full_attention(
@@ -76,15 +75,14 @@ def dfss_attention(
     block_mask: Optional[BlockedEllMask] = None,
     return_weights: bool = False,
     backend: Optional[str] = None,
-    pipeline: Optional[str] = None,
 ):
     """Dynamic N:M fine-grained structured sparse attention (the paper's method).
 
     Pipeline: fused SDDMM + N:M prune epilogue -> sparse softmax -> SpMM,
-    executed through a compiled :class:`~repro.core.plan.AttentionPlan` by
-    default — the plan is built once per (pattern, backend, dtype, geometry)
-    and runs the chain in a single pass that reuses the score buffer as the
-    probability buffer.
+    executed through a compiled :class:`~repro.core.plan.AttentionPlan` — the
+    plan is built once per (pattern, backend, dtype, geometry) and runs the
+    chain in a single pass that reuses the score buffer as the probability
+    buffer.
 
     Parameters mirror :func:`full_attention`; ``pattern`` defaults to the
     hardware pattern for ``dtype`` (1:2 for float32, 2:4 for bfloat16) and
@@ -92,35 +90,16 @@ def dfss_attention(
     When ``return_weights`` is true the compressed
     :class:`~repro.core.sparse.NMSparseMatrix` of attention weights is returned
     alongside the output.  ``backend`` selects the kernel implementations
-    ("reference" or "fast"; default ``$REPRO_BACKEND``, else "fast");
-    ``pipeline`` selects the fused plan vs the staged three-kernel oracle
-    ("fused" or "staged"; default ``$REPRO_PIPELINE``, else "fused").
+    ("reference" or "fast"; default ``$REPRO_BACKEND``, else "fast").
     """
     pattern = (
         default_pattern_for_dtype(dtype) if pattern is None else resolve_pattern(pattern)
     )
-    if resolve_pipeline(pipeline) == FUSED:
-        plan = plan_for_nm(
-            pattern, q.shape[-2], k.shape[-2], backend=backend, dtype=dtype
-        )
-        scores = plan.compute_scores(
-            q, k, scale=scale, criterion=criterion, block_mask=block_mask
-        )
-        weights = plan.compute_probs(scores)
-        out = plan.contract(weights, v)
-    else:
-        scores = sddmm_nm(
-            q,
-            k,
-            pattern=pattern,
-            scale=scale,
-            dtype=dtype,
-            criterion=criterion,
-            block_mask=block_mask,
-            backend=backend,
-        )
-        weights = sparse_softmax(scores, backend=backend)
-        out = spmm(weights, v, backend=backend)
+    plan = plan_for_nm(pattern, q.shape[-2], k.shape[-2], backend=backend, dtype=dtype)
+    out, weights = plan.forward(
+        q, k, v, scale=scale, criterion=criterion, block_mask=block_mask,
+        return_probs=True,
+    )
     if return_weights:
         return out, weights
     return out
@@ -147,7 +126,6 @@ class DfssAttention:
     scale: Optional[float] = None
     block_mask: Optional[BlockedEllMask] = None
     backend: Optional[str] = None
-    pipeline: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.pattern is None:
@@ -169,7 +147,6 @@ class DfssAttention:
             block_mask=self.block_mask,
             return_weights=return_weights,
             backend=self.backend,
-            pipeline=self.pipeline,
         )
 
     def approximation_error(self, q: np.ndarray, k: np.ndarray, v: np.ndarray) -> float:

@@ -94,11 +94,6 @@ def masked_attention_bwd(
     )
 
 
-#: Backwards-compatible name from when the compressed backward only handled
-#: the N:M layout of the DFSS path.
-dfss_attention_bwd = masked_attention_bwd
-
-
 def _compose_bwd(
     probs: CompressedLayout,
     q: np.ndarray,

@@ -2,9 +2,8 @@
 
 The attention pipeline is built from a small number of named kernels —
 ``sddmm_nm`` (fused SDDMM + N:M prune), ``masked_softmax`` (softmax over the
-compressed nonzeros), ``spmm`` (compressed-weights x dense V), the fused
-``softmax_spmm`` epilogue and the ``nm_prune_mask`` selection used by the
-trainable layer.  Each kernel can have several interchangeable
+compressed nonzeros), ``spmm`` (compressed-weights x dense V) and the
+``nm_prune_mask`` selection used by the trainable layer.  Each kernel can have several interchangeable
 implementations ("backends") registered against it:
 
 * ``reference`` — the tile-by-tile / per-slice loop implementations that

@@ -19,19 +19,10 @@ and the auto dispatch keys on ``lengths.min()``, which a tile sees locally.
 The tiled softmax therefore decides the branch once on the global lengths
 and pins it for every tile (``masked_softmax_values(..., segmented=...)``).
 
-Threads are the default worker flavour: the hot kernels are BLAS/ufunc
-dominated and release the GIL.  ``REPRO_MULTICORE_MODE=process`` keeps a
-process-pool escape hatch for GIL-bound workloads — the end-to-end forward
-ships each tile to a child process that rebuilds the single-core fast plan
-from the picklable :class:`~repro.core.plan.PlanKey`; staged stage calls and
-the backward always use threads.
-
-Knobs:
-
-* ``REPRO_MULTICORE_WORKERS`` — worker count (default ``os.cpu_count()``).
-  ``1`` degenerates to inline single-core execution, bit-for-bit the ``fast``
-  backend with zero pool involvement.
-* ``REPRO_MULTICORE_MODE`` — ``thread`` (default) or ``process``.
+Workers are threads: the hot kernels are BLAS/ufunc dominated and release
+the GIL.  ``REPRO_MULTICORE_WORKERS`` sets the worker count (default
+``os.cpu_count()``); ``1`` degenerates to inline single-core execution,
+bit-for-bit the ``fast`` backend with zero pool involvement.
 
 Scheduling: tiles are contiguous slices (zero-copy views) of the flattened
 batch dimension, cost-balanced by per-slice nnz for ragged CSR structures
@@ -55,7 +46,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.analysis.sanitize import check_grads, check_output, freeze_structure, guard_input
-from repro.core.backend import FAST, MULTICORE, register_plan_builder
+from repro.core.backend import MULTICORE, register_plan_builder
 from repro.core.padded_csr import PaddedCSRMatrix
 from repro.core.plan import AttentionPlan, PlanKey
 from repro.core.softmax import masked_softmax_values
@@ -64,7 +55,6 @@ from repro.profile.tracer import current_tracer
 
 __all__ = [
     "WORKERS_ENV_VAR",
-    "MODE_ENV_VAR",
     "WorkerPool",
     "MulticoreAttentionPlan",
     "get_pool",
@@ -74,13 +64,6 @@ __all__ = [
 
 #: Environment variable selecting the worker count (default: ``os.cpu_count()``).
 WORKERS_ENV_VAR = "REPRO_MULTICORE_WORKERS"
-
-#: Environment variable selecting the pool flavour: ``thread`` (default) or
-#: ``process`` (whole-chain forward only; the escape hatch for GIL-bound work).
-MODE_ENV_VAR = "REPRO_MULTICORE_MODE"
-
-THREAD_MODE = "thread"
-PROCESS_MODE = "process"
 
 #: Tiles submitted per worker: mild oversubscription so the executor queue
 #: load-balances ragged tiles (static slicing would pin the largest tile's
@@ -102,19 +85,6 @@ def resolve_worker_count(workers: Optional[int] = None) -> int:
     if workers is None:
         workers = os.cpu_count() or 1
     return max(1, int(workers))
-
-
-def resolve_mode(mode: Optional[str] = None) -> str:
-    """Pool flavour from argument or ``$REPRO_MULTICORE_MODE``."""
-    if mode is None:
-        mode = os.environ.get(MODE_ENV_VAR, "").strip() or THREAD_MODE
-    name = str(mode).strip().lower()
-    if name not in (THREAD_MODE, PROCESS_MODE):
-        raise ValueError(
-            f"unknown multicore mode {mode!r}; expected "
-            f"{THREAD_MODE!r} or {PROCESS_MODE!r} (${MODE_ENV_VAR})"
-        )
-    return name
 
 
 def tile_slices(
@@ -176,7 +146,6 @@ class WorkerPool:
     def __init__(self, workers: Optional[int] = None) -> None:
         self._requested = workers
         self._executor: Optional[ThreadPoolExecutor] = None
-        self._process_executor = None
         self._started_workers: Optional[int] = None
         self._pid: Optional[int] = None
         self._lock = threading.Lock()
@@ -186,10 +155,6 @@ class WorkerPool:
     @property
     def workers(self) -> int:
         return resolve_worker_count(self._requested)
-
-    @property
-    def mode(self) -> str:
-        return resolve_mode()
 
     @property
     def started(self) -> bool:
@@ -210,7 +175,6 @@ class WorkerPool:
                 # Forked child: the parent's worker threads do not exist on
                 # this side of the fork — drop the stale handle, never join it.
                 self._executor = None
-                self._process_executor = None
             if self._executor is not None and self._started_workers != workers:
                 self._executor.shutdown(wait=True)
                 self._executor = None
@@ -223,30 +187,12 @@ class WorkerPool:
                 self._register_atexit()
             return self._executor
 
-    def _ensure_process(self):
-        from concurrent.futures import ProcessPoolExecutor
-
-        with self._lock:
-            pid = os.getpid()
-            if self._process_executor is not None and self._pid != pid:
-                self._process_executor = None
-            if self._process_executor is None:
-                self._process_executor = ProcessPoolExecutor(
-                    max_workers=self.workers
-                )
-                self._pid = pid
-                self._register_atexit()
-            return self._process_executor
-
     def shutdown(self) -> None:
-        """Join and drop both executors (safe to call repeatedly)."""
+        """Join and drop the executor (safe to call repeatedly)."""
         with self._lock:
             if self._executor is not None and self._pid == os.getpid():
                 self._executor.shutdown(wait=True)
             self._executor = None
-            if self._process_executor is not None and self._pid == os.getpid():
-                self._process_executor.shutdown(wait=True)
-            self._process_executor = None
             self._started_workers = None
 
     # -------------------------------------------------------------- execution
@@ -294,14 +240,6 @@ class WorkerPool:
         executor = self._ensure()
         futures = {i: executor.submit(thunks[i]) for i in order}
         return [futures[i].result() for i in range(len(thunks))]
-
-    def run_process(self, fn: Callable, payloads: Sequence[Tuple]) -> List[Any]:
-        """Execute ``fn(*payload)`` per payload on the process pool, in order."""
-        if len(payloads) == 1 or self.workers <= 1:
-            return [fn(*payload) for payload in payloads]
-        executor = self._ensure_process()
-        futures = [executor.submit(fn, *payload) for payload in payloads]
-        return [future.result() for future in futures]
 
 
 #: Process-wide pool shared by every multicore plan (and the serving path).
@@ -388,51 +326,6 @@ def _csr_costs(structure: PaddedCSRMatrix) -> np.ndarray:
     """Per-flattened-batch-index nnz — the tile scheduler's cost weights."""
     batch = _flat_batch(structure)
     return structure.lengths.reshape(batch, -1).sum(axis=1, dtype=np.int64)
-
-
-# ------------------------------------------------------------ process workers
-def _process_tile_forward(
-    key: PlanKey,
-    q_t: np.ndarray,
-    k_t: np.ndarray,
-    v_t: np.ndarray,
-    struct_fields: Optional[Tuple[np.ndarray, np.ndarray, int, str]],
-    scale: Optional[float],
-    criterion: str,
-    segmented: Optional[bool],
-) -> np.ndarray:
-    """Whole-chain fused forward of one tile, run inside a pool child process.
-
-    Rebuilds the single-core fast plan from the picklable plan key (the
-    child's plan cache is cold and irrelevant — construction is cheap) and a
-    padded-CSR structure from the shipped arrays, then runs the exact chain
-    the thread path runs per tile.  ``segmented`` is the softmax branch the
-    *parent* pinned on the global lengths — a child deciding from its local
-    tile would reintroduce the summation-order divergence (see softmax.py).
-    """
-    fast_key = PlanKey(key.mechanism, key.layout, FAST, key.dtype, key.shape_class)
-    plan = AttentionPlan(fast_key, fused=True)
-    structure = None
-    if struct_fields is not None:
-        cols, lengths, dense_cols, dtype = struct_fields
-        structure = PaddedCSRMatrix(
-            values=np.zeros(cols.shape, dtype=np.float32),
-            cols=cols,
-            lengths=lengths,
-            dense_cols=dense_cols,
-            dtype=dtype,
-        )
-    scores = plan.compute_scores(
-        q_t, k_t, structure=structure, scale=scale, criterion=criterion
-    )
-    buf = scores.values
-    if not buf.flags.writeable or not buf.flags.c_contiguous:
-        buf = np.array(buf, dtype=np.float32)
-    valid = scores.valid_lanes()
-    lengths = None if valid is None else scores.row_lengths()
-    # repro: owns-buffer — fused plan reuses the score buffer it owns (or just copied)
-    masked_softmax_values(buf, valid, lengths, out=buf, segmented=segmented)
-    return plan.contract(scores.with_values(buf), v_t)
 
 
 # ------------------------------------------------------------------- the plan
@@ -827,83 +720,6 @@ class MulticoreAttentionPlan(AttentionPlan):
             restore_batch_shape(dv_full, batch_shape),
         )
         return check_grads(grads, "attention gradient")
-
-    # ------------------------------------------------------------- end-to-end
-    def forward(
-        self,
-        q: np.ndarray,
-        k: np.ndarray,
-        v: np.ndarray,
-        structure=None,
-        scale: Optional[float] = None,
-        criterion: str = "value",
-        block_mask=None,
-        return_probs: bool = False,
-    ):
-        pool = get_pool()
-        if (
-            pool.mode == PROCESS_MODE
-            and not return_probs
-            and block_mask is None
-            and pool.workers > 1
-        ):
-            result = self._forward_process(
-                pool, q, k, v, structure=structure, scale=scale,
-                criterion=criterion,
-            )
-            if result is not None:
-                return result
-        return super().forward(
-            q, k, v, structure=structure, scale=scale, criterion=criterion,
-            block_mask=block_mask, return_probs=return_probs,
-        )
-
-    def _forward_process(
-        self, pool, q, k, v, structure=None, scale=None, criterion="value"
-    ):
-        """Whole-chain tiles on the process pool; ``None`` when degenerate."""
-        from repro.utils.shapes import as_batched_3d, restore_batch_shape
-
-        q = np.asarray(q, dtype=np.float32)
-        k = np.asarray(k, dtype=np.float32)
-        v = np.asarray(v, dtype=np.float32)
-        if self.key.layout == "csr":
-            if structure is None or structure.batch_shape != q.shape[:-2]:
-                return None  # thread path reproduces the fast-path error
-            costs = _csr_costs(structure)
-        else:
-            costs = None
-        q3, batch_shape = as_batched_3d(guard_input(q))
-        k3, _ = as_batched_3d(guard_input(k))
-        v3, _ = as_batched_3d(guard_input(v))
-        batch = q3.shape[0]
-        _, slices, _ = self._tiles(batch, costs)
-        if slices is None:
-            return None
-        struct3: Optional[Tuple[np.ndarray, np.ndarray]] = None
-        segmented: Optional[bool] = None
-        if structure is not None:
-            rows, width = structure.rows, structure.width
-            struct3 = (
-                np.ascontiguousarray(structure.cols.reshape(batch, rows, width)),
-                np.ascontiguousarray(structure.lengths.reshape(batch, rows)),
-            )
-            segmented = bool(int(structure.lengths.min()) < width)
-        payloads = []
-        for sl in slices:
-            fields = None
-            if struct3 is not None:
-                fields = (
-                    struct3[0][sl], struct3[1][sl],
-                    structure.dense_cols, structure.dtype,
-                )
-            payloads.append(
-                (self.key, q3[sl], k3[sl], v3[sl], fields, scale, criterion, segmented)
-            )
-        results = pool.run_process(_process_tile_forward, payloads)
-        out_full = np.concatenate(results, axis=0)
-        out = restore_batch_shape(out_full, batch_shape)
-        return check_output(out, "attention output")
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"MulticoreAttentionPlan({self.key!r}, workers={get_pool().workers})"

@@ -23,29 +23,22 @@ module compiles the chain once instead:
   serving executor, and the bench runner.
 
 Backends provide plans through :func:`~repro.core.backend.register_plan_builder`
-(the seam a future multicore-tiling backend plugs into): ``fast`` builds
-fused plans, ``reference`` builds staged plans that dispatch the ordinary
-kernels stage by stage and act as the parity oracle.
+(the seam the multicore backend plugs into): ``fast`` builds fused plans,
+``reference`` builds plans that dispatch the ordinary registry kernels stage
+by stage and act as the parity oracle.
 
-Bitwise parity with the staged pipeline is by construction, not by accident:
-the fused plan calls the *same* registered kernel functions and the same
-softmax core (:func:`~repro.core.softmax.masked_softmax_values`) as the
-staged path; it differs only in pre-resolved dispatch and in-place buffer
-reuse, both of which are bit-exact transformations.
-
-Pipeline selection mirrors backend selection, in decreasing priority: the
-``pipeline=...`` argument on entry points that accept one, an active
-:func:`use_pipeline` context, the ``REPRO_PIPELINE`` environment variable,
-and the default ``"fused"``.  ``pipeline="staged"`` keeps the pre-plan
-three-kernel path runnable as the parity oracle.
+Bitwise parity between the two is by construction, not by accident: the
+fused plan calls the *same* registered kernel functions and the same softmax
+core (:func:`~repro.core.softmax.masked_softmax_values`) as the registry
+kernels; it differs only in pre-resolved dispatch and in-place buffer reuse,
+both of which are bit-exact transformations.
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager, nullcontext
+from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import ContextManager, Dict, Iterator, Optional, Tuple
+from typing import ContextManager, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -66,59 +59,6 @@ from repro.profile.tracer import (
     register_metadata_provider,
     register_session_hook,
 )
-
-#: Canonical pipeline names.
-FUSED = "fused"
-STAGED = "staged"
-KNOWN_PIPELINES = (FUSED, STAGED)
-
-#: Pipeline used when neither an argument, a context, nor the environment
-#: variable selects one.
-DEFAULT_PIPELINE = FUSED
-
-#: Environment variable consulted by :func:`resolve_pipeline`.
-PIPELINE_ENV_VAR = "REPRO_PIPELINE"
-
-_PIPELINE_OVERRIDE: Optional[str] = None
-
-
-def resolve_pipeline(pipeline: Optional[str] = None) -> str:
-    """Resolve a pipeline name from argument, context, environment, or default."""
-    if pipeline is None:
-        pipeline = _PIPELINE_OVERRIDE
-    if pipeline is None:
-        pipeline = os.environ.get(PIPELINE_ENV_VAR) or DEFAULT_PIPELINE
-    name = str(pipeline).strip().lower()
-    if name not in KNOWN_PIPELINES:
-        raise ValueError(
-            f"unknown pipeline {pipeline!r}; expected one of "
-            f"{'|'.join(KNOWN_PIPELINES)} (selectable via a pipeline= argument "
-            f"or ${PIPELINE_ENV_VAR})"
-        )
-    return name
-
-
-@contextmanager
-def use_pipeline(pipeline: str) -> Iterator[None]:
-    """Context manager selecting the execution pipeline inside the block.
-
-    Explicit ``pipeline=`` arguments still win; the environment variable is
-    shadowed for the duration of the block.
-    """
-    global _PIPELINE_OVERRIDE
-    name = str(pipeline).strip().lower()
-    if name not in KNOWN_PIPELINES:
-        raise ValueError(
-            f"unknown pipeline {pipeline!r}; expected one of "
-            f"{'|'.join(KNOWN_PIPELINES)}"
-        )
-    previous = _PIPELINE_OVERRIDE
-    _PIPELINE_OVERRIDE = name
-    try:
-        yield
-    finally:
-        _PIPELINE_OVERRIDE = previous
-
 
 @dataclass(frozen=True)
 class PlanKey:
@@ -145,8 +85,8 @@ class AttentionPlan:
     (the fast builder) runs the softmax in place on the compressed score
     buffer — the probabilities overwrite the scores, so no intermediate
     tensor is ever allocated between the stages; ``fused=False`` (the
-    reference builder) dispatches the registered staged kernels and is the
-    oracle the parity suite compares against.
+    reference builder) dispatches the registered per-stage kernels and is
+    the oracle the parity suite compares against.
     """
 
     def __init__(self, key: PlanKey, fused: bool) -> None:
@@ -174,7 +114,6 @@ class AttentionPlan:
             mechanism=self.key.mechanism,
             layout=self.key.layout,
             shape_class="x".join(str(d) for d in self.key.shape_class),
-            pipeline=FUSED if self.fused else STAGED,
         )
 
     # ------------------------------------------------------------------ fwd
@@ -213,7 +152,7 @@ class AttentionPlan:
         Fused plans normalise *in place*, reusing the score value buffer as
         the probability buffer; pass ``owned=False`` when the caller still
         needs the score values (e.g. precomputed Top-K scores), in which case
-        exactly one copy is taken first.  Bitwise-identical to the staged
+        exactly one copy is taken first.  Bitwise-identical to the registry
         softmax kernel either way — same core, different buffer.
         """
         if not self.fused:
@@ -318,7 +257,7 @@ class AttentionPlan:
         return self.forward(q, k, v, **kwargs)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        mode = "fused" if self.fused else "staged"
+        mode = "fused" if self.fused else "unfused"
         return f"AttentionPlan({self.key!r}, {mode})"
 
 
@@ -330,7 +269,7 @@ def _build_fast_plan(key: PlanKey) -> AttentionPlan:
 
 @register_plan_builder(REFERENCE)
 def _build_reference_plan(key: PlanKey) -> AttentionPlan:
-    """Reference backend: staged plan dispatching the loop-oracle kernels."""
+    """Reference backend: per-stage plan dispatching the loop-oracle kernels."""
     return AttentionPlan(key, fused=False)
 
 

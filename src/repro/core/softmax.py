@@ -14,7 +14,7 @@ only instead of the full padded lane width).
 
 :func:`masked_softmax_values` is the shared value-space core: both the fast
 registry kernel and the fused :class:`~repro.core.plan.AttentionPlan` call it,
-which is what makes the fused pipeline bitwise-identical to the staged one.
+which is what makes the fused plan bitwise-identical to the kernel.
 """
 
 from __future__ import annotations
@@ -66,9 +66,7 @@ def masked_exp_terms(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
     Returns ``(exp, denom)`` where ``exp`` holds the max-subtracted
     exponentials (zero at masked-logit positions) and ``denom`` their row sums
-    with fully-masked rows clamped to one.  ``exp / denom`` is the softmax;
-    keeping the terms separate lets the fused softmax+SpMM kernel normalise
-    *after* the value contraction and skip materialising the probabilities.
+    with fully-masked rows clamped to one.  ``exp / denom`` is the softmax.
     """
     masked = values <= MASKED_LOGIT_THRESHOLD
     safe_vals = np.where(masked, -np.inf, values)

@@ -18,11 +18,6 @@ redirect them to a trash column.  Two backends carry the same contraction:
   the sparse tensor core.  The scatter touches only the ``N/M`` stored
   entries, and the performance benefit of skipping the pruned half on real
   hardware is carried by the device model in :mod:`repro.gpusim`.
-
-The fused ``softmax_spmm`` kernel additionally folds the sparse softmax into
-the SpMM: the value contraction runs on the unnormalised exponentials and the
-row denominators are divided out of the (much smaller) output, so the
-normalised probability matrix is never materialised.
 """
 
 from __future__ import annotations
@@ -33,7 +28,6 @@ import numpy as np
 
 from repro.core.backend import FAST, REFERENCE, get_kernel, register_kernel
 from repro.core.layout import CompressedLayout
-from repro.core.softmax import masked_exp_terms
 from repro.utils.shapes import as_batched_3d, restore_batch_shape
 
 
@@ -117,39 +111,6 @@ def _spmm_fast(weights: CompressedLayout, v: np.ndarray) -> np.ndarray:
     return restore_batch_shape(out, batch_shape)
 
 
-def softmax_spmm(
-    scores: CompressedLayout, v: np.ndarray, backend: Optional[str] = None
-) -> np.ndarray:
-    """Sparse softmax over compressed ``scores`` fused with the SpMM against ``v``.
-
-    Numerically identical to ``spmm(sparse_softmax(scores), v)``; the fast
-    backend never materialises the normalised probability matrix.
-    """
-    return get_kernel("softmax_spmm", backend)(scores, v)
-
-
-@register_kernel("softmax_spmm", REFERENCE)
-def _softmax_spmm_reference(scores: CompressedLayout, v: np.ndarray) -> np.ndarray:
-    """Unfused oracle: chunked sparse softmax followed by the loop SpMM."""
-    weights = get_kernel("masked_softmax", REFERENCE)(scores)
-    return _spmm_reference(weights, v)
-
-
-@register_kernel("softmax_spmm", FAST)
-def _softmax_spmm_fast(scores: CompressedLayout, v: np.ndarray) -> np.ndarray:
-    """Fused path: contract the unnormalised exponentials, then divide once.
-
-    ``softmax(s) @ V == (exp(s - max) @ V) / rowsum(exp(s - max))`` row by
-    row, so the division moves from the ``(..., n_q, kept)`` probability
-    matrix to the ``(..., n_q, d_v)`` output.
-    """
-    v = _check_operands(scores, v)
-    v3, batch_shape = as_batched_3d(v)
-    exp, denom = masked_exp_terms(scores.values)
-    out = _scatter_matmul(exp, scores, v3)
-    return restore_batch_shape(out, batch_shape) / denom
-
-
 def spmm_t(
     weights: CompressedLayout, g: np.ndarray, backend: Optional[str] = None
 ) -> np.ndarray:
@@ -203,38 +164,4 @@ def _spmm_t_fast(weights: CompressedLayout, g: np.ndarray) -> np.ndarray:
     g3, batch_shape = as_batched_3d(g)
     dense, _ = as_batched_3d(weights.to_scattered())
     out = np.matmul(np.swapaxes(dense, -1, -2), g3)
-    return restore_batch_shape(out, batch_shape)
-
-
-def spmm_dense_reference(weights: CompressedLayout, v: np.ndarray) -> np.ndarray:
-    """Reference implementation: densify the sparse matrix and matmul.
-
-    Used in tests to pin the semantics of :func:`spmm`.
-    """
-    dense = weights.to_dense(0.0)
-    return np.matmul(dense, np.asarray(v, dtype=np.float32))
-
-
-def spmm_row_blocked(
-    weights: CompressedLayout, v: np.ndarray, row_block: int = 128
-) -> np.ndarray:
-    """Row-blocked SpMM that bounds the size of the gathered V slices.
-
-    Matches the thread-block tiling of the CUTLASS SpMM kernel; useful when
-    ``n_q * kept * d_v`` would not fit in memory as a single gathered tensor.
-    """
-    v = np.asarray(v, dtype=np.float32)
-    vals3, batch_shape = as_batched_3d(weights.values)
-    cols3, _ = as_batched_3d(weights.column_indices())
-    v3, _ = as_batched_3d(v)
-    batch, n_q, _ = vals3.shape
-    d_v = v3.shape[-1]
-    out = np.empty((batch, n_q, d_v), dtype=np.float32)
-    for b in range(batch):
-        for r0 in range(0, n_q, row_block):
-            r1 = min(r0 + row_block, n_q)
-            gathered = v3[b][cols3[b, r0:r1]]
-            out[b, r0:r1] = np.einsum(
-                "qk,qkd->qd", vals3[b, r0:r1], gathered, optimize=True
-            )
     return restore_batch_shape(out, batch_shape)

@@ -12,7 +12,7 @@
 """
 
 from repro.nn.autograd import Tensor, parameter
-from repro.nn.attention_layer import MultiHeadSelfAttention, make_attention_core
+from repro.nn.attention_layer import MultiHeadSelfAttention
 from repro.nn.layers import Dropout, Embedding, LayerNorm, Linear, Module, Sequential
 from repro.nn.optim import SGD, Adam, AdamW, clip_grad_norm
 from repro.nn.sparse_attention import dfss_sparse_attention
@@ -30,7 +30,6 @@ __all__ = [
     "Tensor",
     "parameter",
     "MultiHeadSelfAttention",
-    "make_attention_core",
     "dfss_sparse_attention",
     "Dropout",
     "Embedding",

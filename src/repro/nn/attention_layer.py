@@ -764,31 +764,6 @@ def _linformer_dfss_core(cfg, seq_len_hint: int) -> AttentionCore:
     )
 
 
-# ----------------------------------------------------------------- factory
-def make_attention_core(mechanism: str, seq_len_hint: int = 512, **kwargs) -> AttentionCore:
-    """Build an :class:`AttentionCore` by mechanism name.
-
-    .. deprecated::
-        Thin wrapper over the unified registry; use
-        :func:`repro.registry.make_core` or
-        :meth:`repro.engine.AttentionEngine.core` instead.
-
-    ``mechanism`` accepts the registry names and aliases plus ``dfss_1:2`` /
-    ``dfss_2:4`` shortcuts; extra keyword arguments are validated against the
-    mechanism's config dataclass — unknown ones raise ``TypeError`` instead of
-    being silently dropped.
-    """
-    import warnings
-
-    warnings.warn(
-        "make_attention_core() is deprecated; use repro.registry.make_core() "
-        "or repro.AttentionEngine(...).core()",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return make_core(mechanism, seq_len_hint=seq_len_hint, **kwargs)
-
-
 # ------------------------------------------------------------- the nn layer
 class MultiHeadSelfAttention(Module):
     """Multi-head self-attention with a swappable attention core.

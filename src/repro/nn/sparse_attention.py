@@ -28,24 +28,13 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from repro.analysis.sanitize import check_grads, check_output, guard_input
-from repro.core.attention_grad import masked_attention_bwd
-from repro.core.backend import REFERENCE, resolve_backend
+from repro.core.backend import REFERENCE
 from repro.core.blocked_ell import BlockedEllMask
 from repro.core.layout import CompressedLayout, dense_positions
 from repro.core.padded_csr import PaddedCSRMatrix
 from repro.core.patterns import resolve_pattern
-from repro.core.plan import (
-    FUSED,
-    AttentionPlan,
-    plan_for_nm,
-    plan_for_structure,
-    resolve_pipeline,
-)
-from repro.core.sddmm import sddmm_csr, sddmm_nm
-from repro.core.softmax import sparse_softmax
+from repro.core.plan import AttentionPlan, plan_for_nm, plan_for_structure
 from repro.core.sparse import NMSparseMatrix
-from repro.core.spmm import spmm
 from repro.nn.autograd import Tensor
 from repro.profile.tracer import phase_scope
 from repro.utils.seeding import attention_dropout_keep, draw_dropout_seed
@@ -56,23 +45,20 @@ def _compressed_attention_node(
     k: Tensor,
     v: Tensor,
     probs: CompressedLayout,
+    plan: AttentionPlan,
     scale: float,
-    backend: Optional[str],
     dropout_p: float,
     dropout_rng: Optional[np.random.Generator],
     training: bool,
     name: str,
-    plan: Optional[AttentionPlan] = None,
 ) -> Tensor:
     """Finish the pipeline from compressed probabilities: dropout, SpMM, backward.
 
     This is the layout-independent half shared by the N:M and padded-CSR
-    ops; ``probs`` is the compressed (pre-dropout) probability matrix.  When
-    ``plan`` is given the SpMM and the backward dispatch through its
-    pre-resolved kernels (bitwise-identical functions — the registry would
-    resolve to the same objects) instead of per-call registry lookups.
+    ops; ``probs`` is the compressed (pre-dropout) probability matrix.  The
+    SpMM and the backward dispatch through ``plan``'s pre-resolved kernels.
     """
-    if resolve_backend(backend) != REFERENCE:
+    if plan.key.backend != REFERENCE:
         # one metadata walk per step: the forward SpMM and the backward
         # kernels share the scattered tile (the reference loops never use it)
         probs.to_scattered(cache=True)
@@ -89,16 +75,7 @@ def _compressed_attention_node(
         drop_keep = attention_dropout_keep(
             draw_dropout_seed(dropout_rng), dropout_p, dense_positions(probs)
         )
-    if plan is not None:
-        out_data = plan.contract(probs, v.data, drop_keep=drop_keep)
-    else:
-        applied = (
-            probs if drop_keep is None
-            else probs.with_values(probs.values * drop_keep)
-        )
-        out_data = check_output(
-            spmm(applied, guard_input(v.data), backend=backend), "attention output"
-        )
+    out_data = plan.contract(probs, v.data, drop_keep=drop_keep)
 
     def backward(out):
         def fn():
@@ -106,21 +83,10 @@ def _compressed_attention_node(
             # explicit scope here keeps attribution correct when the closure
             # is driven directly (e.g. gradcheck harnesses).
             with phase_scope("bwd"):
-                if plan is not None:
-                    d_q, d_k, d_v = plan.backward(
-                        probs, q.data, k.data, v.data, out.grad, scale,
-                        drop_keep=drop_keep, out=out.data,
-                    )
-                else:
-                    d_q, d_k, d_v = check_grads(
-                        masked_attention_bwd(
-                            probs,
-                            guard_input(q.data), guard_input(k.data),
-                            guard_input(v.data), guard_input(out.grad), scale,
-                            drop_keep=drop_keep, out=out.data, backend=backend,
-                        ),
-                        "attention gradient",
-                    )
+                d_q, d_k, d_v = plan.backward(
+                    probs, q.data, k.data, v.data, out.grad, scale,
+                    drop_keep=drop_keep, out=out.data,
+                )
             if q.requires_grad:
                 q._accumulate(d_q)
             if k.requires_grad:
@@ -144,7 +110,6 @@ def dfss_sparse_attention(
     dropout_p: float = 0.0,
     dropout_rng: Optional[np.random.Generator] = None,
     training: bool = False,
-    pipeline: Optional[str] = None,
 ) -> Tuple[Tensor, NMSparseMatrix]:
     """Differentiable DFSS attention on the compressed N:M pipeline.
 
@@ -176,11 +141,6 @@ def dfss_sparse_attention(
         (:func:`repro.utils.seeding.attention_dropout_keep`), so a seeded run
         through this op and one through the dense escape hatch drop the same
         (row, column) entries.
-    pipeline:
-        "fused" (default) executes through a compiled cached
-        :class:`~repro.core.plan.AttentionPlan` — pre-resolved kernels, score
-        buffer reused in place; "staged" dispatches the three registry
-        kernels per call (the bitwise parity oracle).
 
     Returns
     -------
@@ -194,22 +154,12 @@ def dfss_sparse_attention(
         scale = 1.0 / np.sqrt(d)
     scale = float(scale)
 
-    plan: Optional[AttentionPlan] = None
-    if resolve_pipeline(pipeline) == FUSED:
-        plan = plan_for_nm(pattern, q.shape[-2], k.shape[-2], backend=backend)
-        scores = plan.compute_scores(
-            q.data, k.data, scale=scale, block_mask=block_mask
-        )
-        probs = plan.compute_probs(scores)
-    else:
-        scores = sddmm_nm(
-            guard_input(q.data), guard_input(k.data), pattern=pattern, scale=scale,
-            block_mask=block_mask, backend=backend,
-        )
-        probs = sparse_softmax(scores, backend=backend)
+    plan = plan_for_nm(pattern, q.shape[-2], k.shape[-2], backend=backend)
+    scores = plan.compute_scores(q.data, k.data, scale=scale, block_mask=block_mask)
+    probs = plan.compute_probs(scores)
     out = _compressed_attention_node(
-        q, k, v, probs, scale, backend,
-        dropout_p, dropout_rng, training, "dfss_attention", plan=plan,
+        q, k, v, probs, plan, scale,
+        dropout_p, dropout_rng, training, "dfss_attention",
     )
     return out, probs
 
@@ -225,7 +175,6 @@ def masked_sparse_attention(
     dropout_rng: Optional[np.random.Generator] = None,
     training: bool = False,
     scores: Optional[PaddedCSRMatrix] = None,
-    pipeline: Optional[str] = None,
 ) -> Tuple[Tensor, PaddedCSRMatrix]:
     """Differentiable masked attention on the compressed padded-CSR pipeline.
 
@@ -264,10 +213,6 @@ def masked_sparse_attention(
         Mechanisms that already computed the dense score matrix to choose
         their mask (Top-K) pass it here so the op skips its SDDMM instead of
         paying the score GEMM a second time.
-    pipeline:
-        "fused" (default) executes through a compiled cached
-        :class:`~repro.core.plan.AttentionPlan`; "staged" dispatches the
-        registry kernels per call (the bitwise parity oracle).
 
     Returns
     -------
@@ -292,30 +237,19 @@ def masked_sparse_attention(
         # re-run the argsort on every identical leading slice
         structure = PaddedCSRMatrix.from_mask(mask).broadcast_to(batch_shape)
 
-    plan: Optional[AttentionPlan] = None
-    if resolve_pipeline(pipeline) == FUSED:
-        plan = plan_for_structure(structure, backend=backend)
+    plan = plan_for_structure(structure, backend=backend)
     prescored = scores is not None
     if not prescored:
-        if plan is not None:
-            scores = plan.compute_scores(q.data, k.data, structure, scale=scale)
-        else:
-            scores = sddmm_csr(
-                guard_input(q.data), guard_input(k.data), structure,
-                scale=scale, backend=backend,
-            )
+        scores = plan.compute_scores(q.data, k.data, structure, scale=scale)
     elif scores.values.shape != structure.values.shape:
         raise ValueError(
             f"precomputed scores shape {scores.values.shape} does not share "
             f"the mask structure {structure.values.shape}"
         )
-    if plan is not None:
-        # caller-provided score buffers must survive: owned=False copies once
-        probs = plan.compute_probs(scores, owned=not prescored)
-    else:
-        probs = sparse_softmax(scores, backend=backend)
+    # caller-provided score buffers must survive: owned=False copies once
+    probs = plan.compute_probs(scores, owned=not prescored)
     out = _compressed_attention_node(
-        q, k, v, probs, scale, backend,
-        dropout_p, dropout_rng, training, "masked_attention", plan=plan,
+        q, k, v, probs, plan, scale,
+        dropout_p, dropout_rng, training, "masked_attention",
     )
     return out, probs

@@ -2,7 +2,7 @@
 
 Historically the repo grew three parallel ways to build the same mechanism —
 the ``dspattn`` Figure-3 shim, the numpy ``MECHANISM_REGISTRY`` baselines
-surface, and the 16-branch ``if/elif`` chain in ``make_attention_core`` —
+surface, and a 16-branch ``if/elif`` factory chain in the nn layer —
 plus a fourth ad-hoc naming scheme in the experiment tables.  This module
 replaces all of them with a single declarative catalogue:
 
@@ -186,8 +186,7 @@ class DfssConfig(MaskedCoreConfig):
 
     ``pattern=None`` defers to the hardware default: the numpy mechanism
     resolves it from ``dtype`` (1:2 for float32, 2:4 for bfloat16), the
-    trainable core defaults to 2:4 (the legacy ``make_attention_core``
-    behaviour).
+    trainable core defaults to 2:4.
     """
 
     pattern: object = None

@@ -11,7 +11,6 @@ when pointed here).
 import numpy as np
 
 from repro.core.backend import FAST, REFERENCE, register_kernel
-from repro.core.spmm import softmax_spmm  # KC005: deprecated staged entry point
 
 
 @register_kernel("fixture_fastonly", FAST)  # KC001: no reference backend

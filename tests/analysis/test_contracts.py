@@ -20,7 +20,7 @@ class TestSeededViolations:
 
     def test_every_contract_rule_fires(self):
         assert _rules(self._findings()) == [
-            "KC001", "KC002", "KC003", "KC004", "KC005", "KC006",
+            "KC001", "KC002", "KC003", "KC004", "KC006",
         ]
 
     def test_missing_reference_backend(self):
@@ -44,10 +44,6 @@ class TestSeededViolations:
         messages = " ".join(f.message for f in dense)
         assert "zeros" in messages
         assert "toarray" in messages
-
-    def test_deprecated_import_flagged(self):
-        [f] = [f for f in self._findings() if f.rule == "KC005"]
-        assert "softmax_spmm" in f.message
 
     def test_private_internals_are_warnings(self):
         [f] = [f for f in self._findings() if f.rule == "KC006"]

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import repro.baselines as B
-from repro.baselines.base import MECHANISM_REGISTRY, create_mechanism
+from repro.baselines.base import MECHANISM_REGISTRY
 from repro.core.attention import full_attention
+from repro.registry import make_mechanism
 
 
 def _qkv(batch=(2,), seq=64, d=32, seed=0, scale=0.5, peak=0.0):
@@ -36,18 +37,18 @@ class TestRegistry:
         for name in ("nystromformer", "nystromformer_dfss", "bigbird_dfss", "linformer_dfss"):
             assert name in MECHANISM_REGISTRY, name
 
-    def test_create_mechanism(self):
-        mech = create_mechanism("dfss", pattern="2:4")
+    def test_make_mechanism(self):
+        mech = make_mechanism("dfss", pattern="2:4")
         assert isinstance(mech, B.DfssMechanism)
         with pytest.raises(ValueError):
-            create_mechanism("flash_attention")
+            make_mechanism("flash_attention")
 
 
 class TestAllMechanismsForward:
     @pytest.mark.parametrize("name", ALL_MECHANISMS)
     def test_output_shape_and_finite(self, name):
         q, k, v = _qkv(seq=64, d=32)
-        mech = create_mechanism(name)
+        mech = make_mechanism(name)
         out = mech(q, k, v)
         assert out.shape == q.shape
         assert np.all(np.isfinite(out))
@@ -55,13 +56,13 @@ class TestAllMechanismsForward:
     @pytest.mark.parametrize("name", ALL_MECHANISMS)
     def test_batched_4d_inputs(self, name):
         q, k, v = _qkv(batch=(2, 2), seq=32, d=16)
-        out = create_mechanism(name)(q, k, v)
+        out = make_mechanism(name)(q, k, v)
         assert out.shape == (2, 2, 32, 16)
 
     @pytest.mark.parametrize("name", ALL_MECHANISMS)
     def test_rejects_mismatched_inputs(self, name):
         q, k, v = _qkv(seq=32, d=16)
-        mech = create_mechanism(name)
+        mech = make_mechanism(name)
         with pytest.raises(ValueError):
             mech(q[..., :8], k, v)  # Q and K head dimensions differ
 
@@ -70,7 +71,7 @@ class TestAllMechanismsForward:
     )
     def test_masks_have_no_empty_rows(self, name):
         q, k, v = _qkv(seq=64, d=32, seed=3)
-        mask = create_mechanism(name).attention_mask(q, k)
+        mask = make_mechanism(name).attention_mask(q, k)
         assert mask.dtype == bool
         assert mask.shape[-2:] == (64, 64)
         assert np.all(mask.any(axis=-1)), f"{name} produced an unattended query row"
@@ -79,35 +80,35 @@ class TestAllMechanismsForward:
 class TestApproximationQuality:
     def test_dfss_better_than_fixed_and_synthesizer(self):
         q, k, v = _qkv(seq=128, d=64, peak=1.0, seed=5)
-        err_dfss = create_mechanism("dfss", pattern="2:4").approximation_error(q, k, v)
-        err_fixed = create_mechanism("fixed_truncated", density=0.5).approximation_error(q, k, v)
-        err_synth = create_mechanism("synthesizer").approximation_error(q, k, v)
+        err_dfss = make_mechanism("dfss", pattern="2:4").approximation_error(q, k, v)
+        err_fixed = make_mechanism("fixed_truncated", density=0.5).approximation_error(q, k, v)
+        err_synth = make_mechanism("synthesizer").approximation_error(q, k, v)
         assert err_dfss < err_fixed
         assert err_dfss < err_synth
 
     def test_topk_oracle_beats_dfss_at_same_density(self):
         q, k, v = _qkv(seq=128, d=64, peak=1.0, seed=6)
-        err_topk = create_mechanism("topk", density=0.5).approximation_error(q, k, v)
-        err_dfss = create_mechanism("dfss", pattern="2:4").approximation_error(q, k, v)
+        err_topk = make_mechanism("topk", density=0.5).approximation_error(q, k, v)
+        err_dfss = make_mechanism("dfss", pattern="2:4").approximation_error(q, k, v)
         assert err_topk <= err_dfss + 1e-6
 
     def test_dfss_mask_density_is_half(self):
         q, k, _ = _qkv(seq=64, d=32)
-        mask = create_mechanism("dfss", pattern="2:4").attention_mask(q, k)
+        mask = make_mechanism("dfss", pattern="2:4").attention_mask(q, k)
         assert mask.mean() == pytest.approx(0.5)
 
     def test_full_attention_zero_error(self):
         q, k, v = _qkv(seq=64, d=32)
-        assert create_mechanism("full").approximation_error(q, k, v) < 1e-6
+        assert make_mechanism("full").approximation_error(q, k, v) < 1e-6
 
     def test_nystromformer_reasonable_approximation(self):
         q, k, v = _qkv(seq=128, d=32, scale=0.5, seed=7)
-        err = create_mechanism("nystromformer", num_landmarks=32).approximation_error(q, k, v)
+        err = make_mechanism("nystromformer", num_landmarks=32).approximation_error(q, k, v)
         assert err < 0.6
 
     def test_performer_correlates_with_full_attention(self):
         q, k, v = _qkv(seq=128, d=32, scale=0.3, seed=8)
-        out = create_mechanism("performer", num_features=256, seed=1)(q, k, v)
+        out = make_mechanism("performer", num_features=256, seed=1)(q, k, v)
         ref = full_attention(q, k, v)
         corr = np.corrcoef(out.ravel(), ref.ravel())[0, 1]
         assert corr > 0.5
@@ -115,7 +116,7 @@ class TestApproximationQuality:
     def test_linear_transformer_row_convexity(self):
         # linear attention outputs are convex combinations of V rows
         q, k, v = _qkv(seq=64, d=16, seed=9)
-        out = create_mechanism("linear_transformer")(q, k, v)
+        out = make_mechanism("linear_transformer")(q, k, v)
         assert out.min() >= v.min() - 1e-4
         assert out.max() <= v.max() + 1e-4
 

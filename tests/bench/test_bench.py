@@ -426,102 +426,7 @@ class TestServeGate:
         assert all(r["parity_max_rel_err"] == 0.0 for r in serving)
 
 
-class TestFusedBench:
-    @pytest.fixture(scope="class")
-    def fused_results(self):
-        from repro.bench.runner import run_fused_benchmarks
-
-        return run_fused_benchmarks(repeats=2, warmup=0, patterns=("2:4",), shape=TINY)
-
-    def test_rows_cover_both_arms(self, fused_results):
-        combos = {(r.kernel, r.backend) for r in fused_results}
-        assert combos == {
-            (k, arm)
-            for k in ("attention_fused", "attention_fused_train")
-            for arm in ("staged", "fused")
-        }
-
-    def test_fused_arm_is_bitwise_identical_to_staged(self, fused_results):
-        for r in fused_results:
-            if r.backend == "staged":
-                assert r.speedup == 1.0 and r.parity_max_rel_err is None
-            else:
-                assert r.parity_max_rel_err == 0.0
-
-    def test_kernel_subset(self):
-        from repro.bench.runner import run_fused_benchmarks
-
-        rows = run_fused_benchmarks(
-            repeats=1, warmup=0, patterns=("2:4",), shape=TINY,
-            kernels=["attention_fused"],
-        )
-        assert {r.kernel for r in rows} == {"attention_fused"}
-
-    def test_unknown_kernel_rejected(self):
-        from repro.bench.runner import run_fused_benchmarks
-
-        with pytest.raises(ValueError, match="unknown"):
-            run_fused_benchmarks(shape=TINY, kernels=["warp_drive"])
-
-
-class TestFusedAndSoftmaxGate:
-    @staticmethod
-    def _fused_rows(kernel, speedup, parity=0.0):
-        shape = "B1xH2xL32xD16/2:4"
-        staged = {
-            "kernel": kernel, "shape": shape, "backend": "staged",
-            "median_s": 0.01, "p10_s": 0.01, "p90_s": 0.01,
-            "speedup": 1.0, "parity_max_rel_err": None,
-        }
-        fused = dict(staged, backend="fused", speedup=speedup,
-                     parity_max_rel_err=parity)
-        return [staged, fused]
-
-    def _payload(self, speedup=1.2, parity=0.0):
-        rows = (
-            self._fused_rows("attention_fused", speedup, parity)
-            + self._fused_rows("attention_fused_train", speedup, parity)
-        )
-        return {"schema_version": 1, "results": rows}
-
-    def test_fused_floor_fires_below_threshold(self):
-        gate = _load_gate()
-        payload = self._payload(speedup=0.9)
-        failures, _ = gate.check(
-            payload, payload, min_e2e_speedup=0.0, min_train_speedup=0.0,
-            min_matrix_speedup=0.0, min_fused_speedup=1.0,
-        )
-        assert sum("fused floor" in f for f in failures) == 2
-
-    def test_fused_floor_passes_at_parity_or_better(self):
-        gate = _load_gate()
-        payload = self._payload(speedup=1.0)
-        failures, _ = gate.check(
-            payload, payload, min_e2e_speedup=0.0, min_train_speedup=0.0,
-            min_matrix_speedup=0.0, min_fused_speedup=1.0,
-        )
-        assert failures == []
-
-    def test_fused_parity_must_be_exactly_zero(self):
-        # 1e-7 would sail under the generic 1e-2 tolerance; the fused plan
-        # runs the same kernels as staged, so any difference is a bug
-        gate = _load_gate()
-        payload = self._payload(speedup=1.2, parity=1e-7)
-        failures, _ = gate.check(
-            payload, payload, min_e2e_speedup=0.0, min_train_speedup=0.0,
-            min_matrix_speedup=0.0,
-        )
-        assert sum("bitwise-identical to staged" in f for f in failures) == 2
-
-    def test_fused_floor_requires_rows(self):
-        gate = _load_gate()
-        payload = {"schema_version": 1, "results": []}
-        failures, _ = gate.check(
-            payload, payload, min_e2e_speedup=0.0, min_train_speedup=0.0,
-            min_matrix_speedup=0.0, min_fused_speedup=1.0,
-        )
-        assert sum("fused floor" in f and "no " in f for f in failures) == 2
-
+class TestSoftmaxGate:
     @staticmethod
     def _softmax_rows(kernel, speedup):
         shape = "B1xH2xL32xD16/2:4"

@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 
 from repro.core.attention import dfss_attention
-from repro.core.backend import FAST, REFERENCE, get_kernel
+from repro.core.backend import FAST, REFERENCE
 from repro.core.blocked_ell import sliding_window_mask
+from repro.core.plan import plan_for_nm
 from repro.core.pruning import (
     nm_compress,
     nm_compress_fast,
@@ -136,22 +137,26 @@ class TestSoftmaxSpmmParity:
         np.testing.assert_allclose(fast, ref, rtol=1e-5, atol=1e-6)
 
     @pytest.mark.parametrize("pattern", PATTERNS)
-    def test_fused_softmax_spmm_matches_unfused(self, pattern):
+    def test_plan_softmax_contract_matches_unfused(self, pattern):
+        # both plans' probs -> contract stages against the standalone kernels
         q, k, v = _qkv((2, 3), seed=29)
         scores = sddmm_nm(q, k, pattern=pattern)
         unfused = spmm(sparse_softmax(scores), v)
         for backend in (REFERENCE, FAST):
-            fused = get_kernel("softmax_spmm", backend)(scores, v)
-            np.testing.assert_allclose(fused, unfused, rtol=1e-5, atol=1e-6)
+            plan = plan_for_nm(pattern, q.shape[-2], k.shape[-2], backend=backend)
+            probs = plan.compute_probs(scores, owned=False)
+            np.testing.assert_allclose(
+                plan.contract(probs, v), unfused, rtol=1e-5, atol=1e-6,
+                err_msg=backend,
+            )
 
     def test_fused_with_fully_masked_rows(self):
-        # a zero-window block mask leaves some rows fully at the sentinel;
-        # those rows must come out exactly zero from both backends
+        # a zero-window block mask leaves most score groups entirely at the
+        # sentinel; both backends' plans must agree on them
         q, k, v = _qkv((), seq=64, d=16, seed=31)
         mask = sliding_window_mask(64, block_size=16, window_blocks=0)
-        scores = sddmm_nm(q, k, pattern="2:4", block_mask=mask)
-        ref = get_kernel("softmax_spmm", REFERENCE)(scores, v)
-        fast = get_kernel("softmax_spmm", FAST)(scores, v)
+        ref = dfss_attention(q, k, v, pattern="2:4", block_mask=mask, backend=REFERENCE)
+        fast = dfss_attention(q, k, v, pattern="2:4", block_mask=mask, backend=FAST)
         np.testing.assert_allclose(fast, ref, atol=1e-6)
 
 

@@ -3,7 +3,7 @@
 Bitwise parity with ``fast`` is the contract, not a tolerance: every kernel
 in the fused chain is per-leading-slice independent, so tiling the flattened
 batch×head dimension must never perturb a bit — forward and backward, N:M
-and ragged CSR, thread and process pools, and the grouped serving path.
+and ragged CSR, and the grouped serving path.
 The pool itself must start lazily, degenerate to inline execution at one
 worker, survive env reconfiguration, and put each tile on its own worker
 lane in a Chrome trace.
@@ -15,18 +15,28 @@ import pytest
 from repro.core.attention import dfss_attention
 from repro.core.backend import FAST, MULTICORE, use_backend
 from repro.core.multicore import (
-    MODE_ENV_VAR,
     WORKERS_ENV_VAR,
     WorkerPool,
-    get_pool,
-    resolve_mode,
     resolve_worker_count,
     slice_costs,
     tile_slices,
 )
 from repro.nn.autograd import Tensor
-from repro.nn.sparse_attention import dfss_sparse_attention
+from repro.nn.layers import Dropout
+from repro.nn.sparse_attention import dfss_sparse_attention, masked_sparse_attention
 from repro.profile.tracer import trace
+from repro.registry import available_mechanisms, find_spec, make_core
+
+#: Every mechanism whose spec advertises a compressed execution path; the
+#: tiled plan must be invisible to all of them.
+COMPRESSED_MECHANISMS = tuple(
+    name for name in available_mechanisms() if find_spec(name).compressed
+)
+#: The compressed mechanisms whose core applies attention dropout (the
+#: Nystrom landmark kernels have no attention-probability dropout).
+DROPOUT_MECHANISMS = tuple(
+    name for name in COMPRESSED_MECHANISMS if name != "nystromformer_dfss"
+)
 
 SHAPE = (3, 2, 64, 32)
 
@@ -150,14 +160,6 @@ class TestWorkerPoolLifecycle:
         with pytest.raises(ValueError):
             resolve_worker_count()
 
-    def test_resolve_mode(self, monkeypatch):
-        monkeypatch.delenv(MODE_ENV_VAR, raising=False)
-        assert resolve_mode() == "thread"
-        monkeypatch.setenv(MODE_ENV_VAR, "process")
-        assert resolve_mode() == "process"
-        with pytest.raises(ValueError):
-            resolve_mode("fibers")
-
 
 class TestBitwiseParity:
     @pytest.mark.parametrize("pattern", ["1:2", "2:4"])
@@ -245,17 +247,115 @@ class TestBitwiseParity:
         assert np.array_equal(fast, inline)
 
 
-class TestProcessMode:
-    def test_forward_parity(self, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV_VAR, "2")
-        q, k, v = _qkv()
-        fast = dfss_attention(q, k, v, pattern="1:2", backend=FAST)
-        monkeypatch.setenv(MODE_ENV_VAR, "process")
-        try:
-            tiled = dfss_attention(q, k, v, pattern="1:2", backend=MULTICORE)
-        finally:
-            get_pool().shutdown()  # join the child processes promptly
-        assert np.array_equal(fast, tiled)
+def _lattice(shape, seed=0):
+    rng = np.random.default_rng(seed)
+    return (rng.integers(-2, 3, size=shape) / 2).astype(np.float32)
+
+
+def _lattice_tensors(batch=(2, 3), seq=32, d=16, seed=0):
+    shape = tuple(batch) + (seq, d)
+    return tuple(
+        Tensor(_lattice(shape, seed=seed + i), requires_grad=True) for i in range(3)
+    )
+
+
+def _run_core(mechanism, backend, dropout=0.0, seed=1):
+    """One fwd+bwd pass of the mechanism's trainable core on ``backend``."""
+    q, k, v = _lattice_tensors(seed=seed)
+    try:
+        core = make_core(mechanism, seq_len_hint=32, path="sparse", backend=backend)
+    except TypeError:  # hybrid cores without a path switch are already sparse
+        core = make_core(mechanism, seq_len_hint=32, backend=backend)
+    if dropout:
+        core.attn_dropout = Dropout(dropout, seed=5)
+    out = core(q, k, v)
+    (out * out).sum().backward()
+    return out.data, q.grad, k.grad, v.grad
+
+
+class TestMechanismMatrix:
+    def test_the_matrix_is_not_empty(self):
+        assert {"dfss", "topk", "longformer", "bigbird"} <= set(
+            COMPRESSED_MECHANISMS
+        )
+
+    @pytest.mark.parametrize("mechanism", COMPRESSED_MECHANISMS)
+    def test_multicore_bitwise_equals_fast(self, two_workers, mechanism):
+        fast = _run_core(mechanism, FAST)
+        tiled = _run_core(mechanism, MULTICORE)
+        for name, a, b in zip(("out", "dq", "dk", "dv"), fast, tiled):
+            assert a is not None and b is not None
+            np.testing.assert_array_equal(a, b, err_msg=f"{mechanism}:{name}")
+
+    @pytest.mark.parametrize("mechanism", DROPOUT_MECHANISMS)
+    def test_multicore_bitwise_equals_fast_under_dropout(
+        self, two_workers, mechanism
+    ):
+        # the dropout draw is made once per call over the whole batch, so
+        # tiling must not change which probabilities are dropped
+        fast = _run_core(mechanism, FAST, dropout=0.25)
+        tiled = _run_core(mechanism, MULTICORE, dropout=0.25)
+        assert not np.array_equal(fast[0], _run_core(mechanism, FAST)[0])
+        for name, a, b in zip(("out", "dq", "dk", "dv"), fast, tiled):
+            np.testing.assert_array_equal(a, b, err_msg=f"{mechanism}:{name}")
+
+
+class TestRaggedAndFullyMaskedRows:
+    @staticmethod
+    def _ragged_mask(seq=24):
+        # ragged band + global columns, with two fully-masked rows
+        mask = np.triu(np.tril(np.ones((seq, seq), dtype=bool), 3), -6)
+        mask[:, :2] = True
+        mask[5] = False
+        mask[17] = False
+        return mask
+
+    def _run(self, backend, dropout=0.0, seed=3):
+        q, k, v = _lattice_tensors(batch=(2, 2), seq=24, d=16, seed=seed)
+        kwargs = {}
+        if dropout:
+            kwargs = dict(
+                dropout_p=dropout,
+                dropout_rng=np.random.default_rng(123),
+                training=True,
+            )
+        out, probs = masked_sparse_attention(
+            q, k, v, self._ragged_mask(), backend=backend, **kwargs
+        )
+        (out * out).sum().backward()
+        return (out.data, q.grad, k.grad, v.grad), probs
+
+    def test_ragged_rows_bitwise(self, two_workers):
+        fast, _ = self._run(FAST)
+        tiled, _ = self._run(MULTICORE)
+        for a, b in zip(fast, tiled):
+            np.testing.assert_array_equal(a, b)
+
+    def test_fully_masked_rows_get_exactly_zero_weight(self, two_workers):
+        (out, *_), probs = self._run(MULTICORE)
+        dense = probs.to_dense(0.0)
+        assert np.all(dense[..., 5, :] == 0.0) and np.all(dense[..., 17, :] == 0.0)
+        assert np.all(out[..., 5, :] == 0.0) and np.all(out[..., 17, :] == 0.0)
+
+    def test_dropout_bitwise_under_the_same_seed(self, two_workers):
+        fast, _ = self._run(FAST, dropout=0.25)
+        tiled, _ = self._run(MULTICORE, dropout=0.25)
+        for a, b in zip(fast, tiled):
+            np.testing.assert_array_equal(a, b)
+
+    def test_nm_dropout_bitwise(self, two_workers):
+        arms = {}
+        for backend in (FAST, MULTICORE):
+            q, k, v = _lattice_tensors(seed=7)
+            out, _ = dfss_sparse_attention(
+                q, k, v, pattern="2:4", backend=backend,
+                dropout_p=0.25, dropout_rng=np.random.default_rng(99),
+                training=True,
+            )
+            (out * out).sum().backward()
+            arms[backend] = (out.data, q.grad, k.grad, v.grad)
+        for a, b in zip(arms[FAST], arms[MULTICORE]):
+            np.testing.assert_array_equal(a, b)
 
 
 class TestTraceIntegration:

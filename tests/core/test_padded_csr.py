@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 from repro.core.attention_grad import masked_attention_bwd
-from repro.core.backend import FAST, REFERENCE, get_kernel
+from repro.core.backend import FAST, REFERENCE
 from repro.core.padded_csr import PaddedCSRMatrix
+from repro.core.plan import plan_for_structure
 from repro.core.sddmm import MASKED_SCORE, sddmm_csr, sddmm_masked
 from repro.core.softmax import masked_dense_softmax, sparse_softmax
 from repro.core.spmm import spmm, spmm_t
@@ -193,6 +194,17 @@ class TestKernelsOnPaddedCSR:
             atol=1e-4,
         )
 
+    def test_plan_softmax_contract_matches_unfused(self):
+        q, k, v, mask, st, scale, dense_scores = self._pipeline(FAST, seed=16)
+        scores = sddmm_csr(q, k, st)
+        unfused = spmm(sparse_softmax(scores), v)
+        for backend in BACKENDS:
+            plan = plan_for_structure(st, backend=backend)
+            probs = plan.compute_probs(scores, owned=False)
+            np.testing.assert_allclose(
+                plan.contract(probs, v), unfused, atol=1e-5, err_msg=backend
+            )
+
     def test_backward_backends_agree(self):
         q, k, v, mask, st, scale, dense_scores = self._pipeline(FAST, seed=14)
         probs = sparse_softmax(sddmm_csr(q, k, st))
@@ -201,10 +213,3 @@ class TestKernelsOnPaddedCSR:
         fast = masked_attention_bwd(probs, q, k, v, g, scale, backend=FAST)
         for a, b in zip(ref, fast):
             np.testing.assert_allclose(a, b, rtol=1e-4, atol=1e-5)
-
-    def test_fused_softmax_spmm_matches_unfused(self):
-        q, k, v, mask, st, scale, dense_scores = self._pipeline(FAST, seed=16)
-        scores = sddmm_csr(q, k, st)
-        fused = get_kernel("softmax_spmm", FAST)(scores, v)
-        unfused = spmm(sparse_softmax(scores), v)
-        np.testing.assert_allclose(fused, unfused, atol=1e-5)

@@ -1,7 +1,6 @@
 """Tests for the compiled plan/execute layer (:mod:`repro.core.plan`).
 
-Covers pipeline resolution (argument > context > environment > default),
-the backend plan-builder registry seam, the LRU plan cache and its
+Covers the backend plan-builder registry seam, the LRU plan cache and its
 hit/miss accounting, and the :meth:`AttentionEngine.plan` façade.
 """
 
@@ -17,10 +16,6 @@ from repro.core.backend import (
 from repro.core.padded_csr import PaddedCSRMatrix
 from repro.core.patterns import PATTERN_2_4
 from repro.core.plan import (
-    DEFAULT_PIPELINE,
-    FUSED,
-    PIPELINE_ENV_VAR,
-    STAGED,
     AttentionPlan,
     PlanKey,
     build_plan,
@@ -28,8 +23,6 @@ from repro.core.plan import (
     plan_cache_stats,
     plan_for_nm,
     plan_for_structure,
-    resolve_pipeline,
-    use_pipeline,
 )
 from repro.engine import AttentionEngine
 
@@ -46,39 +39,6 @@ def _qkv(seq=16, d=8, seed=0):
     return tuple(
         rng.standard_normal((seq, d), dtype=np.float32) for _ in range(3)
     )
-
-
-class TestPipelineResolution:
-    def test_default_is_fused(self, monkeypatch):
-        monkeypatch.delenv(PIPELINE_ENV_VAR, raising=False)
-        assert resolve_pipeline() == DEFAULT_PIPELINE == FUSED
-
-    def test_environment_variable(self, monkeypatch):
-        monkeypatch.setenv(PIPELINE_ENV_VAR, "staged")
-        assert resolve_pipeline() == STAGED
-
-    def test_context_shadows_environment(self, monkeypatch):
-        monkeypatch.setenv(PIPELINE_ENV_VAR, "fused")
-        with use_pipeline(STAGED):
-            assert resolve_pipeline() == STAGED
-        assert resolve_pipeline() == FUSED
-
-    def test_argument_wins_over_context(self):
-        with use_pipeline(STAGED):
-            assert resolve_pipeline(FUSED) == FUSED
-
-    def test_contexts_nest_and_restore(self):
-        with use_pipeline(STAGED):
-            with use_pipeline(FUSED):
-                assert resolve_pipeline() == FUSED
-            assert resolve_pipeline() == STAGED
-
-    def test_unknown_pipeline_rejected(self):
-        with pytest.raises(ValueError, match="unknown pipeline"):
-            resolve_pipeline("warp")
-        with pytest.raises(ValueError, match="unknown pipeline"):
-            with use_pipeline("warp"):
-                pass  # pragma: no cover
 
 
 class TestPlanBuilders:

@@ -3,13 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.nn.attention_layer import (
-    DfssCore,
-    FullCore,
-    MultiHeadSelfAttention,
-    make_attention_core,
-)
+from repro.nn.attention_layer import DfssCore, FullCore, MultiHeadSelfAttention
 from repro.nn.autograd import Tensor
+from repro.registry import make_core
 
 MECHANISMS = [
     "full", "dfss_1:2", "dfss_2:4", "topk", "local", "sparse_transformer",
@@ -29,7 +25,7 @@ def _qkv(batch=2, heads=2, seq=16, d=8, seed=0):
 class TestCores:
     @pytest.mark.parametrize("mechanism", MECHANISMS)
     def test_forward_shape_and_backward(self, mechanism):
-        core = make_attention_core(mechanism, seq_len_hint=16)
+        core = make_core(mechanism, seq_len_hint=16)
         q, k, v = _qkv()
         out = core(q, k, v)
         assert out.shape == (2, 2, 16, 8)
@@ -39,7 +35,7 @@ class TestCores:
 
     def test_unknown_mechanism(self):
         with pytest.raises(ValueError):
-            make_attention_core("flash")
+            make_core("flash")
 
     def test_dfss_core_matches_masked_full(self):
         q, k, v = _qkv(seed=3)
@@ -65,7 +61,7 @@ class TestCores:
     def test_mechanism_gradients_flow_to_queries(self):
         for mechanism in ("dfss_2:4", "performer", "nystromformer", "linformer"):
             q, k, v = _qkv(seed=6)
-            out = make_attention_core(mechanism, seq_len_hint=16)(q, k, v)
+            out = make_core(mechanism, seq_len_hint=16)(q, k, v)
             (out * out).sum().backward()
             assert q.grad is not None and np.abs(q.grad).sum() > 0, mechanism
 

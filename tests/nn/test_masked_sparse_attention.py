@@ -11,7 +11,7 @@ paths and outputs/gradients agree to float tolerance.
 import numpy as np
 import pytest
 
-from repro.core.backend import FAST, REFERENCE
+from repro.core.backend import FAST, MULTICORE, REFERENCE
 from repro.nn.attention_layer import (
     BigBirdDfssCore,
     LinformerDfssCore,
@@ -52,7 +52,7 @@ def _tensors(batch=(2, 3), seq=32, d=16, seed=0):
 
 class TestPerMechanismGradcheckParity:
     @pytest.mark.parametrize("mechanism", MASK_MECHANISMS)
-    @pytest.mark.parametrize("backend", [REFERENCE, FAST])
+    @pytest.mark.parametrize("backend", [REFERENCE, FAST, MULTICORE])
     def test_sparse_matches_dense_masked_path(self, mechanism, backend):
         q1, k1, v1 = _tensors(seed=1)
         q2, k2, v2 = _tensors(seed=1)
@@ -164,6 +164,26 @@ class TestEdgeCases:
         with pytest.raises(ValueError, match="dropout_rng"):
             masked_sparse_attention(q, k, v, mask, dropout_p=0.5, training=True)
 
+    def test_prescored_caller_score_buffer_survives(self):
+        # Top-K hands its precomputed compressed scores to the op; the plan's
+        # in-place softmax must copy (owned=False), never overwrite them
+        from repro.core.padded_csr import PaddedCSRMatrix
+        from repro.core.sddmm import sddmm_csr
+
+        q, k, v = _tensors(batch=(), seq=16, d=16, seed=11)
+        mask = np.triu(np.ones((16, 16), dtype=bool), -4)
+        structure = PaddedCSRMatrix.from_mask(mask)
+        scores = sddmm_csr(q.data, k.data, structure, scale=0.25)
+        before = scores.values.copy()
+        out, _ = masked_sparse_attention(
+            q, k, v, structure, scale=0.25, scores=scores
+        )
+        np.testing.assert_array_equal(scores.values, before)
+        unscored_out, _ = masked_sparse_attention(
+            Tensor(q.data), Tensor(k.data), Tensor(v.data), structure, scale=0.25
+        )
+        np.testing.assert_array_equal(out.data, unscored_out.data)
+
 
 class TestDropoutLayoutIndependence:
     """Seeded dropout must agree between the CSR sparse op and the dense path."""
@@ -175,7 +195,7 @@ class TestDropoutLayoutIndependence:
         dense.attn_dropout = Dropout(p, seed=seed)
         return sparse, dense
 
-    @pytest.mark.parametrize("mechanism", ["local", "topk", "longformer"])
+    @pytest.mark.parametrize("mechanism", ["local", "topk", "longformer", "dfss_2:4"])
     def test_seeded_paths_comparable_under_dropout(self, mechanism):
         sparse, dense = self._cores(mechanism)
         for step in range(2):

@@ -9,17 +9,14 @@ exact and both paths select bit-identical N:M masks).
 import numpy as np
 import pytest
 
-from repro.core.backend import FAST, REFERENCE
+from repro.core.backend import FAST, MULTICORE, REFERENCE
 from repro.core.blocked_ell import sliding_window_mask
 from repro.nn import functional as F
-from repro.nn.attention_layer import (
-    DfssCore,
-    MultiHeadSelfAttention,
-    make_attention_core,
-)
+from repro.nn.attention_layer import DfssCore, MultiHeadSelfAttention
 from repro.nn.autograd import Tensor
 from repro.nn.layers import Dropout
 from repro.nn.sparse_attention import dfss_sparse_attention
+from repro.registry import make_core
 from repro.utils.seeding import attention_dropout_keep, hashed_uniform
 
 PATTERNS = ["1:2", "2:4"]
@@ -39,7 +36,7 @@ def _tensors(batch=(2, 3), seq=32, d=16, seed=0):
 
 class TestGradcheckAgainstDensePath:
     @pytest.mark.parametrize("pattern", PATTERNS)
-    @pytest.mark.parametrize("backend", [REFERENCE, FAST])
+    @pytest.mark.parametrize("backend", [REFERENCE, FAST, MULTICORE])
     def test_gradients_match_dense_masked_path(self, pattern, backend):
         q1, k1, v1 = _tensors(seed=1)
         q2, k2, v2 = _tensors(seed=1)
@@ -148,18 +145,18 @@ class TestFullyMaskedRows:
 
 class TestFactoryForwarding:
     def test_backend_is_forwarded(self):
-        core = make_attention_core("dfss_2:4", backend="reference")
+        core = make_core("dfss_2:4", backend="reference")
         assert isinstance(core, DfssCore)
         assert core.backend == "reference"
         assert core.pattern.name == "2:4"
 
     def test_path_is_forwarded(self):
-        core = make_attention_core("dfss", pattern="1:2", path="dense")
+        core = make_core("dfss", pattern="1:2", path="dense")
         assert core.path == "dense"
         assert core.pattern.name == "1:2"
 
     def test_pattern_kwarg_beats_name_suffix(self):
-        core = make_attention_core("dfss_2:4", pattern="1:2")
+        core = make_core("dfss_2:4", pattern="1:2")
         assert core.pattern.name == "1:2"
 
     @pytest.mark.parametrize("mechanism", [
@@ -169,7 +166,7 @@ class TestFactoryForwarding:
     ])
     def test_unconsumed_kwargs_raise(self, mechanism):
         with pytest.raises(TypeError):
-            make_attention_core(mechanism, definitely_not_a_kwarg=1)
+            make_core(mechanism, definitely_not_a_kwarg=1)
 
     def test_invalid_path_rejected(self):
         with pytest.raises(ValueError, match="path"):
@@ -262,7 +259,7 @@ class TestDropoutLayoutIndependence:
         dense.attn_dropout = Dropout(p, seed=seed)
         return sparse, dense
 
-    @pytest.mark.parametrize("backend", [REFERENCE, FAST])
+    @pytest.mark.parametrize("backend", [REFERENCE, FAST, MULTICORE])
     def test_seeded_paths_bit_comparable_under_dropout(self, backend):
         sparse, dense = self._cores(backend=backend)
         for step in range(3):  # alignment must survive several steps
@@ -349,7 +346,7 @@ class TestBlockMaskTrainableOp:
         outside = ~block.dense_mask(32, 32)
         np.testing.assert_array_equal(dense_probs[..., outside], 0.0)
 
-    @pytest.mark.parametrize("backend", [REFERENCE, FAST])
+    @pytest.mark.parametrize("backend", [REFERENCE, FAST, MULTICORE])
     # block_size=2 puts a block boundary INSIDE every 2:4 group: the dense
     # path must exclude blocked scores before the N:M selection (promoting
     # allowed runners-up), exactly like the sddmm_nm epilogue

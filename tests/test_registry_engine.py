@@ -1,10 +1,9 @@
 """Tests for the unified mechanism registry and the `repro.engine` façade.
 
-Round-trip coverage: every registered spec must construct through the new
-engine AND match the legacy ``create_mechanism`` / ``make_attention_core``
-factories bit-for-bit on tie-exact lattice inputs, the legacy entry points
-must emit ``DeprecationWarning`` while preserving behaviour, and unknown
-keyword arguments must keep raising ``TypeError``.
+Round-trip coverage: every registered spec must construct through the
+engine AND match the registry's ``make_mechanism`` / ``make_core`` factories
+bit-for-bit on tie-exact lattice inputs, and unknown keyword arguments must
+keep raising ``TypeError``.
 """
 
 import warnings
@@ -14,9 +13,9 @@ import pytest
 
 import repro
 from repro import registry
-from repro.baselines.base import MECHANISM_REGISTRY, create_mechanism
+from repro.baselines.base import MECHANISM_REGISTRY
 from repro.engine import AttentionConfig, AttentionEngine
-from repro.nn.attention_layer import DfssCore, make_attention_core
+from repro.nn.attention_layer import DfssCore
 from repro.nn.autograd import Tensor
 
 TABLE4_NAMES = (
@@ -36,12 +35,6 @@ def _lattice_qkv(batch=(2,), seq=32, d=16, seed=0):
     return tuple(
         (rng.integers(-2, 3, size=shape) / 2).astype(np.float32) for _ in range(3)
     )
-
-
-def _legacy(fn, *args, **kwargs):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        return fn(*args, **kwargs)
 
 
 class TestCatalogue:
@@ -95,11 +88,11 @@ class TestCatalogue:
 
 class TestNumpyRoundTrip:
     @pytest.mark.parametrize("name", ALL_NAMES)
-    def test_engine_matches_legacy_create_mechanism(self, name):
+    def test_engine_matches_make_mechanism(self, name):
         q, k, v = _lattice_qkv(seed=1)
         engine_out = AttentionEngine(name)(q, k, v)
-        legacy_out = _legacy(create_mechanism, name)(q, k, v)
-        np.testing.assert_array_equal(engine_out, legacy_out)
+        factory_out = registry.make_mechanism(name)(q, k, v)
+        np.testing.assert_array_equal(engine_out, factory_out)
 
     @pytest.mark.parametrize("name", ALL_NAMES)
     def test_engine_matches_direct_class_construction(self, name):
@@ -118,15 +111,15 @@ class TestNumpyRoundTrip:
 
 class TestCoreRoundTrip:
     @pytest.mark.parametrize("name", TRAINABLE_NAMES)
-    def test_engine_core_matches_legacy_factory(self, name):
+    def test_engine_core_matches_make_core(self, name):
         qa, ka, va = (Tensor(a) for a in _lattice_qkv(batch=(2, 2), seed=4))
         qb, kb, vb = (Tensor(a) for a in _lattice_qkv(batch=(2, 2), seed=4))
         engine_core = AttentionEngine(name, seq_len_hint=32).core()
-        legacy_core = _legacy(make_attention_core, name, seq_len_hint=32)
+        factory_core = registry.make_core(name, seq_len_hint=32)
         out_a = engine_core(qa, ka, va)
-        out_b = legacy_core(qb, kb, vb)
+        out_b = factory_core(qb, kb, vb)
         np.testing.assert_array_equal(out_a.data, out_b.data)
-        mask_a, mask_b = engine_core.last_mask(), legacy_core.last_mask()
+        mask_a, mask_b = engine_core.last_mask(), factory_core.last_mask()
         if mask_a is not None or mask_b is not None:
             np.testing.assert_array_equal(mask_a, mask_b)
 
@@ -178,41 +171,6 @@ class TestCoreRoundTrip:
         np.testing.assert_allclose(out_ref, out_fast, atol=1e-6)  # backend parity
 
 
-class TestDeprecationWrappers:
-    def test_create_mechanism_warns_and_preserves_output(self):
-        q, k, v = _lattice_qkv(seed=5)
-        with pytest.warns(DeprecationWarning, match="create_mechanism"):
-            mech = create_mechanism("dfss", pattern="2:4")
-        np.testing.assert_array_equal(
-            mech(q, k, v), AttentionEngine("dfss", pattern="2:4")(q, k, v)
-        )
-
-    def test_make_attention_core_warns_and_preserves_output(self):
-        qa, ka, va = (Tensor(a) for a in _lattice_qkv(seed=6))
-        qb, kb, vb = (Tensor(a) for a in _lattice_qkv(seed=6))
-        with pytest.warns(DeprecationWarning, match="make_attention_core"):
-            core = make_attention_core("dfss_2:4")
-        np.testing.assert_array_equal(
-            core(qa, ka, va).data, AttentionEngine("dfss_2:4").core()(qb, kb, vb).data
-        )
-
-    def test_legacy_error_types_preserved(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError):
-                create_mechanism("flash_attention")
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(TypeError):
-                make_attention_core("local", definitely_not_a_kwarg=1)
-
-    def test_multi_head_layer_does_not_warn(self):
-        from repro.nn.attention_layer import MultiHeadSelfAttention
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            layer = MultiHeadSelfAttention(model_dim=16, num_heads=2, mechanism="dfss_2:4")
-            layer.set_mechanism("full")
-
-
 class TestKwargValidation:
     @pytest.mark.parametrize("name", ALL_NAMES)
     def test_unknown_kwargs_raise_type_error(self, name):
@@ -220,8 +178,7 @@ class TestKwargValidation:
             AttentionEngine(name, definitely_not_a_kwarg=1)
 
     def test_side_specific_kwargs_rejected_on_the_other_side(self):
-        # dtype is numpy-mechanism-only for DFSS; the legacy core factory
-        # raised TypeError for it and the registry must too
+        # dtype is numpy-mechanism-only for DFSS, so the core side rejects it
         with pytest.raises(TypeError, match="dtype"):
             registry.make_core("dfss", dtype="bfloat16")
         # path/backend are core-only
@@ -267,6 +224,14 @@ class TestEngineSurface:
                 assert resolve_backend(None) == "reference"
             assert resolve_backend(None) == "reference"
         assert resolve_backend(None) == ambient
+
+    def test_multi_head_layer_does_not_warn(self):
+        from repro.nn.attention_layer import MultiHeadSelfAttention
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            layer = MultiHeadSelfAttention(model_dim=16, num_heads=2, mechanism="dfss_2:4")
+            layer.set_mechanism("full")
 
     def test_attention_mask_introspection(self):
         q, k, _ = _lattice_qkv(seed=7)
