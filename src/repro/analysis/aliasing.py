@@ -49,6 +49,7 @@ ALIASING_SCOPE = (
     "src/repro/core/plan.py",
     "src/repro/core/attention.py",
     "src/repro/core/multicore.py",
+    "src/repro/core/nm_attention.py",
     "src/repro/core/softmax.py",
     "src/repro/nn/sparse_attention.py",
 )

@@ -27,6 +27,7 @@ This package implements the paper's primary contribution:
 """
 
 from repro.core.attention import DfssAttention, dfss_attention, full_attention
+from repro.core import nm_attention as _nm_attention  # noqa: F401  (registers the kernel)
 from repro.core.attention_grad import (
     masked_attention_bwd,
     softmax_grad_compressed,

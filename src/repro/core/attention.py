@@ -96,13 +96,10 @@ def dfss_attention(
         default_pattern_for_dtype(dtype) if pattern is None else resolve_pattern(pattern)
     )
     plan = plan_for_nm(pattern, q.shape[-2], k.shape[-2], backend=backend, dtype=dtype)
-    out, weights = plan.forward(
+    return plan.forward(
         q, k, v, scale=scale, criterion=criterion, block_mask=block_mask,
-        return_probs=True,
+        return_probs=return_weights,
     )
-    if return_weights:
-        return out, weights
-    return out
 
 
 @dataclass

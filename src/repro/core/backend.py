@@ -2,8 +2,9 @@
 
 The attention pipeline is built from a small number of named kernels —
 ``sddmm_nm`` (fused SDDMM + N:M prune), ``masked_softmax`` (softmax over the
-compressed nonzeros), ``spmm`` (compressed-weights x dense V) and the
-``nm_prune_mask`` selection used by the trainable layer.  Each kernel can have several interchangeable
+compressed nonzeros), ``spmm`` (compressed-weights x dense V), the row-tiled
+``nm_attention`` inference forward that chains all three per row block, and
+the ``nm_prune_mask`` selection used by the trainable layer.  Each kernel can have several interchangeable
 implementations ("backends") registered against it:
 
 * ``reference`` — the tile-by-tile / per-slice loop implementations that
@@ -172,24 +173,26 @@ def _tracing_wrapper(kernel: str, backend: str, fn: Callable) -> Callable:
 
     Only built while a trace session is active; the plan cache is cleared at
     session start/stop (see :mod:`repro.core.plan`), so plans compiled before
-    or after a session never hold one of these wrappers.
+    or after a session never hold one of these wrappers.  A kernel whose
+    function carries a ``span_args(*args, **kwargs) -> dict`` attribute adds
+    those entries (e.g. its tile geometry) to the span.
     """
+    describe = getattr(fn, "span_args", None)
 
     @functools.wraps(fn)
     def traced(*args, **kwargs):
         tracer = current_tracer()
         if tracer is None:
             return fn(*args, **kwargs)
+        span = {"backend": backend, "shape": _arg_shape(args, kwargs)}
+        if describe is not None:
+            span.update(describe(*args, **kwargs))
         start = tracer._now_us()
         try:
             return fn(*args, **kwargs)
         finally:
             tracer.emit_complete(
-                kernel,
-                "kernel",
-                start,
-                tracer._now_us() - start,
-                {"backend": backend, "shape": _arg_shape(args, kwargs)},
+                kernel, "kernel", start, tracer._now_us() - start, span
             )
 
     traced.__wrapped__ = fn

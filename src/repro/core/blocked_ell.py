@@ -62,6 +62,13 @@ class BlockedEllMask:
 
     def dense_mask(self, rows: int, cols: int) -> np.ndarray:
         """Boolean dense mask of shape ``(rows, cols)`` for the kept blocks."""
+        grid = self.block_grid(rows, cols)
+        return np.kron(grid, np.ones((self.block_size, self.block_size), dtype=bool))
+
+    def block_grid(self, rows: int, cols: int) -> np.ndarray:
+        """Boolean ``(block_rows, block_cols)`` mask of the kept blocks of a
+        ``(rows, cols)`` matrix; entry ``(i // size, j // size)`` covers
+        dense position ``(i, j)``."""
         if rows % self.block_size or cols % self.block_size:
             raise ValueError(
                 f"matrix shape ({rows}, {cols}) is not divisible by block size "
@@ -83,7 +90,7 @@ class BlockedEllMask:
                         f"block column {bc} out of range for {block_cols} block columns"
                     )
                 mask[br, bc] = True
-        return np.kron(mask, np.ones((self.block_size, self.block_size), dtype=bool))
+        return mask
 
     def iter_blocks(self) -> Iterable:
         """Yield ``(block_row, block_col)`` pairs of kept blocks."""

@@ -7,7 +7,9 @@ module registers a third backend, ``multicore``, whose plan builder returns a
 independent tiles over the flattened batch×head dimension on a persistent
 worker pool.  Each tile runs the *existing single-core fast kernels* on
 contiguous zero-copy slices of the inputs and writes its result into a
-disjoint slice of a preallocated output buffer.
+disjoint slice of a preallocated output buffer.  The N:M inference forward
+is tiled finer: the pool runs the ``(slice, row-block)`` tiles of the
+row-tiled ``nm_attention`` kernel (:mod:`repro.core.nm_attention`).
 
 **Bitwise parity with ``fast`` is a hard invariant, not a tolerance.**  Every
 fast kernel in the chain is per-leading-slice independent — batched BLAS
@@ -38,6 +40,7 @@ from __future__ import annotations
 
 import atexit
 import os
+import queue
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
@@ -47,6 +50,7 @@ import numpy as np
 
 from repro.analysis.sanitize import check_grads, check_output, freeze_structure, guard_input
 from repro.core.backend import MULTICORE, register_plan_builder
+from repro.core.nm_attention import NMForwardJob, tile_span_args
 from repro.core.padded_csr import PaddedCSRMatrix
 from repro.core.plan import AttentionPlan, PlanKey
 from repro.core.softmax import masked_softmax_values
@@ -363,6 +367,79 @@ class MulticoreAttentionPlan(AttentionPlan):
             "rows": f"{sl.start}:{sl.stop}",
             "shape": "x".join(str(d) for d in shape),
         }
+
+    # ------------------------------------------------------------ N:M forward
+    def forward(
+        self,
+        q: np.ndarray,
+        k: np.ndarray,
+        v: np.ndarray,
+        structure=None,
+        scale: Optional[float] = None,
+        criterion: str = "value",
+        block_mask=None,
+        return_probs: bool = False,
+    ):
+        """N:M inference forward: the fast kernel's row tiles, on the pool.
+
+        The tile list comes from :class:`~repro.core.nm_attention.NMForwardJob`
+        and depends only on the geometry, never on the worker count, and each
+        tile runs the fast kernel's own code — so the output is bitwise
+        equal to ``fast`` by construction.  Each worker borrows one tile
+        buffer for the tiles it runs.  CSR plans keep the staged chain.
+        """
+        pool = get_pool()
+        if self.key.layout != "nm" or pool.workers <= 1:
+            return super().forward(
+                q, k, v, structure=structure, scale=scale, criterion=criterion,
+                block_mask=block_mask, return_probs=return_probs,
+            )
+        q, k, v = guard_input(q), guard_input(k), guard_input(v)
+        job = NMForwardJob(
+            q, k, v, pattern=self._pattern, scale=scale, dtype=self.key.dtype,
+            criterion=criterion, block_mask=block_mask, return_probs=return_probs,
+        )
+        buffers: "queue.SimpleQueue[np.ndarray]" = queue.SimpleQueue()
+        for _ in range(min(pool.workers, len(job.tiles))):
+            buffers.put(job.new_buffer())
+
+        def tile_thunk(tile):
+            def thunk():
+                buf = buffers.get()
+                try:
+                    job.run(tile, buf)
+                finally:
+                    buffers.put(buf)
+            return thunk
+
+        metas = [
+            {
+                "stage": "nm_attention",
+                "tile": i,
+                "rows": f"{b}:{r0}:{r1}",
+                "shape": f"{r1 - r0}x{job.n_k}",
+            }
+            for i, (b, r0, r1) in enumerate(job.tiles)
+        ]
+        tracer = current_tracer()
+        span = (
+            nullcontext()
+            if tracer is None
+            else tracer.span(
+                "nm_attention",
+                backend=self.key.backend,
+                shape="x".join(str(d) for d in np.shape(q)),
+                **tile_span_args(
+                    q, k, v, pattern=self._pattern, dtype=self.key.dtype,
+                    return_probs=return_probs,
+                ),
+            )
+        )
+        with self._trace_labels(), span:
+            pool.run([tile_thunk(tile) for tile in job.tiles], spans=metas)
+        out, probs = job.result()
+        out = check_output(out, "attention output")
+        return (out, probs) if return_probs else out
 
     # ------------------------------------------------------------------ stages
     def compute_scores(

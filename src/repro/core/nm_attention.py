@@ -1,0 +1,261 @@
+"""Row-tiled fused N:M attention forward (the ``nm_attention`` kernel).
+
+The paper's SDDMM prunes each score tile in its epilogue, so the dense score
+matrix never reaches memory.  The ``fast`` implementation here does the CPU
+equivalent: for every ``(batch·head)`` slice it walks blocks of query rows,
+and each block runs the whole chain while its ``(rows, n_k)`` score tile is
+cache-resident, in one preallocated tile buffer reused across blocks:
+
+1. ``tensor_core_operand(q)[rows] @ tensor_core_operand(k)ᵀ * scale``, with
+   the rows of a blocked-ELL ``block_mask`` applied;
+2. :func:`~repro.core.pruning.nm_compress_fast` — the same selection network
+   and tie-breaking as the ``sddmm_nm`` epilogue;
+3. :func:`~repro.core.softmax.masked_softmax_values` in place on the
+   compressed values;
+4. scatter of the probabilities back into the same tile buffer, then
+   ``tile @ v`` into a disjoint row block of the output.
+
+No ``(n_q, n_k)`` score, probability or scatter tensor is ever allocated: the
+working set is one tile plus the selection temporaries, sized by
+:data:`TILE_BYTES`.  The compressed probabilities are written into
+preallocated ``(values, indices)`` arrays only when the caller asks for them.
+
+Every step is row-local, so the result equals the staged
+``sddmm_nm → masked_softmax → spmm`` composition bit for bit wherever the
+BLAS computes a row block of a product exactly as it computes those rows
+inside the whole product.  OpenBLAS does so once every product is past its
+small-matrix threshold, which the tile budget guarantees for slices larger
+than one tile (a slice that fits in one tile runs the staged products
+unchanged); row blocks are balanced so no block is a sliver.
+
+The ``reference`` backend is the staged reference chain itself and is the
+oracle the parity suite compares against.  The multicore backend maps the
+same :class:`NMForwardJob` tile list over its worker pool, which keeps its
+output bitwise equal to ``fast`` whatever the worker count.
+"""
+
+from __future__ import annotations
+
+from typing import List, Optional, Tuple
+
+import numpy as np
+
+from repro.core.backend import FAST, REFERENCE, register_kernel
+from repro.core.blocked_ell import BlockedEllMask
+from repro.core.patterns import default_pattern_for_dtype, resolve_pattern
+from repro.core.precision import tensor_core_operand
+from repro.core.pruning import nm_compress_fast
+from repro.core.sddmm import MASKED_SCORE, _prepare_inputs, _sddmm_nm_reference
+from repro.core.softmax import _sparse_softmax_reference, masked_softmax_values
+from repro.core.sparse import NMSparseMatrix
+from repro.core.spmm import _spmm_reference
+from repro.utils.shapes import as_batched_3d, restore_batch_shape
+
+__all__ = ["TILE_BYTES", "NMForwardJob", "row_blocks", "tile_span_args"]
+
+#: Bytes of one float32 score tile: about 1 MiB keeps the tile and the
+#: selection temporaries cache-resident (64 rows at L4096, 512 at L512).
+TILE_BYTES = 1 << 20
+
+#: One tile: ``(flattened batch index, first row, stop row)``.
+Tile = Tuple[int, int, int]
+
+
+def row_blocks(n_q: int, n_k: int) -> List[Tuple[int, int]]:
+    """Balanced ``[start, stop)`` query-row blocks of at most ``TILE_BYTES``.
+
+    The block count is the fewest that fit the budget, and rows are spread
+    evenly over the blocks, so a row count that is not a multiple of the
+    budget never leaves a sliver block.  Depends only on the geometry.
+    """
+    budget = max(1, TILE_BYTES // (4 * max(int(n_k), 1)))
+    count = -(-int(n_q) // budget)
+    if count == 0:
+        return []
+    bounds = [i * n_q // count for i in range(count + 1)]
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
+class NMForwardJob:
+    """One fused N:M forward call, decomposed into independent row tiles.
+
+    Construction validates the operands, rounds them to tensor-core
+    precision, and allocates the output (and the compressed-probability
+    arrays when ``return_probs``).  :meth:`run` executes one tile into a
+    caller-owned buffer from :meth:`new_buffer`; tiles write disjoint row
+    blocks, so any executor may run them in any order and on any thread.
+    """
+
+    def __init__(
+        self,
+        q: np.ndarray,
+        k: np.ndarray,
+        v: np.ndarray,
+        pattern=None,
+        scale: Optional[float] = None,
+        dtype: str = "float32",
+        criterion: str = "value",
+        block_mask: Optional[BlockedEllMask] = None,
+        return_probs: bool = False,
+    ) -> None:
+        q3, k3, batch_shape = _prepare_inputs(q, k)
+        v3, v_batch = as_batched_3d(np.asarray(v, dtype=np.float32))
+        if v_batch != batch_shape:
+            raise ValueError(f"V batch shape {v_batch} != Q batch shape {batch_shape}")
+        n_q, n_k = q3.shape[1], k3.shape[1]
+        if v3.shape[1] != n_k:
+            raise ValueError(f"V rows ({v3.shape[1]}) must equal the key count ({n_k})")
+        self.pattern = (
+            default_pattern_for_dtype(dtype) if pattern is None else resolve_pattern(pattern)
+        )
+        self.pattern.validate_length(n_k)
+        self.dtype = dtype
+        self.criterion = criterion
+        scale = 1.0 / np.sqrt(q3.shape[-1]) if scale is None else scale
+        # A scale float32 holds exactly gives the same float32 products as
+        # the staged path's float64 multiply (a 24 x 24-bit product is exact
+        # in float64 and rounds once either way), at float32 cost.
+        self.scale = np.float32(scale) if np.float32(scale) == scale else scale
+        self.batch_shape = batch_shape
+        self.n_k = n_k
+        self._q = tensor_core_operand(q3, dtype)
+        self._kt = tensor_core_operand(np.swapaxes(k3, -1, -2), dtype)
+        self._v = v3
+        self._grid = None
+        if block_mask is not None:
+            self._grid = block_mask.block_grid(n_q, n_k)
+            size = block_mask.block_size
+            self._row_block = np.arange(n_q) // size
+            self._col_block = np.arange(n_k) // size
+        kept = self.pattern.kept(n_k)
+        blocks = row_blocks(n_q, n_k)
+        self.tiles: List[Tile] = [
+            (b, r0, r1) for b in range(q3.shape[0]) for r0, r1 in blocks
+        ]
+        self.tile_rows = max((r1 - r0 for r0, r1 in blocks), default=0)
+        # flat tile offset of every kept lane's M-group start; adding a lane's
+        # in-group index gives its flat scatter position
+        group_start = np.repeat(
+            np.arange(n_k // self.pattern.m, dtype=np.intp) * self.pattern.m,
+            self.pattern.n,
+        )
+        self._lane_offsets = (
+            np.arange(self.tile_rows, dtype=np.intp)[:, None] * n_k + group_start
+        )
+        self._out = np.empty((q3.shape[0], n_q, v3.shape[-1]), dtype=np.float32)
+        self._values = self._indices = None
+        if return_probs:
+            self._values = np.empty((q3.shape[0], n_q, kept), dtype=np.float32)
+            self._indices = np.empty((q3.shape[0], n_q, kept), dtype=np.int8)
+
+    def new_buffer(self) -> np.ndarray:
+        """A tile buffer for :meth:`run`; one per concurrent executor."""
+        return np.empty((self.tile_rows, self.n_k), dtype=np.float32)
+
+    def run(self, tile: Tile, buf: np.ndarray) -> None:
+        """Execute one tile: score, select, normalise, scatter and contract."""
+        b, r0, r1 = tile
+        scores = buf[: r1 - r0]
+        # repro: owns-buffer — the job's reused tile buffer
+        np.matmul(self._q[b, r0:r1], self._kt[b], out=scores)
+        np.multiply(scores, self.scale, out=scores)  # repro: owns-buffer — the job's reused tile buffer
+        if self._grid is not None:
+            allowed = self._grid[self._row_block[r0:r1]][:, self._col_block]
+            np.copyto(scores, MASKED_SCORE, where=~allowed)
+        values, indices = nm_compress_fast(scores, self.pattern, self.criterion)
+        masked_softmax_values(values, out=values)
+        flat = self._lane_offsets[: r1 - r0] + indices
+        scores.fill(0.0)
+        # repro: owns-buffer — the job's reused tile buffer
+        scores.reshape(-1)[flat.reshape(-1)] = values.reshape(-1)
+        # repro: owns-buffer — disjoint row block of the job's own output
+        np.matmul(scores, self._v[b], out=self._out[b, r0:r1])
+        if self._values is not None:
+            self._values[b, r0:r1] = values  # repro: owns-buffer — disjoint row block of the job's own output
+            self._indices[b, r0:r1] = indices  # repro: owns-buffer — disjoint row block of the job's own output
+
+    def result(self) -> Tuple[np.ndarray, Optional[NMSparseMatrix]]:
+        """``(out, probs)``; ``probs`` is ``None`` unless requested."""
+        out = restore_batch_shape(self._out, self.batch_shape)
+        if self._values is None:
+            return out, None
+        probs = NMSparseMatrix(
+            values=restore_batch_shape(self._values, self.batch_shape),
+            indices=restore_batch_shape(self._indices, self.batch_shape),
+            pattern=self.pattern,
+            dense_cols=self.n_k,
+            dtype=self.dtype,
+        )
+        return out, probs
+
+
+@register_kernel("nm_attention", FAST)
+def _nm_attention_fast(
+    q: np.ndarray,
+    k: np.ndarray,
+    v: np.ndarray,
+    pattern=None,
+    scale: Optional[float] = None,
+    dtype: str = "float32",
+    criterion: str = "value",
+    block_mask: Optional[BlockedEllMask] = None,
+    return_probs: bool = False,
+) -> Tuple[np.ndarray, Optional[NMSparseMatrix]]:
+    """Row-tiled fused forward: one reused tile buffer, no ``n²`` tensor."""
+    job = NMForwardJob(
+        q, k, v, pattern=pattern, scale=scale, dtype=dtype,
+        criterion=criterion, block_mask=block_mask, return_probs=return_probs,
+    )
+    buf = job.new_buffer()
+    for tile in job.tiles:
+        job.run(tile, buf)
+    return job.result()
+
+
+def tile_span_args(
+    q, k, v, pattern=None, scale=None, dtype="float32", criterion="value",
+    block_mask=None, return_probs=False,
+) -> dict:
+    """Trace-span arguments of one tiled call: tile count, tile shape and the
+    bytes written (output, plus compressed probabilities when requested)."""
+    q_shape, n_k = np.shape(q), np.shape(k)[-2]
+    n_q, batch = q_shape[-2], int(np.prod(q_shape[:-2], dtype=np.int64))
+    blocks = row_blocks(n_q, n_k)
+    rows = max((r1 - r0 for r0, r1 in blocks), default=0)
+    out_bytes = 4 * batch * n_q * np.shape(v)[-1]
+    if return_probs:
+        pattern = (
+            default_pattern_for_dtype(dtype) if pattern is None else resolve_pattern(pattern)
+        )
+        # float32 values plus int8 in-group indices per kept entry
+        out_bytes += 5 * batch * n_q * pattern.kept(n_k)
+    return {
+        "tiles": batch * len(blocks),
+        "tile_shape": f"{rows}x{n_k}",
+        "out_bytes": int(out_bytes),
+    }
+
+
+_nm_attention_fast.span_args = tile_span_args
+
+
+@register_kernel("nm_attention", REFERENCE)
+def _nm_attention_reference(
+    q: np.ndarray,
+    k: np.ndarray,
+    v: np.ndarray,
+    pattern=None,
+    scale: Optional[float] = None,
+    dtype: str = "float32",
+    criterion: str = "value",
+    block_mask: Optional[BlockedEllMask] = None,
+    return_probs: bool = False,
+) -> Tuple[np.ndarray, Optional[NMSparseMatrix]]:
+    """The staged reference chain: ``sddmm_nm → masked_softmax → spmm``."""
+    scores = _sddmm_nm_reference(
+        q, k, pattern=pattern, scale=scale, dtype=dtype,
+        criterion=criterion, block_mask=block_mask,
+    )
+    probs = _sparse_softmax_reference(scores)
+    out = _spmm_reference(probs, v)
+    return out, (probs if return_probs else None)

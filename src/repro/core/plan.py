@@ -12,12 +12,13 @@ module compiles the chain once instead:
   sized, and nothing that doesn't (batch shape is deliberately absent — one
   plan serves every batch of the same per-slice geometry).
 * :class:`AttentionPlan` — the compiled object: every registry lookup is
-  resolved at construction, the forward runs sddmm → softmax → spmm in a
-  single pass that reuses the score buffer as the probability buffer (the
-  intermediate dense score tensor is never materialised — scores live only in
-  the compressed value array, which the softmax overwrites in place), and the
-  matching fused backward dispatches straight into the resolved
-  ``attention_bwd`` kernel.
+  resolved at construction.  The N:M inference forward runs the resolved
+  ``nm_attention`` kernel (:mod:`repro.core.nm_attention`: row-tiled on
+  ``fast``, so no ``n²`` tensor exists).  The stages — sddmm → softmax →
+  spmm, used by training and the CSR layout — reuse the score buffer as the
+  probability buffer (scores live only in the compressed value array, which
+  the softmax overwrites in place), and the matching fused backward
+  dispatches straight into the resolved ``attention_bwd`` kernel.
 * :func:`plan_for_nm` / :func:`plan_for_structure` — the cached constructors
   every layer shares: the autograd ops, ``engine.AttentionEngine``, the
   serving executor, and the bench runner.
@@ -95,6 +96,7 @@ class AttentionPlan:
         backend = key.backend
         if key.layout == "nm":
             self._sddmm = get_kernel("sddmm_nm", backend)
+            self._nm_forward = get_kernel("nm_attention", backend)
             self._pattern = resolve_pattern(key.mechanism.split("_", 1)[1])
         elif key.layout == "csr":
             self._sddmm = get_kernel("sddmm_csr", backend)
@@ -242,7 +244,23 @@ class AttentionPlan:
         block_mask=None,
         return_probs: bool = False,
     ):
-        """Single-pass fused forward over the whole chain."""
+        """Inference forward over the whole chain.
+
+        N:M plans run the registered ``nm_attention`` kernel — the row-tiled
+        fused forward on ``fast``, the staged reference chain on
+        ``reference`` — which computes the compressed probabilities only when
+        ``return_probs`` asks for them.  CSR plans compose the three stages.
+        """
+        if self.key.layout == "nm":
+            with self._trace_labels():
+                out, probs = self._nm_forward(
+                    guard_input(q), guard_input(k), guard_input(v),
+                    pattern=self._pattern, scale=scale, dtype=self.key.dtype,
+                    criterion=criterion, block_mask=block_mask,
+                    return_probs=return_probs,
+                )
+            out = check_output(out, "attention output")
+            return (out, probs) if return_probs else out
         scores = self.compute_scores(
             q, k, structure=structure, scale=scale,
             criterion=criterion, block_mask=block_mask,

@@ -95,11 +95,15 @@ def _chunked_row_softmax(
         vals = flat[start:stop]
         o = oflat[start:stop]
         masked = vals <= MASKED_LOGIT_THRESHOLD
-        row_max = np.max(np.where(masked, -np.inf, vals), axis=-1, keepdims=True)
+        # without masked lanes both selects are identities; skip them
+        any_masked = masked.any()
+        live = np.where(masked, -np.inf, vals) if any_masked else vals
+        row_max = np.max(live, axis=-1, keepdims=True)
         row_max = np.where(np.isfinite(row_max), row_max, 0.0)
         np.subtract(vals, row_max, out=o)  # repro: owns-buffer — caller-provided out
         np.exp(o, out=o)  # repro: owns-buffer — caller-provided out
-        o[masked] = 0.0  # repro: owns-buffer — caller-provided out
+        if any_masked:
+            o[masked] = 0.0  # repro: owns-buffer — caller-provided out
         denom = np.sum(o, axis=-1, keepdims=True)
         # repro: owns-buffer — caller-provided out
         np.divide(o, np.where(denom == 0.0, 1.0, denom), out=o)

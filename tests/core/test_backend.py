@@ -18,7 +18,9 @@ from repro.core.sddmm import sddmm_nm
 from repro.core.softmax import sparse_softmax
 
 # Importing the kernel modules above populates the registry.
-EXPECTED_KERNELS = ("masked_softmax", "nm_prune_mask", "sddmm_nm", "spmm")
+EXPECTED_KERNELS = (
+    "masked_softmax", "nm_attention", "nm_prune_mask", "sddmm_nm", "spmm",
+)
 
 
 class TestRegistry:

@@ -169,6 +169,38 @@ class TestBitwiseParity:
         tiled = dfss_attention(q, k, v, pattern=pattern, backend=MULTICORE)
         assert np.array_equal(fast, tiled)
 
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("pattern", ["1:2", "2:4"])
+    def test_nm_forward_row_tiles(self, monkeypatch, workers, pattern):
+        # several 256-row tiles per slice, a row count that is no multiple
+        # of the tile budget, and the compressed probabilities
+        monkeypatch.setenv(WORKERS_ENV_VAR, str(workers))
+        q, k, v = _qkv((2, 600, 32))
+        fast, fast_w = dfss_attention(
+            q, k, v, pattern=pattern, backend=FAST, return_weights=True
+        )
+        tiled, tiled_w = dfss_attention(
+            q, k, v, pattern=pattern, backend=MULTICORE, return_weights=True
+        )
+        assert np.array_equal(fast, tiled)
+        assert np.array_equal(fast_w.values, tiled_w.values)
+        assert np.array_equal(fast_w.indices, tiled_w.indices)
+        assert np.array_equal(
+            tiled, dfss_attention(q, k, v, pattern=pattern, backend=MULTICORE)
+        )
+
+    def test_nm_forward_row_tiles_with_block_mask(self, monkeypatch):
+        from repro.core.blocked_ell import sliding_window_mask
+
+        monkeypatch.setenv(WORKERS_ENV_VAR, "3")
+        q, k, v = _qkv((2, 1024, 32))
+        mask = sliding_window_mask(1024, 64, 1)
+        fast = dfss_attention(q, k, v, pattern="2:4", block_mask=mask, backend=FAST)
+        tiled = dfss_attention(
+            q, k, v, pattern="2:4", block_mask=mask, backend=MULTICORE
+        )
+        assert np.array_equal(fast, tiled)
+
     @pytest.mark.parametrize("pattern", ["1:2", "2:4"])
     def test_nm_train_step(self, two_workers, pattern):
         q, k, v = _qkv()

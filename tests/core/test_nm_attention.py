@@ -1,0 +1,212 @@
+"""Tests for the row-tiled fused N:M forward (the ``nm_attention`` kernel).
+
+The fast plan's forward must equal the same plan's staged
+``compute_scores → compute_probs → contract`` composition bit for bit — the
+output and, when requested, the compressed probabilities and indices.  The
+shapes below are large enough that every slice spans several row tiles, so
+each product is past the BLAS small-matrix threshold where a row block of a
+product is computed exactly as inside the whole product.
+
+Tile-size independence is checked separately with lattice inputs, whose
+scores are exact in float32 under any product blocking: the selection and
+the probabilities are then bitwise independent of the tile rows, and the
+output agrees to float32 rounding (a 1-row product may run another BLAS
+kernel than a 256-row one).
+"""
+
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from repro.core import nm_attention
+from repro.core.attention import dfss_attention
+from repro.core.backend import FAST, REFERENCE, get_kernel
+from repro.core.blocked_ell import sliding_window_mask
+from repro.core.plan import plan_for_nm
+from repro.core.sparse import NMSparseMatrix
+
+
+def _normal(shape, seed):
+    return np.random.default_rng(seed).standard_normal(shape, dtype=np.float32)
+
+
+def _lattice(shape, seed):
+    rng = np.random.default_rng(seed)
+    return (rng.integers(-8, 9, size=shape) / 4).astype(np.float32)
+
+
+def _staged(plan, q, k, v, **kwargs):
+    scores = plan.compute_scores(q, k, **kwargs)
+    probs = plan.compute_probs(scores)
+    return plan.contract(probs, v), probs
+
+
+def _assert_same(out, probs, ref_out, ref_probs):
+    np.testing.assert_array_equal(out, ref_out)
+    np.testing.assert_array_equal(probs.indices, ref_probs.indices)
+    np.testing.assert_array_equal(probs.values, ref_probs.values)
+
+
+# (pattern, batch shape, n_q, n_k, d): n_k=1024 gives 256-row tiles, and
+# n_q=600 is neither n_k nor a multiple of 256 (three balanced 200-row tiles)
+STAGED_CASES = [
+    ("1:2", (), 600, 1024, 32),
+    ("2:4", (2,), 600, 1024, 32),
+    ((1, 4), (2,), 600, 1024, 32),  # argsort fallback of nm_compress_fast
+    ("2:4", (2, 3), 300, 1024, 64),
+    ("1:2", (2,), 1024, 1024, 64),
+]
+
+
+class TestBitwiseAgainstStagedComposition:
+    @pytest.mark.parametrize("pattern,batch,n_q,n_k,d", STAGED_CASES)
+    def test_forward_equals_stages(self, pattern, batch, n_q, n_k, d):
+        q = _normal(batch + (n_q, d), 0)
+        k = _normal(batch + (n_k, d), 1)
+        v = _normal(batch + (n_k, d), 2)
+        plan = plan_for_nm(pattern, n_q, n_k, backend=FAST)
+        assert len(nm_attention.row_blocks(n_q, n_k)) > 1
+        out, probs = plan.forward(q, k, v, return_probs=True)
+        _assert_same(out, probs, *_staged(plan, q, k, v))
+
+    def test_magnitude_criterion(self):
+        q, k, v = (_normal((2, 1024, 32), s) for s in range(3))
+        plan = plan_for_nm("2:4", 1024, 1024, backend=FAST)
+        out, probs = plan.forward(q, k, v, criterion="magnitude", return_probs=True)
+        _assert_same(out, probs, *_staged(plan, q, k, v, criterion="magnitude"))
+
+    def test_block_mask(self):
+        q, k, v = (_normal((2, 1024, 32), s) for s in range(3))
+        mask = sliding_window_mask(1024, 64, 1)
+        plan = plan_for_nm("2:4", 1024, 1024, backend=FAST)
+        out, probs = plan.forward(q, k, v, block_mask=mask, return_probs=True)
+        _assert_same(out, probs, *_staged(plan, q, k, v, block_mask=mask))
+        # blocks outside the band get exactly zero weight
+        assert np.all(probs.to_dense()[..., :64, 128:] == 0.0)
+
+    def test_explicit_scale(self):
+        q, k, v = (_normal((2, 600, 32), s) for s in range(3))
+        plan = plan_for_nm("1:2", 600, 600, backend=FAST)
+        for scale in (0.1, 0.25, np.float64(0.3)):
+            out, probs = plan.forward(q, k, v, scale=scale, return_probs=True)
+            _assert_same(out, probs, *_staged(plan, q, k, v, scale=scale))
+
+    @pytest.mark.parametrize("dtype", ["bfloat16", "float16"])
+    def test_reduced_precision_operands(self, dtype):
+        q, k, v = (_normal((2, 600, 32), s) for s in range(3))
+        k = np.ascontiguousarray(k.swapaxes(-1, -2)).swapaxes(-1, -2)  # strided K
+        plan = plan_for_nm("2:4", 600, 600, backend=FAST, dtype=dtype)
+        out, probs = plan.forward(q, k, v, return_probs=True)
+        _assert_same(out, probs, *_staged(plan, q, k, v))
+
+    def test_single_tile_slices(self):
+        q, k, v = (_normal((2, 3, 64, 16), s) for s in range(3))
+        plan = plan_for_nm("2:4", 64, 64, backend=FAST)
+        out, probs = plan.forward(q, k, v, return_probs=True)
+        _assert_same(out, probs, *_staged(plan, q, k, v))
+
+    def test_dfss_attention_weights_match(self):
+        q, k, v = (_normal((2, 600, 32), s) for s in range(3))
+        out, weights = dfss_attention(
+            q, k, v, pattern="2:4", return_weights=True, backend=FAST
+        )
+        plan = plan_for_nm("2:4", 600, 600, backend=FAST)
+        _assert_same(out, weights, *_staged(plan, q, k, v))
+        np.testing.assert_array_equal(
+            dfss_attention(q, k, v, pattern="2:4", backend=FAST), out
+        )
+
+
+class TestTileSizeIndependence:
+    @pytest.mark.parametrize("rows", [1, 7, None])
+    @pytest.mark.parametrize("pattern", ["1:2", "2:4", (1, 4)])
+    def test_selection_and_probs_bitwise(self, monkeypatch, pattern, rows):
+        n_q, n_k = 90, 128
+        q = _lattice((2, n_q, 16), 0)
+        k = _lattice((2, n_k, 16), 1)
+        v = _normal((2, n_k, 16), 2)
+        plan = plan_for_nm(pattern, n_q, n_k, backend=FAST)
+        ref_out, ref_probs = _staged(plan, q, k, v)
+        # rows=None: one tile per slice (a budget far above the slice)
+        budget = 1 << 30 if rows is None else 4 * n_k * rows
+        monkeypatch.setattr(nm_attention, "TILE_BYTES", budget)
+        expected = n_q if rows is None else rows
+        assert max(b - a for a, b in nm_attention.row_blocks(n_q, n_k)) == expected
+        out, probs = plan.forward(q, k, v, return_probs=True)
+        np.testing.assert_array_equal(probs.indices, ref_probs.indices)
+        np.testing.assert_array_equal(probs.values, ref_probs.values)
+        np.testing.assert_allclose(out, ref_out, rtol=1e-5, atol=1e-6)
+
+
+class TestRowBlocks:
+    def test_budget_rows(self):
+        assert nm_attention.row_blocks(4096, 4096)[0] == (0, 64)
+        assert nm_attention.row_blocks(512, 512) == [(0, 512)]
+
+    def test_balanced_partition(self):
+        blocks = nm_attention.row_blocks(600, 1024)
+        assert blocks == [(0, 200), (200, 400), (400, 600)]
+
+    def test_empty(self):
+        assert nm_attention.row_blocks(0, 64) == []
+
+
+class TestKernel:
+    def test_return_probs_off_returns_no_probabilities(self):
+        q, k, v = (_normal((2, 64, 16), s) for s in range(3))
+        out, probs = get_kernel("nm_attention", FAST)(q, k, v, pattern="2:4")
+        assert probs is None
+        plan = plan_for_nm("2:4", 64, 64, backend=FAST)
+        assert isinstance(plan.forward(q, k, v), np.ndarray)
+
+    def test_reference_is_the_staged_reference_chain(self):
+        q, k, v = (_lattice((2, 64, 16), s) for s in range(3))
+        out, probs = get_kernel("nm_attention", REFERENCE)(
+            q, k, v, pattern="2:4", return_probs=True
+        )
+        assert isinstance(probs, NMSparseMatrix)
+        fast_out, fast_probs = get_kernel("nm_attention", FAST)(
+            q, k, v, pattern="2:4", return_probs=True
+        )
+        np.testing.assert_array_equal(probs.indices, fast_probs.indices)
+        np.testing.assert_allclose(probs.values, fast_probs.values, rtol=1e-6, atol=1e-7)
+        np.testing.assert_allclose(out, fast_out, rtol=1e-5, atol=1e-6)
+
+    @pytest.mark.parametrize("backend", [FAST, REFERENCE])
+    def test_operand_mismatch_raises(self, backend):
+        q = _normal((2, 64, 16), 0)
+        kernel = get_kernel("nm_attention", backend)
+        with pytest.raises(ValueError):
+            kernel(q, q, _normal((3, 64, 16), 1))
+        with pytest.raises(ValueError):
+            kernel(q, q, _normal((2, 32, 16), 1))
+
+
+def _numpy_dense_attention(q, k, v):
+    """Plain numpy ``softmax(QKᵀ)V`` with in-place softmax on the score tensor."""
+    scores = np.matmul(q, np.swapaxes(k, -1, -2))
+    scores *= np.float32(1.0 / math.sqrt(q.shape[-1]))
+    scores -= scores.max(axis=-1, keepdims=True)
+    np.exp(scores, out=scores)
+    scores /= scores.sum(axis=-1, keepdims=True)
+    return np.matmul(scores, v)
+
+
+def _peak_bytes(fn):
+    fn()  # warm caches (plans, imports) outside the measurement
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    def test_compressed_path_peak_at_most_dense(self):
+        q, k, v = (_normal((1, 2, 1024, 64), s) for s in range(3))
+        dfss = _peak_bytes(lambda: dfss_attention(q, k, v, backend=FAST))
+        dense = _peak_bytes(lambda: _numpy_dense_attention(q, k, v))
+        assert dfss <= dense, f"dfss peak {dfss} B > dense peak {dense} B"

@@ -6,10 +6,11 @@ import json
 import numpy as np
 import pytest
 
-from repro.core.backend import FAST, available_backends, get_kernel
+from repro.core.backend import FAST, MULTICORE, available_backends, get_kernel
 from repro.core.plan import PlanKey, clear_plan_cache, get_plan, plan_cache_stats
 from repro.profile import tracer as tracer_mod
-from repro.profile.dag import load_trace
+from repro.profile.dag import build_dag, load_trace
+from repro.profile.report import kernel_attribution
 from repro.profile.tracer import Tracer, current_tracer, is_tracing, trace
 
 REQUIRED_COMPLETE_FIELDS = {"name", "cat", "ph", "ts", "dur", "pid", "tid", "args"}
@@ -171,6 +172,47 @@ class TestDispatchWiring:
         # the kernel span's backend arg tells the fast plan from the reference one
         assert event["args"]["backend"] in available_backends("sddmm_nm")
         assert "shape_class" in event["args"]
+
+
+class TestTiledForwardSpan:
+    """The row-tiled N:M inference forward is one kernel span whose args
+    carry its tile geometry, output bytes and the plan's labels."""
+
+    @pytest.mark.parametrize("backend", [FAST, MULTICORE])
+    def test_one_kernel_span_with_tile_geometry(self, monkeypatch, backend):
+        from repro.core.attention import dfss_attention
+        from repro.core.multicore import WORKERS_ENV_VAR
+
+        monkeypatch.setenv(WORKERS_ENV_VAR, "2")
+        rng = np.random.default_rng(0)
+        q, k, v = (
+            rng.standard_normal((1, 2, 1024, 32), dtype=np.float32) for _ in range(3)
+        )
+        with trace() as active:
+            with active.span("infer", "step"):
+                dfss_attention(q, k, v, pattern="2:4", backend=backend)
+        kernels = [e for e in active.events if e.get("cat") == "kernel"]
+        assert [e["name"] for e in kernels] == ["nm_attention"]
+        args = kernels[0]["args"]
+        assert args["backend"] == backend
+        assert args["tiles"] == 2 * 4  # two slices of four 256-row tiles
+        assert args["tile_shape"] == "256x1024"
+        assert args["out_bytes"] == 4 * 2 * 1024 * 32
+        assert args["mechanism"] == "dfss_2:4"
+        assert args["shape_class"] == "1024x1024x512"
+        rows = kernel_attribution(build_dag(active.payload()))
+        assert [r["kernel"] for r in rows] == ["nm_attention"]
+
+    def test_out_bytes_count_requested_probabilities(self):
+        from repro.core.attention import dfss_attention
+
+        rng = np.random.default_rng(0)
+        q, k, v = (rng.standard_normal((2, 64, 16), dtype=np.float32) for _ in range(3))
+        with trace() as active:
+            dfss_attention(q, k, v, pattern="2:4", backend=FAST, return_weights=True)
+        (event,) = [e for e in active.events if e.get("cat") == "kernel"]
+        kept = 2 * 64 * 32
+        assert event["args"]["out_bytes"] == 4 * 2 * 64 * 16 + 5 * kept
 
 
 class TestCacheStats:
