@@ -377,25 +377,66 @@ class PaddedCSRMatrix:
             self.__dict__["_scatter_cache"] = (self.values, freeze_structure(dense))
         return dense
 
+    def _sibling(
+        self, values: np.ndarray, cols: np.ndarray, lengths: np.ndarray, shared: dict
+    ) -> "PaddedCSRMatrix":
+        """Matrix over already-validated structure arrays and a cache store.
+
+        Bypasses ``__post_init__``: the structure arrays were validated when
+        this instance was built, and re-checking them on every training step
+        is measurable.
+        """
+        out = object.__new__(PaddedCSRMatrix)
+        out.values = values
+        out.cols = cols
+        out.lengths = lengths
+        out.dense_cols = self.dense_cols
+        out.dtype = self.dtype
+        out.__dict__["_shared_caches"] = shared
+        return out
+
     def with_values(self, new_values: np.ndarray) -> "PaddedCSRMatrix":
-        """Return a new matrix with the same sparsity structure but new values."""
+        """Return a new matrix with the same sparsity structure but new values.
+
+        The shared cache store is carried by reference, so an index cache
+        computed on any sibling serves all of them.
+        """
         new_values = np.asarray(new_values, dtype=np.float32)
         if new_values.shape != self.values.shape:
             raise ValueError(
                 f"replacement values shape {new_values.shape} != {self.values.shape}"
             )
-        # bypass __post_init__: the structure arrays were validated when this
-        # instance was built, and re-checking them on every training step is
-        # measurable; the shared cache store is carried by reference so an
-        # index cache computed on any sibling serves all of them
-        out = object.__new__(PaddedCSRMatrix)
-        out.values = new_values
-        out.cols = self.cols
-        out.lengths = self.lengths
-        out.dense_cols = self.dense_cols
-        out.dtype = self.dtype
-        out.__dict__["_shared_caches"] = self.__dict__["_shared_caches"]
-        return out
+        return self._sibling(new_values, self.cols, self.lengths, self._shared)
+
+    def batch_slice(self, sl: slice) -> "PaddedCSRMatrix":
+        """Tile over the flattened-batch index range ``sl``.
+
+        The tile's values are a view of this matrix's whenever the batch
+        dimensions merge (always for contiguous values), so a kernel writing
+        them in place writes this matrix.  The tile's structure — its slice of
+        ``cols``/``lengths`` and its own cache store, seeded with its slice
+        of the validity mask — is memoised per slice on the shared cache:
+        every ``with_values`` sibling (every training step) reuses the tile's
+        flat gather/scatter tables, and tiles running concurrently never
+        write into one cache store.  A live scatter memo is sliced along.
+        """
+        batch = int(np.prod(self.batch_shape, dtype=np.int64))
+        lanes = (batch, self.rows, self.width)
+        memo = self._shared.setdefault("batch_slices", {})
+        structure = memo.get((sl.start, sl.stop))
+        if structure is None:
+            structure = (
+                self.cols.reshape(lanes)[sl],
+                self.lengths.reshape(lanes[:2])[sl],
+                {"valid": self.valid_lanes().reshape(lanes)[sl]},
+            )
+            memo[(sl.start, sl.stop)] = structure
+        tile = self._sibling(self.values.reshape(lanes)[sl], *structure)
+        cached = self.__dict__.get("_scatter_cache")
+        if cached is not None and cached[0] is self.values:
+            dense = cached[1].reshape((batch, self.rows, self.dense_cols))
+            tile.__dict__["_scatter_cache"] = (tile.values, dense[sl])
+        return tile
 
     # ------------------------------------------------------------------ size
     def nonzeros_nbytes(self) -> int:

@@ -15,31 +15,35 @@ module compiles the chain once instead:
   resolved at construction.  The N:M inference forward runs the resolved
   ``nm_attention`` kernel (:mod:`repro.core.nm_attention`: row-tiled on
   ``fast``, so no ``n²`` tensor exists).  The stages — sddmm → softmax →
-  spmm, used by training and the CSR layout — reuse the score buffer as the
-  probability buffer (scores live only in the compressed value array, which
-  the softmax overwrites in place), and the matching fused backward
-  dispatches straight into the resolved ``attention_bwd`` kernel.
+  spmm, used by training and the CSR layout, plus the fused backward —
+  are each written once, as a function of one layout and its operands
+  handed to the execution seam :meth:`AttentionPlan._map`.  The softmax
+  stage reuses the score buffer as the probability buffer (scores live only
+  in the compressed value array, which the softmax overwrites in place), and
+  its summation-order branch is decided once for the whole batch.
 * :func:`plan_for_nm` / :func:`plan_for_structure` — the cached constructors
   every layer shares: the autograd ops, ``engine.AttentionEngine``, the
   serving executor, and the bench runner.
 
-Backends provide plans through :func:`~repro.core.backend.register_plan_builder`
-(the seam the multicore backend plugs into): ``fast`` builds fused plans,
-``reference`` builds plans that dispatch the ordinary registry kernels stage
-by stage and act as the parity oracle.
+Backends provide plans through :func:`~repro.core.backend.register_plan_builder`:
+``fast`` builds fused plans, ``reference`` builds plans that dispatch the
+ordinary registry kernels stage by stage and act as the parity oracle, and
+``multicore`` (:mod:`repro.core.multicore`) builds fast plans whose ``_map``
+runs each stage as batch tiles on a worker pool.
 
-Bitwise parity between the two is by construction, not by accident: the
+Bitwise parity between them is by construction, not by accident: the
 fused plan calls the *same* registered kernel functions and the same softmax
 core (:func:`~repro.core.softmax.masked_softmax_values`) as the registry
 kernels; it differs only in pre-resolved dispatch and in-place buffer reuse,
-both of which are bit-exact transformations.
+both of which are bit-exact transformations, and every fast kernel is
+per-leading-slice independent, so cutting the batch into tiles is too.
 """
 
 from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import ContextManager, Dict, Optional, Tuple
+from typing import Callable, ContextManager, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -55,6 +59,7 @@ from repro.core.backend import (
 from repro.core.patterns import resolve_pattern
 from repro.core.plan_cache import PlanCache
 from repro.core.softmax import masked_softmax_values
+from repro.core.sparse import NMSparseMatrix
 from repro.profile.tracer import (
     current_tracer,
     register_metadata_provider,
@@ -118,6 +123,20 @@ class AttentionPlan:
             shape_class="x".join(str(d) for d in self.key.shape_class),
         )
 
+    def _map(self, stage: str, layout, fn: Callable, *arrays):
+        """Run one stage: ``fn(layout, *arrays)``.
+
+        The single execution seam of the stages.  ``layout`` is a compressed
+        layout (or ``None``) and ``arrays`` are ``(..., rows, cols)`` operands
+        (or ``None``) sharing its batch shape; ``fn`` returns ``None``, an
+        array or a tuple of arrays with that batch shape.  A backend that
+        executes plans differently overrides only this method — the
+        multicore plan runs ``fn`` on batch tiles
+        (``layout.batch_slice``) over its worker pool and joins the results.
+        """
+        with self._trace_labels():
+            return fn(layout, *arrays)
+
     # ------------------------------------------------------------------ fwd
     def compute_scores(
         self,
@@ -131,22 +150,28 @@ class AttentionPlan:
         """Stage 1: compressed scores (fused SDDMM + prune, or masked SDDMM)."""
         q = guard_input(q)
         k = guard_input(k)
-        with self._trace_labels():
-            if self.key.layout == "nm":
-                return self._sddmm(
-                    q,
-                    k,
-                    pattern=self._pattern,
-                    scale=scale,
-                    dtype=self.key.dtype,
-                    criterion=criterion,
-                    block_mask=block_mask,
+        if self.key.layout == "nm":
+            def sddmm_nm(_, q, k):
+                scores = self._sddmm(
+                    q, k, pattern=self._pattern, scale=scale, dtype=self.key.dtype,
+                    criterion=criterion, block_mask=block_mask,
                 )
-            if structure is None:
-                raise ValueError(
-                    "csr plans need the compressed structure to score into"
-                )
-            return self._sddmm(q, k, structure, scale=scale)
+                return scores.values, scores.indices
+
+            values, indices = self._map("sddmm_nm", None, sddmm_nm, q, k)
+            return NMSparseMatrix(
+                values=values, indices=indices, pattern=self._pattern,
+                dense_cols=np.shape(k)[-2], dtype=self.key.dtype,
+            )
+        if structure is None:
+            raise ValueError("csr plans need the compressed structure to score into")
+
+        def sddmm_csr(tile, q, k):
+            return self._sddmm(q, k, tile, scale=scale).values
+
+        return structure.with_values(
+            self._map("sddmm_csr", structure, sddmm_csr, q, k)
+        )
 
     def compute_probs(self, scores, owned: bool = True):
         """Stage 2: masked softmax over the stored nonzeros.
@@ -156,6 +181,11 @@ class AttentionPlan:
         needs the score values (e.g. precomputed Top-K scores), in which case
         exactly one copy is taken first.  Bitwise-identical to the registry
         softmax kernel either way — same core, different buffer.
+
+        The softmax's chunked and segmented passes sum row denominators in
+        different orders, and its auto dispatch keys on ``lengths.min()``;
+        the branch is therefore decided here, once for the whole batch, so a
+        stage run as batch tiles cannot flip it.
         """
         if not self.fused:
             with self._trace_labels():
@@ -163,48 +193,49 @@ class AttentionPlan:
         buf = scores.values
         if not owned or not buf.flags.writeable or not buf.flags.c_contiguous:
             buf = np.array(buf, dtype=np.float32)
-        valid = scores.valid_lanes()
-        lengths = None if valid is None else scores.row_lengths()
-        tracer = current_tracer()
-        # The fused path bypasses registry dispatch (it calls the softmax core
-        # directly), so the kernel span the wrapper would have emitted is
-        # emitted by hand here.
-        span = (
-            nullcontext()
-            if tracer is None
-            else tracer.span(
-                "masked_softmax",
-                backend=self.key.backend,
-                shape="x".join(str(d) for d in buf.shape),
-            )
+        probs = scores.with_values(buf)
+        valid = probs.valid_lanes()
+        segmented = (
+            None if valid is None else bool(int(probs.row_lengths().min()) < buf.shape[-1])
         )
-        with self._trace_labels(), span:
-            # repro: owns-buffer — fused plan reuses the score buffer it owns (or just copied)
-            masked_softmax_values(buf, valid, lengths, out=buf)
-        return scores.with_values(buf)
+        tracer = current_tracer()
+
+        def masked_softmax(tile):
+            valid = tile.valid_lanes()
+            lengths = None if valid is None else tile.row_lengths()
+            # The fused path bypasses registry dispatch (it calls the softmax
+            # core directly), so the kernel span the wrapper would have
+            # emitted is emitted by hand here.
+            span = (
+                nullcontext()
+                if tracer is None
+                else tracer.span(
+                    "masked_softmax",
+                    backend=self.key.backend,
+                    shape="x".join(str(d) for d in tile.values.shape),
+                )
+            )
+            with span:
+                # repro: owns-buffer — fused plan reuses the score buffer it owns (or just copied)
+                masked_softmax_values(
+                    tile.values, valid, lengths, out=tile.values, segmented=segmented
+                )
+
+        self._map("masked_softmax", probs, masked_softmax)
+        return probs
 
     def contract(
         self,
         probs,
         v: np.ndarray,
         drop_keep: Optional[np.ndarray] = None,
-        save_scatter: bool = False,
     ) -> np.ndarray:
-        """Stage 3: the value contraction ``P @ V`` (after optional dropout).
-
-        ``save_scatter=True`` caches the scattered dense probability tile on
-        the layout so the fused backward reuses it — one metadata walk per
-        training step.
-        """
-        if save_scatter:
-            probs.to_scattered(cache=True)
+        """Stage 3: the value contraction ``P @ V`` (after optional dropout)."""
         applied = (
             probs if drop_keep is None else probs.with_values(probs.values * drop_keep)
         )
-        with self._trace_labels():
-            return check_output(
-                self._spmm(applied, guard_input(v)), "attention output"
-            )
+        out = self._map("spmm", applied, self._spmm, guard_input(v))
+        return check_output(out, "attention output")
 
     # ------------------------------------------------------------------ bwd
     def backward(
@@ -219,17 +250,15 @@ class AttentionPlan:
         out: Optional[np.ndarray] = None,
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Fused backward: ``(dQ, dK, dV)`` via the resolved ``attention_bwd``."""
-        with self._trace_labels():
-            grads = self._bwd(
-                probs,
-                guard_input(q),
-                guard_input(k),
-                guard_input(v),
-                guard_input(d_out),
-                scale,
-                drop_keep,
-                guard_input(out),
-            )
+
+        def attention_bwd(tile, q, k, v, d_out, drop_keep, out):
+            return self._bwd(tile, q, k, v, d_out, scale, drop_keep, out)
+
+        grads = self._map(
+            "attention_bwd", probs, attention_bwd,
+            guard_input(q), guard_input(k), guard_input(v), guard_input(d_out),
+            drop_keep, guard_input(out),
+        )
         return check_grads(grads, "attention gradient")
 
     # ------------------------------------------------------------ end-to-end

@@ -193,24 +193,59 @@ class NMSparseMatrix:
             self.__dict__["_scatter_cache"] = (self.values, freeze_structure(dense))
         return dense
 
+    def _sibling(self, values: np.ndarray, indices: np.ndarray) -> "NMSparseMatrix":
+        """Same-pattern matrix over already-validated arrays.
+
+        Bypasses ``__post_init__``: the indices were range-checked (and, under
+        the sanitizer, frozen) when this instance was built, and re-checking
+        them on every training step is measurable.
+        """
+        out = object.__new__(NMSparseMatrix)
+        out.values = values
+        out.indices = indices
+        out.pattern = self.pattern
+        out.dense_cols = self.dense_cols
+        out.dtype = self.dtype
+        return out
+
     def with_values(self, new_values: np.ndarray) -> "NMSparseMatrix":
-        """Return a new matrix with the same sparsity structure but new values."""
+        """Return a new matrix with the same sparsity structure but new values.
+
+        The sibling shares this matrix's indices and column cache.
+        """
         new_values = np.asarray(new_values, dtype=np.float32)
         if new_values.shape != self.values.shape:
             raise ValueError(
                 f"replacement values shape {new_values.shape} != {self.values.shape}"
             )
-        out = NMSparseMatrix(
-            values=new_values,
-            indices=self.indices.copy(),
-            pattern=self.pattern,
-            dense_cols=self.dense_cols,
-            dtype=self.dtype,
-        )
+        out = self._sibling(new_values, self.indices)
         cached = self.__dict__.get("_column_cache")
         if cached is not None:
             out.__dict__["_column_cache"] = cached
         return out
+
+    def batch_slice(self, sl: slice) -> "NMSparseMatrix":
+        """Tile over the flattened-batch index range ``sl``.
+
+        The tile's arrays are views of this matrix's whenever the batch
+        dimensions merge (always for contiguous arrays), so a kernel writing
+        the tile's values in place writes this matrix.  The
+        column cache and a live scatter memo are sliced along, so no tile
+        repeats a metadata walk the whole matrix already made.
+        """
+        batch = int(np.prod(self.batch_shape, dtype=np.int64))
+        lanes = (batch, self.rows, self.kept_cols)
+        tile = self._sibling(
+            self.values.reshape(lanes)[sl], self.indices.reshape(lanes)[sl]
+        )
+        cols = self.__dict__.get("_column_cache")
+        if cols is not None and cols.shape == self.indices.shape:
+            tile.__dict__["_column_cache"] = cols.reshape(lanes)[sl]
+        cached = self.__dict__.get("_scatter_cache")
+        if cached is not None and cached[0] is self.values:
+            dense = cached[1].reshape((batch, self.rows, self.dense_cols))
+            tile.__dict__["_scatter_cache"] = (tile.values, dense[sl])
+        return tile
 
     # -------------------------------------------------------------- metadata
     def group_nibbles(self) -> np.ndarray:

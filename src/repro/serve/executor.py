@@ -310,51 +310,6 @@ def grouped_plan(structure: PaddedCSRMatrix) -> GroupedPlan:
     return plan
 
 
-def _grouped_multicore(
-    plan: GroupedPlan, qs: np.ndarray, k3: np.ndarray, v3: np.ndarray
-) -> Optional[np.ndarray]:
-    """Tile the stacked pipeline over ``g`` on the multicore worker pool.
-
-    Active only under the ``multicore`` backend; returns ``None`` whenever
-    tiling is degenerate so the caller falls through to the single stacked
-    call.  Each tile runs :meth:`GroupedPlan.__call__` on a contiguous
-    ``g``-slice — every reduction extent is fixed by the shared structure and
-    the plan arrays broadcast over ``g`` — so each output slice is
-    bitwise-identical to the whole-batch stacked call's slice.
-    """
-    if resolve_backend(None) != MULTICORE:
-        return None
-    g = qs.shape[0]
-    if g <= 1 or plan.width == 0 or qs.shape[1] == 0:
-        return None
-    from repro.core.multicore import get_pool, tile_slices
-
-    pool = get_pool()
-    if pool.workers <= 1:
-        return None
-    slices = tile_slices(g, pool.workers)
-    if len(slices) <= 1:
-        return None
-    out = np.empty((g, qs.shape[1], v3.shape[-1]), dtype=np.float32)
-
-    def tile_thunk(sl):
-        def thunk():
-            out[sl] = plan(qs[sl], k3[sl], v3[sl])  # repro: owns-buffer — disjoint slice of a preallocated tile output
-        return thunk
-
-    metas = [
-        {
-            "stage": "grouped_attention",
-            "tile": i,
-            "rows": f"{sl.start}:{sl.stop}",
-            "shape": f"{sl.stop - sl.start}x{qs.shape[1]}x{qs.shape[2]}",
-        }
-        for i, sl in enumerate(slices)
-    ]
-    pool.run([tile_thunk(sl) for sl in slices], spans=metas)
-    return out
-
-
 def grouped_attention(
     q3: np.ndarray,
     k3: np.ndarray,
@@ -392,7 +347,14 @@ def grouped_attention(
     qs = q3 * np.float32(scale)
     plan = grouped_plan(structure)
     with _kernel_span("grouped_attention", shape=f"{g}x{rows}x{d}", group=g):
-        out = _grouped_multicore(plan, qs, k3, v3)
-        if out is None:
+        if resolve_backend(None) == MULTICORE:
+            # each g-slice's reduction extents are fixed by the shared
+            # structure, so tiling over g cannot perturb a bit
+            from repro.core.multicore import map_tiles
+
+            out = map_tiles(
+                "grouped_attention", None, lambda _, q, k, v: plan(q, k, v), qs, k3, v3
+            )
+        else:
             out = plan(qs, k3, v3)
     return check_output(out, "grouped attention output")

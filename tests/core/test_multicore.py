@@ -9,6 +9,9 @@ worker, survive env reconfiguration, and put each tile on its own worker
 lane in a Chrome trace.
 """
 
+import itertools
+import threading
+
 import numpy as np
 import pytest
 
@@ -17,6 +20,7 @@ from repro.core.backend import FAST, MULTICORE, use_backend
 from repro.core.multicore import (
     WORKERS_ENV_VAR,
     WorkerPool,
+    get_pool,
     resolve_worker_count,
     slice_costs,
     tile_slices,
@@ -217,6 +221,24 @@ class TestBitwiseParity:
         for fast_arr, tiled_arr in zip(arms[FAST], arms[MULTICORE]):
             assert np.array_equal(fast_arr, tiled_arr)
 
+    def test_nm_train_step_with_block_mask(self, two_workers):
+        from repro.core.blocked_ell import sliding_window_mask
+
+        q, k, v = _qkv()
+        mask = sliding_window_mask(SHAPE[-2], 16, 1)
+        arms = {}
+        for backend in (FAST, MULTICORE):
+            qt = Tensor(q, requires_grad=True)
+            kt = Tensor(k, requires_grad=True)
+            vt = Tensor(v, requires_grad=True)
+            out, probs = dfss_sparse_attention(
+                qt, kt, vt, pattern="2:4", backend=backend, block_mask=mask
+            )
+            (out * out).sum().backward()
+            arms[backend] = (out.data, probs.values, qt.grad, kt.grad, vt.grad)
+        for fast_arr, tiled_arr in zip(arms[FAST], arms[MULTICORE]):
+            assert np.array_equal(fast_arr, tiled_arr)
+
     def test_ragged_csr_forward(self, two_workers):
         from repro.baselines.longformer import longformer_mask
         from repro.core.padded_csr import PaddedCSRMatrix
@@ -412,3 +434,54 @@ class TestTraceIntegration:
             if e.get("ph") == "M" and e.get("name") == "thread_name"
         }
         assert any(name.startswith("repro-mc") for name in lane_names)
+
+
+class TestEveryStageTiles:
+    """A stage that silently ran whole-batch would still match ``fast``
+    bit for bit, so parity alone cannot see it: the trace must show each
+    stage as several tiles on several worker lanes."""
+
+    @pytest.fixture
+    def rendezvous(self, two_workers, monkeypatch):
+        # Short tiles can all be drained by whichever worker wakes first; the
+        # first two tiles of every pool run meet at a barrier, so a run that
+        # reached the pool provably occupies two worker lanes.
+        pool = get_pool()
+        run = pool.run
+
+        def meeting_run(thunks, costs=None, spans=None):
+            barrier = threading.Barrier(2)
+            arrivals = itertools.count()
+
+            def meet(thunk):
+                def call():
+                    if next(arrivals) < 2:
+                        barrier.wait(timeout=5)
+                    return thunk()
+                return call
+
+            return run([meet(t) for t in thunks], costs, spans)
+
+        monkeypatch.setattr(pool, "run", meeting_run)
+
+    @pytest.mark.parametrize(
+        "mechanism, sddmm", [("dfss_2:4", "sddmm_nm"), ("longformer", "sddmm_csr")]
+    )
+    def test_train_step_stages_run_as_tiles(self, rendezvous, mechanism, sddmm):
+        q, k, v = _lattice_tensors(batch=(2, 2), seq=64, d=16)
+        if mechanism.startswith("dfss"):
+            def core(q, k, v):
+                return dfss_sparse_attention(q, k, v, pattern="2:4", backend=MULTICORE)[0]
+        else:
+            core = make_core(mechanism, seq_len_hint=64, path="sparse", backend=MULTICORE)
+        with trace() as active:
+            out = core(q, k, v)
+            (out * out).sum().backward()
+        lanes = {}
+        for event in active.payload()["traceEvents"]:
+            if event.get("name") == "mc_tile":
+                lanes.setdefault(event["args"]["stage"], []).append(event["tid"])
+        for stage in (sddmm, "masked_softmax", "spmm", "attention_bwd"):
+            tids = lanes.get(stage, [])
+            assert len(tids) >= 2, f"{stage} ran as {len(tids)} tile(s)"
+            assert len(set(tids)) >= 2, f"{stage} tiles ran on one lane"

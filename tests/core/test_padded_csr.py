@@ -138,6 +138,72 @@ class TestLayout:
             )
 
 
+class TestBatchSlice:
+    @staticmethod
+    def _structure(seed=6):
+        # ragged rows plus a fully-masked row in every slice
+        mask = _random_mask((2, 3, 8, 12), seed=seed, dead_row=2)
+        st = PaddedCSRMatrix.from_mask(mask)
+        values = np.arange(st.values.size, dtype=np.float32).reshape(st.values.shape)
+        return mask, st.with_values(values)
+
+    def test_tile_is_a_view_with_its_slice_of_the_structure(self):
+        mask, st = self._structure()
+        tile = st.batch_slice(slice(1, 4))
+        assert tile.batch_shape == (3,) and tile.width == st.width
+        assert np.shares_memory(tile.values, st.values)
+        np.testing.assert_array_equal(tile.lengths, st.lengths.reshape(6, 8)[1:4])
+        np.testing.assert_array_equal(
+            tile.valid_lanes(), st.valid_lanes().reshape(6, 8, st.width)[1:4]
+        )
+        np.testing.assert_array_equal(tile.to_mask(), mask.reshape(6, 8, 12)[1:4])
+        np.testing.assert_array_equal(
+            tile.to_dense(), st.to_dense().reshape(6, 8, 12)[1:4]
+        )
+        assert np.all(tile.lengths[:, 2] == 0)
+        assert np.all(tile.to_dense()[:, 2] == 0.0)
+
+    def test_in_place_write_through_the_tile_lands_in_the_parent(self):
+        _, st = self._structure()
+        tile = st.batch_slice(slice(0, 2))
+        tile.values[...] = -1.0
+        flat = st.values.reshape(6, 8, st.width)
+        assert np.all(flat[:2] == -1.0) and np.all(flat[2:] >= 0.0)
+
+    def test_tile_structure_is_memoised_per_slice_across_siblings(self):
+        _, st = self._structure()
+        tile = st.batch_slice(slice(2, 6))
+        tile.flat_gather_indices()  # a tile-local cache, built once
+        sibling = st.with_values(st.values * 2)
+        again = sibling.batch_slice(slice(2, 6))
+        assert again._shared is tile._shared
+        assert again.cols is tile.cols
+        np.testing.assert_array_equal(again.values, tile.values * 2)
+        # another slice owns another cache store
+        assert st.batch_slice(slice(0, 2))._shared is not tile._shared
+
+    def test_tile_carries_a_live_scatter_memo_only(self):
+        _, st = self._structure()
+        scattered = st.to_scattered(cache=True)
+        tile = st.batch_slice(slice(3, 5))
+        assert np.shares_memory(tile.to_scattered(), scattered)
+        np.testing.assert_array_equal(
+            tile.to_scattered(), scattered.reshape(6, 8, 12)[3:5]
+        )
+        sibling = st.with_values(st.values * 2)
+        np.testing.assert_array_equal(
+            sibling.batch_slice(slice(3, 5)).to_scattered(),
+            sibling.to_dense().reshape(6, 8, 12)[3:5],
+        )
+
+    def test_broadcast_structure_slices(self):
+        mask = _random_mask((8, 8), seed=7, dead_row=0)
+        st = PaddedCSRMatrix.from_mask(mask).broadcast_to((2, 3))
+        tile = st.batch_slice(slice(1, 5))
+        assert tile.batch_shape == (4,)
+        np.testing.assert_array_equal(tile.to_mask(), np.broadcast_to(mask, (4, 8, 8)))
+
+
 class TestKernelsOnPaddedCSR:
     """Every registry kernel must agree with the dense masked oracle on CSR."""
 
