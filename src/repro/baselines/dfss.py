@@ -11,7 +11,7 @@ from repro.core.attention import dfss_attention
 from repro.core.blocked_ell import BlockedEllMask
 from repro.core.patterns import default_pattern_for_dtype, resolve_pattern
 from repro.core.pruning import nm_prune_mask
-from repro.core.sddmm import sddmm_dense
+from repro.core.sddmm import MASKED_SCORE, sddmm_dense
 from repro.registry import DfssConfig, register_mechanism
 
 
@@ -52,13 +52,22 @@ class DfssMechanism(AttentionMechanism):
         )
 
     def attention_mask(self, q: np.ndarray, k: np.ndarray) -> np.ndarray:
-        scores = sddmm_dense(q, k, dtype=self.dtype)
-        if self.block_mask is not None:
-            # mask scores before the N:M selection, matching the sddmm_nm
-            # epilogue (a group straddling a block boundary must promote
-            # allowed runners-up, not keep excluded columns)
-            from repro.core.sddmm import MASKED_SCORE
+        """The N:M keep-mask, selected as the ``nm_attention`` kernel selects.
 
-            allowed = self.block_mask.dense_mask(scores.shape[-2], scores.shape[-1])
-            return nm_prune_mask(np.where(allowed, scores, MASKED_SCORE), self.pattern) & allowed
-        return nm_prune_mask(scores, self.pattern)
+        Blocked scores are masked before the selection (a group straddling
+        a block boundary promotes allowed runners-up), and a key axis that is
+        not a multiple of M is padded with masked lanes up to whole groups,
+        then cropped.
+        """
+        scores = sddmm_dense(q, k, dtype=self.dtype)
+        n_k = scores.shape[-1]
+        allowed = None
+        if self.block_mask is not None:
+            allowed = self.block_mask.dense_mask(scores.shape[-2], n_k)
+            scores = np.where(allowed, scores, MASKED_SCORE)
+        pad = self.pattern.padded(n_k) - n_k
+        if pad:
+            widths = [(0, 0)] * (scores.ndim - 1) + [(0, pad)]
+            scores = np.pad(scores, widths, constant_values=MASKED_SCORE)
+        mask = nm_prune_mask(scores, self.pattern)[..., :n_k]
+        return mask if allowed is None else mask & allowed

@@ -36,7 +36,7 @@ Backends additionally provide *plan builders*: callables that compile a
 kernel lookup once instead of per call.  ``register_plan_builder`` /
 ``get_plan_builder`` mirror the kernel registry and are the seam a future
 multicore-tiling backend plugs into — a new backend registers one builder and
-every layer (autograd op, engine, serving executor, bench) picks it up.
+every layer (autograd op, engine, serving batcher, bench) picks it up.
 """
 
 from __future__ import annotations

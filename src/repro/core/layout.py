@@ -26,8 +26,7 @@ protocol, so one fused training pipeline serves every layout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Protocol, Sequence, Tuple, runtime_checkable
+from typing import Optional, Protocol, Tuple, runtime_checkable
 
 import numpy as np
 
@@ -94,74 +93,6 @@ class CompressedLayout(Protocol):
     def to_dense(self, fill_value: float = 0.0) -> np.ndarray: ...
 
     def to_mask(self) -> np.ndarray: ...
-
-
-@dataclass(frozen=True)
-class SequenceSegments:
-    """Row/key extents of each sequence inside one ragged concatenated batch.
-
-    The bookkeeping companion of
-    :meth:`repro.core.padded_csr.PaddedCSRMatrix.concat_ragged`: when per-
-    sequence structures are block-diagonally concatenated, this records where
-    each sequence's query rows and key columns live in the flat batch, so the
-    serving layer can slice per-sequence outputs back out without carrying
-    the original structures around.
-
-    ``row_offsets`` and ``key_offsets`` are cumulative, with a trailing total
-    (``n_segments + 1`` entries each, starting at 0).
-    """
-
-    row_offsets: Tuple[int, ...]
-    key_offsets: Tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.row_offsets) != len(self.key_offsets):
-            raise ValueError(
-                f"row/key offset lengths differ: {len(self.row_offsets)} != "
-                f"{len(self.key_offsets)}"
-            )
-        if len(self.row_offsets) < 1 or self.row_offsets[0] != 0 or self.key_offsets[0] != 0:
-            raise ValueError("offsets must start at 0")
-
-    @classmethod
-    def from_lengths(
-        cls, row_lengths: Sequence[int], key_lengths: Optional[Sequence[int]] = None
-    ) -> "SequenceSegments":
-        """Build from per-sequence row counts (and key counts, default equal)."""
-        rows = [int(n) for n in row_lengths]
-        keys = rows if key_lengths is None else [int(n) for n in key_lengths]
-        if len(keys) != len(rows):
-            raise ValueError(
-                f"row/key length counts differ: {len(rows)} != {len(keys)}"
-            )
-        row_offsets = (0, *np.cumsum(rows).tolist()) if rows else (0,)
-        key_offsets = (0, *np.cumsum(keys).tolist()) if keys else (0,)
-        return cls(row_offsets=row_offsets, key_offsets=key_offsets)
-
-    def __len__(self) -> int:
-        return len(self.row_offsets) - 1
-
-    @property
-    def total_rows(self) -> int:
-        return self.row_offsets[-1]
-
-    @property
-    def total_keys(self) -> int:
-        return self.key_offsets[-1]
-
-    def row_slice(self, i: int) -> slice:
-        return slice(self.row_offsets[i], self.row_offsets[i + 1])
-
-    def key_slice(self, i: int) -> slice:
-        return slice(self.key_offsets[i], self.key_offsets[i + 1])
-
-    def split_rows(self, array: np.ndarray) -> List[np.ndarray]:
-        """Split an array whose leading axis is the concatenated row axis."""
-        if array.shape[0] != self.total_rows:
-            raise ValueError(
-                f"array leading dim {array.shape[0]} != total rows {self.total_rows}"
-            )
-        return [array[self.row_slice(i)] for i in range(len(self))]
 
 
 def dense_positions(layout: CompressedLayout) -> np.ndarray:

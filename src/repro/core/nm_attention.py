@@ -32,6 +32,12 @@ The ``reference`` backend is the staged reference chain itself and is the
 oracle the parity suite compares against.  The multicore backend maps the
 same :class:`NMForwardJob` tile list over its worker pool, which keeps its
 output bitwise equal to ``fast`` whatever the worker count.
+
+Both backends take any key count: a key axis that is not a multiple of M is
+padded to whole M-groups with zero K and V rows whose score lanes are set to
+``MASKED_SCORE`` before the selection, so they carry exactly zero weight.
+The oracle is dense attention under the cropped N:M keep-mask of the padded
+problem (``DfssMechanism.attention_mask``).
 """
 
 from __future__ import annotations
@@ -76,6 +82,33 @@ def row_blocks(n_q: int, n_k: int) -> List[Tuple[int, int]]:
     return list(zip(bounds[:-1], bounds[1:]))
 
 
+def _pad_keys(x: np.ndarray, n_k: int) -> np.ndarray:
+    """``x`` with zero rows appended along its key axis (``-2``) up to ``n_k``."""
+    x = np.asarray(x, dtype=np.float32)
+    return np.pad(x, [(0, 0)] * (x.ndim - 2) + [(0, n_k - x.shape[-2]), (0, 0)])
+
+
+class _PaddedKeys:
+    """Mask source of the reference chain over a padded key axis.
+
+    Stands in for the caller's blocked-ELL mask, the only thing the
+    reference SDDMM asks of which is ``dense_mask``: the real keys keep that
+    mask (or are all allowed), and every padded key is masked, so its lanes
+    score ``MASKED_SCORE`` before the selection just as in the fast tiles.
+    """
+
+    def __init__(self, n_keys: int, block_mask: Optional[BlockedEllMask]) -> None:
+        self.n_keys = n_keys
+        self.block_mask = block_mask
+
+    def dense_mask(self, rows: int, cols: int) -> np.ndarray:
+        allowed = np.zeros((rows, cols), dtype=bool)
+        allowed[:, : self.n_keys] = (
+            True if self.block_mask is None else self.block_mask.dense_mask(rows, self.n_keys)
+        )
+        return allowed
+
+
 class NMForwardJob:
     """One fused N:M forward call, decomposed into independent row tiles.
 
@@ -108,7 +141,11 @@ class NMForwardJob:
         self.pattern = (
             default_pattern_for_dtype(dtype) if pattern is None else resolve_pattern(pattern)
         )
-        self.pattern.validate_length(n_k)
+        # the key axis, padded to whole M-groups; an aligned one is used as is
+        self.n_keys = n_k
+        n_k = self.pattern.padded(n_k)
+        if n_k != self.n_keys:
+            k3, v3 = _pad_keys(k3, n_k), _pad_keys(v3, n_k)
         self.dtype = dtype
         self.criterion = criterion
         scale = 1.0 / np.sqrt(q3.shape[-1]) if scale is None else scale
@@ -123,10 +160,10 @@ class NMForwardJob:
         self._v = v3
         self._grid = None
         if block_mask is not None:
-            self._grid = block_mask.block_grid(n_q, n_k)
+            self._grid = block_mask.block_grid(n_q, self.n_keys)
             size = block_mask.block_size
             self._row_block = np.arange(n_q) // size
-            self._col_block = np.arange(n_k) // size
+            self._col_block = np.arange(self.n_keys) // size
         kept = self.pattern.kept(n_k)
         blocks = row_blocks(n_q, n_k)
         self.tiles: List[Tile] = [
@@ -161,7 +198,8 @@ class NMForwardJob:
         np.multiply(scores, self.scale, out=scores)  # repro: owns-buffer — the job's reused tile buffer
         if self._grid is not None:
             allowed = self._grid[self._row_block[r0:r1]][:, self._col_block]
-            np.copyto(scores, MASKED_SCORE, where=~allowed)
+            np.copyto(scores[:, : self.n_keys], MASKED_SCORE, where=~allowed)
+        np.copyto(scores[:, self.n_keys:], MASKED_SCORE)  # padded key lanes
         values, indices = nm_compress_fast(scores, self.pattern, self.criterion)
         masked_softmax_values(values, out=values)
         flat = self._lane_offsets[: r1 - r0] + indices
@@ -175,7 +213,11 @@ class NMForwardJob:
             self._indices[b, r0:r1] = indices  # repro: owns-buffer — disjoint row block of the job's own output
 
     def result(self) -> Tuple[np.ndarray, Optional[NMSparseMatrix]]:
-        """``(out, probs)``; ``probs`` is ``None`` unless requested."""
+        """``(out, probs)``; ``probs`` is ``None`` unless requested.
+
+        ``probs`` spans the padded key axis when the key count is not a
+        multiple of M; its padded columns hold zero weight.
+        """
         out = restore_batch_shape(self._out, self.batch_shape)
         if self._values is None:
             return out, None
@@ -218,15 +260,15 @@ def tile_span_args(
 ) -> dict:
     """Trace-span arguments of one tiled call: tile count, tile shape and the
     bytes written (output, plus compressed probabilities when requested)."""
-    q_shape, n_k = np.shape(q), np.shape(k)[-2]
+    pattern = (
+        default_pattern_for_dtype(dtype) if pattern is None else resolve_pattern(pattern)
+    )
+    q_shape, n_k = np.shape(q), pattern.padded(np.shape(k)[-2])
     n_q, batch = q_shape[-2], int(np.prod(q_shape[:-2], dtype=np.int64))
     blocks = row_blocks(n_q, n_k)
     rows = max((r1 - r0 for r0, r1 in blocks), default=0)
     out_bytes = 4 * batch * n_q * np.shape(v)[-1]
     if return_probs:
-        pattern = (
-            default_pattern_for_dtype(dtype) if pattern is None else resolve_pattern(pattern)
-        )
         # float32 values plus int8 in-group indices per kept entry
         out_bytes += 5 * batch * n_q * pattern.kept(n_k)
     return {
@@ -251,7 +293,18 @@ def _nm_attention_reference(
     block_mask: Optional[BlockedEllMask] = None,
     return_probs: bool = False,
 ) -> Tuple[np.ndarray, Optional[NMSparseMatrix]]:
-    """The staged reference chain: ``sddmm_nm → masked_softmax → spmm``."""
+    """The staged reference chain: ``sddmm_nm → masked_softmax → spmm``.
+
+    A key count that is not a multiple of M is padded as in the fast kernel.
+    """
+    pattern = (
+        default_pattern_for_dtype(dtype) if pattern is None else resolve_pattern(pattern)
+    )
+    n_keys = np.shape(k)[-2]
+    n_k = pattern.padded(n_keys)
+    if n_k != n_keys:
+        k, v = _pad_keys(k, n_k), _pad_keys(v, n_k)
+        block_mask = _PaddedKeys(n_keys, block_mask)
     scores = _sddmm_nm_reference(
         q, k, pattern=pattern, scale=scale, dtype=dtype,
         criterion=criterion, block_mask=block_mask,

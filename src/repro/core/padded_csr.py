@@ -26,7 +26,7 @@ everywhere, matching the dense masked softmax's no-uniform-leak rule.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -163,75 +163,6 @@ class PaddedCSRMatrix:
         vals = np.take_along_axis(dense, structure.cols.astype(np.int64), axis=-1)
         valid = structure.valid_lanes()
         return structure.with_values(np.where(valid, vals, np.float32(pad_value)))
-
-    @classmethod
-    def concat_ragged(
-        cls,
-        structures: "Sequence[PaddedCSRMatrix]",
-        key_offsets: Optional[Sequence[int]] = None,
-    ) -> "PaddedCSRMatrix":
-        """Block-diagonally concatenate per-sequence structures into one batch.
-
-        The per-*sequence* extension of the per-row raggedness: each input is
-        a 2-D ``(rows_i, width_i)`` structure over its own ``dense_cols_i``
-        key range, and the result is a single 2-D structure whose rows are the
-        concatenation of all inputs and whose dense columns are the disjoint
-        union of their key ranges (input ``i``'s columns shifted by the
-        cumulative key offset).  A batch can therefore mix L=128 and L=512
-        sequences without padding anyone to the longest sequence — only the
-        *lane width* is padded, to the global maximum row nnz, and the new
-        padding lanes follow the layout convention (clamped to column 0,
-        ``lengths`` unchanged).  Values are zero-filled; callers stamp scores
-        through :meth:`valid_lanes` exactly as for a fresh :meth:`from_mask`
-        structure.
-
-        ``key_offsets`` overrides the dense-column offset of each input —
-        sequences *sharing* a key range (e.g. several heads of one sequence
-        attending to one shared memory) pass explicit offsets; the default is
-        the disjoint block-diagonal placement.
-        """
-        structures = list(structures)
-        if not structures:
-            raise ValueError("concat_ragged needs at least one structure")
-        for s in structures:
-            if s.batch_shape != ():
-                raise ValueError(
-                    "concat_ragged expects 2-D (rows, width) structures; got "
-                    f"batch shape {s.batch_shape}"
-                )
-        if key_offsets is None:
-            offsets = np.concatenate(
-                [[0], np.cumsum([s.dense_cols for s in structures])]
-            )
-            dense_cols = int(offsets[-1])
-            offsets = offsets[:-1]
-        else:
-            offsets = np.asarray(list(key_offsets), dtype=np.int64)
-            if offsets.shape != (len(structures),):
-                raise ValueError(
-                    f"key_offsets must give one offset per structure; got "
-                    f"{offsets.shape[0]} for {len(structures)} structures"
-                )
-            if np.any(offsets < 0):
-                raise ValueError("key_offsets must be non-negative")
-            dense_cols = int(max(o + s.dense_cols for o, s in zip(offsets, structures)))
-        width = max(s.width for s in structures)
-        cols_parts, length_parts = [], []
-        for s, off in zip(structures, offsets):
-            cols = np.zeros((s.rows, width), dtype=np.int32)
-            cols[:, : s.width] = np.where(
-                s.valid_lanes(), s.cols + np.int32(off), np.int32(0)
-            )
-            cols_parts.append(cols)
-            length_parts.append(s.lengths)
-        cols = np.concatenate(cols_parts, axis=0)
-        return cls(
-            values=np.zeros(cols.shape, dtype=np.float32),
-            cols=cols,
-            lengths=np.concatenate(length_parts),
-            dense_cols=dense_cols,
-            dtype=structures[0].dtype,
-        )
 
     def broadcast_to(self, batch_shape: Tuple[int, ...]) -> "PaddedCSRMatrix":
         """View of this structure broadcast to new leading batch dimensions.

@@ -81,6 +81,10 @@ class NMPattern:
                 f"for pattern {self.name}; pad the sequence length"
             )
 
+    def padded(self, length: int) -> int:
+        """``length`` rounded up to whole M-groups (the inference forward's key axis)."""
+        return -(-int(length) // self.m) * self.m
+
     def groups(self, length: int) -> int:
         """Number of M-groups in a row of ``length`` entries."""
         self.validate_length(length)

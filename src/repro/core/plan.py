@@ -23,7 +23,7 @@ module compiles the chain once instead:
   its summation-order branch is decided once for the whole batch.
 * :func:`plan_for_nm` / :func:`plan_for_structure` — the cached constructors
   every layer shares: the autograd ops, ``engine.AttentionEngine``, the
-  serving executor, and the bench runner.
+  serving batcher (:mod:`repro.serve.batcher`), and the bench runner.
 
 Backends provide plans through :func:`~repro.core.backend.register_plan_builder`:
 ``fast`` builds fused plans, ``reference`` builds plans that dispatch the
@@ -347,14 +347,18 @@ def plan_for_nm(
     backend: Optional[str] = None,
     dtype: str = "float32",
 ) -> AttentionPlan:
-    """Cached plan for the dynamic N:M pipeline on a given per-slice geometry."""
+    """Cached plan for the dynamic N:M pipeline on a given per-slice geometry.
+
+    The lane width counts the key axis rounded up to whole M-groups, which
+    is what the inference forward pads it to.
+    """
     pattern = resolve_pattern(pattern)
     key = PlanKey(
         mechanism=f"dfss_{pattern.name}",
         layout="nm",
         backend=resolve_backend(backend),
         dtype=dtype,
-        shape_class=(int(rows), int(dense_cols), pattern.kept(int(dense_cols))),
+        shape_class=(int(rows), int(dense_cols), pattern.kept(pattern.padded(dense_cols))),
     )
     return get_plan(key)
 

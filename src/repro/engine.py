@@ -189,7 +189,7 @@ class AttentionEngine:
         """Compiled :class:`~repro.core.plan.AttentionPlan` for this mechanism.
 
         The plan is the fused sddmm → masked-softmax → spmm executable the
-        autograd ops, the serving executor, and the bench runner share; this
+        autograd ops, the serving batcher, and the bench runner share; this
         method exposes it for introspection and direct execution.  ``n_q`` /
         ``n_k`` default to ``seq_len_hint``.  Mechanisms that choose their
         structure from the data (Top-K, Routing, …) cannot be planned from

@@ -1,7 +1,7 @@
 """Chrome-trace tracer: the recording half of the ``repro.profile`` subsystem.
 
 Every instrumented site in the repository — the kernel registry dispatch,
-the compiled-plan stages, the autograd backward pass, the serving executor —
+the compiled-plan stages, the autograd backward pass, the serving batch flushes —
 asks this module for the *current tracer* and emits events only when one is
 installed.  The disabled fast path is a single module-global read returning
 ``None``, so production runs pay essentially nothing (the acceptance bar is

@@ -1,12 +1,13 @@
 """`repro.serve` — request-level attention serving over the mechanism registry.
 
 The module is callable: ``repro.serve(requests)`` serves a request list
-offline through the deadline-aware batching scheduler, coalescing compatible
-requests of *different* mechanisms and sequence lengths into ragged
-padded-CSR batches with bitwise request-isolation.  See
+offline through the deadline-aware batching scheduler, which coalesces
+requests of *different* mechanisms and sequence lengths into one batch and
+runs it on the same compiled :class:`~repro.core.plan.AttentionPlan` objects the
+engine, autograd and bench use, with bitwise request-isolation.  See
 :mod:`repro.serve.engine` for the server, :mod:`repro.serve.batcher` for the
-coalescing, :mod:`repro.serve.executor` for the width-invariant kernels, and
-:mod:`repro.serve.workload` for the synthetic traffic generator.
+routes and the coalescing, and :mod:`repro.serve.workload` for the synthetic
+traffic generator.
 """
 
 from __future__ import annotations
@@ -16,20 +17,12 @@ from types import ModuleType
 
 from repro.serve.batcher import (
     PreparedRequest,
-    Segment,
     prepare_request,
     run_ragged_batch,
     structure_cache_key,
 )
 from repro.serve.cache import StructureCache
 from repro.serve.engine import AttentionServer, ServeRequest, ServeResult, serve
-from repro.serve.executor import (
-    grouped_attention,
-    ragged_attention,
-    ragged_masked_softmax,
-    ragged_sddmm,
-    ragged_spmm,
-)
 from repro.serve.workload import DEFAULT_MIX, synthetic_workload
 
 __all__ = [
@@ -40,16 +33,10 @@ __all__ = [
     "StructureCache",
     "synthetic_workload",
     "DEFAULT_MIX",
-    "Segment",
     "PreparedRequest",
     "prepare_request",
     "run_ragged_batch",
     "structure_cache_key",
-    "ragged_attention",
-    "grouped_attention",
-    "ragged_sddmm",
-    "ragged_masked_softmax",
-    "ragged_spmm",
 ]
 
 

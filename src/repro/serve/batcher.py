@@ -1,16 +1,25 @@
-"""Request preparation and ragged coalescing for the serving engine.
+"""Request preparation and coalescing for the serving engine.
 
 A :class:`~repro.serve.engine.ServeRequest` carries ``(..., seq, d)`` tensors
 with arbitrary leading dimensions (heads, beams).  Preparation flattens the
-leading dimensions into per-sequence *segments* — ``(seq, d)`` query/key/value
-slices plus the 2-D compressed structure of that slice's attention mask — and
-resolves the structure through the serving cache for static-mask mechanisms.
-Coalescing then block-diagonally concatenates any number of segments from any
-mix of mechanisms and sequence lengths
-(:meth:`~repro.core.padded_csr.PaddedCSRMatrix.concat_ragged`) and runs the
-width-invariant kernels of :mod:`repro.serve.executor` once over the whole
-batch.
+leading dimensions into ``(segments, seq, d)`` stacks and picks the route its
+batch runs it on, each an :class:`~repro.core.plan.AttentionPlan` call:
 
+* **N:M (DFSS)** — no structure at all: the plan selects the N:M lanes from
+  the scores as it computes them, so the request pays no per-request mask or
+  compression.  Requests with the same pattern, dtype, block mask and
+  geometry are stacked into one :func:`~repro.core.plan.plan_for_nm` call.
+* **Static masks** — the 2-D padded-CSR structure depends only on (config,
+  lengths), so it is built once and cached in the
+  :class:`~repro.serve.cache.StructureCache`; requests sharing it are stacked
+  into one :func:`~repro.core.plan.plan_for_structure` call over the
+  structure broadcast to the stack depth (memoised per depth on the cached
+  structure, with its index tables).
+* **Content-dependent masks and explicit ``mask=``** — one batched
+  ``from_mask`` at enqueue time, then one plan call per request.
+
+Every fast kernel is independent per leading slice, so a request's output is
+bitwise identical whether it is served alone or stacked with others.
 Requests whose mechanism is not ``batchable`` never reach this path; the
 server executes them one by one through their
 :class:`~repro.engine.AttentionEngine`.
@@ -19,17 +28,16 @@ server executes them one by one through their
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.layout import SequenceSegments
 from repro.core.padded_csr import PaddedCSRMatrix
+from repro.core.plan import plan_for_nm, plan_for_structure
+from repro.registry import DfssConfig
 from repro.serve.cache import StructureCache
-from repro.serve.executor import grouped_attention, grouped_plan, ragged_attention
 
 __all__ = [
-    "Segment",
     "PreparedRequest",
     "structure_cache_key",
     "prepare_request",
@@ -38,28 +46,34 @@ __all__ = [
 
 
 @dataclass
-class Segment:
-    """One ``(seq, d)`` slice of a request plus its compressed mask structure."""
-
-    q: np.ndarray
-    k: np.ndarray
-    v: np.ndarray
-    structure: PaddedCSRMatrix
-
-
-@dataclass
 class PreparedRequest:
-    """A request decomposed for execution: segments, route, cache accounting."""
+    """A request decomposed for execution: stacked tensors, route, cache accounting."""
 
     request: "object"  # ServeRequest; untyped to avoid the circular import
     mechanism: str
     batchable: bool
-    segments: List[Segment]
+    #: ``(segments, seq, ·)`` views of the request tensors (batchable only).
+    q3: Optional[np.ndarray] = None
+    k3: Optional[np.ndarray] = None
+    v3: Optional[np.ndarray] = None
+    #: the padded-CSR route's structure: the cached 2-D structure of a static
+    #: mask, or this request's own ``(segments, n_q, n_k)`` one.
+    structure: Optional[PaddedCSRMatrix] = None
+    #: the N:M route's mechanism (its pattern, dtype and block mask).
+    nm: Optional[object] = None
     #: True/False for static-mask mechanisms (did the structure cache hit),
-    #: None when no cache lookup happened (content-dependent or custom mask).
-    cache_hit: Optional[bool]
-    #: fallback engine for non-batchable requests (None on the ragged path).
+    #: None when no cache lookup happened.
+    cache_hit: Optional[bool] = None
+    #: fallback engine for non-batchable requests.
     engine: Optional[object] = None
+
+    def group_key(self) -> Hashable:
+        """Requests with equal keys run stacked in one plan call."""
+        shape = (self.q3.shape[1:], self.k3.shape[1], self.v3.shape[-1])
+        if self.nm is not None:
+            nm = self.nm
+            return ("nm", nm.pattern, nm.dtype, id(nm.block_mask)) + shape
+        return ("csr", id(self.structure)) + shape
 
 
 def structure_cache_key(
@@ -80,25 +94,25 @@ def structure_cache_key(
     )
 
 
-def _compile_structure(mask: np.ndarray) -> PaddedCSRMatrix:
-    """Compress a static mask and pre-compile its grouped execution plan."""
-    structure = PaddedCSRMatrix.from_mask(np.asarray(mask, dtype=bool))
-    grouped_plan(structure)  # memoised on the structure's shared cache
-    return structure
-
-
 def _flatten(request) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Reshape the request tensors to ``(n_segments, seq, d)``."""
     q, k, v = request.q, request.k, request.v
-    n_seg = int(np.prod(q.shape[:-2], dtype=np.int64)) if q.ndim > 2 else 1
-    q3 = q.reshape(n_seg, q.shape[-2], q.shape[-1])
-    k3 = k.reshape(n_seg, k.shape[-2], k.shape[-1])
-    v3 = v.reshape(n_seg, v.shape[-2], v.shape[-1])
-    return q3, k3, v3
+    n_seg = int(np.prod(q.shape[:-2], dtype=np.int64))
+    return (
+        q.reshape(n_seg, *q.shape[-2:]),
+        k.reshape(n_seg, *k.shape[-2:]),
+        v.reshape(n_seg, *v.shape[-2:]),
+    )
+
+
+def _own_structure(mask, lead: Tuple[int, ...], n_q: int, n_k: int) -> PaddedCSRMatrix:
+    """One batched ``from_mask`` of a request's mask, one slice per segment."""
+    mask = np.broadcast_to(np.asarray(mask, dtype=bool), lead + (n_q, n_k))
+    return PaddedCSRMatrix.from_mask(mask.reshape(-1, n_q, n_k))
 
 
 def prepare_request(request, engine, cache: StructureCache) -> PreparedRequest:
-    """Decompose one request into segments, resolving structures via ``cache``.
+    """Flatten one request and pick its route, resolving structures via ``cache``.
 
     ``engine`` is the request's :class:`~repro.engine.AttentionEngine` (or
     ``None`` when the request carries an explicit ``mask``, which bypasses the
@@ -107,45 +121,33 @@ def prepare_request(request, engine, cache: StructureCache) -> PreparedRequest:
     """
     if request.mask is not None:
         q3, k3, v3 = _flatten(request)
-        n_seg, n_q, n_k = q3.shape[0], q3.shape[1], k3.shape[1]
-        mask = np.asarray(request.mask, dtype=bool)
-        if mask.shape[-2:] != (n_q, n_k):
+        n_q, n_k = q3.shape[1], k3.shape[1]
+        if np.shape(request.mask)[-2:] != (n_q, n_k):
             raise ValueError(
-                f"mask trailing shape {mask.shape[-2:]} != ({n_q}, {n_k})"
+                f"mask trailing shape {np.shape(request.mask)[-2:]} != ({n_q}, {n_k})"
             )
-        if mask.ndim == 2:
-            shared = PaddedCSRMatrix.from_mask(mask)
-            structures = [shared] * n_seg
-        else:
-            m3 = np.broadcast_to(
-                mask, request.q.shape[:-2] + (n_q, n_k)
-            ).reshape(n_seg, n_q, n_k)
-            structures = [PaddedCSRMatrix.from_mask(m3[i]) for i in range(n_seg)]
-        segments = [
-            Segment(q3[i], k3[i], v3[i], structures[i]) for i in range(n_seg)
-        ]
-        return PreparedRequest(request, "mask", True, segments, None)
+        structure = _own_structure(request.mask, request.q.shape[:-2], n_q, n_k)
+        return PreparedRequest(request, "mask", True, q3, k3, v3, structure=structure)
 
     spec = engine.spec
     if not spec.batchable:
-        return PreparedRequest(request, spec.name, False, [], None, engine=engine)
+        return PreparedRequest(request, spec.name, False, engine=engine)
 
     q3, k3, v3 = _flatten(request)
-    n_seg, n_q, n_k = q3.shape[0], q3.shape[1], k3.shape[1]
-    cache_hit: Optional[bool] = None
-    if spec.static_mask:
-        key = structure_cache_key(spec.name, engine.config, n_q, n_k)
-        cache_hit = key in cache
+    prepared = PreparedRequest(request, spec.name, True, q3, k3, v3)
+    if isinstance(engine.config, DfssConfig):
+        prepared.nm = engine.mechanism()
+    elif spec.static_mask:
+        key = structure_cache_key(spec.name, engine.config, q3.shape[1], k3.shape[1])
+        prepared.cache_hit = key in cache
         # the mask depends only on (config, lengths): one representative 2-D
-        # slice builds the structure every segment of every request shares,
-        # and the grouped execution plan is compiled right here so the cached
-        # entry carries it — batch flushes reuse the plan instead of
-        # recomputing the lane geometry per batch
-        shared = cache.get(
+        # slice builds the structure every segment of every request shares
+        prepared.structure = cache.get(
             key,
-            lambda: _compile_structure(engine.attention_mask(q3[0], k3[0])),
+            lambda: PaddedCSRMatrix.from_mask(
+                np.asarray(engine.attention_mask(q3[0], k3[0]), dtype=bool)
+            ),
         )
-        structures = [shared] * n_seg
     else:
         mask = engine.attention_mask(q3, k3)
         if mask is None:
@@ -153,82 +155,64 @@ def prepare_request(request, engine, cache: StructureCache) -> PreparedRequest:
                 f"mechanism {spec.name!r} is flagged batchable but produced no "
                 f"attention mask"
             )
-        m3 = np.broadcast_to(np.asarray(mask, dtype=bool), (n_seg, n_q, n_k))
-        structures = [PaddedCSRMatrix.from_mask(m3[i]) for i in range(n_seg)]
-    segments = [Segment(q3[i], k3[i], v3[i], structures[i]) for i in range(n_seg)]
-    return PreparedRequest(request, spec.name, True, segments, cache_hit)
+        prepared.structure = _own_structure(mask, q3.shape[:1], q3.shape[1], k3.shape[1])
+    return prepared
 
 
-def run_ragged_batch(prepared: Sequence[PreparedRequest]) -> List[np.ndarray]:
-    """Execute batchable prepared requests as one ragged batch.
+def _stacked(structure: PaddedCSRMatrix, depth: int) -> PaddedCSRMatrix:
+    """A shared 2-D structure broadcast to ``depth`` stacked segments.
 
-    Returns one output array per request, reshaped back to its leading
-    dimensions.  Segments sharing a cached structure object — different
-    heads, and different *requests* with the same (mechanism, config,
-    lengths) — are stacked and executed by one grouped fold per lane
-    (:func:`~repro.serve.executor.grouped_attention`); the remaining
-    one-of-a-kind segments (content-dependent or custom masks) are
-    block-diagonally coalesced through
-    :meth:`~repro.core.padded_csr.PaddedCSRMatrix.concat_ragged`.  Both paths
-    are width- and stacking-invariant, so every per-segment output is
-    bitwise-identical to a batch of one.
+    Memoised per depth on the structure's shared cache, so the broadcast and
+    the index tables the kernels cache on it outlive the batch.
     """
-    segments = [seg for p in prepared for seg in p.segments]
-    if not segments:
-        return []
-    groups: "dict[int, List[int]]" = {}
-    for index, seg in enumerate(segments):
-        groups.setdefault(id(seg.structure), []).append(index)
+    memo = structure._shared.setdefault("stacked", {})
+    stacked = memo.get(depth)
+    if stacked is None:
+        stacked = memo[depth] = structure.broadcast_to((depth,))
+    return stacked
 
-    outputs_by_segment: List[Optional[np.ndarray]] = [None] * len(segments)
-    singles: List[int] = []
+
+def _concat(parts: List[np.ndarray]) -> np.ndarray:
+    """A group's segments on one leading axis; a lone request's own view is not copied."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def run_ragged_batch(
+    prepared: Sequence[PreparedRequest], backend: Optional[str] = None
+) -> List[np.ndarray]:
+    """Execute batchable prepared requests; one output per request.
+
+    Requests are grouped by :meth:`PreparedRequest.group_key`; each group's
+    segments are stacked and run by one plan call on ``backend`` (default:
+    the ambient backend), and each output is reshaped back to its request's
+    leading dimensions.
+    """
+    groups: Dict[Hashable, List[int]] = {}
+    for index, p in enumerate(prepared):
+        groups.setdefault(p.group_key(), []).append(index)
+
+    outputs: List[Optional[np.ndarray]] = [None] * len(prepared)
     for members in groups.values():
-        if len(members) == 1:
-            singles.append(members[0])
-            continue
-        stack = [segments[i] for i in members]
-        out3 = grouped_attention(
-            np.stack([s.q for s in stack]),
-            np.stack([s.k for s in stack]),
-            np.stack([s.v for s in stack]),
-            stack[0].structure,
-        )
-        for slot, i in enumerate(members):
-            outputs_by_segment[i] = out3[slot]
-
-    if singles:
-        stack = [segments[i] for i in singles]
-        structure = PaddedCSRMatrix.concat_ragged([s.structure for s in stack])
-        layout = SequenceSegments.from_lengths(
-            [s.q.shape[0] for s in stack], [s.k.shape[0] for s in stack]
-        )
-        blocks = [
-            (layout.row_offsets[i], layout.row_offsets[i + 1])
-            for i in range(len(layout))
-        ]
-        key_blocks = [
-            (layout.key_offsets[i], layout.key_offsets[i + 1])
-            for i in range(len(layout))
-        ]
-        out = ragged_attention(
-            np.concatenate([s.q for s in stack], axis=0),
-            np.concatenate([s.k for s in stack], axis=0),
-            np.concatenate([s.v for s in stack], axis=0),
-            structure,
-            row_blocks=blocks,
-            key_blocks=key_blocks,
-        )
-        for i, part in zip(singles, layout.split_rows(out)):
-            outputs_by_segment[i] = part
-
-    outputs: List[np.ndarray] = []
-    cursor = 0
-    for p in prepared:
-        chunk = outputs_by_segment[cursor:cursor + len(p.segments)]
-        cursor += len(p.segments)
-        lead = p.request.q.shape[:-2]
-        if lead:
-            outputs.append(np.stack(chunk, axis=0).reshape(lead + chunk[0].shape))
+        stack = [prepared[i] for i in members]
+        q3, k3, v3 = (_concat([getattr(p, name) for p in stack]) for name in ("q3", "k3", "v3"))
+        first = stack[0]
+        if first.nm is not None:
+            nm = first.nm
+            plan = plan_for_nm(
+                nm.pattern, q3.shape[1], k3.shape[1], backend=backend, dtype=nm.dtype
+            )
+            out3 = plan.forward(q3, k3, v3, block_mask=nm.block_mask)
         else:
-            outputs.append(chunk[0])
+            structure = first.structure
+            if structure.batch_shape == ():
+                structure = _stacked(structure, q3.shape[0])
+            plan = plan_for_structure(
+                structure, backend=backend, mechanism=first.mechanism
+            )
+            out3 = plan.forward(q3, k3, v3, structure=structure)
+        start = 0
+        for i, p in zip(members, stack):
+            stop = start + p.q3.shape[0]
+            outputs[i] = out3[start:stop].reshape(p.request.q.shape[:-1] + out3.shape[-1:])
+            start = stop
     return outputs

@@ -5,8 +5,10 @@ boolean mask from the configuration and the sequence lengths alone — never
 from request content — so the padded-CSR structure compressed for one request
 serves every later request with the same ``(mechanism, config, lengths)``
 key.  At serving scale this removes the mask build *and* the
-``from_mask`` argsort from the hot path entirely; only content-dependent
-mechanisms (DFSS, Top-K, LSH/clustering) pay per-request structure costs.
+``from_mask`` argsort from the hot path entirely.  DFSS needs no structure
+(its plan selects the N:M lanes from the scores as it computes them); only
+the content-dependent padded-CSR mechanisms (Top-K, LSH/clustering) and
+explicit masks pay per-request structure costs.
 
 Hit/miss/eviction counters are first-class: the server surfaces them through
 ``AttentionServer.stats()`` so a deployment can see whether its traffic mix
@@ -82,8 +84,8 @@ class StructureCache:
         """Return the cached value for ``key``, building (and counting a miss)
         once on first use.
 
-        Thread-safe (the multicore backend made concurrent executor calls a
-        reality): counters, recency updates, and eviction all run under one
+        Thread-safe (servers on several threads may share one cache):
+        counters, recency updates, and eviction all run under one
         lock.  ``build`` runs outside it, so a cold key may build more than
         once under a race — structures are immutable-after-build, so last
         write wins harmlessly.

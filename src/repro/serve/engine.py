@@ -6,11 +6,14 @@ leading dimensions, any sequence length), and the :class:`AttentionServer`
 decides how to execute it.
 
 * Requests of ``batchable`` mechanisms are coalesced — across *different*
-  mechanisms and *different* sequence lengths — into one ragged padded-CSR
-  batch (:mod:`repro.serve.batcher`) executed by width-invariant kernels
-  (:mod:`repro.serve.executor`), so a request's output is bitwise-identical
-  whether it was served alone or inside any batch.
-* Static-mask structures are cached across requests
+  mechanisms and *different* sequence lengths — into one batch
+  (:mod:`repro.serve.batcher`) whose compatible requests are stacked into
+  one compiled :class:`~repro.core.plan.AttentionPlan` call each, on the
+  server's ``backend``.  Every fast kernel is independent per leading slice,
+  so a request's output is bitwise-identical whether it was served alone or
+  inside any batch.
+* DFSS requests run the N:M plan directly and pay no per-request structure
+  cost; static-mask structures are cached across requests
   (:class:`~repro.serve.cache.StructureCache`).
 * Queues drain under a deadline-aware scheduler: a compatibility queue is
   flushed when it reaches ``max_batch_size`` or when its oldest request has
@@ -55,7 +58,7 @@ class ServeRequest:
 
     ``k`` and ``v`` default to ``q`` (self-attention on a shared projection);
     ``mask`` bypasses the mechanism registry and serves an explicit boolean
-    attention mask through the ragged pipeline.  ``max_wait_s`` overrides the
+    attention mask through a padded-CSR plan.  ``max_wait_s`` overrides the
     server's batching deadline for this request; ``arrival_offset_s`` is the
     synthetic-workload arrival time used when replaying a trace.
     """
@@ -100,8 +103,8 @@ class ServeResult:
     output: np.ndarray
     mechanism: str
     seq_len: int
-    #: whether the request ran through the ragged coalesced pipeline
-    #: (True even for a batch of one) or the per-request engine fallback.
+    #: whether the request ran through the coalesced plan path (True even
+    #: for a batch of one) or the per-request engine fallback.
     batched: bool
     #: number of requests that shared this request's batch (>= 1).
     batch_requests: int
@@ -254,7 +257,7 @@ class AttentionServer:
 
     def _execute_inner(self, batch: Sequence[_Pending]) -> List[ServeResult]:
         if batch and batch[0].prepared.batchable:
-            outputs = run_ragged_batch([p.prepared for p in batch])
+            outputs = run_ragged_batch([p.prepared for p in batch], backend=self.backend)
             batched = True
         else:
             outputs = [

@@ -16,7 +16,6 @@ from repro.core.softmax import MASKED_LOGIT_THRESHOLD
 from repro.core.sparse import NMSparseMatrix
 from repro.nn.autograd import Tensor
 from repro.nn.sparse_attention import dfss_sparse_attention, masked_sparse_attention
-from repro.serve.executor import grouped_attention, ragged_attention
 
 
 @pytest.fixture
@@ -168,17 +167,26 @@ class TestCleanPathsUnderSanitizer:
         out.backward(np.ones_like(out.data))
         assert np.all(np.isfinite(q.grad))
 
-    def test_serving_paths_guard_and_pass(self, sanitize):
+    def test_serving_routes_guard_and_pass(self, sanitize):
+        from repro.serve import AttentionServer, ServeRequest
+
         rng = np.random.default_rng(5)
-        q, k, v = _qkv(rows=8, cols=8, seed=5)
-        structure = PaddedCSRMatrix.from_mask(np.tril(np.ones((8, 8), dtype=bool)))
-        out = ragged_attention(q, k, v, structure)
-        assert np.all(np.isfinite(out))
         q3 = rng.standard_normal((2, 8, 4)).astype(np.float32)
-        k3 = rng.standard_normal((2, 8, 4)).astype(np.float32)
-        v3 = rng.standard_normal((2, 8, 4)).astype(np.float32)
-        out3 = grouped_attention(q3, k3, v3, structure)
-        assert np.all(np.isfinite(out3))
+        requests = [
+            ServeRequest(q=q3, mechanism="local", options={"window": 2}),
+            ServeRequest(q=q3, mechanism="local", options={"window": 2}),
+            ServeRequest(q=q3, mechanism="dfss_2:4"),
+            ServeRequest(q=q3[:, :6], mechanism="dfss_2:4"),
+            ServeRequest(q=q3, mechanism="topk", options={"k": 3}),
+            ServeRequest(q=q3, mask=np.tril(np.ones((8, 8), dtype=bool))),
+        ]
+        server = AttentionServer()
+        for request in requests:
+            server.enqueue(request)
+        results = server.drain()
+        assert len(results) == len(requests)
+        for result in results:
+            assert result.batched and np.all(np.isfinite(result.output))
         # user inputs were handed to the kernels read-only, not consumed
         q3[0, 0, 0] = 9.0  # still writable by the caller
 

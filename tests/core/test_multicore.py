@@ -3,7 +3,7 @@
 Bitwise parity with ``fast`` is the contract, not a tolerance: every kernel
 in the fused chain is per-leading-slice independent, so tiling the flattened
 batch×head dimension must never perturb a bit — forward and backward, N:M
-and ragged CSR, and the grouped serving path.
+and ragged CSR, and the serving batcher's plan calls.
 The pool itself must start lazily, degenerate to inline execution at one
 worker, survive env reconfiguration, and put each tile on its own worker
 lane in a Chrome trace.
@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro.core.attention import dfss_attention
-from repro.core.backend import FAST, MULTICORE, use_backend
+from repro.core.backend import FAST, MULTICORE
 from repro.core.multicore import (
     WORKERS_ENV_VAR,
     WorkerPool,
@@ -276,22 +276,34 @@ class TestBitwiseParity:
         for fast_arr, tiled_arr in zip(arms[FAST], arms[MULTICORE]):
             assert np.array_equal(fast_arr, tiled_arr)
 
-    def test_grouped_serving_parity(self, two_workers):
-        from repro.baselines.longformer import longformer_mask
-        from repro.core.padded_csr import PaddedCSRMatrix
-        from repro.serve.executor import grouped_attention
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_serving_parity(self, workers, monkeypatch):
+        from repro.serve import AttentionServer, ServeRequest
 
+        monkeypatch.setenv(WORKERS_ENV_VAR, str(workers))
         rng = np.random.default_rng(7)
-        g, rows, d = 6, 32, 16
-        structure = PaddedCSRMatrix.from_mask(longformer_mask(rows, rows, 4, 1))
-        q3 = rng.standard_normal((g, rows, d)).astype(np.float32)
-        k3 = rng.standard_normal((g, rows, d)).astype(np.float32)
-        v3 = rng.standard_normal((g, rows, d)).astype(np.float32)
-        with use_backend(FAST):
-            stacked = grouped_attention(q3, k3, v3, structure)
-        with use_backend(MULTICORE):
-            tiled = grouped_attention(q3, k3, v3, structure)
-        assert np.array_equal(stacked, tiled)
+        mix = [
+            ("longformer", {"window": 4, "num_global": 1}, 32),
+            ("longformer", {"window": 4, "num_global": 1}, 32),
+            ("dfss_2:4", {}, 32),
+            ("dfss_2:4", {}, 30),
+            ("topk", {"k": 4}, 32),
+        ]
+        requests = [
+            ServeRequest(
+                q=rng.standard_normal((3, n, 16), dtype=np.float32),
+                mechanism=mechanism, options=options,
+            )
+            for mechanism, options, n in mix
+        ]
+        outputs = {}
+        for backend in (FAST, MULTICORE):
+            server = AttentionServer(backend=backend)
+            for request in requests:
+                server.enqueue(request)
+            outputs[backend] = [r.output for r in server.drain()]
+        for fast, tiled in zip(outputs[FAST], outputs[MULTICORE]):
+            assert fast.tobytes() == tiled.tobytes()
 
     def test_workers_one_is_exactly_the_fast_plan(self, monkeypatch):
         monkeypatch.setenv(WORKERS_ENV_VAR, "1")

@@ -20,12 +20,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import repro
 from repro.core import nm_attention
-from repro.core.attention import dfss_attention
-from repro.core.backend import FAST, REFERENCE, get_kernel
+from repro.core.attention import dfss_attention, full_attention
+from repro.core.backend import FAST, MULTICORE, REFERENCE, get_kernel
+from repro.core.multicore import WORKERS_ENV_VAR
 from repro.core.blocked_ell import sliding_window_mask
 from repro.core.plan import plan_for_nm
 from repro.core.sparse import NMSparseMatrix
+from repro.engine import AttentionEngine
 
 
 def _normal(shape, seed):
@@ -182,6 +185,57 @@ class TestKernel:
             kernel(q, q, _normal((3, 64, 16), 1))
         with pytest.raises(ValueError):
             kernel(q, q, _normal((2, 32, 16), 1))
+
+
+class TestAnyKeyLength:
+    """Unaligned key counts run, padded to whole M-groups with masked lanes."""
+
+    @pytest.mark.parametrize("backend", [FAST, REFERENCE])
+    @pytest.mark.parametrize(
+        "pattern,n_k",
+        [("1:2", 1), ("1:2", 3), ("1:2", 130), ("2:4", 1), ("2:4", 3), ("2:4", 5), ("2:4", 130)],
+    )
+    def test_matches_dense_attention_under_the_cropped_mask(self, backend, pattern, n_k):
+        q = _normal((2, 9, 16), 0)
+        k, v = _normal((2, n_k, 16), 1), _normal((2, n_k, 8), 2)
+        engine = AttentionEngine(f"dfss_{pattern}", backend=backend)
+        mask = engine.attention_mask(q, k)
+        assert mask.shape == (2, 9, n_k) and mask.any(axis=-1).all()
+        np.testing.assert_allclose(
+            engine(q, k, v), full_attention(q, k, v, mask=mask), rtol=0, atol=1e-5
+        )
+
+    @pytest.mark.parametrize("pattern", ["1:2", "2:4"])
+    def test_multicore_bitwise_equals_fast(self, monkeypatch, pattern):
+        monkeypatch.setenv(WORKERS_ENV_VAR, "2")
+        q, k, v = (_normal((3, 2, 40, 16), s) for s in range(3))
+        k, v = k[..., :37, :], v[..., :37, :]
+        fast = dfss_attention(q, k, v, pattern=pattern, backend=FAST)
+        tiled = dfss_attention(q, k, v, pattern=pattern, backend=MULTICORE)
+        assert fast.tobytes() == tiled.tobytes()
+
+    def test_padded_lanes_carry_zero_weight(self):
+        q, k, v = _normal((2, 6, 8), 0), _normal((2, 5, 8), 1), _normal((2, 5, 8), 2)
+        for backend in (FAST, REFERENCE):
+            _, probs = get_kernel("nm_attention", backend)(
+                q, k, v, pattern="2:4", return_probs=True
+            )
+            assert probs.dense_cols == 8
+            dense = probs.to_dense()
+            assert np.all(dense[..., 5:] == 0.0)
+            np.testing.assert_allclose(dense.sum(-1), 1.0, rtol=1e-6)
+
+    def test_aligned_keys_are_not_copied(self):
+        q, k, v = (_normal((2, 16, 8), s) for s in range(3))
+        job = nm_attention.NMForwardJob(q, k, v, pattern="2:4")
+        assert job.n_k == job.n_keys == 16
+        assert np.shares_memory(job._v, v)
+
+    def test_facade_runs_at_length_30(self):
+        q = _normal((30, 16), 0)
+        out = repro.attention(q, q, q, "dfss_2:4")
+        mask = AttentionEngine("dfss_2:4").attention_mask(q, q)
+        np.testing.assert_allclose(out, full_attention(q, q, q, mask=mask), rtol=0, atol=1e-5)
 
 
 def _numpy_dense_attention(q, k, v):

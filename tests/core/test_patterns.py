@@ -54,6 +54,10 @@ class TestNMPattern:
         with pytest.raises(ValueError):
             PATTERN_2_4.validate_length(130)
 
+    def test_padded_rounds_up_to_whole_groups(self):
+        assert [PATTERN_2_4.padded(n) for n in (0, 1, 3, 4, 5, 130)] == [0, 4, 4, 4, 8, 132]
+        assert PATTERN_1_2.padded(129) == 130
+
     def test_groups_and_kept(self):
         assert PATTERN_2_4.groups(128) == 32
         assert PATTERN_2_4.kept(128) == 64

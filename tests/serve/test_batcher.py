@@ -1,10 +1,14 @@
-"""Tests for request preparation, structure caching, and ragged coalescing."""
+"""Tests for request preparation, the plan routes, and coalescing."""
 
 import numpy as np
 import pytest
 
+from repro.core.padded_csr import PaddedCSRMatrix
+from repro.core.precision import tensor_core_operand
 from repro.engine import AttentionEngine
+from repro.registry import available_mechanisms, find_spec
 from repro.serve import (
+    AttentionServer,
     ServeRequest,
     StructureCache,
     prepare_request,
@@ -12,14 +16,16 @@ from repro.serve import (
     structure_cache_key,
 )
 
+BATCHABLE = tuple(m for m in available_mechanisms() if find_spec(m).batchable)
 
-def _request(rng, mechanism="local", options=None, heads=2, seq=32, d=16, **kw):
+
+def _request(rng, mechanism="local", options=None, heads=2, seq=32, d=16, n_k=None, **kw):
     options = {"window": 4} if options is None else options
-    shape = (heads, seq, d)
+    n_k = seq if n_k is None else n_k
     return ServeRequest(
-        q=rng.standard_normal(shape, dtype=np.float32),
-        k=rng.standard_normal(shape, dtype=np.float32),
-        v=rng.standard_normal(shape, dtype=np.float32),
+        q=rng.standard_normal((heads, seq, d), dtype=np.float32),
+        k=rng.standard_normal((heads, n_k, d), dtype=np.float32),
+        v=rng.standard_normal((heads, n_k, d), dtype=np.float32),
         mechanism=mechanism,
         options=options,
         **kw,
@@ -33,6 +39,21 @@ def _prepare(request, cache):
         else AttentionEngine(request.mechanism, _options=dict(request.options))
     )
     return prepare_request(request, engine, cache)
+
+
+def _qkv(request):
+    return request.q, request.k, request.v
+
+
+def _dense_oracle(q, k, v, mask):
+    """float64 masked softmax attention, the numerical ground truth."""
+    scores = (q.astype(np.float64) @ np.swapaxes(k.astype(np.float64), -1, -2))
+    scores = np.where(mask, scores / np.sqrt(q.shape[-1]), -np.inf)
+    peak = np.max(scores, axis=-1, keepdims=True)
+    exp = np.where(mask, np.exp(scores - np.where(np.isfinite(peak), peak, 0.0)), 0.0)
+    denom = exp.sum(-1, keepdims=True)
+    probs = np.divide(exp, denom, out=np.zeros_like(exp), where=denom > 0)
+    return probs @ v.astype(np.float64)
 
 
 class TestPrepareRequest:
@@ -49,9 +70,9 @@ class TestPrepareRequest:
         assert cache.stats() == {
             "hits": 1, "misses": 1, "evictions": 0, "entries": 1, "size": 1,
         }
-        # every segment of every request shares the one cached structure
-        shared = {id(s.structure) for p in (first, second) for s in p.segments}
-        assert len(shared) == 1
+        # every segment of every request shares the one cached 2-D structure
+        assert first.structure is second.structure
+        assert first.structure.batch_shape == ()
 
     def test_different_lengths_use_different_cache_entries(self):
         rng = np.random.default_rng(1)
@@ -61,17 +82,39 @@ class TestPrepareRequest:
         assert prepared.cache_hit is False
         assert len(cache) == 2
 
-    def test_content_dependent_mechanism_skips_cache(self):
+    def test_dfss_request_carries_no_structure(self, monkeypatch):
+        # the N:M route selects lanes from the scores inside the plan, so
+        # preparing a DFSS request builds neither a mask nor a structure
+        def forbidden(*args, **kwargs):
+            raise AssertionError("N:M requests must not build a mask or structure")
+
+        monkeypatch.setattr(AttentionEngine, "attention_mask", forbidden)
+        monkeypatch.setattr(PaddedCSRMatrix, "from_mask", forbidden)
         rng = np.random.default_rng(2)
         cache = StructureCache()
-        prepared = _prepare(_request(rng, mechanism="dfss_2:4", options={}), cache)
+        request = _request(rng, mechanism="dfss_2:4", options={}, seq=30)
+        prepared = _prepare(request, cache)
         assert prepared.batchable
+        assert prepared.structure is None
+        assert prepared.nm.pattern.name == "2:4"
         assert prepared.cache_hit is None
         assert len(cache) == 0
-        # per-segment structures: content differs per head slice
-        assert len({id(s.structure) for s in prepared.segments}) == len(
-            prepared.segments
-        )
+        out = run_ragged_batch([prepared])[0]
+        assert out.tobytes() == AttentionEngine("dfss_2:4")(
+            request.q, request.k, request.v
+        ).tobytes()
+
+    def test_content_dependent_mask_is_one_batched_structure(self):
+        rng = np.random.default_rng(8)
+        cache = StructureCache()
+        request = _request(rng, mechanism="topk", options={"k": 4}, heads=3)
+        prepared = _prepare(request, cache)
+        assert prepared.cache_hit is None
+        assert len(cache) == 0
+        assert prepared.structure.batch_shape == (3,)
+        engine = AttentionEngine("topk", k=4)
+        expected = engine.attention_mask(prepared.q3, prepared.k3)
+        assert np.array_equal(prepared.structure.to_mask(), expected)
 
     def test_non_batchable_mechanism_falls_back_to_engine(self):
         rng = np.random.default_rng(3)
@@ -80,17 +123,20 @@ class TestPrepareRequest:
             _request(rng, mechanism="linformer", options={}, seq=64), cache
         )
         assert not prepared.batchable
-        assert prepared.segments == []
+        assert prepared.q3 is None and prepared.structure is None
         assert prepared.engine is not None
 
-    def test_custom_2d_mask_shares_one_structure(self):
+    def test_custom_mask_broadcasts_over_leading_dims(self):
         rng = np.random.default_rng(4)
         cache = StructureCache()
         mask = np.tri(32, dtype=bool)
-        prepared = _prepare(_request(rng, mask=mask), cache)
+        prepared = _prepare(_request(rng, heads=3, mask=mask), cache)
         assert prepared.mechanism == "mask"
         assert prepared.batchable
-        assert len({id(s.structure) for s in prepared.segments}) == 1
+        assert prepared.structure.batch_shape == (3,)
+        assert np.array_equal(
+            prepared.structure.to_mask(), np.broadcast_to(mask, (3, 32, 32))
+        )
 
     def test_custom_mask_shape_mismatch_rejected(self):
         rng = np.random.default_rng(5)
@@ -115,22 +161,114 @@ class TestStructureCacheKey:
         assert base != structure_cache_key("longformer", a.config, 32, 32)
 
 
+def _mixed_requests(rng):
+    """Every route, with group mates, rectangular and unaligned lengths."""
+    cross = np.random.default_rng(99).random((24, 40)) < 0.3
+    cross[:, 0] = True
+    return [
+        _request(rng, "local", {"window": 4}, seq=32),
+        _request(rng, "longformer", {"window": 4, "num_global": 2}, seq=64),
+        _request(rng, "dfss_2:4", {}, seq=32),
+        _request(rng, "local", {"window": 4}, seq=32),  # cache/group mate
+        _request(rng, "dfss_2:4", {}, seq=32),  # N:M group mate
+        _request(rng, "dfss_2:4", {}, seq=24, n_k=30),  # n_q != n_k, 30 % 4 != 0
+        _request(rng, "topk", {"k": 5}, seq=32),
+        _request(rng, "topk", {"k": 5}, seq=32),  # content-dependent: own call
+        _request(rng, seq=24, n_k=40, mask=cross),  # explicit mask, n_q != n_k
+        _request(rng, seq=32, mask=np.tri(32, dtype=bool)),
+    ]
+
+
 class TestRunRaggedBatch:
     def test_batch_output_bitwise_equals_solo(self):
         rng = np.random.default_rng(6)
         cache = StructureCache()
-        requests = [
-            _request(rng, "local", {"window": 4}, seq=32),
-            _request(rng, "longformer", {"window": 4, "num_global": 2}, seq=64),
-            _request(rng, "dfss_2:4", {}, seq=32),
-            _request(rng, "local", {"window": 4}, seq=32),  # cache/group mate
-        ]
+        requests = _mixed_requests(rng)
         prepared = [_prepare(r, cache) for r in requests]
         batch_outputs = run_ragged_batch(prepared)
         for request, out in zip(requests, batch_outputs):
             solo = run_ragged_batch([_prepare(request, StructureCache())])[0]
             assert out.shape == request.q.shape[:-1] + (request.v.shape[-1],)
             assert out.tobytes() == solo.tobytes()
+
+    def test_served_dfss_equals_engine_bitwise(self):
+        rng = np.random.default_rng(9)
+        requests = [_request(rng, "dfss_2:4", {}, heads=3, seq=n) for n in (64, 64, 66)]
+        outputs = run_ragged_batch([_prepare(r, StructureCache()) for r in requests])
+        engine = AttentionEngine("dfss_2:4")
+        for request, out in zip(requests, outputs):
+            assert out.tobytes() == engine(request.q, request.k, request.v).tobytes()
+
+    def test_served_static_equals_engine_plan_bitwise(self):
+        rng = np.random.default_rng(10)
+        options = {"window": 4, "num_global": 2}
+        requests = [_request(rng, "longformer", options, heads=3, seq=48) for _ in range(3)]
+        cache = StructureCache()
+        outputs = run_ragged_batch([_prepare(r, cache) for r in requests])
+        engine = AttentionEngine("longformer", **options)
+        plan = engine.plan(48, 48)
+        q0 = requests[0].q
+        structure = PaddedCSRMatrix.from_mask(engine.attention_mask(q0[0], q0[0]))
+        for request, out in zip(requests, outputs):
+            expected = plan.forward(
+                request.q, request.k, request.v, structure=structure.broadcast_to((3,))
+            )
+            assert out.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("mechanism", BATCHABLE)
+    def test_served_output_matches_float64_oracle(self, mechanism):
+        rng = np.random.default_rng(11)
+        requests = [_request(rng, mechanism, {}, seq=n) for n in (64, 64, 66)]
+        engine = AttentionEngine(mechanism)
+        outputs = run_ragged_batch([_prepare(r, StructureCache()) for r in requests])
+        for request, out in zip(requests, outputs):
+            q, k = request.q, request.k
+            mask = engine.attention_mask(q, k)
+            if mechanism == "dfss":
+                # DFSS multiplies QKᵀ on tensor-core operands (TF32 for float32)
+                q, k = tensor_core_operand(q), tensor_core_operand(k)
+            expected = _dense_oracle(q, k, request.v, mask)
+            np.testing.assert_allclose(out, expected, rtol=0, atol=2e-5)
+
+    def test_stacked_structure_is_memoised_per_depth(self):
+        rng = np.random.default_rng(12)
+        cache = StructureCache()
+        prepared = [_prepare(_request(rng), cache) for _ in range(3)]
+        first = run_ragged_batch(prepared)
+        structure = prepared[0].structure
+        stacked = structure._shared["stacked"][6]  # 3 requests x 2 heads
+        assert stacked.batch_shape == (6,)
+        assert stacked._shared  # the kernels cached their index tables on it
+        again = run_ragged_batch(prepared)
+        assert structure._shared["stacked"][6] is stacked
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(first, again))
+        run_ragged_batch(prepared[:1])
+        assert set(structure._shared["stacked"]) == {2, 6}
+
+    def test_server_backend_reaches_batched_requests(self):
+        rng = np.random.default_rng(13)
+        requests = [
+            _request(rng, "local", {"window": 4}, seq=32),
+            _request(rng, "dfss_2:4", {}, seq=32),
+            _request(rng, "local", {"window": 4}, seq=32),
+        ]
+        server = AttentionServer(backend="reference")
+        for request in requests:
+            server.enqueue(request)
+        results = server.drain()
+        assert all(r.batched and r.batch_requests == 3 for r in results)
+        local = AttentionEngine("local", backend="reference", window=4)
+        dfss = AttentionEngine("dfss_2:4", backend="reference")
+        structure = PaddedCSRMatrix.from_mask(
+            local.attention_mask(requests[0].q[0], requests[0].k[0])
+        ).broadcast_to((2,))
+        expected = [
+            local.plan(32, 32).forward(*_qkv(requests[0]), structure=structure),
+            dfss.plan(32, 32).forward(*_qkv(requests[1])),
+            local.plan(32, 32).forward(*_qkv(requests[2]), structure=structure),
+        ]
+        for result, want in zip(results, expected):
+            assert result.output.tobytes() == want.tobytes()
 
     def test_empty_batch(self):
         assert run_ragged_batch([]) == []
@@ -144,21 +282,3 @@ class TestRunRaggedBatch:
         )
         out = run_ragged_batch([_prepare(request, StructureCache())])[0]
         assert out.shape == (32, 16)
-
-
-class TestCachedStructureCarriesPlan:
-    def test_static_mask_cache_entry_is_precompiled(self):
-        rng = np.random.default_rng(42)
-        cache = StructureCache()
-        prepared = _prepare(_request(rng), cache)
-        structure = prepared.segments[0].structure
-        # the cache-fill lambda compiles the grouped plan at enqueue time, so
-        # the flush never pays the lane-geometry setup
-        assert "grouped_plan" in structure._shared
-        from repro.serve.executor import grouped_plan
-
-        plan = structure._shared["grouped_plan"]
-        assert grouped_plan(structure) is plan
-        # a second request hits the cache and reuses the same compiled plan
-        again = _prepare(_request(rng), cache)
-        assert again.segments[0].structure._shared["grouped_plan"] is plan

@@ -33,7 +33,6 @@ EXPORTING_MODULES = (
     "repro.serve.batcher",
     "repro.serve.cache",
     "repro.serve.engine",
-    "repro.serve.executor",
     "repro.serve.workload",
     "repro.utils",
 )
