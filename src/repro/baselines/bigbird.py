@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.baselines.base import AttentionMechanism, register
-from repro.core.blocked_ell import bigbird_mask
+from repro.core.blocked_ell import BlockedEllMask, bigbird_mask
 from repro.registry import BigBirdConfig, register_mechanism
 from repro.utils.seeding import SeedLike
 
@@ -42,26 +42,28 @@ class BigBirdAttention(AttentionMechanism):
         self.num_random_blocks = num_random_blocks
         self.seed = seed
 
-    def _mask_2d(self, n_q: int, n_k: int) -> np.ndarray:
-        if n_q != n_k:
-            raise ValueError("BigBird attention expects self-attention (n_q == n_k)")
+    def block_size_for(self, n: int) -> int:
+        """The configured block size, halved until it divides ``n``."""
         block_size = self.block_size
-        if n_q % block_size != 0:
-            # fall back to the largest power-of-two block that divides n
-            block_size = 1
-            for cand in (64, 32, 16, 8, 4, 2):
-                if n_q % cand == 0:
-                    block_size = cand
-                    break
-        mask = bigbird_mask(
-            n_q,
-            block_size,
+        while n % block_size != 0 and block_size > 1:
+            block_size //= 2
+        return block_size
+
+    def block_mask(self, n: int) -> BlockedEllMask:
+        """The blocked-ELL pattern of a length-``n`` self-attention."""
+        return bigbird_mask(
+            n,
+            self.block_size_for(n),
             window_blocks=self.window_blocks,
             num_global_blocks=self.num_global_blocks,
             num_random_blocks=self.num_random_blocks,
             seed=self.seed,
         )
-        return mask.dense_mask(n_q, n_k)
+
+    def _mask_2d(self, n_q: int, n_k: int) -> np.ndarray:
+        if n_q != n_k:
+            raise ValueError("BigBird attention expects self-attention (n_q == n_k)")
+        return self.block_mask(n_q).dense_mask(n_q, n_k)
 
     def attention_mask(self, q: np.ndarray, k: np.ndarray) -> np.ndarray:
         mask = self._mask_2d(q.shape[-2], k.shape[-2])

@@ -23,10 +23,11 @@ from repro.core.attention import dfss_attention
 from repro.core.backend import REFERENCE, get_kernel
 from repro.core.padded_csr import PaddedCSRMatrix
 from repro.core.patterns import resolve_pattern
-from repro.core.sddmm import sddmm_csr, sddmm_nm
+from repro.core.sddmm import MASKED_SCORE, sddmm_csr, sddmm_nm
 from repro.core.softmax import sparse_softmax
 from repro.nn.attention_layer import DfssCore
 from repro.nn.autograd import Tensor
+from repro.nn.functional import dense_masked_attention
 from repro.registry import available_mechanisms, make_core
 from repro.utils.seeding import new_rng
 
@@ -147,6 +148,26 @@ def _rel_frobenius(candidate: np.ndarray, reference: np.ndarray) -> float:
     return float(np.linalg.norm(candidate - reference) / denom)
 
 
+def _nm_score_mask(
+    backend: Optional[str], pattern, block_mask=None
+) -> Callable[[np.ndarray], np.ndarray]:
+    """N:M keep-mask of dense scores through ``backend``'s ``nm_prune_mask``.
+
+    Blocked scores are excluded before the selection, exactly like the
+    ``sddmm_nm`` epilogue, so a group straddling a block boundary promotes
+    allowed runners-up instead of keeping excluded columns.
+    """
+    prune = get_kernel("nm_prune_mask", backend)
+
+    def mask(scores: np.ndarray) -> np.ndarray:
+        if block_mask is None:
+            return prune(scores, pattern)
+        allowed = block_mask.dense_mask(scores.shape[-2], scores.shape[-1])
+        return prune(np.where(allowed, scores, MASKED_SCORE), pattern) & allowed
+
+    return mask
+
+
 def _bench_cases(
     shape: BenchShape, pattern: str, rng: np.random.Generator
 ) -> Dict[str, Tuple[Callable[[str], object], Callable[[object], np.ndarray]]]:
@@ -161,19 +182,17 @@ def _bench_cases(
     def train_step(backend: str) -> np.ndarray:
         """One fwd+bwd attention step; returns output and input grads for parity.
 
-        ``reference`` runs the dense masked autograd path (``path="dense"``,
-        the pre-sparse-op training path, with the reference selection
-        kernel); any other backend runs the compressed sparse op end to end
-        on that backend.
+        ``reference`` runs the dense masked autograd oracle (the pre-sparse-op
+        training path, with the reference selection kernel); any other
+        backend runs the compressed sparse op end to end on that backend.
         """
         qt = Tensor(q, requires_grad=True)
         kt = Tensor(k, requires_grad=True)
         vt = Tensor(v, requires_grad=True)
         if backend == REFERENCE:
-            core = DfssCore(pattern, backend=backend, path="dense")
+            out = dense_masked_attention(qt, kt, vt, _nm_score_mask(backend, pattern))
         else:
-            core = DfssCore(pattern, backend=backend, path="sparse")
-        out = core(qt, kt, vt)
+            out = DfssCore(pattern, backend=backend)(qt, kt, vt)
         out.sum().backward()
         return np.concatenate(
             [out.data.ravel(), qt.grad.ravel(), kt.grad.ravel(), vt.grad.ravel()]
@@ -590,18 +609,20 @@ def run_train_matrix(
     Sweeps every mask-based trainable mechanism
     (``available_mechanisms(trainable=True, produces_mask=True,
     compressed=True)``) and times one full training step (forward + backward
-    on fresh leaf tensors) through both execution paths of its core:
+    on fresh leaf tensors) two ways:
 
-    * ``dense`` — the dense masked-softmax autograd formulation
-      (``path="dense"``), the numerical oracle and speedup baseline;
-    * ``sparse`` — the compressed autograd op (``path="sparse"``): the N:M
+    * ``dense`` — :func:`repro.nn.functional.dense_masked_attention`, the
+      numerical oracle and speedup baseline, with the mask derived from its
+      autograd scores as the core selects (DFSS-family masks through the
+      backend's ``nm_prune_mask`` kernel);
+    * ``sparse`` — the mechanism's trainable core: the compressed N:M
       pipeline for DFSS-family mechanisms, padded CSR for every other mask.
 
     Rows land in ``BENCH_kernels.json`` as kernel ``attention_train_matrix``
     with shape labels like ``B2xH4xL256xD64/local``; the ``sparse`` row's
     ``speedup`` is dense-median / sparse-median and its parity column checks
-    output + input gradients between the two paths.  ``backend`` selects the
-    kernel backend both paths dispatch to (default: ``$REPRO_BACKEND``,
+    output + input gradients between the two arms.  ``backend`` selects the
+    kernel backend both arms dispatch to (default: ``$REPRO_BACKEND``,
     else "fast").
     """
     if repeats < 1:
@@ -620,35 +641,42 @@ def run_train_matrix(
 
     results: List[BenchResult] = []
     for mechanism in mechanisms:
-        cores = {
-            path: make_core(
-                mechanism, seq_len_hint=shape.seq_len, path=path, backend=backend
-            )
-            for path in ("dense", "sparse")
-        }
+        core = make_core(mechanism, seq_len_hint=shape.seq_len, backend=backend)
 
-        def step(path: str) -> np.ndarray:
+        def step(attend) -> np.ndarray:
             qt = Tensor(q, requires_grad=True)
             kt = Tensor(k, requires_grad=True)
             vt = Tensor(v, requires_grad=True)
-            out = cores[path](qt, kt, vt)
+            out = attend(qt, kt, vt)
             out.sum().backward()
             return np.concatenate(
                 [out.data.ravel(), qt.grad.ravel(), kt.grad.ravel(), vt.grad.ravel()]
             )
 
+        # the first sparse step also fixes the per-length core state the
+        # dense arm's mask reads (the BigBird + DFSS block layout)
+        sparse_out = step(core)
+        if isinstance(core, DfssCore):
+            score_mask = _nm_score_mask(backend, core.pattern, core.block_mask)
+        else:
+            def score_mask(scores):
+                return core._mask(scores, q, k)
+
+        def dense(qt, kt, vt):
+            return dense_masked_attention(qt, kt, vt, score_mask)
+
         label = shape.label(mechanism)
-        dense_out = step("dense")
+        dense_out = step(dense)
         dense_row = _time_row(
-            TRAIN_MATRIX_KERNEL, label, "dense", lambda: step("dense"),
+            TRAIN_MATRIX_KERNEL, label, "dense", lambda: step(dense),
             repeats, warmup, None, None,
         )
         results.append(dense_row)
-        parity = _rel_frobenius(step("sparse"), dense_out)
         results.append(
             _time_row(
-                TRAIN_MATRIX_KERNEL, label, "sparse", lambda: step("sparse"),
-                repeats, warmup, dense_row.median_s, parity,
+                TRAIN_MATRIX_KERNEL, label, "sparse", lambda: step(core),
+                repeats, warmup, dense_row.median_s,
+                _rel_frobenius(sparse_out, dense_out),
             )
         )
     return results
@@ -682,8 +710,9 @@ def run_serving_benchmark(
     the ``batched`` row's ``speedup`` is sequential-median / batched-median —
     identical to the requests/sec ratio, which is what the CI gate floors.
     The parity column compares the batched outputs against the sequential
-    outputs and must be exactly ``0.0``: the width-invariant ragged kernels
-    guarantee bitwise request-isolation.
+    outputs and must be exactly ``0.0``: a batch stacks its requests along
+    the leading axis of one plan call, and every plan kernel is independent
+    per leading slice, so coalescing never perturbs a request's bits.
     """
     from repro.serve import AttentionServer, serve, synthetic_workload
 

@@ -52,7 +52,6 @@ class AttentionConfig:
 
     mechanism: str = "dfss_2:4"
     backend: Optional[str] = None
-    path: Optional[str] = None
     block_mask: Optional[object] = None
     seq_len_hint: int = 512
     options: Mapping[str, object] = field(default_factory=dict)
@@ -83,7 +82,6 @@ class AttentionEngine:
         seq_len_hint: int = 512,
         _options: Optional[Mapping[str, object]] = None,
         *,
-        path: Optional[str] = None,
         block_mask: Optional[object] = None,
         **options,
     ):
@@ -92,13 +90,13 @@ class AttentionEngine:
         # config field that would collide with the engine-level parameter)
         merged = {**dict(_options or {}), **options}
         self.spec, self.config = registry.make_config(mechanism, **merged)
-        # path= / block_mask= are accepted uniformly by every construction
-        # surface and validated through the registry's shared override
-        # validator: mechanisms without the config field raise the same
-        # TypeError a bad **options key does (an explicit option always wins
-        # over the engine-level override)
+        # block_mask= is accepted uniformly by every construction surface
+        # and validated through the registry's shared override validator:
+        # mechanisms without the config field raise the same TypeError a bad
+        # **options key does (an explicit option always wins over the
+        # engine-level override)
         self.config = registry.apply_config_overrides(
-            self.spec, self.config, {"path": path, "block_mask": block_mask}
+            self.spec, self.config, {"block_mask": block_mask}
         )
         self.backend = backend
         self.seq_len_hint = int(seq_len_hint)
@@ -114,7 +112,6 @@ class AttentionEngine:
             backend=config.backend,
             seq_len_hint=config.seq_len_hint,
             _options=config.options,
-            path=config.path,
             block_mask=config.block_mask,
         )
 
@@ -140,16 +137,15 @@ class AttentionEngine:
         seq_len_hint: Optional[int] = None,
         *,
         backend: Optional[str] = None,
-        path: Optional[str] = None,
         block_mask: Optional[object] = None,
     ):
         """Build a trainable :class:`~repro.nn.attention_layer.AttentionCore`.
 
-        ``backend=`` / ``path=`` / ``block_mask=`` override the engine-level
-        settings for this core only, through the same shared validator as
-        engine construction.  ``backend`` is lenient — mechanisms without a
+        ``backend=`` / ``block_mask=`` override the engine-level settings for
+        this core only, through the same shared validator as engine
+        construction.  ``backend`` is lenient — mechanisms without a
         ``backend`` config field still honour it as a kernel-registry scope on
-        the numpy path, so it never raises — while an inapplicable ``path`` or
+        the numpy path, so it never raises — while an inapplicable
         ``block_mask`` raises the registry's uniform ``TypeError``.  Raises
         ``ValueError`` for mechanisms without a registered core
         (``spec.trainable`` is ``False``).
@@ -159,7 +155,6 @@ class AttentionEngine:
             self.config,
             {
                 "backend": self.backend if backend is None else backend,
-                "path": path,
                 "block_mask": block_mask,
             },
             lenient=("backend",),
@@ -265,7 +260,6 @@ def attention(
     v: np.ndarray,
     mechanism: str = "dfss_2:4",
     backend: Optional[str] = None,
-    path: Optional[str] = None,
     block_mask: Optional[object] = None,
     **options,
 ) -> np.ndarray:
@@ -274,10 +268,10 @@ def attention(
     ``repro.attention(q, k, v)`` is the paper's drop-in replacement; pass
     ``mechanism="full"`` for the dense reference or any name from
     :func:`repro.available_mechanisms` for a baseline.  ``backend=`` /
-    ``path=`` / ``block_mask=`` are accepted uniformly with
+    ``block_mask=`` are accepted uniformly with
     :meth:`AttentionEngine.core` and :class:`AttentionConfig`; a knob the
     mechanism does not support raises the registry's uniform ``TypeError``.
     """
     return AttentionEngine(
-        mechanism, backend=backend, path=path, block_mask=block_mask, **options
+        mechanism, backend=backend, block_mask=block_mask, **options
     )(q, k, v)

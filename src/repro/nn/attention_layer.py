@@ -13,11 +13,11 @@ flavours:
   exactly as the paper's kernel does (the N:M selection is not differentiated
   through).  Every mask-based core dispatches the whole trainable
   computation — forward and backward — through a compressed sparse op of
-  :mod:`repro.nn.sparse_attention` by default: DFSS through the N:M layout
+  :mod:`repro.nn.sparse_attention`: DFSS through the N:M layout
   (:func:`dfss_sparse_attention`), every other mask through the padded-CSR
-  layout (:func:`masked_sparse_attention`).  The dense masked-softmax
-  formulation remains available on all of them as the ``path="dense"``
-  parity oracle.
+  layout (:func:`masked_sparse_attention`).  Their dense ground truth is
+  :func:`repro.nn.functional.dense_masked_attention` over the core's
+  :meth:`~AttentionCore.last_mask`.
 * *kernel / low-rank* — the attention output is computed through a different
   differentiable computation graph: Linformer, Linear Transformer, Performer,
   Nyströmformer and the DFSS + Nyströmformer combination.
@@ -25,19 +25,14 @@ flavours:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple
+from dataclasses import replace
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 import repro.baselines  # noqa: F401  populate the mechanism registry first
-from repro.baselines.fixed import local_window_mask, strided_mask, truncated_mask
-from repro.baselines.longformer import longformer_mask
-from repro.baselines.reformer import ReformerAttention
-from repro.baselines.routing import RoutingTransformerAttention
-from repro.baselines.sinkhorn import SinkhornAttention
 from repro.core.backend import get_kernel
-from repro.core.blocked_ell import BlockedEllMask, bigbird_mask
-from repro.core.lottery import topk_mask
+from repro.core.blocked_ell import BlockedEllMask
 from repro.core.padded_csr import PaddedCSRMatrix
 from repro.core.patterns import resolve_pattern
 from repro.core.pruning import global_column_indices
@@ -46,8 +41,8 @@ from repro.nn import functional as F
 from repro.nn.autograd import Tensor
 from repro.nn.layers import Dropout, Linear, Module
 from repro.nn.sparse_attention import dfss_sparse_attention, masked_sparse_attention
-from repro.registry import _check_path, make_core, register_mechanism
-from repro.utils.seeding import attention_dropout_keep, draw_dropout_seed, new_rng
+from repro.registry import find_spec, make_core, register_mechanism
+from repro.utils.seeding import new_rng
 
 
 # --------------------------------------------------------------------- cores
@@ -73,9 +68,9 @@ class AttentionCore:
         drop = self.attn_dropout
         return drop(weights) if drop is not None else weights
 
-    # mask-based cores also expose their mask for analysis
     def last_mask(self) -> Optional[np.ndarray]:
-        return getattr(self, "_last_mask", None)
+        """Dense boolean mask of the last call; ``None`` for cores without one."""
+        return None
 
 
 @register_mechanism("full", role="core")
@@ -101,61 +96,36 @@ def _nm_selection_mask(
     return mask
 
 
-def _positional_prob_dropout(drop, weights: Tensor) -> Tensor:
-    """Seeded attention dropout on dense weights, layout-independently derived.
-
-    Hashes the dense position of every weight with a per-call seed instead of
-    consuming a layout-shaped stream from the generator, so a compressed-path
-    run can reproduce the identical keep mask on its compressed
-    representation (see :func:`repro.utils.seeding.attention_dropout_keep`).
-    """
-    if drop is None or not drop.training or drop.p <= 0.0:
-        return weights
-    seed = draw_dropout_seed(drop.rng)
-    positions = np.arange(weights.data.size, dtype=np.uint64).reshape(weights.shape)
-    return weights * Tensor(attention_dropout_keep(seed, drop.p, positions))
-
-
 class MaskedScoreCore(AttentionCore):
-    """Shared implementation for all mask-based mechanisms.
+    """Shared implementation of the mask-based mechanisms other than DFSS.
 
-    By default (``path="sparse"``) the trainable computation runs through the
-    compressed padded-CSR autograd op
-    (:func:`repro.nn.sparse_attention.masked_sparse_attention`): the boolean
-    mask is derived outside the graph (from the detached scores when the
-    mechanism needs them, from the sequence structure otherwise), compressed
-    into a :class:`~repro.core.padded_csr.PaddedCSRMatrix`, and forward +
-    backward run on the compressed representation.  ``path="dense"`` is the
-    escape hatch used for parity testing: the score matrix is materialised
-    densely and autograd differentiates a masked softmax.  Both paths treat
-    the mask as a constant of the graph.
-
-    Attention dropout is derived layout-independently on both paths: one
-    seed per forward call, hashed with the *dense* position of every
-    attention weight (:func:`repro.utils.seeding.attention_dropout_keep`),
-    so seeded ``path="sparse"`` and ``path="dense"`` runs drop the same
-    (row, column) entries and stay comparable under ``dropout > 0``.
+    Each core wraps the registered numpy mechanism it was built from and
+    derives the boolean mask outside the graph — from the detached scores when
+    the mechanism needs them, from the sequence structure otherwise — then
+    runs forward and backward through the compressed padded-CSR autograd op
+    (:func:`repro.nn.sparse_attention.masked_sparse_attention`), treating the
+    mask as a constant of the graph.  Seeded attention dropout is derived
+    from dense positions, so :func:`repro.nn.functional.dense_masked_attention`
+    reproduces it exactly.
     """
 
     handles_prob_dropout = True
 
-    PATHS = ("sparse", "dense")
-
-    #: whether :meth:`_mask` reads the score matrix (Top-K, DFSS) or only the
+    #: whether :meth:`_mask` reads the score matrix (Top-K) or only the
     #: sequence structure / detached Q and K (static and clustering masks) —
-    #: the sparse path skips the detached score GEMM when it can.
+    #: the core skips the detached score GEMM when it can.
     mask_needs_scores = True
 
-    def __init__(self, backend: Optional[str] = None, path: str = "sparse"):
-        _check_path(path)
+    def __init__(self, mechanism, backend: Optional[str] = None):
+        self.mechanism = mechanism
+        self.name = mechanism.name
         self.backend = backend
-        self.path = path
+        self._last_structure_csr: Optional[PaddedCSRMatrix] = None
 
     def _mask(self, scores: Optional[np.ndarray], q: np.ndarray, k: np.ndarray) -> np.ndarray:
         """Boolean mask over the dense score matrix.
 
-        ``scores`` is ``None`` on the sparse path when
-        ``mask_needs_scores`` is ``False``.
+        ``scores`` is ``None`` when ``mask_needs_scores`` is ``False``.
         """
         raise NotImplementedError
 
@@ -187,24 +157,12 @@ class MaskedScoreCore(AttentionCore):
         )
         return prescored, prescored
 
-    def _dense_forward(self, q: Tensor, k: Tensor, v: Tensor) -> Tensor:
-        d = q.shape[-1]
-        scores = (q @ k.swapaxes(-1, -2)) * (1.0 / np.sqrt(d))
-        mask = self._mask(scores.data, q.data, k.data)
-        self._last_mask = mask
-        self._last_structure_csr = None
-        weights = self._apply_prob_dropout(F.masked_softmax(scores, mask, axis=-1))
-        return weights @ v
-
     def __call__(self, q: Tensor, k: Tensor, v: Tensor) -> Tensor:
-        if self.path == "dense":
-            return self._dense_forward(q, k, v)
         structure, prescored = self._sparse_inputs(q.data, k.data)
         # keep only the compressed structure for mask introspection —
         # retaining the dense boolean mask would pin O(n²) memory per head
         # between training steps; last_mask() re-derives it on demand
         self._last_structure_csr = structure
-        self._last_mask = None
         drop = self.attn_dropout
         out, _ = masked_sparse_attention(
             q,
@@ -220,70 +178,48 @@ class MaskedScoreCore(AttentionCore):
         return out
 
     def last_mask(self) -> Optional[np.ndarray]:
-        structure = getattr(self, "_last_structure_csr", None)
-        if structure is not None:
-            return structure.to_mask()
-        return super().last_mask()
-
-    def _apply_prob_dropout(self, weights: Tensor) -> Tensor:
-        return _positional_prob_dropout(self.attn_dropout, weights)
+        structure = self._last_structure_csr
+        return None if structure is None else structure.to_mask()
 
 
 @register_mechanism("dfss", role="core")
-class DfssCore(MaskedScoreCore):
+class DfssCore(AttentionCore):
     """Dynamic N:M pruning of the score matrix (the paper's mechanism).
 
-    By default (``path="sparse"``) the whole trainable computation — forward
-    *and* backward — runs through the compressed pipeline of
+    The whole trainable computation — forward *and* backward — runs through
+    the compressed pipeline of
     :func:`repro.nn.sparse_attention.dfss_sparse_attention`: fused SDDMM +
     prune, sparse softmax and SpMM over the stored nonzeros, with analytic
-    gradients on the compressed representation.  ``path="dense"`` is the
-    escape hatch used for parity testing: the score matrix is materialised
-    densely and autograd differentiates a masked softmax, with only the N:M
-    selection dispatched through the kernel registry.  Both paths treat the
-    selection as a constant of the graph, exactly as the paper's kernel does.
+    gradients on the compressed representation.  The selection is a constant
+    of the graph, exactly as the paper's kernel treats it.
 
     ``block_mask`` optionally adds the hybrid blocked-ELL coarse sparsity on
-    top of the N:M selection, on both paths.
+    top of the N:M selection.
 
-    Attention dropout is derived layout-independently: both paths draw one
-    seed per forward call from the layer's dropout generator and hash it with
-    the *dense* position of every attention weight
-    (:func:`repro.utils.seeding.attention_dropout_keep`), so seeded
-    ``path="sparse"`` and ``path="dense"`` runs drop the same (row, column)
-    entries and stay comparable under ``dropout > 0``.
+    Attention dropout is derived layout-independently: one seed per forward
+    call from the layer's dropout generator, hashed with the *dense* position
+    of every attention weight
+    (:func:`repro.utils.seeding.attention_dropout_keep`), so
+    :func:`repro.nn.functional.dense_masked_attention` reproduces a seeded
+    run exactly.
     """
 
     name = "dfss"
+
+    handles_prob_dropout = True
 
     def __init__(
         self,
         pattern="2:4",
         backend: Optional[str] = None,
-        path: str = "sparse",
         block_mask: Optional[BlockedEllMask] = None,
     ):
-        super().__init__(backend=backend, path=path)
         self.pattern = resolve_pattern(pattern)
+        self.backend = backend
         self.block_mask = block_mask
         self._last_structure = None
 
-    def _mask(self, scores, q, k):
-        if self.block_mask is not None:
-            # exclude blocked scores BEFORE the N:M selection, exactly like
-            # the sddmm_nm epilogue, so a group straddling a block boundary
-            # promotes allowed runners-up instead of keeping excluded columns
-            from repro.core.sddmm import MASKED_SCORE
-
-            allowed = self.block_mask.dense_mask(scores.shape[-2], scores.shape[-1])
-            scores = np.where(allowed, scores, MASKED_SCORE)
-            return get_kernel("nm_prune_mask", self.backend)(scores, self.pattern) & allowed
-        return get_kernel("nm_prune_mask", self.backend)(scores, self.pattern)
-
     def __call__(self, q: Tensor, k: Tensor, v: Tensor) -> Tensor:
-        if self.path == "dense":
-            self._last_structure = None
-            return self._dense_forward(q, k, v)
         drop = self.attn_dropout
         out, probs = dfss_sparse_attention(
             q,
@@ -300,58 +236,45 @@ class DfssCore(MaskedScoreCore):
         # probs object would pin its values (and the fast backend's scattered
         # dense tile) in memory between steps
         self._last_structure = (probs.indices, probs.pattern, probs.dense_cols)
-        self._last_mask = None
         return out
 
     def last_mask(self) -> Optional[np.ndarray]:
-        if self._last_structure is not None:
-            mask = _nm_selection_mask(*self._last_structure)
-            if self.block_mask is not None:
-                # sentinel entries of fully-masked groups carry zero weight
-                # but are present in the compressed structure; drop them
-                mask &= self.block_mask.dense_mask(mask.shape[-2], mask.shape[-1])
-            return mask
-        return super().last_mask()
+        if self._last_structure is None:
+            return None
+        mask = _nm_selection_mask(*self._last_structure)
+        if self.block_mask is not None:
+            # sentinel entries of fully-masked groups carry zero weight
+            # but are present in the compressed structure; drop them
+            mask &= self.block_mask.dense_mask(mask.shape[-2], mask.shape[-1])
+        return mask
 
 
-@register_mechanism("topk", role="core")
 class TopKCore(MaskedScoreCore):
-    name = "topk"
-
-    def __init__(self, density: float = 0.05, k: Optional[int] = None,
-                 backend: Optional[str] = None, path: str = "sparse"):
-        super().__init__(backend=backend, path=path)
-        self.density = density
-        self.k = k
+    """Per-row Top-K of the detached scores, selected by the mechanism."""
 
     def _mask(self, scores, q, k):
-        if self.k is not None:
-            return topk_mask(scores, min(1.0, self.k / scores.shape[-1]))
-        return topk_mask(scores, self.density)
+        return self.mechanism._mask(scores)
 
 
 class StaticMaskCore(MaskedScoreCore):
     """Mechanisms whose mask only depends on the sequence length.
 
-    Both the boolean mask and its padded-CSR compression are cached per
-    ``(n_q, n_k)``: the sparse path compresses the 2-D mask once and
-    broadcasts the structure over the batch/head dimensions on every call.
+    The mechanism's 2-D mask and its padded-CSR compression are cached per
+    ``(n_q, n_k)``: the core compresses the 2-D mask once and broadcasts the
+    structure over the batch/head dimensions on every call.
     """
 
     mask_needs_scores = False
 
-    def __init__(self, mask_fn: Callable[[int, int], np.ndarray], name: str,
-                 backend: Optional[str] = None, path: str = "sparse"):
-        super().__init__(backend=backend, path=path)
-        self._mask_fn = mask_fn
-        self.name = name
+    def __init__(self, mechanism, backend: Optional[str] = None):
+        super().__init__(mechanism, backend=backend)
         self._cache: Dict[Tuple[int, int], np.ndarray] = {}
         self._csr_cache: Dict[Tuple[Tuple[int, ...], int, int], PaddedCSRMatrix] = {}
 
     def _mask_2d(self, n_q: int, n_k: int) -> np.ndarray:
         key = (n_q, n_k)
         if key not in self._cache:
-            self._cache[key] = self._mask_fn(n_q, n_k)
+            self._cache[key] = self.mechanism._mask_2d(n_q, n_k)
         return self._cache[key]
 
     def _mask(self, scores, q, k):
@@ -372,12 +295,6 @@ class ClusteringMaskCore(MaskedScoreCore):
     """Reformer / Routing / Sinkhorn masks derived from the (detached) Q and K."""
 
     mask_needs_scores = False
-
-    def __init__(self, mechanism, name: str,
-                 backend: Optional[str] = None, path: str = "sparse"):
-        super().__init__(backend=backend, path=path)
-        self.mechanism = mechanism
-        self.name = name
 
     def _mask(self, scores, q, k):
         return self.mechanism.attention_mask(q, k)
@@ -558,86 +475,26 @@ class SynthesizerCore(AttentionCore):
 
 
 # -------------------------------------------------- registered core builders
-# Mechanisms whose core is a parameterised StaticMaskCore / ClusteringMaskCore
-# rather than a dedicated class register small builder functions; class-shaped
-# cores are decorated directly.  Together these replace the legacy 16-branch
-# ``if/elif`` factory — the registry is the single name -> constructor map.
-@register_mechanism("local", role="core")
-def _local_core(cfg, seq_len_hint: int) -> AttentionCore:
-    return StaticMaskCore(
-        lambda nq, nk: local_window_mask(nq, nk, cfg.window), "local",
-        backend=cfg.backend, path=cfg.path,
-    )
+# Mask cores wrap the numpy mechanism the registry builds from the same
+# config, so each mask is defined once, in :mod:`repro.baselines`; class-shaped
+# cores (DFSS and the kernel / low-rank mechanisms) are decorated directly.
+def _mechanism_of(name: str, cfg):
+    """The registered numpy mechanism of ``name`` built from a core config."""
+    return find_spec(name).build_mechanism(replace(cfg, backend=None))
 
 
-@register_mechanism("sparse_transformer", role="core")
-def _strided_core(cfg, seq_len_hint: int) -> AttentionCore:
-    return StaticMaskCore(
-        lambda nq, nk: strided_mask(nq, nk, cfg.window, cfg.stride),
-        "sparse_transformer", backend=cfg.backend, path=cfg.path,
-    )
+def _register_mask_core(name: str, core_cls) -> None:
+    def build(cfg, seq_len_hint: int) -> AttentionCore:
+        return core_cls(_mechanism_of(name, cfg), backend=cfg.backend)
+
+    register_mechanism(name, role="core")(build)
 
 
-@register_mechanism("fixed_truncated", role="core")
-def _truncated_core(cfg, seq_len_hint: int) -> AttentionCore:
-    return StaticMaskCore(
-        lambda nq, nk: truncated_mask(nq, nk, cfg.density), "fixed_truncated",
-        backend=cfg.backend, path=cfg.path,
-    )
-
-
-@register_mechanism("longformer", role="core")
-def _longformer_core(cfg, seq_len_hint: int) -> AttentionCore:
-    return StaticMaskCore(
-        lambda nq, nk: longformer_mask(nq, nk, cfg.window, cfg.num_global),
-        "longformer", backend=cfg.backend, path=cfg.path,
-    )
-
-
-def _fitted_bigbird_mask(nq: int, cfg) -> BlockedEllMask:
-    """BigBird blocked-ELL mask with the block size halved until it divides ``nq``."""
-    bs = cfg.block_size
-    while nq % bs != 0 and bs > 1:
-        bs //= 2
-    return bigbird_mask(
-        nq,
-        bs,
-        window_blocks=cfg.window_blocks,
-        num_global_blocks=cfg.num_global_blocks,
-        num_random_blocks=cfg.num_random_blocks,
-        seed=cfg.seed,
-    )
-
-
-@register_mechanism("bigbird", role="core")
-def _bigbird_core(cfg, seq_len_hint: int) -> AttentionCore:
-    return StaticMaskCore(
-        lambda nq, nk: _fitted_bigbird_mask(nq, cfg).dense_mask(nq, nk), "bigbird",
-        backend=cfg.backend, path=cfg.path,
-    )
-
-
-@register_mechanism("reformer", role="core")
-def _reformer_core(cfg, seq_len_hint: int) -> AttentionCore:
-    mech = ReformerAttention(n_buckets=cfg.n_buckets, n_hashes=cfg.n_hashes,
-                             seed=cfg.seed)
-    return ClusteringMaskCore(mech, "reformer", backend=cfg.backend, path=cfg.path)
-
-
-@register_mechanism("routing", role="core")
-def _routing_core(cfg, seq_len_hint: int) -> AttentionCore:
-    mech = RoutingTransformerAttention(
-        n_clusters=cfg.n_clusters, kmeans_iters=cfg.kmeans_iters, seed=cfg.seed
-    )
-    return ClusteringMaskCore(mech, "routing", backend=cfg.backend, path=cfg.path)
-
-
-@register_mechanism("sinkhorn", role="core")
-def _sinkhorn_core(cfg, seq_len_hint: int) -> AttentionCore:
-    mech = SinkhornAttention(
-        block_size=cfg.block_size, sinkhorn_iters=cfg.sinkhorn_iters
-    )
-    return ClusteringMaskCore(mech, "sinkhorn", backend=cfg.backend, path=cfg.path)
+_register_mask_core("topk", TopKCore)
+for _name in ("local", "sparse_transformer", "fixed_truncated", "longformer", "bigbird"):
+    _register_mask_core(_name, StaticMaskCore)
+for _name in ("reformer", "routing", "sinkhorn"):
+    _register_mask_core(_name, ClusteringMaskCore)
 
 
 # ------------------------------------------------- Appendix A.7 combo cores
@@ -649,44 +506,44 @@ class BigBirdDfssCore(DfssCore):
     window/global/random pattern becomes a blocked-ELL coarse mask fed to the
     compressed DFSS op (the mask excludes score blocks *before* the N:M
     selection, exactly like the fused epilogue), so forward and backward run
-    on the compressed N:M representation.  The blocked-ELL mask is built
-    lazily per observed sequence length — the block size is halved until it
-    divides the sequence — and cached.
+    on the compressed N:M representation.  The blocked-ELL mask comes from
+    :meth:`repro.baselines.bigbird.BigBirdAttention.block_mask` per observed
+    sequence length and is cached.
     """
 
     name = "bigbird_dfss"
 
-    def __init__(self, cfg, pattern="2:4", backend: Optional[str] = None,
-                 path: str = "sparse"):
-        super().__init__(pattern, backend=backend, path=path)
-        self._cfg = cfg
+    def __init__(self, bigbird, pattern="2:4", backend: Optional[str] = None):
+        super().__init__(pattern, backend=backend)
+        self.bigbird = bigbird
         self._block_masks: Dict[int, BlockedEllMask] = {}
 
     def __call__(self, q: Tensor, k: Tensor, v: Tensor) -> Tensor:
         nq = q.shape[-2]
         if nq not in self._block_masks:
-            self._block_masks[nq] = _fitted_bigbird_mask(nq, self._cfg)
+            self._block_masks[nq] = self.bigbird.block_mask(nq)
         self.block_mask = self._block_masks[nq]
         return super().__call__(q, k, v)
 
 
 @register_mechanism("bigbird_dfss", role="core")
 def _bigbird_dfss_core(cfg, seq_len_hint: int) -> AttentionCore:
-    return BigBirdDfssCore(cfg, pattern=cfg.pattern or "2:4",
-                           backend=cfg.backend, path=cfg.path)
+    mechanism = _mechanism_of("bigbird_dfss", cfg)
+    return BigBirdDfssCore(
+        mechanism.bigbird, pattern=mechanism.pattern, backend=cfg.backend
+    )
 
 
-class LinformerDfssCore(AttentionCore):
+class LinformerDfssCore(DfssCore):
     """Linformer projection with the projected scores pruned to N:M on the fly.
 
     The trainable counterpart of
     :class:`repro.baselines.combos.DfssLinformerAttention`: keys and values
     are projected with the fixed random map ``E`` (a constant of the graph,
     shared with :class:`LinformerCore`'s seeding), then the whole attention
-    over the projected length runs through the compressed N:M op —
-    ``sddmm_nm(Q, (EK)) → sparse softmax → SpMM`` with analytic gradients on
-    the compressed representation.  ``path="dense"`` differentiates the
-    equivalent dense masked softmax for parity testing.
+    over the projected length runs through the compressed N:M op of
+    :class:`DfssCore` — ``sddmm_nm(Q, (EK)) → sparse softmax → SpMM`` with
+    analytic gradients on the compressed representation.
 
     The projected length is rounded down to a multiple of the N:M group size
     so the pattern applies cleanly.
@@ -694,20 +551,12 @@ class LinformerDfssCore(AttentionCore):
 
     name = "linformer_dfss"
 
-    handles_prob_dropout = True
-
-    PATHS = ("sparse", "dense")
-
     def __init__(self, proj_dim: int = 64, pattern="2:4", seed=0,
-                 backend: Optional[str] = None, path: str = "sparse"):
-        _check_path(path)
+                 backend: Optional[str] = None):
+        super().__init__(pattern, backend=backend)
         self.proj_dim = proj_dim
-        self.pattern = resolve_pattern(pattern)
         self.seed = seed
-        self.backend = backend
-        self.path = path
         self._proj: Dict[int, np.ndarray] = {}
-        self._last_structure = None
 
     def _projection(self, n: int) -> np.ndarray:
         if n not in self._proj:
@@ -722,45 +571,14 @@ class LinformerDfssCore(AttentionCore):
 
     def __call__(self, q: Tensor, k: Tensor, v: Tensor) -> Tensor:
         e = Tensor(self._projection(k.shape[-2]))
-        k_proj = e @ k
-        v_proj = e @ v
-        drop = self.attn_dropout
-        if self.path == "dense":
-            scale = 1.0 / np.sqrt(q.shape[-1])
-            scores = (q @ k_proj.swapaxes(-1, -2)) * scale
-            mask = get_kernel("nm_prune_mask", self.backend)(scores.data, self.pattern)
-            self._last_mask = mask
-            self._last_structure = None
-            weights = _positional_prob_dropout(
-                drop, F.masked_softmax(scores, mask, axis=-1)
-            )
-            return weights @ v_proj
-        out, probs = dfss_sparse_attention(
-            q,
-            k_proj,
-            v_proj,
-            pattern=self.pattern,
-            backend=self.backend,
-            dropout_p=drop.p if drop is not None else 0.0,
-            dropout_rng=drop.rng if drop is not None else None,
-            training=bool(drop.training) if drop is not None else False,
-        )
-        # store only the int8 metadata; last_mask() re-derives the dense mask
-        self._last_structure = (probs.indices, probs.pattern, probs.dense_cols)
-        self._last_mask = None
-        return out
-
-    def last_mask(self) -> Optional[np.ndarray]:
-        if self._last_structure is not None:
-            return _nm_selection_mask(*self._last_structure)
-        return super().last_mask()
+        return super().__call__(q, e @ k, e @ v)
 
 
 @register_mechanism("linformer_dfss", role="core")
 def _linformer_dfss_core(cfg, seq_len_hint: int) -> AttentionCore:
     return LinformerDfssCore(
         proj_dim=cfg.proj_dim, pattern=cfg.pattern or "2:4", seed=cfg.seed,
-        backend=cfg.backend, path=cfg.path,
+        backend=cfg.backend,
     )
 
 

@@ -7,6 +7,7 @@ from typing import Optional
 import numpy as np
 
 from repro.nn.autograd import Tensor
+from repro.utils.seeding import attention_dropout_keep, draw_dropout_seed
 
 #: Large negative number used to mask logits (kept finite for fp32 stability).
 NEG_INF = -1e9
@@ -38,6 +39,35 @@ def masked_softmax(x: Tensor, mask: np.ndarray, axis: int = -1) -> Tensor:
     if not row_alive.all():
         weights = weights * row_alive.astype(np.float32)
     return weights
+
+
+def dense_masked_attention(
+    q: Tensor,
+    k: Tensor,
+    v: Tensor,
+    mask,
+    dropout_p: float = 0.0,
+    dropout_rng: Optional[np.random.Generator] = None,
+) -> Tensor:
+    """The dense ground truth of every mask-based core: ``masked_softmax(QKᵀ/√d) @ V``.
+
+    ``mask`` is a boolean ndarray broadcastable to the score matrix, or a
+    callable deriving it from the detached scores (the mask is a constant of
+    the graph either way).  Dropout with ``dropout_p > 0`` draws one seed from
+    ``dropout_rng`` and hashes it with the dense position of every weight, the
+    keep mask the compressed ops of :mod:`repro.nn.sparse_attention` evaluate
+    on their stored nonzeros — so a seeded core and this oracle drop the same
+    (row, column) entries.
+    """
+    scores = (q @ k.swapaxes(-1, -2)) * (1.0 / np.sqrt(q.shape[-1]))
+    if callable(mask):
+        mask = mask(scores.data)
+    weights = masked_softmax(scores, mask, axis=-1)
+    if dropout_p > 0.0:
+        seed = draw_dropout_seed(dropout_rng)
+        positions = np.arange(weights.data.size, dtype=np.uint64).reshape(weights.shape)
+        weights = weights * Tensor(attention_dropout_keep(seed, dropout_p, positions))
+    return weights @ v
 
 
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:

@@ -139,7 +139,8 @@ def dfss_sparse_attention(
         derived layout-independently: one seed is drawn from ``dropout_rng``
         per call and hashed with the *dense* position of each stored nonzero
         (:func:`repro.utils.seeding.attention_dropout_keep`), so a seeded run
-        through this op and one through the dense escape hatch drop the same
+        through this op and one through
+        :func:`repro.nn.functional.dense_masked_attention` drop the same
         (row, column) entries.
 
     Returns
@@ -206,7 +207,7 @@ def masked_sparse_attention(
         Seeded inverted dropout on the compressed probabilities, derived
         layout-independently from dense positions exactly as in
         :func:`dfss_sparse_attention` — a seeded run through this op and one
-        through the dense masked path drop the same (row, column) entries.
+        through the dense masked oracle drop the same (row, column) entries.
     scores:
         Optional precomputed *scaled* compressed scores sharing ``mask``'s
         structure (padding lanes carrying the masked-score sentinel).

@@ -133,6 +133,8 @@ class TransformerEncoder(Module):
         Returns one ``(batch, heads, seq, seq)`` array per mask-producing layer;
         non-mask mechanisms return the dense softmax weights.
         """
+        from repro.core.softmax import dense_softmax, masked_dense_softmax
+
         token_ids = np.asarray(token_ids)
         x = self.embedding(token_ids) + Tensor(self.positions[: token_ids.shape[1]])
         maps = []
@@ -143,15 +145,14 @@ class TransformerEncoder(Module):
             q = attn._split_heads(attn.q_proj(normed), batch, seq).data
             k = attn._split_heads(attn.k_proj(normed), batch, seq).data
             scores = np.matmul(q, np.swapaxes(k, -1, -2)) / np.sqrt(attn.head_dim)
-            mask_core = getattr(attn.core, "_mask", None)
-            from repro.core.softmax import dense_softmax, masked_dense_softmax
-
-            if mask_core is not None:
-                mask = attn.core._mask(scores, q, k)
-                maps.append(masked_dense_softmax(scores, mask))
-            else:
-                maps.append(dense_softmax(scores))
             x = layer(x)
+            # the mask this layer's forward just selected (None for cores
+            # without one)
+            mask = attn.core.last_mask()
+            if mask is None:
+                maps.append(dense_softmax(scores))
+            else:
+                maps.append(masked_dense_softmax(scores, mask))
         return maps
 
 

@@ -124,7 +124,7 @@ def _unexpected_kwargs_error(mechanism: str, unknown, accepted) -> TypeError:
 
     Shared by :meth:`MechanismConfig.from_kwargs` (the registry's own
     validation) and :func:`apply_config_overrides` (the engine-level
-    ``backend=`` / ``path=`` / ``block_mask=`` normalisation), so a typo or an
+    ``backend=`` / ``block_mask=`` normalisation), so a typo or an
     unsupported knob reads identically no matter which API surfaced it.
     """
     return TypeError(
@@ -143,31 +143,19 @@ def _check_density(value, name: str = "density") -> None:
         raise ValueError(f"{name} must lie in (0, 1], got {value!r}")
 
 
-def _check_path(value) -> None:
-    if value not in ("sparse", "dense"):
-        raise ValueError(
-            f"unknown path {value!r}; expected one of ('sparse', 'dense')"
-        )
-
-
 @dataclass(frozen=True)
 class MaskedCoreConfig(MechanismConfig):
-    """Shared core-side knobs of every mask-based mechanism.
+    """Shared core-side knob of every mask-based mechanism.
 
-    All mask-based trainable cores run through the compressed padded-CSR
-    autograd op by default (``path="sparse"``); ``path="dense"`` keeps the
-    dense masked-softmax autograd formulation as the parity oracle, and
-    ``backend`` selects the kernel backend for every dispatched stage.  Both
-    fields are core-only — the forward-only numpy mechanisms reject them.
+    Every mask-based trainable core runs forward and backward through a
+    compressed autograd op; ``backend`` selects the kernel backend for every
+    dispatched stage.  The field is core-only — the forward-only numpy
+    mechanisms reject it.
     """
 
     backend: Optional[str] = None
-    path: str = "sparse"
 
-    _CORE_ONLY = ("backend", "path")
-
-    def __post_init__(self) -> None:
-        _check_path(self.path)
+    _CORE_ONLY = ("backend",)
 
 
 # --------------------------------------------------------- per-mechanism configs
@@ -196,7 +184,6 @@ class DfssConfig(MaskedCoreConfig):
     _MECHANISM_ONLY = ("dtype",)
 
     def __post_init__(self) -> None:
-        super().__post_init__()
         if self.pattern is not None:
             resolve_pattern(self.pattern)  # raises ValueError on unknown patterns
 
@@ -215,7 +202,6 @@ class TopKConfig(MaskedCoreConfig):
     k: Optional[int] = None
 
     def __post_init__(self) -> None:
-        super().__post_init__()
         if self.k is None:
             _check_density(self.density)
         else:
@@ -229,7 +215,6 @@ class LocalConfig(MaskedCoreConfig):
     window: int = 32
 
     def __post_init__(self) -> None:
-        super().__post_init__()
         if self.window < 0:
             raise ValueError("window must be non-negative")
 
@@ -242,7 +227,6 @@ class StridedConfig(MaskedCoreConfig):
     stride: int = 64
 
     def __post_init__(self) -> None:
-        super().__post_init__()
         _check_positive(self.stride, "stride")
 
 
@@ -253,7 +237,6 @@ class TruncatedConfig(MaskedCoreConfig):
     density: float = 0.5
 
     def __post_init__(self) -> None:
-        super().__post_init__()
         _check_density(self.density)
 
 
@@ -276,7 +259,6 @@ class BigBirdConfig(MaskedCoreConfig):
     seed: object = 0
 
     def __post_init__(self) -> None:
-        super().__post_init__()
         _check_positive(self.block_size, "block_size")
 
 
@@ -343,7 +325,6 @@ class ReformerConfig(MaskedCoreConfig):
     seed: object = 0
 
     def __post_init__(self) -> None:
-        super().__post_init__()
         _check_positive(self.n_buckets, "n_buckets")
         _check_positive(self.n_hashes, "n_hashes")
 
@@ -357,7 +338,6 @@ class RoutingConfig(MaskedCoreConfig):
     seed: object = 0
 
     def __post_init__(self) -> None:
-        super().__post_init__()
         _check_positive(self.n_clusters, "n_clusters")
 
 
@@ -369,7 +349,6 @@ class SinkhornConfig(MaskedCoreConfig):
     sinkhorn_iters: int = 8
 
     def __post_init__(self) -> None:
-        super().__post_init__()
         _check_positive(self.block_size, "block_size")
 
 
@@ -701,7 +680,7 @@ def apply_config_overrides(
 ) -> MechanismConfig:
     """Fill config fields from engine-level overrides with uniform validation.
 
-    The one normalisation path behind ``repro.attention(backend=..., path=...,
+    The one normalisation path behind ``repro.attention(backend=...,
     block_mask=...)``, ``AttentionEngine.core(...)`` and
     :class:`repro.engine.AttentionConfig`: ``overrides`` maps config field
     names to values, where ``None`` means "no override".  A non-``None``

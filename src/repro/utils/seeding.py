@@ -53,9 +53,9 @@ _SM64_MIX2 = np.uint64(0x94D049BB133111EB)
 def draw_dropout_seed(rng: np.random.Generator) -> int:
     """Draw one per-call dropout seed from ``rng``.
 
-    Both the compressed and the dense DFSS attention paths consume exactly one
-    integer from the module generator per forward call, so seeded runs stay
-    aligned step-for-step regardless of which path executes.
+    The compressed attention ops and the dense masked oracle each consume
+    exactly one integer from the module generator per forward call, so seeded
+    runs stay aligned step-for-step whichever of them executes.
     """
     return int(rng.integers(0, np.iinfo(np.int64).max))
 
@@ -80,9 +80,9 @@ def attention_dropout_keep(seed: int, p: float, positions: np.ndarray) -> np.nda
     """Inverted-dropout keep mask (float32, scaled by ``1/(1-p)``) per position.
 
     ``positions`` are linear indices into the *dense* attention-weight tensor;
-    the sparse path passes the dense positions of its stored nonzeros and the
-    dense path passes ``arange(size)``, which makes the two masks agree at
-    every shared coordinate.
+    the compressed ops pass the dense positions of their stored nonzeros and
+    the dense oracle passes ``arange(size)``, which makes the two masks agree
+    at every shared coordinate.
     """
     if not 0.0 <= p < 1.0:
         raise ValueError("dropout probability must lie in [0, 1)")

@@ -54,6 +54,30 @@ def two_workers(monkeypatch):
     # rebuilds if needed) on its next run, so no manual cleanup is required
 
 
+@pytest.fixture
+def rendezvous(two_workers, monkeypatch):
+    # Short tiles can all be drained by whichever worker wakes first; the
+    # first two tiles of every pool run meet at a barrier, so a run that
+    # reached the pool provably occupies two worker lanes.
+    pool = get_pool()
+    run = pool.run
+
+    def meeting_run(thunks, costs=None, spans=None):
+        barrier = threading.Barrier(2)
+        arrivals = itertools.count()
+
+        def meet(thunk):
+            def call():
+                if next(arrivals) < 2:
+                    barrier.wait(timeout=5)
+                return thunk()
+            return call
+
+        return run([meet(t) for t in thunks], costs, spans)
+
+    monkeypatch.setattr(pool, "run", meeting_run)
+
+
 def _qkv(shape=SHAPE, seed=0):
     rng = np.random.default_rng(seed)
     return (
@@ -264,8 +288,7 @@ class TestBitwiseParity:
         arms = {}
         for backend in (FAST, MULTICORE):
             core = make_core(
-                "longformer", seq_len_hint=SHAPE[-2], path="sparse",
-                backend=backend,
+                "longformer", seq_len_hint=SHAPE[-2], backend=backend,
             )
             qt = Tensor(q, requires_grad=True)
             kt = Tensor(k, requires_grad=True)
@@ -328,10 +351,7 @@ def _lattice_tensors(batch=(2, 3), seq=32, d=16, seed=0):
 def _run_core(mechanism, backend, dropout=0.0, seed=1):
     """One fwd+bwd pass of the mechanism's trainable core on ``backend``."""
     q, k, v = _lattice_tensors(seed=seed)
-    try:
-        core = make_core(mechanism, seq_len_hint=32, path="sparse", backend=backend)
-    except TypeError:  # hybrid cores without a path switch are already sparse
-        core = make_core(mechanism, seq_len_hint=32, backend=backend)
+    core = make_core(mechanism, seq_len_hint=32, backend=backend)
     if dropout:
         core.attn_dropout = Dropout(dropout, seed=5)
     out = core(q, k, v)
@@ -425,7 +445,7 @@ class TestRaggedAndFullyMaskedRows:
 
 
 class TestTraceIntegration:
-    def test_tiles_land_on_multiple_named_worker_lanes(self, two_workers):
+    def test_tiles_land_on_multiple_named_worker_lanes(self, rendezvous):
         q, k, v = _qkv((4, 2, 64, 32))
         with trace() as active:
             dfss_attention(q, k, v, pattern="1:2", backend=MULTICORE)
@@ -453,29 +473,6 @@ class TestEveryStageTiles:
     bit for bit, so parity alone cannot see it: the trace must show each
     stage as several tiles on several worker lanes."""
 
-    @pytest.fixture
-    def rendezvous(self, two_workers, monkeypatch):
-        # Short tiles can all be drained by whichever worker wakes first; the
-        # first two tiles of every pool run meet at a barrier, so a run that
-        # reached the pool provably occupies two worker lanes.
-        pool = get_pool()
-        run = pool.run
-
-        def meeting_run(thunks, costs=None, spans=None):
-            barrier = threading.Barrier(2)
-            arrivals = itertools.count()
-
-            def meet(thunk):
-                def call():
-                    if next(arrivals) < 2:
-                        barrier.wait(timeout=5)
-                    return thunk()
-                return call
-
-            return run([meet(t) for t in thunks], costs, spans)
-
-        monkeypatch.setattr(pool, "run", meeting_run)
-
     @pytest.mark.parametrize(
         "mechanism, sddmm", [("dfss_2:4", "sddmm_nm"), ("longformer", "sddmm_csr")]
     )
@@ -485,7 +482,7 @@ class TestEveryStageTiles:
             def core(q, k, v):
                 return dfss_sparse_attention(q, k, v, pattern="2:4", backend=MULTICORE)[0]
         else:
-            core = make_core(mechanism, seq_len_hint=64, path="sparse", backend=MULTICORE)
+            core = make_core(mechanism, seq_len_hint=64, backend=MULTICORE)
         with trace() as active:
             out = core(q, k, v)
             (out * out).sum().backward()

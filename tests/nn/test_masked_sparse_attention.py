@@ -1,19 +1,25 @@
-"""Gradcheck parity of the padded-CSR sparse training path, per mechanism.
+"""Parity of every trainable mask core with the dense masked oracle.
 
-Every mask-based mechanism now trains through
-:func:`repro.nn.sparse_attention.masked_sparse_attention` by default; the
-dense masked autograd formulation is retained as ``path="dense"`` and acts as
-the oracle here.  Inputs are tie-exact lattices (small multiples of 1/2 with
-a power-of-four head dim) so data-dependent masks select identically on both
-paths and outputs/gradients agree to float tolerance.
+Every mask-based mechanism trains through a compressed autograd op —
+:func:`repro.nn.sparse_attention.masked_sparse_attention` (padded CSR) or the
+N:M op for the DFSS family.  The ground truth is
+:func:`repro.nn.functional.dense_masked_attention` over the mask the core
+reports (``core.last_mask()``), with seeded dropout replayed from the same
+generator.  Inputs are tie-exact lattices (small multiples of 1/2 with a
+power-of-four head dim) so outputs and gradients agree to float tolerance.
 """
 
 import numpy as np
 import pytest
 
+from repro.baselines.fixed import LocalWindowAttention
 from repro.core.backend import FAST, MULTICORE, REFERENCE
+from repro.core.blocked_ell import sliding_window_mask
+from repro.core.multicore import WORKERS_ENV_VAR
+from repro.nn import functional as F
 from repro.nn.attention_layer import (
     BigBirdDfssCore,
+    DfssCore,
     LinformerDfssCore,
     MaskedScoreCore,
     StaticMaskCore,
@@ -21,21 +27,21 @@ from repro.nn.attention_layer import (
 from repro.nn.autograd import Tensor
 from repro.nn.layers import Dropout
 from repro.nn.sparse_attention import masked_sparse_attention
-from repro.registry import available_mechanisms, make_core
+from repro.registry import available_mechanisms, make_core, make_mechanism
 
-#: every previously dense-only mask-based mechanism that must now train
-#: through the compressed padded-CSR (or N:M) path
-MASK_MECHANISMS = (
-    "topk",
-    "local",
-    "sparse_transformer",
-    "fixed_truncated",
-    "longformer",
-    "bigbird",
-    "reformer",
-    "routing",
-    "sinkhorn",
-)
+#: every compressed mask-based mechanism except the DFSS family, each with
+#: options that make its mask non-trivial at L=32
+MASK_MECHANISMS = {
+    "topk": {"k": 4},
+    "local": {"window": 4},
+    "sparse_transformer": {"window": 4, "stride": 8},
+    "fixed_truncated": {},
+    "longformer": {"window": 4},
+    "bigbird": {"block_size": 8},
+    "reformer": {},
+    "routing": {},
+    "sinkhorn": {"block_size": 8},
+}
 
 
 def _lattice(shape, seed=0):
@@ -50,79 +56,135 @@ def _tensors(batch=(2, 3), seq=32, d=16, seed=0):
     )
 
 
-class TestPerMechanismGradcheckParity:
-    @pytest.mark.parametrize("mechanism", MASK_MECHANISMS)
-    @pytest.mark.parametrize("backend", [REFERENCE, FAST, MULTICORE])
-    def test_sparse_matches_dense_masked_path(self, mechanism, backend):
-        q1, k1, v1 = _tensors(seed=1)
-        q2, k2, v2 = _tensors(seed=1)
-        sparse = make_core(mechanism, seq_len_hint=32, path="sparse", backend=backend)
-        dense = make_core(mechanism, seq_len_hint=32, path="dense", backend=backend)
-        out_s = sparse(q1, k1, v1)
-        out_d = dense(q2, k2, v2)
-        np.testing.assert_allclose(out_s.data, out_d.data, atol=1e-6, err_msg=mechanism)
-        (out_s * out_s).sum().backward()
-        (out_d * out_d).sum().backward()
-        for a, b in ((q1, q2), (k1, k2), (v1, v2)):
-            assert a.grad is not None and b.grad is not None
-            np.testing.assert_allclose(
-                a.grad, b.grad, rtol=1e-5, atol=1e-6, err_msg=mechanism
-            )
+class DeadRowLocal(LocalWindowAttention):
+    """Local-window mask with one fully masked query row."""
 
-    @pytest.mark.parametrize("mechanism", MASK_MECHANISMS)
-    def test_masks_agree_between_paths(self, mechanism):
-        q1, k1, v1 = _tensors(seed=2)
-        q2, k2, v2 = _tensors(seed=2)
-        sparse = make_core(mechanism, seq_len_hint=32, path="sparse")
-        dense = make_core(mechanism, seq_len_hint=32, path="dense")
-        sparse(q1, k1, v1)
-        dense(q2, k2, v2)
-        np.testing.assert_array_equal(sparse.last_mask(), dense.last_mask())
+    name = "dead_row"
+
+    def _mask_2d(self, n_q, n_k):
+        mask = super()._mask_2d(n_q, n_k)
+        mask[0, :] = False
+        return mask
+
+
+def _block_dfss(block_size):
+    return lambda backend: DfssCore(
+        "2:4", backend=backend,
+        block_mask=sliding_window_mask(seq_len=32, block_size=block_size, window_blocks=1),
+    )
+
+
+def _registered(mechanism, **options):
+    return lambda backend: make_core(
+        mechanism, seq_len_hint=32, backend=backend, **options
+    )
+
+
+#: one case per trainable core with a compressed path: every registered mask
+#: mechanism, both DFSS patterns, plus a dead query row and blocked-ELL coarse
+#: masks (block_size=2 puts a block boundary inside every 2:4 group, so
+#: blocked scores must be excluded before the N:M selection)
+PARITY_CASES = {
+    **{name: _registered(name, **options) for name, options in MASK_MECHANISMS.items()},
+    "dfss_1:2": _registered("dfss_1:2"),
+    "dfss_2:4": _registered("dfss_2:4"),
+    "bigbird_dfss": _registered("bigbird_dfss", block_size=8),
+    "dead_row": lambda backend: StaticMaskCore(DeadRowLocal(window=4), backend=backend),
+    "dfss_block_mask_8": _block_dfss(8),
+    "dfss_block_mask_2": _block_dfss(2),
+}
+
+
+class TestOracleParity:
+    @pytest.mark.parametrize("dropout", [0.0, 0.25])
+    @pytest.mark.parametrize("backend", [FAST, REFERENCE, MULTICORE])
+    @pytest.mark.parametrize("case", sorted(PARITY_CASES))
+    def test_core_matches_dense_oracle(self, case, backend, dropout, monkeypatch):
+        monkeypatch.setenv(WORKERS_ENV_VAR, "2")
+        core = PARITY_CASES[case](backend)
+        oracle_rng = None
+        if dropout:
+            core.attn_dropout = Dropout(dropout, seed=5)
+            oracle_rng = Dropout(dropout, seed=5).rng
+        # several seeded steps: dropout alignment must survive across calls
+        for step in range(3 if dropout else 1):
+            q1, k1, v1 = _tensors(seed=10 + step)
+            q2, k2, v2 = _tensors(seed=10 + step)
+            out = core(q1, k1, v1)
+            expected = F.dense_masked_attention(
+                q2, k2, v2, core.last_mask(), dropout_p=dropout, dropout_rng=oracle_rng
+            )
+            np.testing.assert_allclose(out.data, expected.data, atol=1e-6, err_msg=case)
+            (out * out).sum().backward()
+            (expected * expected).sum().backward()
+            for a, b in ((q1, q2), (k1, k2), (v1, v2)):
+                assert a.grad is not None and b.grad is not None
+                # atol absorbs float-order noise amplified by the 1/(1-p)
+                # dropout scaling; a misaligned mask would differ at O(1)
+                np.testing.assert_allclose(
+                    a.grad, b.grad, rtol=1e-5, atol=5e-6, err_msg=case
+                )
+        if dropout:
+            # one draw per call on both sides -> the next draws agree
+            assert core.attn_dropout.rng.integers(1 << 62) == oracle_rng.integers(1 << 62)
+
+    @pytest.mark.parametrize("mechanism", ["local", "topk", "dfss_2:4"])
+    def test_eval_mode_matches_undropped_oracle(self, mechanism):
+        core = make_core(mechanism, seq_len_hint=32)
+        core.attn_dropout = Dropout(0.5, seed=42)
+        core.attn_dropout.training = False
+        q1, k1, v1 = _tensors(seed=26)
+        q2, k2, v2 = _tensors(seed=26)
+        out = core(q1, k1, v1)
+        expected = F.dense_masked_attention(q2, k2, v2, core.last_mask())
+        np.testing.assert_allclose(out.data, expected.data, atol=1e-6)
+
+    @pytest.mark.parametrize("mechanism", sorted(MASK_MECHANISMS))
+    def test_core_mask_is_the_mechanism_mask(self, mechanism):
+        options = MASK_MECHANISMS[mechanism]
+        q, k, v = _tensors(seed=2)
+        core = make_core(mechanism, seq_len_hint=32, **options)
+        core(q, k, v)
+        expected = make_mechanism(mechanism, **options).attention_mask(q.data, k.data)
+        np.testing.assert_array_equal(core.last_mask(), expected)
 
     def test_every_compressed_mask_mechanism_is_covered(self):
-        # the sweep above must cover what the registry advertises (minus the
-        # DFSS-family mechanisms, which tests/nn/test_sparse_attention.py pins)
+        # the matrix above must cover what the registry advertises
         advertised = set(
             available_mechanisms(trainable=True, produces_mask=True, compressed=True)
         )
-        assert advertised - {"dfss", "bigbird_dfss"} == set(MASK_MECHANISMS)
-        assert len(MASK_MECHANISMS) >= 5  # acceptance: at least 5 mechanisms
+        assert advertised == set(MASK_MECHANISMS) | {"dfss", "bigbird_dfss"}
+
+    def test_linformer_dfss_matches_oracle_over_the_projection(self):
+        # the projection is random-normal, so the N:M scores are not
+        # tie-exact: the sparse op's tf32-emulated SDDMM rounds differently
+        # from the oracle's fp32 matmul (~1e-4 relative), hence the looser
+        # tolerances — a wrong mask or misrouted gradient would show up as
+        # O(1) differences
+        q1, k1, v1 = _tensors(seed=42)
+        q2, k2, v2 = _tensors(seed=42)
+        core = make_core("linformer_dfss", seq_len_hint=32, proj_dim=16)
+        assert isinstance(core, LinformerDfssCore)
+        out = core(q1, k1, v1)
+        e = Tensor(core._projection(32))
+        expected = F.dense_masked_attention(q2, e @ k2, e @ v2, core.last_mask())
+        np.testing.assert_allclose(out.data, expected.data, atol=5e-3)
+        (out * out).sum().backward()
+        (expected * expected).sum().backward()
+        for a, b in ((q1, q2), (k1, k2), (v1, v2)):
+            np.testing.assert_allclose(a.grad, b.grad, atol=2e-2)
 
 
 class TestEdgeCases:
-    class DeadRowCore(StaticMaskCore):
-        """Local-window mask with one fully masked query row."""
-
-        def __init__(self, path):
-            def mask_fn(nq, nk):
-                from repro.baselines.fixed import local_window_mask
-
-                mask = local_window_mask(nq, nk, 4)
-                mask[0, :] = False
-                return mask
-
-            super().__init__(mask_fn, "dead_row", path=path)
-
     def test_fully_masked_row_zero_output_and_gradients(self):
         q, k, v = _tensors(seed=3)
-        core = self.DeadRowCore(path="sparse")
+        core = StaticMaskCore(DeadRowLocal(window=4))
         out = core(q, k, v)
         np.testing.assert_array_equal(out.data[..., 0, :], 0.0)
         (out * out).sum().backward()
         assert np.all(np.isfinite(q.grad))
         # a dead query row contributes no gradient to its query vector
         np.testing.assert_array_equal(q.grad[..., 0, :], 0.0)
-
-    def test_fully_masked_row_parity_with_dense(self):
-        q1, k1, v1 = _tensors(seed=4)
-        q2, k2, v2 = _tensors(seed=4)
-        out_s = self.DeadRowCore(path="sparse")(q1, k1, v1)
-        out_d = self.DeadRowCore(path="dense")(q2, k2, v2)
-        np.testing.assert_allclose(out_s.data, out_d.data, atol=1e-6)
-        out_s.sum().backward()
-        out_d.sum().backward()
-        for a, b in ((q1, q2), (k1, k2), (v1, v2)):
-            np.testing.assert_allclose(a.grad, b.grad, rtol=1e-5, atol=1e-6)
 
     def test_ragged_row_lengths_parity(self):
         # a hand-built mask with strongly varying nnz per row, including
@@ -185,56 +247,22 @@ class TestEdgeCases:
         np.testing.assert_array_equal(out.data, unscored_out.data)
 
 
-class TestDropoutLayoutIndependence:
-    """Seeded dropout must agree between the CSR sparse op and the dense path."""
-
-    def _cores(self, mechanism="local", p=0.5, seed=42):
-        sparse = make_core(mechanism, seq_len_hint=32, path="sparse")
-        dense = make_core(mechanism, seq_len_hint=32, path="dense")
-        sparse.attn_dropout = Dropout(p, seed=seed)
-        dense.attn_dropout = Dropout(p, seed=seed)
-        return sparse, dense
-
-    @pytest.mark.parametrize("mechanism", ["local", "topk", "longformer", "dfss_2:4"])
-    def test_seeded_paths_comparable_under_dropout(self, mechanism):
-        sparse, dense = self._cores(mechanism)
-        for step in range(2):
-            q1, k1, v1 = _tensors(seed=20 + step)
-            q2, k2, v2 = _tensors(seed=20 + step)
-            out_s = sparse(q1, k1, v1)
-            out_d = dense(q2, k2, v2)
-            np.testing.assert_allclose(out_s.data, out_d.data, atol=1e-6)
-            (out_s * out_s).sum().backward()
-            (out_d * out_d).sum().backward()
-            for a, b in ((q1, q2), (k1, k2), (v1, v2)):
-                # atol absorbs float-order noise amplified by the 1/(1-p)
-                # dropout scaling; a misaligned mask would differ at O(1)
-                np.testing.assert_allclose(a.grad, b.grad, rtol=1e-5, atol=5e-6)
-
+class TestDropout:
     def test_dropout_actually_drops(self):
-        sparse, _ = self._cores()
+        core = make_core("local", seq_len_hint=32)
+        core.attn_dropout = Dropout(0.5, seed=42)
         q, k, v = _tensors(seed=25)
-        out1 = sparse(q, k, v).data.copy()
-        out2 = sparse(q, k, v).data
+        out1 = core(q, k, v).data.copy()
+        out2 = core(q, k, v).data
         assert not np.allclose(out1, out2)
 
-    def test_eval_mode_is_identity(self):
-        sparse, dense = self._cores()
-        sparse.attn_dropout.training = False
-        dense.attn_dropout.training = False
-        q1, k1, v1 = _tensors(seed=26)
-        q2, k2, v2 = _tensors(seed=26)
-        np.testing.assert_allclose(
-            sparse(q1, k1, v1).data, dense(q2, k2, v2).data, atol=1e-6
-        )
 
-
-class TestSparseIsTheDefaultPath:
+class TestMaskCores:
     @pytest.mark.parametrize("mechanism", MASK_MECHANISMS)
-    def test_default_core_path_is_sparse(self, mechanism):
+    def test_core_is_a_mask_core(self, mechanism):
         core = make_core(mechanism, seq_len_hint=32)
         assert isinstance(core, MaskedScoreCore)
-        assert core.path == "sparse"
+        assert core.name == mechanism
 
     def test_static_mask_structure_is_cached_across_steps(self):
         core = make_core("local", seq_len_hint=32)
@@ -244,15 +272,9 @@ class TestSparseIsTheDefaultPath:
         core(*_tensors(seed=31))
         assert next(iter(core._csr_cache.values())) is first
 
-    def test_invalid_path_rejected(self):
-        with pytest.raises(ValueError, match="path"):
-            make_core("local", path="warp")
-
     def test_numpy_mechanism_rejects_core_only_kwargs(self):
-        from repro.registry import make_mechanism
-
-        with pytest.raises(TypeError, match="path"):
-            make_mechanism("local", path="dense")
+        with pytest.raises(TypeError, match="backend"):
+            make_mechanism("local", backend="fast")
 
     def test_training_step_reduces_loss(self):
         from repro.nn.attention_layer import MultiHeadSelfAttention
@@ -279,19 +301,8 @@ class TestSparseIsTheDefaultPath:
 class TestComboCores:
     """bigbird_dfss / linformer_dfss gained trainable cores (ROADMAP item)."""
 
-    def test_bigbird_dfss_parity_with_dense_path(self):
-        q1, k1, v1 = _tensors(seed=40)
-        q2, k2, v2 = _tensors(seed=40)
-        sparse = make_core("bigbird_dfss", seq_len_hint=32, block_size=8)
-        dense = make_core("bigbird_dfss", seq_len_hint=32, block_size=8, path="dense")
-        assert isinstance(sparse, BigBirdDfssCore)
-        out_s = sparse(q1, k1, v1)
-        out_d = dense(q2, k2, v2)
-        np.testing.assert_allclose(out_s.data, out_d.data, atol=1e-6)
-        (out_s * out_s).sum().backward()
-        (out_d * out_d).sum().backward()
-        for a, b in ((q1, q2), (k1, k2), (v1, v2)):
-            np.testing.assert_allclose(a.grad, b.grad, rtol=1e-5, atol=1e-6)
+    def test_bigbird_dfss_core_type(self):
+        assert isinstance(make_core("bigbird_dfss", seq_len_hint=32), BigBirdDfssCore)
 
     def test_bigbird_dfss_mask_respects_block_mask(self):
         q, k, v = _tensors(seed=41)
@@ -302,25 +313,6 @@ class TestComboCores:
         mask = core.last_mask()
         assert not mask[..., ~allowed].any()
 
-    def test_linformer_dfss_trains_and_matches_dense_path(self):
-        # the projection is random-normal, so the N:M scores are not
-        # tie-exact: the sparse op's tf32-emulated SDDMM rounds differently
-        # from the dense path's fp32 matmul (~1e-4 relative), hence the
-        # looser tolerances — a wrong mask or misrouted gradient would show
-        # up as O(1) differences
-        q1, k1, v1 = _tensors(seed=42)
-        q2, k2, v2 = _tensors(seed=42)
-        sparse = make_core("linformer_dfss", seq_len_hint=32, proj_dim=16)
-        dense = make_core("linformer_dfss", seq_len_hint=32, proj_dim=16, path="dense")
-        assert isinstance(sparse, LinformerDfssCore)
-        out_s = sparse(q1, k1, v1)
-        out_d = dense(q2, k2, v2)
-        np.testing.assert_allclose(out_s.data, out_d.data, atol=5e-3)
-        (out_s * out_s).sum().backward()
-        (out_d * out_d).sum().backward()
-        for a, b in ((q1, q2), (k1, k2), (v1, v2)):
-            np.testing.assert_allclose(a.grad, b.grad, atol=2e-2)
-
     def test_linformer_dfss_projection_rounds_to_pattern_groups(self):
         core = LinformerDfssCore(proj_dim=15, pattern="2:4")
         proj = core._projection(32)
@@ -329,3 +321,31 @@ class TestComboCores:
     def test_combo_cores_are_trainable_in_registry(self):
         trainable = available_mechanisms(trainable=True)
         assert "bigbird_dfss" in trainable and "linformer_dfss" in trainable
+
+
+class TestBigBirdBlockSize:
+    """One block-size rule: halve the configured size until it divides n."""
+
+    @pytest.mark.parametrize("block_size", [8, 12, 24, 48, 64])
+    def test_mechanism_core_and_combo_agree(self, block_size):
+        n = 64
+        mechanism = make_mechanism("bigbird", block_size=block_size)
+        expected_block = block_size
+        while n % expected_block:
+            expected_block //= 2
+        assert mechanism.block_size_for(n) == expected_block
+        q, k, v = _tensors(batch=(1,), seq=n, seed=50)
+        mask = mechanism.attention_mask(q.data, k.data)[0]
+        if expected_block < n:
+            # a fallback block never degenerates to keeping every entry
+            assert mask.sum() < n * n
+        core = make_core("bigbird", seq_len_hint=n, block_size=block_size)
+        core(q, k, v)
+        np.testing.assert_array_equal(core.last_mask()[0], mask)
+        dfss_core = make_core("bigbird_dfss", seq_len_hint=n, block_size=block_size)
+        dfss_core(q, k, v)
+        np.testing.assert_array_equal(dfss_core.block_mask.dense_mask(n, n), mask)
+        combo = make_mechanism("bigbird_dfss", block_size=block_size)
+        np.testing.assert_array_equal(
+            combo.bigbird.attention_mask(q.data, k.data)[0], mask
+        )

@@ -181,15 +181,34 @@ class TestKwargValidation:
         # dtype is numpy-mechanism-only for DFSS, so the core side rejects it
         with pytest.raises(TypeError, match="dtype"):
             registry.make_core("dfss", dtype="bfloat16")
-        # path/backend are core-only
+        # backend is core-only
+        with pytest.raises(TypeError, match="backend"):
+            registry.make_mechanism("dfss", backend="fast")
+
+    def test_path_is_not_a_knob_on_any_surface(self):
+        # the trainable cores have one execution path; path= is an unknown
+        # keyword everywhere and fails with the registry's uniform TypeError
+        q, k, v = _lattice_qkv()
+        uniform = r"unexpected keyword arguments \['path'\]"
+        with pytest.raises(TypeError, match=uniform):
+            repro.attention(q, k, v, mechanism="dfss", path="sparse")
+        with pytest.raises(TypeError, match=uniform):
+            AttentionEngine("dfss", path="sparse")
+        with pytest.raises(TypeError, match=uniform):
+            registry.make_core("local", path="sparse")
+        with pytest.raises(TypeError, match=uniform):
+            AttentionEngine.from_config(
+                AttentionConfig(mechanism="dfss", options={"path": "sparse"})
+            )
+        # the explicit-signature surfaces reject it as an unknown argument
         with pytest.raises(TypeError, match="path"):
-            registry.make_mechanism("dfss", path="dense")
+            AttentionEngine("dfss").core(path="sparse")
+        with pytest.raises(TypeError, match="path"):
+            AttentionConfig(mechanism="dfss", path="sparse")
 
     def test_config_value_validation(self):
         with pytest.raises(ValueError):
             AttentionEngine("fixed_truncated", density=0.0)
-        with pytest.raises(ValueError):
-            AttentionEngine("dfss", path="warp")
         with pytest.raises(ValueError):
             AttentionEngine("linformer", proj_dim=-3)
 
