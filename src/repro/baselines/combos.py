@@ -17,11 +17,11 @@ import numpy as np
 
 from repro.baselines.base import AttentionMechanism, register
 from repro.baselines.bigbird import BigBirdAttention
+from repro.baselines.dfss import DfssMechanism
 from repro.baselines.linformer import LinformerAttention
 from repro.baselines.nystromformer import NystromformerAttention, newton_schulz_pinv, segment_means
 from repro.core.patterns import resolve_pattern
-from repro.core.pruning import nm_prune_mask
-from repro.core.sddmm import sddmm_dense, sddmm_nm
+from repro.core.sddmm import sddmm_nm
 from repro.core.softmax import sparse_softmax
 from repro.core.spmm import spmm
 from repro.registry import (
@@ -109,11 +109,12 @@ class DfssBigBirdAttention(AttentionMechanism):
         self.dtype = dtype
 
     def attention_mask(self, q: np.ndarray, k: np.ndarray) -> np.ndarray:
-        block_mask = self.bigbird.attention_mask(q, k)
-        scores = sddmm_dense(q, k, dtype=self.dtype)
-        masked_scores = np.where(block_mask, scores, -np.inf)
-        nm = nm_prune_mask(masked_scores, self.pattern)
-        return nm & block_mask
+        """The DFSS keep-mask under BigBird's blocked-ELL layout as block mask."""
+        n_q, n_k = q.shape[-2], k.shape[-2]
+        if n_q != n_k:
+            raise ValueError("BigBird attention expects self-attention (n_q == n_k)")
+        dfss = DfssMechanism(self.pattern, self.dtype, block_mask=self.bigbird.block_mask(n_q))
+        return dfss.attention_mask(q, k)
 
     def __call__(self, q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
         self._validate(q, k, v)

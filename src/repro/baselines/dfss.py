@@ -8,9 +8,9 @@ import numpy as np
 
 from repro.baselines.base import AttentionMechanism, register
 from repro.core.attention import dfss_attention
+from repro.core.backend import get_kernel
 from repro.core.blocked_ell import BlockedEllMask
 from repro.core.patterns import default_pattern_for_dtype, resolve_pattern
-from repro.core.pruning import nm_prune_mask
 from repro.core.sddmm import MASKED_SCORE, sddmm_dense
 from repro.registry import DfssConfig, register_mechanism
 
@@ -51,15 +51,15 @@ class DfssMechanism(AttentionMechanism):
             q, k, v, pattern=self.pattern, dtype=self.dtype, block_mask=self.block_mask
         )
 
-    def attention_mask(self, q: np.ndarray, k: np.ndarray) -> np.ndarray:
-        """The N:M keep-mask, selected as the ``nm_attention`` kernel selects.
+    def _mask(self, scores: np.ndarray, backend: Optional[str] = None) -> np.ndarray:
+        """The N:M keep-mask of precomputed dense ``scores``.
 
-        Blocked scores are masked before the selection (a group straddling
-        a block boundary promotes allowed runners-up), and a key axis that is
-        not a multiple of M is padded with masked lanes up to whole groups,
-        then cropped.
+        Selected as the ``sddmm_nm`` epilogue selects, with ``backend``'s
+        ``nm_prune_mask``: blocked scores are masked before the selection (a
+        group straddling a block boundary promotes allowed runners-up), and
+        a key axis that is not a multiple of M is padded with masked lanes up
+        to whole groups, then cropped.
         """
-        scores = sddmm_dense(q, k, dtype=self.dtype)
         n_k = scores.shape[-1]
         allowed = None
         if self.block_mask is not None:
@@ -69,5 +69,9 @@ class DfssMechanism(AttentionMechanism):
         if pad:
             widths = [(0, 0)] * (scores.ndim - 1) + [(0, pad)]
             scores = np.pad(scores, widths, constant_values=MASKED_SCORE)
-        mask = nm_prune_mask(scores, self.pattern)[..., :n_k]
+        mask = get_kernel("nm_prune_mask", backend)(scores, self.pattern)[..., :n_k]
         return mask if allowed is None else mask & allowed
+
+    def attention_mask(self, q: np.ndarray, k: np.ndarray) -> np.ndarray:
+        """The N:M keep-mask, selected as the ``nm_attention`` kernel selects."""
+        return self._mask(sddmm_dense(q, k, dtype=self.dtype))

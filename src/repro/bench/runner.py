@@ -11,6 +11,7 @@ ship without.
 from __future__ import annotations
 
 import contextlib
+import functools
 import os
 import time
 from dataclasses import dataclass, field
@@ -18,12 +19,13 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.baselines.dfss import DfssMechanism
 from repro.baselines.longformer import longformer_mask
 from repro.core.attention import dfss_attention
 from repro.core.backend import REFERENCE, get_kernel
 from repro.core.padded_csr import PaddedCSRMatrix
 from repro.core.patterns import resolve_pattern
-from repro.core.sddmm import MASKED_SCORE, sddmm_csr, sddmm_nm
+from repro.core.sddmm import sddmm_csr, sddmm_nm
 from repro.core.softmax import sparse_softmax
 from repro.nn.attention_layer import DfssCore
 from repro.nn.autograd import Tensor
@@ -148,26 +150,6 @@ def _rel_frobenius(candidate: np.ndarray, reference: np.ndarray) -> float:
     return float(np.linalg.norm(candidate - reference) / denom)
 
 
-def _nm_score_mask(
-    backend: Optional[str], pattern, block_mask=None
-) -> Callable[[np.ndarray], np.ndarray]:
-    """N:M keep-mask of dense scores through ``backend``'s ``nm_prune_mask``.
-
-    Blocked scores are excluded before the selection, exactly like the
-    ``sddmm_nm`` epilogue, so a group straddling a block boundary promotes
-    allowed runners-up instead of keeping excluded columns.
-    """
-    prune = get_kernel("nm_prune_mask", backend)
-
-    def mask(scores: np.ndarray) -> np.ndarray:
-        if block_mask is None:
-            return prune(scores, pattern)
-        allowed = block_mask.dense_mask(scores.shape[-2], scores.shape[-1])
-        return prune(np.where(allowed, scores, MASKED_SCORE), pattern) & allowed
-
-    return mask
-
-
 def _bench_cases(
     shape: BenchShape, pattern: str, rng: np.random.Generator
 ) -> Dict[str, Tuple[Callable[[str], object], Callable[[object], np.ndarray]]]:
@@ -190,7 +172,9 @@ def _bench_cases(
         kt = Tensor(k, requires_grad=True)
         vt = Tensor(v, requires_grad=True)
         if backend == REFERENCE:
-            out = dense_masked_attention(qt, kt, vt, _nm_score_mask(backend, pattern))
+            out = dense_masked_attention(
+                qt, kt, vt, functools.partial(DfssMechanism(pattern)._mask, backend=backend)
+            )
         else:
             out = DfssCore(pattern, backend=backend)(qt, kt, vt)
         out.sum().backward()
@@ -657,7 +641,10 @@ def run_train_matrix(
         # dense arm's mask reads (the BigBird + DFSS block layout)
         sparse_out = step(core)
         if isinstance(core, DfssCore):
-            score_mask = _nm_score_mask(backend, core.pattern, core.block_mask)
+            score_mask = functools.partial(
+                DfssMechanism(core.pattern, block_mask=core.block_mask)._mask,
+                backend=backend,
+            )
         else:
             def score_mask(scores):
                 return core._mask(scores, q, k)

@@ -573,6 +573,10 @@ class LinformerDfssCore(DfssCore):
         e = Tensor(self._projection(k.shape[-2]))
         return super().__call__(q, e @ k, e @ v)
 
+    def last_mask(self) -> Optional[np.ndarray]:
+        # the N:M selection indexes the projected keys, not the dense key axis
+        return None
+
 
 @register_mechanism("linformer_dfss", role="core")
 def _linformer_dfss_core(cfg, seq_len_hint: int) -> AttentionCore:

@@ -3,19 +3,23 @@
 Every mask-based mechanism trains through a compressed autograd op —
 :func:`repro.nn.sparse_attention.masked_sparse_attention` (padded CSR) or the
 N:M op for the DFSS family.  The ground truth is
-:func:`repro.nn.functional.dense_masked_attention` over the mask the core
-reports (``core.last_mask()``), with seeded dropout replayed from the same
-generator.  Inputs are tie-exact lattices (small multiples of 1/2 with a
-power-of-four head dim) so outputs and gradients agree to float tolerance.
+:func:`repro.nn.functional.dense_masked_attention` over a mask built without
+the core — the registered numpy mechanism's mask, or for the DFSS family the
+backend's N:M selection of the dense scores — with seeded dropout replayed
+from the same generator; the core's ``last_mask()`` must equal that mask.
+Inputs are tie-exact lattices (small multiples of 1/2 with a power-of-four
+head dim) so outputs and gradients agree to float tolerance.
 """
 
 import numpy as np
 import pytest
 
+from repro.baselines.dfss import DfssMechanism
 from repro.baselines.fixed import LocalWindowAttention
 from repro.core.backend import FAST, MULTICORE, REFERENCE
 from repro.core.blocked_ell import sliding_window_mask
 from repro.core.multicore import WORKERS_ENV_VAR
+from repro.core.sddmm import sddmm_dense
 from repro.nn import functional as F
 from repro.nn.attention_layer import (
     BigBirdDfssCore,
@@ -67,29 +71,55 @@ class DeadRowLocal(LocalWindowAttention):
         return mask
 
 
+def _lookup(mechanism, **options):
+    """Independent oracle mask: the registered numpy mechanism's own mask."""
+    numpy_mechanism = make_mechanism(mechanism, **options)
+    return lambda q, k, backend: numpy_mechanism.attention_mask(q, k)
+
+
+def _nm_selection(dfss):
+    """Independent N:M oracle mask: dense scores through ``backend``'s selection.
+
+    ``dfss._mask`` excludes blocked scores before ``nm_prune_mask``, so a
+    kernel that selected first and excluded afterwards would disagree.
+    """
+    return lambda q, k, backend: dfss._mask(sddmm_dense(q, k), backend)
+
+
+def _bigbird_selection(block_size):
+    bigbird = make_mechanism("bigbird", block_size=block_size)
+    return _nm_selection(DfssMechanism("2:4", block_mask=bigbird.block_mask(32)))
+
+
 def _block_dfss(block_size):
-    return lambda backend: DfssCore(
-        "2:4", backend=backend,
-        block_mask=sliding_window_mask(seq_len=32, block_size=block_size, window_blocks=1),
+    block = sliding_window_mask(seq_len=32, block_size=block_size, window_blocks=1)
+    return (
+        lambda backend: DfssCore("2:4", backend=backend, block_mask=block),
+        _nm_selection(DfssMechanism("2:4", block_mask=block)),
     )
 
 
-def _registered(mechanism, **options):
-    return lambda backend: make_core(
-        mechanism, seq_len_hint=32, backend=backend, **options
+def _registered(mechanism, oracle=None, **options):
+    return (
+        lambda backend: make_core(mechanism, seq_len_hint=32, backend=backend, **options),
+        oracle or _lookup(mechanism, **options),
     )
 
 
-#: one case per trainable core with a compressed path: every registered mask
-#: mechanism, both DFSS patterns, plus a dead query row and blocked-ELL coarse
-#: masks (block_size=2 puts a block boundary inside every 2:4 group, so
-#: blocked scores must be excluded before the N:M selection)
+#: ``(core(backend), oracle mask(q, k, backend))`` per trainable core with a
+#: compressed path: every registered mask mechanism, both DFSS patterns, plus
+#: a dead query row and blocked-ELL coarse masks (block_size=2 puts a block
+#: boundary inside every 2:4 group, so blocked scores must be excluded before
+#: the N:M selection).  Every oracle mask is built without the core.
 PARITY_CASES = {
     **{name: _registered(name, **options) for name, options in MASK_MECHANISMS.items()},
-    "dfss_1:2": _registered("dfss_1:2"),
-    "dfss_2:4": _registered("dfss_2:4"),
-    "bigbird_dfss": _registered("bigbird_dfss", block_size=8),
-    "dead_row": lambda backend: StaticMaskCore(DeadRowLocal(window=4), backend=backend),
+    "dfss_1:2": _registered("dfss_1:2", _nm_selection(DfssMechanism("1:2"))),
+    "dfss_2:4": _registered("dfss_2:4", _nm_selection(DfssMechanism("2:4"))),
+    "bigbird_dfss": _registered("bigbird_dfss", _bigbird_selection(8), block_size=8),
+    "dead_row": (
+        lambda backend: StaticMaskCore(DeadRowLocal(window=4), backend=backend),
+        lambda q, k, backend: DeadRowLocal(window=4).attention_mask(q, k),
+    ),
     "dfss_block_mask_8": _block_dfss(8),
     "dfss_block_mask_2": _block_dfss(2),
 }
@@ -101,7 +131,8 @@ class TestOracleParity:
     @pytest.mark.parametrize("case", sorted(PARITY_CASES))
     def test_core_matches_dense_oracle(self, case, backend, dropout, monkeypatch):
         monkeypatch.setenv(WORKERS_ENV_VAR, "2")
-        core = PARITY_CASES[case](backend)
+        make, oracle_mask = PARITY_CASES[case]
+        core = make(backend)
         oracle_rng = None
         if dropout:
             core.attn_dropout = Dropout(dropout, seed=5)
@@ -110,9 +141,14 @@ class TestOracleParity:
         for step in range(3 if dropout else 1):
             q1, k1, v1 = _tensors(seed=10 + step)
             q2, k2, v2 = _tensors(seed=10 + step)
+            mask = oracle_mask(q2.data, k2.data, backend)
             out = core(q1, k1, v1)
+            np.testing.assert_array_equal(
+                core.last_mask(), np.broadcast_to(mask, out.shape[:-1] + (32,)),
+                err_msg=case,
+            )
             expected = F.dense_masked_attention(
-                q2, k2, v2, core.last_mask(), dropout_p=dropout, dropout_rng=oracle_rng
+                q2, k2, v2, mask, dropout_p=dropout, dropout_rng=oracle_rng
             )
             np.testing.assert_allclose(out.data, expected.data, atol=1e-6, err_msg=case)
             (out * out).sum().backward()
@@ -167,7 +203,16 @@ class TestOracleParity:
         assert isinstance(core, LinformerDfssCore)
         out = core(q1, k1, v1)
         e = Tensor(core._projection(32))
-        expected = F.dense_masked_attention(q2, e @ k2, e @ v2, core.last_mask())
+        # the oracle selects N:M on its own dense projected scores
+        k_proj = e @ k2
+        mask = DfssMechanism("2:4")._mask(
+            np.matmul(q2.data, np.swapaxes(k_proj.data, -1, -2)) * np.float32(0.25)
+        )
+        # the core's selection over the projected keys (its public
+        # last_mask() is None: it does not index the dense key axis)
+        np.testing.assert_array_equal(mask, DfssCore.last_mask(core))
+        assert core.last_mask() is None
+        expected = F.dense_masked_attention(q2, k_proj, e @ v2, mask)
         np.testing.assert_allclose(out.data, expected.data, atol=5e-3)
         (out * out).sum().backward()
         (expected * expected).sum().backward()

@@ -68,6 +68,19 @@ class TestEncoder:
         # DFSS maps have at most 50% nonzeros
         assert (maps[0] > 1e-9).mean() <= 0.5 + 1e-6
 
+    def test_attention_weight_matrices_over_linformer_projection(self):
+        # linformer_dfss selects over the projected keys (proj_dim < seq), so
+        # it reports no dense mask and its maps are the dense softmax weights
+        enc = TransformerEncoder(
+            vocab_size=24, max_len=16, model_dim=16, num_heads=2, num_layers=1,
+            ffn_dim=32, mechanism="linformer_dfss", proj_dim=8, seed=0,
+        )
+        ids = np.random.default_rng(1).integers(0, 24, size=(2, 16))
+        maps = enc.attention_weight_matrices(ids)
+        assert maps[0].shape == (2, 2, 16, 16)
+        np.testing.assert_allclose(maps[0].sum(-1), 1.0, atol=1e-4)
+        assert (maps[0] > 0).all()
+
     def test_state_dict_roundtrip(self):
         enc1 = _tiny_encoder(seed=0)
         enc2 = _tiny_encoder(seed=99)
