@@ -19,9 +19,24 @@ protocol, so one registered backward serves :class:`NMSparseMatrix` and
 zero probability, which makes every contraction exact without special cases.
 
 The fused ``attention_bwd`` kernel is registered with two backends:
-``reference`` composes the per-slice loop oracles, ``fast`` the batched
-kernels, and additionally shares the scattered dense ``dS`` tile between the
-``dQ`` and ``dK`` contractions so the scatter runs once.
+``reference`` composes the per-slice loop oracles.  ``fast`` walks N:M
+probabilities in the query-row blocks of the row-tiled forward
+(:func:`repro.core.nm_attention.row_blocks`), in one reused ``(rows, n_k)``
+tile buffer for ``P`` and one for ``dS``, so no ``n²`` tensor exists in
+training either.  Per block:
+
+1. scatter ``P`` (after dropout) into its tile; ``dV += Pᵀ dO``;
+2. ``dP = dO Vᵀ`` into the ``dS`` tile (times the scattered dropout keep);
+3. ``dS = P ∘ (dP − rowsum(dO ∘ O)) · scale`` in place, exact because ``P``
+   is zero off the kept lanes;
+4. ``dQ = dS K``; ``dK += dSᵀ Q``.
+
+Blocks accumulate into dK and dV in a fixed order that depends only on the
+geometry, so the multicore backend (which maps batch slices) is bitwise
+equal to ``fast``.  A slice that fits one tile computes every product
+exactly as the dense-tile formulation does.  Padded-CSR probabilities keep
+the batched dense-tile backward, which reuses the forward's memoised
+scatter.
 """
 
 from __future__ import annotations
@@ -32,6 +47,8 @@ import numpy as np
 
 from repro.core.backend import FAST, REFERENCE, get_kernel, register_kernel
 from repro.core.layout import CompressedLayout
+from repro.core.nm_attention import lane_offsets, row_blocks, scatter_lanes
+from repro.core.sparse import NMSparseMatrix
 from repro.utils.shapes import as_batched_3d, restore_batch_shape
 
 
@@ -147,25 +164,88 @@ def _attention_bwd_fast(
     drop_keep: Optional[np.ndarray] = None,
     out: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Batched backward reusing the forward's scattered probability tile.
+    """Row-block backward for N:M, batched dense-tile backward for padded CSR.
 
-    Equivalent to composing the fast primitives, but the CPU stand-in for the
-    metadata walk runs once per training step: the dense zero-filled tile the
-    forward SpMM scattered the probabilities into is reused
-    (``probs.to_scattered()``), after which every step is plain BLAS and
-    elementwise algebra.  The zeros at pruned/padded positions make the dense
-    formulation exact — ``P ∘ (dP − rowsum(P ∘ dP))`` vanishes wherever ``P``
-    was pruned, so no gather of ``dP`` back to the compressed layout is
-    needed before the ``dQ``/``dK`` contractions.  When the forward output is
-    available the Jacobian's row inner products use
-    ``rowsum(P ∘ dP) = rowsum(dO ∘ O)``, which reads the narrow output matrix
-    instead of a second pass over the score-shaped tile.
+    When the forward output is available the Jacobian's row inner products
+    use ``rowsum(P ∘ dP) = rowsum(dO ∘ O)``, which reads the narrow output
+    matrix instead of the score-shaped probabilities.
     """
     q3, batch_shape = as_batched_3d(np.asarray(q, dtype=np.float32))
     k3, _ = as_batched_3d(np.asarray(k, dtype=np.float32))
     v3, _ = as_batched_3d(np.asarray(v, dtype=np.float32))
     g3, _ = as_batched_3d(np.asarray(d_out, dtype=np.float32))
+    inner = None
+    if out is not None:
+        out3, _ = as_batched_3d(np.asarray(out, dtype=np.float32))
+        inner = np.sum(g3 * out3, axis=-1, keepdims=True)
+    backward = _nm_bwd_blocks if isinstance(probs, NMSparseMatrix) else _csr_bwd_dense
+    grads = backward(probs, q3, k3, v3, g3, np.float32(scale), drop_keep, inner)
+    return tuple(restore_batch_shape(grad, batch_shape) for grad in grads)
 
+
+def _nm_bwd_blocks(probs, q3, k3, v3, g3, scale, drop_keep, inner):
+    """N:M backward over the forward's query-row blocks in two reused tiles."""
+    values, _ = as_batched_3d(probs.values)
+    indices, _ = as_batched_3d(probs.indices)
+    keep = None
+    if drop_keep is not None:
+        keep, _ = as_batched_3d(np.asarray(drop_keep, dtype=np.float32))
+    n_q, n_k = values.shape[1], probs.dense_cols
+    blocks = row_blocks(n_q, n_k)
+    rows = max((r1 - r0 for r0, r1 in blocks), default=0)
+    offsets = lane_offsets(probs.pattern, rows, n_k)
+    p_buf = np.empty((rows, n_k), dtype=np.float32)
+    ds_buf = np.empty((rows, n_k), dtype=np.float32)
+    v_t = np.swapaxes(v3, -1, -2)
+    d_q = np.empty(q3.shape, dtype=np.float32)
+    # zero-filled for a slice without query rows, which no block writes
+    d_k = np.zeros(k3.shape, dtype=np.float32)
+    d_v = np.zeros(v3.shape, dtype=np.float32)
+    for b in range(values.shape[0]):
+        for r0, r1 in blocks:
+            p, g = values[b, r0:r1], g3[b, r0:r1]
+            flat = offsets[: r1 - r0] + indices[b, r0:r1]
+            tile, d_s = p_buf[: r1 - r0], ds_buf[: r1 - r0]
+            # dV += Pᵀ dO, P after dropout
+            scatter_lanes(tile, flat, p if keep is None else p * keep[b, r0:r1])
+            _matmul_into(d_v[b], r0 == 0, tile.T, g)
+            # dP = (dO Vᵀ) ∘ keep; the ∘ mask is implicit, as P is zero there
+            np.matmul(g, v_t[b], out=d_s)
+            if keep is not None:
+                scatter_lanes(tile, flat, keep[b, r0:r1])
+                d_s *= tile
+                scatter_lanes(tile, flat, p)
+            # dS = P ∘ (dP − rowsum(P ∘ dP)) · scale
+            row_inner = (
+                np.sum(tile * d_s, axis=-1, keepdims=True) if inner is None
+                else inner[b, r0:r1]
+            )
+            d_s -= row_inner
+            d_s *= tile
+            d_s *= scale
+            # dQ = dS K, dK += dSᵀ Q
+            np.matmul(d_s, k3[b], out=d_q[b, r0:r1])
+            _matmul_into(d_k[b], r0 == 0, d_s.T, q3[b, r0:r1])
+    return d_q, d_k, d_v
+
+
+def _matmul_into(dst: np.ndarray, first: bool, a: np.ndarray, b: np.ndarray) -> None:
+    """``dst = a @ b`` for a slice's first row block (exactly the one-block
+    product), ``dst += a @ b`` for the blocks after it."""
+    if first:
+        np.matmul(a, b, out=dst)
+    else:
+        dst += np.matmul(a, b)
+
+
+def _csr_bwd_dense(probs, q3, k3, v3, g3, scale, drop_keep, inner):
+    """Padded-CSR backward on the forward's memoised dense scatter tile.
+
+    The zeros at padded positions make the dense formulation exact —
+    ``P ∘ (dP − rowsum(P ∘ dP))`` vanishes wherever ``P`` is zero, so no
+    gather of ``dP`` back to the compressed layout is needed before the
+    ``dQ``/``dK`` contractions.
+    """
     p_dense, _ = as_batched_3d(probs.to_scattered())
     if drop_keep is None:
         applied_dense = p_dense
@@ -179,23 +259,32 @@ def _attention_bwd_fast(
     d_v = np.matmul(np.swapaxes(applied_dense, -1, -2), g3)
 
     # dP = (dO Vᵀ) ∘ mask — the ∘ mask is implicit: dS multiplies by P below,
-    # and P is exactly zero at pruned/padded positions
+    # and P is exactly zero at padded positions
     d_probs = np.matmul(g3, np.swapaxes(v3, -1, -2))
     if keep_dense is not None:
         d_probs = d_probs * keep_dense
 
     # softmax Jacobian and the two remaining contractions, scale folded once
-    if out is not None:
-        out3, _ = as_batched_3d(np.asarray(out, dtype=np.float32))
-        inner = np.sum(g3 * out3, axis=-1, keepdims=True)
-    else:
+    if inner is None:
         inner = np.sum(p_dense * d_probs, axis=-1, keepdims=True)
     ds_dense = p_dense * (d_probs - inner)
-    ds_dense *= np.float32(scale)
+    ds_dense *= scale
     d_q = np.matmul(ds_dense, k3)
     d_k = np.matmul(np.swapaxes(ds_dense, -1, -2), q3)
-    return (
-        restore_batch_shape(d_q, batch_shape),
-        restore_batch_shape(d_k, batch_shape),
-        restore_batch_shape(d_v, batch_shape),
-    )
+    return d_q, d_k, d_v
+
+
+def _bwd_span_args(probs, q, k, v, d_out, scale, drop_keep=None, out=None) -> dict:
+    """Trace-span arguments of one backward call: for N:M its row tiles and
+    tile shape, and for every layout the bytes written (dQ, dK and dV)."""
+    args = {"out_bytes": int(4 * (np.size(q) + np.size(k) + np.size(v)))}
+    if isinstance(probs, NMSparseMatrix):
+        blocks = row_blocks(probs.rows, probs.dense_cols)
+        rows = max((r1 - r0 for r0, r1 in blocks), default=0)
+        batch = int(np.prod(probs.batch_shape, dtype=np.int64))
+        args["tiles"] = batch * len(blocks)
+        args["tile_shape"] = f"{rows}x{probs.dense_cols}"
+    return args
+
+
+_attention_bwd_fast.span_args = _bwd_span_args

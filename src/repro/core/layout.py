@@ -82,8 +82,9 @@ class CompressedLayout(Protocol):
         overwrite them with a sentinel or zero)."""
         ...
 
-    def to_scattered(self, cache: bool = False) -> np.ndarray:
-        """Dense scatter of the layout's own values, optionally memoised."""
+    def to_scattered(self) -> np.ndarray:
+        """Dense scatter of the layout's own values (padded CSR may memoise
+        it with ``cache=True``)."""
         ...
 
     def with_values(self, new_values: np.ndarray) -> "CompressedLayout":

@@ -8,7 +8,7 @@ plan's ``_map`` is :func:`map_tiles`, which cuts the flattened batch×head
 dimension into contiguous slices (:func:`tile_slices`), calls the stage's own
 ``fn`` on each tile — ``layout.batch_slice(sl)`` plus zero-copy slices of the
 operands — over the worker pool, and concatenates the tile results.  The
-N:M inference forward maps the ``(slice, row-block)`` tiles of the row-tiled
+N:M forward maps the ``(slice, row-block)`` tiles of the row-tiled
 ``nm_attention`` kernel (:mod:`repro.core.nm_attention`) instead.
 
 **Bitwise parity with ``fast`` is a hard invariant, not a tolerance.**  Every
@@ -344,8 +344,9 @@ class MulticoreAttentionPlan(AttentionPlan):
         criterion: str = "value",
         block_mask=None,
         return_probs: bool = False,
+        dropout=None,
     ):
-        """N:M inference forward: the fast kernel's row tiles, on the pool.
+        """N:M forward: the fast kernel's row tiles, on the pool.
 
         The tile list comes from :class:`~repro.core.nm_attention.NMForwardJob`
         and depends only on the geometry, never on the worker count, and each
@@ -357,12 +358,13 @@ class MulticoreAttentionPlan(AttentionPlan):
         if self.key.layout != "nm" or pool.workers <= 1:
             return super().forward(
                 q, k, v, structure=structure, scale=scale, criterion=criterion,
-                block_mask=block_mask, return_probs=return_probs,
+                block_mask=block_mask, return_probs=return_probs, dropout=dropout,
             )
         q, k, v = guard_input(q), guard_input(k), guard_input(v)
         job = NMForwardJob(
             q, k, v, pattern=self._pattern, scale=scale, dtype=self.key.dtype,
             criterion=criterion, block_mask=block_mask, return_probs=return_probs,
+            dropout=dropout,
         )
         buffers: "queue.SimpleQueue[np.ndarray]" = queue.SimpleQueue()
         for _ in range(min(pool.workers, len(job.tiles))):

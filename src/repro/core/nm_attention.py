@@ -13,7 +13,10 @@ cache-resident, in one preallocated tile buffer reused across blocks:
 3. :func:`~repro.core.softmax.masked_softmax_values` in place on the
    compressed values;
 4. scatter of the probabilities back into the same tile buffer, then
-   ``tile @ v`` into a disjoint row block of the output.
+   ``tile @ v`` into a disjoint row block of the output.  Seeded attention
+   dropout (:func:`dropout_keep`), when requested, multiplies the scattered
+   probabilities only: the returned compressed probabilities stay
+   pre-dropout.
 
 No ``(n_q, n_k)`` score, probability or scatter tensor is ever allocated: the
 working set is one tile plus the selection temporaries, sized by
@@ -38,6 +41,9 @@ padded to whole M-groups with zero K and V rows whose score lanes are set to
 ``MASKED_SCORE`` before the selection, so they carry exactly zero weight.
 The oracle is dense attention under the cropped N:M keep-mask of the padded
 problem (``DfssMechanism.attention_mask``).
+
+The training backward walks the same row blocks
+(:func:`repro.core.attention_grad.masked_attention_bwd`).
 """
 
 from __future__ import annotations
@@ -50,14 +56,24 @@ from repro.core.backend import FAST, REFERENCE, register_kernel
 from repro.core.blocked_ell import BlockedEllMask
 from repro.core.patterns import default_pattern_for_dtype, resolve_pattern
 from repro.core.precision import tensor_core_operand
-from repro.core.pruning import nm_compress_fast
+from repro.core.pruning import global_column_indices, nm_compress_fast
 from repro.core.sddmm import MASKED_SCORE, _prepare_inputs, _sddmm_nm_reference
 from repro.core.softmax import _sparse_softmax_reference, masked_softmax_values
 from repro.core.sparse import NMSparseMatrix
 from repro.core.spmm import _spmm_reference
+from repro.utils.seeding import attention_dropout_keep
 from repro.utils.shapes import as_batched_3d, restore_batch_shape
 
-__all__ = ["TILE_BYTES", "NMForwardJob", "row_blocks", "tile_span_args"]
+__all__ = [
+    "TILE_BYTES",
+    "NMForwardJob",
+    "dropout_keep",
+    "lane_offsets",
+    "pad_keys",
+    "row_blocks",
+    "scatter_lanes",
+    "tile_span_args",
+]
 
 #: Bytes of one float32 score tile: about 1 MiB keeps the tile and the
 #: selection temporaries cache-resident (64 rows at L4096, 512 at L512).
@@ -65,6 +81,27 @@ TILE_BYTES = 1 << 20
 
 #: One tile: ``(flattened batch index, first row, stop row)``.
 Tile = Tuple[int, int, int]
+
+#: Seeded attention dropout of one call: ``(seed, p)``.
+Dropout = Tuple[int, float]
+
+
+def lane_offsets(pattern, rows: int, n_k: int) -> np.ndarray:
+    """``(rows, kept)`` flat offset, in a ``(rows, n_k)`` tile, of every kept
+    lane's M-group start; adding a lane's in-group index gives its flat
+    scatter position."""
+    group_start = np.repeat(
+        np.arange(n_k // pattern.m, dtype=np.intp) * pattern.m, pattern.n
+    )
+    return np.arange(rows, dtype=np.intp)[:, None] * n_k + group_start
+
+
+def scatter_lanes(tile: np.ndarray, flat: np.ndarray, lanes: np.ndarray) -> None:
+    """Zero ``tile`` and write compressed ``lanes`` at their flat offsets
+    ``flat`` (:func:`lane_offsets` plus the in-group indices)."""
+    tile.fill(0.0)
+    # repro: owns-buffer — the caller's reused tile buffer
+    tile.reshape(-1)[flat.reshape(-1)] = lanes.reshape(-1)
 
 
 def row_blocks(n_q: int, n_k: int) -> List[Tuple[int, int]]:
@@ -82,10 +119,33 @@ def row_blocks(n_q: int, n_k: int) -> List[Tuple[int, int]]:
     return list(zip(bounds[:-1], bounds[1:]))
 
 
-def _pad_keys(x: np.ndarray, n_k: int) -> np.ndarray:
+def pad_keys(x: np.ndarray, n_k: int) -> np.ndarray:
     """``x`` with zero rows appended along its key axis (``-2``) up to ``n_k``."""
     x = np.asarray(x, dtype=np.float32)
     return np.pad(x, [(0, 0)] * (x.ndim - 2) + [(0, n_k - x.shape[-2]), (0, 0)])
+
+
+def dropout_keep(
+    dropout: Dropout, indices: np.ndarray, pattern, n_keys: int, first_row: int = 0
+) -> np.ndarray:
+    """Inverted-dropout keep mask over compressed N:M lanes.
+
+    ``indices`` are the in-group indices of ``(..., rows, kept)`` lanes whose
+    flattened rows are dense rows ``first_row, first_row + 1, …``.  Every
+    lane hashes its dense position ``row · n_keys + column`` with the real
+    (unpadded) key count, so the mask agrees with the one
+    :func:`repro.nn.functional.dense_masked_attention` draws over
+    ``(..., n_q, n_keys)``.  Lanes in padded key columns carry zero
+    probability, so their keep value never matters.
+    """
+    seed, p = dropout
+    cols = global_column_indices(indices, pattern, pattern.padded(n_keys))
+    rows = first_row + np.arange(int(np.prod(indices.shape[:-1])), dtype=np.uint64)
+    positions = (
+        rows.reshape(indices.shape[:-1] + (1,)) * np.uint64(n_keys)
+        + cols.astype(np.uint64)
+    )
+    return attention_dropout_keep(seed, p, positions)
 
 
 class _PaddedKeys:
@@ -114,9 +174,11 @@ class NMForwardJob:
 
     Construction validates the operands, rounds them to tensor-core
     precision, and allocates the output (and the compressed-probability
-    arrays when ``return_probs``).  :meth:`run` executes one tile into a
-    caller-owned buffer from :meth:`new_buffer`; tiles write disjoint row
-    blocks, so any executor may run them in any order and on any thread.
+    arrays when ``return_probs``).  ``dropout`` is the call's seeded
+    attention dropout, applied to each tile's probabilities before they
+    meet V.  :meth:`run` executes one tile into a caller-owned buffer from
+    :meth:`new_buffer`; tiles write disjoint row blocks, so any executor may
+    run them in any order and on any thread.
     """
 
     def __init__(
@@ -130,6 +192,7 @@ class NMForwardJob:
         criterion: str = "value",
         block_mask: Optional[BlockedEllMask] = None,
         return_probs: bool = False,
+        dropout: Optional[Dropout] = None,
     ) -> None:
         q3, k3, batch_shape = _prepare_inputs(q, k)
         v3, v_batch = as_batched_3d(np.asarray(v, dtype=np.float32))
@@ -145,7 +208,7 @@ class NMForwardJob:
         self.n_keys = n_k
         n_k = self.pattern.padded(n_k)
         if n_k != self.n_keys:
-            k3, v3 = _pad_keys(k3, n_k), _pad_keys(v3, n_k)
+            k3, v3 = pad_keys(k3, n_k), pad_keys(v3, n_k)
         self.dtype = dtype
         self.criterion = criterion
         scale = 1.0 / np.sqrt(q3.shape[-1]) if scale is None else scale
@@ -154,7 +217,9 @@ class NMForwardJob:
         # in float64 and rounds once either way), at float32 cost.
         self.scale = np.float32(scale) if np.float32(scale) == scale else scale
         self.batch_shape = batch_shape
+        self.n_q = n_q
         self.n_k = n_k
+        self.dropout = dropout
         self._q = tensor_core_operand(q3, dtype)
         self._kt = tensor_core_operand(np.swapaxes(k3, -1, -2), dtype)
         self._v = v3
@@ -170,15 +235,7 @@ class NMForwardJob:
             (b, r0, r1) for b in range(q3.shape[0]) for r0, r1 in blocks
         ]
         self.tile_rows = max((r1 - r0 for r0, r1 in blocks), default=0)
-        # flat tile offset of every kept lane's M-group start; adding a lane's
-        # in-group index gives its flat scatter position
-        group_start = np.repeat(
-            np.arange(n_k // self.pattern.m, dtype=np.intp) * self.pattern.m,
-            self.pattern.n,
-        )
-        self._lane_offsets = (
-            np.arange(self.tile_rows, dtype=np.intp)[:, None] * n_k + group_start
-        )
+        self._lane_offsets = lane_offsets(self.pattern, self.tile_rows, n_k)
         self._out = np.empty((q3.shape[0], n_q, v3.shape[-1]), dtype=np.float32)
         self._values = self._indices = None
         if return_probs:
@@ -202,10 +259,12 @@ class NMForwardJob:
         np.copyto(scores[:, self.n_keys:], MASKED_SCORE)  # padded key lanes
         values, indices = nm_compress_fast(scores, self.pattern, self.criterion)
         masked_softmax_values(values, out=values)
-        flat = self._lane_offsets[: r1 - r0] + indices
-        scores.fill(0.0)
-        # repro: owns-buffer — the job's reused tile buffer
-        scores.reshape(-1)[flat.reshape(-1)] = values.reshape(-1)
+        applied = values
+        if self.dropout is not None:
+            applied = values * dropout_keep(
+                self.dropout, indices, self.pattern, self.n_keys, b * self.n_q + r0
+            )
+        scatter_lanes(scores, self._lane_offsets[: r1 - r0] + indices, applied)
         # repro: owns-buffer — disjoint row block of the job's own output
         np.matmul(scores, self._v[b], out=self._out[b, r0:r1])
         if self._values is not None:
@@ -242,11 +301,12 @@ def _nm_attention_fast(
     criterion: str = "value",
     block_mask: Optional[BlockedEllMask] = None,
     return_probs: bool = False,
+    dropout: Optional[Dropout] = None,
 ) -> Tuple[np.ndarray, Optional[NMSparseMatrix]]:
     """Row-tiled fused forward: one reused tile buffer, no ``n²`` tensor."""
     job = NMForwardJob(
-        q, k, v, pattern=pattern, scale=scale, dtype=dtype,
-        criterion=criterion, block_mask=block_mask, return_probs=return_probs,
+        q, k, v, pattern=pattern, scale=scale, dtype=dtype, criterion=criterion,
+        block_mask=block_mask, return_probs=return_probs, dropout=dropout,
     )
     buf = job.new_buffer()
     for tile in job.tiles:
@@ -256,7 +316,7 @@ def _nm_attention_fast(
 
 def tile_span_args(
     q, k, v, pattern=None, scale=None, dtype="float32", criterion="value",
-    block_mask=None, return_probs=False,
+    block_mask=None, return_probs=False, dropout=None,
 ) -> dict:
     """Trace-span arguments of one tiled call: tile count, tile shape and the
     bytes written (output, plus compressed probabilities when requested)."""
@@ -292,10 +352,12 @@ def _nm_attention_reference(
     criterion: str = "value",
     block_mask: Optional[BlockedEllMask] = None,
     return_probs: bool = False,
+    dropout: Optional[Dropout] = None,
 ) -> Tuple[np.ndarray, Optional[NMSparseMatrix]]:
     """The staged reference chain: ``sddmm_nm → masked_softmax → spmm``.
 
-    A key count that is not a multiple of M is padded as in the fast kernel.
+    A key count that is not a multiple of M is padded as in the fast kernel;
+    dropout multiplies the probabilities the SpMM contracts.
     """
     pattern = (
         default_pattern_for_dtype(dtype) if pattern is None else resolve_pattern(pattern)
@@ -303,12 +365,16 @@ def _nm_attention_reference(
     n_keys = np.shape(k)[-2]
     n_k = pattern.padded(n_keys)
     if n_k != n_keys:
-        k, v = _pad_keys(k, n_k), _pad_keys(v, n_k)
+        k, v = pad_keys(k, n_k), pad_keys(v, n_k)
         block_mask = _PaddedKeys(n_keys, block_mask)
     scores = _sddmm_nm_reference(
         q, k, pattern=pattern, scale=scale, dtype=dtype,
         criterion=criterion, block_mask=block_mask,
     )
     probs = _sparse_softmax_reference(scores)
-    out = _spmm_reference(probs, v)
+    applied = probs
+    if dropout is not None:
+        keep = dropout_keep(dropout, probs.indices, pattern, n_keys)
+        applied = probs.with_values(probs.values * keep)
+    out = _spmm_reference(applied, v)
     return out, (probs if return_probs else None)

@@ -295,8 +295,7 @@ class PaddedCSRMatrix:
     def to_scattered(self, cache: bool = False) -> np.ndarray:
         """Dense zero-filled scatter of the stored values.
 
-        Mirrors :meth:`NMSparseMatrix.to_scattered`: with ``cache=True`` the
-        tile is memoised against the current values array so a forward SpMM
+        With ``cache=True`` the tile is memoised against the current values array so a forward SpMM
         and the backward kernels of one training step share a single scatter;
         an existing memo is always reused.  Treat the result as read-only.
         """

@@ -12,15 +12,16 @@ module compiles the chain once instead:
   sized, and nothing that doesn't (batch shape is deliberately absent — one
   plan serves every batch of the same per-slice geometry).
 * :class:`AttentionPlan` — the compiled object: every registry lookup is
-  resolved at construction.  The N:M inference forward runs the resolved
-  ``nm_attention`` kernel (:mod:`repro.core.nm_attention`: row-tiled on
-  ``fast``, so no ``n²`` tensor exists).  The stages — sddmm → softmax →
-  spmm, used by training and the CSR layout, plus the fused backward —
-  are each written once, as a function of one layout and its operands
-  handed to the execution seam :meth:`AttentionPlan._map`.  The softmax
-  stage reuses the score buffer as the probability buffer (scores live only
-  in the compressed value array, which the softmax overwrites in place), and
-  its summation-order branch is decided once for the whole batch.
+  resolved at construction.  The N:M forward, inference and training
+  alike, runs the resolved ``nm_attention`` kernel
+  (:mod:`repro.core.nm_attention`: row-tiled on ``fast``, so no ``n²``
+  tensor exists).  The stages — sddmm → softmax → spmm, used by the CSR
+  layout, plus the fused backward — are each written once, as a function
+  of one layout and its operands handed to the execution seam
+  :meth:`AttentionPlan._map`.  The softmax stage reuses the score buffer
+  as the probability buffer (scores live only in the compressed value
+  array, which the softmax overwrites in place), and its summation-order
+  branch is decided once for the whole batch.
 * :func:`plan_for_nm` / :func:`plan_for_structure` — the cached constructors
   every layer shares: the autograd ops, ``engine.AttentionEngine``, the
   serving batcher (:mod:`repro.serve.batcher`), and the bench runner.
@@ -56,6 +57,7 @@ from repro.core.backend import (
     register_plan_builder,
     resolve_backend,
 )
+from repro.core.nm_attention import pad_keys
 from repro.core.patterns import resolve_pattern
 from repro.core.plan_cache import PlanCache
 from repro.core.softmax import masked_softmax_values
@@ -249,17 +251,28 @@ class AttentionPlan:
         drop_keep: Optional[np.ndarray] = None,
         out: Optional[np.ndarray] = None,
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Fused backward: ``(dQ, dK, dV)`` via the resolved ``attention_bwd``."""
+        """Fused backward: ``(dQ, dK, dV)`` via the resolved ``attention_bwd``.
+
+        N:M probabilities over a key axis the forward padded to whole
+        M-groups run on zero-padded K and V; dK and dV are cropped back to
+        the real keys.
+        """
+        n_keys = np.shape(k)[-2]
+        padded = self.key.layout == "nm" and probs.dense_cols != n_keys
+        if padded:
+            k, v = pad_keys(k, probs.dense_cols), pad_keys(v, probs.dense_cols)
 
         def attention_bwd(tile, q, k, v, d_out, drop_keep, out):
             return self._bwd(tile, q, k, v, d_out, scale, drop_keep, out)
 
-        grads = self._map(
+        d_q, d_k, d_v = self._map(
             "attention_bwd", probs, attention_bwd,
             guard_input(q), guard_input(k), guard_input(v), guard_input(d_out),
             drop_keep, guard_input(out),
         )
-        return check_grads(grads, "attention gradient")
+        if padded:
+            d_k, d_v = d_k[..., :n_keys, :], d_v[..., :n_keys, :]
+        return check_grads((d_q, d_k, d_v), "attention gradient")
 
     # ------------------------------------------------------------ end-to-end
     def forward(
@@ -272,13 +285,17 @@ class AttentionPlan:
         criterion: str = "value",
         block_mask=None,
         return_probs: bool = False,
+        dropout=None,
     ):
-        """Inference forward over the whole chain.
+        """Forward over the whole chain.
 
         N:M plans run the registered ``nm_attention`` kernel — the row-tiled
         fused forward on ``fast``, the staged reference chain on
         ``reference`` — which computes the compressed probabilities only when
-        ``return_probs`` asks for them.  CSR plans compose the three stages.
+        ``return_probs`` asks for them, and applies ``dropout`` (``(seed,
+        p)``, see :func:`repro.core.nm_attention.dropout_keep`) to the
+        probabilities it contracts; the training op runs through here.  CSR
+        plans compose the three stages and take no dropout.
         """
         if self.key.layout == "nm":
             with self._trace_labels():
@@ -286,10 +303,12 @@ class AttentionPlan:
                     guard_input(q), guard_input(k), guard_input(v),
                     pattern=self._pattern, scale=scale, dtype=self.key.dtype,
                     criterion=criterion, block_mask=block_mask,
-                    return_probs=return_probs,
+                    return_probs=return_probs, dropout=dropout,
                 )
             out = check_output(out, "attention output")
             return (out, probs) if return_probs else out
+        if dropout is not None:
+            raise ValueError("CSR plans apply dropout in contract(drop_keep=...)")
         scores = self.compute_scores(
             q, k, structure=structure, scale=scale,
             criterion=criterion, block_mask=block_mask,
@@ -350,7 +369,7 @@ def plan_for_nm(
     """Cached plan for the dynamic N:M pipeline on a given per-slice geometry.
 
     The lane width counts the key axis rounded up to whole M-groups, which
-    is what the inference forward pads it to.
+    is what the N:M forward pads it to.
     """
     pattern = resolve_pattern(pattern)
     key = PlanKey(

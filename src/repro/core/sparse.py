@@ -174,24 +174,14 @@ class NMSparseMatrix:
         np.put_along_axis(dense, self.column_indices(), values, axis=-1)
         return dense
 
-    def to_scattered(self, cache: bool = False) -> np.ndarray:
+    def to_scattered(self) -> np.ndarray:
         """Dense zero-filled scatter of the stored values.
 
-        This is the CPU stand-in for the sparse tensor core's metadata walk:
-        the ``fast`` kernels scatter the compressed nonzeros into a dense tile
-        and hand the contraction to BLAS.  With ``cache=True`` the tile is
-        memoised against the current values array, letting a forward SpMM and
-        the backward-pass kernels of one training step share a single walk;
-        an existing memo is always reused.  The returned array must be
-        treated as read-only.
+        This is the CPU stand-in for the sparse tensor core's metadata walk
+        in the staged ``fast`` kernels: they scatter the compressed nonzeros
+        into a dense tile and hand the contraction to BLAS.
         """
-        cached = self.__dict__.get("_scatter_cache")
-        if cached is not None and cached[0] is self.values:
-            return cached[1]
-        dense = self.scatter_compressed(self.values)
-        if cache:
-            self.__dict__["_scatter_cache"] = (self.values, freeze_structure(dense))
-        return dense
+        return self.scatter_compressed(self.values)
 
     def _sibling(self, values: np.ndarray, indices: np.ndarray) -> "NMSparseMatrix":
         """Same-pattern matrix over already-validated arrays.
@@ -229,9 +219,9 @@ class NMSparseMatrix:
 
         The tile's arrays are views of this matrix's whenever the batch
         dimensions merge (always for contiguous arrays), so a kernel writing
-        the tile's values in place writes this matrix.  The
-        column cache and a live scatter memo are sliced along, so no tile
-        repeats a metadata walk the whole matrix already made.
+        the tile's values in place writes this matrix.  The column cache is
+        sliced along, so no tile repeats a metadata walk the whole matrix
+        already made.
         """
         batch = int(np.prod(self.batch_shape, dtype=np.int64))
         lanes = (batch, self.rows, self.kept_cols)
@@ -241,10 +231,6 @@ class NMSparseMatrix:
         cols = self.__dict__.get("_column_cache")
         if cols is not None and cols.shape == self.indices.shape:
             tile.__dict__["_column_cache"] = cols.reshape(lanes)[sl]
-        cached = self.__dict__.get("_scatter_cache")
-        if cached is not None and cached[0] is self.values:
-            dense = cached[1].reshape((batch, self.rows, self.dense_cols))
-            tile.__dict__["_scatter_cache"] = (tile.values, dense[sl])
         return tile
 
     # -------------------------------------------------------------- metadata

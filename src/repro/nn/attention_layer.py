@@ -233,15 +233,18 @@ class DfssCore(AttentionCore):
             training=bool(drop.training) if drop is not None else False,
         )
         # keep only the int8 metadata for mask introspection — retaining the
-        # probs object would pin its values (and the fast backend's scattered
-        # dense tile) in memory between steps
-        self._last_structure = (probs.indices, probs.pattern, probs.dense_cols)
+        # probs object would pin its values in memory between steps
+        self._last_structure = (
+            probs.indices, probs.pattern, probs.dense_cols, k.shape[-2]
+        )
         return out
 
     def last_mask(self) -> Optional[np.ndarray]:
         if self._last_structure is None:
             return None
-        mask = _nm_selection_mask(*self._last_structure)
+        indices, pattern, dense_cols, n_keys = self._last_structure
+        # crop the key axis the kernel padded to whole M-groups
+        mask = _nm_selection_mask(indices, pattern, dense_cols)[..., :n_keys]
         if self.block_mask is not None:
             # sentinel entries of fully-masked groups carry zero weight
             # but are present in the compressed structure; drop them

@@ -10,7 +10,10 @@ Design notes
 ------------
 * Gradients are accumulated into ``Tensor.grad`` (a plain ndarray).
 * Graphs are built eagerly; :meth:`Tensor.backward` topologically sorts the
-  graph and runs the stored backward closures.
+  graph and runs the stored backward closures.  Each interior node's
+  gradient and closure are released as soon as the node has run, so the
+  graph's gradients never all live at once; leaves keep their gradients.
+  A released graph cannot be walked again.
 * Broadcasting is handled by summing gradients back onto the original shape
   (:func:`_unbroadcast`).
 * Only float32 data participates in differentiation; integer arrays (token
@@ -26,6 +29,15 @@ import numpy as np
 from repro.profile.tracer import phase_scope
 
 ArrayLike = Union[np.ndarray, float, int, "Tensor"]
+
+
+def _released() -> None:
+    """The backward closure of an interior node whose backward has run."""
+    raise RuntimeError(
+        "backward() through a graph that was already back-propagated: its "
+        "interior gradients and closures are released as the first backward "
+        "walks it; rebuild the graph with a new forward pass"
+    )
 
 
 def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
@@ -402,12 +414,15 @@ class Tensor:
 
     # ------------------------------------------------------------- backward
     def backward(self, grad: Optional[np.ndarray] = None) -> None:
-        """Back-propagate from this tensor (default seed gradient: ones)."""
+        """Back-propagate from this tensor (default seed gradient: ones).
+
+        Interior nodes (results of an op, this tensor included) drop their
+        ``grad`` and backward closure as soon as they have run, so only the
+        leaves' gradients survive the call.  Calling ``backward()`` again
+        through any part of the released graph raises ``RuntimeError``.
+        """
         if not self.requires_grad:
             raise RuntimeError("called backward() on a tensor that does not require grad")
-        if grad is None:
-            grad = np.ones_like(self.data)
-        self.grad = np.asarray(grad, dtype=np.float32).copy()
 
         topo: List[Tensor] = []
         visited = set()
@@ -429,12 +444,21 @@ class Tensor:
                     stack.pop()
 
         visit(self)
+        if any(node._backward is _released for node in topo):
+            _released()
+        if grad is None:
+            grad = np.ones_like(self.data)
+        self.grad = np.asarray(grad, dtype=np.float32).copy()
         # Kernels dispatched from inside backward closures are attributed to
         # the bwd phase on the trace timeline (no-op when tracing is off).
         with phase_scope("bwd"):
             for node in reversed(topo):
-                if node._backward is not None and node.grad is not None:
+                if node._backward is None:
+                    continue  # a leaf: its gradient is the result
+                if node.grad is not None:
                     node._backward()
+                node.grad = None
+                node._backward = _released
 
 
 def parameter(data, name: str = "") -> Tensor:

@@ -1,19 +1,23 @@
 """Trainable compressed sparse attention as single-node autograd ops.
 
-Two entry points share one compressed pipeline (SDDMM into a compressed
-structure → sparse softmax → SpMM forward; the analytic backward of
-:mod:`repro.core.attention_grad` on the compressed representation — ``dV =
-Pᵀ dO``, masked SDDMM for ``dP``, the row-wise softmax Jacobian on compressed
-rows, then ``dQ``/``dK`` via SpMM and its transpose):
+Two entry points run attention on a compressed structure, with the analytic
+backward of :mod:`repro.core.attention_grad` on the compressed
+representation (``dV = Pᵀ dO``, ``dP`` at the kept entries, the row-wise
+softmax Jacobian on compressed rows, then ``dQ``/``dK``):
 
-* :func:`dfss_sparse_attention` — the N:M specialisation: the structure is
-  chosen *dynamically* by the fused SDDMM + prune epilogue
-  (:class:`~repro.core.sparse.NMSparseMatrix`), exactly the paper's kernel;
+* :func:`dfss_sparse_attention` — the N:M op.  The structure is chosen
+  *dynamically* by the paper's fused SDDMM + prune epilogue, and the
+  forward is the row-tiled ``nm_attention`` kernel
+  (:meth:`AttentionPlan.forward <repro.core.plan.AttentionPlan.forward>`
+  with ``return_probs=True``): QKᵀ, selection, softmax, dropout and
+  ``@ V`` run one query-row block at a time, and the backward walks the same
+  blocks, so neither pass allocates an ``n²`` tensor.  Any key count
+  trains: the kernels pad the key axis to whole M-groups.
 * :func:`masked_sparse_attention` — the layout-generic op every mask-based
   mechanism (TopK, local/strided, Longformer, BigBird, Reformer, Routing,
   Sinkhorn, …) trains through: an arbitrary boolean mask is compressed into
-  a :class:`~repro.core.padded_csr.PaddedCSRMatrix` and the same kernels run
-  on the per-row variable-nnz layout.
+  a :class:`~repro.core.padded_csr.PaddedCSRMatrix`, and the staged SDDMM →
+  sparse softmax → SpMM pipeline runs on the per-row variable-nnz layout.
 
 In both cases the sparsity selection is treated as a constant of the graph,
 exactly as the CUDA kernels do — the pruning/masking decision is not
@@ -31,6 +35,7 @@ import numpy as np
 from repro.core.backend import REFERENCE
 from repro.core.blocked_ell import BlockedEllMask
 from repro.core.layout import CompressedLayout, dense_positions
+from repro.core.nm_attention import Dropout, dropout_keep
 from repro.core.padded_csr import PaddedCSRMatrix
 from repro.core.patterns import resolve_pattern
 from repro.core.plan import AttentionPlan, plan_for_nm, plan_for_structure
@@ -40,42 +45,38 @@ from repro.profile.tracer import phase_scope
 from repro.utils.seeding import attention_dropout_keep, draw_dropout_seed
 
 
-def _compressed_attention_node(
+def _dropout(
+    dropout_p: float, dropout_rng: Optional[np.random.Generator], training: bool
+) -> Optional[Dropout]:
+    """``(seed, p)`` of one call's seeded attention dropout, ``None`` when off."""
+    if not training or dropout_p <= 0.0:
+        return None
+    if dropout_p >= 1.0:
+        raise ValueError("dropout probability must be < 1")
+    if dropout_rng is None:
+        # dropout in this repo is deterministic under a seed (see
+        # nn.layers.Dropout); an implicit unseeded generator would
+        # silently break experiment reproducibility
+        raise ValueError("dropout_p > 0 requires an explicit dropout_rng")
+    return draw_dropout_seed(dropout_rng), float(dropout_p)
+
+
+def _attention_node(
     q: Tensor,
     k: Tensor,
     v: Tensor,
+    out_data: np.ndarray,
     probs: CompressedLayout,
     plan: AttentionPlan,
     scale: float,
-    dropout_p: float,
-    dropout_rng: Optional[np.random.Generator],
-    training: bool,
+    drop_keep: Optional[np.ndarray],
     name: str,
 ) -> Tensor:
-    """Finish the pipeline from compressed probabilities: dropout, SpMM, backward.
+    """Autograd node over a finished forward; its backward is ``plan.backward``.
 
-    This is the layout-independent half shared by the N:M and padded-CSR
-    ops; ``probs`` is the compressed (pre-dropout) probability matrix.  The
-    SpMM and the backward dispatch through ``plan``'s pre-resolved kernels.
+    ``probs`` is the compressed (pre-dropout) probability matrix and
+    ``drop_keep`` the dropout keep mask over its lanes, or ``None``.
     """
-    if plan.key.backend != REFERENCE:
-        # one metadata walk per step: the forward SpMM and the backward
-        # kernels share the scattered tile (the reference loops never use it)
-        probs.to_scattered(cache=True)
-
-    drop_keep: Optional[np.ndarray] = None
-    if training and dropout_p > 0.0:
-        if dropout_p >= 1.0:
-            raise ValueError("dropout probability must be < 1")
-        if dropout_rng is None:
-            # dropout in this repo is deterministic under a seed (see
-            # nn.layers.Dropout); an implicit unseeded generator would
-            # silently break experiment reproducibility
-            raise ValueError("dropout_p > 0 requires an explicit dropout_rng")
-        drop_keep = attention_dropout_keep(
-            draw_dropout_seed(dropout_rng), dropout_p, dense_positions(probs)
-        )
-    out_data = plan.contract(probs, v.data, drop_keep=drop_keep)
 
     def backward(out):
         def fn():
@@ -133,12 +134,14 @@ def dfss_sparse_attention(
     dropout_p, dropout_rng, training:
         Optional inverted dropout applied to the compressed attention
         probabilities (the masked analogue of dropout on the dense attention
-        weights).  Active only when ``training`` is true and ``p > 0``, in
-        which case ``dropout_rng`` (a seeded Generator) is required —
-        dropout in this repo is deterministic under a seed.  The mask is
-        derived layout-independently: one seed is drawn from ``dropout_rng``
-        per call and hashed with the *dense* position of each stored nonzero
-        (:func:`repro.utils.seeding.attention_dropout_keep`), so a seeded run
+        weights), inside each forward tile between the softmax and ``@ V``.
+        Active only when ``training`` is true and ``p > 0``, in which case
+        ``dropout_rng`` (a seeded Generator) is required — dropout in this
+        repo is deterministic under a seed.  The mask is derived
+        layout-independently: one seed is drawn from ``dropout_rng`` per
+        call and hashed with the *dense* position of each stored nonzero
+        over the real key count
+        (:func:`repro.core.nm_attention.dropout_keep`), so a seeded run
         through this op and one through
         :func:`repro.nn.functional.dense_masked_attention` drop the same
         (row, column) entries.
@@ -147,20 +150,30 @@ def dfss_sparse_attention(
     -------
     ``(out, probs)`` where ``out`` is the ``(..., seq, d)`` output Tensor and
     ``probs`` the compressed (pre-dropout) probability matrix, useful for
-    mask/weight introspection.
+    mask/weight introspection.  When the key count is not a multiple of M,
+    ``probs`` spans the key axis padded to whole M-groups, and its padded
+    columns hold zero weight.
     """
     pattern = resolve_pattern(pattern)
     d = q.shape[-1]
     if scale is None:
         scale = 1.0 / np.sqrt(d)
     scale = float(scale)
+    dropout = _dropout(dropout_p, dropout_rng, training)
+    n_keys = k.shape[-2]
 
-    plan = plan_for_nm(pattern, q.shape[-2], k.shape[-2], backend=backend)
-    scores = plan.compute_scores(q.data, k.data, scale=scale, block_mask=block_mask)
-    probs = plan.compute_probs(scores)
-    out = _compressed_attention_node(
-        q, k, v, probs, plan, scale,
-        dropout_p, dropout_rng, training, "dfss_attention",
+    plan = plan_for_nm(pattern, q.shape[-2], n_keys, backend=backend)
+    out_data, probs = plan.forward(
+        q.data, k.data, v.data, scale=scale, block_mask=block_mask,
+        return_probs=True, dropout=dropout,
+    )
+
+    # the backward needs the keep mask the tiles applied: re-derive it
+    keep = None
+    if dropout is not None:
+        keep = dropout_keep(dropout, probs.indices, pattern, n_keys)
+    out = _attention_node(
+        q, k, v, out_data, probs, plan, scale, keep, "dfss_attention"
     )
     return out, probs
 
@@ -249,8 +262,16 @@ def masked_sparse_attention(
         )
     # caller-provided score buffers must survive: owned=False copies once
     probs = plan.compute_probs(scores, owned=not prescored)
-    out = _compressed_attention_node(
-        q, k, v, probs, plan, scale,
-        dropout_p, dropout_rng, training, "masked_attention",
+    if plan.key.backend != REFERENCE:
+        # one metadata walk per step: the forward SpMM and the backward
+        # kernel share the scattered tile (the reference loops never use it)
+        probs.to_scattered(cache=True)
+    dropout = _dropout(dropout_p, dropout_rng, training)
+    keep = None
+    if dropout is not None:
+        keep = attention_dropout_keep(*dropout, dense_positions(probs))
+    out_data = plan.contract(probs, v.data, drop_keep=keep)
+    out = _attention_node(
+        q, k, v, out_data, probs, plan, scale, keep, "masked_attention"
     )
     return out, probs

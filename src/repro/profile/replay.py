@@ -133,8 +133,8 @@ def gpusim_cost_fn(device=None, dtype: str = "float32") -> CostFn:
 
     Each node's problem size is recovered from the ``shape`` its tracing
     wrapper recorded (the first array-like argument of the kernel call: Q for
-    the SDDMMs and the backward, V for the SpMM, the compressed value buffer
-    for the fused softmax).  Kernels without an analytical model — the
+    the SDDMMs, the fused N:M forward and the backward, V for the SpMM, the
+    compressed value buffer for the fused softmax).  Kernels without an analytical model — the
     serving fast paths, CSR-layout ops — keep their measured durations, so
     hybrid traces still replay.
     """
@@ -160,6 +160,17 @@ def gpusim_cost_fn(device=None, dtype: str = "float32") -> CostFn:
         elif node.name == "spmm":
             # shape is V: (..., L, D)
             sec = ops.spmm_nm(b, rows, rows, last, dtype).latency(dev)
+        elif node.name == "nm_attention":
+            # shape is Q: (..., L, D); the fused forward is the three
+            # forward kernels back to back
+            sec = ops.total_latency(
+                [
+                    ops.sddmm_nm_fused(b, rows, rows, last, dtype),
+                    ops.softmax_sparse_nm(b, rows, rows, dtype),
+                    ops.spmm_nm(b, rows, rows, last, dtype),
+                ],
+                dev,
+            )
         elif node.name == "attention_bwd":
             # shape is Q: (..., L, D); the full five-kernel fused backward
             sec = ops.total_latency(

@@ -10,6 +10,7 @@ import pytest
 
 from repro.core.attention_grad import masked_attention_bwd, softmax_grad_compressed
 from repro.core.backend import FAST, REFERENCE
+from repro.core.padded_csr import PaddedCSRMatrix
 from repro.core.sddmm import sddmm_masked, sddmm_nm
 from repro.core.softmax import sparse_softmax
 from repro.core.spmm import spmm, spmm_t
@@ -146,9 +147,44 @@ class TestFusedBackward:
         assert not np.allclose(fast[2], plain[2])
 
 
+class TestRowBlockBackward:
+    """The fast N:M backward accumulates dK and dV over several row blocks."""
+
+    @pytest.mark.parametrize("dropout", [False, True])
+    @pytest.mark.parametrize("hint", [False, True])
+    def test_row_blocks_match_reference(self, dropout, hint):
+        from repro.core.nm_attention import row_blocks
+
+        q, k, v, g, probs = _problem((), seq=1024, d=16, seed=23)
+        assert len(row_blocks(1024, 1024)) > 1
+        keep = None
+        if dropout:
+            rng = np.random.default_rng(1)
+            keep = (rng.random(probs.values.shape) >= 0.25).astype(np.float32) / 0.75
+        out = None
+        if hint:
+            applied = probs if keep is None else probs.with_values(probs.values * keep)
+            out = spmm(applied, v)
+        grads = [
+            masked_attention_bwd(
+                probs, q, k, v, g, 0.25, drop_keep=keep, out=out, backend=backend
+            )
+            for backend in (REFERENCE, FAST)
+        ]
+        for r, f in zip(*grads):
+            np.testing.assert_allclose(f, r, rtol=1e-4, atol=1e-5)
+
+
 class TestScatterCache:
-    def test_cache_opt_in_and_reuse(self):
+    """The padded-CSR scatter memo (N:M training never scatters a whole matrix)."""
+
+    @staticmethod
+    def _csr_probs():
         _, _, _, _, probs = _problem((2,), pattern="2:4")
+        return PaddedCSRMatrix.from_dense(probs.to_dense(0.0), probs.to_mask())
+
+    def test_cache_opt_in_and_reuse(self):
+        probs = self._csr_probs()
         uncached = probs.to_scattered()
         assert probs.to_scattered() is not uncached  # no memo without cache=True
         cached = probs.to_scattered(cache=True)
@@ -156,7 +192,7 @@ class TestScatterCache:
         np.testing.assert_array_equal(cached, probs.to_dense(0.0))
 
     def test_with_values_does_not_share_scatter(self):
-        _, _, _, _, probs = _problem((2,), pattern="2:4")
+        probs = self._csr_probs()
         cached = probs.to_scattered(cache=True)
         doubled = probs.with_values(probs.values * 2.0)
         np.testing.assert_array_equal(doubled.to_scattered(), cached * 2.0)

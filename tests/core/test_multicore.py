@@ -263,6 +263,33 @@ class TestBitwiseParity:
         for fast_arr, tiled_arr in zip(arms[FAST], arms[MULTICORE]):
             assert np.array_equal(fast_arr, tiled_arr)
 
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("case", ["aligned", "unaligned_dropout", "block_mask"])
+    def test_nm_train_step_row_tiles(self, monkeypatch, workers, case):
+        # several row blocks per slice, so dK and dV accumulate over blocks;
+        # the block list depends only on the geometry, never on the workers
+        from repro.core.blocked_ell import sliding_window_mask
+        from repro.core.nm_attention import row_blocks
+
+        monkeypatch.setenv(WORKERS_ENV_VAR, str(workers))
+        seq = 1030 if case == "unaligned_dropout" else 1024
+        assert len(row_blocks(seq, seq)) > 1
+        mask = sliding_window_mask(seq, 64, 1) if case == "block_mask" else None
+        dropout_p = 0.25 if case == "unaligned_dropout" else 0.0
+        q, k, v = _qkv((3, seq, 16), seed=3)
+        arms = {}
+        for backend in (FAST, MULTICORE):
+            qt, kt, vt = (Tensor(a, requires_grad=True) for a in (q, k, v))
+            out, probs = dfss_sparse_attention(
+                qt, kt, vt, pattern="2:4", backend=backend, block_mask=mask,
+                dropout_p=dropout_p, dropout_rng=np.random.default_rng(7),
+                training=True,
+            )
+            (out * out).sum().backward()
+            arms[backend] = (out.data, probs.values, qt.grad, kt.grad, vt.grad)
+        for fast_arr, tiled_arr in zip(arms[FAST], arms[MULTICORE]):
+            assert np.array_equal(fast_arr, tiled_arr)
+
     def test_ragged_csr_forward(self, two_workers):
         from repro.baselines.longformer import longformer_mask
         from repro.core.padded_csr import PaddedCSRMatrix
@@ -474,9 +501,14 @@ class TestEveryStageTiles:
     stage as several tiles on several worker lanes."""
 
     @pytest.mark.parametrize(
-        "mechanism, sddmm", [("dfss_2:4", "sddmm_nm"), ("longformer", "sddmm_csr")]
+        "mechanism, stages",
+        [
+            ("dfss_2:4", ("nm_attention", "attention_bwd")),
+            ("longformer", ("sddmm_csr", "masked_softmax", "spmm", "attention_bwd")),
+        ],
+        ids=["dfss_2:4", "longformer"],
     )
-    def test_train_step_stages_run_as_tiles(self, rendezvous, mechanism, sddmm):
+    def test_train_step_stages_run_as_tiles(self, rendezvous, mechanism, stages):
         q, k, v = _lattice_tensors(batch=(2, 2), seq=64, d=16)
         if mechanism.startswith("dfss"):
             def core(q, k, v):
@@ -490,7 +522,7 @@ class TestEveryStageTiles:
         for event in active.payload()["traceEvents"]:
             if event.get("name") == "mc_tile":
                 lanes.setdefault(event["args"]["stage"], []).append(event["tid"])
-        for stage in (sddmm, "masked_softmax", "spmm", "attention_bwd"):
+        for stage in stages:
             tids = lanes.get(stage, [])
             assert len(tids) >= 2, f"{stage} ran as {len(tids)} tile(s)"
             assert len(set(tids)) >= 2, f"{stage} tiles ran on one lane"

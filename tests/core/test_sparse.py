@@ -114,27 +114,18 @@ class TestBatchSlice:
         assert np.all(sp.values.reshape(6, 8, 8)[2:5] == 0.0)
         assert np.any(sp.values.reshape(6, 8, 8)[:2] != 0.0)
 
-    def test_tile_carries_the_column_cache_and_scatter_memo(self):
+    def test_tile_carries_the_column_cache(self):
         dense, sp = _random_sparse((4, 8, 16))
         cols = sp.column_indices()
-        scattered = sp.to_scattered(cache=True)
         tile = sp.batch_slice(slice(1, 3))
         assert np.shares_memory(tile.column_indices(), cols)
-        assert np.shares_memory(tile.to_scattered(), scattered)
-        np.testing.assert_array_equal(tile.to_scattered(), scattered[1:3])
+        np.testing.assert_array_equal(tile.column_indices(), cols[1:3])
 
     def test_tile_without_caches_computes_its_own(self):
         dense, sp = _random_sparse((4, 8, 16))
         tile = sp.batch_slice(slice(0, 2))
         np.testing.assert_array_equal(tile.column_indices(), sp.column_indices()[:2])
         np.testing.assert_array_equal(tile.to_scattered(), sp.to_scattered()[:2])
-
-    def test_stale_scatter_memo_is_not_carried(self):
-        dense, sp = _random_sparse((4, 8, 16))
-        sp.to_scattered(cache=True)
-        sibling = sp.with_values(sp.values * 2)
-        tile = sibling.batch_slice(slice(0, 2))
-        np.testing.assert_array_equal(tile.to_scattered(), sibling.to_dense()[:2])
 
 
 class TestFootprint:

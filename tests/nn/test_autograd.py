@@ -162,6 +162,73 @@ class TestGraphMechanics:
         assert x.grad is None
 
 
+def _run_without_release(root):
+    """The backward walk with every interior gradient kept: the oracle the
+    releasing :meth:`Tensor.backward` must match bit for bit."""
+    topo, seen = [], set()
+
+    def visit(node):
+        seen.add(id(node))
+        for child in node._prev:
+            if id(child) not in seen and child.requires_grad:
+                visit(child)
+        topo.append(node)
+
+    visit(root)
+    root.grad = np.ones_like(root.data)
+    for node in reversed(topo):
+        if node._backward is not None and node.grad is not None:
+            node._backward()
+
+
+class TestGraphRelease:
+    def test_interior_grads_are_released_leaves_kept(self):
+        x = Tensor(np.arange(3.0), requires_grad=True)
+        h = x * 2.0
+        y = (h * h).sum()
+        y.backward()
+        assert h.grad is None and y.grad is None
+        np.testing.assert_allclose(x.grad, 8.0 * np.arange(3.0))
+
+    def test_encoder_step_leaf_grads_unchanged(self):
+        from repro.nn import SequenceClassifier, TransformerEncoder
+
+        def model_and_loss():
+            encoder = TransformerEncoder(
+                50, 16, mechanism="dfss_2:4", seed=0, model_dim=16, num_heads=2,
+                num_layers=1, ffn_dim=32,
+            )
+            model = SequenceClassifier(encoder, 2, seed=1)
+            tokens = np.random.default_rng(2).integers(0, 50, (2, 16))
+            return model, model.loss(tokens, np.array([0, 1]))
+
+        released, loss = model_and_loss()
+        loss.backward()
+        kept, loss = model_and_loss()
+        _run_without_release(loss)
+        pairs = list(zip(released.parameters(), kept.parameters()))
+        assert pairs and all(a.grad is not None for a, _ in pairs)
+        for a, b in pairs:
+            np.testing.assert_array_equal(a.grad, b.grad)
+
+    def test_second_backward_raises(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        y = (x * 2.0).sum()
+        y.backward()
+        with pytest.raises(RuntimeError, match="already back-propagated"):
+            y.backward()
+        np.testing.assert_allclose(x.grad, 2.0)
+
+    def test_backward_through_a_released_subgraph_raises(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        h = x * 2.0
+        h.sum().backward()
+        with pytest.raises(RuntimeError, match="already back-propagated"):
+            # x is reached through a live node before the released h
+            (h * 3.0 + x).sum().backward()
+        np.testing.assert_allclose(x.grad, 2.0)  # no partial gradient landed
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     arrays(np.float32, (3, 4), elements=st.floats(-3, 3, width=32)),

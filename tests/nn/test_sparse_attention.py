@@ -345,6 +345,87 @@ class TestBlockMaskTrainableOp:
         assert np.all(np.isfinite(q.grad))
 
 
+class TestUnalignedKeys:
+    """A key count that is no multiple of M trains on the padded key axis.
+
+    The oracle is the dense masked attention under the N:M selection of the
+    padded problem, cropped to the real keys (``DfssMechanism._mask``), with
+    seeded dropout hashed over the real key count.
+    """
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.25])
+    @pytest.mark.parametrize("blocked", [False, True])
+    @pytest.mark.parametrize("backend", [REFERENCE, FAST, MULTICORE])
+    @pytest.mark.parametrize(
+        "pattern, seq, block_size", [("2:4", 130, 10), ("1:2", 129, 3)]
+    )
+    def test_matches_dense_oracle(
+        self, pattern, seq, block_size, backend, blocked, dropout
+    ):
+        from repro.baselines.dfss import DfssMechanism
+        from repro.core.sddmm import sddmm_dense
+
+        # block sizes that divide the key count but split M-groups
+        block = (
+            sliding_window_mask(seq_len=seq, block_size=block_size, window_blocks=1)
+            if blocked else None
+        )
+        core = DfssCore(pattern, backend=backend, block_mask=block)
+        oracle_rng = None
+        if dropout:
+            core.attn_dropout = Dropout(dropout, seed=5)
+            oracle_rng = Dropout(dropout, seed=5).rng
+        q1, k1, v1 = _tensors(seq=seq, seed=50)
+        q2, k2, v2 = _tensors(seq=seq, seed=50)
+        mask = DfssMechanism(pattern, block_mask=block)._mask(
+            sddmm_dense(q2.data, k2.data), backend
+        )
+        out = core(q1, k1, v1)
+        np.testing.assert_array_equal(core.last_mask(), mask)
+        expected = F.dense_masked_attention(
+            q2, k2, v2, mask, dropout_p=dropout, dropout_rng=oracle_rng
+        )
+        np.testing.assert_allclose(out.data, expected.data, atol=1e-6)
+        (out * out).sum().backward()
+        (expected * expected).sum().backward()
+        for a, b in ((q1, q2), (k1, k2), (v1, v2)):
+            assert a.grad.shape == b.grad.shape
+            np.testing.assert_allclose(a.grad, b.grad, rtol=1e-5, atol=5e-6)
+
+    def test_returned_probs_span_the_padded_key_axis(self):
+        q, k, v = _tensors(seq=130, seed=51)
+        _, probs = dfss_sparse_attention(q, k, v, pattern="2:4")
+        assert probs.dense_cols == 132
+        np.testing.assert_array_equal(probs.to_dense(0.0)[..., 130:], 0.0)
+
+
+class TestMemory:
+    def test_training_op_peak_at_most_dense(self):
+        # fwd+bwd of the N:M op holds one tile per pass, never an n² tensor
+        import tracemalloc
+
+        rng = np.random.default_rng(0)
+        arrays = [rng.standard_normal((1, 2, 1024, 64), dtype=np.float32) for _ in range(3)]
+        mask = np.ones((1024, 1024), dtype=bool)
+
+        def step(attention):
+            q, k, v = (Tensor(a, requires_grad=True) for a in arrays)
+            attention(q, k, v).sum().backward()
+
+        def peak(attention):
+            step(attention)  # warm plans and imports outside the measurement
+            tracemalloc.start()
+            try:
+                step(attention)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        dfss = peak(lambda q, k, v: dfss_sparse_attention(q, k, v, backend=FAST)[0])
+        dense = peak(lambda q, k, v: F.dense_masked_attention(q, k, v, mask))
+        assert dfss <= dense, f"dfss peak {dfss} B > dense peak {dense} B"
+
+
 class TestSparseIsTheDefaultTrainingPath:
     def test_mha_dfss_uses_sparse_op(self):
         layer = MultiHeadSelfAttention(model_dim=16, num_heads=2, mechanism="dfss_2:4")

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.core.backend import FAST, MULTICORE, available_backends, get_kernel
+from repro.core.backend import FAST, MULTICORE, get_kernel, resolve_backend
 from repro.core.plan import PlanKey, clear_plan_cache, get_plan, plan_cache_stats
 from repro.profile import tracer as tracer_mod
 from repro.profile.dag import build_dag, load_trace
@@ -154,7 +154,7 @@ class TestDispatchWiring:
     def test_fused_step_records_pipeline_kernels(self):
         active = _record_fused_step()
         names = {e["name"] for e in active.events if e.get("cat") == "kernel"}
-        assert {"sddmm_nm", "masked_softmax", "spmm"} <= names
+        assert {"nm_attention", "attention_bwd"} <= names
 
     def test_backward_kernels_stamped_bwd(self):
         active = _record_fused_step()
@@ -166,11 +166,12 @@ class TestDispatchWiring:
         active = _record_fused_step()
         event = next(
             e for e in active.events
-            if e.get("cat") == "kernel" and e["name"] == "sddmm_nm"
+            if e.get("cat") == "kernel" and e["name"] == "nm_attention"
         )
         assert event["args"]["mechanism"].startswith("dfss")
-        # the kernel span's backend arg tells the fast plan from the reference one
-        assert event["args"]["backend"] in available_backends("sddmm_nm")
+        # the kernel span's backend arg names the plan that ran: the fast or
+        # reference kernel, or the multicore plan mapping the fast tiles
+        assert event["args"]["backend"] == resolve_backend(None)
         assert "shape_class" in event["args"]
 
 
@@ -213,6 +214,35 @@ class TestTiledForwardSpan:
         (event,) = [e for e in active.events if e.get("cat") == "kernel"]
         kept = 2 * 64 * 32
         assert event["args"]["out_bytes"] == 4 * 2 * 64 * 16 + 5 * kept
+
+
+class TestTiledBackwardSpan:
+    """The N:M training backward walks the forward's row tiles; its span
+    carries the same geometry plus the gradient bytes it writes."""
+
+    def test_backward_span_carries_tile_geometry(self):
+        from repro.nn.autograd import parameter
+        from repro.nn.sparse_attention import dfss_sparse_attention
+
+        rng = np.random.default_rng(0)
+        q, k, v = (
+            parameter(rng.standard_normal((1, 2, 1030, 16), dtype=np.float32))
+            for _ in range(3)
+        )
+        with trace() as active:
+            out, _ = dfss_sparse_attention(q, k, v, pattern="2:4", backend=FAST)
+            out.sum().backward()
+        (event,) = [
+            e for e in active.events
+            if e.get("cat") == "kernel" and e["name"] == "attention_bwd"
+        ]
+        args = event["args"]
+        assert args["phase"] == "bwd"
+        # the key axis pads to 1032 lanes: five balanced row blocks per slice
+        assert args["tiles"] == 2 * 5
+        assert args["tile_shape"] == "206x1032"
+        # dQ, plus dK and dV over the padded key axis
+        assert args["out_bytes"] == 4 * 2 * 16 * (1030 + 2 * 1032)
 
 
 class TestCacheStats:
