@@ -50,6 +50,7 @@ ALIASING_SCOPE = (
     "src/repro/core/attention.py",
     "src/repro/core/multicore.py",
     "src/repro/core/nm_attention.py",
+    "src/repro/core/row_block.py",
     "src/repro/core/softmax.py",
     "src/repro/nn/sparse_attention.py",
 )

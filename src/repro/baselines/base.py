@@ -10,10 +10,12 @@ lottery-ticket quality analysis of Section 4.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Type
+from typing import Dict, Optional, Tuple, Type
 
 import numpy as np
 
+from repro.core.plan import plan_for_blocks
+from repro.core.row_block import Allowed, Ranges, RowBlockStructure
 from repro.core.softmax import masked_dense_softmax
 from repro.core.sddmm import sddmm_dense
 
@@ -47,7 +49,7 @@ class AttentionMechanism:
     def masked_attention(
         self, q: np.ndarray, k: np.ndarray, v: np.ndarray, mask: np.ndarray
     ) -> np.ndarray:
-        """Dense attention restricted to ``mask`` (used by all mask-based baselines)."""
+        """Dense attention restricted to ``mask`` (the content-dependent masks)."""
         scores = sddmm_dense(q, k)
         weights = masked_dense_softmax(scores, mask)
         return np.matmul(weights, np.asarray(v, dtype=np.float32))
@@ -65,6 +67,57 @@ class AttentionMechanism:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}()"
+
+
+class StaticMaskAttention(AttentionMechanism):
+    """A mechanism whose mask depends only on the sequence lengths.
+
+    Subclasses define the mask twice, independently: :meth:`_mask_2d` builds
+    the dense boolean mask (:meth:`attention_mask`, the tests' oracle), and
+    :meth:`row_block_keys` declares the key ranges and allowed predicate the
+    row-block structure is built from.  A call runs the row-block plan
+    (:func:`repro.core.plan.plan_for_blocks`) over the structure, keeping the
+    last :data:`STRUCTURES_KEPT` structures by ``(n_q, n_k)`` — the
+    configuration is fixed at construction.  The trainable core shares them;
+    the server keeps its own in its structure cache.
+    """
+
+    produces_mask = True
+
+    #: structures a mechanism keeps for its own calls
+    STRUCTURES_KEPT = 8
+
+    def _mask_2d(self, n_q: int, n_k: int) -> np.ndarray:
+        raise NotImplementedError
+
+    def row_block_keys(self, n_q: int, n_k: int) -> Tuple[Ranges, Allowed]:
+        """``(ranges, allowed)`` for :meth:`RowBlockStructure.build
+        <repro.core.row_block.RowBlockStructure.build>`."""
+        raise NotImplementedError
+
+    def block_structure(self, n_q: int, n_k: int) -> RowBlockStructure:
+        """Build the row-block structure of an ``(n_q, n_k)`` attention."""
+        return RowBlockStructure.build(n_q, n_k, *self.row_block_keys(n_q, n_k))
+
+    def attention_mask(self, q: np.ndarray, k: np.ndarray) -> np.ndarray:
+        mask = self._mask_2d(q.shape[-2], k.shape[-2])
+        return np.broadcast_to(mask, q.shape[:-2] + mask.shape)
+
+    def cached_structure(self, n_q: int, n_k: int) -> RowBlockStructure:
+        """:meth:`block_structure`, kept for the mechanism's own calls."""
+        kept = self.__dict__.setdefault("_structures", {})
+        key = (int(n_q), int(n_k))
+        structure = kept.pop(key, None) or self.block_structure(*key)
+        kept[key] = structure  # most recent last
+        if len(kept) > self.STRUCTURES_KEPT:
+            kept.pop(next(iter(kept)))
+        return structure
+
+    def __call__(self, q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
+        self._validate(q, k, v)
+        structure = self.cached_structure(q.shape[-2], k.shape[-2])
+        plan = plan_for_blocks(structure, mechanism=self.name)
+        return plan.forward(q, k, v, structure=structure)
 
 
 #: name -> mechanism class registry, populated by ``register``.

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.baselines.base import AttentionMechanism, register
+from repro.baselines.base import StaticMaskAttention, register
 from repro.core.blocked_ell import BlockedEllMask, bigbird_mask
 from repro.registry import BigBirdConfig, register_mechanism
 from repro.utils.seeding import SeedLike
@@ -22,11 +22,10 @@ from repro.utils.seeding import SeedLike
     latency_model="bigbird",
 )
 @register
-class BigBirdAttention(AttentionMechanism):
+class BigBirdAttention(StaticMaskAttention):
     """Blocked window/global/random pattern of Zaheer et al."""
 
     name = "bigbird"
-    produces_mask = True
 
     def __init__(
         self,
@@ -65,10 +64,14 @@ class BigBirdAttention(AttentionMechanism):
             raise ValueError("BigBird attention expects self-attention (n_q == n_k)")
         return self.block_mask(n_q).dense_mask(n_q, n_k)
 
-    def attention_mask(self, q: np.ndarray, k: np.ndarray) -> np.ndarray:
-        mask = self._mask_2d(q.shape[-2], k.shape[-2])
-        return np.broadcast_to(mask, q.shape[:-2] + mask.shape)
+    def row_block_keys(self, n_q: int, n_k: int):
+        if n_q != n_k:
+            raise ValueError("BigBird attention expects self-attention (n_q == n_k)")
+        size = self.block_size_for(n_q)
+        grid = self.block_mask(n_q).block_grid(n_q, n_k)
 
-    def __call__(self, q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
-        self._validate(q, k, v)
-        return self.masked_attention(q, k, v, self._mask_2d(q.shape[-2], k.shape[-2]))
+        def ranges(start, stop):
+            kept = np.flatnonzero(grid[start // size:(stop - 1) // size + 1].any(axis=0))
+            return [(c * size, (c + 1) * size) for c in kept]
+
+        return ranges, lambda rows, keys: grid[rows // size, keys // size]

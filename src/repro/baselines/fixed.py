@@ -13,9 +13,11 @@ Three members of the family the paper groups as "Fixed Sparse Patterns":
 
 from __future__ import annotations
 
+from typing import Tuple
+
 import numpy as np
 
-from repro.baselines.base import AttentionMechanism, register
+from repro.baselines.base import StaticMaskAttention, register
 from repro.registry import (
     LocalConfig,
     StridedConfig,
@@ -46,19 +48,17 @@ def truncated_mask(n_q: int, n_k: int, density: float) -> np.ndarray:
     return mask
 
 
-class _FixedMaskAttention(AttentionMechanism):
-    produces_mask = True
+def window_keys(start: int, stop: int, window: int) -> Tuple[int, int]:
+    """The key range a sliding window of half-width ``window`` reads for
+    query rows ``[start, stop)``."""
+    return start - window, stop + window
 
-    def _mask_2d(self, n_q: int, n_k: int) -> np.ndarray:
-        raise NotImplementedError
 
-    def attention_mask(self, q: np.ndarray, k: np.ndarray) -> np.ndarray:
-        mask = self._mask_2d(q.shape[-2], k.shape[-2])
-        return np.broadcast_to(mask, q.shape[:-2] + mask.shape)
-
-    def __call__(self, q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
-        self._validate(q, k, v)
-        return self.masked_attention(q, k, v, self._mask_2d(q.shape[-2], k.shape[-2]))
+def in_window(rows: np.ndarray, keys: np.ndarray, window: int) -> np.ndarray:
+    """Allowed predicate of a sliding window of half-width ``window``
+    (compares, never subtracts, the broadcast indices: no int64 temporary of
+    the tile's shape)."""
+    return (keys >= rows - window) & (keys <= rows + window)
 
 
 @register_mechanism(
@@ -74,7 +74,7 @@ class _FixedMaskAttention(AttentionMechanism):
     latency_model="local",
 )
 @register
-class LocalWindowAttention(_FixedMaskAttention):
+class LocalWindowAttention(StaticMaskAttention):
     """Sliding-window attention with half-width ``window``."""
 
     name = "local"
@@ -86,6 +86,13 @@ class LocalWindowAttention(_FixedMaskAttention):
 
     def _mask_2d(self, n_q: int, n_k: int) -> np.ndarray:
         return local_window_mask(n_q, n_k, self.window)
+
+    def row_block_keys(self, n_q: int, n_k: int):
+        window = self.window
+        return (
+            lambda start, stop: [window_keys(start, stop, window)],
+            lambda rows, keys: in_window(rows, keys, window),
+        )
 
 
 @register_mechanism(
@@ -100,7 +107,7 @@ class LocalWindowAttention(_FixedMaskAttention):
     static_mask=True,
 )
 @register
-class StridedSparseAttention(_FixedMaskAttention):
+class StridedSparseAttention(StaticMaskAttention):
     """Sparse-Transformer-style local + strided pattern."""
 
     name = "sparse_transformer"
@@ -113,6 +120,14 @@ class StridedSparseAttention(_FixedMaskAttention):
 
     def _mask_2d(self, n_q: int, n_k: int) -> np.ndarray:
         return strided_mask(n_q, n_k, self.window, self.stride)
+
+    def row_block_keys(self, n_q: int, n_k: int):
+        window, stride = self.window, self.stride
+        strided = [(c, c + 1) for c in range(0, n_k, stride)]
+        return (
+            lambda start, stop: strided + [window_keys(start, stop, window)],
+            lambda rows, keys: in_window(rows, keys, window) | (keys % stride == 0),
+        )
 
 
 @register_mechanism(
@@ -128,7 +143,7 @@ class StridedSparseAttention(_FixedMaskAttention):
     latency_model="fixed",
 )
 @register
-class TruncatedAttention(_FixedMaskAttention):
+class TruncatedAttention(StaticMaskAttention):
     """Keep a fixed leading fraction of key columns (Appendix A.4 fixed pattern)."""
 
     name = "fixed_truncated"
@@ -140,3 +155,7 @@ class TruncatedAttention(_FixedMaskAttention):
 
     def _mask_2d(self, n_q: int, n_k: int) -> np.ndarray:
         return truncated_mask(n_q, n_k, self.density)
+
+    def row_block_keys(self, n_q: int, n_k: int):
+        keep = max(1, int(round(self.density * n_k)))
+        return lambda start, stop: [(0, keep)], lambda rows, keys: keys < keep

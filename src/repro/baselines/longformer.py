@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.baselines.base import AttentionMechanism, register
-from repro.baselines.fixed import local_window_mask
+from repro.baselines.base import StaticMaskAttention, register
+from repro.baselines.fixed import in_window, local_window_mask, window_keys
 from repro.registry import LongformerConfig, register_mechanism
 
 
@@ -30,11 +30,10 @@ def longformer_mask(n_q: int, n_k: int, window: int, num_global: int) -> np.ndar
     latency_model="longformer",
 )
 @register
-class LongformerAttention(AttentionMechanism):
+class LongformerAttention(StaticMaskAttention):
     """Fixed window + global-token pattern (Beltagy et al.)."""
 
     name = "longformer"
-    produces_mask = True
 
     def __init__(self, window: int = 32, num_global: int = 1):
         self.window = window
@@ -43,10 +42,15 @@ class LongformerAttention(AttentionMechanism):
     def _mask_2d(self, n_q: int, n_k: int) -> np.ndarray:
         return longformer_mask(n_q, n_k, self.window, self.num_global)
 
-    def attention_mask(self, q: np.ndarray, k: np.ndarray) -> np.ndarray:
-        mask = self._mask_2d(q.shape[-2], k.shape[-2])
-        return np.broadcast_to(mask, q.shape[:-2] + mask.shape)
+    def row_block_keys(self, n_q: int, n_k: int):
+        window, num_global = self.window, self.num_global
 
-    def __call__(self, q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
-        self._validate(q, k, v)
-        return self.masked_attention(q, k, v, self._mask_2d(q.shape[-2], k.shape[-2]))
+        def ranges(start, stop):
+            if start < num_global:  # a global row reads every key
+                return [(0, n_k)]
+            return [(0, num_global), window_keys(start, stop, window)]
+
+        def allowed(rows, keys):
+            return in_window(rows, keys, window) | (keys < num_global) | (rows < num_global)
+
+        return ranges, allowed

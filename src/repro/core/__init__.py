@@ -49,9 +49,11 @@ from repro.core.plan import (
     build_plan,
     clear_plan_cache,
     plan_cache_stats,
+    plan_for_blocks,
     plan_for_nm,
     plan_for_structure,
 )
+from repro.core.row_block import RowBlockStructure
 from repro.core.blocked_ell import (
     BlockedEllMask,
     bigbird_mask,
@@ -98,8 +100,10 @@ __all__ = [
     "build_plan",
     "clear_plan_cache",
     "plan_cache_stats",
+    "plan_for_blocks",
     "plan_for_nm",
     "plan_for_structure",
+    "RowBlockStructure",
     "BlockedEllMask",
     "bigbird_mask",
     "full_mask",

@@ -35,8 +35,9 @@ Blocks accumulate into dK and dV in a fixed order that depends only on the
 geometry, so the multicore backend (which maps batch slices) is bitwise
 equal to ``fast``.  A slice that fits one tile computes every product
 exactly as the dense-tile formulation does.  Padded-CSR probabilities keep
-the batched dense-tile backward, which reuses the forward's memoised
-scatter.
+the batched dense-tile backward over their own scatter.  The static masks'
+row-block layout has its own backward kernel
+(:mod:`repro.core.row_block`).
 """
 
 from __future__ import annotations
@@ -239,7 +240,7 @@ def _matmul_into(dst: np.ndarray, first: bool, a: np.ndarray, b: np.ndarray) -> 
 
 
 def _csr_bwd_dense(probs, q3, k3, v3, g3, scale, drop_keep, inner):
-    """Padded-CSR backward on the forward's memoised dense scatter tile.
+    """Padded-CSR backward on a dense scatter tile of the probabilities.
 
     The zeros at padded positions make the dense formulation exact —
     ``P ∘ (dP − rowsum(P ∘ dP))`` vanishes wherever ``P`` is zero, so no

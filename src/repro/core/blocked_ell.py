@@ -80,16 +80,14 @@ class BlockedEllMask:
             raise ValueError(
                 f"mask has {self.block_rows} block rows but the matrix needs {block_rows}"
             )
+        kept_rows, slots = np.nonzero(self.block_columns >= 0)
+        kept_cols = self.block_columns[kept_rows, slots]
+        if kept_cols.size and kept_cols.max() >= block_cols:
+            raise ValueError(
+                f"block column {kept_cols.max()} out of range for {block_cols} block columns"
+            )
         mask = np.zeros((block_rows, block_cols), dtype=bool)
-        for br in range(block_rows):
-            for bc in self.block_columns[br]:
-                if bc < 0:
-                    continue
-                if bc >= block_cols:
-                    raise ValueError(
-                        f"block column {bc} out of range for {block_cols} block columns"
-                    )
-                mask[br, bc] = True
+        mask[kept_rows, kept_cols] = True
         return mask
 
     def iter_blocks(self) -> Iterable:
@@ -101,11 +99,11 @@ class BlockedEllMask:
 
 
 def _pad_rows(rows: Sequence[Sequence[int]]) -> np.ndarray:
+    rows = [np.unique(np.asarray(r, dtype=np.int64)) for r in rows]
     width = max((len(r) for r in rows), default=0)
     out = np.full((len(rows), max(width, 1)), -1, dtype=np.int64)
     for i, r in enumerate(rows):
-        uniq = sorted(set(int(c) for c in r))
-        out[i, : len(uniq)] = uniq
+        out[i, : len(r)] = r
     return out
 
 
@@ -156,20 +154,18 @@ def bigbird_mask(
     block_rows = seq_len // block_size
     rows = []
     for br in range(block_rows):
-        cols = set()
-        lo = max(0, br - window_blocks)
-        hi = min(block_rows, br + window_blocks + 1)
-        cols.update(range(lo, hi))
-        cols.update(range(min(num_global_blocks, block_rows)))
+        kept = np.zeros(block_rows, dtype=bool)
+        kept[max(0, br - window_blocks):br + window_blocks + 1] = True
+        kept[:num_global_blocks] = True
         if br < num_global_blocks:
-            cols.update(range(block_rows))
-        candidates = [c for c in range(block_rows) if c not in cols]
-        if candidates and num_random_blocks > 0:
+            kept[:] = True
+        candidates = np.flatnonzero(~kept)
+        if candidates.size and num_random_blocks > 0:
             picks = rng.choice(
-                candidates, size=min(num_random_blocks, len(candidates)), replace=False
+                candidates, size=min(num_random_blocks, candidates.size), replace=False
             )
-            cols.update(int(p) for p in np.atleast_1d(picks))
-        rows.append(sorted(cols))
+            kept[np.atleast_1d(picks)] = True
+        rows.append(np.flatnonzero(kept))
     return BlockedEllMask(block_size, _pad_rows(rows))
 
 

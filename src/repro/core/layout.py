@@ -1,4 +1,4 @@
-"""The :class:`CompressedLayout` protocol shared by every sparse score layout.
+"""The :class:`CompressedLayout` protocol and the three sparse score layouts.
 
 The attention pipeline never cares *which* compressed layout carries the
 scores/probabilities — only that the layout can answer four questions:
@@ -10,18 +10,24 @@ scores/probabilities — only that the layout can answer four questions:
 * how do the stored values scatter back into a dense tile
   (``scatter_compressed`` / ``to_scattered``)?
 
-Two layouts implement the protocol:
+Three layouts carry attention scores, one per kind of mask:
 
 * :class:`repro.core.sparse.NMSparseMatrix` — the hardware N:M layout with a
   constant ``kept = cols // M * N`` lanes per row (the DFSS epilogue output);
+* :class:`repro.core.row_block.RowBlockMatrix` — the static masks (local,
+  strided, truncated, Longformer, BigBird): per 64-row query block, the key
+  ranges the block reads and its allowed sub-mask, declared by the mechanism
+  and built without a dense mask.  It stores whole block tiles rather than
+  per-row lanes, so it does not implement this protocol; its own
+  ``row_block_attention`` kernels run it forward and backward;
 * :class:`repro.core.padded_csr.PaddedCSRMatrix` — per-row *variable* nnz
-  padded to the widest row, the layout every mask-based mechanism (TopK,
-  local/strided, Longformer, BigBird, Reformer, Routing, Sinkhorn) compresses
-  its boolean mask into.
+  padded to the widest row, the layout the content-dependent masks (TopK,
+  Reformer, Routing, Sinkhorn) and explicit boolean masks compress into.
 
 The registry kernels (``spmm``, ``spmm_t``, ``sddmm_masked``,
 ``masked_softmax``) and the analytic attention backward dispatch on this
-protocol, so one fused training pipeline serves every layout.
+protocol, so one fused training pipeline serves the N:M and padded-CSR
+layouts.
 """
 
 from __future__ import annotations
@@ -83,8 +89,7 @@ class CompressedLayout(Protocol):
         ...
 
     def to_scattered(self) -> np.ndarray:
-        """Dense scatter of the layout's own values (padded CSR may memoise
-        it with ``cache=True``)."""
+        """Dense scatter of the layout's own values."""
         ...
 
     def with_values(self, new_values: np.ndarray) -> "CompressedLayout":

@@ -296,7 +296,8 @@ def map_tiles(stage: str, layout, fn: Callable, *arrays):
         for a in arrays
     ]
     tiles = [None if layout is None else layout.batch_slice(sl) for sl in slices]
-    trailing = np.shape(layout.values if layout is not None else operands[0])[-2:]
+    ref = operands[0] if layout is None or layout.values is None else layout.values
+    trailing = np.shape(ref)[len(batch_shape):]
 
     def tile_thunk(sl: slice, tile):
         return lambda: fn(tile, *(None if a is None else a[sl] for a in flat))

@@ -292,20 +292,9 @@ class PaddedCSRMatrix:
         flat = self.flat_gather_indices().ravel()
         return dense.ravel().take(flat).reshape(self.values.shape)
 
-    def to_scattered(self, cache: bool = False) -> np.ndarray:
-        """Dense zero-filled scatter of the stored values.
-
-        With ``cache=True`` the tile is memoised against the current values array so a forward SpMM
-        and the backward kernels of one training step share a single scatter;
-        an existing memo is always reused.  Treat the result as read-only.
-        """
-        cached = self.__dict__.get("_scatter_cache")
-        if cached is not None and cached[0] is self.values:
-            return cached[1]
-        dense = self.scatter_compressed(self.values)
-        if cache:
-            self.__dict__["_scatter_cache"] = (self.values, freeze_structure(dense))
-        return dense
+    def to_scattered(self) -> np.ndarray:
+        """Dense zero-filled scatter of the stored values."""
+        return self.scatter_compressed(self.values)
 
     def _sibling(
         self, values: np.ndarray, cols: np.ndarray, lengths: np.ndarray, shared: dict
@@ -348,7 +337,7 @@ class PaddedCSRMatrix:
         of the validity mask — is memoised per slice on the shared cache:
         every ``with_values`` sibling (every training step) reuses the tile's
         flat gather/scatter tables, and tiles running concurrently never
-        write into one cache store.  A live scatter memo is sliced along.
+        write into one cache store.
         """
         batch = int(np.prod(self.batch_shape, dtype=np.int64))
         lanes = (batch, self.rows, self.width)
@@ -361,12 +350,7 @@ class PaddedCSRMatrix:
                 {"valid": self.valid_lanes().reshape(lanes)[sl]},
             )
             memo[(sl.start, sl.stop)] = structure
-        tile = self._sibling(self.values.reshape(lanes)[sl], *structure)
-        cached = self.__dict__.get("_scatter_cache")
-        if cached is not None and cached[0] is self.values:
-            dense = cached[1].reshape((batch, self.rows, self.dense_cols))
-            tile.__dict__["_scatter_cache"] = (tile.values, dense[sl])
-        return tile
+        return self._sibling(self.values.reshape(lanes)[sl], *structure)
 
     # ------------------------------------------------------------------ size
     def nonzeros_nbytes(self) -> int:

@@ -22,9 +22,13 @@ module compiles the chain once instead:
   as the probability buffer (scores live only in the compressed value
   array, which the softmax overwrites in place), and its summation-order
   branch is decided once for the whole batch.
-* :func:`plan_for_nm` / :func:`plan_for_structure` — the cached constructors
-  every layer shares: the autograd ops, ``engine.AttentionEngine``, the
-  serving batcher (:mod:`repro.serve.batcher`), and the bench runner.
+  The row-block layout of the static masks (:mod:`repro.core.row_block`)
+  runs its ``row_block_attention`` kernels through the same seam, forward
+  and backward.
+* :func:`plan_for_nm` / :func:`plan_for_blocks` / :func:`plan_for_structure`
+  — the cached constructors every layer shares: the autograd ops,
+  ``engine.AttentionEngine``, the static-mask mechanisms, the serving
+  batcher (:mod:`repro.serve.batcher`), and the bench runner.
 
 Backends provide plans through :func:`~repro.core.backend.register_plan_builder`:
 ``fast`` builds fused plans, ``reference`` builds plans that dispatch the
@@ -60,6 +64,7 @@ from repro.core.backend import (
 from repro.core.nm_attention import pad_keys
 from repro.core.patterns import resolve_pattern
 from repro.core.plan_cache import PlanCache
+from repro.core.row_block import Dropout, RowBlockStructure
 from repro.core.softmax import masked_softmax_values
 from repro.core.sparse import NMSparseMatrix
 from repro.profile.tracer import (
@@ -74,9 +79,10 @@ class PlanKey:
 
     ``mechanism`` names the structure source (``"dfss_1:2"``-style for the
     dynamic N:M epilogue, the mechanism name for mask-based layouts),
-    ``layout`` is ``"nm"`` or ``"csr"``, and ``shape_class`` is the
-    batch-agnostic per-slice geometry ``(rows, dense_cols, lane_width)`` —
-    one plan serves every batch shape over the same geometry.
+    ``layout`` is ``"nm"``, ``"row_block"`` or ``"csr"``, and
+    ``shape_class`` is the batch-agnostic per-slice geometry ``(rows,
+    dense_cols, lane_width)`` (the widest block tile for row blocks) — one
+    plan serves every batch shape over the same geometry.
     """
 
     mechanism: str
@@ -108,6 +114,10 @@ class AttentionPlan:
         elif key.layout == "csr":
             self._sddmm = get_kernel("sddmm_csr", backend)
             self._pattern = None
+        elif key.layout == "row_block":
+            self._sddmm = self._pattern = None
+            self._row_block = get_kernel("row_block_attention", backend)
+            self._row_block_bwd = get_kernel("row_block_attention_bwd", backend)
         else:
             raise ValueError(f"unknown plan layout {key.layout!r}")
         self._softmax = get_kernel("masked_softmax", backend)
@@ -250,13 +260,27 @@ class AttentionPlan:
         scale: float,
         drop_keep: Optional[np.ndarray] = None,
         out: Optional[np.ndarray] = None,
+        dropout: Optional[Dropout] = None,
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Fused backward: ``(dQ, dK, dV)`` via the resolved ``attention_bwd``.
 
         N:M probabilities over a key axis the forward padded to whole
         M-groups run on zero-padded K and V; dK and dV are cropped back to
-        the real keys.
+        the real keys.  Row-block probabilities run the
+        ``row_block_attention_bwd`` kernel, which re-derives the keep mask
+        from the forward's ``dropout`` (``(seed, p)``) instead of taking a
+        ``drop_keep`` array.
         """
+        if self.key.layout == "row_block":
+            def row_block_attention_bwd(tile, q, k, v, d_out, out):
+                return self._row_block_bwd(tile, q, k, v, d_out, scale, dropout, out)
+
+            grads = self._map(
+                "row_block_attention_bwd", probs, row_block_attention_bwd,
+                guard_input(q), guard_input(k), guard_input(v), guard_input(d_out),
+                guard_input(out),
+            )
+            return check_grads(grads, "attention gradient")
         n_keys = np.shape(k)[-2]
         padded = self.key.layout == "nm" and probs.dense_cols != n_keys
         if padded:
@@ -294,9 +318,14 @@ class AttentionPlan:
         ``reference`` — which computes the compressed probabilities only when
         ``return_probs`` asks for them, and applies ``dropout`` (``(seed,
         p)``, see :func:`repro.core.nm_attention.dropout_keep`) to the
-        probabilities it contracts; the training op runs through here.  CSR
+        probabilities it contracts; the training op runs through here.
+        Row-block plans run ``row_block_attention`` over ``structure`` (a
+        :class:`~repro.core.row_block.RowBlockStructure`) through
+        :meth:`_map`, with the same ``return_probs`` and ``dropout``.  CSR
         plans compose the three stages and take no dropout.
         """
+        if self.key.layout == "row_block":
+            return self._row_block_forward(q, k, v, structure, scale, return_probs, dropout)
         if self.key.layout == "nm":
             with self._trace_labels():
                 out, probs = self._nm_forward(
@@ -318,6 +347,21 @@ class AttentionPlan:
         if return_probs:
             return out, probs
         return out
+
+    def _row_block_forward(self, q, k, v, structure, scale, return_probs, dropout):
+        if not isinstance(structure, RowBlockStructure):
+            raise ValueError("row-block plans need the RowBlockStructure to run over")
+        q, k, v = guard_input(q), guard_input(k), guard_input(v)
+        blocks = structure.broadcast_to(np.shape(q)[:-2])
+
+        def row_block_attention(tile, q, k, v):
+            return self._row_block(
+                q, k, v, tile, scale=scale, dropout=dropout, return_probs=return_probs
+            )
+
+        out, values = self._map("row_block_attention", blocks, row_block_attention, q, k, v)
+        out = check_output(out, "attention output")
+        return (out, blocks.with_values(values)) if return_probs else out
 
     def __call__(self, q, k, v, **kwargs):
         return self.forward(q, k, v, **kwargs)
@@ -382,13 +426,29 @@ def plan_for_nm(
     return get_plan(key)
 
 
+def plan_for_blocks(
+    structure: RowBlockStructure,
+    backend: Optional[str] = None,
+    mechanism: str = "static",
+) -> AttentionPlan:
+    """Cached plan for a static mask's row-block structure."""
+    key = PlanKey(
+        mechanism=str(mechanism),
+        layout="row_block",
+        backend=resolve_backend(backend),
+        dtype="float32",
+        shape_class=(structure.n_q, structure.n_k, structure.max_width),
+    )
+    return get_plan(key)
+
+
 def plan_for_structure(
     structure,
     backend: Optional[str] = None,
     mechanism: str = "masked",
     dtype: str = "float32",
 ) -> AttentionPlan:
-    """Cached plan for a mask-based compressed structure (padded CSR)."""
+    """Cached plan for a content-dependent mask's padded-CSR structure."""
     key = PlanKey(
         mechanism=str(mechanism),
         layout="csr",

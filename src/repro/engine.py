@@ -183,16 +183,18 @@ class AttentionEngine:
     def plan(self, n_q: Optional[int] = None, n_k: Optional[int] = None, structure=None):
         """Compiled :class:`~repro.core.plan.AttentionPlan` for this mechanism.
 
-        The plan is the fused sddmm → masked-softmax → spmm executable the
-        autograd ops, the serving batcher, and the bench runner share; this
-        method exposes it for introspection and direct execution.  ``n_q`` /
-        ``n_k`` default to ``seq_len_hint``.  Mechanisms that choose their
-        structure from the data (Top-K, Routing, …) cannot be planned from
-        shapes alone — pass their compressed ``structure=`` explicitly.
-        Raises ``ValueError`` for mechanisms with no compressed path.
+        The plan is the executable the autograd ops, the serving batcher, and
+        the bench runner share; this method exposes it for introspection and
+        direct execution.  ``n_q`` / ``n_k`` default to ``seq_len_hint``.
+        DFSS plans the N:M layout; a static mask plans the row-block layout
+        of its structure (``mechanism().block_structure(n_q, n_k)``, which
+        the plan's ``forward`` takes as ``structure=``).  Mechanisms that
+        choose their structure from the data (Top-K, Routing, …) cannot be
+        planned from shapes alone — pass their padded-CSR ``structure=``
+        explicitly.  Raises ``ValueError`` for mechanisms with no compressed
+        path.
         """
-        from repro.core.padded_csr import PaddedCSRMatrix
-        from repro.core.plan import plan_for_nm, plan_for_structure
+        from repro.core.plan import plan_for_blocks, plan_for_nm, plan_for_structure
 
         if structure is not None:
             return plan_for_structure(
@@ -204,27 +206,19 @@ class AttentionEngine:
             )
         n_q = self.seq_len_hint if n_q is None else int(n_q)
         n_k = n_q if n_k is None else int(n_k)
+        if self.spec.static_mask:
+            return plan_for_blocks(
+                self.mechanism().block_structure(n_q, n_k),
+                backend=self.backend,
+                mechanism=self.name,
+            )
         pattern = getattr(self.config, "pattern", None)
-        if pattern is not None and not self.spec.static_mask:
-            return plan_for_nm(pattern, n_q, n_k, backend=self.backend)
-        if not self.spec.static_mask:
+        if pattern is None:
             raise ValueError(
                 f"mechanism {self.name!r} chooses its structure from the data; "
                 f"pass the compressed structure= explicitly"
             )
-        with self._backend_scope():
-            # static masks depend only on the sequence geometry, so a zero
-            # feature dimension of one is enough to realise the mask
-            mask = self.mechanism().attention_mask(
-                np.zeros((n_q, 1), dtype=np.float32),
-                np.zeros((n_k, 1), dtype=np.float32),
-            )
-        if mask is None:
-            raise ValueError(
-                f"mechanism {self.name!r} produced no attention mask to plan from"
-            )
-        csr = PaddedCSRMatrix.from_mask(np.asarray(mask, dtype=bool))
-        return plan_for_structure(csr, backend=self.backend, mechanism=self.name)
+        return plan_for_nm(pattern, n_q, n_k, backend=self.backend)
 
     # ----------------------------------------------------------- introspection
     def describe(self) -> dict:

@@ -14,8 +14,10 @@ flavours:
   through).  Every mask-based core dispatches the whole trainable
   computation — forward and backward — through a compressed sparse op of
   :mod:`repro.nn.sparse_attention`: DFSS through the N:M layout
-  (:func:`dfss_sparse_attention`), every other mask through the padded-CSR
-  layout (:func:`masked_sparse_attention`).  Their dense ground truth is
+  (:func:`dfss_sparse_attention`), the static masks through the row-block
+  layout (:func:`row_block_sparse_attention`), and the content-dependent
+  masks through the padded-CSR layout (:func:`masked_sparse_attention`).
+  Their dense ground truth is
   :func:`repro.nn.functional.dense_masked_attention` over the core's
   :meth:`~AttentionCore.last_mask`.
 * *kernel / low-rank* — the attention output is computed through a different
@@ -40,7 +42,12 @@ from repro.core.sddmm import MASKED_SCORE
 from repro.nn import functional as F
 from repro.nn.autograd import Tensor
 from repro.nn.layers import Dropout, Linear, Module
-from repro.nn.sparse_attention import dfss_sparse_attention, masked_sparse_attention
+from repro.core.row_block import RowBlockStructure
+from repro.nn.sparse_attention import (
+    dfss_sparse_attention,
+    masked_sparse_attention,
+    row_block_sparse_attention,
+)
 from repro.registry import find_spec, make_core, register_mechanism
 from repro.utils.seeding import new_rng
 
@@ -101,10 +108,11 @@ class MaskedScoreCore(AttentionCore):
 
     Each core wraps the registered numpy mechanism it was built from and
     derives the boolean mask outside the graph — from the detached scores when
-    the mechanism needs them, from the sequence structure otherwise — then
+    the mechanism needs them, from the detached Q and K otherwise — then
     runs forward and backward through the compressed padded-CSR autograd op
     (:func:`repro.nn.sparse_attention.masked_sparse_attention`), treating the
-    mask as a constant of the graph.  Seeded attention dropout is derived
+    mask as a constant of the graph.  :class:`StaticMaskCore` replaces the
+    padded-CSR op with the row-block one.  Seeded attention dropout is derived
     from dense positions, so :func:`repro.nn.functional.dense_masked_attention`
     reproduces it exactly.
     """
@@ -260,19 +268,21 @@ class TopKCore(MaskedScoreCore):
 
 
 class StaticMaskCore(MaskedScoreCore):
-    """Mechanisms whose mask only depends on the sequence length.
+    """Mechanisms whose mask only depends on the sequence lengths.
 
-    The mechanism's 2-D mask and its padded-CSR compression are cached per
-    ``(n_q, n_k)``: the core compresses the 2-D mask once and broadcasts the
-    structure over the batch/head dimensions on every call.
+    Trains on the row-block layout, not padded CSR: the mechanism's
+    :class:`~repro.core.row_block.RowBlockStructure` (built from its
+    declared key ranges, kept by the mechanism per ``(n_q, n_k)``) is shared
+    by every batch slice, and forward and backward run
+    :func:`repro.nn.sparse_attention.row_block_sparse_attention` block by
+    block.  :meth:`_mask` is the mechanism's dense mask, kept for the dense
+    oracle.
     """
-
-    mask_needs_scores = False
 
     def __init__(self, mechanism, backend: Optional[str] = None):
         super().__init__(mechanism, backend=backend)
         self._cache: Dict[Tuple[int, int], np.ndarray] = {}
-        self._csr_cache: Dict[Tuple[Tuple[int, ...], int, int], PaddedCSRMatrix] = {}
+        self._last_structure: Optional[Tuple[RowBlockStructure, Tuple[int, ...]]] = None
 
     def _mask_2d(self, n_q: int, n_k: int) -> np.ndarray:
         key = (n_q, n_k)
@@ -284,14 +294,28 @@ class StaticMaskCore(MaskedScoreCore):
         n_q, n_k = q.shape[-2], k.shape[-2]
         return np.broadcast_to(self._mask_2d(n_q, n_k), q.shape[:-2] + (n_q, n_k))
 
-    def _sparse_structure(self, q, k):
-        # cache the batch-broadcast structure (not just the 2-D one) so its
-        # flat gather/scatter index caches persist across training steps
-        key = (q.shape[:-2], q.shape[-2], k.shape[-2])
-        if key not in self._csr_cache:
-            structure = PaddedCSRMatrix.from_mask(self._mask_2d(*key[1:]))
-            self._csr_cache[key] = structure.broadcast_to(q.shape[:-2])
-        return self._csr_cache[key]
+    def __call__(self, q: Tensor, k: Tensor, v: Tensor) -> Tensor:
+        structure = self.mechanism.cached_structure(q.shape[-2], k.shape[-2])
+        self._last_structure = (structure, q.shape[:-2])
+        drop = self.attn_dropout
+        out, _ = row_block_sparse_attention(
+            q,
+            k,
+            v,
+            structure,
+            backend=self.backend,
+            mechanism=self.name,
+            dropout_p=drop.p if drop is not None else 0.0,
+            dropout_rng=drop.rng if drop is not None else None,
+            training=bool(drop.training) if drop is not None else False,
+        )
+        return out
+
+    def last_mask(self) -> Optional[np.ndarray]:
+        if self._last_structure is None:
+            return None
+        structure, batch_shape = self._last_structure
+        return np.broadcast_to(structure.to_mask(), batch_shape + (structure.n_q, structure.n_k))
 
 
 class ClusteringMaskCore(MaskedScoreCore):

@@ -1,9 +1,8 @@
 """Trainable compressed sparse attention as single-node autograd ops.
 
-Two entry points run attention on a compressed structure, with the analytic
-backward of :mod:`repro.core.attention_grad` on the compressed
-representation (``dV = Pᵀ dO``, ``dP`` at the kept entries, the row-wise
-softmax Jacobian on compressed rows, then ``dQ``/``dK``):
+Three entry points run attention on a compressed structure, each with an
+analytic backward on the stored entries only (``dV = Pᵀ dO``, ``dP`` at the
+kept entries, the row-wise softmax Jacobian, then ``dQ``/``dK``):
 
 * :func:`dfss_sparse_attention` — the N:M op.  The structure is chosen
   *dynamically* by the paper's fused SDDMM + prune epilogue, and the
@@ -13,13 +12,19 @@ softmax Jacobian on compressed rows, then ``dQ``/``dK``):
   ``@ V`` run one query-row block at a time, and the backward walks the same
   blocks, so neither pass allocates an ``n²`` tensor.  Any key count
   trains: the kernels pad the key axis to whole M-groups.
-* :func:`masked_sparse_attention` — the layout-generic op every mask-based
-  mechanism (TopK, local/strided, Longformer, BigBird, Reformer, Routing,
-  Sinkhorn, …) trains through: an arbitrary boolean mask is compressed into
-  a :class:`~repro.core.padded_csr.PaddedCSRMatrix`, and the staged SDDMM →
+* :func:`row_block_sparse_attention` — the static-mask op (local/strided,
+  truncated, Longformer, BigBird).  The mechanism's cached
+  :class:`~repro.core.row_block.RowBlockStructure` names, per 64-row query
+  block, the keys the block reads; forward and backward run the
+  ``row_block_attention`` kernels block by block, with seeded dropout
+  inside each block.
+* :func:`masked_sparse_attention` — the op the content-dependent masks
+  (TopK, Reformer, Routing, Sinkhorn) and explicit boolean masks train
+  through: the mask is compressed into a
+  :class:`~repro.core.padded_csr.PaddedCSRMatrix`, and the staged SDDMM →
   sparse softmax → SpMM pipeline runs on the per-row variable-nnz layout.
 
-In both cases the sparsity selection is treated as a constant of the graph,
+In every case the sparsity selection is treated as a constant of the graph,
 exactly as the CUDA kernels do — the pruning/masking decision is not
 differentiated through.  The dense score matrix is never materialised by
 autograd; the graph holds a single node whose saved state is the compressed
@@ -32,13 +37,13 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from repro.core.backend import REFERENCE
 from repro.core.blocked_ell import BlockedEllMask
 from repro.core.layout import CompressedLayout, dense_positions
 from repro.core.nm_attention import Dropout, dropout_keep
 from repro.core.padded_csr import PaddedCSRMatrix
 from repro.core.patterns import resolve_pattern
-from repro.core.plan import AttentionPlan, plan_for_nm, plan_for_structure
+from repro.core.plan import AttentionPlan, plan_for_blocks, plan_for_nm, plan_for_structure
+from repro.core.row_block import RowBlockMatrix, RowBlockStructure
 from repro.core.sparse import NMSparseMatrix
 from repro.nn.autograd import Tensor
 from repro.profile.tracer import phase_scope
@@ -71,11 +76,13 @@ def _attention_node(
     scale: float,
     drop_keep: Optional[np.ndarray],
     name: str,
+    dropout: Optional[Dropout] = None,
 ) -> Tensor:
     """Autograd node over a finished forward; its backward is ``plan.backward``.
 
     ``probs`` is the compressed (pre-dropout) probability matrix and
-    ``drop_keep`` the dropout keep mask over its lanes, or ``None``.
+    ``drop_keep`` the dropout keep mask over its lanes, or ``None``;
+    row-block probabilities pass the forward's ``dropout`` instead.
     """
 
     def backward(out):
@@ -86,7 +93,7 @@ def _attention_node(
             with phase_scope("bwd"):
                 d_q, d_k, d_v = plan.backward(
                     probs, q.data, k.data, v.data, out.grad, scale,
-                    drop_keep=drop_keep, out=out.data,
+                    drop_keep=drop_keep, out=out.data, dropout=dropout,
                 )
             if q.requires_grad:
                 q._accumulate(d_q)
@@ -178,6 +185,47 @@ def dfss_sparse_attention(
     return out, probs
 
 
+def row_block_sparse_attention(
+    q: Tensor,
+    k: Tensor,
+    v: Tensor,
+    structure: RowBlockStructure,
+    scale: Optional[float] = None,
+    backend: Optional[str] = None,
+    mechanism: str = "static",
+    dropout_p: float = 0.0,
+    dropout_rng: Optional[np.random.Generator] = None,
+    training: bool = False,
+) -> Tuple[Tensor, RowBlockMatrix]:
+    """Differentiable static-mask attention on the row-block layout.
+
+    ``structure`` is the mechanism's
+    :class:`~repro.core.row_block.RowBlockStructure` for ``(n_q, n_k)``;
+    every batch slice shares it.  The forward is
+    :meth:`AttentionPlan.forward <repro.core.plan.AttentionPlan.forward>`
+    of :func:`~repro.core.plan.plan_for_blocks` with ``return_probs=True``:
+    each 64-row query block scores only its keys, normalises, applies the
+    seeded dropout and contracts with ``V[keys]``.  The backward walks the
+    same blocks.  Dropout hashes dense positions exactly as in
+    :func:`dfss_sparse_attention`, so the dense masked oracle drops the same
+    (row, column) entries; fully masked rows get zero output and gradients.
+
+    Returns ``(out, probs)``: the output Tensor and the pre-dropout block
+    probabilities.
+    """
+    scale = float(1.0 / np.sqrt(q.shape[-1]) if scale is None else scale)
+    dropout = _dropout(dropout_p, dropout_rng, training)
+    plan = plan_for_blocks(structure, backend=backend, mechanism=mechanism)
+    out_data, probs = plan.forward(
+        q.data, k.data, v.data, structure=structure, scale=scale,
+        return_probs=True, dropout=dropout,
+    )
+    out = _attention_node(
+        q, k, v, out_data, probs, plan, scale, None, "row_block_attention", dropout
+    )
+    return out, probs
+
+
 def masked_sparse_attention(
     q: Tensor,
     k: Tensor,
@@ -192,9 +240,9 @@ def masked_sparse_attention(
 ) -> Tuple[Tensor, PaddedCSRMatrix]:
     """Differentiable masked attention on the compressed padded-CSR pipeline.
 
-    The layout-generic sibling of :func:`dfss_sparse_attention`: instead of
-    the fused N:M epilogue choosing the structure, an arbitrary boolean
-    attention mask is compressed into a per-row variable-nnz
+    The op of the content-dependent masks and of explicit boolean masks:
+    instead of the fused N:M epilogue choosing the structure, an arbitrary
+    boolean attention mask is compressed into a per-row variable-nnz
     :class:`~repro.core.padded_csr.PaddedCSRMatrix`, and the same kernel
     pipeline (``sddmm_csr`` → sparse softmax → SpMM, analytic backward on the
     compressed representation) runs on that structure.  The mask is treated
@@ -209,8 +257,7 @@ def masked_sparse_attention(
     mask:
         Boolean mask over the dense score matrix — either an ndarray
         broadcastable to ``(..., seq_q, seq_k)`` or an already-compressed
-        :class:`PaddedCSRMatrix` structure (mechanisms with static masks
-        compress once and reuse).  Fully masked rows receive exactly zero
+        :class:`PaddedCSRMatrix` structure.  Fully masked rows receive exactly zero
         attention everywhere, matching ``F.masked_softmax``.
     scale:
         Score scale; defaults to ``1/sqrt(d)``.
@@ -262,10 +309,6 @@ def masked_sparse_attention(
         )
     # caller-provided score buffers must survive: owned=False copies once
     probs = plan.compute_probs(scores, owned=not prescored)
-    if plan.key.backend != REFERENCE:
-        # one metadata walk per step: the forward SpMM and the backward
-        # kernel share the scattered tile (the reference loops never use it)
-        probs.to_scattered(cache=True)
     dropout = _dropout(dropout_p, dropout_rng, training)
     keep = None
     if dropout is not None:

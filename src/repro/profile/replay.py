@@ -128,15 +128,28 @@ def _bhld(shape: Tuple[int, ...]) -> Optional[Tuple[int, int, int]]:
     return batch, shape[-2], shape[-1]
 
 
+def _parse_tile(node: OpNode) -> Optional[Tuple[int, int, int]]:
+    """``(tiles, rows, width)`` from a tiled kernel's span arguments."""
+    tiles, shape = node.args.get("tiles"), node.args.get("tile_shape")
+    if not isinstance(tiles, int) or not isinstance(shape, str):
+        return None
+    try:
+        rows, width = (int(part) for part in shape.split("x"))
+    except ValueError:
+        return None
+    return tiles, rows, width
+
+
 def gpusim_cost_fn(device=None, dtype: str = "float32") -> CostFn:
     """Cost function replacing measured kernel times with gpusim latencies.
 
     Each node's problem size is recovered from the ``shape`` its tracing
     wrapper recorded (the first array-like argument of the kernel call: Q for
     the SDDMMs, the fused N:M forward and the backward, V for the SpMM, the
-    compressed value buffer for the fused softmax).  Kernels without an analytical model — the
-    serving fast paths, CSR-layout ops — keep their measured durations, so
-    hybrid traces still replay.
+    compressed value buffer for the fused softmax); the row-block kernels
+    add their tile count and largest tile.  Kernels without an analytical
+    model — the serving fast paths, CSR-layout ops — keep their measured
+    durations, so hybrid traces still replay.
     """
     from repro.gpusim import AMPERE_A100, ops
 
@@ -171,6 +184,28 @@ def gpusim_cost_fn(device=None, dtype: str = "float32") -> CostFn:
                 ],
                 dev,
             )
+        elif node.name in ("row_block_attention", "row_block_attention_bwd"):
+            # shape is Q: (..., L, D); the span's tile count and largest tile
+            # bound the block products (every tile costed at the largest)
+            tile = _parse_tile(node)
+            if tile is None:
+                return None
+            tiles, t_rows, width = tile
+            if node.name == "row_block_attention":
+                kernels = [
+                    ops.gemm("block_qk", tiles, t_rows, width, last, dtype),
+                    ops.softmax_dense(tiles, t_rows, width, dtype),
+                    ops.gemm("block_pv", tiles, t_rows, last, width, dtype),
+                ]
+            else:
+                kernels = [
+                    ops.gemm("block_dv", tiles, width, last, t_rows, dtype),
+                    ops.gemm("block_dp", tiles, t_rows, width, last, dtype),
+                    ops.softmax_dense(tiles, t_rows, width, dtype),
+                    ops.gemm("block_dq", tiles, t_rows, last, width, dtype),
+                    ops.gemm("block_dk", tiles, width, last, t_rows, dtype),
+                ]
+            sec = ops.total_latency(kernels, dev)
         elif node.name == "attention_bwd":
             # shape is Q: (..., L, D); the full five-kernel fused backward
             sec = ops.total_latency(

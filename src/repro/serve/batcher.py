@@ -9,17 +9,19 @@ batch runs it on, each an :class:`~repro.core.plan.AttentionPlan` call:
   the scores as it computes them, so the request pays no per-request mask or
   compression.  Requests with the same pattern, dtype, block mask and
   geometry are stacked into one :func:`~repro.core.plan.plan_for_nm` call.
-* **Static masks** — the 2-D padded-CSR structure depends only on (config,
-  lengths), so it is built once and cached in the
-  :class:`~repro.serve.cache.StructureCache`; requests sharing it are stacked
-  into one :func:`~repro.core.plan.plan_for_structure` call over the
-  structure broadcast to the stack depth (memoised per depth on the cached
-  structure, with its index tables).
+* **Static masks** — the row-block structure
+  (:class:`~repro.core.row_block.RowBlockStructure`) depends only on
+  (config, lengths), so it is built once from the mechanism's key ranges and
+  cached in the :class:`~repro.serve.cache.StructureCache`; requests sharing
+  it are stacked into one :func:`~repro.core.plan.plan_for_blocks` call,
+  whose kernel runs every stacked segment over the one batch-independent
+  structure.  This is the plan ``AttentionEngine(mechanism)(q, k, v)`` runs.
 * **Content-dependent masks and explicit ``mask=``** — one batched
-  ``from_mask`` at enqueue time, then one plan call per request.
+  padded-CSR ``from_mask`` at enqueue time, then one plan call per request.
 
 Every fast kernel is independent per leading slice, so a request's output is
-bitwise identical whether it is served alone or stacked with others.
+bitwise identical whether it is served alone, stacked with others, or run
+through its engine.
 Requests whose mechanism is not ``batchable`` never reach this path; the
 server executes them one by one through their
 :class:`~repro.engine.AttentionEngine`.
@@ -28,12 +30,13 @@ server executes them one by one through their
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.core.padded_csr import PaddedCSRMatrix
-from repro.core.plan import plan_for_nm, plan_for_structure
+from repro.core.plan import plan_for_blocks, plan_for_nm, plan_for_structure
+from repro.core.row_block import RowBlockStructure
 from repro.registry import DfssConfig
 from repro.serve.cache import StructureCache
 
@@ -56,9 +59,9 @@ class PreparedRequest:
     q3: Optional[np.ndarray] = None
     k3: Optional[np.ndarray] = None
     v3: Optional[np.ndarray] = None
-    #: the padded-CSR route's structure: the cached 2-D structure of a static
-    #: mask, or this request's own ``(segments, n_q, n_k)`` one.
-    structure: Optional[PaddedCSRMatrix] = None
+    #: the cached row-block structure of a static mask, or the padded-CSR
+    #: ``(segments, n_q, n_k)`` structure of this request's own mask.
+    structure: Optional[Union[RowBlockStructure, PaddedCSRMatrix]] = None
     #: the N:M route's mechanism (its pattern, dtype and block mask).
     nm: Optional[object] = None
     #: True/False for static-mask mechanisms (did the structure cache hit),
@@ -73,7 +76,7 @@ class PreparedRequest:
         if self.nm is not None:
             nm = self.nm
             return ("nm", nm.pattern, nm.dtype, id(nm.block_mask)) + shape
-        return ("csr", id(self.structure)) + shape
+        return ("structure", id(self.structure)) + shape
 
 
 def structure_cache_key(
@@ -140,13 +143,11 @@ def prepare_request(request, engine, cache: StructureCache) -> PreparedRequest:
     elif spec.static_mask:
         key = structure_cache_key(spec.name, engine.config, q3.shape[1], k3.shape[1])
         prepared.cache_hit = key in cache
-        # the mask depends only on (config, lengths): one representative 2-D
-        # slice builds the structure every segment of every request shares
+        # the structure depends only on (config, lengths) and serves every
+        # segment of every request with this key
         prepared.structure = cache.get(
             key,
-            lambda: PaddedCSRMatrix.from_mask(
-                np.asarray(engine.attention_mask(q3[0], k3[0]), dtype=bool)
-            ),
+            lambda: engine.mechanism().block_structure(q3.shape[1], k3.shape[1]),
         )
     else:
         mask = engine.attention_mask(q3, k3)
@@ -157,19 +158,6 @@ def prepare_request(request, engine, cache: StructureCache) -> PreparedRequest:
             )
         prepared.structure = _own_structure(mask, q3.shape[:1], q3.shape[1], k3.shape[1])
     return prepared
-
-
-def _stacked(structure: PaddedCSRMatrix, depth: int) -> PaddedCSRMatrix:
-    """A shared 2-D structure broadcast to ``depth`` stacked segments.
-
-    Memoised per depth on the structure's shared cache, so the broadcast and
-    the index tables the kernels cache on it outlive the batch.
-    """
-    memo = structure._shared.setdefault("stacked", {})
-    stacked = memo.get(depth)
-    if stacked is None:
-        stacked = memo[depth] = structure.broadcast_to((depth,))
-    return stacked
 
 
 def _concat(parts: List[np.ndarray]) -> np.ndarray:
@@ -204,11 +192,11 @@ def run_ragged_batch(
             out3 = plan.forward(q3, k3, v3, block_mask=nm.block_mask)
         else:
             structure = first.structure
-            if structure.batch_shape == ():
-                structure = _stacked(structure, q3.shape[0])
-            plan = plan_for_structure(
-                structure, backend=backend, mechanism=first.mechanism
+            planner = (
+                plan_for_blocks if isinstance(structure, RowBlockStructure)
+                else plan_for_structure
             )
+            plan = planner(structure, backend=backend, mechanism=first.mechanism)
             out3 = plan.forward(q3, k3, v3, structure=structure)
         start = 0
         for i, p in zip(members, stack):

@@ -1,14 +1,15 @@
 """LRU cache of compressed attention structures for the serving engine.
 
 Static-mask mechanisms (``static_mask=True`` in the registry) derive their
-boolean mask from the configuration and the sequence lengths alone — never
-from request content — so the padded-CSR structure compressed for one request
+mask from the configuration and the sequence lengths alone — never from
+request content — so the row-block structure
+(:class:`~repro.core.row_block.RowBlockStructure`) built for one request
 serves every later request with the same ``(mechanism, config, lengths)``
-key.  At serving scale this removes the mask build *and* the
-``from_mask`` argsort from the hot path entirely.  DFSS needs no structure
-(its plan selects the N:M lanes from the scores as it computes them); only
-the content-dependent padded-CSR mechanisms (Top-K, LSH/clustering) and
-explicit masks pay per-request structure costs.
+key.  A hit skips the build (the mechanism's key-range declaration, and for
+BigBird its random block draw) entirely.  DFSS needs no structure (its plan
+selects the N:M lanes from the scores as it computes them); only the
+content-dependent padded-CSR mechanisms (Top-K, LSH/clustering) and explicit
+masks pay per-request structure costs.
 
 Hit/miss/eviction counters are first-class: the server surfaces them through
 ``AttentionServer.stats()`` so a deployment can see whether its traffic mix
@@ -58,8 +59,8 @@ class StructureCache:
 
     Entries are evicted least-recently-*used* (a hit refreshes recency).
     The cache never inspects its values — any immutable-after-build object
-    works — but in the serving engine every value is a 2-D
-    :class:`~repro.core.padded_csr.PaddedCSRMatrix`.
+    works — but in the serving engine every value is a
+    :class:`~repro.core.row_block.RowBlockStructure`.
     """
 
     def __init__(self, max_entries: int = 256):

@@ -175,24 +175,22 @@ class TestRowBlockBackward:
             np.testing.assert_allclose(f, r, rtol=1e-4, atol=1e-5)
 
 
-class TestScatterCache:
-    """The padded-CSR scatter memo (N:M training never scatters a whole matrix)."""
+class TestCsrScatter:
+    """The padded-CSR scatter the dense-tile backward reads (no memo)."""
 
     @staticmethod
     def _csr_probs():
         _, _, _, _, probs = _problem((2,), pattern="2:4")
         return PaddedCSRMatrix.from_dense(probs.to_dense(0.0), probs.to_mask())
 
-    def test_cache_opt_in_and_reuse(self):
+    def test_scatter_is_fresh_dense_values(self):
         probs = self._csr_probs()
-        uncached = probs.to_scattered()
-        assert probs.to_scattered() is not uncached  # no memo without cache=True
-        cached = probs.to_scattered(cache=True)
-        assert probs.to_scattered() is cached
-        np.testing.assert_array_equal(cached, probs.to_dense(0.0))
+        scattered = probs.to_scattered()
+        assert probs.to_scattered() is not scattered
+        np.testing.assert_array_equal(scattered, probs.to_dense(0.0))
 
     def test_with_values_does_not_share_scatter(self):
         probs = self._csr_probs()
-        cached = probs.to_scattered(cache=True)
+        scattered = probs.to_scattered()
         doubled = probs.with_values(probs.values * 2.0)
-        np.testing.assert_array_equal(doubled.to_scattered(), cached * 2.0)
+        np.testing.assert_array_equal(doubled.to_scattered(), scattered * 2.0)

@@ -504,7 +504,7 @@ class TestEveryStageTiles:
         "mechanism, stages",
         [
             ("dfss_2:4", ("nm_attention", "attention_bwd")),
-            ("longformer", ("sddmm_csr", "masked_softmax", "spmm", "attention_bwd")),
+            ("longformer", ("row_block_attention", "row_block_attention_bwd")),
         ],
         ids=["dfss_2:4", "longformer"],
     )

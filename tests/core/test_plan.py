@@ -155,12 +155,16 @@ class TestEnginePlan:
         assert plan.key.mechanism == "dfss_2:4"
         assert plan.key.shape_class[0] == 32
 
-    def test_static_mask_engine_plans_csr_from_its_mask(self):
+    def test_static_mask_engine_plans_row_blocks(self):
         engine = AttentionEngine("local", window=4)
         plan = engine.plan(n_q=24)
-        assert plan.key.layout == "csr"
+        assert plan.key.layout == "row_block"
         assert plan.key.mechanism == "local"
-        assert plan.key.shape_class[:2] == (24, 24)
+        assert plan.key.shape_class == (24, 24, 24)
+        q, k, v = (np.ones((2, 24, 8), dtype=np.float32) for _ in range(3))
+        structure = engine.mechanism().block_structure(24, 24)
+        out = plan.forward(q, k, v, structure=structure)
+        assert out.tobytes() == engine(q, k, v).tobytes()
 
     def test_engine_plan_defaults_to_seq_len_hint(self):
         engine = AttentionEngine("local", window=4, seq_len_hint=16)

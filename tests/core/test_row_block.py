@@ -1,0 +1,208 @@
+"""Tests for the row-block layout of the static masks.
+
+The structure each static mechanism declares must expand to exactly its
+dense ``attention_mask`` (built independently, from a full ``n × n`` grid).
+The kernels must match the dense masked oracle forward and backward on every
+backend, with and without dropout, and the multicore plan must equal the
+fast one bit for bit.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from repro.core.backend import FAST, MULTICORE, REFERENCE
+from repro.core.multicore import WORKERS_ENV_VAR
+from repro.core.plan import plan_for_blocks
+from repro.core.row_block import BLOCK_ROWS, RowBlockStructure
+from repro.nn import functional as F
+from repro.nn.autograd import Tensor
+from repro.nn.layers import Dropout
+from repro.nn.sparse_attention import row_block_sparse_attention
+from repro.registry import available_mechanisms, make_mechanism
+
+STATIC = ("local", "sparse_transformer", "fixed_truncated", "longformer", "bigbird")
+
+
+def _lattice(shape, seed):
+    rng = np.random.default_rng(seed)
+    return (rng.integers(-2, 3, size=shape) / 2).astype(np.float32)
+
+
+def test_every_static_mechanism_is_covered():
+    assert set(available_mechanisms(static_mask=True)) == set(STATIC)
+
+
+class TestStructureMatchesMask:
+    @pytest.mark.parametrize("n", [1, 3, 130, 255, 318, 4097])
+    @pytest.mark.parametrize("mechanism", STATIC)
+    def test_self_attention(self, mechanism, n):
+        mech = make_mechanism(mechanism)
+        structure = mech.block_structure(n, n)
+        np.testing.assert_array_equal(structure.to_mask(), mech._mask_2d(n, n))
+
+    @pytest.mark.parametrize(
+        "mechanism, options",
+        [
+            ("local", {"window": 8}),
+            ("sparse_transformer", {"window": 8, "stride": 16}),
+            ("fixed_truncated", {}),
+            ("longformer", {"window": 8}),
+        ],
+    )
+    @pytest.mark.parametrize("n_q, n_k", [(64, 96), (96, 64), (200, 70)])
+    def test_rectangular(self, mechanism, options, n_q, n_k):
+        mech = make_mechanism(mechanism, **options)
+        structure = mech.block_structure(n_q, n_k)
+        np.testing.assert_array_equal(structure.to_mask(), mech._mask_2d(n_q, n_k))
+
+    @pytest.mark.parametrize(
+        "mechanism, options",
+        [
+            ("local", {"window": 0}),
+            ("sparse_transformer", {"window": 0, "stride": 5}),
+            ("longformer", {"window": 0}),
+            ("longformer", {"window": 3, "num_global": 200}),
+            ("longformer", {"window": 0, "num_global": 130}),
+            ("fixed_truncated", {"density": 0.9}),
+            ("bigbird", {"block_size": 8, "num_global_blocks": 100}),
+        ],
+    )
+    @pytest.mark.parametrize("n", [3, 130])
+    def test_window_zero_and_all_global(self, mechanism, options, n):
+        mech = make_mechanism(mechanism, **options)
+        np.testing.assert_array_equal(mech.block_structure(n, n).to_mask(), mech._mask_2d(n, n))
+
+    def test_band_blocks_read_key_ranges_not_every_key(self):
+        structure = make_mechanism("longformer", window=32).block_structure(4096, 4096)
+        first, *rest = structure.blocks
+        assert first.width == 4096  # the global row's block is one dense tile
+        assert all(block.rows == BLOCK_ROWS for block in rest)
+        assert max(block.width for block in rest) == 1 + 2 * 32 + BLOCK_ROWS
+        local = make_mechanism("local", window=32).block_structure(4096, 4096)
+        assert all(isinstance(block.keys, slice) for block in local.blocks)
+
+    def test_longformer_build_allocates_no_square_mask(self):
+        mech = make_mechanism("longformer")
+        tracemalloc.start()
+        try:
+            structure = mech.block_structure(8192, 8192)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert structure.n_q == 8192
+        assert peak < 8 * 2**20  # one 8192² bool mask is 64 MiB
+
+
+def _dead_structure(n):
+    """A local window whose first and last query rows attend to nothing."""
+    return RowBlockStructure.build(
+        n, n,
+        lambda start, stop: [(start - 4, stop + 4)],
+        lambda rows, keys: (np.abs(rows - keys) <= 4) & (rows != 0) & (rows != n - 1),
+    )
+
+
+class TestKernels:
+    """Both kernels against the dense masked oracle (multi-block geometries)."""
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.25])
+    @pytest.mark.parametrize("backend", [FAST, REFERENCE, MULTICORE])
+    @pytest.mark.parametrize("mechanism", STATIC)
+    def test_matches_dense_oracle(self, mechanism, backend, dropout, monkeypatch):
+        monkeypatch.setenv(WORKERS_ENV_VAR, "2")
+        n = 200  # four row blocks, index lists and dense tiles
+        options = {"block_size": 8} if mechanism == "bigbird" else {}
+        mech = make_mechanism(mechanism, **options)
+        structure = mech.block_structure(n, n)
+        shape = (2, 3, n, 16)
+        sparse = [Tensor(_lattice(shape, seed), requires_grad=True) for seed in range(3)]
+        dense = [Tensor(_lattice(shape, seed), requires_grad=True) for seed in range(3)]
+        out, probs = row_block_sparse_attention(
+            *sparse, structure, backend=backend, dropout_p=dropout,
+            dropout_rng=Dropout(dropout, seed=3).rng, training=True,
+        )
+        expected = F.dense_masked_attention(
+            *dense, mech._mask_2d(n, n), dropout_p=dropout,
+            dropout_rng=Dropout(dropout, seed=3).rng,
+        )
+        np.testing.assert_allclose(out.data, expected.data, atol=1e-5)
+        assert probs.batch_shape == (2, 3)
+        np.testing.assert_array_equal(probs.structure.to_mask(), mech._mask_2d(n, n))
+        (out * out).sum().backward()
+        (expected * expected).sum().backward()
+        for a, b in zip(sparse, dense):
+            np.testing.assert_allclose(a.grad, b.grad, rtol=1e-5, atol=2e-5)
+
+    @pytest.mark.parametrize("backend", [FAST, REFERENCE, MULTICORE])
+    def test_fully_masked_rows_are_exactly_zero(self, backend, monkeypatch):
+        monkeypatch.setenv(WORKERS_ENV_VAR, "2")
+        n = 130
+        structure = _dead_structure(n)
+        q, k, v = (Tensor(_lattice((3, n, 16), seed), requires_grad=True) for seed in range(3))
+        out, _ = row_block_sparse_attention(q, k, v, structure, backend=backend)
+        for row in (0, n - 1):
+            assert np.all(out.data[:, row] == 0.0)
+        (out * out).sum().backward()
+        for row in (0, n - 1):
+            assert np.all(q.grad[:, row] == 0.0)
+        assert all(np.isfinite(t.grad).all() for t in (q, k, v))
+
+    def test_rows_without_keys_are_zero(self):
+        # queries past the key range of a local window read no key at all
+        mech = make_mechanism("local", window=2)
+        structure = mech.block_structure(200, 40)
+        assert structure.blocks[-1].stop < 200
+        q = _lattice((2, 200, 16), 1)
+        k, v = _lattice((2, 40, 16), 2), _lattice((2, 40, 16), 3)
+        out = plan_for_blocks(structure).forward(q, k, v, structure=structure)
+        assert np.all(out[:, 64:] == 0.0)
+
+    def test_rejects_a_structure_of_another_geometry(self):
+        structure = make_mechanism("local").block_structure(64, 64)
+        q = np.zeros((2, 32, 8), dtype=np.float32)
+        with pytest.raises(ValueError, match="structure"):
+            plan_for_blocks(structure).forward(q, q, q, structure=structure)
+
+
+class TestMulticoreBitwise:
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("mechanism", STATIC)
+    def test_train_step_equals_fast(self, mechanism, workers, monkeypatch):
+        monkeypatch.setenv(WORKERS_ENV_VAR, str(workers))
+        rng = np.random.default_rng(4)
+        n = 256
+        structure = make_mechanism(mechanism).block_structure(n, n)
+        arrays = [rng.standard_normal((5, n, 32), dtype=np.float32) for _ in range(3)]
+        results = []
+        for backend in (FAST, MULTICORE):
+            tensors = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+            out, _ = row_block_sparse_attention(
+                *tensors, structure, backend=backend, dropout_p=0.25,
+                dropout_rng=np.random.default_rng(9), training=True,
+            )
+            (out * out).sum().backward()
+            results.append([out.data] + [t.grad for t in tensors])
+        for fast, multi in zip(*results):
+            assert fast.tobytes() == multi.tobytes()
+
+
+@pytest.mark.parametrize("mechanism", STATIC)
+def test_static_masks_never_build_padded_csr_or_dense_masked_attention(mechanism, monkeypatch):
+    from repro.baselines.base import AttentionMechanism
+    from repro.core.padded_csr import PaddedCSRMatrix
+    from repro.engine import AttentionEngine
+    from repro.registry import make_core
+    from repro.serve import ServeRequest, serve
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("static masks run the row-block plan")
+
+    monkeypatch.setattr(PaddedCSRMatrix, "from_mask", forbidden)
+    monkeypatch.setattr(AttentionMechanism, "masked_attention", forbidden)
+    q, k, v = (_lattice((2, 96, 16), seed) for seed in range(3))
+    AttentionEngine(mechanism)(q, k, v)
+    serve([ServeRequest(q=q, k=k, v=v, mechanism=mechanism)])
+    tensors = [Tensor(x, requires_grad=True) for x in (q, k, v)]
+    make_core(mechanism, seq_len_hint=96)(*tensors).sum().backward()

@@ -245,6 +245,47 @@ class TestTiledBackwardSpan:
         assert args["out_bytes"] == 4 * 2 * 16 * (1030 + 2 * 1032)
 
 
+class TestRowBlockSpans:
+    """The static-mask kernels walk key blocks; both spans carry the block
+    tiles, the largest tile and the bytes they write, and gpusim costs them."""
+
+    def test_forward_and_backward_spans_carry_block_geometry(self):
+        from repro.nn.autograd import parameter
+        from repro.nn.sparse_attention import row_block_sparse_attention
+        from repro.profile.dag import build_dag
+        from repro.profile.replay import gpusim_cost_fn
+        from repro.registry import make_mechanism
+
+        structure = make_mechanism("longformer", window=32).block_structure(1024, 1024)
+        rng = np.random.default_rng(0)
+        q, k, v = (
+            parameter(rng.standard_normal((1, 2, 1024, 16), dtype=np.float32))
+            for _ in range(3)
+        )
+        with trace() as active:
+            out, _ = row_block_sparse_attention(q, k, v, structure, backend=FAST)
+            out.sum().backward()
+        kernels = {
+            e["name"]: e for e in active.events
+            if e.get("cat") == "kernel" and e["name"].startswith("row_block")
+        }
+        fwd = kernels["row_block_attention"]["args"]
+        bwd = kernels["row_block_attention_bwd"]["args"]
+        assert (fwd["phase"], bwd["phase"]) == ("fwd", "bwd")
+        # sixteen 64-row blocks per slice; the first is the global row's
+        # dense tile, the others read 1 global + 64 + 2 * 32 window keys
+        # (the last block's window ends at the last key: 1 + 64 + 32)
+        for args in (fwd, bwd):
+            assert args["tiles"] == 2 * 16
+            assert args["tile_shape"] == "64x1024"
+        entries = 64 * 1024 + 14 * 64 * 129 + 64 * 97
+        assert fwd["out_bytes"] == 4 * 2 * (1024 * 16 + entries)
+        assert bwd["out_bytes"] == 4 * 3 * 2 * 1024 * 16
+        cost = gpusim_cost_fn()
+        nodes = [n for n in build_dag(active.payload()).nodes if n.name.startswith("row_block")]
+        assert len(nodes) == 2 and all(cost(n) > 0.0 for n in nodes)
+
+
 class TestCacheStats:
     def test_plan_cache_stats_shape(self):
         clear_plan_cache()

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.padded_csr import PaddedCSRMatrix
 from repro.core.precision import tensor_core_operand
+from repro.core.row_block import RowBlockStructure
 from repro.engine import AttentionEngine
 from repro.registry import available_mechanisms, find_spec
 from repro.serve import (
@@ -70,9 +71,9 @@ class TestPrepareRequest:
         assert cache.stats() == {
             "hits": 1, "misses": 1, "evictions": 0, "entries": 1, "size": 1,
         }
-        # every segment of every request shares the one cached 2-D structure
+        # every segment of every request shares the one cached structure
         assert first.structure is second.structure
-        assert first.structure.batch_shape == ()
+        assert isinstance(first.structure, RowBlockStructure)
 
     def test_different_lengths_use_different_cache_entries(self):
         rng = np.random.default_rng(1)
@@ -207,13 +208,30 @@ class TestRunRaggedBatch:
         outputs = run_ragged_batch([_prepare(r, cache) for r in requests])
         engine = AttentionEngine("longformer", **options)
         plan = engine.plan(48, 48)
-        q0 = requests[0].q
-        structure = PaddedCSRMatrix.from_mask(engine.attention_mask(q0[0], q0[0]))
+        structure = engine.mechanism().block_structure(48, 48)
         for request, out in zip(requests, outputs):
-            expected = plan.forward(
-                request.q, request.k, request.v, structure=structure.broadcast_to((3,))
-            )
+            expected = plan.forward(request.q, request.k, request.v, structure=structure)
             assert out.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize(
+        "mechanism", ["local", "sparse_transformer", "fixed_truncated", "longformer", "bigbird"]
+    )
+    def test_engine_equals_served_static_bitwise_on_float32_operands(self, mechanism):
+        # one precision contract for a static mask, wherever it runs: float32
+        # operands, so the engine and the server give the same bits, and both
+        # sit within float32 rounding of the float64 oracle
+        rng = np.random.default_rng(14)
+        requests = [
+            _request(rng, mechanism, {}, heads=2, seq=n, d=64) for n in (255, 255, 130, 318)
+        ]
+        outputs = run_ragged_batch([_prepare(r, StructureCache()) for r in requests])
+        engine = AttentionEngine(mechanism)
+        for request, out in zip(requests, outputs):
+            direct = engine(request.q, request.k, request.v)
+            assert direct.tobytes() == out.tobytes()
+            mask = engine.attention_mask(request.q, request.k)
+            expected = _dense_oracle(request.q, request.k, request.v, mask)
+            np.testing.assert_allclose(direct, expected, rtol=0, atol=1e-5)
 
     @pytest.mark.parametrize("mechanism", BATCHABLE)
     def test_served_output_matches_float64_oracle(self, mechanism):
@@ -230,20 +248,18 @@ class TestRunRaggedBatch:
             expected = _dense_oracle(q, k, request.v, mask)
             np.testing.assert_allclose(out, expected, rtol=0, atol=2e-5)
 
-    def test_stacked_structure_is_memoised_per_depth(self):
+    def test_one_cached_structure_serves_every_stack_depth(self):
         rng = np.random.default_rng(12)
         cache = StructureCache()
         prepared = [_prepare(_request(rng), cache) for _ in range(3)]
-        first = run_ragged_batch(prepared)
+        first = run_ragged_batch(prepared)  # 3 requests x 2 heads stacked
         structure = prepared[0].structure
-        stacked = structure._shared["stacked"][6]  # 3 requests x 2 heads
-        assert stacked.batch_shape == (6,)
-        assert stacked._shared  # the kernels cached their index tables on it
+        assert all(p.structure is structure for p in prepared)
         again = run_ragged_batch(prepared)
-        assert structure._shared["stacked"][6] is stacked
         assert all(a.tobytes() == b.tobytes() for a, b in zip(first, again))
-        run_ragged_batch(prepared[:1])
-        assert set(structure._shared["stacked"]) == {2, 6}
+        alone = run_ragged_batch(prepared[:1])
+        assert alone[0].tobytes() == first[0].tobytes()
+        assert len(cache) == 1
 
     def test_server_backend_reaches_batched_requests(self):
         rng = np.random.default_rng(13)
@@ -259,9 +275,7 @@ class TestRunRaggedBatch:
         assert all(r.batched and r.batch_requests == 3 for r in results)
         local = AttentionEngine("local", backend="reference", window=4)
         dfss = AttentionEngine("dfss_2:4", backend="reference")
-        structure = PaddedCSRMatrix.from_mask(
-            local.attention_mask(requests[0].q[0], requests[0].k[0])
-        ).broadcast_to((2,))
+        structure = local.mechanism().block_structure(32, 32)
         expected = [
             local.plan(32, 32).forward(*_qkv(requests[0]), structure=structure),
             dfss.plan(32, 32).forward(*_qkv(requests[1])),
