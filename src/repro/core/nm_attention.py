@@ -7,21 +7,30 @@ and each block runs the whole chain while its ``(rows, n_k)`` score tile is
 cache-resident, in one preallocated tile buffer reused across blocks:
 
 1. ``tensor_core_operand(q)[rows] @ tensor_core_operand(k)ᵀ * scale``, with
-   the rows of a blocked-ELL ``block_mask`` applied;
-2. :func:`~repro.core.pruning.nm_compress_fast` — the same selection network
+   the rows of a blocked-ELL ``block_mask`` applied and padded key lanes
+   masked;
+2. a copy of the tile's M lanes into M contiguous ``(rows, n_k / M)`` lane
+   planes, and per-lane keep bools from
+   :func:`~repro.core.pruning.nm_keep_lanes` — the same selection network
    and tie-breaking as the ``sddmm_nm`` epilogue;
-3. :func:`~repro.core.softmax.masked_softmax_values` in place on the
-   compressed values;
-4. scatter of the probabilities back into the same tile buffer, then
-   ``tile @ v`` into a disjoint row block of the output.  Seeded attention
-   dropout (:func:`dropout_keep`), when requested, multiplies the scattered
-   probabilities only: the returned compressed probabilities stay
-   pre-dropout.
+3. the masked softmax on the planes, in place: the row max (under ``value``
+   the tile's own, as a group's largest lane always survives; under
+   ``magnitude`` the kept lanes'), ``exp``, dropped lanes zeroed by a
+   bit-pattern multiply, denominators summed in the N:M order of the
+   compressed softmax (:func:`~repro.core.softmax.grouped_row_sum`), the
+   divide, and seeded attention dropout hashed on dense positions;
+4. the planes written back into the tile, then ``tile @ v`` into a disjoint
+   row block of the output.  When the caller asks for the compressed
+   probabilities, they are assembled from the finished planes with the
+   saved keep bools (:func:`~repro.core.pruning.nm_compress_lanes`) before
+   dropout, so they stay pre-dropout; the selection is never re-run on
+   probabilities, whose underflowed zeros would tie.
 
-No ``(n_q, n_k)`` score, probability or scatter tensor is ever allocated: the
-working set is one tile plus the selection temporaries, sized by
-:data:`TILE_BYTES`.  The compressed probabilities are written into
-preallocated ``(values, indices)`` arrays only when the caller asks for them.
+No ``(n_q, n_k)`` score or probability tensor and no integer scatter index
+is ever allocated: the working set is one tile, its lane planes and the
+selection bools, sized by :data:`TILE_BYTES`.  The compressed probabilities
+are written into preallocated ``(values, indices)`` arrays only when the
+caller asks for them.
 
 Every step is row-local, so the result equals the staged
 ``sddmm_nm → masked_softmax → spmm`` composition bit for bit wherever the
@@ -56,9 +65,13 @@ from repro.core.backend import FAST, REFERENCE, register_kernel
 from repro.core.blocked_ell import BlockedEllMask
 from repro.core.patterns import default_pattern_for_dtype, resolve_pattern
 from repro.core.precision import tensor_core_operand
-from repro.core.pruning import global_column_indices, nm_compress_fast
+from repro.core.pruning import global_column_indices, nm_compress_lanes, nm_keep_lanes
 from repro.core.sddmm import MASKED_SCORE, _prepare_inputs, _sddmm_nm_reference
-from repro.core.softmax import _sparse_softmax_reference, masked_softmax_values
+from repro.core.softmax import (
+    MASKED_LOGIT_THRESHOLD,
+    _sparse_softmax_reference,
+    grouped_row_sum,
+)
 from repro.core.sparse import NMSparseMatrix
 from repro.core.spmm import _spmm_reference
 from repro.utils.seeding import attention_dropout_keep
@@ -75,9 +88,14 @@ __all__ = [
     "tile_span_args",
 ]
 
-#: Bytes of one float32 score tile: about 1 MiB keeps the tile and the
-#: selection temporaries cache-resident (64 rows at L4096, 512 at L512).
+#: Bytes of one float32 score tile: about 1 MiB keeps the tile, its lane
+#: planes and the selection bools cache-resident (64 rows at L4096, 512 at
+#: L512).  Of 256 KiB to 2 MiB, 1 MiB ran fastest at B1·H2·L4096 on a
+#: 2-CPU box with one BLAS thread.
 TILE_BYTES = 1 << 20
+
+#: ``MASKED_SCORE``'s bit pattern, written into dropped lanes' uint32 views.
+_MASKED_BITS = MASKED_SCORE.view(np.uint32)
 
 #: One tile: ``(flattened batch index, first row, stop row)``.
 Tile = Tuple[int, int, int]
@@ -220,7 +238,9 @@ class NMForwardJob:
         self.n_q = n_q
         self.n_k = n_k
         self.dropout = dropout
-        self._q = tensor_core_operand(q3, dtype)
+        # Q is rounded one row block at a time, in the tile (elementwise, so
+        # the bits match rounding it whole); Kᵀ once, as every tile reads it
+        self._q = q3
         self._kt = tensor_core_operand(np.swapaxes(k3, -1, -2), dtype)
         self._v = v3
         self._grid = None
@@ -235,7 +255,6 @@ class NMForwardJob:
             (b, r0, r1) for b in range(q3.shape[0]) for r0, r1 in blocks
         ]
         self.tile_rows = max((r1 - r0 for r0, r1 in blocks), default=0)
-        self._lane_offsets = lane_offsets(self.pattern, self.tile_rows, n_k)
         self._out = np.empty((q3.shape[0], n_q, v3.shape[-1]), dtype=np.float32)
         self._values = self._indices = None
         if return_probs:
@@ -247,29 +266,75 @@ class NMForwardJob:
         return np.empty((self.tile_rows, self.n_k), dtype=np.float32)
 
     def run(self, tile: Tile, buf: np.ndarray) -> None:
-        """Execute one tile: score, select, normalise, scatter and contract."""
+        """Execute one tile: score, select, normalise in place and contract."""
         b, r0, r1 = tile
         scores = buf[: r1 - r0]
         # repro: owns-buffer — the job's reused tile buffer
-        np.matmul(self._q[b, r0:r1], self._kt[b], out=scores)
+        np.matmul(tensor_core_operand(self._q[b, r0:r1], self.dtype), self._kt[b], out=scores)
         np.multiply(scores, self.scale, out=scores)  # repro: owns-buffer — the job's reused tile buffer
         if self._grid is not None:
             allowed = self._grid[self._row_block[r0:r1]][:, self._col_block]
             np.copyto(scores[:, : self.n_keys], MASKED_SCORE, where=~allowed)
         np.copyto(scores[:, self.n_keys:], MASKED_SCORE)  # padded key lanes
-        values, indices = nm_compress_fast(scores, self.pattern, self.criterion)
-        masked_softmax_values(values, out=values)
-        applied = values
-        if self.dropout is not None:
-            applied = values * dropout_keep(
-                self.dropout, indices, self.pattern, self.n_keys, b * self.n_q + r0
-            )
-        scatter_lanes(scores, self._lane_offsets[: r1 - r0] + indices, applied)
-        # repro: owns-buffer — disjoint row block of the job's own output
-        np.matmul(scores, self._v[b], out=self._out[b, r0:r1])
+        planes, keep = self._normalised_planes(scores)
         if self._values is not None:
+            values, indices = nm_compress_lanes(planes, keep, self.pattern)
             self._values[b, r0:r1] = values  # repro: owns-buffer — disjoint row block of the job's own output
             self._indices[b, r0:r1] = indices  # repro: owns-buffer — disjoint row block of the job's own output
+        if self.dropout is not None:
+            planes *= self._plane_dropout(b * self.n_q + r0, r1 - r0)
+        groups = scores.reshape(r1 - r0, -1, self.pattern.m)
+        for i, plane in enumerate(planes):
+            np.copyto(groups[..., i], plane)  # repro: owns-buffer — the job's reused tile buffer
+        # repro: owns-buffer — disjoint row block of the job's own output
+        np.matmul(scores, self._v[b], out=self._out[b, r0:r1])
+
+    def _normalised_planes(self, scores: np.ndarray) -> Tuple[np.ndarray, Tuple[np.ndarray, ...]]:
+        """Masked N:M softmax of a score tile, as ``(planes, keep)``.
+
+        ``planes[i]`` is a contiguous ``(rows, n_k / M)`` copy of lane ``i``
+        of every M-group, normalised in place; ``keep[i]`` are its survival
+        bools from the selection network.  Dropped lanes end as exact zeros,
+        so the denominator (:func:`~repro.core.softmax.grouped_row_sum`)
+        equals the compressed softmax's bit for bit.
+        """
+        rows, m = scores.shape[0], self.pattern.m
+        planes = scores.reshape(rows, -1, m).transpose(2, 0, 1).copy()
+        keep = nm_keep_lanes(planes, self.pattern, self.criterion)
+        if self.criterion == "value":
+            # a group's largest lane always survives: the tile's row max is
+            # the kept lanes' one
+            row_max = np.max(scores, axis=-1, keepdims=True)
+        else:
+            for plane, kept in zip(planes, keep):
+                # a dropped lane scores as masked: no part in the max, exp 0
+                bits = plane.view(np.uint32)
+                np.multiply(bits, kept, out=bits)
+                np.add(bits, ~kept * _MASKED_BITS, out=bits)
+            row_max = np.max(np.maximum.reduce(planes), axis=-1, keepdims=True)
+        # masked-logit rows (all lanes masked) and non-finite maxima shift by 0
+        live = np.isfinite(row_max) & (row_max > MASKED_LOGIT_THRESHOLD)
+        np.subtract(planes, np.where(live, row_max, 0.0), out=planes)
+        # exp underflows every masked lane to exactly +0
+        np.exp(planes, out=planes)
+        for plane, kept in zip(planes, keep):
+            # bit-pattern multiply: a dropped lane is +0 even where exp overflowed
+            bits = plane.view(np.uint32)
+            np.multiply(bits, kept, out=bits)
+        denom = grouped_row_sum(planes)
+        np.divide(planes, np.where(denom == 0.0, 1.0, denom), out=planes)
+        return planes, keep
+
+    def _plane_dropout(self, first_row: int, rows: int) -> np.ndarray:
+        """``(M, rows, n_k / M)`` keep mask of :meth:`run`'s lane planes,
+        hashed on the dense positions of flattened rows ``first_row, …``."""
+        m = self.pattern.m
+        row_base = (first_row + np.arange(rows, dtype=np.uint64)) * np.uint64(self.n_keys)
+        group_base = np.arange(0, self.n_k, m, dtype=np.uint64)
+        positions = (
+            row_base[:, None] + group_base + np.arange(m, dtype=np.uint64)[:, None, None]
+        )
+        return attention_dropout_keep(*self.dropout, positions)
 
     def result(self) -> Tuple[np.ndarray, Optional[NMSparseMatrix]]:
         """``(out, probs)``; ``probs`` is ``None`` unless requested.

@@ -65,7 +65,7 @@ from repro.core.nm_attention import pad_keys
 from repro.core.patterns import resolve_pattern
 from repro.core.plan_cache import PlanCache
 from repro.core.row_block import Dropout, RowBlockStructure
-from repro.core.softmax import masked_softmax_values
+from repro.core.softmax import denominator_group, masked_softmax_values
 from repro.core.sparse import NMSparseMatrix
 from repro.profile.tracer import (
     current_tracer,
@@ -210,6 +210,7 @@ class AttentionPlan:
         segmented = (
             None if valid is None else bool(int(probs.row_lengths().min()) < buf.shape[-1])
         )
+        group = denominator_group(probs)
         tracer = current_tracer()
 
         def masked_softmax(tile):
@@ -230,7 +231,8 @@ class AttentionPlan:
             with span:
                 # repro: owns-buffer — fused plan reuses the score buffer it owns (or just copied)
                 masked_softmax_values(
-                    tile.values, valid, lengths, out=tile.values, segmented=segmented
+                    tile.values, valid, lengths, out=tile.values, segmented=segmented,
+                    group=group,
                 )
 
         self._map("masked_softmax", probs, masked_softmax)

@@ -137,8 +137,10 @@ def _keep_bools_24(key_cols):
 
     Element ``i`` "beats" element ``j`` when it wins the reference tie-break:
     ``key_i >= key_j`` for ``i < j`` and ``key_i > key_j`` for ``i > j``.  The
-    beats relation is a total order, so counting wins ranks the group and the
-    top-2 are exactly the entries with at least two wins.
+    beats relation is a total order, so the top-2 are exactly the entries
+    that beat at least two of the other three (a majority of their three
+    comparisons), and since exactly two survive, d survives iff an odd
+    number of a, b and c do.
     """
     a, b, c, d = key_cols
     ab = a >= b
@@ -147,27 +149,67 @@ def _keep_bools_24(key_cols):
     bc = b >= c
     bd = b >= d
     cd = c >= d
-    one = np.uint8(1)
-    keep_a = (ab.view(np.uint8) + ac + ad) >= 2
-    keep_b = ((one - ab) + bc + bd) >= 2
-    keep_c = ((one - ac) + (one - bc) + cd) >= 2
-    keep_d = ((one - ad) + (one - bd) + (one - cd)) >= 2
+    # on bools ``x > y`` is ``x and not y``
+    keep_a = (ab & (ac | ad)) | (ac & ad)
+    keep_b = (bc & bd) | ((bc | bd) > ab)
+    keep_c = (cd > (ac & bc)) | ~(ac | bc)
+    keep_d = keep_a ^ keep_b ^ keep_c
     return keep_a, keep_b, keep_c, keep_d
 
 
-def _compress_fast_12(groups: np.ndarray, key: np.ndarray):
-    take_second = key[..., 1] > key[..., 0]
-    a, b = _group_columns(groups)
-    bits = b.view(np.uint32) * take_second + a.view(np.uint32) * ~take_second
-    return bits.view(np.float32)[..., None], take_second.view(np.int8)[..., None]
+def nm_keep_lanes(lanes, pattern, criterion: str = "value") -> Tuple[np.ndarray, ...]:
+    """Per-lane survival bools of N:M groups held as M lane arrays.
+
+    ``lanes[i]`` holds the ``i``-th entry of every group (all M arrays share
+    one shape); the result is one bool array per lane, ``True`` where the
+    entry is among its group's N kept ones under the tie-break of
+    :func:`nm_group_topn_indices`.  1:2 and 2:4 run the branch-free
+    selection networks; any other pattern ranks the stacked lanes with the
+    generic argsort.  This is the one selection rule of the fast kernels:
+    :func:`nm_compress_fast`, :func:`nm_prune_mask_fast` and the fused
+    ``nm_attention`` tile all take their keep bools from here.
+    """
+    pattern = resolve_pattern(pattern)
+    keys = tuple(_selection_key(lane, criterion) for lane in lanes)
+    if (pattern.n, pattern.m) == (1, 2):
+        take_second = keys[1] > keys[0]
+        return ~take_second, take_second
+    if (pattern.n, pattern.m) == (2, 4):
+        return _keep_bools_24(keys)
+    kept = nm_group_topn_indices(np.stack(keys, axis=-1), pattern)
+    mask = np.zeros(kept.shape[:-2] + (pattern.m,), dtype=bool)
+    np.put_along_axis(mask, kept[..., 0, :], True, axis=-1)
+    return tuple(mask[..., i] for i in range(pattern.m))
 
 
-def _compress_fast_24(groups: np.ndarray, key: np.ndarray):
-    group_cols = _group_columns(groups)
-    # the "value" criterion keys on the group entries themselves — reuse the
-    # contiguous column copies instead of materialising them twice
-    key_cols = group_cols if key is groups else _group_columns(key)
-    keep_a, keep_b, keep_c, keep_d = _keep_bools_24(key_cols)
+def nm_compress_lanes(lanes, keep, pattern) -> Tuple[np.ndarray, np.ndarray]:
+    """Compressed ``(values, indices)`` of lane-held groups from their keep bools.
+
+    ``lanes`` and ``keep`` are as :func:`nm_keep_lanes` takes and returns
+    them; the result has shape ``lanes[0].shape[:-1] + (groups · N,)`` with
+    every group's kept entries in ascending in-group order, exactly as
+    :func:`nm_compress` lays them out.
+    """
+    pattern = resolve_pattern(pattern)
+    if (pattern.n, pattern.m) == (1, 2):
+        a, b = (lane.view(np.uint32) for lane in lanes)
+        bits = a * keep[0] + b * keep[1]
+        return bits.view(np.float32), keep[1].view(np.int8)
+    if (pattern.n, pattern.m) == (2, 4):
+        values, indices = _compress_lanes_24(lanes, keep)
+    else:
+        order = np.argsort(~np.stack(keep, axis=-1), axis=-1, kind="stable")
+        indices = order[..., : pattern.n]
+        values = np.take_along_axis(np.stack(lanes, axis=-1), indices, axis=-1)
+    flat_shape = lanes[0].shape[:-1] + (lanes[0].shape[-1] * pattern.n,)
+    return (
+        values.reshape(flat_shape).astype(np.float32, copy=False),
+        indices.reshape(flat_shape).astype(np.int8, copy=False),
+    )
+
+
+def _compress_lanes_24(lanes, keep):
+    keep_a, keep_b, keep_c, keep_d = keep
     # kept indices in ascending order: the first kept entry is a if a
     # survives, else b if b survives, else it must be c; symmetrically for
     # the second kept entry from the high end.
@@ -175,7 +217,7 @@ def _compress_fast_24(groups: np.ndarray, key: np.ndarray):
     first_c = ~(keep_a | keep_b)
     last_c = keep_c & ~keep_d
     last_b = ~(keep_c | keep_d)
-    a, b, c, d = (col.view(np.uint32) for col in group_cols)
+    a, b, c, d = (lane.view(np.uint32) for lane in lanes)
     v0 = (a * keep_a + b * first_b + c * first_c).view(np.float32)
     v1 = (d * keep_d + c * last_c + b * last_b).view(np.float32)
     i0 = (~keep_a).view(np.uint8) + first_c
@@ -190,43 +232,22 @@ def nm_compress_fast(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Drop-in replacement for :func:`nm_compress` using selection networks.
 
-    Specialised for the hardware 1:2 and 2:4 patterns; any other pattern
-    falls back to the generic argsort-based :func:`nm_compress`.
+    The hardware 1:2 and 2:4 patterns run branch-free networks; any other
+    pattern ranks its groups with the generic argsort (:func:`nm_keep_lanes`).
     """
     pattern = resolve_pattern(pattern)
-    if (pattern.n, pattern.m) not in ((1, 2), (2, 4)):
-        return nm_compress(x, pattern, criterion)
-    groups = _group_view(x, pattern)
-    key = _selection_key(groups, criterion)
-    if pattern.m == 2:
-        values, indices = _compress_fast_12(groups, key)
-    else:
-        values, indices = _compress_fast_24(groups, key)
-    flat_shape = x.shape[:-1] + (pattern.kept(x.shape[-1]),)
-    return values.reshape(flat_shape), indices.reshape(flat_shape)
+    lanes = _group_columns(_group_view(x, pattern))
+    return nm_compress_lanes(lanes, nm_keep_lanes(lanes, pattern, criterion), pattern)
 
 
 @register_kernel("nm_prune_mask", FAST)
 def nm_prune_mask_fast(x: np.ndarray, pattern, criterion: str = "value") -> np.ndarray:
     """Drop-in replacement for :func:`nm_prune_mask` using selection networks."""
     pattern = resolve_pattern(pattern)
-    if (pattern.n, pattern.m) not in ((1, 2), (2, 4)):
-        return nm_prune_mask(x, pattern, criterion)
     x = np.asarray(x, dtype=np.float32)
-    groups = _group_view(x, pattern)
-    key = _selection_key(groups, criterion)
-    mask = np.empty(groups.shape, dtype=bool)
-    if pattern.m == 2:
-        take_second = key[..., 1] > key[..., 0]
-        mask[..., 0] = ~take_second
-        mask[..., 1] = take_second
-    else:
-        keep_a, keep_b, keep_c, keep_d = _keep_bools_24(_group_columns(key))
-        mask[..., 0] = keep_a
-        mask[..., 1] = keep_b
-        mask[..., 2] = keep_c
-        mask[..., 3] = keep_d
-    return mask.reshape(x.shape)
+    lanes = _group_columns(_group_view(x, pattern))
+    keep = nm_keep_lanes(lanes, pattern, criterion)
+    return np.stack(keep, axis=-1).reshape(x.shape)
 
 
 register_kernel("nm_prune_mask", REFERENCE)(nm_prune_mask)

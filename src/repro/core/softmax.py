@@ -15,6 +15,18 @@ only instead of the full padded lane width).
 :func:`masked_softmax_values` is the shared value-space core: both the fast
 registry kernel and the fused :class:`~repro.core.plan.AttentionPlan` call it,
 which is what makes the fused plan bitwise-identical to the kernel.
+
+N:M denominator order.  On an N:M layout the fast core does not sum a row of
+compressed probabilities left to right: each M-group's N kept values are
+added first, in ascending lane order, and ``np.sum`` then reduces the
+contiguous per-group sums (:func:`grouped_row_sum`).  The fused
+``nm_attention`` tile normalises its dense lane planes, where every dropped
+lane is an exact zero, with the same function; adding an exact zero never
+rounds, so the tile's denominators equal the compressed ones bit for bit.
+The ``reference`` backend sums in the same order, so the backends agree
+bit for bit on exactly representable inputs.  For 1:2 this is the plain row
+sum; for 2:4 a denominator can differ by a few ulps from a plain ``np.sum``
+over the compressed row.  CSR and row-block rows are plain row sums.
 """
 
 from __future__ import annotations
@@ -24,6 +36,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.core.backend import FAST, REFERENCE, get_kernel, register_kernel
+from repro.core.sparse import NMSparseMatrix
 
 #: Values at or below this threshold are treated as masked-out logits (they
 #: come from blocked-ELL masking in the fused SDDMM) and receive zero weight.
@@ -61,25 +74,55 @@ def masked_dense_softmax(
     return exp / denom
 
 
-def masked_exp_terms(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+def masked_exp_terms(values: np.ndarray, group: int = 1) -> Tuple[np.ndarray, np.ndarray]:
     """Unnormalised softmax numerator and denominator over stored nonzeros.
 
     Returns ``(exp, denom)`` where ``exp`` holds the max-subtracted
     exponentials (zero at masked-logit positions) and ``denom`` their row sums
     with fully-masked rows clamped to one.  ``exp / denom`` is the softmax.
+    ``group`` is :func:`denominator_group` of the layout.
     """
     masked = values <= MASKED_LOGIT_THRESHOLD
     safe_vals = np.where(masked, -np.inf, values)
     row_max = np.max(safe_vals, axis=-1, keepdims=True)
     row_max = np.where(np.isfinite(row_max), row_max, 0.0)
     exp = np.where(masked, 0.0, np.exp(safe_vals - row_max))
-    denom = np.sum(exp, axis=-1, keepdims=True)
+    denom = _row_sum(exp, group)
     denom = np.where(denom == 0.0, 1.0, denom)
     return exp, denom
 
 
+def grouped_row_sum(lanes) -> np.ndarray:
+    """Row sums, keepdims, of groups held as lane arrays: the N:M denominator order.
+
+    ``lanes[j]`` is a ``(rows, groups)`` array of every group's ``j``-th
+    lane.  Each group's lanes are added in ascending order, then ``np.sum``
+    reduces the contiguous per-group sums along the row.
+    """
+    sums = lanes[0].copy()
+    for lane in lanes[1:]:
+        sums += lane
+    return np.sum(sums, axis=-1, keepdims=True)
+
+
+def _row_sum(x: np.ndarray, group: int) -> np.ndarray:
+    """Row sums, keepdims, of ``(rows, width)`` ``x`` whose lanes form groups
+    of ``group`` consecutive entries (:func:`grouped_row_sum`); ``group=1``
+    is the plain row sum."""
+    if group == 1:
+        return np.sum(x, axis=-1, keepdims=True)
+    grouped = x.reshape(x.shape[0], x.shape[-1] // group, group)
+    return grouped_row_sum([grouped[..., j] for j in range(group)])
+
+
+def denominator_group(layout) -> int:
+    """Lanes per group of ``layout``'s softmax denominator: N on an N:M layout
+    (see the module note), else 1 (a plain row sum)."""
+    return layout.pattern.n if isinstance(layout, NMSparseMatrix) else 1
+
+
 def _chunked_row_softmax(
-    values: np.ndarray, out: np.ndarray, chunk_rows: int = 2048
+    values: np.ndarray, out: np.ndarray, group: int = 1, chunk_rows: int = 2048
 ) -> np.ndarray:
     """Masked row softmax over full-width rows, written into ``out``.
 
@@ -87,6 +130,8 @@ def _chunked_row_softmax(
     ``out`` (which may alias ``values``), so the whole pass keeps one chunk of
     temporaries resident instead of eight full-tensor ones — this is what
     makes the fast backend beat the reference loop at default scale.
+    ``group > 1`` sums each row's denominator in the N:M order
+    (:func:`grouped_row_sum` over groups of ``group`` consecutive lanes).
     """
     flat = values.reshape(-1, values.shape[-1])
     oflat = out.reshape(flat.shape)
@@ -104,7 +149,7 @@ def _chunked_row_softmax(
         np.exp(o, out=o)  # repro: owns-buffer — caller-provided out
         if any_masked:
             o[masked] = 0.0  # repro: owns-buffer — caller-provided out
-        denom = np.sum(o, axis=-1, keepdims=True)
+        denom = _row_sum(o, group)
         # repro: owns-buffer — caller-provided out
         np.divide(o, np.where(denom == 0.0, 1.0, denom), out=o)
     return out
@@ -158,6 +203,7 @@ def masked_softmax_values(
     lengths: Optional[np.ndarray] = None,
     out: Optional[np.ndarray] = None,
     segmented: Optional[bool] = None,
+    group: int = 1,
 ) -> np.ndarray:
     """Value-space masked row softmax shared by the fast kernel and the plan.
 
@@ -174,11 +220,14 @@ def masked_softmax_values(
     logical softmax as several row tiles must decide the branch *once* on the
     global lengths and pin it for every tile to stay bitwise-identical — a
     tile's local ``lengths.min()`` can otherwise flip the dispatch.
+
+    ``group`` is :func:`denominator_group` of the layout (N on N:M layouts,
+    which have no padding lanes).
     """
     if out is None:
         out = np.empty_like(values)
     if valid is None:
-        return _chunked_row_softmax(values, out)
+        return _chunked_row_softmax(values, out, group)
     if segmented is None:
         # no padding lanes anywhere: the dense chunked pass is cheaper than
         # the gather/scatter of the segmented one
@@ -208,7 +257,11 @@ def _sparse_softmax_fast(scores):
     """Cache-blocked pass; segmented over ``valid_lanes()`` on ragged layouts."""
     valid = scores.valid_lanes()
     lengths = None if valid is None else scores.row_lengths()
-    return scores.with_values(masked_softmax_values(scores.values, valid, lengths))
+    return scores.with_values(
+        masked_softmax_values(
+            scores.values, valid, lengths, group=denominator_group(scores)
+        )
+    )
 
 
 @register_kernel("masked_softmax", REFERENCE)
@@ -227,8 +280,9 @@ def sparse_softmax_streaming(scores, chunk_rows: int = 1024):
     vals = scores.values
     flat = vals.reshape(-1, vals.shape[-1])
     out = np.empty_like(flat)
+    group = denominator_group(scores)
     for start in range(0, flat.shape[0], chunk_rows):
         stop = min(start + chunk_rows, flat.shape[0])
-        exp, denom = masked_exp_terms(flat[start:stop])
+        exp, denom = masked_exp_terms(flat[start:stop], group)
         out[start:stop] = exp / denom
     return scores.with_values(out.reshape(vals.shape))

@@ -25,7 +25,8 @@ from repro.core import nm_attention
 from repro.core.attention import dfss_attention, full_attention
 from repro.core.backend import FAST, MULTICORE, REFERENCE, get_kernel
 from repro.core.multicore import WORKERS_ENV_VAR
-from repro.core.blocked_ell import sliding_window_mask
+from repro.core.blocked_ell import BlockedEllMask, sliding_window_mask
+from repro.core.patterns import resolve_pattern
 from repro.core.plan import plan_for_nm
 from repro.core.sparse import NMSparseMatrix
 from repro.engine import AttentionEngine
@@ -120,6 +121,136 @@ class TestBitwiseAgainstStagedComposition:
         np.testing.assert_array_equal(
             dfss_attention(q, k, v, pattern="2:4", backend=FAST), out
         )
+
+
+def _staged_padded(plan, pattern, q, k, v, block_mask=None, dropout=None, **kwargs):
+    """The staged composition over keys padded to whole M-groups.
+
+    Padded key lanes are masked before the selection exactly as the fused
+    tiles mask them, and dropout multiplies the compressed probabilities the
+    contraction reads; the returned probabilities are pre-dropout.
+    """
+    n_keys = k.shape[-2]
+    pattern = resolve_pattern(pattern)
+    n_k = pattern.padded(n_keys)
+    if n_k != n_keys:
+        k, v = nm_attention.pad_keys(k, n_k), nm_attention.pad_keys(v, n_k)
+        block_mask = nm_attention._PaddedKeys(n_keys, block_mask)
+    scores = plan.compute_scores(q, k, block_mask=block_mask, **kwargs)
+    probs = plan.compute_probs(scores)
+    keep = None
+    if dropout is not None:
+        keep = nm_attention.dropout_keep(dropout, probs.indices, pattern, n_keys)
+    return plan.contract(probs, v, drop_keep=keep), probs
+
+
+def _random_block_mask(block_size, block_rows, block_cols, empty_rows=(), seed=0):
+    """Blocked-ELL mask keeping a random half of each block row's columns;
+    the ``empty_rows`` keep none, so their query rows see no key at all."""
+    rng = np.random.default_rng(seed)
+    width = (block_cols + 1) // 2
+    cols = np.stack([rng.permutation(block_cols)[:width] for _ in range(block_rows)])
+    cols[list(empty_rows)] = -1
+    return BlockedEllMask(block_size, cols)
+
+
+def _forward_all_ways(monkeypatch, pattern, q, k, v, **kwargs):
+    """``(fused, staged, multicore)`` runs of one call, each ``(out, probs)``."""
+    n_q, n_keys = q.shape[-2], k.shape[-2]
+    fast = plan_for_nm(pattern, n_q, n_keys, backend=FAST)
+    fused = fast.forward(q, k, v, return_probs=True, **kwargs)
+    staged = _staged_padded(fast, pattern, q, k, v, **kwargs)
+    monkeypatch.setenv(WORKERS_ENV_VAR, "2")
+    tiled = plan_for_nm(pattern, n_q, n_keys, backend=MULTICORE).forward(
+        q, k, v, return_probs=True, **kwargs
+    )
+    return fused, staged, tiled
+
+
+class TestAdversarialBitwise:
+    """Edge inputs of the in-place tile: fused equals the staged chain, and
+    multicore equals fast, bit for bit."""
+
+    def _check(self, monkeypatch, pattern, q, k, v, **kwargs):
+        fused, staged, tiled = _forward_all_ways(monkeypatch, pattern, q, k, v, **kwargs)
+        assert len(nm_attention.row_blocks(q.shape[-2], fused[1].dense_cols)) > 1
+        _assert_same(*fused, *staged)
+        _assert_same(*fused, *tiled)
+        return fused
+
+    def test_block_mask_rows_without_keys(self, monkeypatch):
+        q = _normal((2, 640, 32), 0)
+        k, v = _normal((2, 1024, 32), 1), _normal((2, 1024, 32), 2)
+        mask = _random_block_mask(64, 10, 16, empty_rows=(1, 7))
+        out, probs = self._check(monkeypatch, "2:4", q, k, v, block_mask=mask)
+        for br in (1, 7):
+            rows = slice(64 * br, 64 * (br + 1))
+            assert np.all(out[:, rows] == 0.0)
+            assert np.all(probs.values[:, rows] == 0.0)
+        assert np.all(out[:, :64] != 0.0)
+
+    @pytest.mark.parametrize(
+        "pattern,block,n_q,n_keys", [("2:4", 30, 600, 990), ("2:6", 64, 640, 1024)]
+    )
+    def test_unaligned_keys_with_block_mask(self, monkeypatch, pattern, block, n_q, n_keys):
+        assert n_keys % resolve_pattern(pattern).m
+        q = _normal((2, n_q, 32), 0)
+        k, v = _normal((2, n_keys, 32), 1), _normal((2, n_keys, 32), 2)
+        mask = _random_block_mask(block, n_q // block, n_keys // block, empty_rows=(3,))
+        _, probs = self._check(monkeypatch, pattern, q, k, v, block_mask=mask)
+        assert np.all(probs.to_dense()[..., n_keys:] == 0.0)
+
+    def test_magnitude_drops_the_largest_lane(self, monkeypatch):
+        # lane 0 of every key group scores about +1 and lanes 1-3 about -8,
+        # so magnitude drops every row's largest score; lattice scores are
+        # exact, so the premise is checked on the values the selection saw
+        q = _lattice((2, 600, 16), 0)
+        q[..., 0] = 1.0
+        k = _lattice((2, 1024, 16), 1) / 32
+        k[..., 0] = np.where(np.arange(1024) % 4 == 0, 1.0, -8.0)
+        v = _normal((2, 1024, 16), 2)
+        _, probs = self._check(monkeypatch, "2:4", q, k, v, criterion="magnitude")
+        scores = q @ np.swapaxes(k, -1, -2)
+        largest = scores.argmax(axis=-1)[..., None]
+        assert not np.take_along_axis(probs.to_mask(), largest, axis=-1).any()
+
+    @pytest.mark.parametrize("pattern,n_keys", [((1, 4), 1024), ("2:6", 1020)])
+    def test_generic_patterns(self, monkeypatch, pattern, n_keys):
+        q = _normal((2, 600, 32), 0)
+        k, v = _normal((2, n_keys, 32), 1), _normal((2, n_keys, 32), 2)
+        self._check(monkeypatch, pattern, q, k, v)
+
+    def test_nan_stays_in_its_query_row(self, monkeypatch):
+        q, k, v = (_normal((2, 600, 32), s) for s in range(3))
+        clean = get_kernel("nm_attention", FAST)(q, k, v, pattern="2:4", return_probs=True)
+        q[1, 333, 5] = np.nan
+        fused, staged, tiled = _forward_all_ways(monkeypatch, "2:4", q, k, v)
+        assert np.isnan(fused[0][1, 333]).all()
+        _assert_same(*fused, *tiled)
+        others = np.ones((2, 600), dtype=bool)
+        others[1, 333] = False
+        for out, probs in (fused, staged):
+            np.testing.assert_array_equal(out[others], clean[0][others])
+            np.testing.assert_array_equal(probs.values[others], clean[1].values[others])
+            np.testing.assert_array_equal(probs.indices[others], clean[1].indices[others])
+
+
+class TestDropoutInTile:
+    @pytest.mark.parametrize("n_keys", [1024, 1021])
+    def test_equals_staged_contract_with_drop_keep(self, monkeypatch, n_keys):
+        q = _normal((2, 600, 32), 0)
+        k, v = _normal((2, n_keys, 32), 1), _normal((2, n_keys, 32), 2)
+        dropout = (1234, 0.3)
+        fused, staged, tiled = _forward_all_ways(monkeypatch, "2:4", q, k, v, dropout=dropout)
+        _assert_same(*fused, *staged)
+        _assert_same(*fused, *tiled)
+        # the returned probabilities are the pre-dropout ones
+        plain_out, plain_probs = plan_for_nm("2:4", 600, n_keys, backend=FAST).forward(
+            q, k, v, return_probs=True
+        )
+        np.testing.assert_array_equal(fused[1].values, plain_probs.values)
+        np.testing.assert_array_equal(fused[1].indices, plain_probs.indices)
+        assert not np.array_equal(fused[0], plain_out)
 
 
 class TestTileSizeIndependence:
@@ -264,3 +395,13 @@ class TestMemory:
         dfss = _peak_bytes(lambda: dfss_attention(q, k, v, backend=FAST))
         dense = _peak_bytes(lambda: _numpy_dense_attention(q, k, v))
         assert dfss <= dense, f"dfss peak {dfss} B > dense peak {dense} B"
+
+    def test_tiled_forward_peak_far_below_dense(self):
+        # The floor at this shape is about 4 MiB: rounded Kᵀ, the output, the
+        # score tile and its lane planes (1 MiB each) against about 33 MiB
+        # for dense.  An n² tensor, or one more 1 MiB per-tile buffer such as
+        # an int64 lane index, breaks the 1/6 bound.
+        q, k, v = (_normal((1, 2, 2048, 64), s) for s in range(3))
+        dfss = _peak_bytes(lambda: dfss_attention(q, k, v, pattern="2:4", backend=FAST))
+        dense = _peak_bytes(lambda: _numpy_dense_attention(q, k, v))
+        assert 6 * dfss <= dense, f"dfss peak {dfss} B > 1/6 of dense peak {dense} B"

@@ -1,18 +1,22 @@
 """Tests (incl. property-based) for the dynamic N:M selection."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.core.patterns import NMPattern, PATTERN_1_2, PATTERN_2_4
+from repro.core.patterns import NMPattern, PATTERN_1_2, PATTERN_2_4, resolve_pattern
 from repro.core.pruning import (
     density_of_mask,
     global_column_indices,
     nm_compress,
+    nm_compress_lanes,
     nm_decompress,
     nm_group_topn_indices,
+    nm_keep_lanes,
     nm_prune_dense,
     nm_prune_mask,
 )
@@ -85,6 +89,39 @@ class TestMaskAndDense:
         x = rng.normal(size=(2, 3, 8, 16)).astype(np.float32)
         mask = nm_prune_mask(x, PATTERN_2_4)
         assert mask.shape == x.shape
+
+
+class TestKeepLanes:
+    """The shared keep-lane helper on every group over a lattice of ties,
+    signed zeros, the blocked-ELL ``-1e30`` sentinel and ±inf."""
+
+    LATTICE = np.array([-np.inf, -1e30, -1.0, -0.0, 0.0, 1.0, np.inf], dtype=np.float32)
+
+    def _lattice_groups(self, pattern):
+        groups = np.array(list(itertools.product(self.LATTICE, repeat=pattern.m)))
+        groups = groups.astype(np.float32)
+        return groups, tuple(np.ascontiguousarray(groups[:, i]) for i in range(pattern.m))
+
+    @pytest.mark.parametrize("pattern", ["1:2", "2:4", (1, 4), "2:6"])
+    @pytest.mark.parametrize("criterion", ["value", "magnitude"])
+    def test_equals_prune_mask(self, pattern, criterion):
+        pattern = resolve_pattern(pattern)
+        groups, lanes = self._lattice_groups(pattern)
+        keep = np.stack(nm_keep_lanes(lanes, pattern, criterion), axis=-1)
+        np.testing.assert_array_equal(keep, nm_prune_mask(groups, pattern, criterion))
+
+    @pytest.mark.parametrize("pattern", ["1:2", "2:4", (1, 4), "2:6"])
+    def test_compress_lanes_equals_compress(self, pattern):
+        pattern = resolve_pattern(pattern)
+        groups, lanes = self._lattice_groups(pattern)
+        values, indices = nm_compress_lanes(lanes, nm_keep_lanes(lanes, pattern), pattern)
+        ref_values, ref_indices = nm_compress(groups, pattern)
+        np.testing.assert_array_equal(indices.reshape(ref_indices.shape), ref_indices)
+        assert values.reshape(ref_values.shape).tobytes() == ref_values.tobytes()
+
+    def test_unknown_criterion_raises(self):
+        with pytest.raises(ValueError):
+            nm_keep_lanes((np.zeros(3), np.zeros(3)), "1:2", "largest")
 
 
 class TestCompressDecompress:
