@@ -25,7 +25,8 @@ probabilities in the query-row blocks of the row-tiled forward
 tile buffer for ``P`` and one for ``dS``, so no ``n²`` tensor exists in
 training either.  Per block:
 
-1. scatter ``P`` (after dropout) into its tile; ``dV += Pᵀ dO``;
+1. scatter ``P`` (after dropout) into its tile (:func:`scatter_lanes`);
+   ``dV += Pᵀ dO``;
 2. ``dP = dO Vᵀ`` into the ``dS`` tile (times the scattered dropout keep);
 3. ``dS = P ∘ (dP − rowsum(dO ∘ O)) · scale`` in place, exact because ``P``
    is zero off the kept lanes;
@@ -48,7 +49,7 @@ import numpy as np
 
 from repro.core.backend import FAST, REFERENCE, get_kernel, register_kernel
 from repro.core.layout import CompressedLayout
-from repro.core.nm_attention import lane_offsets, row_blocks, scatter_lanes
+from repro.core.nm_attention import row_blocks
 from repro.core.sparse import NMSparseMatrix
 from repro.utils.shapes import as_batched_3d, restore_batch_shape
 
@@ -182,6 +183,24 @@ def _attention_bwd_fast(
     backward = _nm_bwd_blocks if isinstance(probs, NMSparseMatrix) else _csr_bwd_dense
     grads = backward(probs, q3, k3, v3, g3, np.float32(scale), drop_keep, inner)
     return tuple(restore_batch_shape(grad, batch_shape) for grad in grads)
+
+
+def lane_offsets(pattern, rows: int, n_k: int) -> np.ndarray:
+    """``(rows, kept)`` flat offset, in a ``(rows, n_k)`` tile, of every kept
+    lane's M-group start; adding a lane's in-group index gives its flat
+    scatter position."""
+    group_start = np.repeat(
+        np.arange(n_k // pattern.m, dtype=np.intp) * pattern.m, pattern.n
+    )
+    return np.arange(rows, dtype=np.intp)[:, None] * n_k + group_start
+
+
+def scatter_lanes(tile: np.ndarray, flat: np.ndarray, lanes: np.ndarray) -> None:
+    """Zero ``tile`` and write compressed ``lanes`` at their flat offsets
+    ``flat`` (:func:`lane_offsets` plus the in-group indices)."""
+    tile.fill(0.0)
+    # repro: owns-buffer — the caller's reused tile buffer
+    tile.reshape(-1)[flat.reshape(-1)] = lanes.reshape(-1)
 
 
 def _nm_bwd_blocks(probs, q3, k3, v3, g3, scale, drop_keep, inner):

@@ -367,7 +367,7 @@ class MulticoreAttentionPlan(AttentionPlan):
             criterion=criterion, block_mask=block_mask, return_probs=return_probs,
             dropout=dropout,
         )
-        buffers: "queue.SimpleQueue[np.ndarray]" = queue.SimpleQueue()
+        buffers: "queue.SimpleQueue[Tuple[np.ndarray, np.ndarray]]" = queue.SimpleQueue()
         for _ in range(min(pool.workers, len(job.tiles))):
             buffers.put(job.new_buffer())
 

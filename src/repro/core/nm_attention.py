@@ -4,52 +4,67 @@ The paper's SDDMM prunes each score tile in its epilogue, so the dense score
 matrix never reaches memory.  The ``fast`` implementation here does the CPU
 equivalent: for every ``(batch·head)`` slice it walks blocks of query rows,
 and each block runs the whole chain while its ``(rows, n_k)`` score tile is
-cache-resident, in one preallocated tile buffer reused across blocks:
+cache-resident.  The tile is held lane-major, as M contiguous
+``(rows, n_k / M)`` lane planes (plane ``i`` holds the ``i``-th key of every
+M-group), in preallocated buffers reused across blocks:
 
-1. ``tensor_core_operand(q)[rows] @ tensor_core_operand(k)ᵀ * scale``, with
-   the rows of a blocked-ELL ``block_mask`` applied and padded key lanes
-   masked;
-2. a copy of the tile's M lanes into M contiguous ``(rows, n_k / M)`` lane
-   planes, and per-lane keep bools from
-   :func:`~repro.core.pruning.nm_keep_lanes` — the same selection network
-   and tie-breaking as the ``sddmm_nm`` epilogue;
-3. the masked softmax on the planes, in place: the row max (under ``value``
-   the tile's own, as a group's largest lane always survives; under
-   ``magnitude`` the kept lanes'), ``exp``, dropped lanes zeroed by a
-   bit-pattern multiply, denominators summed in the N:M order of the
-   compressed softmax (:func:`~repro.core.softmax.grouped_row_sum`), the
-   divide, and seeded attention dropout hashed on dense positions;
-4. the planes written back into the tile, then ``tile @ v`` into a disjoint
-   row block of the output.  When the caller asks for the compressed
-   probabilities, they are assembled from the finished planes with the
-   saved keep bools (:func:`~repro.core.pruning.nm_compress_lanes`) before
-   dropout, so they stay pre-dropout; the selection is never re-run on
-   probabilities, whose underflowed zeros would tie.
+1. ``tensor_core_operand(q)[rows] @ Kᵀ * scale`` as one batched product
+   over a lane-major ``(M, d, n_k / M)`` copy of the rounded Kᵀ, which
+   writes the scores straight into the lane planes; the rows of a
+   blocked-ELL ``block_mask`` are applied and padded key lanes masked;
+2. per-lane keep bools from :func:`~repro.core.pruning.nm_keep_lanes` — the
+   same selection network and tie-breaking as the ``sddmm_nm`` epilogue;
+3. the unnormalised masked softmax on the planes, in place: the row max
+   (under ``value`` the max over every lane, as a group's largest lane
+   always survives; under ``magnitude`` the kept lanes'), ``exp``, dropped
+   lanes zeroed by a bit-pattern multiply, and the denominators summed in
+   the N:M order of the compressed softmax
+   (:func:`~repro.core.softmax.grouped_row_sum`).  Nothing is divided yet;
+4. seeded attention dropout, hashed on dense positions, multiplies the
+   planes; then one ``(M, rows, n_k / M) @ (M, n_k / M, d)`` product against
+   strided lane views of V (lane ``i``'s keys are rows ``i, i + M, …``; V is
+   never copied) fills an ``(M, rows, d)`` partial buffer, whose lane sum
+   divided by the denominators is a disjoint row block of the output.
 
-No ``(n_q, n_k)`` score or probability tensor and no integer scatter index
-is ever allocated: the working set is one tile, its lane planes and the
-selection bools, sized by :data:`TILE_BYTES`.  The compressed probabilities
-are written into preallocated ``(values, indices)`` arrays only when the
-caller asks for them.
+Normalisation is deferred, as in FlashAttention
+(https://arxiv.org/abs/2205.14135): the ``(rows, d)`` output is divided
+after P·V instead of the ``(rows, n_k)`` tile before it.  When the caller
+asks for the compressed probabilities, they are assembled from the
+unnormalised planes with the saved keep bools
+(:func:`~repro.core.pruning.nm_compress_lanes`) before dropout and divided
+by the same denominators, which gives bitwise the probabilities of dividing
+the planes first; the selection is never re-run on probabilities, whose
+underflowed zeros would tie.
 
-Every step is row-local, so the result equals the staged
-``sddmm_nm → masked_softmax → spmm`` composition bit for bit wherever the
-BLAS computes a row block of a product exactly as it computes those rows
-inside the whole product.  OpenBLAS does so once every product is past its
-small-matrix threshold, which the tile budget guarantees for slices larger
-than one tile (a slice that fits in one tile runs the staged products
-unchanged); row blocks are balanced so no block is a sliver.
+No ``(n_q, n_k)`` score or probability tensor, no lane copy of the tile and
+no integer scatter index is ever allocated: the working set is the lane
+planes, the small partial buffer and the selection bools, sized by
+:data:`TILE_BYTES`.  The compressed probabilities are written into
+preallocated ``(values, indices)`` arrays only when the caller asks for
+them.
 
-The ``reference`` backend is the staged reference chain itself and is the
-oracle the parity suite compares against.  The multicore backend maps the
-same :class:`NMForwardJob` tile list over its worker pool, which keeps its
-output bitwise equal to ``fast`` whatever the worker count.
+The oracle rule.  The ``reference`` backend is the staged reference chain
+(``sddmm_nm → masked_softmax → spmm``) and is the one oracle:
+
+* ``fast`` matches it within float32 rounding (the parity suite uses
+  ``rtol=1e-5, atol=1e-6``): P·V sums the keys lane by lane and the divide
+  comes after it, so the output is not the staged chain's bit for bit;
+* the N:M selection, ``probs.indices``, is bitwise equal to the reference
+  chain's;
+* bitwise equality otherwise holds only across execution choices: the tile
+  size (the selection and probabilities, on exactly representable scores),
+  multicore against ``fast``, a stacked batch against single requests, the
+  engine against the server.
+
+The multicore backend maps the same :class:`NMForwardJob` tile list over
+its worker pool, and every tile runs the same code, which keeps its output
+bitwise equal to ``fast`` whatever the worker count.
 
 Both backends take any key count: a key axis that is not a multiple of M is
 padded to whole M-groups with zero K and V rows whose score lanes are set to
 ``MASKED_SCORE`` before the selection, so they carry exactly zero weight.
-The oracle is dense attention under the cropped N:M keep-mask of the padded
-problem (``DfssMechanism.attention_mask``).
+The dense oracle is dense attention under the cropped N:M keep-mask of the
+padded problem (``DfssMechanism.attention_mask``).
 
 The training backward walks the same row blocks
 (:func:`repro.core.attention_grad.masked_attention_bwd`).
@@ -81,17 +96,15 @@ __all__ = [
     "TILE_BYTES",
     "NMForwardJob",
     "dropout_keep",
-    "lane_offsets",
     "pad_keys",
     "row_blocks",
-    "scatter_lanes",
     "tile_span_args",
 ]
 
-#: Bytes of one float32 score tile: about 1 MiB keeps the tile, its lane
-#: planes and the selection bools cache-resident (64 rows at L4096, 512 at
-#: L512).  Of 256 KiB to 2 MiB, 1 MiB ran fastest at B1·H2·L4096 on a
-#: 2-CPU box with one BLAS thread.
+#: Bytes of one float32 score tile: about 1 MiB keeps the lane planes and
+#: the selection bools cache-resident (64 rows at L4096, 512 at L512).  Of
+#: 256 KiB to 2 MiB, 1 and 2 MiB ran fastest, within 1 % of each other, at
+#: B1·H2·L4096 on a 2-CPU box with one BLAS thread; 1 MiB peaks lower.
 TILE_BYTES = 1 << 20
 
 #: ``MASKED_SCORE``'s bit pattern, written into dropped lanes' uint32 views.
@@ -102,24 +115,6 @@ Tile = Tuple[int, int, int]
 
 #: Seeded attention dropout of one call: ``(seed, p)``.
 Dropout = Tuple[int, float]
-
-
-def lane_offsets(pattern, rows: int, n_k: int) -> np.ndarray:
-    """``(rows, kept)`` flat offset, in a ``(rows, n_k)`` tile, of every kept
-    lane's M-group start; adding a lane's in-group index gives its flat
-    scatter position."""
-    group_start = np.repeat(
-        np.arange(n_k // pattern.m, dtype=np.intp) * pattern.m, pattern.n
-    )
-    return np.arange(rows, dtype=np.intp)[:, None] * n_k + group_start
-
-
-def scatter_lanes(tile: np.ndarray, flat: np.ndarray, lanes: np.ndarray) -> None:
-    """Zero ``tile`` and write compressed ``lanes`` at their flat offsets
-    ``flat`` (:func:`lane_offsets` plus the in-group indices)."""
-    tile.fill(0.0)
-    # repro: owns-buffer — the caller's reused tile buffer
-    tile.reshape(-1)[flat.reshape(-1)] = lanes.reshape(-1)
 
 
 def row_blocks(n_q: int, n_k: int) -> List[Tuple[int, int]]:
@@ -191,12 +186,12 @@ class NMForwardJob:
     """One fused N:M forward call, decomposed into independent row tiles.
 
     Construction validates the operands, rounds them to tensor-core
-    precision, and allocates the output (and the compressed-probability
-    arrays when ``return_probs``).  ``dropout`` is the call's seeded
-    attention dropout, applied to each tile's probabilities before they
-    meet V.  :meth:`run` executes one tile into a caller-owned buffer from
-    :meth:`new_buffer`; tiles write disjoint row blocks, so any executor may
-    run them in any order and on any thread.
+    precision, lays the rounded Kᵀ out lane-major, and allocates the output
+    (and the compressed-probability arrays when ``return_probs``).
+    ``dropout`` is the call's seeded attention dropout, applied to each
+    tile's probabilities before they meet V.  :meth:`run` executes one tile
+    into caller-owned buffers from :meth:`new_buffer`; tiles write disjoint
+    row blocks, so any executor may run them in any order and on any thread.
     """
 
     def __init__(
@@ -238,103 +233,125 @@ class NMForwardJob:
         self.n_q = n_q
         self.n_k = n_k
         self.dropout = dropout
+        batch, m, d = q3.shape[0], self.pattern.m, q3.shape[-1]
+        groups = n_k // m
         # Q is rounded one row block at a time, in the tile (elementwise, so
-        # the bits match rounding it whole); Kᵀ once, as every tile reads it
+        # the bits match rounding it whole).  Kᵀ is rounded once, as every
+        # tile reads it, into ``(batch, M, d, n_k / M)``: lane i's block
+        # holds the columns of every group's i-th key, so one batched
+        # product writes the M lane planes.  V is only viewed lane-major:
+        # lane i's keys are rows i, i + M, … of ``_v[b]``, a strided BLAS
+        # operand, so no copy of V is made.
         self._q = q3
-        self._kt = tensor_core_operand(np.swapaxes(k3, -1, -2), dtype)
-        self._v = v3
+        self._kt = tensor_core_operand(
+            k3.reshape(batch, groups, m, d).transpose(0, 2, 3, 1), dtype
+        )
+        self._v = v3.reshape(batch, groups, m, v3.shape[-1])
         self._grid = None
         if block_mask is not None:
             self._grid = block_mask.block_grid(n_q, self.n_keys)
             size = block_mask.block_size
-            self._row_block = np.arange(n_q) // size
-            self._col_block = np.arange(self.n_keys) // size
+            self._row_block = (np.arange(n_q) // size)[:, None]
+            # the block column of every lane, as ``(M, 1, n_k / M)``; padded
+            # keys borrow the last real key's block and are masked below
+            cols = np.minimum(np.arange(n_k), self.n_keys - 1).reshape(groups, m)
+            self._col_block = (cols.T // size)[:, None, :]
         kept = self.pattern.kept(n_k)
         blocks = row_blocks(n_q, n_k)
         self.tiles: List[Tile] = [
-            (b, r0, r1) for b in range(q3.shape[0]) for r0, r1 in blocks
+            (b, r0, r1) for b in range(batch) for r0, r1 in blocks
         ]
         self.tile_rows = max((r1 - r0 for r0, r1 in blocks), default=0)
-        self._out = np.empty((q3.shape[0], n_q, v3.shape[-1]), dtype=np.float32)
+        self._out = np.empty((batch, n_q, v3.shape[-1]), dtype=np.float32)
         self._values = self._indices = None
         if return_probs:
-            self._values = np.empty((q3.shape[0], n_q, kept), dtype=np.float32)
-            self._indices = np.empty((q3.shape[0], n_q, kept), dtype=np.int8)
+            self._values = np.empty((batch, n_q, kept), dtype=np.float32)
+            self._indices = np.empty((batch, n_q, kept), dtype=np.int8)
 
-    def new_buffer(self) -> np.ndarray:
-        """A tile buffer for :meth:`run`; one per concurrent executor."""
-        return np.empty((self.tile_rows, self.n_k), dtype=np.float32)
+    def new_buffer(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Tile buffers for :meth:`run`, one pair per concurrent executor: the
+        ``(M, rows, n_k / M)`` lane planes and the ``(M, rows, d)`` per-lane
+        partial products of P·V."""
+        m = self.pattern.m
+        return (
+            np.empty((m, self.tile_rows, self.n_k // m), dtype=np.float32),
+            np.empty((m, self.tile_rows, self._out.shape[-1]), dtype=np.float32),
+        )
 
-    def run(self, tile: Tile, buf: np.ndarray) -> None:
-        """Execute one tile: score, select, normalise in place and contract."""
+    def run(self, tile: Tile, buf: Tuple[np.ndarray, np.ndarray]) -> None:
+        """Execute one tile: score into the lane planes, select, exponentiate
+        in place, contract, and normalise the output rows."""
         b, r0, r1 = tile
-        scores = buf[: r1 - r0]
-        # repro: owns-buffer — the job's reused tile buffer
-        np.matmul(tensor_core_operand(self._q[b, r0:r1], self.dtype), self._kt[b], out=scores)
-        np.multiply(scores, self.scale, out=scores)  # repro: owns-buffer — the job's reused tile buffer
+        planes, partial = buf[0][:, : r1 - r0], buf[1][:, : r1 - r0]
+        q = tensor_core_operand(self._q[b, r0:r1], self.dtype)
+        # repro: owns-buffer — the job's reused lane planes
+        np.matmul(q, self._kt[b], out=planes)
+        # repro: owns-buffer — the job's reused lane planes
+        np.multiply(planes, self.scale, out=planes)
         if self._grid is not None:
-            allowed = self._grid[self._row_block[r0:r1]][:, self._col_block]
-            np.copyto(scores[:, : self.n_keys], MASKED_SCORE, where=~allowed)
-        np.copyto(scores[:, self.n_keys:], MASKED_SCORE)  # padded key lanes
-        planes, keep = self._normalised_planes(scores)
+            allowed = self._grid[self._row_block[r0:r1], self._col_block]
+            np.copyto(planes, MASKED_SCORE, where=~allowed)
+        if self.n_k != self.n_keys:
+            # padded keys are the last lanes of the last group
+            np.copyto(planes[self.n_keys % self.pattern.m:, :, -1], MASKED_SCORE)
+        keep = nm_keep_lanes(planes, self.pattern, self.criterion)
+        denom = self._exp_planes(planes, keep)
         if self._values is not None:
             values, indices = nm_compress_lanes(planes, keep, self.pattern)
-            self._values[b, r0:r1] = values  # repro: owns-buffer — disjoint row block of the job's own output
-            self._indices[b, r0:r1] = indices  # repro: owns-buffer — disjoint row block of the job's own output
+            # repro: owns-buffer — disjoint row block of the job's own output
+            np.divide(values, denom, out=self._values[b, r0:r1])
+            # repro: owns-buffer — disjoint row block of the job's own output
+            self._indices[b, r0:r1] = indices
         if self.dropout is not None:
-            planes *= self._plane_dropout(b * self.n_q + r0, r1 - r0)
-        groups = scores.reshape(r1 - r0, -1, self.pattern.m)
-        for i, plane in enumerate(planes):
-            np.copyto(groups[..., i], plane)  # repro: owns-buffer — the job's reused tile buffer
+            for lane, plane in enumerate(planes):
+                plane *= self._lane_dropout(lane, b * self.n_q + r0, r1 - r0)
+        # lane i's keys are rows i, i + M, … of V: one strided view per lane
+        # repro: owns-buffer — the job's reused partial-product buffer
+        np.matmul(planes, self._v[b].transpose(1, 0, 2), out=partial)
         # repro: owns-buffer — disjoint row block of the job's own output
-        np.matmul(scores, self._v[b], out=self._out[b, r0:r1])
+        np.divide(np.sum(partial, axis=0), denom, out=self._out[b, r0:r1])
 
-    def _normalised_planes(self, scores: np.ndarray) -> Tuple[np.ndarray, Tuple[np.ndarray, ...]]:
-        """Masked N:M softmax of a score tile, as ``(planes, keep)``.
+    def _exp_planes(self, planes: np.ndarray, keep: Tuple[np.ndarray, ...]) -> np.ndarray:
+        """Unnormalised masked N:M softmax of the lane planes, in place.
 
-        ``planes[i]`` is a contiguous ``(rows, n_k / M)`` copy of lane ``i``
-        of every M-group, normalised in place; ``keep[i]`` are its survival
-        bools from the selection network.  Dropped lanes end as exact zeros,
-        so the denominator (:func:`~repro.core.softmax.grouped_row_sum`)
-        equals the compressed softmax's bit for bit.
+        Each plane is shifted by its row's max (under ``value`` the max over
+        every lane, as a group's largest lane always survives; under
+        ``magnitude`` the kept lanes'), exponentiated, and its dropped lanes
+        zeroed by a bit-pattern multiply.  Returns the ``(rows, 1)``
+        denominators, summed in the N:M order of the compressed softmax
+        (:func:`~repro.core.softmax.grouped_row_sum`), with the zero sums of
+        rows that kept no weight replaced by 1.
         """
-        rows, m = scores.shape[0], self.pattern.m
-        planes = scores.reshape(rows, -1, m).transpose(2, 0, 1).copy()
-        keep = nm_keep_lanes(planes, self.pattern, self.criterion)
-        if self.criterion == "value":
-            # a group's largest lane always survives: the tile's row max is
-            # the kept lanes' one
-            row_max = np.max(scores, axis=-1, keepdims=True)
-        else:
+        if self.criterion != "value":
             for plane, kept in zip(planes, keep):
                 # a dropped lane scores as masked: no part in the max, exp 0
                 bits = plane.view(np.uint32)
                 np.multiply(bits, kept, out=bits)
                 np.add(bits, ~kept * _MASKED_BITS, out=bits)
-            row_max = np.max(np.maximum.reduce(planes), axis=-1, keepdims=True)
+        row_max = np.max(planes, axis=(0, 2), keepdims=True)[0]
         # masked-logit rows (all lanes masked) and non-finite maxima shift by 0
         live = np.isfinite(row_max) & (row_max > MASKED_LOGIT_THRESHOLD)
-        np.subtract(planes, np.where(live, row_max, 0.0), out=planes)
-        # exp underflows every masked lane to exactly +0
-        np.exp(planes, out=planes)
+        shift = np.where(live, row_max, 0.0)
         for plane, kept in zip(planes, keep):
+            np.subtract(plane, shift, out=plane)
+            # exp underflows every masked lane to exactly +0
+            np.exp(plane, out=plane)
             # bit-pattern multiply: a dropped lane is +0 even where exp overflowed
             bits = plane.view(np.uint32)
             np.multiply(bits, kept, out=bits)
         denom = grouped_row_sum(planes)
-        np.divide(planes, np.where(denom == 0.0, 1.0, denom), out=planes)
-        return planes, keep
+        return np.where(denom == 0.0, np.float32(1.0), denom)
 
-    def _plane_dropout(self, first_row: int, rows: int) -> np.ndarray:
-        """``(M, rows, n_k / M)`` keep mask of :meth:`run`'s lane planes,
-        hashed on the dense positions of flattened rows ``first_row, …``."""
-        m = self.pattern.m
+    def _lane_dropout(self, lane: int, first_row: int, rows: int) -> np.ndarray:
+        """``(rows, n_k / M)`` keep mask of :meth:`run`'s lane plane ``lane``,
+        hashed on the dense positions of flattened rows ``first_row, …``.
+
+        One plane at a time: the hash's uint64 and float64 temporaries are
+        each twice the bytes of what they cover.
+        """
         row_base = (first_row + np.arange(rows, dtype=np.uint64)) * np.uint64(self.n_keys)
-        group_base = np.arange(0, self.n_k, m, dtype=np.uint64)
-        positions = (
-            row_base[:, None] + group_base + np.arange(m, dtype=np.uint64)[:, None, None]
-        )
-        return attention_dropout_keep(*self.dropout, positions)
+        cols = np.arange(lane, self.n_k, self.pattern.m, dtype=np.uint64)
+        return attention_dropout_keep(*self.dropout, row_base[:, None] + cols)
 
     def result(self) -> Tuple[np.ndarray, Optional[NMSparseMatrix]]:
         """``(out, probs)``; ``probs`` is ``None`` unless requested.

@@ -58,8 +58,9 @@ def to_tfloat32(x: np.ndarray) -> np.ndarray:
 
 
 def to_float16(x: np.ndarray) -> np.ndarray:
-    """Round-trip through IEEE float16 (native in NumPy)."""
-    return np.asarray(x, dtype=np.float32).astype(np.float16).astype(np.float32)
+    """Round-trip through IEEE float16 (native in NumPy); the result is
+    C-contiguous, like the other roundings."""
+    return np.asarray(x, dtype=np.float32).astype(np.float16, order="C").astype(np.float32)
 
 
 _CASTS = {
@@ -90,7 +91,7 @@ def tensor_core_operand(x: np.ndarray, dtype: str = "float32") -> np.ndarray:
     float32 operands are truncated to tensorfloat-32 (Appendix A.1.2: "float
     data will be converted to tensorfloat-32 before wmma"); bfloat16 and
     float16 operands are rounded to their own grids.  The result is a fresh
-    float32 array.
+    C-contiguous float32 array, whatever the strides of ``x``.
     """
     if dtype in ("float32", "tfloat32"):
         return to_tfloat32(x)

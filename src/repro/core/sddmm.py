@@ -160,6 +160,8 @@ def _sddmm_nm_reference(
     pattern = (
         default_pattern_for_dtype(dtype) if pattern is None else resolve_pattern(pattern)
     )
+    # output tiles of whole M-groups: 126 keys wide for M = 6, say
+    ntile = pattern.m * max(1, 128 // pattern.m)
     slices = [
         sddmm_nm_tiled(
             q3[b],
@@ -168,6 +170,7 @@ def _sddmm_nm_reference(
             scale=scale,
             dtype=dtype,
             criterion=criterion,
+            ntile=ntile,
             block_mask=block_mask,
         )
         for b in range(q3.shape[0])

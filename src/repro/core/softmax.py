@@ -20,9 +20,12 @@ N:M denominator order.  On an N:M layout the fast core does not sum a row of
 compressed probabilities left to right: each M-group's N kept values are
 added first, in ascending lane order, and ``np.sum`` then reduces the
 contiguous per-group sums (:func:`grouped_row_sum`).  The fused
-``nm_attention`` tile normalises its dense lane planes, where every dropped
-lane is an exact zero, with the same function; adding an exact zero never
-rounds, so the tile's denominators equal the compressed ones bit for bit.
+``nm_attention`` tile sums its exponentiated lane planes, where every
+dropped lane is an exact zero, with the same function; adding an exact zero
+never rounds, so the tile's denominators equal the compressed ones bit for
+bit.  The tile defers the divide: it normalises its ``(rows, d)`` output
+after P·V, and the compressed probabilities when they are asked for, never
+the planes themselves.
 The ``reference`` backend sums in the same order, so the backends agree
 bit for bit on exactly representable inputs.  For 1:2 this is the plain row
 sum; for 2:4 a denominator can differ by a few ulps from a plain ``np.sum``

@@ -7,6 +7,7 @@ from repro.core.precision import (
     dtype_bytes,
     quantize,
     simulate_tensor_core_matmul,
+    tensor_core_operand,
     to_bfloat16,
     to_float16,
     to_tfloat32,
@@ -104,6 +105,14 @@ class TestTensorCoreMatmul:
         b = rng.normal(size=(3, 8, 16)).astype(np.float32)
         out = simulate_tensor_core_matmul(a, b, "float32")
         assert out.shape == (3, 16, 16)
+
+    @pytest.mark.parametrize("dtype", ["float32", "bfloat16", "float16"])
+    def test_operand_is_c_contiguous_whatever_the_strides(self, dtype):
+        # the fused N:M forward rounds a transposed, lane-major view of K
+        x = np.arange(96, dtype=np.float32).reshape(2, 8, 2, 3).transpose(0, 2, 3, 1)
+        y = tensor_core_operand(x, dtype)
+        assert y.flags["C_CONTIGUOUS"] and not np.shares_memory(x, y)
+        np.testing.assert_array_equal(y, x)  # small integers are exact on every grid
 
     def test_invalid_dtype(self):
         with pytest.raises(ValueError):
