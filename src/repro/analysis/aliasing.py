@@ -15,7 +15,8 @@ Semantics — a deliberately simple *may-alias* taint pass per function scope:
   attribute access (``scores.values``), subscripts (``values[valid]``), and
   view-returning methods (``reshape``/``ravel``/…).  ``np.asarray`` and
   friends propagate taint (they may return their argument); ``np.array``
-  copies and does not.
+  copies and does not.  ``zip``/``enumerate``/``reversed`` over a tainted
+  argument propagate it too, so their loop targets are tainted.
 * Kill: a *top-level* assignment ``name = <fresh expr>`` (binary op, copying
   call) removes the taint.  Assignments nested under ``if``/``for``/… only
   ever *add* taint — they may not execute, so the old binding may survive.
@@ -85,6 +86,10 @@ _PROPAGATING_FUNCS = {
     "reshape",
     "squeeze",
 }
+
+#: Builtins whose items are (tuples of) the items of their arguments: a loop
+#: over ``zip(planes, keep)`` binds the same memory as a loop over ``planes``.
+_ITERATING_BUILTINS = {"enumerate", "reversed", "zip"}
 
 _BRANCHING = (ast.If, ast.For, ast.While, ast.With, ast.Try)
 
@@ -161,6 +166,8 @@ class _Scope:
                 return self.expr_tainted(node.func.value)
             if name in _PROPAGATING_FUNCS and node.args:
                 return self.expr_tainted(node.args[0])
+            if isinstance(node.func, ast.Name) and name in _ITERATING_BUILTINS:
+                return any(self.expr_tainted(arg) for arg in node.args)
             return False  # fresh allocation (np.array, np.zeros, arithmetic…)
         return False  # literals, BinOp/UnaryOp/Compare allocate fresh arrays
 

@@ -17,7 +17,8 @@ paths the type system cannot see:
   the fused plan's in-place softmax owns its score buffer by design (the
   waived ``# repro: owns-buffer`` sites).
 * :func:`check_output` — asserts the ``MASKED_SCORE`` sentinel and NaN/inf
-  never leak into outputs or gradients.
+  never leak into outputs or gradients (an attention output row may carry
+  the NaN/inf of its own non-finite inputs).
 
 All helpers are no-ops when the mode is off, so production paths pay one env
 lookup per entry point and nothing else.
@@ -77,35 +78,62 @@ def freeze_structure(arr, label: str = ""):
     return arr
 
 
-def check_output(arr, context: str, check_sentinel: bool = True):
+def check_output(arr, context: str, check_sentinel: bool = True, inputs=None):
     """Assert no NaN/inf and no masked-score sentinel leaked into ``arr``.
 
     Returns ``arr`` unchanged so call sites can wrap producer expressions.
     ``context`` names the tensor in the error (e.g. ``"attention output"``).
+    ``inputs`` is the attention's ``(q, k, v)``, with ``arr`` its
+    ``(..., n_q, d_v)`` output: a non-finite output row then counts as a leak
+    only when that row's query and its slice's keys and values are all
+    finite, so a NaN planted in an input may propagate without being
+    reported.
     """
     if not sanitize_enabled() or not isinstance(arr, np.ndarray):
         return arr
     if arr.size == 0 or not np.issubdtype(arr.dtype, np.floating):
         return arr
-    if not np.all(np.isfinite(arr)):
-        bad = int(np.size(arr) - np.count_nonzero(np.isfinite(arr)))
-        raise SanitizerError(
-            f"sanitizer: {context} contains {bad} non-finite value(s) "
-            f"(NaN/inf leaked out of the masked pipeline)"
-        )
-    if check_sentinel and float(arr.min()) <= MASKED_SENTINEL_THRESHOLD:
+    finite = np.isfinite(arr)
+    if not finite.all():
+        leaked = ~finite
+        if inputs is not None:
+            leaked &= _finite_sources(*inputs)[..., None]
+        bad = int(np.count_nonzero(leaked))
+        if bad:
+            raise SanitizerError(
+                f"sanitizer: {context} contains {bad} non-finite value(s) "
+                f"(NaN/inf leaked out of the masked pipeline)"
+            )
+    low = float(np.min(arr, where=finite, initial=np.inf))
+    if check_sentinel and low <= MASKED_SENTINEL_THRESHOLD:
         raise SanitizerError(
             f"sanitizer: {context} contains the MASKED_SCORE sentinel "
-            f"(min={float(arr.min()):.3e} <= {MASKED_SENTINEL_THRESHOLD:.0e}); "
+            f"(min={low:.3e} <= {MASKED_SENTINEL_THRESHOLD:.0e}); "
             f"a masked logit escaped the softmax normalisation"
         )
     return arr
 
 
-def check_grads(grads, context: str):
-    """Apply :func:`check_output` to a tuple of gradients."""
+def _finite_sources(q, k, v) -> np.ndarray:
+    """Per output row ``(..., n_q)``: True where the query row and every key
+    and value of its slice are finite."""
+    keys_finite = np.isfinite(k).all(axis=(-2, -1)) & np.isfinite(v).all(axis=(-2, -1))
+    return np.isfinite(q).all(axis=-1) & keys_finite[..., None]
+
+
+def check_grads(grads, context: str, inputs=None):
+    """Apply :func:`check_output` to a tuple of gradients.
+
+    ``inputs`` is every array the backward read (``q, k, v, d_out``), each
+    ``(..., rows, cols)``.  A gradient's ``(...)`` slices where one of them
+    is non-finite are not checked: a NaN planted in one query row reaches
+    dK and dV through every key that row kept.
+    """
     if sanitize_enabled():
         for i, g in enumerate(grads):
+            if inputs is not None and isinstance(g, np.ndarray) and not np.isfinite(g).all():
+                finite = [np.isfinite(a).all(axis=(-2, -1)) for a in inputs]
+                g = g[np.broadcast_to(np.logical_and.reduce(finite), g.shape[:-2])]
             check_output(g, f"{context}[{i}]")
     return grads
 

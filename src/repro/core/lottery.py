@@ -14,7 +14,6 @@ paper: Top-K, fixed (uniform), dynamic 1:2 and dynamic 2:4.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import erf, erfinv
 
 from repro.core.patterns import resolve_pattern
 from repro.core.pruning import nm_prune_mask
@@ -31,6 +30,8 @@ def qp_topk_theory(density: float, p: float, sigma: float = 1.0) -> float:
         raise ValueError(f"density must be in (0, 1], got {density}")
     if density == 1.0:
         return 1.0
+    from scipy.special import erf, erfinv
+
     return float((1.0 + erf(p * sigma / np.sqrt(2.0) - erfinv(1.0 - 2.0 * density))) / 2.0)
 
 
@@ -43,6 +44,8 @@ def qp_fixed_theory(density: float) -> float:
 
 def qp_1_2_theory(p: float, sigma: float = 1.0) -> float:
     """Closed-form ``Q_p`` of dynamic 1:2 sparsity: ``(1 + erf(p*sigma/2)) / 2``."""
+    from scipy.special import erf
+
     return float((1.0 + erf(p * sigma / 2.0)) / 2.0)
 
 
@@ -80,6 +83,8 @@ def topk_crossover_pstd(density: float) -> float:
     """
     if not 0.0 < density < 0.5:
         raise ValueError("crossover is only defined for density in (0, 0.5)")
+    from scipy.special import erfinv
+
     c = float(erfinv(1.0 - 2.0 * density))
     # erf is monotonic: equality requires x/sqrt(2) - c = x/2  =>  x = c / (1/sqrt(2) - 1/2)
     return c / (1.0 / np.sqrt(2.0) - 0.5)

@@ -18,7 +18,6 @@ from __future__ import annotations
 from typing import Tuple
 
 import numpy as np
-from scipy.special import erf
 
 from repro.utils.seeding import new_rng
 
@@ -41,6 +40,8 @@ def mse_dfss_theory(sm_value: float, q_norm: float, d: int) -> float:
         raise ValueError("the softmax kernel value must be positive")
     if q_norm <= 0:
         raise ValueError("||q|| must be positive")
+    from scipy.special import erf
+
     arg = np.sqrt(d) * np.log(sm_value) / (q_norm * np.sqrt(2.0))
     return float(sm_value**2 * (1.0 - erf(arg)) / 2.0)
 

@@ -406,7 +406,7 @@ class MulticoreAttentionPlan(AttentionPlan):
         with self._trace_labels(), span:
             pool.run([tile_thunk(tile) for tile in job.tiles], spans=metas)
         out, probs = job.result()
-        out = check_output(out, "attention output")
+        out = check_output(out, "attention output", inputs=(q, k, v))
         return (out, probs) if return_probs else out
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -304,6 +304,7 @@ class NMForwardJob:
             self._indices[b, r0:r1] = indices
         if self.dropout is not None:
             for lane, plane in enumerate(planes):
+                # repro: owns-buffer — a lane of the job's reused lane planes
                 plane *= self._lane_dropout(lane, b * self.n_q + r0, r1 - r0)
         # lane i's keys are rows i, i + M, … of V: one strided view per lane
         # repro: owns-buffer — the job's reused partial-product buffer
@@ -326,18 +327,23 @@ class NMForwardJob:
             for plane, kept in zip(planes, keep):
                 # a dropped lane scores as masked: no part in the max, exp 0
                 bits = plane.view(np.uint32)
+                # repro: owns-buffer — a lane of the job's reused lane planes
                 np.multiply(bits, kept, out=bits)
+                # repro: owns-buffer — a lane of the job's reused lane planes
                 np.add(bits, ~kept * _MASKED_BITS, out=bits)
         row_max = np.max(planes, axis=(0, 2), keepdims=True)[0]
         # masked-logit rows (all lanes masked) and non-finite maxima shift by 0
         live = np.isfinite(row_max) & (row_max > MASKED_LOGIT_THRESHOLD)
         shift = np.where(live, row_max, 0.0)
         for plane, kept in zip(planes, keep):
+            # repro: owns-buffer — a lane of the job's reused lane planes
             np.subtract(plane, shift, out=plane)
             # exp underflows every masked lane to exactly +0
+            # repro: owns-buffer — a lane of the job's reused lane planes
             np.exp(plane, out=plane)
             # bit-pattern multiply: a dropped lane is +0 even where exp overflowed
             bits = plane.view(np.uint32)
+            # repro: owns-buffer — a lane of the job's reused lane planes
             np.multiply(bits, kept, out=bits)
         denom = grouped_row_sum(planes)
         return np.where(denom == 0.0, np.float32(1.0), denom)

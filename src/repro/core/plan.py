@@ -282,7 +282,7 @@ class AttentionPlan:
                 guard_input(q), guard_input(k), guard_input(v), guard_input(d_out),
                 guard_input(out),
             )
-            return check_grads(grads, "attention gradient")
+            return check_grads(grads, "attention gradient", inputs=(q, k, v, d_out))
         n_keys = np.shape(k)[-2]
         padded = self.key.layout == "nm" and probs.dense_cols != n_keys
         if padded:
@@ -298,7 +298,7 @@ class AttentionPlan:
         )
         if padded:
             d_k, d_v = d_k[..., :n_keys, :], d_v[..., :n_keys, :]
-        return check_grads((d_q, d_k, d_v), "attention gradient")
+        return check_grads((d_q, d_k, d_v), "attention gradient", inputs=(q, k, v, d_out))
 
     # ------------------------------------------------------------ end-to-end
     def forward(
@@ -336,7 +336,7 @@ class AttentionPlan:
                     criterion=criterion, block_mask=block_mask,
                     return_probs=return_probs, dropout=dropout,
                 )
-            out = check_output(out, "attention output")
+            out = check_output(out, "attention output", inputs=(q, k, v))
             return (out, probs) if return_probs else out
         if dropout is not None:
             raise ValueError("CSR plans apply dropout in contract(drop_keep=...)")
@@ -362,7 +362,7 @@ class AttentionPlan:
             )
 
         out, values = self._map("row_block_attention", blocks, row_block_attention, q, k, v)
-        out = check_output(out, "attention output")
+        out = check_output(out, "attention output", inputs=(q, k, v))
         return (out, blocks.with_values(values)) if return_probs else out
 
     def __call__(self, q, k, v, **kwargs):

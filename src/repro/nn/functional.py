@@ -79,18 +79,98 @@ def relu(x: Tensor) -> Tensor:
     return x.relu()
 
 
+def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
+    """Affine map ``x @ weight + bias`` over the last axis, as one graph node.
+
+    The node keeps only ``x`` and ``weight``.  Its backward runs on the rows
+    of ``x`` flattened to 2-D: ``dx = grad @ weightᵀ``, ``dW`` is one GEMM
+    ``xᵀ @ grad`` and ``db`` a row sum of ``grad``.
+    """
+    in_features, out_features = weight.shape
+    out = x.data.reshape(-1, in_features) @ weight.data
+    if bias is not None:
+        out += bias.data
+    parents = (x, weight) if bias is None else (x, weight, bias)
+
+    def backward(node):
+        def fn():
+            grad = node.grad.reshape(-1, out_features)
+            if x.requires_grad:
+                x._accumulate((grad @ weight.data.T).reshape(x.shape))
+            if weight.requires_grad:
+                weight._accumulate(x.data.reshape(-1, in_features).T @ grad)
+            if bias is not None and bias.requires_grad:
+                bias._accumulate(grad.sum(axis=0))
+
+        return fn
+
+    return x._make(out.reshape(x.shape[:-1] + (out_features,)), parents, backward, "linear")
+
+
 def gelu(x: Tensor) -> Tensor:
-    """Gaussian error linear unit (erf form, as in BERT)."""
-    return x * ((x * float(1.0 / np.sqrt(2.0))).erf() + 1.0) * 0.5
+    """Gaussian error linear unit ``x·Φ(x)`` (erf form, as in BERT), as one node.
+
+    The node keeps its input and the normal CDF ``Φ(x)``; the backward is
+    ``grad · (Φ(x) + x·φ(x))`` with the normal density ``φ`` computed there.
+    """
+    from scipy.special import erf
+
+    data = x.data
+    cdf = erf(data * np.float32(1.0 / np.sqrt(2.0)))
+    cdf += 1.0
+    cdf *= 0.5
+
+    def backward(node):
+        def fn():
+            local = data * data
+            local *= -0.5
+            np.exp(local, out=local)
+            local *= data
+            local *= np.float32(1.0 / np.sqrt(2.0 * np.pi))
+            local += cdf
+            local *= node.grad
+            x._accumulate(local)
+
+        return fn
+
+    return x._make(data * cdf, (x,), backward, "gelu")
 
 
 def layer_norm(x: Tensor, weight: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Layer normalisation over the last axis."""
-    mean = x.mean(axis=-1, keepdims=True)
-    centred = x - mean
-    var = (centred * centred).mean(axis=-1, keepdims=True)
-    normed = centred / (var + eps).sqrt()
-    return normed * weight + bias
+    """Layer normalisation over the last axis, as one graph node.
+
+    The node keeps the normalised input ``x̂`` and the per-row ``1/σ``; the
+    backward is ``dx = (g - mean(g) - x̂·mean(g·x̂)) / σ`` with ``g = grad·w``,
+    ``dw`` the row sum of ``grad·x̂`` and ``db`` the row sum of ``grad``.
+    """
+    dim = x.shape[-1]
+    normed = x.data - x.data.mean(axis=-1, keepdims=True)
+    inv_std = np.mean(normed * normed, axis=-1, keepdims=True)
+    inv_std += eps
+    np.sqrt(inv_std, out=inv_std)
+    np.reciprocal(inv_std, out=inv_std)
+    normed *= inv_std
+    out = normed * weight.data
+    out += bias.data
+
+    def backward(node):
+        def fn():
+            grad = node.grad
+            if weight.requires_grad:
+                weight._accumulate((grad * normed).reshape(-1, dim).sum(axis=0))
+            if bias.requires_grad:
+                bias._accumulate(grad.reshape(-1, dim).sum(axis=0))
+            if x.requires_grad:
+                g = grad * weight.data
+                dx = g - g.mean(axis=-1, keepdims=True)
+                g *= normed
+                dx -= normed * g.mean(axis=-1, keepdims=True)
+                dx *= inv_std
+                x._accumulate(dx)
+
+        return fn
+
+    return x._make(out, (x, weight, bias), backward, "layer_norm")
 
 
 def dropout(x: Tensor, p: float, rng: np.random.Generator, training: bool = True) -> Tensor:

@@ -105,10 +105,7 @@ class Linear(Module):
         self.out_features = out_features
 
     def forward(self, x: Tensor) -> Tensor:
-        out = x @ self.weight
-        if self.bias is not None:
-            out = out + self.bias
-        return out
+        return F.linear(x, self.weight, self.bias)
 
 
 class Embedding(Module):

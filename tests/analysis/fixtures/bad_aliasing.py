@@ -30,6 +30,12 @@ def derived_alias_mutation(scores):
     return buf
 
 
+def loop_alias_mutation(planes, keep):
+    for plane, kept in zip(planes, keep):  # each plane is the caller's memory
+        plane *= kept  # AL001: mutation through a loop target bound from zip
+    return planes
+
+
 def waived_site(values):
     acc = values.reshape(-1)  # view: same memory
     # repro: owns-buffer — fixture: documented intentional reuse

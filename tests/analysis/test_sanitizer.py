@@ -106,6 +106,84 @@ class TestSeededViolations:
             plan.backward(probs, q, k, v, np.ones((8, 4), np.float32), 0.25)
 
 
+class TestPlantedNonFiniteInputs:
+    """A NaN planted in an input may reach the outputs and gradients it
+    feeds; only non-finite values computed from finite inputs are a leak."""
+
+    def _plan(self, backend="fast"):
+        key = PlanKey(
+            mechanism="dfss_2:4", layout="nm", backend=backend, dtype="float32",
+            shape_class=(8, 16, 8),
+        )
+        return build_plan(key)
+
+    @pytest.mark.parametrize("backend", ["fast", "reference"])
+    def test_nan_query_row_is_not_a_leak(self, sanitize, backend):
+        q, k, v = _qkv()
+        q[3, 1] = np.nan
+        out = self._plan(backend).forward(q, k, v, scale=0.25)
+        assert np.isnan(out[3]).all() and np.isfinite(np.delete(out, 3, axis=0)).all()
+
+    def test_nan_key_excuses_its_slice_only(self, sanitize):
+        q, k, v = _qkv()
+        out = np.zeros((2, 8, 4), dtype=np.float32)
+        out[:, 2] = np.nan
+        k2 = np.stack([k, k])
+        k2[0, 5, 0] = np.nan
+        with pytest.raises(SanitizerError, match="4 non-finite"):
+            check_output(out, "attention output", inputs=(np.stack([q, q]), k2, np.stack([v, v])))
+
+    def test_leak_on_finite_inputs_still_raises(self, sanitize):
+        q, k, v = _qkv()
+        plan = self._plan()
+
+        def leaking_nm_forward(*args, **kwargs):
+            out = np.zeros((8, 4), dtype=np.float32)
+            out[6, 2] = np.inf  # the seeded leak: row 6's inputs are finite
+            return out, None
+
+        plan._nm_forward = leaking_nm_forward
+        with pytest.raises(SanitizerError, match="1 non-finite"):
+            plan.forward(q, k, v, scale=0.25)
+        q[6, 0] = np.nan  # the same row's query is now non-finite: excused
+        assert np.isinf(plan.forward(q, k, v, scale=0.25)[6, 2])
+
+    def test_nan_query_row_trains_under_the_sanitizer(self, sanitize):
+        rng = np.random.default_rng(5)
+        arrays = [rng.standard_normal((2, 2, 64, 16)).astype(np.float32) for _ in range(3)]
+        arrays[0][1, 0, 5, 3] = np.nan
+        q, k, v = (Tensor(a, requires_grad=True) for a in arrays)
+        out, _ = dfss_sparse_attention(q, k, v, pattern="2:4")
+        out.sum().backward()
+        assert np.isnan(q.grad[1, 0, 5]).all()
+        assert np.isfinite(np.delete(q.grad[1, 0], 5, axis=0)).all()
+        for grad in (q.grad, k.grad, v.grad):  # the other slices stay clean
+            assert np.isfinite(grad[0]).all() and np.isfinite(grad[1, 1]).all()
+
+    def test_gradient_leak_in_a_finite_slice_still_raises(self, sanitize):
+        q, k, v = (np.stack([a, a]) for a in _qkv())
+        plan = self._plan()
+        probs = plan.compute_probs(plan.compute_scores(q, k, scale=0.25))
+        q[0, 2, 1] = np.nan  # slice 0's gradients may be non-finite
+        d_q = np.zeros((2, 8, 4), dtype=np.float32)
+        d_q[0] = np.nan
+        plan._bwd = lambda *a: (d_q, np.zeros((2, 16, 4), np.float32), np.zeros((2, 16, 4), np.float32))
+        d_out = np.ones((2, 8, 4), np.float32)
+        plan.backward(probs, q, k, v, d_out, 0.25)
+        d_q[1, 3, 0] = np.inf  # slice 1's inputs are finite: a leak
+        with pytest.raises(SanitizerError, match="attention gradient"):
+            plan.backward(probs, q, k, v, d_out, 0.25)
+
+    def test_sentinel_is_found_next_to_an_excused_nan_row(self, sanitize):
+        q, k, v = _qkv()
+        q[0, 0] = np.nan
+        out = np.zeros((8, 4), dtype=np.float32)
+        out[0] = np.nan
+        out[4, 1] = np.float32(-1e30)
+        with pytest.raises(SanitizerError, match="MASKED_SCORE sentinel"):
+            check_output(out, "attention output", inputs=(q, k, v))
+
+
 class TestWriteOnceStructures:
     def test_padded_csr_structure_is_frozen(self, sanitize):
         mask = np.eye(8, dtype=bool)

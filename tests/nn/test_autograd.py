@@ -241,3 +241,120 @@ def test_property_matmul_grad_matches_formula(a, b):
     ones = np.ones((3, 2), dtype=np.float32)
     np.testing.assert_allclose(ta.grad, ones @ b.T, atol=1e-4)
     np.testing.assert_allclose(tb.grad, a.T @ ones, atol=1e-4)
+
+
+# ----------------------------------------------------------- single-node layers
+def composed_linear(x, w, b):
+    """Oracle: the matmul-plus-broadcast-add composition."""
+    out = x @ w
+    return out if b is None else out + b
+
+
+def composed_gelu(x):
+    """Oracle: ``x * (erf(x/√2) + 1) / 2`` from elementwise nodes."""
+    return x * ((x * float(1.0 / np.sqrt(2.0))).erf() + 1.0) * 0.5
+
+
+def composed_layer_norm(x, w, b, eps=1e-5):
+    """Oracle: ``(x - mean) / sqrt(var + eps) * w + b`` from elementwise nodes."""
+    centred = x - x.mean(axis=-1, keepdims=True)
+    var = (centred * centred).mean(axis=-1, keepdims=True)
+    return centred / (var + eps).sqrt() * w + b
+
+
+def _layer_case(layer, shape, bias=True):
+    """``(fused op, composed oracle, input arrays)`` for one layer on ``shape``."""
+    import repro.nn.functional as F
+
+    rng = np.random.default_rng(sum(shape) + 7 * bias)
+    x = rng.normal(size=shape).astype(np.float32)
+    dim = shape[-1]
+    if layer == "linear":
+        w = rng.normal(size=(dim, 3)).astype(np.float32)
+        b = rng.normal(size=(3,)).astype(np.float32)
+        if not bias:
+            return (lambda x, w: F.linear(x, w)), (lambda x, w: composed_linear(x, w, None)), [x, w]
+        return F.linear, composed_linear, [x, w, b]
+    if layer == "gelu":
+        return F.gelu, composed_gelu, [x]
+    w = rng.normal(1.0, 0.3, size=(dim,)).astype(np.float32)
+    b = rng.normal(size=(dim,)).astype(np.float32)
+    return F.layer_norm, composed_layer_norm, [x, w, b]
+
+
+LAYER_CASES = [
+    (layer, shape, bias)
+    for layer in ("linear", "gelu", "layer_norm")
+    for shape in ((3, 5), (2, 3, 5))
+    for bias in ((True, False) if layer == "linear" else (True,))
+]
+
+
+def _run(fn, arrays, weights):
+    """Forward ``fn`` on fresh leaves, backward ``sum(out * weights)``."""
+    leaves = [Tensor(a, requires_grad=True) for a in arrays]
+    out = fn(*leaves)
+    (out * Tensor(weights)).sum().backward()
+    return out, [t.grad for t in leaves]
+
+
+@pytest.mark.parametrize("layer,shape,bias", LAYER_CASES)
+class TestSingleNodeLayers:
+    """``F.linear``, ``F.gelu`` and ``F.layer_norm`` are one graph node each,
+    with an analytic backward that matches finite differences and the
+    composed formulas they replace."""
+
+    def test_numerical_gradients(self, layer, shape, bias):
+        fused, _, arrays = _layer_case(layer, shape, bias)
+        out_shape = fused(*[Tensor(a) for a in arrays]).shape
+        weights = np.random.default_rng(3).normal(size=out_shape).astype(np.float32)
+        _, grads = _run(fused, arrays, weights)
+        for i, grad in enumerate(grads):
+
+            def loss(arr, i=i):
+                args = [Tensor(a) for a in arrays]
+                args[i] = Tensor(arr)
+                return float((fused(*args).data.astype(np.float64) * weights).sum())
+
+            num = numerical_grad(loss, arrays[i].astype(np.float64)).astype(np.float32)
+            np.testing.assert_allclose(grad, num, atol=2e-2, rtol=2e-2)
+
+    def test_matches_composed_oracle(self, layer, shape, bias):
+        fused, composed, arrays = _layer_case(layer, shape, bias)
+        weights = np.random.default_rng(4).normal(
+            size=fused(*[Tensor(a) for a in arrays]).shape
+        ).astype(np.float32)
+        out, grads = _run(fused, arrays, weights)
+        want, want_grads = _run(composed, arrays, weights)
+        np.testing.assert_allclose(out.data, want.data, rtol=1e-5, atol=1e-5)
+        for grad, want_grad in zip(grads, want_grads):
+            assert grad.shape == want_grad.shape
+            np.testing.assert_allclose(grad, want_grad, rtol=1e-4, atol=1e-5)
+
+    def test_adds_exactly_one_node(self, layer, shape, bias):
+        fused, _, arrays = _layer_case(layer, shape, bias)
+        leaves = [Tensor(a, requires_grad=True) for a in arrays]
+        out = fused(*leaves)
+        assert out._prev == tuple(leaves)
+        assert all(leaf._prev == () for leaf in leaves)
+        assert out.name == layer
+
+
+@pytest.mark.parametrize("bias", [True, False])
+def test_linear_module_is_one_node(bias):
+    from repro.nn.layers import Linear
+
+    layer = Linear(5, 3, bias=bias, seed=0)
+    x = Tensor(RNG.normal(size=(2, 4, 5)).astype(np.float32), requires_grad=True)
+    out = layer(x)
+    params = (layer.weight,) if not bias else (layer.weight, layer.bias)
+    assert out._prev == (x, *params) and out.name == "linear"
+
+
+def test_layer_norm_module_is_one_node():
+    from repro.nn.layers import LayerNorm
+
+    norm = LayerNorm(5)
+    x = Tensor(RNG.normal(size=(2, 4, 5)).astype(np.float32), requires_grad=True)
+    out = norm(x)
+    assert out._prev == (x, norm.weight, norm.bias) and out.name == "layer_norm"

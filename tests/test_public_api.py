@@ -6,8 +6,14 @@ survives would only show up in a user's session.
 """
 
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import repro
 
 #: Every module of the package that declares ``__all__``.
 EXPORTING_MODULES = (
@@ -59,3 +65,16 @@ def test_unknown_core_attribute_raises():
 
     with pytest.raises(AttributeError, match="warp_drive"):
         repro.core.warp_drive
+
+
+def test_runtime_packages_do_not_import_scipy():
+    """SciPy serves only the closed-form theory functions (``erf``/``erfinv``
+    in ``repro.core.lottery``/``mse``) and GELU, which import it when called;
+    loading the runtime packages must not pay its import time."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, repro.engine, repro.nn, repro.serve; print('scipy' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "False"
