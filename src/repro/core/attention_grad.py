@@ -19,26 +19,17 @@ protocol, so one registered backward serves :class:`NMSparseMatrix` and
 zero probability, which makes every contraction exact without special cases.
 
 The fused ``attention_bwd`` kernel is registered with two backends:
-``reference`` composes the per-slice loop oracles.  ``fast`` walks N:M
-probabilities in the query-row blocks of the row-tiled forward
-(:func:`repro.core.nm_attention.row_blocks`), in one reused ``(rows, n_k)``
-tile buffer for ``P`` and one for ``dS``, so no ``n²`` tensor exists in
-training either.  Per block:
-
-1. scatter ``P`` (after dropout) into its tile (:func:`scatter_lanes`);
-   ``dV += Pᵀ dO``;
-2. ``dP = dO Vᵀ`` into the ``dS`` tile (times the scattered dropout keep);
-3. ``dS = P ∘ (dP − rowsum(dO ∘ O)) · scale`` in place, exact because ``P``
-   is zero off the kept lanes;
-4. ``dQ = dS K``; ``dK += dSᵀ Q``.
-
-Blocks accumulate into dK and dV in a fixed order that depends only on the
-geometry, so the multicore backend (which maps batch slices) is bitwise
-equal to ``fast``.  A slice that fits one tile computes every product
-exactly as the dense-tile formulation does.  Padded-CSR probabilities keep
-the batched dense-tile backward over their own scatter.  The static masks'
-row-block layout has its own backward kernel
-(:mod:`repro.core.row_block`).
+``reference`` composes the per-slice loop oracles (:func:`_compose_bwd`),
+and ``fast`` runs the batched dense-tile backward over a scatter of the
+compressed probabilities (:func:`_csr_bwd_dense`).  It trains the
+padded-CSR layout of the content-dependent masks, whose forward stores its
+probabilities.  The N:M training op stores none: its backward is the
+``nm_attention_bwd`` kernel (:mod:`repro.core.nm_attention`), which
+re-scores and re-selects every row tile from the forward's per-row softmax
+statistics, and the static masks' row-block layout has its own backward
+kernel (:mod:`repro.core.row_block`).  ``attention_bwd`` still accepts
+N:M probabilities (``reference`` composes the same primitives that are the
+``nm_attention_bwd`` oracle).
 """
 
 from __future__ import annotations
@@ -49,8 +40,6 @@ import numpy as np
 
 from repro.core.backend import FAST, REFERENCE, get_kernel, register_kernel
 from repro.core.layout import CompressedLayout
-from repro.core.nm_attention import row_blocks
-from repro.core.sparse import NMSparseMatrix
 from repro.utils.shapes import as_batched_3d, restore_batch_shape
 
 
@@ -166,7 +155,7 @@ def _attention_bwd_fast(
     drop_keep: Optional[np.ndarray] = None,
     out: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row-block backward for N:M, batched dense-tile backward for padded CSR.
+    """Batched dense-tile backward over the scattered probabilities.
 
     When the forward output is available the Jacobian's row inner products
     use ``rowsum(P ∘ dP) = rowsum(dO ∘ O)``, which reads the narrow output
@@ -180,86 +169,12 @@ def _attention_bwd_fast(
     if out is not None:
         out3, _ = as_batched_3d(np.asarray(out, dtype=np.float32))
         inner = np.sum(g3 * out3, axis=-1, keepdims=True)
-    backward = _nm_bwd_blocks if isinstance(probs, NMSparseMatrix) else _csr_bwd_dense
-    grads = backward(probs, q3, k3, v3, g3, np.float32(scale), drop_keep, inner)
+    grads = _csr_bwd_dense(probs, q3, k3, v3, g3, np.float32(scale), drop_keep, inner)
     return tuple(restore_batch_shape(grad, batch_shape) for grad in grads)
 
 
-def lane_offsets(pattern, rows: int, n_k: int) -> np.ndarray:
-    """``(rows, kept)`` flat offset, in a ``(rows, n_k)`` tile, of every kept
-    lane's M-group start; adding a lane's in-group index gives its flat
-    scatter position."""
-    group_start = np.repeat(
-        np.arange(n_k // pattern.m, dtype=np.intp) * pattern.m, pattern.n
-    )
-    return np.arange(rows, dtype=np.intp)[:, None] * n_k + group_start
-
-
-def scatter_lanes(tile: np.ndarray, flat: np.ndarray, lanes: np.ndarray) -> None:
-    """Zero ``tile`` and write compressed ``lanes`` at their flat offsets
-    ``flat`` (:func:`lane_offsets` plus the in-group indices)."""
-    tile.fill(0.0)
-    # repro: owns-buffer — the caller's reused tile buffer
-    tile.reshape(-1)[flat.reshape(-1)] = lanes.reshape(-1)
-
-
-def _nm_bwd_blocks(probs, q3, k3, v3, g3, scale, drop_keep, inner):
-    """N:M backward over the forward's query-row blocks in two reused tiles."""
-    values, _ = as_batched_3d(probs.values)
-    indices, _ = as_batched_3d(probs.indices)
-    keep = None
-    if drop_keep is not None:
-        keep, _ = as_batched_3d(np.asarray(drop_keep, dtype=np.float32))
-    n_q, n_k = values.shape[1], probs.dense_cols
-    blocks = row_blocks(n_q, n_k)
-    rows = max((r1 - r0 for r0, r1 in blocks), default=0)
-    offsets = lane_offsets(probs.pattern, rows, n_k)
-    p_buf = np.empty((rows, n_k), dtype=np.float32)
-    ds_buf = np.empty((rows, n_k), dtype=np.float32)
-    v_t = np.swapaxes(v3, -1, -2)
-    d_q = np.empty(q3.shape, dtype=np.float32)
-    # zero-filled for a slice without query rows, which no block writes
-    d_k = np.zeros(k3.shape, dtype=np.float32)
-    d_v = np.zeros(v3.shape, dtype=np.float32)
-    for b in range(values.shape[0]):
-        for r0, r1 in blocks:
-            p, g = values[b, r0:r1], g3[b, r0:r1]
-            flat = offsets[: r1 - r0] + indices[b, r0:r1]
-            tile, d_s = p_buf[: r1 - r0], ds_buf[: r1 - r0]
-            # dV += Pᵀ dO, P after dropout
-            scatter_lanes(tile, flat, p if keep is None else p * keep[b, r0:r1])
-            _matmul_into(d_v[b], r0 == 0, tile.T, g)
-            # dP = (dO Vᵀ) ∘ keep; the ∘ mask is implicit, as P is zero there
-            np.matmul(g, v_t[b], out=d_s)
-            if keep is not None:
-                scatter_lanes(tile, flat, keep[b, r0:r1])
-                d_s *= tile
-                scatter_lanes(tile, flat, p)
-            # dS = P ∘ (dP − rowsum(P ∘ dP)) · scale
-            row_inner = (
-                np.sum(tile * d_s, axis=-1, keepdims=True) if inner is None
-                else inner[b, r0:r1]
-            )
-            d_s -= row_inner
-            d_s *= tile
-            d_s *= scale
-            # dQ = dS K, dK += dSᵀ Q
-            np.matmul(d_s, k3[b], out=d_q[b, r0:r1])
-            _matmul_into(d_k[b], r0 == 0, d_s.T, q3[b, r0:r1])
-    return d_q, d_k, d_v
-
-
-def _matmul_into(dst: np.ndarray, first: bool, a: np.ndarray, b: np.ndarray) -> None:
-    """``dst = a @ b`` for a slice's first row block (exactly the one-block
-    product), ``dst += a @ b`` for the blocks after it."""
-    if first:
-        np.matmul(a, b, out=dst)
-    else:
-        dst += np.matmul(a, b)
-
-
 def _csr_bwd_dense(probs, q3, k3, v3, g3, scale, drop_keep, inner):
-    """Padded-CSR backward on a dense scatter tile of the probabilities.
+    """Backward on a dense scatter tile of the compressed probabilities.
 
     The zeros at padded positions make the dense formulation exact —
     ``P ∘ (dP − rowsum(P ∘ dP))`` vanishes wherever ``P`` is zero, so no
@@ -295,16 +210,9 @@ def _csr_bwd_dense(probs, q3, k3, v3, g3, scale, drop_keep, inner):
 
 
 def _bwd_span_args(probs, q, k, v, d_out, scale, drop_keep=None, out=None) -> dict:
-    """Trace-span arguments of one backward call: for N:M its row tiles and
-    tile shape, and for every layout the bytes written (dQ, dK and dV)."""
-    args = {"out_bytes": int(4 * (np.size(q) + np.size(k) + np.size(v)))}
-    if isinstance(probs, NMSparseMatrix):
-        blocks = row_blocks(probs.rows, probs.dense_cols)
-        rows = max((r1 - r0 for r0, r1 in blocks), default=0)
-        batch = int(np.prod(probs.batch_shape, dtype=np.int64))
-        args["tiles"] = batch * len(blocks)
-        args["tile_shape"] = f"{rows}x{probs.dense_cols}"
-    return args
+    """Trace-span arguments of one backward call: the bytes written (dQ, dK
+    and dV)."""
+    return {"out_bytes": int(4 * (np.size(q) + np.size(k) + np.size(v)))}
 
 
 _attention_bwd_fast.span_args = _bwd_span_args

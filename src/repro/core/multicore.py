@@ -9,7 +9,8 @@ dimension into contiguous slices (:func:`tile_slices`), calls the stage's own
 ``fn`` on each tile — ``layout.batch_slice(sl)`` plus zero-copy slices of the
 operands — over the worker pool, and concatenates the tile results.  The
 N:M forward maps the ``(slice, row-block)`` tiles of the row-tiled
-``nm_attention`` kernel (:mod:`repro.core.nm_attention`) instead.
+``nm_attention`` kernel (:mod:`repro.core.nm_attention`) instead, and the
+N:M backward the batch slices of ``nm_attention_bwd``.
 
 **Bitwise parity with ``fast`` is a hard invariant, not a tolerance.**  Every
 fast kernel in the chain is per-leading-slice independent — batched BLAS
@@ -48,9 +49,14 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.analysis.sanitize import check_output, guard_input
+from repro.analysis.sanitize import check_grads, check_output, guard_input
 from repro.core.backend import MULTICORE, register_plan_builder
-from repro.core.nm_attention import NMForwardJob, tile_span_args
+from repro.core.nm_attention import (
+    NMBackwardJob,
+    NMForwardJob,
+    bwd_span_args,
+    tile_span_args,
+)
 from repro.core.plan import AttentionPlan, PlanKey
 from repro.profile.tracer import current_tracer
 
@@ -324,8 +330,9 @@ class MulticoreAttentionPlan(AttentionPlan):
 
     Subclasses the fast :class:`~repro.core.plan.AttentionPlan` (the kernel
     registry falls ``multicore`` back to the ``fast`` implementations) and
-    overrides only the execution seam, :meth:`_map`, plus the N:M inference
-    forward, which maps the row-tiled kernel's own tile list over the pool.
+    overrides only the execution seam, :meth:`_map`, plus the N:M forward
+    and backward, which map the row-tiled kernels' own tile lists over the
+    pool.
     """
 
     def __init__(self, key: PlanKey) -> None:
@@ -346,6 +353,7 @@ class MulticoreAttentionPlan(AttentionPlan):
         block_mask=None,
         return_probs: bool = False,
         dropout=None,
+        return_stats: bool = False,
     ):
         """N:M forward: the fast kernel's row tiles, on the pool.
 
@@ -355,20 +363,84 @@ class MulticoreAttentionPlan(AttentionPlan):
         equal to ``fast`` by construction.  Each worker borrows one tile
         buffer for the tiles it runs.  CSR plans compose the tiled stages.
         """
-        pool = get_pool()
-        if self.key.layout != "nm" or pool.workers <= 1:
+        if self.key.layout != "nm" or get_pool().workers <= 1:
             return super().forward(
                 q, k, v, structure=structure, scale=scale, criterion=criterion,
                 block_mask=block_mask, return_probs=return_probs, dropout=dropout,
+                return_stats=return_stats,
             )
         q, k, v = guard_input(q), guard_input(k), guard_input(v)
         job = NMForwardJob(
             q, k, v, pattern=self._pattern, scale=scale, dtype=self.key.dtype,
             criterion=criterion, block_mask=block_mask, return_probs=return_probs,
-            dropout=dropout,
+            dropout=dropout, return_stats=return_stats,
         )
-        buffers: "queue.SimpleQueue[Tuple[np.ndarray, np.ndarray]]" = queue.SimpleQueue()
-        for _ in range(min(pool.workers, len(job.tiles))):
+        metas = [
+            {
+                "stage": "nm_attention",
+                "tile": i,
+                "rows": f"{b}:{r0}:{r1}",
+                "shape": f"{r1 - r0}x{job.n_k}",
+            }
+            for i, (b, r0, r1) in enumerate(job.tiles)
+        ]
+        span_args = tile_span_args(
+            q, k, v, pattern=self._pattern, dtype=self.key.dtype,
+            return_probs=return_probs, return_stats=return_stats,
+        )
+        self._run_job("nm_attention", job, job.tiles, metas, np.shape(q), span_args)
+        out, extra = job.result()
+        out = check_output(out, "attention output", inputs=(q, k, v))
+        return (out, extra) if return_probs or return_stats else out
+
+    def backward(
+        self,
+        saved,
+        q: np.ndarray,
+        k: np.ndarray,
+        v: np.ndarray,
+        d_out: np.ndarray,
+        scale: float,
+        drop_keep: Optional[np.ndarray] = None,
+        out: Optional[np.ndarray] = None,
+        dropout=None,
+    ):
+        """N:M backward: the fast kernel's batch slices, on the pool.
+
+        Each slice runs :class:`~repro.core.nm_attention.NMBackwardJob`'s
+        own code over its row blocks in their fixed order and writes its own
+        rows of dQ, dK and dV, so the gradients are bitwise equal to
+        ``fast`` whatever the worker count.  Other layouts run the tiled
+        stages.
+        """
+        if self.key.layout != "nm" or get_pool().workers <= 1:
+            return super().backward(saved, q, k, v, d_out, scale, drop_keep, out, dropout)
+        q, k, v = guard_input(q), guard_input(k), guard_input(v)
+        d_out, out = guard_input(d_out), guard_input(out)
+        job = NMBackwardJob(
+            q, k, v, d_out, out, saved.shift, saved.denom, saved.selection,
+            pattern=self._pattern, scale=scale, dtype=self.key.dtype,
+            criterion=saved.criterion, block_mask=saved.block_mask, dropout=dropout,
+        )
+        metas = [
+            {"stage": "nm_attention_bwd", "tile": b, "rows": f"{b}:0:{job.n_q}",
+             "shape": f"{job.n_q}x{job.n_k}"}
+            for b in job.slices
+        ]
+        span_args = bwd_span_args(
+            q, k, v, d_out, out, saved.shift, saved.denom, saved.selection,
+            pattern=self._pattern, dtype=self.key.dtype,
+        )
+        self._run_job("nm_attention_bwd", job, job.slices, metas, np.shape(q), span_args)
+        return check_grads(job.result(), "attention gradient", inputs=(q, k, v, d_out))
+
+    def _run_job(self, name, job, tiles, metas, shape, span_args) -> None:
+        """``job.run(tile, buf)`` for every tile on the pool, inside one
+        ``name`` kernel span; each worker borrows one buffer set from
+        ``job.new_buffer()`` for the tiles it runs."""
+        pool = get_pool()
+        buffers: "queue.SimpleQueue[Tuple[np.ndarray, ...]]" = queue.SimpleQueue()
+        for _ in range(min(pool.workers, len(tiles))):
             buffers.put(job.new_buffer())
 
         def tile_thunk(tile):
@@ -380,34 +452,19 @@ class MulticoreAttentionPlan(AttentionPlan):
                     buffers.put(buf)
             return thunk
 
-        metas = [
-            {
-                "stage": "nm_attention",
-                "tile": i,
-                "rows": f"{b}:{r0}:{r1}",
-                "shape": f"{r1 - r0}x{job.n_k}",
-            }
-            for i, (b, r0, r1) in enumerate(job.tiles)
-        ]
         tracer = current_tracer()
         span = (
             nullcontext()
             if tracer is None
             else tracer.span(
-                "nm_attention",
+                name,
                 backend=self.key.backend,
-                shape="x".join(str(d) for d in np.shape(q)),
-                **tile_span_args(
-                    q, k, v, pattern=self._pattern, dtype=self.key.dtype,
-                    return_probs=return_probs,
-                ),
+                shape="x".join(str(d) for d in shape),
+                **span_args,
             )
         )
         with self._trace_labels(), span:
-            pool.run([tile_thunk(tile) for tile in job.tiles], spans=metas)
-        out, probs = job.result()
-        out = check_output(out, "attention output", inputs=(q, k, v))
-        return (out, probs) if return_probs else out
+            pool.run([tile_thunk(tile) for tile in tiles], spans=metas)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"MulticoreAttentionPlan({self.key!r}, workers={get_pool().workers})"

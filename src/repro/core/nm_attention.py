@@ -1,4 +1,5 @@
-"""Row-tiled fused N:M attention forward (the ``nm_attention`` kernel).
+"""Row-tiled fused N:M attention: the ``nm_attention`` forward and the
+``nm_attention_bwd`` backward kernels.
 
 The paper's SDDMM prunes each score tile in its epilogue, so the dense score
 matrix never reaches memory.  The ``fast`` implementation here does the CPU
@@ -66,19 +67,30 @@ padded to whole M-groups with zero K and V rows whose score lanes are set to
 The dense oracle is dense attention under the cropped N:M keep-mask of the
 padded problem (``DfssMechanism.attention_mask``).
 
-The training backward walks the same row blocks
-(:func:`repro.core.attention_grad.masked_attention_bwd`).
+Training.  With ``return_stats`` the forward saves no probabilities: it
+writes each row's softmax shift and denominator (``(batch, n_q)`` float32,
+which step 3 computes anyway) and the selection, one code per M-group, into
+an :class:`NMStats`.  The ``nm_attention_bwd`` kernel recomputes the
+probabilities from them, as FlashAttention-2 does
+(https://arxiv.org/abs/2307.08691): :class:`NMBackwardJob` walks the same
+row blocks, re-scores each with the same rounded operands (bit for bit the
+forward's scores), rebuilds ``exp(s − shift)`` on the saved selection, and
+runs the four gradient products on the tile.  Its ``reference`` version re-runs the staged reference chain and
+composes the reference backward primitives.  The multicore backend maps
+the backward's batch slices over its pool.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
+from repro.core.attention_grad import _compose_bwd
 from repro.core.backend import FAST, REFERENCE, register_kernel
 from repro.core.blocked_ell import BlockedEllMask
-from repro.core.patterns import default_pattern_for_dtype, resolve_pattern
+from repro.core.patterns import NMPattern, default_pattern_for_dtype, resolve_pattern
 from repro.core.precision import tensor_core_operand
 from repro.core.pruning import global_column_indices, nm_compress_lanes, nm_keep_lanes
 from repro.core.sddmm import MASKED_SCORE, _prepare_inputs, _sddmm_nm_reference
@@ -94,7 +106,9 @@ from repro.utils.shapes import as_batched_3d, restore_batch_shape
 
 __all__ = [
     "TILE_BYTES",
+    "NMBackwardJob",
     "NMForwardJob",
+    "NMStats",
     "dropout_keep",
     "pad_keys",
     "row_blocks",
@@ -182,31 +196,65 @@ class _PaddedKeys:
         return allowed
 
 
-class NMForwardJob:
-    """One fused N:M forward call, decomposed into independent row tiles.
+@dataclass(frozen=True)
+class NMStats:
+    """What the N:M training forward saves for its backward, instead of P.
 
-    Construction validates the operands, rounds them to tensor-core
-    precision, lays the rounded Kᵀ out lane-major, and allocates the output
-    (and the compressed-probability arrays when ``return_probs``).
-    ``dropout`` is the call's seeded attention dropout, applied to each
-    tile's probabilities before they meet V.  :meth:`run` executes one tile
-    into caller-owned buffers from :meth:`new_buffer`; tiles write disjoint
-    row blocks, so any executor may run them in any order and on any thread.
+    ``shift`` and ``denom`` are every row's softmax shift and denominator,
+    ``(..., n_q)`` float32.  ``selection`` is the N:M selection, one code
+    per M-group of the key axis padded to whole groups (``(..., n_q,
+    n_k / M)``, bit i set when the group's i-th key is kept).  The backward
+    re-scores each tile and recomputes its probabilities as
+    ``exp(s − shift) / denom`` on the saved selection; :meth:`to_mask`
+    reads it for mask introspection.  ``criterion`` and ``block_mask`` are
+    the forward's selection options; ``n_keys`` is the real key count.
     """
 
-    def __init__(
-        self,
-        q: np.ndarray,
-        k: np.ndarray,
-        v: np.ndarray,
-        pattern=None,
-        scale: Optional[float] = None,
-        dtype: str = "float32",
-        criterion: str = "value",
-        block_mask: Optional[BlockedEllMask] = None,
-        return_probs: bool = False,
-        dropout: Optional[Dropout] = None,
-    ) -> None:
+    shift: np.ndarray
+    denom: np.ndarray
+    selection: np.ndarray
+    pattern: NMPattern
+    n_keys: int
+    criterion: str = "value"
+    block_mask: Optional[BlockedEllMask] = None
+
+    @property
+    def dense_cols(self) -> int:
+        """The key axis padded to whole M-groups."""
+        return self.selection.shape[-1] * self.pattern.m
+
+    def to_mask(self) -> np.ndarray:
+        """``(..., n_q, n_keys)`` bool mask of the entries that carry weight:
+        the selection, cropped to the real keys, without the block-masked
+        entries a fully masked group still stores."""
+        lanes = np.arange(self.pattern.m, dtype=self.selection.dtype)
+        kept = (self.selection[..., None] >> lanes) & 1
+        mask = kept.astype(bool).reshape(self.selection.shape[:-1] + (-1,))
+        mask = mask[..., : self.n_keys]
+        if self.block_mask is not None:
+            mask &= self.block_mask.dense_mask(mask.shape[-2], self.n_keys)
+        return mask
+
+
+def _selection_codes(mask: np.ndarray, pattern) -> np.ndarray:
+    """:attr:`NMStats.selection` codes of a ``(..., n_k)`` keep mask."""
+    m = pattern.m
+    groups = mask.reshape(mask.shape[:-1] + (-1, m))
+    dtype = np.min_scalar_type((1 << m) - 1)
+    return np.sum(groups.astype(dtype) << np.arange(m, dtype=dtype), axis=-1, dtype=dtype)
+
+
+class _LaneTiles:
+    """Operands and geometry one fused N:M call's forward and backward share.
+
+    Validates the operands, pads the key axis to whole M-groups, views V
+    lane-major, prepares the blocked-ELL grid, and cuts the query rows into
+    the :func:`row_blocks` both passes walk.  The tile steps — score,
+    shift, exponentiate, per-lane dropout — are written once here, so the
+    backward re-scores bit for bit what the forward scored.
+    """
+
+    def __init__(self, q, k, v, pattern, scale, dtype, criterion, block_mask, dropout):
         q3, k3, batch_shape = _prepare_inputs(q, k)
         v3, v_batch = as_batched_3d(np.asarray(v, dtype=np.float32))
         if v_batch != batch_shape:
@@ -233,19 +281,15 @@ class NMForwardJob:
         self.n_q = n_q
         self.n_k = n_k
         self.dropout = dropout
-        batch, m, d = q3.shape[0], self.pattern.m, q3.shape[-1]
+        self.block_mask = block_mask
+        batch, m = q3.shape[0], self.pattern.m
         groups = n_k // m
         # Q is rounded one row block at a time, in the tile (elementwise, so
-        # the bits match rounding it whole).  Kᵀ is rounded once, as every
-        # tile reads it, into ``(batch, M, d, n_k / M)``: lane i's block
-        # holds the columns of every group's i-th key, so one batched
-        # product writes the M lane planes.  V is only viewed lane-major:
+        # the bits match rounding it whole).  V is only viewed lane-major:
         # lane i's keys are rows i, i + M, … of ``_v[b]``, a strided BLAS
         # operand, so no copy of V is made.
         self._q = q3
-        self._kt = tensor_core_operand(
-            k3.reshape(batch, groups, m, d).transpose(0, 2, 3, 1), dtype
-        )
+        self._k = k3
         self._v = v3.reshape(batch, groups, m, v3.shape[-1])
         self._grid = None
         if block_mask is not None:
@@ -256,17 +300,132 @@ class NMForwardJob:
             # keys borrow the last real key's block and are masked below
             cols = np.minimum(np.arange(n_k), self.n_keys - 1).reshape(groups, m)
             self._col_block = (cols.T // size)[:, None, :]
-        kept = self.pattern.kept(n_k)
-        blocks = row_blocks(n_q, n_k)
+        self.blocks = row_blocks(n_q, n_k)
+        self.tile_rows = max((r1 - r0 for r0, r1 in self.blocks), default=0)
+
+    def _lane_kt(self, k: np.ndarray) -> np.ndarray:
+        """Rounded Kᵀ laid out lane-major: ``(..., n_k, d)`` becomes
+        ``(..., M, d, n_k / M)``, whose lane i holds the columns of every
+        group's i-th key, so one batched product writes the M lane planes."""
+        m = self.pattern.m
+        groups = k.reshape(k.shape[:-2] + (self.n_k // m, m, k.shape[-1]))
+        return tensor_core_operand(np.moveaxis(groups, -3, -1), self.dtype)
+
+    def _score(self, planes: np.ndarray, b: int, r0: int, r1: int, kt: np.ndarray) -> None:
+        """Score rows ``r0:r1`` of slice ``b`` into the lane planes against
+        the lane-major rounded Kᵀ ``kt``, and mask them."""
+        q = tensor_core_operand(self._q[b, r0:r1], self.dtype)
+        # repro: owns-buffer — the job's reused lane planes
+        np.matmul(q, kt, out=planes)
+        # repro: owns-buffer — the job's reused lane planes
+        np.multiply(planes, self.scale, out=planes)
+        if self._grid is not None:
+            allowed = self._grid[self._row_block[r0:r1], self._col_block]
+            np.copyto(planes, MASKED_SCORE, where=~allowed)
+        if self.n_k != self.n_keys:
+            # padded keys are the last lanes of the last group
+            np.copyto(planes[self.n_keys % self.pattern.m:, :, -1], MASKED_SCORE)
+
+    def _row_shift(self, planes: np.ndarray, keep: Tuple[np.ndarray, ...]) -> np.ndarray:
+        """``(rows, 1)`` softmax shift of the scored lane planes: each row's
+        max (under ``value`` the max over every lane, as a group's largest
+        lane always survives; under ``magnitude`` the kept lanes', the
+        dropped ones being set to ``MASKED_SCORE`` in place first), or 0
+        where the row kept no weight or its max is not finite."""
+        if self.criterion != "value":
+            for plane, kept in zip(planes, keep):
+                # a dropped lane scores as masked: no part in the max, exp 0
+                bits = plane.view(np.uint32)
+                # repro: owns-buffer — a lane of the job's reused lane planes
+                np.multiply(bits, kept, out=bits)
+                # repro: owns-buffer — a lane of the job's reused lane planes
+                np.add(bits, ~kept * _MASKED_BITS, out=bits)
+        row_max = np.max(planes, axis=(0, 2), keepdims=True)[0]
+        # masked-logit rows (all lanes masked) and non-finite maxima shift by 0
+        live = np.isfinite(row_max) & (row_max > MASKED_LOGIT_THRESHOLD)
+        return np.where(live, row_max, 0.0)
+
+    @staticmethod
+    def _exp_lanes(planes: np.ndarray, keep: Tuple[np.ndarray, ...], shift: np.ndarray) -> None:
+        """Unnormalised masked N:M softmax of the lane planes, in place:
+        ``exp(s − shift)``, with the dropped lanes zeroed by a bit-pattern
+        multiply."""
+        for plane, kept in zip(planes, keep):
+            # repro: owns-buffer — a lane of the job's reused lane planes
+            np.subtract(plane, shift, out=plane)
+            # exp underflows every masked lane to exactly +0
+            # repro: owns-buffer — a lane of the job's reused lane planes
+            np.exp(plane, out=plane)
+            # bit-pattern multiply: a dropped lane is +0 even where exp overflowed
+            bits = plane.view(np.uint32)
+            # repro: owns-buffer — a lane of the job's reused lane planes
+            np.multiply(bits, kept, out=bits)
+
+    def _lane_dropout(self, lane: int, first_row: int, rows: int) -> np.ndarray:
+        """``(rows, n_k / M)`` keep mask of lane plane ``lane``, hashed on the
+        dense positions of flattened rows ``first_row, …``.
+
+        One plane at a time: the hash's uint64 and float64 temporaries are
+        each twice the bytes of what they cover.
+        """
+        row_base = (first_row + np.arange(rows, dtype=np.uint64)) * np.uint64(self.n_keys)
+        cols = np.arange(lane, self.n_k, self.pattern.m, dtype=np.uint64)
+        return attention_dropout_keep(*self.dropout, row_base[:, None] + cols)
+
+
+class NMForwardJob(_LaneTiles):
+    """One fused N:M forward call, decomposed into independent row tiles.
+
+    Construction validates the operands, rounds them to tensor-core
+    precision, lays the rounded Kᵀ out lane-major, and allocates the output.
+    ``return_probs`` also allocates the compressed probabilities;
+    ``return_stats`` (the training forward) instead allocates what the
+    backward recomputes them from, :class:`NMStats`: per-row shift and
+    denominator plus the selection, and no probability values.
+    ``dropout`` is the call's seeded attention dropout, applied to each
+    tile's probabilities before they meet V.  :meth:`run` executes one tile
+    into caller-owned buffers from :meth:`new_buffer`; tiles write disjoint
+    row blocks, so any executor may run them in any order and on any thread.
+    """
+
+    def __init__(
+        self,
+        q: np.ndarray,
+        k: np.ndarray,
+        v: np.ndarray,
+        pattern=None,
+        scale: Optional[float] = None,
+        dtype: str = "float32",
+        criterion: str = "value",
+        block_mask: Optional[BlockedEllMask] = None,
+        return_probs: bool = False,
+        dropout: Optional[Dropout] = None,
+        return_stats: bool = False,
+    ) -> None:
+        if return_probs and return_stats:
+            raise ValueError("return_probs and return_stats are exclusive")
+        super().__init__(q, k, v, pattern, scale, dtype, criterion, block_mask, dropout)
+        batch, n_q = self._q.shape[0], self.n_q
+        # Kᵀ is rounded once for the whole call, as every tile reads it; the
+        # tiles read nothing else of K
+        self._kt = self._lane_kt(self._k)
+        del self._k
         self.tiles: List[Tile] = [
-            (b, r0, r1) for b in range(batch) for r0, r1 in blocks
+            (b, r0, r1) for b in range(batch) for r0, r1 in self.blocks
         ]
-        self.tile_rows = max((r1 - r0 for r0, r1 in blocks), default=0)
-        self._out = np.empty((batch, n_q, v3.shape[-1]), dtype=np.float32)
-        self._values = self._indices = None
+        self._out = np.empty((batch, n_q, self._v.shape[-1]), dtype=np.float32)
+        kept = self.pattern.kept(self.n_k)
+        self._values = self._indices = self._shift = self._denom = self._selection = None
         if return_probs:
             self._values = np.empty((batch, n_q, kept), dtype=np.float32)
             self._indices = np.empty((batch, n_q, kept), dtype=np.int8)
+        if return_stats:
+            self._shift = np.empty((batch, n_q), dtype=np.float32)
+            self._denom = np.empty((batch, n_q), dtype=np.float32)
+            self._selection = np.empty(
+                (batch, n_q, self.n_k // self.pattern.m),
+                dtype=np.min_scalar_type((1 << self.pattern.m) - 1),
+            )
 
     def new_buffer(self) -> Tuple[np.ndarray, np.ndarray]:
         """Tile buffers for :meth:`run`, one pair per concurrent executor: the
@@ -283,25 +442,31 @@ class NMForwardJob:
         in place, contract, and normalise the output rows."""
         b, r0, r1 = tile
         planes, partial = buf[0][:, : r1 - r0], buf[1][:, : r1 - r0]
-        q = tensor_core_operand(self._q[b, r0:r1], self.dtype)
-        # repro: owns-buffer — the job's reused lane planes
-        np.matmul(q, self._kt[b], out=planes)
-        # repro: owns-buffer — the job's reused lane planes
-        np.multiply(planes, self.scale, out=planes)
-        if self._grid is not None:
-            allowed = self._grid[self._row_block[r0:r1], self._col_block]
-            np.copyto(planes, MASKED_SCORE, where=~allowed)
-        if self.n_k != self.n_keys:
-            # padded keys are the last lanes of the last group
-            np.copyto(planes[self.n_keys % self.pattern.m:, :, -1], MASKED_SCORE)
+        self._score(planes, b, r0, r1, self._kt[b])
         keep = nm_keep_lanes(planes, self.pattern, self.criterion)
-        denom = self._exp_planes(planes, keep)
+        shift = self._row_shift(planes, keep)
+        self._exp_lanes(planes, keep, shift)
+        # summed in the N:M order of the compressed softmax; a row that kept
+        # no weight divides by 1
+        denom = grouped_row_sum(planes)
+        denom = np.where(denom == 0.0, np.float32(1.0), denom)
         if self._values is not None:
             values, indices = nm_compress_lanes(planes, keep, self.pattern)
             # repro: owns-buffer — disjoint row block of the job's own output
             np.divide(values, denom, out=self._values[b, r0:r1])
             # repro: owns-buffer — disjoint row block of the job's own output
             self._indices[b, r0:r1] = indices
+        if self._shift is not None:
+            # repro: owns-buffer — disjoint row block of the job's own output
+            self._shift[b, r0:r1] = shift[:, 0]
+            # repro: owns-buffer — disjoint row block of the job's own output
+            self._denom[b, r0:r1] = denom[:, 0]
+            # one code per group: bit i set when the group's i-th key is kept
+            codes = self._selection[b, r0:r1]
+            np.copyto(codes, keep[0])
+            for lane in range(1, len(keep)):
+                # repro: owns-buffer — disjoint row block of the job's own output
+                codes |= keep[lane].astype(codes.dtype) << lane
         if self.dropout is not None:
             for lane, plane in enumerate(planes):
                 # repro: owns-buffer — a lane of the job's reused lane planes
@@ -312,60 +477,24 @@ class NMForwardJob:
         # repro: owns-buffer — disjoint row block of the job's own output
         np.divide(np.sum(partial, axis=0), denom, out=self._out[b, r0:r1])
 
-    def _exp_planes(self, planes: np.ndarray, keep: Tuple[np.ndarray, ...]) -> np.ndarray:
-        """Unnormalised masked N:M softmax of the lane planes, in place.
+    def result(self) -> Tuple[np.ndarray, Union[NMSparseMatrix, NMStats, None]]:
+        """``(out, probs)``, ``(out, stats)`` or ``(out, None)``, as requested.
 
-        Each plane is shifted by its row's max (under ``value`` the max over
-        every lane, as a group's largest lane always survives; under
-        ``magnitude`` the kept lanes'), exponentiated, and its dropped lanes
-        zeroed by a bit-pattern multiply.  Returns the ``(rows, 1)``
-        denominators, summed in the N:M order of the compressed softmax
-        (:func:`~repro.core.softmax.grouped_row_sum`), with the zero sums of
-        rows that kept no weight replaced by 1.
-        """
-        if self.criterion != "value":
-            for plane, kept in zip(planes, keep):
-                # a dropped lane scores as masked: no part in the max, exp 0
-                bits = plane.view(np.uint32)
-                # repro: owns-buffer — a lane of the job's reused lane planes
-                np.multiply(bits, kept, out=bits)
-                # repro: owns-buffer — a lane of the job's reused lane planes
-                np.add(bits, ~kept * _MASKED_BITS, out=bits)
-        row_max = np.max(planes, axis=(0, 2), keepdims=True)[0]
-        # masked-logit rows (all lanes masked) and non-finite maxima shift by 0
-        live = np.isfinite(row_max) & (row_max > MASKED_LOGIT_THRESHOLD)
-        shift = np.where(live, row_max, 0.0)
-        for plane, kept in zip(planes, keep):
-            # repro: owns-buffer — a lane of the job's reused lane planes
-            np.subtract(plane, shift, out=plane)
-            # exp underflows every masked lane to exactly +0
-            # repro: owns-buffer — a lane of the job's reused lane planes
-            np.exp(plane, out=plane)
-            # bit-pattern multiply: a dropped lane is +0 even where exp overflowed
-            bits = plane.view(np.uint32)
-            # repro: owns-buffer — a lane of the job's reused lane planes
-            np.multiply(bits, kept, out=bits)
-        denom = grouped_row_sum(planes)
-        return np.where(denom == 0.0, np.float32(1.0), denom)
-
-    def _lane_dropout(self, lane: int, first_row: int, rows: int) -> np.ndarray:
-        """``(rows, n_k / M)`` keep mask of :meth:`run`'s lane plane ``lane``,
-        hashed on the dense positions of flattened rows ``first_row, …``.
-
-        One plane at a time: the hash's uint64 and float64 temporaries are
-        each twice the bytes of what they cover.
-        """
-        row_base = (first_row + np.arange(rows, dtype=np.uint64)) * np.uint64(self.n_keys)
-        cols = np.arange(lane, self.n_k, self.pattern.m, dtype=np.uint64)
-        return attention_dropout_keep(*self.dropout, row_base[:, None] + cols)
-
-    def result(self) -> Tuple[np.ndarray, Optional[NMSparseMatrix]]:
-        """``(out, probs)``; ``probs`` is ``None`` unless requested.
-
-        ``probs`` spans the padded key axis when the key count is not a
-        multiple of M; its padded columns hold zero weight.
+        ``probs`` and the selection in ``stats`` span the padded key axis
+        when the key count is not a multiple of M; padded columns hold zero
+        weight.
         """
         out = restore_batch_shape(self._out, self.batch_shape)
+        if self._shift is not None:
+            return out, NMStats(
+                shift=self._shift.reshape(self.batch_shape + (self.n_q,)),
+                denom=self._denom.reshape(self.batch_shape + (self.n_q,)),
+                selection=restore_batch_shape(self._selection, self.batch_shape),
+                pattern=self.pattern,
+                n_keys=self.n_keys,
+                criterion=self.criterion,
+                block_mask=self.block_mask,
+            )
         if self._values is None:
             return out, None
         probs = NMSparseMatrix(
@@ -376,6 +505,165 @@ class NMForwardJob:
             dtype=self.dtype,
         )
         return out, probs
+
+
+class NMBackwardJob(_LaneTiles):
+    """One N:M attention backward, decomposed into independent batch slices.
+
+    Nothing of the forward's probabilities is stored: each slice walks the
+    forward's row blocks and, per block, re-scores with the same tf32-rounded
+    Q rows and lane-major Kᵀ (rounded one slice at a time) and recomputes
+    the unnormalised probabilities ``P̃ = exp(s − shift)`` on the saved
+    selection from the saved shift — bit for bit the forward's.  Reading the
+    saved selection costs a shift and a mask per lane, where re-running
+    ``nm_keep_lanes`` on the re-scored lanes cost several times that.
+    The tile is one ``(rows, n_k)`` array whose columns are in lane-major
+    key order (all keys of lane 0, then of lane 1, …): the re-scoring
+    product writes its M lane planes as strided views of it, and every
+    other product is one GEMM against lane-major copies of K and V, which
+    ran faster than M per-lane GEMMs over strided lane views.  With
+    ``P = P̃ / denom`` and the keep mask ``D`` of the seeded dropout
+    (re-hashed per lane plane):
+
+    * ``dV += (P̃ ∘ D)ᵀ (dO / denom)``;
+    * ``dP = (dO Vᵀ) ∘ D``, and without dropout ``dP − rowsum(dO ∘ O)`` as
+      one GEMM over ``[dO, −rowsum(dO ∘ O)]`` and V with a ones column;
+    * ``dS' = P̃ ∘ (dP − rowsum(dO ∘ O))``, with ``dS = dS' · scale / denom``;
+    * ``dQ = dS K``, the row factor ``scale / denom`` applied to the
+      ``(rows, d)`` product, and ``dK += dS'ᵀ (Q · scale / denom)``.
+
+    dK and dV accumulate in lane-major key order over the row blocks, in a
+    fixed order that depends only on the geometry, and are written back in
+    key order once per slice.  Slices are independent, so any executor may
+    run them in any order.
+    """
+
+    def __init__(
+        self,
+        q: np.ndarray,
+        k: np.ndarray,
+        v: np.ndarray,
+        d_out: np.ndarray,
+        out: np.ndarray,
+        shift: np.ndarray,
+        denom: np.ndarray,
+        selection: np.ndarray,
+        pattern=None,
+        scale: Optional[float] = None,
+        dtype: str = "float32",
+        criterion: str = "value",
+        block_mask: Optional[BlockedEllMask] = None,
+        dropout: Optional[Dropout] = None,
+    ) -> None:
+        super().__init__(q, k, v, pattern, scale, dtype, criterion, block_mask, dropout)
+        batch, n_q = self._q.shape[0], self.n_q
+        self._selection = np.asarray(selection).reshape(batch, n_q, -1)
+        self._g = as_batched_3d(np.asarray(d_out, dtype=np.float32))[0]
+        self._o = as_batched_3d(np.asarray(out, dtype=np.float32))[0]
+        self._shift = np.asarray(shift, dtype=np.float32).reshape(batch, n_q, 1)
+        self._denom = np.asarray(denom, dtype=np.float32).reshape(batch, n_q, 1)
+        self.slices = range(batch)
+        self._dq = np.empty(self._q.shape, dtype=np.float32)
+        # zero-filled for a slice without query rows, which no block writes
+        self._dk = np.zeros(self._k.shape, dtype=np.float32)
+        self._dv = np.zeros(self._v.shape, dtype=np.float32)
+
+    def new_buffer(self) -> Tuple[Optional[np.ndarray], ...]:
+        """Tile buffers for :meth:`run`, one set per concurrent executor: the
+        ``(rows, n_k)`` probability and ``dS`` tiles, and the dropped
+        probability tile (with dropout only)."""
+        tile = (self.tile_rows, self.n_k)
+        return (
+            np.empty(tile, dtype=np.float32),
+            np.empty(tile, dtype=np.float32),
+            None if self.dropout is None else np.empty(tile, dtype=np.float32),
+        )
+
+    def _lane_order(self, x: np.ndarray) -> np.ndarray:
+        """A ``(n_k, d)`` copy of ``x``'s rows in lane-major key order."""
+        m = self.pattern.m
+        return np.ascontiguousarray(
+            x.reshape(self.n_k // m, m, x.shape[-1]).transpose(1, 0, 2)
+        ).reshape(self.n_k, x.shape[-1])
+
+    def run(self, b: int, buf: Tuple[Optional[np.ndarray], ...]) -> None:
+        """Gradients of slice ``b``, row block by row block."""
+        m, groups = self.pattern.m, self.n_k // self.pattern.m
+        d_v = self._v.shape[-1]
+        kt = self._lane_kt(self._k[b])
+        k_lanes = self._lane_order(self._k[b])
+        # V in lane-major key order and a ones column: without dropout,
+        # [dO, −rowsum(dO ∘ O)] @ [V, 1]ᵀ is dP − rowsum(dO ∘ O) in one GEMM
+        v_aug = np.concatenate(
+            [self._lane_order(self._v[b]), np.ones((self.n_k, 1), np.float32)], axis=1
+        )
+        g_aug = np.empty((self.tile_rows, d_v + 1), dtype=np.float32)
+        grad_k = np.empty_like(k_lanes)
+        grad_v = np.empty((self.n_k, d_v), dtype=np.float32)
+        scale = np.float32(self.scale)
+        for r0, r1 in self.blocks:
+            rows = r1 - r0
+            tile, d_s, dropped = (None if x is None else x[:rows] for x in buf)
+            # score and exponentiate in contiguous lane planes (the dS tile,
+            # free until dP), then lay P̃ out in lane-major key order
+            planes = d_s.reshape(m, rows, groups)
+            self._score(planes, b, r0, r1, kt)
+            codes = self._selection[b, r0:r1]
+            keep = [(codes >> lane) & 1 for lane in range(m)]
+            shift, denom = self._shift[b, r0:r1], self._denom[b, r0:r1]
+            self._exp_lanes(planes, keep, shift)
+            np.copyto(tile.reshape(rows, m, groups), planes.transpose(1, 0, 2))
+            g = self._g[b, r0:r1]
+            inner = np.sum(g * self._o[b, r0:r1], axis=-1, keepdims=True)
+            applied = tile
+            if self.dropout is None:
+                g_aug[:rows, :d_v] = g
+                g_aug[:rows, d_v:] = -inner
+                np.matmul(g_aug[:rows], v_aug.T, out=d_s)
+            else:
+                # dP = (dO Vᵀ) ∘ D, then the row inner products
+                np.matmul(g, v_aug[:, :d_v].T, out=d_s)
+                planes = tile.reshape(rows, m, groups).transpose(1, 0, 2)
+                d_s3, dropped3 = (x.reshape(rows, m, groups) for x in (d_s, dropped))
+                for lane in range(m):
+                    drop = self._lane_dropout(lane, b * self.n_q + r0, rows)
+                    np.multiply(planes[lane], drop, out=dropped3[:, lane])
+                    d_s3[:, lane] *= drop
+                d_s -= inner
+                applied = dropped
+            # dV += (P̃ ∘ D)ᵀ dO / denom, the divide folded into the dO rows
+            _matmul_into(grad_v, r0 == 0, applied.T, g / denom)
+            # dS' = P̃ ∘ (dP − rowsum(dO ∘ O))
+            d_s *= tile
+            # dQ = dS' K · scale / denom; dK += dS'ᵀ (Q · scale / denom)
+            row_scale = scale / denom
+            # repro: owns-buffer — disjoint row block of the job's own dQ
+            np.multiply(np.matmul(d_s, k_lanes), row_scale, out=self._dq[b, r0:r1])
+            _matmul_into(grad_k, r0 == 0, d_s.T, self._q[b, r0:r1] * row_scale)
+        if self.blocks:
+            # back to key order: lane i's keys are rows i, i + M, …
+            for lanes, grad in ((grad_k, self._dk[b]), (grad_v, self._dv[b])):
+                dst = grad.reshape(groups, m, grad.shape[-1])
+                np.copyto(dst, lanes.reshape(m, groups, -1).transpose(1, 0, 2))
+
+    def result(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(dQ, dK, dV)``, dK and dV cropped to the real keys."""
+        d_k = self._dk[:, : self.n_keys]
+        d_v = self._dv.reshape(self._dv.shape[0], self.n_k, -1)[:, : self.n_keys]
+        return tuple(
+            restore_batch_shape(grad, self.batch_shape) for grad in (self._dq, d_k, d_v)
+        )
+
+
+def _matmul_into(dst: np.ndarray, first: bool, a: np.ndarray, b: np.ndarray) -> None:
+    """``dst = a @ b`` for a slice's first row block, ``dst += a @ b`` for
+    the blocks after it."""
+    if first:
+        # repro: owns-buffer — the caller's per-slice dK or dV accumulator
+        np.matmul(a, b, out=dst)
+    else:
+        # repro: owns-buffer — the caller's per-slice dK or dV accumulator
+        dst += np.matmul(a, b)
 
 
 @register_kernel("nm_attention", FAST)
@@ -390,11 +678,13 @@ def _nm_attention_fast(
     block_mask: Optional[BlockedEllMask] = None,
     return_probs: bool = False,
     dropout: Optional[Dropout] = None,
-) -> Tuple[np.ndarray, Optional[NMSparseMatrix]]:
+    return_stats: bool = False,
+) -> Tuple[np.ndarray, Union[NMSparseMatrix, NMStats, None]]:
     """Row-tiled fused forward: one reused tile buffer, no ``n²`` tensor."""
     job = NMForwardJob(
         q, k, v, pattern=pattern, scale=scale, dtype=dtype, criterion=criterion,
         block_mask=block_mask, return_probs=return_probs, dropout=dropout,
+        return_stats=return_stats,
     )
     buf = job.new_buffer()
     for tile in job.tiles:
@@ -402,12 +692,9 @@ def _nm_attention_fast(
     return job.result()
 
 
-def tile_span_args(
-    q, k, v, pattern=None, scale=None, dtype="float32", criterion="value",
-    block_mask=None, return_probs=False, dropout=None,
-) -> dict:
-    """Trace-span arguments of one tiled call: tile count, tile shape and the
-    bytes written (output, plus compressed probabilities when requested)."""
+def _tile_geometry(q, k, pattern, dtype):
+    """``(batch, n_q, padded n_k, block count, largest block rows, pattern)``
+    of one call."""
     pattern = (
         default_pattern_for_dtype(dtype) if pattern is None else resolve_pattern(pattern)
     )
@@ -415,12 +702,27 @@ def tile_span_args(
     n_q, batch = q_shape[-2], int(np.prod(q_shape[:-2], dtype=np.int64))
     blocks = row_blocks(n_q, n_k)
     rows = max((r1 - r0 for r0, r1 in blocks), default=0)
+    return batch, n_q, n_k, len(blocks), rows, pattern
+
+
+def tile_span_args(
+    q, k, v, pattern=None, scale=None, dtype="float32", criterion="value",
+    block_mask=None, return_probs=False, dropout=None, return_stats=False,
+) -> dict:
+    """Trace-span arguments of one tiled call: tile count, tile shape and the
+    bytes written (output, plus compressed probabilities or the saved
+    statistics when requested)."""
+    batch, n_q, n_k, count, rows, pattern = _tile_geometry(q, k, pattern, dtype)
     out_bytes = 4 * batch * n_q * np.shape(v)[-1]
     if return_probs:
         # float32 values plus int8 in-group indices per kept entry
         out_bytes += 5 * batch * n_q * pattern.kept(n_k)
+    if return_stats:
+        # float32 shift and denominator per row, a selection code per group
+        code_bytes = np.min_scalar_type((1 << pattern.m) - 1).itemsize
+        out_bytes += batch * n_q * (8 + code_bytes * n_k // pattern.m)
     return {
-        "tiles": batch * len(blocks),
+        "tiles": batch * count,
         "tile_shape": f"{rows}x{n_k}",
         "out_bytes": int(out_bytes),
     }
@@ -441,23 +743,29 @@ def _nm_attention_reference(
     block_mask: Optional[BlockedEllMask] = None,
     return_probs: bool = False,
     dropout: Optional[Dropout] = None,
-) -> Tuple[np.ndarray, Optional[NMSparseMatrix]]:
+    return_stats: bool = False,
+) -> Tuple[np.ndarray, Union[NMSparseMatrix, NMStats, None]]:
     """The staged reference chain: ``sddmm_nm → masked_softmax → spmm``.
 
     A key count that is not a multiple of M is padded as in the fast kernel;
-    dropout multiplies the probabilities the SpMM contracts.
+    dropout multiplies the probabilities the SpMM contracts.  The saved
+    statistics are each row's max stored score (0 for a row without a live
+    one) and the sum of its stored entries' exponentials (1 for a zero sum).
     """
+    if return_probs and return_stats:
+        raise ValueError("return_probs and return_stats are exclusive")
     pattern = (
         default_pattern_for_dtype(dtype) if pattern is None else resolve_pattern(pattern)
     )
     n_keys = np.shape(k)[-2]
     n_k = pattern.padded(n_keys)
+    mask_source = block_mask
     if n_k != n_keys:
         k, v = pad_keys(k, n_k), pad_keys(v, n_k)
-        block_mask = _PaddedKeys(n_keys, block_mask)
+        mask_source = _PaddedKeys(n_keys, block_mask)
     scores = _sddmm_nm_reference(
         q, k, pattern=pattern, scale=scale, dtype=dtype,
-        criterion=criterion, block_mask=block_mask,
+        criterion=criterion, block_mask=mask_source,
     )
     probs = _sparse_softmax_reference(scores)
     applied = probs
@@ -465,4 +773,99 @@ def _nm_attention_reference(
         keep = dropout_keep(dropout, probs.indices, pattern, n_keys)
         applied = probs.with_values(probs.values * keep)
     out = _spmm_reference(applied, v)
+    if return_stats:
+        masked = scores.values <= MASKED_LOGIT_THRESHOLD
+        row_max = np.max(np.where(masked, -np.inf, scores.values), axis=-1, keepdims=True)
+        shift = np.where(np.isfinite(row_max), row_max, 0.0).astype(np.float32)
+        exp = np.where(masked, 0.0, np.exp(scores.values - shift))
+        denom = np.sum(exp, axis=-1, dtype=np.float32)
+        return out, NMStats(
+            shift=shift[..., 0], denom=np.where(denom == 0.0, np.float32(1.0), denom),
+            selection=_selection_codes(probs.to_mask(), pattern), pattern=pattern,
+            n_keys=n_keys, criterion=criterion, block_mask=block_mask,
+        )
     return out, (probs if return_probs else None)
+
+
+@register_kernel("nm_attention_bwd", FAST)
+def _nm_attention_bwd_fast(
+    q: np.ndarray,
+    k: np.ndarray,
+    v: np.ndarray,
+    d_out: np.ndarray,
+    out: np.ndarray,
+    shift: np.ndarray,
+    denom: np.ndarray,
+    selection: np.ndarray,
+    pattern=None,
+    scale: Optional[float] = None,
+    dtype: str = "float32",
+    criterion: str = "value",
+    block_mask: Optional[BlockedEllMask] = None,
+    dropout: Optional[Dropout] = None,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Recomputing backward (:class:`NMBackwardJob`), one slice at a time in
+    one reused set of tile buffers: ``(dQ, dK, dV)`` from the forward's
+    operands, output and saved statistics (:class:`NMStats`)."""
+    job = NMBackwardJob(
+        q, k, v, d_out, out, shift, denom, selection, pattern=pattern, scale=scale,
+        dtype=dtype, criterion=criterion, block_mask=block_mask, dropout=dropout,
+    )
+    buf = job.new_buffer()
+    for b in job.slices:
+        job.run(b, buf)
+    return job.result()
+
+
+def bwd_span_args(q, k, v, d_out, out, shift, denom, selection, pattern=None, scale=None,
+                  dtype="float32", criterion="value", block_mask=None, dropout=None) -> dict:
+    """Trace-span arguments of one backward call: the forward's row tiles,
+    the tile shape and the gradient bytes written (dQ, and dK and dV over
+    the padded key axis)."""
+    batch, _, n_k, count, rows, _ = _tile_geometry(q, k, pattern, dtype)
+    d_kv = np.shape(k)[-1] + np.shape(v)[-1]
+    return {
+        "tiles": batch * count,
+        "tile_shape": f"{rows}x{n_k}",
+        "out_bytes": int(4 * (np.size(q) + batch * n_k * d_kv)),
+    }
+
+
+_nm_attention_bwd_fast.span_args = bwd_span_args
+
+
+@register_kernel("nm_attention_bwd", REFERENCE)
+def _nm_attention_bwd_reference(
+    q: np.ndarray,
+    k: np.ndarray,
+    v: np.ndarray,
+    d_out: np.ndarray,
+    out: np.ndarray,
+    shift: np.ndarray,
+    denom: np.ndarray,
+    selection: np.ndarray,
+    pattern=None,
+    scale: Optional[float] = None,
+    dtype: str = "float32",
+    criterion: str = "value",
+    block_mask: Optional[BlockedEllMask] = None,
+    dropout: Optional[Dropout] = None,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The oracle: re-run the staged reference chain for the compressed
+    probabilities and the dropout keep mask, then compose the reference
+    backward primitives (:func:`repro.core.attention_grad._compose_bwd`).
+    ``out`` and the saved statistics are not read."""
+    del out, shift, denom, selection
+    pattern = (
+        default_pattern_for_dtype(dtype) if pattern is None else resolve_pattern(pattern)
+    )
+    scale = 1.0 / np.sqrt(np.shape(q)[-1]) if scale is None else scale
+    _, probs = _nm_attention_reference(
+        q, k, v, pattern=pattern, scale=scale, dtype=dtype, criterion=criterion,
+        block_mask=block_mask, return_probs=True,
+    )
+    n_keys = np.shape(k)[-2]
+    keep = None if dropout is None else dropout_keep(dropout, probs.indices, pattern, n_keys)
+    k, v = pad_keys(k, probs.dense_cols), pad_keys(v, probs.dense_cols)
+    d_q, d_k, d_v = _compose_bwd(probs, q, k, v, d_out, scale, keep, REFERENCE)
+    return d_q, d_k[..., :n_keys, :], d_v[..., :n_keys, :]

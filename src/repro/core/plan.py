@@ -13,10 +13,12 @@ module compiles the chain once instead:
   plan serves every batch of the same per-slice geometry).
 * :class:`AttentionPlan` — the compiled object: every registry lookup is
   resolved at construction.  The N:M forward, inference and training
-  alike, runs the resolved ``nm_attention`` kernel
-  (:mod:`repro.core.nm_attention`: row-tiled on ``fast``, so no ``n²``
-  tensor exists).  The stages — sddmm → softmax → spmm, used by the CSR
-  layout, plus the fused backward — are each written once, as a function
+  alike, runs the resolved ``nm_attention`` kernel and the N:M backward
+  the ``nm_attention_bwd`` kernel (:mod:`repro.core.nm_attention`:
+  row-tiled on ``fast``, so no ``n²`` tensor exists, and the backward
+  recomputes the probabilities instead of reading stored ones).  The
+  stages — sddmm → softmax → spmm, used by the CSR layout, plus the CSR
+  backward — are each written once, as a function
   of one layout and its operands handed to the execution seam
   :meth:`AttentionPlan._map`.  The softmax stage reuses the score buffer
   as the probability buffer (scores live only in the compressed value
@@ -61,7 +63,6 @@ from repro.core.backend import (
     register_plan_builder,
     resolve_backend,
 )
-from repro.core.nm_attention import pad_keys
 from repro.core.patterns import resolve_pattern
 from repro.core.plan_cache import PlanCache
 from repro.core.row_block import Dropout, RowBlockStructure
@@ -110,6 +111,7 @@ class AttentionPlan:
         if key.layout == "nm":
             self._sddmm = get_kernel("sddmm_nm", backend)
             self._nm_forward = get_kernel("nm_attention", backend)
+            self._nm_bwd = get_kernel("nm_attention_bwd", backend)
             self._pattern = resolve_pattern(key.mechanism.split("_", 1)[1])
         elif key.layout == "csr":
             self._sddmm = get_kernel("sddmm_csr", backend)
@@ -254,7 +256,7 @@ class AttentionPlan:
     # ------------------------------------------------------------------ bwd
     def backward(
         self,
-        probs,
+        saved,
         q: np.ndarray,
         k: np.ndarray,
         v: np.ndarray,
@@ -264,41 +266,48 @@ class AttentionPlan:
         out: Optional[np.ndarray] = None,
         dropout: Optional[Dropout] = None,
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Fused backward: ``(dQ, dK, dV)`` via the resolved ``attention_bwd``.
+        """Fused backward: ``(dQ, dK, dV)`` from the forward's saved state.
 
-        N:M probabilities over a key axis the forward padded to whole
-        M-groups run on zero-padded K and V; dK and dV are cropped back to
-        the real keys.  Row-block probabilities run the
-        ``row_block_attention_bwd`` kernel, which re-derives the keep mask
-        from the forward's ``dropout`` (``(seed, p)``) instead of taking a
-        ``drop_keep`` array.
+        ``saved`` is what the forward kept.  N:M plans take the training
+        forward's :class:`~repro.core.nm_attention.NMStats` and run the
+        ``nm_attention_bwd`` kernel, which re-scores and recomputes the
+        probabilities tile by tile from the per-row statistics and the
+        selection, the forward output ``out`` and the forward's
+        ``dropout`` (``(seed, p)``).  Row-block plans take the block
+        probabilities and run ``row_block_attention_bwd``, which also
+        re-derives the keep mask from ``dropout``.  CSR plans take the
+        compressed probabilities and the ``drop_keep`` array over their
+        lanes, and run ``attention_bwd``.
         """
+        if self.key.layout == "nm":
+            with self._trace_labels():
+                grads = self._nm_bwd(
+                    guard_input(q), guard_input(k), guard_input(v), guard_input(d_out),
+                    guard_input(out), saved.shift, saved.denom, saved.selection,
+                    pattern=self._pattern, scale=scale, dtype=self.key.dtype,
+                    criterion=saved.criterion, block_mask=saved.block_mask, dropout=dropout,
+                )
+            return check_grads(grads, "attention gradient", inputs=(q, k, v, d_out))
         if self.key.layout == "row_block":
             def row_block_attention_bwd(tile, q, k, v, d_out, out):
                 return self._row_block_bwd(tile, q, k, v, d_out, scale, dropout, out)
 
             grads = self._map(
-                "row_block_attention_bwd", probs, row_block_attention_bwd,
+                "row_block_attention_bwd", saved, row_block_attention_bwd,
                 guard_input(q), guard_input(k), guard_input(v), guard_input(d_out),
                 guard_input(out),
             )
             return check_grads(grads, "attention gradient", inputs=(q, k, v, d_out))
-        n_keys = np.shape(k)[-2]
-        padded = self.key.layout == "nm" and probs.dense_cols != n_keys
-        if padded:
-            k, v = pad_keys(k, probs.dense_cols), pad_keys(v, probs.dense_cols)
 
         def attention_bwd(tile, q, k, v, d_out, drop_keep, out):
             return self._bwd(tile, q, k, v, d_out, scale, drop_keep, out)
 
-        d_q, d_k, d_v = self._map(
-            "attention_bwd", probs, attention_bwd,
+        grads = self._map(
+            "attention_bwd", saved, attention_bwd,
             guard_input(q), guard_input(k), guard_input(v), guard_input(d_out),
             drop_keep, guard_input(out),
         )
-        if padded:
-            d_k, d_v = d_k[..., :n_keys, :], d_v[..., :n_keys, :]
-        return check_grads((d_q, d_k, d_v), "attention gradient", inputs=(q, k, v, d_out))
+        return check_grads(grads, "attention gradient", inputs=(q, k, v, d_out))
 
     # ------------------------------------------------------------ end-to-end
     def forward(
@@ -312,6 +321,7 @@ class AttentionPlan:
         block_mask=None,
         return_probs: bool = False,
         dropout=None,
+        return_stats: bool = False,
     ):
         """Forward over the whole chain.
 
@@ -320,7 +330,11 @@ class AttentionPlan:
         ``reference`` — which computes the compressed probabilities only when
         ``return_probs`` asks for them, and applies ``dropout`` (``(seed,
         p)``, see :func:`repro.core.nm_attention.dropout_keep`) to the
-        probabilities it contracts; the training op runs through here.
+        probabilities it contracts.  The training op asks for
+        ``return_stats`` instead and gets ``(out, stats)``: the per-row
+        softmax statistics and the selection
+        (:class:`~repro.core.nm_attention.NMStats`) that :meth:`backward`
+        recomputes the probabilities from.
         Row-block plans run ``row_block_attention`` over ``structure`` (a
         :class:`~repro.core.row_block.RowBlockStructure`) through
         :meth:`_map`, with the same ``return_probs`` and ``dropout``.  CSR
@@ -334,10 +348,10 @@ class AttentionPlan:
                     guard_input(q), guard_input(k), guard_input(v),
                     pattern=self._pattern, scale=scale, dtype=self.key.dtype,
                     criterion=criterion, block_mask=block_mask,
-                    return_probs=return_probs, dropout=dropout,
+                    return_probs=return_probs, dropout=dropout, return_stats=return_stats,
                 )
             out = check_output(out, "attention output", inputs=(q, k, v))
-            return (out, probs) if return_probs else out
+            return (out, probs) if return_probs or return_stats else out
         if dropout is not None:
             raise ValueError("CSR plans apply dropout in contract(drop_keep=...)")
         scores = self.compute_scores(

@@ -246,6 +246,31 @@ def attention_bwd_nm_ops(
     ]
 
 
+def nm_attention_bwd_ops(
+    batch: int, n_q: int, n_k: int, d: int, dtype: str, tile: int = DEFAULT_TILE
+) -> List[OpCost]:
+    """The kernel sequence of the recomputing N:M attention backward.
+
+    The training forward saves only each row's softmax shift and
+    denominator, so the backward first re-scores and re-selects (the fused
+    SDDMM + prune epilogue again) and recomputes the kept probabilities
+    ``exp(s − shift) / denom`` in one element-wise pass over the compressed
+    scores, reading the two per-row statistics; then it runs the five ops of
+    :func:`attention_bwd_nm_ops`.
+    """
+    elem = dtype_bytes(dtype)
+    kept = n_q * n_k / 2.0
+    recompute = replace(
+        elementwise("softmax_recompute", batch, kept, dtype, flops_per_elem=3.0),
+        bytes_read=batch * (kept + 2.0 * n_q) * elem,
+    )
+    return [
+        replace(sddmm_nm_fused(batch, n_q, n_k, d, dtype, tile), name="sddmm_rescore"),
+        recompute,
+        *attention_bwd_nm_ops(batch, n_q, n_k, d, dtype, tile),
+    ]
+
+
 # ------------------------------------------------------------- element-wise ops
 def softmax_dense(batch: int, rows: int, cols: int, dtype: str) -> OpCost:
     """Dense softmax: read the score matrix, write the weight matrix."""

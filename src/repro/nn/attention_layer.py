@@ -37,7 +37,6 @@ from repro.core.backend import get_kernel
 from repro.core.blocked_ell import BlockedEllMask
 from repro.core.padded_csr import PaddedCSRMatrix
 from repro.core.patterns import resolve_pattern
-from repro.core.pruning import global_column_indices
 from repro.core.sddmm import MASKED_SCORE
 from repro.nn import functional as F
 from repro.nn.autograd import Tensor
@@ -91,16 +90,6 @@ class FullCore(AttentionCore):
         scores = (q @ k.swapaxes(-1, -2)) * (1.0 / np.sqrt(d))
         weights = self._apply_prob_dropout(F.softmax(scores, axis=-1))
         return weights @ v
-
-
-def _nm_selection_mask(
-    indices: np.ndarray, pattern, dense_cols: int
-) -> np.ndarray:
-    """Dense boolean mask of an N:M selection from its compressed metadata."""
-    cols = global_column_indices(indices, pattern, dense_cols)
-    mask = np.zeros(indices.shape[:-1] + (dense_cols,), dtype=bool)
-    np.put_along_axis(mask, cols, True, axis=-1)
-    return mask
 
 
 class MaskedScoreCore(AttentionCore):
@@ -195,11 +184,11 @@ class DfssCore(AttentionCore):
     """Dynamic N:M pruning of the score matrix (the paper's mechanism).
 
     The whole trainable computation — forward *and* backward — runs through
-    the compressed pipeline of
-    :func:`repro.nn.sparse_attention.dfss_sparse_attention`: fused SDDMM +
-    prune, sparse softmax and SpMM over the stored nonzeros, with analytic
-    gradients on the compressed representation.  The selection is a constant
-    of the graph, exactly as the paper's kernel treats it.
+    :func:`repro.nn.sparse_attention.dfss_sparse_attention`: the row-tiled
+    fused N:M forward, and a backward that recomputes each tile's
+    probabilities from per-row softmax statistics.  The selection is a
+    constant of the graph, exactly as the paper's kernel treats it;
+    :meth:`last_mask` reads the selection the forward wrote.
 
     ``block_mask`` optionally adds the hybrid blocked-ELL coarse sparsity on
     top of the N:M selection.
@@ -225,11 +214,11 @@ class DfssCore(AttentionCore):
         self.pattern = resolve_pattern(pattern)
         self.backend = backend
         self.block_mask = block_mask
-        self._last_structure = None
+        self._last_stats = None
 
     def __call__(self, q: Tensor, k: Tensor, v: Tensor) -> Tensor:
         drop = self.attn_dropout
-        out, probs = dfss_sparse_attention(
+        out, stats = dfss_sparse_attention(
             q,
             k,
             v,
@@ -240,24 +229,12 @@ class DfssCore(AttentionCore):
             dropout_rng=drop.rng if drop is not None else None,
             training=bool(drop.training) if drop is not None else False,
         )
-        # keep only the int8 metadata for mask introspection — retaining the
-        # probs object would pin its values in memory between steps
-        self._last_structure = (
-            probs.indices, probs.pattern, probs.dense_cols, k.shape[-2]
-        )
+        # the forward's selection codes and O(rows) statistics, no values
+        self._last_stats = stats
         return out
 
     def last_mask(self) -> Optional[np.ndarray]:
-        if self._last_structure is None:
-            return None
-        indices, pattern, dense_cols, n_keys = self._last_structure
-        # crop the key axis the kernel padded to whole M-groups
-        mask = _nm_selection_mask(indices, pattern, dense_cols)[..., :n_keys]
-        if self.block_mask is not None:
-            # sentinel entries of fully-masked groups carry zero weight
-            # but are present in the compressed structure; drop them
-            mask &= self.block_mask.dense_mask(mask.shape[-2], mask.shape[-1])
-        return mask
+        return None if self._last_stats is None else self._last_stats.to_mask()
 
 
 class TopKCore(MaskedScoreCore):

@@ -8,10 +8,14 @@ kept entries, the row-wise softmax Jacobian, then ``dQ``/``dK``):
   *dynamically* by the paper's fused SDDMM + prune epilogue, and the
   forward is the row-tiled ``nm_attention`` kernel
   (:meth:`AttentionPlan.forward <repro.core.plan.AttentionPlan.forward>`
-  with ``return_probs=True``): QKᵀ, selection, softmax, dropout and
-  ``@ V`` run one query-row block at a time, and the backward walks the same
-  blocks, so neither pass allocates an ``n²`` tensor.  Any key count
-  trains: the kernels pad the key axis to whole M-groups.
+  with ``return_stats=True``): QKᵀ, selection, softmax, dropout and
+  ``@ V`` run one query-row block at a time, and the forward saves only
+  each row's softmax shift and denominator (plus the selection).  The
+  ``nm_attention_bwd`` kernel walks the same blocks, re-scores each and
+  recomputes its probabilities on the saved selection, as FlashAttention-2
+  does (https://arxiv.org/abs/2307.08691), so neither pass allocates an
+  ``n²`` tensor and no probability matrix is kept between them.  Any key
+  count trains: the kernels pad the key axis to whole M-groups.
 * :func:`row_block_sparse_attention` — the static-mask op (local/strided,
   truncated, Longformer, BigBird).  The mechanism's cached
   :class:`~repro.core.row_block.RowBlockStructure` names, per 64-row query
@@ -27,8 +31,10 @@ kept entries, the row-wise softmax Jacobian, then ``dQ``/``dK``):
 In every case the sparsity selection is treated as a constant of the graph,
 exactly as the CUDA kernels do — the pruning/masking decision is not
 differentiated through.  The dense score matrix is never materialised by
-autograd; the graph holds a single node whose saved state is the compressed
-probability matrix.
+autograd; the graph holds a single node per call, whose saved state is
+Q, K, V, the output and what the forward kept: the per-row statistics for
+N:M, the compressed probabilities for the row-block and padded-CSR
+layouts.
 """
 
 from __future__ import annotations
@@ -39,12 +45,11 @@ import numpy as np
 
 from repro.core.blocked_ell import BlockedEllMask
 from repro.core.layout import CompressedLayout, dense_positions
-from repro.core.nm_attention import Dropout, dropout_keep
+from repro.core.nm_attention import Dropout, NMStats
 from repro.core.padded_csr import PaddedCSRMatrix
 from repro.core.patterns import resolve_pattern
 from repro.core.plan import AttentionPlan, plan_for_blocks, plan_for_nm, plan_for_structure
 from repro.core.row_block import RowBlockMatrix, RowBlockStructure
-from repro.core.sparse import NMSparseMatrix
 from repro.nn.autograd import Tensor
 from repro.profile.tracer import phase_scope
 from repro.utils.seeding import attention_dropout_keep, draw_dropout_seed
@@ -71,7 +76,7 @@ def _attention_node(
     k: Tensor,
     v: Tensor,
     out_data: np.ndarray,
-    probs: CompressedLayout,
+    saved: Union[CompressedLayout, NMStats],
     plan: AttentionPlan,
     scale: float,
     drop_keep: Optional[np.ndarray],
@@ -80,9 +85,10 @@ def _attention_node(
 ) -> Tensor:
     """Autograd node over a finished forward; its backward is ``plan.backward``.
 
-    ``probs`` is the compressed (pre-dropout) probability matrix and
-    ``drop_keep`` the dropout keep mask over its lanes, or ``None``;
-    row-block probabilities pass the forward's ``dropout`` instead.
+    ``saved`` is what the forward kept: the compressed (pre-dropout)
+    probabilities, with ``drop_keep`` the dropout keep mask over their
+    lanes or ``None``, or, for N:M, the per-row statistics.  N:M and
+    row-block nodes pass the forward's ``dropout`` instead of a keep mask.
     """
 
     def backward(out):
@@ -92,7 +98,7 @@ def _attention_node(
             # is driven directly (e.g. gradcheck harnesses).
             with phase_scope("bwd"):
                 d_q, d_k, d_v = plan.backward(
-                    probs, q.data, k.data, v.data, out.grad, scale,
+                    saved, q.data, k.data, v.data, out.grad, scale,
                     drop_keep=drop_keep, out=out.data, dropout=dropout,
                 )
             if q.requires_grad:
@@ -118,7 +124,7 @@ def dfss_sparse_attention(
     dropout_p: float = 0.0,
     dropout_rng: Optional[np.random.Generator] = None,
     training: bool = False,
-) -> Tuple[Tensor, NMSparseMatrix]:
+) -> Tuple[Tensor, NMStats]:
     """Differentiable DFSS attention on the compressed N:M pipeline.
 
     Parameters
@@ -155,11 +161,12 @@ def dfss_sparse_attention(
 
     Returns
     -------
-    ``(out, probs)`` where ``out`` is the ``(..., seq, d)`` output Tensor and
-    ``probs`` the compressed (pre-dropout) probability matrix, useful for
-    mask/weight introspection.  When the key count is not a multiple of M,
-    ``probs`` spans the key axis padded to whole M-groups, and its padded
-    columns hold zero weight.
+    ``(out, stats)`` where ``out`` is the ``(..., seq, d)`` output Tensor and
+    ``stats`` the forward's saved :class:`~repro.core.nm_attention.NMStats`:
+    the per-row softmax statistics and the N:M selection, whose
+    :meth:`~repro.core.nm_attention.NMStats.to_mask` gives the kept
+    positions.  No probability values are kept; they are
+    ``plan_for_nm(...).forward(..., return_probs=True)``'s.
     """
     pattern = resolve_pattern(pattern)
     d = q.shape[-1]
@@ -167,22 +174,16 @@ def dfss_sparse_attention(
         scale = 1.0 / np.sqrt(d)
     scale = float(scale)
     dropout = _dropout(dropout_p, dropout_rng, training)
-    n_keys = k.shape[-2]
 
-    plan = plan_for_nm(pattern, q.shape[-2], n_keys, backend=backend)
-    out_data, probs = plan.forward(
+    plan = plan_for_nm(pattern, q.shape[-2], k.shape[-2], backend=backend)
+    out_data, stats = plan.forward(
         q.data, k.data, v.data, scale=scale, block_mask=block_mask,
-        return_probs=True, dropout=dropout,
+        return_stats=True, dropout=dropout,
     )
-
-    # the backward needs the keep mask the tiles applied: re-derive it
-    keep = None
-    if dropout is not None:
-        keep = dropout_keep(dropout, probs.indices, pattern, n_keys)
     out = _attention_node(
-        q, k, v, out_data, probs, plan, scale, keep, "dfss_attention"
+        q, k, v, out_data, stats, plan, scale, None, "dfss_attention", dropout
     )
-    return out, probs
+    return out, stats
 
 
 def row_block_sparse_attention(

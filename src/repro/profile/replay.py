@@ -145,11 +145,12 @@ def gpusim_cost_fn(device=None, dtype: str = "float32") -> CostFn:
 
     Each node's problem size is recovered from the ``shape`` its tracing
     wrapper recorded (the first array-like argument of the kernel call: Q for
-    the SDDMMs, the fused N:M forward and the backward, V for the SpMM, the
+    the SDDMMs and the fused N:M forward and backward, V for the SpMM, the
     compressed value buffer for the fused softmax); the row-block kernels
     add their tile count and largest tile.  Kernels without an analytical
-    model — the serving fast paths, CSR-layout ops — keep their measured
-    durations, so hybrid traces still replay.
+    model — the serving fast paths, CSR-layout ops such as
+    ``attention_bwd`` — keep their measured durations, so hybrid traces
+    still replay.
     """
     from repro.gpusim import AMPERE_A100, ops
 
@@ -206,10 +207,11 @@ def gpusim_cost_fn(device=None, dtype: str = "float32") -> CostFn:
                     ops.gemm("block_dk", tiles, width, last, t_rows, dtype),
                 ]
             sec = ops.total_latency(kernels, dev)
-        elif node.name == "attention_bwd":
-            # shape is Q: (..., L, D); the full five-kernel fused backward
+        elif node.name == "nm_attention_bwd":
+            # shape is Q: (..., L, D); the recomputing backward re-scores,
+            # re-selects and recomputes P ahead of the five backward kernels
             sec = ops.total_latency(
-                ops.attention_bwd_nm_ops(b, rows, rows, last, dtype), dev
+                ops.nm_attention_bwd_ops(b, rows, rows, last, dtype), dev
             )
         else:
             return None

@@ -128,11 +128,13 @@ class TestRepoWaiverInventory:
         waived = sorted((f.file, f.line) for f in findings if f.waived)
         files = {file for file, _ in waived}
         # the fused plan's in-place softmax, the two softmax cores, and the
-        # row-tiled N:M forward's tile-buffer / own-output writes (six of them
-        # through per-lane loop targets over its lane planes)
+        # row-tiled N:M kernels' tile-buffer / own-output writes: the
+        # forward's (six of them through per-lane loop targets over its lane
+        # planes, three for the statistics it saves for the backward) and the
+        # recomputing backward's dQ row blocks and dK/dV accumulators
         assert files == {
             "src/repro/core/nm_attention.py",
             "src/repro/core/plan.py",
             "src/repro/core/softmax.py",
         }
-        assert len(waived) == 19
+        assert len(waived) == 25

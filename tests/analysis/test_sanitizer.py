@@ -96,14 +96,14 @@ class TestSeededViolations:
     def test_gradient_leak_detected(self, sanitize):
         q, k, v = _qkv()
         plan = _nm_plan()
-        probs = plan.compute_probs(plan.compute_scores(q, k, scale=0.25))
-        plan._bwd = lambda *a: (
+        out, stats = plan.forward(q, k, v, scale=0.25, return_stats=True)
+        plan._nm_bwd = lambda *a, **kw: (
             np.full((8, 4), np.inf, dtype=np.float32),
             np.zeros((16, 4), dtype=np.float32),
             np.zeros((16, 4), dtype=np.float32),
         )
         with pytest.raises(SanitizerError, match="attention gradient"):
-            plan.backward(probs, q, k, v, np.ones((8, 4), np.float32), 0.25)
+            plan.backward(stats, q, k, v, np.ones((8, 4), np.float32), 0.25, out=out)
 
 
 class TestPlantedNonFiniteInputs:
@@ -163,16 +163,18 @@ class TestPlantedNonFiniteInputs:
     def test_gradient_leak_in_a_finite_slice_still_raises(self, sanitize):
         q, k, v = (np.stack([a, a]) for a in _qkv())
         plan = self._plan()
-        probs = plan.compute_probs(plan.compute_scores(q, k, scale=0.25))
+        out, stats = plan.forward(q, k, v, scale=0.25, return_stats=True)
         q[0, 2, 1] = np.nan  # slice 0's gradients may be non-finite
         d_q = np.zeros((2, 8, 4), dtype=np.float32)
         d_q[0] = np.nan
-        plan._bwd = lambda *a: (d_q, np.zeros((2, 16, 4), np.float32), np.zeros((2, 16, 4), np.float32))
+        plan._nm_bwd = lambda *a, **kw: (
+            d_q, np.zeros((2, 16, 4), np.float32), np.zeros((2, 16, 4), np.float32)
+        )
         d_out = np.ones((2, 8, 4), np.float32)
-        plan.backward(probs, q, k, v, d_out, 0.25)
+        plan.backward(stats, q, k, v, d_out, 0.25, out=out)
         d_q[1, 3, 0] = np.inf  # slice 1's inputs are finite: a leak
         with pytest.raises(SanitizerError, match="attention gradient"):
-            plan.backward(probs, q, k, v, d_out, 0.25)
+            plan.backward(stats, q, k, v, d_out, 0.25, out=out)
 
     def test_sentinel_is_found_next_to_an_excused_nan_row(self, sanitize):
         q, k, v = _qkv()

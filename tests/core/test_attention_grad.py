@@ -147,34 +147,6 @@ class TestFusedBackward:
         assert not np.allclose(fast[2], plain[2])
 
 
-class TestRowBlockBackward:
-    """The fast N:M backward accumulates dK and dV over several row blocks."""
-
-    @pytest.mark.parametrize("dropout", [False, True])
-    @pytest.mark.parametrize("hint", [False, True])
-    def test_row_blocks_match_reference(self, dropout, hint):
-        from repro.core.nm_attention import row_blocks
-
-        q, k, v, g, probs = _problem((), seq=1024, d=16, seed=23)
-        assert len(row_blocks(1024, 1024)) > 1
-        keep = None
-        if dropout:
-            rng = np.random.default_rng(1)
-            keep = (rng.random(probs.values.shape) >= 0.25).astype(np.float32) / 0.75
-        out = None
-        if hint:
-            applied = probs if keep is None else probs.with_values(probs.values * keep)
-            out = spmm(applied, v)
-        grads = [
-            masked_attention_bwd(
-                probs, q, k, v, g, 0.25, drop_keep=keep, out=out, backend=backend
-            )
-            for backend in (REFERENCE, FAST)
-        ]
-        for r, f in zip(*grads):
-            np.testing.assert_allclose(f, r, rtol=1e-4, atol=1e-5)
-
-
 class TestCsrScatter:
     """The padded-CSR scatter the dense-tile backward reads (no memo)."""
 

@@ -255,11 +255,13 @@ class TestBitwiseParity:
             qt = Tensor(q, requires_grad=True)
             kt = Tensor(k, requires_grad=True)
             vt = Tensor(v, requires_grad=True)
-            out, probs = dfss_sparse_attention(
+            out, stats = dfss_sparse_attention(
                 qt, kt, vt, pattern="2:4", backend=backend, block_mask=mask
             )
             (out * out).sum().backward()
-            arms[backend] = (out.data, probs.values, qt.grad, kt.grad, vt.grad)
+            arms[backend] = (
+                out.data, stats.selection, stats.shift, stats.denom, qt.grad, kt.grad, vt.grad
+            )
         for fast_arr, tiled_arr in zip(arms[FAST], arms[MULTICORE]):
             assert np.array_equal(fast_arr, tiled_arr)
 
@@ -280,13 +282,15 @@ class TestBitwiseParity:
         arms = {}
         for backend in (FAST, MULTICORE):
             qt, kt, vt = (Tensor(a, requires_grad=True) for a in (q, k, v))
-            out, probs = dfss_sparse_attention(
+            out, stats = dfss_sparse_attention(
                 qt, kt, vt, pattern="2:4", backend=backend, block_mask=mask,
                 dropout_p=dropout_p, dropout_rng=np.random.default_rng(7),
                 training=True,
             )
             (out * out).sum().backward()
-            arms[backend] = (out.data, probs.values, qt.grad, kt.grad, vt.grad)
+            arms[backend] = (
+                out.data, stats.selection, stats.shift, stats.denom, qt.grad, kt.grad, vt.grad
+            )
         for fast_arr, tiled_arr in zip(arms[FAST], arms[MULTICORE]):
             assert np.array_equal(fast_arr, tiled_arr)
 
@@ -503,7 +507,7 @@ class TestEveryStageTiles:
     @pytest.mark.parametrize(
         "mechanism, stages",
         [
-            ("dfss_2:4", ("nm_attention", "attention_bwd")),
+            ("dfss_2:4", ("nm_attention", "nm_attention_bwd")),
             ("longformer", ("row_block_attention", "row_block_attention_bwd")),
         ],
         ids=["dfss_2:4", "longformer"],

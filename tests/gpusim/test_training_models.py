@@ -11,7 +11,12 @@ from repro.gpusim import (
     training_peak_memory,
 )
 from repro.gpusim import LayerConfig
-from repro.gpusim.ops import attention_bwd_nm_ops, sddmm_masked_nm, spmm_t_nm
+from repro.gpusim.ops import (
+    attention_bwd_nm_ops,
+    nm_attention_bwd_ops,
+    sddmm_masked_nm,
+    spmm_t_nm,
+)
 
 CFG = AttentionConfig(seq_len=1024, num_heads=8, head_dim=64, batch_size=4)
 LAYER = LayerConfig(seq_len=1024, num_heads=8, head_dim=64, batch_size=4)
@@ -21,6 +26,23 @@ class TestBackwardTraffic:
     def test_backward_kernel_sequence(self):
         names = [op.name for op in attention_bwd_nm_ops(4, 1024, 1024, 64, "float32")]
         assert names == ["spmm_t_dv", "sddmm_dp", "softmax_bwd", "spmm_dq", "spmm_t_dk"]
+
+    def test_recomputing_backward_prices_the_recompute_first(self):
+        # the training forward saves only per-row statistics, so the modelled
+        # backward re-scores, re-selects and recomputes P ahead of the five
+        # backward ops, and costs more than them alone
+        ops = nm_attention_bwd_ops(4, 1024, 1024, 64, "float32")
+        names = [op.name for op in ops]
+        assert names[:2] == ["sddmm_rescore", "softmax_recompute"]
+        assert names[2:] == [
+            op.name for op in attention_bwd_nm_ops(4, 1024, 1024, 64, "float32")
+        ]
+        latency = sum(op.latency(AMPERE_A100) for op in ops)
+        five = sum(
+            op.latency(AMPERE_A100)
+            for op in attention_bwd_nm_ops(4, 1024, 1024, 64, "float32")
+        )
+        assert latency > five
 
     def test_transposed_spmm_writes_dense_rows(self):
         op = spmm_t_nm(1, 1024, 1024, 64, "float32")

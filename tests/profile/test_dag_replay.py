@@ -81,7 +81,7 @@ class TestBuildDag:
         ]
         assert len(dag.nodes) < len(all_kernels)
         names = [n.name for n in dag.nodes]
-        assert names == ["nm_attention", "attention_bwd"]
+        assert names == ["nm_attention", "nm_attention_bwd"]
 
     def test_indices_topological_and_starts_ordered(self):
         dag = build_dag(_record_step_payload())
@@ -172,6 +172,25 @@ class TestReplay:
         assert simulated.predicted_us > 0.0
         assert simulated.predicted_us != pytest.approx(replay(dag).predicted_us)
 
+    def test_gpusim_backward_includes_the_recompute_kernels(self):
+        # the N:M backward span is priced as re-score + selection + exp
+        # ahead of the five backward kernels
+        from repro.gpusim import AMPERE_A100, ops
+
+        (node,) = [
+            n for n in build_dag(_record_step_payload()).nodes
+            if n.name == "nm_attention_bwd"
+        ]
+        assert node.args["shape"] == "1x2x64x32"
+        b, rows, d = 2, 64, 32
+        recompute = ops.nm_attention_bwd_ops(b, rows, rows, d, "float32")
+        assert [op.name for op in recompute[:2]] == ["sddmm_rescore", "softmax_recompute"]
+        assert gpusim_cost_fn()(node) == pytest.approx(
+            ops.total_latency(recompute, AMPERE_A100) * 1e6
+        )
+        five = ops.attention_bwd_nm_ops(b, rows, rows, d, "float32")
+        assert gpusim_cost_fn()(node) > ops.total_latency(five, AMPERE_A100) * 1e6
+
     def test_gpusim_cost_fn_keeps_unmodelled_kernels(self):
         node = OpNode(index=0, name="mystery", start_us=0.0, dur_us=7.0, pid=0, tid=0)
         assert gpusim_cost_fn()(node) is None
@@ -181,7 +200,7 @@ class TestReport:
     def test_attribution_tables(self):
         dag = build_dag(_record_step_payload())
         kernels = kernel_attribution(dag)
-        assert {r["kernel"] for r in kernels} == {"nm_attention", "attention_bwd"}
+        assert {r["kernel"] for r in kernels} == {"nm_attention", "nm_attention_bwd"}
         assert sum(r["share"] for r in kernels) == pytest.approx(1.0)
         phases = phase_attribution(dag)
         assert [r["phase"] for r in phases] == ["bwd", "fwd"]

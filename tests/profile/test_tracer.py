@@ -154,7 +154,7 @@ class TestDispatchWiring:
     def test_fused_step_records_pipeline_kernels(self):
         active = _record_fused_step()
         names = {e["name"] for e in active.events if e.get("cat") == "kernel"}
-        assert {"nm_attention", "attention_bwd"} <= names
+        assert {"nm_attention", "nm_attention_bwd"} <= names
 
     def test_backward_kernels_stamped_bwd(self):
         active = _record_fused_step()
@@ -234,7 +234,7 @@ class TestTiledBackwardSpan:
             out.sum().backward()
         (event,) = [
             e for e in active.events
-            if e.get("cat") == "kernel" and e["name"] == "attention_bwd"
+            if e.get("cat") == "kernel" and e["name"] == "nm_attention_bwd"
         ]
         args = event["args"]
         assert args["phase"] == "bwd"
