@@ -9,6 +9,10 @@ shows three combinations (Figures 17 and 18):
   BigBird block (Figure 18 A);
 * :class:`DfssLinformerAttention` — the ``Q (E K)ᵀ`` score matrix is pruned to
   N:M before the softmax and the SpMM with ``F V`` (Figure 18 B).
+
+The N:M kernels of the Nyströmformer and Linformer combinations run as
+:func:`~repro.core.attention.dfss_attention` calls, so they take any key
+length that dense attention takes.
 """
 
 from __future__ import annotations
@@ -20,10 +24,9 @@ from repro.baselines.bigbird import BigBirdAttention
 from repro.baselines.dfss import DfssMechanism
 from repro.baselines.linformer import LinformerAttention
 from repro.baselines.nystromformer import NystromformerAttention, newton_schulz_pinv, segment_means
+from repro.core.attention import dfss_attention
 from repro.core.patterns import resolve_pattern
-from repro.core.sddmm import sddmm_nm
-from repro.core.softmax import sparse_softmax
-from repro.core.spmm import spmm
+from repro.core.softmax import dense_softmax
 from repro.registry import (
     BigBirdDfssConfig,
     LinformerDfssConfig,
@@ -70,20 +73,16 @@ class DfssNystromformerAttention(AttentionMechanism):
         v = np.asarray(v, dtype=np.float32)
         q_land = segment_means(q, self.base.num_landmarks)
         k_land = segment_means(k, self.base.num_landmarks)
-        # kernel1 (n x m) and kernel3 (m x n) are computed by SDDMM + N:M prune
-        sp1 = sddmm_nm(q, k_land, pattern=self.pattern, dtype=self.dtype)
-        sp3 = sddmm_nm(q_land, k, pattern=self.pattern, dtype=self.dtype)
-        kernel1 = sparse_softmax(sp1)
-        kernel3 = sparse_softmax(sp3)
         # kernel2 is m x m (small) and stays dense
-        from repro.core.softmax import dense_softmax
-
         scale = 1.0 / np.sqrt(q.shape[-1])
         kernel2 = dense_softmax(np.matmul(q_land, np.swapaxes(k_land, -1, -2)) * scale)
         pinv = newton_schulz_pinv(kernel2, self.base.pinv_iters)
-        right = spmm(kernel3, v)  # (m x n) @ V on the sparse tensor core
-        left = spmm(kernel1, pinv)  # (n x m) @ pinv on the sparse tensor core
-        return np.matmul(left, right)
+        # kernel3 (m x n) @ V, then kernel1 (n x m) @ (pinv @ kernel3 V): both
+        # N:M kernels are DFSS attentions
+        right = dfss_attention(q_land, k, v, pattern=self.pattern, dtype=self.dtype)
+        return dfss_attention(
+            q, k_land, np.matmul(pinv, right), pattern=self.pattern, dtype=self.dtype
+        )
 
 
 @register_mechanism(
@@ -147,6 +146,7 @@ class DfssLinformerAttention(AttentionMechanism):
         e, f = self.linformer._projections(n)
         k_proj = np.matmul(e, np.asarray(k, dtype=np.float32))
         v_proj = np.matmul(f, np.asarray(v, dtype=np.float32))
-        sp = sddmm_nm(np.asarray(q, dtype=np.float32), k_proj, pattern=self.pattern, dtype=self.dtype)
-        weights = sparse_softmax(sp)
-        return spmm(weights, v_proj)
+        return dfss_attention(
+            np.asarray(q, dtype=np.float32), k_proj, v_proj,
+            pattern=self.pattern, dtype=self.dtype,
+        )

@@ -1,9 +1,9 @@
 """Benchmark runner for the DFSS kernels and the end-to-end attention layer.
 
-``python -m repro.bench`` times every registered kernel (``sddmm_nm``,
-``masked_softmax``, ``spmm``) plus the end-to-end
-multi-head DFSS attention pipeline under both the ``reference`` and ``fast``
-backends, the padded-CSR kernel pipeline on a ragged Longformer-style mask
+``python -m repro.bench`` times the registered ``masked_softmax`` and
+``spmm`` kernels on N:M scores, the end-to-end multi-head DFSS attention
+(``nm_attention``) and its train step under both the ``reference`` and
+``fast`` backends, the padded-CSR kernel pipeline on a ragged Longformer-style mask
 (``*_csr`` rows), and the per-mechanism train-step matrix
 (``attention_train_matrix``: compressed sparse path vs dense masked autograd
 for every mask-based trainable mechanism).  It verifies that the paths agree

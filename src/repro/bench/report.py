@@ -9,7 +9,7 @@
       "repeats": 5,
       "results": [
         {
-          "kernel": "sddmm_nm",           # or masked_softmax|spmm|
+          "kernel": "masked_softmax",     # or spmm|
                                           #   attention_e2e|attention_train_step|
                                           #   *_csr (padded-CSR pipeline)|
                                           #   attention_train_matrix (per-mechanism)

@@ -62,7 +62,6 @@ SCALE_SHAPES: Dict[str, BenchShape] = {
 #: training) and its ``fast`` row the compressed sparse op, so the reported
 #: speedup is exactly "sparse training step vs dense autograd".
 BENCH_KERNELS = (
-    "sddmm_nm",
     "masked_softmax",
     "spmm",
     "attention_e2e",
@@ -183,10 +182,6 @@ def _bench_cases(
         )
 
     return {
-        "sddmm_nm": (
-            lambda backend: sddmm_nm(q, k, pattern=pattern, backend=backend),
-            lambda out: out.to_dense(0.0),
-        ),
         "masked_softmax": (
             lambda backend: get_kernel("masked_softmax", backend)(scores),
             lambda out: out.to_dense(0.0),

@@ -78,11 +78,14 @@ def dfss_attention(
 ):
     """Dynamic N:M fine-grained structured sparse attention (the paper's method).
 
-    Pipeline: fused SDDMM + N:M prune epilogue -> sparse softmax -> SpMM,
-    executed through a compiled :class:`~repro.core.plan.AttentionPlan` — the
-    plan is built once per (pattern, backend, dtype, geometry) and runs the
-    chain in a single pass that reuses the score buffer as the probability
-    buffer.
+    Runs the ``nm_attention`` kernel of a cached
+    :class:`~repro.core.plan.AttentionPlan` (built once per pattern, backend,
+    dtype and geometry).  On ``fast`` it walks blocks of query rows, and each
+    block scores, prunes to N:M, normalises and contracts with V while its
+    score tile is cache-resident, so no compressed score matrix is written
+    (:mod:`repro.core.nm_attention`); ``reference`` runs the staged chain
+    ``sddmm_nm → masked_softmax → spmm``.  Any key length is accepted: the
+    key axis is padded to whole M-groups whose padding carries zero weight.
 
     Parameters mirror :func:`full_attention`; ``pattern`` defaults to the
     hardware pattern for ``dtype`` (1:2 for float32, 2:4 for bfloat16) and

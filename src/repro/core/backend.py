@@ -1,11 +1,13 @@
 """Pluggable kernel backend registry.
 
-The attention pipeline is built from a small number of named kernels —
-``sddmm_nm`` (fused SDDMM + N:M prune), ``masked_softmax`` (softmax over the
-compressed nonzeros), ``spmm`` (compressed-weights x dense V), the row-tiled
-``nm_attention`` inference forward that chains all three per row block, and
-the ``nm_prune_mask`` selection used by the trainable layer.  Each kernel can have several interchangeable
-implementations ("backends") registered against it:
+The attention pipeline is built from a small number of named kernels — the
+row-tiled ``nm_attention`` forward (SDDMM, N:M prune, softmax and SpMM per
+row block) and its ``nm_attention_bwd`` backward, the staged kernels of the
+mask layouts (``sddmm_csr``, ``masked_softmax`` over the compressed
+nonzeros, ``spmm`` of compressed weights x dense V, ``attention_bwd``), the
+``row_block_attention`` pair of the static masks, and the ``nm_prune_mask``
+selection used by the DFSS oracle masks.  Each kernel can have several
+interchangeable implementations ("backends") registered against it:
 
 * ``reference`` — the tile-by-tile / per-slice loop implementations that
   mirror the CUDA kernels' structure.  They are slow but transparent and act

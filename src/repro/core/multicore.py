@@ -273,9 +273,9 @@ def _join(parts: Sequence[Any], batch_shape: Tuple[int, ...]):
 def map_tiles(stage: str, layout, fn: Callable, *arrays):
     """``fn(layout, *arrays)``, executed as batch tiles on the shared pool.
 
-    ``layout`` (a compressed layout, or ``None``) and the ``(..., rows,
-    cols)`` ``arrays`` (``None`` entries pass through) share one leading
-    batch shape.  The flattened batch is cut by :func:`tile_slices` —
+    ``layout`` (a compressed layout) and the ``(..., rows, cols)``
+    ``arrays`` (``None`` entries pass through) share one leading batch
+    shape.  The flattened batch is cut by :func:`tile_slices` —
     cost-balanced by per-slice nnz when the layout has padding lanes — and
     each tile calls ``fn(layout.batch_slice(sl), *(a[sl] ...))``; the tile
     results (``None``, arrays or tuples of arrays) are concatenated back
@@ -285,14 +285,12 @@ def map_tiles(stage: str, layout, fn: Callable, *arrays):
     """
     pool = get_pool()
     operands = [a for a in arrays if a is not None]
-    batch_shape = tuple(
-        layout.batch_shape if layout is not None else np.shape(operands[0])[:-2]
-    )
+    batch_shape = tuple(layout.batch_shape)
     batch = int(np.prod(batch_shape, dtype=np.int64))
     if pool.workers <= 1 or batch <= 1:
         return fn(layout, *arrays)
     costs = None
-    if layout is not None and layout.valid_lanes() is not None:
+    if layout.valid_lanes() is not None:
         costs = layout.row_lengths().reshape(batch, layout.rows).sum(axis=1, dtype=np.int64)
     slices = tile_slices(batch, pool.workers, costs)
     if len(slices) <= 1 or any(np.shape(a)[:-2] != batch_shape for a in operands):
@@ -301,8 +299,8 @@ def map_tiles(stage: str, layout, fn: Callable, *arrays):
         None if a is None else np.reshape(a, (batch,) + np.shape(a)[-2:])
         for a in arrays
     ]
-    tiles = [None if layout is None else layout.batch_slice(sl) for sl in slices]
-    ref = operands[0] if layout is None or layout.values is None else layout.values
+    tiles = [layout.batch_slice(sl) for sl in slices]
+    ref = operands[0] if layout.values is None else layout.values
     trailing = np.shape(ref)[len(batch_shape):]
 
     def tile_thunk(sl: slice, tile):

@@ -14,7 +14,7 @@ M-group), in preallocated buffers reused across blocks:
    writes the scores straight into the lane planes; the rows of a
    blocked-ELL ``block_mask`` are applied and padded key lanes masked;
 2. per-lane keep bools from :func:`~repro.core.pruning.nm_keep_lanes` — the
-   same selection network and tie-breaking as the ``sddmm_nm`` epilogue;
+   tie-breaking of the ``sddmm_nm`` epilogue (:func:`~repro.core.pruning.nm_compress`);
 3. the unnormalised masked softmax on the planes, in place: the row max
    (under ``value`` the max over every lane, as a group's largest lane
    always survives; under ``magnitude`` the kept lanes'), ``exp``, dropped
@@ -93,7 +93,7 @@ from repro.core.blocked_ell import BlockedEllMask
 from repro.core.patterns import NMPattern, default_pattern_for_dtype, resolve_pattern
 from repro.core.precision import tensor_core_operand
 from repro.core.pruning import global_column_indices, nm_compress_lanes, nm_keep_lanes
-from repro.core.sddmm import MASKED_SCORE, _prepare_inputs, _sddmm_nm_reference
+from repro.core.sddmm import MASKED_SCORE, _prepare_inputs, sddmm_nm
 from repro.core.softmax import (
     MASKED_LOGIT_THRESHOLD,
     _sparse_softmax_reference,
@@ -763,7 +763,7 @@ def _nm_attention_reference(
     if n_k != n_keys:
         k, v = pad_keys(k, n_k), pad_keys(v, n_k)
         mask_source = _PaddedKeys(n_keys, block_mask)
-    scores = _sddmm_nm_reference(
+    scores = sddmm_nm(
         q, k, pattern=pattern, scale=scale, dtype=dtype,
         criterion=criterion, block_mask=mask_source,
     )

@@ -1,24 +1,22 @@
-"""Compiled plan/execute layer: one fused sddmm → masked-softmax → spmm pass.
+"""Compiled plan/execute layer: one resolved attention pass per layout.
 
 The paper's pipeline wins only when the whole chain — score computation,
 masked softmax, and the value contraction — runs on the compressed
-representation without materialising dense intermediates.  Executing the
-chain as three separately-dispatched registry kernels pays the dispatch and
-an extra full-size probability tensor between every pair of stages.  This
-module compiles the chain once instead:
+representation without materialising dense intermediates.  This module
+compiles the chain once per layout and geometry:
 
 * :class:`PlanKey` — the cache key: (mechanism, layout, backend, dtype,
   shape-class).  Everything that changes which kernels run or how buffers are
   sized, and nothing that doesn't (batch shape is deliberately absent — one
   plan serves every batch of the same per-slice geometry).
 * :class:`AttentionPlan` — the compiled object: every registry lookup is
-  resolved at construction.  The N:M forward, inference and training
-  alike, runs the resolved ``nm_attention`` kernel and the N:M backward
-  the ``nm_attention_bwd`` kernel (:mod:`repro.core.nm_attention`:
+  resolved at construction.  An N:M plan resolves only two kernels: the
+  N:M forward, inference and training alike, runs ``nm_attention`` and
+  the N:M backward ``nm_attention_bwd`` (:mod:`repro.core.nm_attention`:
   row-tiled on ``fast``, so no ``n²`` tensor exists, and the backward
   recomputes the probabilities instead of reading stored ones).  The
-  stages — sddmm → softmax → spmm, used by the CSR layout, plus the CSR
-  backward — are each written once, as a function
+  stages — sddmm → softmax → spmm, used only by the CSR layout, plus the
+  CSR backward — are each written once, as a function
   of one layout and its operands handed to the execution seam
   :meth:`AttentionPlan._map`.  The softmax stage reuses the score buffer
   as the probability buffer (scores live only in the compressed value
@@ -66,8 +64,7 @@ from repro.core.backend import (
 from repro.core.patterns import resolve_pattern
 from repro.core.plan_cache import PlanCache
 from repro.core.row_block import Dropout, RowBlockStructure
-from repro.core.softmax import denominator_group, masked_softmax_values
-from repro.core.sparse import NMSparseMatrix
+from repro.core.softmax import masked_softmax_values
 from repro.profile.tracer import (
     current_tracer,
     register_metadata_provider,
@@ -94,14 +91,15 @@ class PlanKey:
 
 
 class AttentionPlan:
-    """A compiled sddmm → masked-softmax → spmm chain with fused backward.
+    """A compiled attention pass over one layout, with its backward.
 
-    Every registry lookup happens once, at construction.  ``fused=True``
-    (the fast builder) runs the softmax in place on the compressed score
-    buffer — the probabilities overwrite the scores, so no intermediate
-    tensor is ever allocated between the stages; ``fused=False`` (the
-    reference builder) dispatches the registered per-stage kernels and is
-    the oracle the parity suite compares against.
+    Every registry lookup happens once, at construction.  On the CSR
+    layout's staged chain, ``fused=True`` (the fast builder) runs the
+    softmax in place on the compressed score buffer — the probabilities
+    overwrite the scores, so no intermediate tensor is ever allocated
+    between the stages; ``fused=False`` (the reference builder) dispatches
+    the registered per-stage kernels and is the oracle the parity suite
+    compares against.
     """
 
     def __init__(self, key: PlanKey, fused: bool) -> None:
@@ -109,22 +107,19 @@ class AttentionPlan:
         self.fused = fused
         backend = key.backend
         if key.layout == "nm":
-            self._sddmm = get_kernel("sddmm_nm", backend)
             self._nm_forward = get_kernel("nm_attention", backend)
             self._nm_bwd = get_kernel("nm_attention_bwd", backend)
             self._pattern = resolve_pattern(key.mechanism.split("_", 1)[1])
         elif key.layout == "csr":
             self._sddmm = get_kernel("sddmm_csr", backend)
-            self._pattern = None
+            self._softmax = get_kernel("masked_softmax", backend)
+            self._spmm = get_kernel("spmm", backend)
+            self._bwd = get_kernel("attention_bwd", backend)
         elif key.layout == "row_block":
-            self._sddmm = self._pattern = None
             self._row_block = get_kernel("row_block_attention", backend)
             self._row_block_bwd = get_kernel("row_block_attention_bwd", backend)
         else:
             raise ValueError(f"unknown plan layout {key.layout!r}")
-        self._softmax = get_kernel("masked_softmax", backend)
-        self._spmm = get_kernel("spmm", backend)
-        self._bwd = get_kernel("attention_bwd", backend)
 
     def _trace_labels(self) -> ContextManager[None]:
         """Label scope stamping this plan's identity onto nested trace events."""
@@ -141,7 +136,7 @@ class AttentionPlan:
         """Run one stage: ``fn(layout, *arrays)``.
 
         The single execution seam of the stages.  ``layout`` is a compressed
-        layout (or ``None``) and ``arrays`` are ``(..., rows, cols)`` operands
+        layout and ``arrays`` are ``(..., rows, cols)`` operands
         (or ``None``) sharing its batch shape; ``fn`` returns ``None``, an
         array or a tuple of arrays with that batch shape.  A backend that
         executes plans differently overrides only this method — the
@@ -158,25 +153,10 @@ class AttentionPlan:
         k: np.ndarray,
         structure=None,
         scale: Optional[float] = None,
-        criterion: str = "value",
-        block_mask=None,
     ):
-        """Stage 1: compressed scores (fused SDDMM + prune, or masked SDDMM)."""
+        """Stage 1 of a CSR plan: the masked SDDMM into ``structure``."""
         q = guard_input(q)
         k = guard_input(k)
-        if self.key.layout == "nm":
-            def sddmm_nm(_, q, k):
-                scores = self._sddmm(
-                    q, k, pattern=self._pattern, scale=scale, dtype=self.key.dtype,
-                    criterion=criterion, block_mask=block_mask,
-                )
-                return scores.values, scores.indices
-
-            values, indices = self._map("sddmm_nm", None, sddmm_nm, q, k)
-            return NMSparseMatrix(
-                values=values, indices=indices, pattern=self._pattern,
-                dense_cols=np.shape(k)[-2], dtype=self.key.dtype,
-            )
         if structure is None:
             raise ValueError("csr plans need the compressed structure to score into")
 
@@ -188,7 +168,7 @@ class AttentionPlan:
         )
 
     def compute_probs(self, scores, owned: bool = True):
-        """Stage 2: masked softmax over the stored nonzeros.
+        """Stage 2 of a CSR plan: masked softmax over the stored nonzeros.
 
         Fused plans normalise *in place*, reusing the score value buffer as
         the probability buffer; pass ``owned=False`` when the caller still
@@ -208,16 +188,10 @@ class AttentionPlan:
         if not owned or not buf.flags.writeable or not buf.flags.c_contiguous:
             buf = np.array(buf, dtype=np.float32)
         probs = scores.with_values(buf)
-        valid = probs.valid_lanes()
-        segmented = (
-            None if valid is None else bool(int(probs.row_lengths().min()) < buf.shape[-1])
-        )
-        group = denominator_group(probs)
+        segmented = bool(int(probs.row_lengths().min()) < buf.shape[-1])
         tracer = current_tracer()
 
         def masked_softmax(tile):
-            valid = tile.valid_lanes()
-            lengths = None if valid is None else tile.row_lengths()
             # The fused path bypasses registry dispatch (it calls the softmax
             # core directly), so the kernel span the wrapper would have
             # emitted is emitted by hand here.
@@ -233,8 +207,8 @@ class AttentionPlan:
             with span:
                 # repro: owns-buffer — fused plan reuses the score buffer it owns (or just copied)
                 masked_softmax_values(
-                    tile.values, valid, lengths, out=tile.values, segmented=segmented,
-                    group=group,
+                    tile.values, tile.valid_lanes(), tile.row_lengths(), out=tile.values,
+                    segmented=segmented,
                 )
 
         self._map("masked_softmax", probs, masked_softmax)
@@ -246,7 +220,8 @@ class AttentionPlan:
         v: np.ndarray,
         drop_keep: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        """Stage 3: the value contraction ``P @ V`` (after optional dropout)."""
+        """Stage 3 of a CSR plan: the value contraction ``P @ V`` (after
+        optional dropout)."""
         applied = (
             probs if drop_keep is None else probs.with_values(probs.values * drop_keep)
         )
@@ -354,10 +329,7 @@ class AttentionPlan:
             return (out, probs) if return_probs or return_stats else out
         if dropout is not None:
             raise ValueError("CSR plans apply dropout in contract(drop_keep=...)")
-        scores = self.compute_scores(
-            q, k, structure=structure, scale=scale,
-            criterion=criterion, block_mask=block_mask,
-        )
+        scores = self.compute_scores(q, k, structure=structure, scale=scale)
         probs = self.compute_probs(scores)
         out = self.contract(probs, v)
         if return_probs:

@@ -166,8 +166,8 @@ def nm_keep_lanes(lanes, pattern, criterion: str = "value") -> Tuple[np.ndarray,
     :func:`nm_group_topn_indices`.  1:2 and 2:4 run the branch-free
     selection networks; any other pattern ranks the stacked lanes with the
     generic argsort.  This is the one selection rule of the fast kernels:
-    :func:`nm_compress_fast`, :func:`nm_prune_mask_fast` and the fused
-    ``nm_attention`` tile all take their keep bools from here.
+    :func:`nm_prune_mask_fast` and the fused ``nm_attention`` tile both take
+    their keep bools from here.
     """
     pattern = resolve_pattern(pattern)
     keys = tuple(_selection_key(lane, criterion) for lane in lanes)
@@ -225,19 +225,6 @@ def _compress_lanes_24(lanes, keep):
     values = np.stack([v0, v1], axis=-1)
     indices = np.stack([i0, i1], axis=-1).view(np.int8)
     return values, indices
-
-
-def nm_compress_fast(
-    x: np.ndarray, pattern, criterion: str = "value"
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Drop-in replacement for :func:`nm_compress` using selection networks.
-
-    The hardware 1:2 and 2:4 patterns run branch-free networks; any other
-    pattern ranks its groups with the generic argsort (:func:`nm_keep_lanes`).
-    """
-    pattern = resolve_pattern(pattern)
-    lanes = _group_columns(_group_view(x, pattern))
-    return nm_compress_lanes(lanes, nm_keep_lanes(lanes, pattern, criterion), pattern)
 
 
 @register_kernel("nm_prune_mask", FAST)

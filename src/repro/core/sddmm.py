@@ -7,15 +7,17 @@ the compressed nonzeros + metadata.  Functionally this is
 
     ``sddmm_nm(Q, K) == NMSparseMatrix.from_dense(Q @ K.T * scale)``
 
-Two backends are registered with :mod:`repro.core.backend`:
+:func:`sddmm_nm` is a plain function, not a registered kernel: it loops over
+batch/head slices and runs the tile-by-tile kernel (:func:`sddmm_nm_tiled`)
+that mirrors the CUDA kernel's blocking (Mtile x Ntile thread-block tiles,
+32 x 64-byte epilogue tiles) and doubles as the traffic-count oracle for the
+performance model.  It is the first stage of the staged reference chain
+that the ``reference`` ``nm_attention`` kernel runs; the fast N:M forward is
+the row-tiled ``nm_attention`` kernel (:mod:`repro.core.nm_attention`),
+which never writes a compressed score matrix.
 
-* ``reference`` — loops over batch/head slices and runs the tile-by-tile
-  kernel (:func:`sddmm_nm_tiled`) that mirrors the CUDA kernel's blocking
-  (Mtile x Ntile thread-block tiles, 32 x 64-byte epilogue tiles) and doubles
-  as the traffic-count oracle for the performance model;
-* ``fast`` — a single batched tensor contraction over all ``(B, H)`` slices
-  followed by the vectorised selection-network compress
-  (:func:`repro.core.pruning.nm_compress_fast`), with no Python-level loops.
+The masked SDDMMs (``sddmm_masked``, ``sddmm_csr``) score an existing
+compressed structure and are registered ``reference``/``fast`` kernel pairs.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from repro.core.backend import FAST, REFERENCE, get_kernel, register_kernel
 from repro.core.blocked_ell import BlockedEllMask
 from repro.core.patterns import default_pattern_for_dtype, resolve_pattern
 from repro.core.precision import dtype_bytes, simulate_tensor_core_matmul
-from repro.core.pruning import nm_compress, nm_compress_fast
+from repro.core.pruning import nm_compress
 from repro.core.sparse import NMSparseMatrix
 from repro.utils.shapes import as_batched_3d, restore_batch_shape
 
@@ -70,9 +72,12 @@ def sddmm_nm(
     dtype: str = "float32",
     criterion: str = "value",
     block_mask: Optional[BlockedEllMask] = None,
-    backend: Optional[str] = None,
 ) -> NMSparseMatrix:
     """Compute ``scale * Q Kᵀ`` and prune it to N:M sparsity in one step.
+
+    Each ``(batch, head)`` slice runs the tile-by-tile kernel
+    (:func:`sddmm_nm_tiled`) in a Python loop, as ``blockIdx.z`` does in the
+    CUDA kernel.
 
     Parameters
     ----------
@@ -92,70 +97,11 @@ def sddmm_nm(
         Optional hybrid blocked-ELL mask; score blocks outside the mask are
         never computed and their groups keep the first N entries with value
         ``-inf`` replaced by a large negative number so softmax ignores them.
-    backend:
-        Kernel backend ("reference" or "fast"); defaults to the value of
-        ``$REPRO_BACKEND``, else "fast".
 
     Returns
     -------
     :class:`~repro.core.sparse.NMSparseMatrix` of shape ``(..., seq_q, seq_k)``.
     """
-    return get_kernel("sddmm_nm", backend)(
-        q,
-        k,
-        pattern=pattern,
-        scale=scale,
-        dtype=dtype,
-        criterion=criterion,
-        block_mask=block_mask,
-    )
-
-
-@register_kernel("sddmm_nm", FAST)
-def _sddmm_nm_fast(
-    q: np.ndarray,
-    k: np.ndarray,
-    pattern=None,
-    scale: Optional[float] = None,
-    dtype: str = "float32",
-    criterion: str = "value",
-    block_mask: Optional[BlockedEllMask] = None,
-) -> NMSparseMatrix:
-    """Batched SDDMM + prune: one contraction and one vectorised compress."""
-    q3, k3, batch_shape = _prepare_inputs(q, k)
-    d = q3.shape[-1]
-    if scale is None:
-        scale = 1.0 / np.sqrt(d)
-    pattern = (
-        default_pattern_for_dtype(dtype) if pattern is None else resolve_pattern(pattern)
-    )
-    scores = simulate_tensor_core_matmul(q3, np.swapaxes(k3, -1, -2), dtype) * scale
-    if block_mask is not None:
-        dense_mask = block_mask.dense_mask(scores.shape[-2], scores.shape[-1])
-        scores = np.where(dense_mask, scores, MASKED_SCORE)
-    values, indices = nm_compress_fast(scores, pattern, criterion)
-    values = restore_batch_shape(values, batch_shape)
-    indices = restore_batch_shape(indices, batch_shape)
-    return NMSparseMatrix(
-        values=values,
-        indices=indices,
-        pattern=pattern,
-        dense_cols=scores.shape[-1],
-        dtype=dtype,
-    )
-
-
-@register_kernel("sddmm_nm", REFERENCE)
-def _sddmm_nm_reference(
-    q: np.ndarray,
-    k: np.ndarray,
-    pattern=None,
-    scale: Optional[float] = None,
-    dtype: str = "float32",
-    criterion: str = "value",
-    block_mask: Optional[BlockedEllMask] = None,
-) -> NMSparseMatrix:
-    """Per-slice tile-by-tile SDDMM: batching is a Python loop, as ``blockIdx.z``."""
     q3, k3, batch_shape = _prepare_inputs(q, k)
     pattern = (
         default_pattern_for_dtype(dtype) if pattern is None else resolve_pattern(pattern)
@@ -363,7 +309,7 @@ def sddmm_nm_tiled(
 ) -> NMSparseMatrix:
     """Tile-by-tile SDDMM mirroring the CUDA kernel's blocking.
 
-    The output is identical to :func:`sddmm_nm`; the point of this variant is
+    This is the per-slice body of :func:`sddmm_nm`; the point of the tiling is
     (a) to demonstrate that the pruning epilogue only ever needs the registers
     of one output tile, and (b) to count the DRAM traffic the kernel performs,
     which the analytical model in :mod:`repro.gpusim` must reproduce.

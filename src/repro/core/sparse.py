@@ -214,25 +214,6 @@ class NMSparseMatrix:
             out.__dict__["_column_cache"] = cached
         return out
 
-    def batch_slice(self, sl: slice) -> "NMSparseMatrix":
-        """Tile over the flattened-batch index range ``sl``.
-
-        The tile's arrays are views of this matrix's whenever the batch
-        dimensions merge (always for contiguous arrays), so a kernel writing
-        the tile's values in place writes this matrix.  The column cache is
-        sliced along, so no tile repeats a metadata walk the whole matrix
-        already made.
-        """
-        batch = int(np.prod(self.batch_shape, dtype=np.int64))
-        lanes = (batch, self.rows, self.kept_cols)
-        tile = self._sibling(
-            self.values.reshape(lanes)[sl], self.indices.reshape(lanes)[sl]
-        )
-        cols = self.__dict__.get("_column_cache")
-        if cols is not None and cols.shape == self.indices.shape:
-            tile.__dict__["_column_cache"] = cols.reshape(lanes)[sl]
-        return tile
-
     # -------------------------------------------------------------- metadata
     def group_nibbles(self) -> np.ndarray:
         """Per-group 4-bit metadata codes, shape ``(..., rows, groups)``."""

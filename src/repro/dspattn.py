@@ -13,6 +13,11 @@ code written against the paper's snippet runs unchanged.  The compressed
 attention matrix travels between the calls as an
 :class:`~repro.core.sparse.NMSparseMatrix`; ``metadata`` in the signature is
 kept for drop-in compatibility (the object already carries its metadata).
+
+It is a compatibility shim, not a performance path: ``GEMM`` runs the
+tile-by-tile reference :func:`~repro.core.sddmm.sddmm_nm`.  The fast N:M
+forward is one call, :func:`~repro.core.attention.dfss_attention` (or
+:class:`DynamicSparseAttention`).
 """
 
 from __future__ import annotations
@@ -39,7 +44,8 @@ def GEMM(
 
     ``nonzeros`` is the compressed score matrix (an
     :class:`~repro.core.sparse.NMSparseMatrix`); ``metadata`` is the packed
-    uint16 metadata stream the hardware kernel would write to DRAM.
+    uint16 metadata stream the hardware kernel would write to DRAM.  The key
+    length must be a multiple of M.
     """
     sparse_scores = sddmm_nm(query, key, pattern=pattern, dtype=dtype, scale=scale)
     return sparse_scores, sparse_scores.packed_metadata()

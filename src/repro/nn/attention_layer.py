@@ -546,8 +546,8 @@ class LinformerDfssCore(DfssCore):
     are projected with the fixed random map ``E`` (a constant of the graph,
     shared with :class:`LinformerCore`'s seeding), then the whole attention
     over the projected length runs through the compressed N:M op of
-    :class:`DfssCore` — ``sddmm_nm(Q, (EK)) → sparse softmax → SpMM`` with
-    analytic gradients on the compressed representation.
+    :class:`DfssCore` — the ``nm_attention`` forward over ``Q``, ``EK`` and
+    ``EV``, and its recomputing ``nm_attention_bwd`` backward.
 
     The projected length is rounded down to a multiple of the N:M group size
     so the pattern applies cleanly.

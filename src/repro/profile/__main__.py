@@ -205,7 +205,7 @@ def _add_analysis_flags(sub: argparse.ArgumentParser) -> None:
     )
     sub.add_argument(
         "--scale-kernel", action="append", metavar="KERNEL=FACTOR",
-        help="what-if: scale a named kernel (e.g. sddmm_nm=0.0)",
+        help="what-if: scale a named kernel (e.g. nm_attention=0.0)",
     )
 
 

@@ -18,8 +18,8 @@ alone:
   prediction;
 * ``phase_scale`` / ``kernel_scale`` scale the (possibly substituted) costs
   of a phase (``{"bwd": 0.5}`` — "what if the backward were twice as fast?")
-  or of a named kernel (``{"sddmm_nm": 0.0}`` — "what if scoring were
-  free?").
+  or of a named kernel (``{"nm_attention": 0.0}`` — "what if the N:M
+  forward were free?").
 """
 
 from __future__ import annotations
@@ -145,12 +145,13 @@ def gpusim_cost_fn(device=None, dtype: str = "float32") -> CostFn:
 
     Each node's problem size is recovered from the ``shape`` its tracing
     wrapper recorded (the first array-like argument of the kernel call: Q for
-    the SDDMMs and the fused N:M forward and backward, V for the SpMM, the
-    compressed value buffer for the fused softmax); the row-block kernels
-    add their tile count and largest tile.  Kernels without an analytical
-    model — the serving fast paths, CSR-layout ops such as
-    ``attention_bwd`` — keep their measured durations, so hybrid traces
-    still replay.
+    the fused N:M forward and backward, V for the SpMM, the compressed value
+    buffer for the fused softmax); the row-block kernels add their tile
+    count and largest tile.  ``masked_softmax`` and ``spmm`` are priced with
+    the N:M models only outside a plan of the ``csr`` layout.  Kernels
+    without an analytical model — the serving fast paths, CSR-layout ops
+    such as ``attention_bwd`` and the CSR plans' softmax and SpMM — keep
+    their measured durations, so hybrid traces still replay.
     """
     from repro.gpusim import AMPERE_A100, ops
 
@@ -164,10 +165,9 @@ def gpusim_cost_fn(device=None, dtype: str = "float32") -> CostFn:
         if dims is None:
             return None
         b, rows, last = dims
-        if node.name == "sddmm_nm":
-            # shape is Q: (..., L, D); self-attention → n_k = n_q
-            sec = ops.sddmm_nm_fused(b, rows, rows, last, dtype).latency(dev)
-        elif node.name == "masked_softmax":
+        if node.args.get("layout") == "csr":
+            return None
+        if node.name == "masked_softmax":
             # shape is the compressed value buffer: (..., L, kept); the
             # sparse softmax model counts cols/2 elements per row
             sec = ops.softmax_sparse_nm(b, rows, 2 * last, dtype).latency(dev)

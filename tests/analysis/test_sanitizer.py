@@ -42,6 +42,19 @@ def _nm_plan():
     return build_plan(key)  # uncached: safe to monkey with its kernels
 
 
+def _csr_plan():
+    """An uncached CSR plan over a causal 8x16 mask, and the mask's structure."""
+    structure = PaddedCSRMatrix.from_mask(np.tril(np.ones((8, 16), dtype=bool)))
+    key = PlanKey(
+        mechanism="masked",
+        layout="csr",
+        backend="fast",
+        dtype="float32",
+        shape_class=(8, 16, structure.values.shape[-1]),
+    )
+    return build_plan(key), structure
+
+
 class TestModeSwitch:
     def test_off_by_default(self, monkeypatch):
         monkeypatch.delenv("REPRO_SANITIZE", raising=False)
@@ -65,8 +78,8 @@ class TestModeSwitch:
 class TestSeededViolations:
     def test_kernel_mutating_its_input_faults(self, sanitize):
         q, k, v = _qkv()
-        plan = _nm_plan()
-        probs = plan.compute_probs(plan.compute_scores(q, k, scale=0.25))
+        plan, structure = _csr_plan()
+        probs = plan.compute_probs(plan.compute_scores(q, k, structure, scale=0.25))
 
         def mutating_spmm(p, val):
             val[0, 0] = 0.0  # the seeded violation
@@ -79,16 +92,16 @@ class TestSeededViolations:
 
     def test_kernel_leaking_masked_score_detected(self, sanitize):
         q, k, v = _qkv()
-        plan = _nm_plan()
-        probs = plan.compute_probs(plan.compute_scores(q, k, scale=0.25))
+        plan, structure = _csr_plan()
+        probs = plan.compute_probs(plan.compute_scores(q, k, structure, scale=0.25))
         plan._spmm = lambda p, val: np.full((8, 4), np.float32(-1e30))
         with pytest.raises(SanitizerError, match="MASKED_SCORE sentinel"):
             plan.contract(probs, v)
 
     def test_kernel_leaking_nan_detected(self, sanitize):
         q, k, v = _qkv()
-        plan = _nm_plan()
-        probs = plan.compute_probs(plan.compute_scores(q, k, scale=0.25))
+        plan, structure = _csr_plan()
+        probs = plan.compute_probs(plan.compute_scores(q, k, structure, scale=0.25))
         plan._spmm = lambda p, val: np.full((8, 4), np.nan, dtype=np.float32)
         with pytest.raises(SanitizerError, match="non-finite"):
             plan.contract(probs, v)

@@ -220,3 +220,57 @@ class TestSpecificMechanisms:
         q, k, v = _qkv(seq=64, d=32, seed=9)
         out = B.DfssLinformerAttention(proj_dim=32, pattern="2:4")(q, k, v)
         assert out.shape == q.shape and np.all(np.isfinite(out))
+
+
+def _dfss_dense(a, b, c, pattern):
+    """Dense oracle of one DFSS attention: the masked softmax of ``a bᵀ``
+    under the DFSS keep-mask, times ``c``."""
+    from repro.baselines.dfss import DfssMechanism
+    from repro.core.sddmm import sddmm_dense
+    from repro.core.softmax import masked_dense_softmax
+
+    mask = DfssMechanism(pattern).attention_mask(a, b)
+    return masked_dense_softmax(sddmm_dense(a, b), mask) @ c
+
+
+class TestDfssCombosAnyKeyLength:
+    """The numpy DFSS combos accept every key length dense attention does,
+    and match the same formula with a dense masked softmax."""
+
+    CASES = [(130, "2:4"), (129, "1:2")]
+
+    @pytest.mark.parametrize("seq,pattern", CASES)
+    def test_nystromformer_dfss_matches_dense_oracle(self, seq, pattern):
+        from repro.baselines.nystromformer import newton_schulz_pinv, segment_means
+        from repro.core.softmax import dense_softmax
+
+        q, k, v = _qkv(batch=(1, 2), seq=seq, d=32, seed=21)
+        mech = make_mechanism("nystromformer_dfss", pattern=pattern)
+        landmarks = mech.base.num_landmarks
+        q_land, k_land = segment_means(q, landmarks), segment_means(k, landmarks)
+        kernel2 = dense_softmax(q_land @ np.swapaxes(k_land, -1, -2) / np.sqrt(32))
+        pinv = newton_schulz_pinv(kernel2, mech.base.pinv_iters)
+        expected = _dfss_dense(
+            q, k_land, pinv @ _dfss_dense(q_land, k, v, pattern), pattern
+        )
+        np.testing.assert_allclose(mech(q, k, v), expected, rtol=1e-4, atol=1e-5)
+
+    @pytest.mark.parametrize(
+        "seq,pattern,proj_dim", [c + (64,) for c in CASES] + [(130, "2:4", 30)]
+    )
+    def test_linformer_dfss_matches_dense_oracle(self, seq, pattern, proj_dim):
+        q, k, v = _qkv(batch=(1, 2), seq=seq, d=32, seed=22)
+        mech = make_mechanism("linformer_dfss", pattern=pattern, proj_dim=proj_dim)
+        e, f = mech.linformer._projections(seq)
+        expected = _dfss_dense(q, e @ k, f @ v, pattern)
+        np.testing.assert_allclose(mech(q, k, v), expected, rtol=1e-4, atol=1e-5)
+
+    @pytest.mark.parametrize("mechanism", ["nystromformer_dfss", "linformer_dfss"])
+    def test_facade_accepts_a_length_that_is_not_a_multiple_of_m(self, mechanism):
+        import repro
+
+        q, k, v = _qkv(batch=(1, 2), seq=130, d=32, seed=23)
+        out = repro.attention(q, k, v, mechanism=mechanism, pattern="2:4")
+        np.testing.assert_array_equal(
+            out, make_mechanism(mechanism, pattern="2:4")(q, k, v)
+        )

@@ -155,7 +155,7 @@ class TestPerfGate:
     def test_missing_row_fails_coverage(self, payloads):
         gate = _load_gate()
         base, fresh = payloads
-        fresh["results"] = [r for r in fresh["results"] if r["kernel"] != "sddmm_nm"]
+        fresh["results"] = [r for r in fresh["results"] if r["kernel"] != "masked_softmax"]
         failures, _ = gate.check(fresh, base, min_e2e_speedup=0.0, min_train_speedup=0.0)
         assert any("coverage" in f for f in failures)
 

@@ -2,10 +2,10 @@
 
 Inputs are drawn from a coarse integer lattice (values ``j/8`` with small
 ``j``) so every intermediate product and partial sum is exactly representable
-in float32: scores computed by the tiled reference kernel and the batched
-fast kernel are then bit-identical, which makes the N:M *selections* (not
-just the values) deterministic and exactly comparable — including genuine
-ties inside a group, where both backends must keep the lower index.
+in float32, which makes the N:M *selections* (not just the values)
+deterministic and exactly comparable — including genuine ties inside a
+group, where the selection network must keep the lower index as the
+argsort reference does.
 """
 
 import numpy as np
@@ -14,10 +14,11 @@ import pytest
 from repro.core.attention import dfss_attention
 from repro.core.backend import FAST, REFERENCE
 from repro.core.blocked_ell import sliding_window_mask
-from repro.core.plan import plan_for_nm
+from repro.core.patterns import resolve_pattern
 from repro.core.pruning import (
     nm_compress,
-    nm_compress_fast,
+    nm_compress_lanes,
+    nm_keep_lanes,
     nm_prune_mask,
     nm_prune_mask_fast,
 )
@@ -44,6 +45,15 @@ def _qkv(batch, seq=64, d=32, seed=0):
     )
 
 
+def _compress_lanes(x, pattern, criterion="value"):
+    """``nm_compress`` through the selection network: split ``x``'s groups
+    into lane arrays, keep by :func:`nm_keep_lanes`, compress the lanes."""
+    pattern = resolve_pattern(pattern)
+    groups = x.reshape(x.shape[:-1] + (x.shape[-1] // pattern.m, pattern.m))
+    lanes = tuple(np.ascontiguousarray(groups[..., i]) for i in range(pattern.m))
+    return nm_compress_lanes(lanes, nm_keep_lanes(lanes, pattern, criterion), pattern)
+
+
 class TestCompressFast:
     @pytest.mark.parametrize("pattern", PATTERNS)
     @pytest.mark.parametrize("criterion", ["value", "magnitude"])
@@ -51,9 +61,12 @@ class TestCompressFast:
         # a tiny lattice guarantees many exact ties within groups
         x = _lattice((7, 9, 24), seed=3, denom=2, span=3)
         ref_vals, ref_idx = nm_compress(x, pattern, criterion)
-        fast_vals, fast_idx = nm_compress_fast(x, pattern, criterion)
+        fast_vals, fast_idx = _compress_lanes(x, pattern, criterion)
         np.testing.assert_array_equal(ref_idx, fast_idx)
         np.testing.assert_array_equal(ref_vals, fast_vals)
+        np.testing.assert_array_equal(
+            nm_prune_mask(x, pattern, criterion), nm_prune_mask_fast(x, pattern, criterion)
+        )
 
     @pytest.mark.parametrize("pattern", PATTERNS)
     def test_sentinel_and_infinite_scores(self, pattern):
@@ -62,16 +75,18 @@ class TestCompressFast:
         x[1, 2, 0] = np.inf
         x[2, 3, 4:6] = -np.inf
         ref_vals, ref_idx = nm_compress(x, pattern)
-        fast_vals, fast_idx = nm_compress_fast(x, pattern)
+        fast_vals, fast_idx = _compress_lanes(x, pattern)
         np.testing.assert_array_equal(ref_idx, fast_idx)
         np.testing.assert_array_equal(ref_vals, fast_vals)
+        np.testing.assert_array_equal(nm_prune_mask(x, pattern), nm_prune_mask_fast(x, pattern))
 
     def test_generic_pattern_falls_back(self):
         x = _lattice((5, 12), seed=7)
         ref = nm_compress(x, "2:6")
-        fast = nm_compress_fast(x, "2:6")
+        fast = _compress_lanes(x, "2:6")
         np.testing.assert_array_equal(ref[0], fast[0])
         np.testing.assert_array_equal(ref[1], fast[1])
+        np.testing.assert_array_equal(nm_prune_mask(x, "2:6"), nm_prune_mask_fast(x, "2:6"))
 
     @pytest.mark.parametrize("pattern", PATTERNS)
     def test_prune_mask_fast_matches(self, pattern):
@@ -79,41 +94,6 @@ class TestCompressFast:
         np.testing.assert_array_equal(
             nm_prune_mask(x, pattern), nm_prune_mask_fast(x, pattern)
         )
-
-
-class TestSddmmParity:
-    @pytest.mark.parametrize("pattern", PATTERNS)
-    @pytest.mark.parametrize("batch", BATCH_SHAPES)
-    def test_backends_bitwise_equal(self, pattern, batch):
-        q, k, _ = _qkv(batch)
-        ref = sddmm_nm(q, k, pattern=pattern, backend=REFERENCE)
-        fast = sddmm_nm(q, k, pattern=pattern, backend=FAST)
-        assert ref.dense_shape == fast.dense_shape
-        np.testing.assert_array_equal(ref.indices, fast.indices)
-        np.testing.assert_array_equal(ref.values, fast.values)
-
-    @pytest.mark.parametrize("pattern", PATTERNS)
-    def test_ragged_seq_smaller_than_tile(self, pattern):
-        # L=96 < the reference kernel's 128-wide tiles, L % 4 == 0
-        q, k, _ = _qkv((2,), seq=96, d=24, seed=11)
-        ref = sddmm_nm(q, k, pattern=pattern, backend=REFERENCE)
-        fast = sddmm_nm(q, k, pattern=pattern, backend=FAST)
-        np.testing.assert_array_equal(ref.indices, fast.indices)
-        np.testing.assert_array_equal(ref.values, fast.values)
-
-    def test_block_mask_parity(self):
-        q, k, _ = _qkv((2,), seq=64, d=16, seed=13)
-        mask = sliding_window_mask(64, block_size=16, window_blocks=1)
-        ref = sddmm_nm(q, k, pattern="2:4", block_mask=mask, backend=REFERENCE)
-        fast = sddmm_nm(q, k, pattern="2:4", block_mask=mask, backend=FAST)
-        np.testing.assert_array_equal(ref.indices, fast.indices)
-        np.testing.assert_array_equal(ref.values, fast.values)
-
-    def test_magnitude_criterion_parity(self):
-        q, k, _ = _qkv((3,), seq=32, d=16, seed=17)
-        ref = sddmm_nm(q, k, pattern="2:4", criterion="magnitude", backend=REFERENCE)
-        fast = sddmm_nm(q, k, pattern="2:4", criterion="magnitude", backend=FAST)
-        np.testing.assert_array_equal(ref.indices, fast.indices)
 
 
 class TestSoftmaxSpmmParity:
@@ -135,20 +115,6 @@ class TestSoftmaxSpmmParity:
         ref = spmm(weights, v, backend=REFERENCE)
         fast = spmm(weights, v, backend=FAST)
         np.testing.assert_allclose(fast, ref, rtol=1e-5, atol=1e-6)
-
-    @pytest.mark.parametrize("pattern", PATTERNS)
-    def test_plan_softmax_contract_matches_unfused(self, pattern):
-        # both plans' probs -> contract stages against the standalone kernels
-        q, k, v = _qkv((2, 3), seed=29)
-        scores = sddmm_nm(q, k, pattern=pattern)
-        unfused = spmm(sparse_softmax(scores), v)
-        for backend in (REFERENCE, FAST):
-            plan = plan_for_nm(pattern, q.shape[-2], k.shape[-2], backend=backend)
-            probs = plan.compute_probs(scores, owned=False)
-            np.testing.assert_allclose(
-                plan.contract(probs, v), unfused, rtol=1e-5, atol=1e-6,
-                err_msg=backend,
-            )
 
     def test_fused_with_fully_masked_rows(self):
         # a zero-window block mask leaves most score groups entirely at the

@@ -43,12 +43,6 @@ def _lattice(shape, seed):
     return (rng.integers(-8, 9, size=shape) / 4).astype(np.float32)
 
 
-def _staged(plan, q, k, v, **kwargs):
-    scores = plan.compute_scores(q, k, **kwargs)
-    probs = plan.compute_probs(scores)
-    return plan.contract(probs, v), probs
-
-
 def _assert_same(out, probs, ref_out, ref_probs):
     np.testing.assert_array_equal(out, ref_out)
     np.testing.assert_array_equal(probs.indices, ref_probs.indices)
@@ -75,7 +69,7 @@ def _assert_matches_reference(out, probs, ref_out, ref_probs):
 MULTI_TILE_CASES = [
     ("1:2", (), 600, 1024, 32),
     ("2:4", (2,), 600, 1024, 32),
-    ((1, 4), (2,), 600, 1024, 32),  # argsort fallback of nm_compress_fast
+    ((1, 4), (2,), 600, 1024, 32),  # argsort fallback of nm_keep_lanes
     ("2:4", (2, 3), 300, 1024, 64),
     ("1:2", (2,), 1024, 1024, 64),
 ]
@@ -315,8 +309,11 @@ class TestTileSizeIndependence:
         k = _lattice((2, n_k, 16), 1)
         v = _normal((2, n_k, 16), 2)
         plan = plan_for_nm(pattern, n_q, n_k, backend=FAST)
-        ref_out, ref_probs = _staged(plan, q, k, v)
-        # rows=None: one tile per slice (a budget far above the slice)
+        # the oracle: one tile per slice (a budget far above the slice),
+        # itself held to the reference chain by the oracle rule
+        monkeypatch.setattr(nm_attention, "TILE_BYTES", 1 << 30)
+        ref_out, ref_probs = plan.forward(q, k, v, return_probs=True)
+        _assert_matches_reference(ref_out, ref_probs, *_reference(pattern, q, k, v))
         budget = 1 << 30 if rows is None else 4 * n_k * rows
         monkeypatch.setattr(nm_attention, "TILE_BYTES", budget)
         expected = n_q if rows is None else rows
@@ -459,3 +456,48 @@ class TestMemory:
         dfss = _peak_bytes(lambda: dfss_attention(q, k, v, pattern="2:4", backend=FAST))
         dense = _peak_bytes(lambda: _numpy_dense_attention(q, k, v))
         assert 8 * dfss <= dense, f"dfss peak {dfss} B > 1/8 of dense peak {dense} B"
+
+
+class TestOneForward:
+    """N:M attention has one fast forward, ``nm_attention``: the staged
+    chain is only the reference oracle, never a registered fast kernel."""
+
+    def test_sddmm_nm_is_not_a_registered_kernel(self):
+        from repro.core.backend import available_kernels
+
+        assert "sddmm_nm" not in available_kernels()
+        assert {"nm_attention", "nm_attention_bwd"} <= set(available_kernels())
+
+    @staticmethod
+    def _kernel_spans(fn):
+        from repro.core.backend import use_backend
+        from repro.core.plan import clear_plan_cache
+        from repro.profile.tracer import trace
+
+        clear_plan_cache()
+        with use_backend(FAST), trace() as active:
+            fn()
+        return [e["name"] for e in active.events if e.get("cat") == "kernel"]
+
+    def test_train_step_runs_only_the_nm_kernels(self):
+        from repro.nn.autograd import parameter
+        from repro.nn.sparse_attention import dfss_sparse_attention
+
+        q, k, v = (parameter(_normal((1, 2, 130, 16), s)) for s in range(3))
+
+        def step():
+            out, _ = dfss_sparse_attention(q, k, v, pattern="2:4")
+            out.sum().backward()
+
+        names = self._kernel_spans(step)
+        assert sorted(set(names)) == ["nm_attention", "nm_attention_bwd"]
+
+    @pytest.mark.parametrize(
+        "mechanism,calls", [("nystromformer_dfss", 2), ("linformer_dfss", 1)]
+    )
+    def test_combos_run_only_nm_attention(self, mechanism, calls):
+        from repro.registry import make_mechanism
+
+        q, k, v = (_normal((1, 2, 130, 16), s) for s in range(3))
+        mech = make_mechanism(mechanism, pattern="2:4")
+        assert self._kernel_spans(lambda: mech(q, k, v)) == ["nm_attention"] * calls

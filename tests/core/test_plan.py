@@ -142,8 +142,9 @@ class TestPlanExecution:
 
     def test_fused_compute_probs_reuses_the_score_buffer(self):
         q, k, _ = _qkv(seed=5)
-        plan = plan_for_nm(PATTERN_2_4, 16, 16, backend=FAST)
-        scores = plan.compute_scores(q, k, scale=0.5)
+        structure = PaddedCSRMatrix.from_mask(np.triu(np.ones((16, 16), dtype=bool), -4))
+        plan = plan_for_structure(structure, backend=FAST)
+        scores = plan.compute_scores(q, k, structure, scale=0.5)
         probs = plan.compute_probs(scores)
         assert probs.values is scores.values  # in place: no intermediate
 

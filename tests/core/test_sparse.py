@@ -98,36 +98,6 @@ class TestRoundTrip:
         assert sibling.column_indices() is cols
 
 
-class TestBatchSlice:
-    def test_tile_is_a_view_of_the_flattened_batch(self):
-        dense, sp = _random_sparse((2, 3, 8, 16))
-        tile = sp.batch_slice(slice(2, 5))
-        assert tile.batch_shape == (3,)
-        assert tile.pattern == sp.pattern and tile.dense_cols == sp.dense_cols
-        assert np.shares_memory(tile.values, sp.values)
-        assert np.shares_memory(tile.indices, sp.indices)
-        np.testing.assert_array_equal(
-            tile.to_dense(), sp.to_dense().reshape(6, 8, 16)[2:5]
-        )
-        # an in-place write through the tile lands in the parent
-        tile.values[...] = 0.0
-        assert np.all(sp.values.reshape(6, 8, 8)[2:5] == 0.0)
-        assert np.any(sp.values.reshape(6, 8, 8)[:2] != 0.0)
-
-    def test_tile_carries_the_column_cache(self):
-        dense, sp = _random_sparse((4, 8, 16))
-        cols = sp.column_indices()
-        tile = sp.batch_slice(slice(1, 3))
-        assert np.shares_memory(tile.column_indices(), cols)
-        np.testing.assert_array_equal(tile.column_indices(), cols[1:3])
-
-    def test_tile_without_caches_computes_its_own(self):
-        dense, sp = _random_sparse((4, 8, 16))
-        tile = sp.batch_slice(slice(0, 2))
-        np.testing.assert_array_equal(tile.column_indices(), sp.column_indices()[:2])
-        np.testing.assert_array_equal(tile.to_scattered(), sp.to_scattered()[:2])
-
-
 class TestFootprint:
     def test_compression_ratio_2_4_bf16(self):
         # nonzeros: n^2/2 * 2B, metadata: n^2/4 groups... -> ratio = 32/18 ≈ 1.78

@@ -191,6 +191,33 @@ class TestReplay:
         five = ops.attention_bwd_nm_ops(b, rows, rows, d, "float32")
         assert gpusim_cost_fn()(node) > ops.total_latency(five, AMPERE_A100) * 1e6
 
+    def test_gpusim_replays_csr_spans_at_their_measured_time(self):
+        # Top-K runs on a CSR plan: its masked softmax and SpMM spans carry
+        # the ``csr`` layout label and are not priced with the N:M models
+        from repro.core.backend import use_backend
+        from repro.nn.autograd import parameter
+        from repro.registry import make_core
+
+        rng = np.random.default_rng(0)
+        q, k, v = (
+            parameter(rng.standard_normal((1, 2, 64, 32), dtype=np.float32))
+            for _ in range(3)
+        )
+        core = make_core("topk", seq_len_hint=64, density=0.25)
+        clear_plan_cache()
+        with use_backend("fast"), trace() as active:
+            with active.span("train_step", "step"):
+                core(q, k, v).sum().backward()
+        dag = build_dag(active.payload())
+        csr = [n for n in dag.nodes if n.name in ("masked_softmax", "spmm")]
+        assert {n.name for n in csr} == {"masked_softmax", "spmm"}
+        assert all(n.args["layout"] == "csr" for n in csr)
+        cost = gpusim_cost_fn()
+        assert all(cost(n) is None for n in csr)
+        simulated = replay(dag, cost_fn=cost)
+        for n in csr:
+            assert simulated.cost_us[n.index] == pytest.approx(n.dur_us)
+
     def test_gpusim_cost_fn_keeps_unmodelled_kernels(self):
         node = OpNode(index=0, name="mystery", start_us=0.0, dur_us=7.0, pid=0, tid=0)
         assert gpusim_cost_fn()(node) is None
