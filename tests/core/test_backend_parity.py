@@ -12,9 +12,10 @@ import numpy as np
 import pytest
 
 from repro.core.attention import dfss_attention
-from repro.core.backend import FAST, REFERENCE
+from repro.core.backend import FAST, REFERENCE, get_kernel
 from repro.core.blocked_ell import sliding_window_mask
 from repro.core.patterns import resolve_pattern
+from repro.core.plan import plan_for_nm
 from repro.core.pruning import (
     nm_compress,
     nm_compress_lanes,
@@ -96,6 +97,43 @@ class TestCompressFast:
         )
 
 
+def _assert_selects_as_sddmm(q, k, v, pattern, **kwargs):
+    """The fused fast forward keeps exactly the entries the ``sddmm_nm``
+    oracle keeps, and its probabilities are the oracle scores' softmax."""
+    scores = sddmm_nm(q, k, pattern=pattern, **kwargs)
+    _, probs = get_kernel("nm_attention", FAST)(
+        q, k, v, pattern=pattern, return_probs=True, **kwargs
+    )
+    assert probs.dense_shape == scores.dense_shape
+    np.testing.assert_array_equal(probs.indices, scores.indices)
+    np.testing.assert_allclose(
+        probs.values, sparse_softmax(scores).values, rtol=1e-5, atol=1e-6
+    )
+
+
+class TestSddmmParity:
+    @pytest.mark.parametrize("pattern", PATTERNS)
+    @pytest.mark.parametrize("batch", BATCH_SHAPES)
+    def test_backends_bitwise_equal(self, pattern, batch):
+        q, k, v = _qkv(batch)
+        _assert_selects_as_sddmm(q, k, v, pattern)
+
+    @pytest.mark.parametrize("pattern", PATTERNS)
+    def test_ragged_seq_smaller_than_tile(self, pattern):
+        # L=96 < the oracle's 128-wide tiles, L % 4 == 0
+        q, k, v = _qkv((2,), seq=96, d=24, seed=11)
+        _assert_selects_as_sddmm(q, k, v, pattern)
+
+    def test_block_mask_parity(self):
+        q, k, v = _qkv((2,), seq=64, d=16, seed=13)
+        mask = sliding_window_mask(64, block_size=16, window_blocks=1)
+        _assert_selects_as_sddmm(q, k, v, "2:4", block_mask=mask)
+
+    def test_magnitude_criterion_parity(self):
+        q, k, v = _qkv((3,), seq=32, d=16, seed=17)
+        _assert_selects_as_sddmm(q, k, v, "2:4", criterion="magnitude")
+
+
 class TestSoftmaxSpmmParity:
     @pytest.mark.parametrize("pattern", PATTERNS)
     @pytest.mark.parametrize("batch", BATCH_SHAPES)
@@ -115,6 +153,19 @@ class TestSoftmaxSpmmParity:
         ref = spmm(weights, v, backend=REFERENCE)
         fast = spmm(weights, v, backend=FAST)
         np.testing.assert_allclose(fast, ref, rtol=1e-5, atol=1e-6)
+
+    @pytest.mark.parametrize("pattern", PATTERNS)
+    def test_plan_softmax_contract_matches_unfused(self, pattern):
+        # both backends' N:M plans against the standalone staged kernels
+        q, k, v = _qkv((2, 3), seed=29)
+        scores = sddmm_nm(q, k, pattern=pattern)
+        unfused = spmm(sparse_softmax(scores), v)
+        for backend in (REFERENCE, FAST):
+            plan = plan_for_nm(pattern, q.shape[-2], k.shape[-2], backend=backend)
+            np.testing.assert_allclose(
+                plan.forward(q, k, v), unfused, rtol=1e-5, atol=1e-6,
+                err_msg=backend,
+            )
 
     def test_fused_with_fully_masked_rows(self):
         # a zero-window block mask leaves most score groups entirely at the
