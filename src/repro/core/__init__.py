@@ -35,18 +35,14 @@ from repro.core.attention_grad import (
 from repro.core.backend import (
     available_backends,
     available_kernels,
-    available_plan_backends,
     get_kernel,
-    get_plan_builder,
     register_kernel,
-    register_plan_builder,
     resolve_backend,
     use_backend,
 )
 from repro.core.plan import (
     AttentionPlan,
     PlanKey,
-    build_plan,
     clear_plan_cache,
     plan_cache_stats,
     plan_for_blocks,
@@ -88,16 +84,12 @@ __all__ = [
     "PaddedCSRMatrix",
     "available_backends",
     "available_kernels",
-    "available_plan_backends",
     "get_kernel",
-    "get_plan_builder",
     "register_kernel",
-    "register_plan_builder",
     "resolve_backend",
     "use_backend",
     "AttentionPlan",
     "PlanKey",
-    "build_plan",
     "clear_plan_cache",
     "plan_cache_stats",
     "plan_for_blocks",

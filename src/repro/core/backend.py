@@ -14,6 +14,11 @@ interchangeable implementations ("backends") registered against it:
   as the numerical oracle for every other backend.
 * ``fast`` — fully batched implementations with no Python-level loops over
   batch or head dimensions, used by default everywhere.
+* ``multicore`` — the ``fast`` kernels with the N:M pair
+  (``nm_attention``, ``nm_attention_bwd``) run as tiles on a thread pool
+  (:mod:`repro.core.multicore`).  Any kernel it does not register falls
+  back to ``fast``.  Its module is imported by :func:`get_kernel` on the
+  first ``multicore`` lookup, never at package import.
 
 Backend selection, in decreasing priority:
 
@@ -33,12 +38,10 @@ Registering a new backend is a one-liner::
 after which ``spmm(w, v, backend="gpu")`` (or ``REPRO_BACKEND=gpu``) picks
 it up without touching any call site.
 
-Backends additionally provide *plan builders*: callables that compile a
-:class:`~repro.core.plan.AttentionPlan` for a given plan key, resolving every
-kernel lookup once instead of per call.  ``register_plan_builder`` /
-``get_plan_builder`` mirror the kernel registry and are the seam a future
-multicore-tiling backend plugs into — a new backend registers one builder and
-every layer (autograd op, engine, serving batcher, bench) picks it up.
+A compiled :class:`~repro.core.plan.AttentionPlan` resolves its kernels
+through :func:`get_kernel` once, at construction, so a backend is nothing
+more than the kernels it registers: every layer (autograd op, engine,
+serving batcher, bench) picks it up through the plan.
 """
 
 from __future__ import annotations
@@ -68,18 +71,15 @@ ENV_VAR = "REPRO_BACKEND"
 _REGISTRY: Dict[str, Dict[str, Callable]] = {}
 _OVERRIDE: Optional[str] = None
 
-_PLAN_BUILDERS: Dict[str, Callable] = {}
-
-#: Staged-kernel fallbacks: a backend whose value lies entirely in its plan
-#: builder (multicore tiles *plans*, not individual kernels) delegates any
-#: kernel it does not register itself to the listed backend, so every staged
-#: entry point stays valid under ``REPRO_BACKEND=multicore``.
+#: Kernel fallbacks: a backend that registers only some kernels (multicore
+#: registers the N:M pair and tiles the rest through the plan's ``_map``)
+#: delegates every other kernel to the listed backend, so every entry point
+#: stays valid under ``REPRO_BACKEND=multicore``.
 _KERNEL_FALLBACKS: Dict[str, str] = {MULTICORE: FAST}
 
-#: Backends whose plan builder lives in a module imported on first use —
-#: nothing imports :mod:`repro.core.multicore` at package-import time, so the
-#: registration happens lazily when the backend is first asked for a plan.
-_DEFERRED_BUILDER_MODULES: Dict[str, str] = {MULTICORE: "repro.core.multicore"}
+#: Backends whose kernels live in a module imported on first lookup —
+#: nothing imports :mod:`repro.core.multicore` at package-import time.
+_DEFERRED_KERNEL_MODULES: Dict[str, str] = {MULTICORE: "repro.core.multicore"}
 
 
 def register_kernel(kernel: str, backend: str) -> Callable[[Callable], Callable]:
@@ -144,6 +144,9 @@ def get_kernel(kernel: str, backend: Optional[str] = None) -> Callable:
             f"{', '.join(names) if names else 'none'}"
         )
     name = resolve_backend(backend)
+    if name in _DEFERRED_KERNEL_MODULES:
+        # Importing the module runs its ``@register_kernel`` decorators.
+        importlib.import_module(_DEFERRED_KERNEL_MODULES[name])
     impls = _REGISTRY[kernel]
     if name not in impls and name in _KERNEL_FALLBACKS:
         name = _KERNEL_FALLBACKS[name]
@@ -199,40 +202,6 @@ def _tracing_wrapper(kernel: str, backend: str, fn: Callable) -> Callable:
 
     traced.__wrapped__ = fn
     return traced
-
-
-def register_plan_builder(backend: str) -> Callable[[Callable], Callable]:
-    """Decorator registering ``fn`` as the plan builder for ``backend``.
-
-    A plan builder takes a :class:`~repro.core.plan.PlanKey` and returns a
-    compiled :class:`~repro.core.plan.AttentionPlan` with every kernel lookup
-    already resolved.
-    """
-
-    def decorator(fn: Callable) -> Callable:
-        _PLAN_BUILDERS[backend] = fn
-        return fn
-
-    return decorator
-
-
-def available_plan_backends() -> Tuple[str, ...]:
-    """Backends that provide a compiled-plan builder."""
-    return tuple(sorted(_PLAN_BUILDERS))
-
-
-def get_plan_builder(backend: Optional[str] = None) -> Callable:
-    """Look up the plan builder for the resolved ``backend``."""
-    name = resolve_backend(backend)
-    if name not in _PLAN_BUILDERS and name in _DEFERRED_BUILDER_MODULES:
-        # Importing the module runs its ``@register_plan_builder`` decorator.
-        importlib.import_module(_DEFERRED_BUILDER_MODULES[name])
-    if name not in _PLAN_BUILDERS:
-        raise ValueError(
-            f"backend {name!r} provides no plan builder; "
-            f"available: {available_plan_backends()}"
-        )
-    return _PLAN_BUILDERS[name]
 
 
 @contextmanager

@@ -1,16 +1,21 @@
-"""Multicore tiled backend: compiled plans executed as batch tiles on a pool.
+"""Multicore tiled backend: attention work executed as tiles on a thread pool.
 
-This module registers the ``multicore`` backend, whose plan builder returns a
-:class:`MulticoreAttentionPlan`: the ``fast`` plan with one method replaced.
-Every plan stage runs through the seam :meth:`AttentionPlan._map(stage,
-layout, fn, *arrays) <repro.core.plan.AttentionPlan._map>`; the multicore
-plan's ``_map`` is :func:`map_tiles`, which cuts the flattened batch×head
-dimension into contiguous slices (:func:`tile_slices`), calls the stage's own
-``fn`` on each tile — ``layout.batch_slice(sl)`` plus zero-copy slices of the
-operands — over the worker pool, and concatenates the tile results.  The
-N:M forward maps the ``(slice, row-block)`` tiles of the row-tiled
-``nm_attention`` kernel (:mod:`repro.core.nm_attention`) instead, and the
-N:M backward the batch slices of ``nm_attention_bwd``.
+The ``multicore`` backend is the ``fast`` backend with two changes, both
+reached through the ordinary :class:`~repro.core.plan.AttentionPlan`:
+
+* its own ``nm_attention`` / ``nm_attention_bwd`` kernels, registered here,
+  run the fast jobs' (:class:`~repro.core.nm_attention.NMForwardJob`,
+  :class:`~repro.core.nm_attention.NMBackwardJob`) row tiles and batch
+  slices on the pool, each worker borrowing one tile buffer.  Every other
+  kernel falls back to ``fast``;
+* :func:`map_tiles`, which the plan's ``_map`` calls for the staged
+  layouts, cuts the flattened batch×head dimension into contiguous slices
+  (:func:`tile_slices`), calls the stage's ``fn`` on each tile —
+  ``layout.batch_slice(sl)`` plus zero-copy slices of the operands — on the
+  pool, and concatenates the tile results.
+
+The kernel registry imports this module on the first ``multicore`` lookup,
+never at package import.
 
 **Bitwise parity with ``fast`` is a hard invariant, not a tolerance.**  Every
 fast kernel in the chain is per-leading-slice independent — batched BLAS
@@ -33,8 +38,10 @@ stealing.  While a trace session is active each tile runs inside an
 ``mc_tile`` span on its worker's own tid lane (carrying the stage, tile
 index, slice range, shape, and pool size), with the submitting thread's
 phase and plan labels re-applied so worker-lane events stay attributable.
-The grouped serving path maps its stacked request groups through the same
-:func:`map_tiles`.
+The N:M kernels' own ``nm_attention`` / ``nm_attention_bwd`` spans are
+emitted by the registry's tracing wrapper, as for every other backend.
+The serving batcher's stacked request groups are ordinary plan calls, so
+they tile like any other batch.
 """
 
 from __future__ import annotations
@@ -44,26 +51,26 @@ import os
 import queue
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.analysis.sanitize import check_grads, check_output, guard_input
-from repro.core.backend import MULTICORE, register_plan_builder
+from repro.core.backend import MULTICORE, register_kernel
+from repro.core.blocked_ell import BlockedEllMask
 from repro.core.nm_attention import (
+    Dropout,
     NMBackwardJob,
     NMForwardJob,
+    NMStats,
     bwd_span_args,
     tile_span_args,
 )
-from repro.core.plan import AttentionPlan, PlanKey
+from repro.core.sparse import NMSparseMatrix
 from repro.profile.tracer import current_tracer
 
 __all__ = [
     "WORKERS_ENV_VAR",
     "WorkerPool",
-    "MulticoreAttentionPlan",
     "get_pool",
     "map_tiles",
     "resolve_worker_count",
@@ -322,153 +329,87 @@ def map_tiles(stage: str, layout, fn: Callable, *arrays):
     return _join(parts, batch_shape)
 
 
-# ------------------------------------------------------------------- the plan
-class MulticoreAttentionPlan(AttentionPlan):
-    """The fast fused plan, with every stage run as batch tiles on a pool.
+# ------------------------------------------------------------ N:M kernels
+def _run_job(stage: str, job, tiles, rows) -> None:
+    """``job.run(tile, buf)`` for every tile on the shared pool; each worker
+    borrows one buffer set from ``job.new_buffer()`` for the tiles it runs.
+    ``rows`` holds each tile's ``(slice, first row, stop row)``."""
+    pool = get_pool()
+    buffers: "queue.SimpleQueue[Tuple[np.ndarray, ...]]" = queue.SimpleQueue()
+    for _ in range(min(pool.workers, len(tiles))):
+        buffers.put(job.new_buffer())
 
-    Subclasses the fast :class:`~repro.core.plan.AttentionPlan` (the kernel
-    registry falls ``multicore`` back to the ``fast`` implementations) and
-    overrides only the execution seam, :meth:`_map`, plus the N:M forward
-    and backward, which map the row-tiled kernels' own tile lists over the
-    pool.
-    """
+    def tile_thunk(tile):
+        def thunk():
+            buf = buffers.get()
+            try:
+                job.run(tile, buf)
+            finally:
+                buffers.put(buf)
+        return thunk
 
-    def __init__(self, key: PlanKey) -> None:
-        super().__init__(key, fused=True)
-
-    def _map(self, stage: str, layout, fn: Callable, *arrays):
-        with self._trace_labels():
-            return map_tiles(stage, layout, fn, *arrays)
-
-    def forward(
-        self,
-        q: np.ndarray,
-        k: np.ndarray,
-        v: np.ndarray,
-        structure=None,
-        scale: Optional[float] = None,
-        criterion: str = "value",
-        block_mask=None,
-        return_probs: bool = False,
-        dropout=None,
-        return_stats: bool = False,
-    ):
-        """N:M forward: the fast kernel's row tiles, on the pool.
-
-        The tile list comes from :class:`~repro.core.nm_attention.NMForwardJob`
-        and depends only on the geometry, never on the worker count, and each
-        tile runs the fast kernel's own code — so the output is bitwise
-        equal to ``fast`` by construction.  Each worker borrows one tile
-        buffer for the tiles it runs.  CSR plans compose the tiled stages.
-        """
-        if self.key.layout != "nm" or get_pool().workers <= 1:
-            return super().forward(
-                q, k, v, structure=structure, scale=scale, criterion=criterion,
-                block_mask=block_mask, return_probs=return_probs, dropout=dropout,
-                return_stats=return_stats,
-            )
-        q, k, v = guard_input(q), guard_input(k), guard_input(v)
-        job = NMForwardJob(
-            q, k, v, pattern=self._pattern, scale=scale, dtype=self.key.dtype,
-            criterion=criterion, block_mask=block_mask, return_probs=return_probs,
-            dropout=dropout, return_stats=return_stats,
-        )
-        metas = [
-            {
-                "stage": "nm_attention",
-                "tile": i,
-                "rows": f"{b}:{r0}:{r1}",
-                "shape": f"{r1 - r0}x{job.n_k}",
-            }
-            for i, (b, r0, r1) in enumerate(job.tiles)
-        ]
-        span_args = tile_span_args(
-            q, k, v, pattern=self._pattern, dtype=self.key.dtype,
-            return_probs=return_probs, return_stats=return_stats,
-        )
-        self._run_job("nm_attention", job, job.tiles, metas, np.shape(q), span_args)
-        out, extra = job.result()
-        out = check_output(out, "attention output", inputs=(q, k, v))
-        return (out, extra) if return_probs or return_stats else out
-
-    def backward(
-        self,
-        saved,
-        q: np.ndarray,
-        k: np.ndarray,
-        v: np.ndarray,
-        d_out: np.ndarray,
-        scale: float,
-        drop_keep: Optional[np.ndarray] = None,
-        out: Optional[np.ndarray] = None,
-        dropout=None,
-    ):
-        """N:M backward: the fast kernel's batch slices, on the pool.
-
-        Each slice runs :class:`~repro.core.nm_attention.NMBackwardJob`'s
-        own code over its row blocks in their fixed order and writes its own
-        rows of dQ, dK and dV, so the gradients are bitwise equal to
-        ``fast`` whatever the worker count.  Other layouts run the tiled
-        stages.
-        """
-        if self.key.layout != "nm" or get_pool().workers <= 1:
-            return super().backward(saved, q, k, v, d_out, scale, drop_keep, out, dropout)
-        q, k, v = guard_input(q), guard_input(k), guard_input(v)
-        d_out, out = guard_input(d_out), guard_input(out)
-        job = NMBackwardJob(
-            q, k, v, d_out, out, saved.shift, saved.denom, saved.selection,
-            pattern=self._pattern, scale=scale, dtype=self.key.dtype,
-            criterion=saved.criterion, block_mask=saved.block_mask, dropout=dropout,
-        )
-        metas = [
-            {"stage": "nm_attention_bwd", "tile": b, "rows": f"{b}:0:{job.n_q}",
-             "shape": f"{job.n_q}x{job.n_k}"}
-            for b in job.slices
-        ]
-        span_args = bwd_span_args(
-            q, k, v, d_out, out, saved.shift, saved.denom, saved.selection,
-            pattern=self._pattern, dtype=self.key.dtype,
-        )
-        self._run_job("nm_attention_bwd", job, job.slices, metas, np.shape(q), span_args)
-        return check_grads(job.result(), "attention gradient", inputs=(q, k, v, d_out))
-
-    def _run_job(self, name, job, tiles, metas, shape, span_args) -> None:
-        """``job.run(tile, buf)`` for every tile on the pool, inside one
-        ``name`` kernel span; each worker borrows one buffer set from
-        ``job.new_buffer()`` for the tiles it runs."""
-        pool = get_pool()
-        buffers: "queue.SimpleQueue[Tuple[np.ndarray, ...]]" = queue.SimpleQueue()
-        for _ in range(min(pool.workers, len(tiles))):
-            buffers.put(job.new_buffer())
-
-        def tile_thunk(tile):
-            def thunk():
-                buf = buffers.get()
-                try:
-                    job.run(tile, buf)
-                finally:
-                    buffers.put(buf)
-            return thunk
-
-        tracer = current_tracer()
-        span = (
-            nullcontext()
-            if tracer is None
-            else tracer.span(
-                name,
-                backend=self.key.backend,
-                shape="x".join(str(d) for d in shape),
-                **span_args,
-            )
-        )
-        with self._trace_labels(), span:
-            pool.run([tile_thunk(tile) for tile in tiles], spans=metas)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"MulticoreAttentionPlan({self.key!r}, workers={get_pool().workers})"
+    metas = [
+        {"stage": stage, "tile": i, "rows": f"{b}:{r0}:{r1}", "shape": f"{r1 - r0}x{job.n_k}"}
+        for i, (b, r0, r1) in enumerate(rows)
+    ]
+    pool.run([tile_thunk(tile) for tile in tiles], spans=metas)
 
 
-@register_plan_builder(MULTICORE)
-def _build_multicore_plan(key: PlanKey) -> MulticoreAttentionPlan:
-    """Multicore backend: the fast fused plan, tiled over a worker pool."""
-    return MulticoreAttentionPlan(key)
+@register_kernel("nm_attention", MULTICORE)
+def _nm_attention_multicore(
+    q: np.ndarray,
+    k: np.ndarray,
+    v: np.ndarray,
+    pattern=None,
+    scale: Optional[float] = None,
+    dtype: str = "float32",
+    criterion: str = "value",
+    block_mask: Optional[BlockedEllMask] = None,
+    return_probs: bool = False,
+    dropout: Optional[Dropout] = None,
+    return_stats: bool = False,
+) -> Tuple[np.ndarray, Union[NMSparseMatrix, NMStats, None]]:
+    """The fast kernel's row tiles, on the pool.  The tile list depends only
+    on the geometry and each tile runs the fast code, so the output is
+    bitwise equal to ``fast`` whatever the worker count."""
+    job = NMForwardJob(
+        q, k, v, pattern=pattern, scale=scale, dtype=dtype, criterion=criterion,
+        block_mask=block_mask, return_probs=return_probs, dropout=dropout,
+        return_stats=return_stats,
+    )
+    _run_job("nm_attention", job, job.tiles, job.tiles)
+    return job.result()
+
+
+_nm_attention_multicore.span_args = tile_span_args
+
+
+@register_kernel("nm_attention_bwd", MULTICORE)
+def _nm_attention_bwd_multicore(
+    q: np.ndarray,
+    k: np.ndarray,
+    v: np.ndarray,
+    d_out: np.ndarray,
+    out: np.ndarray,
+    shift: np.ndarray,
+    denom: np.ndarray,
+    selection: np.ndarray,
+    pattern=None,
+    scale: Optional[float] = None,
+    dtype: str = "float32",
+    criterion: str = "value",
+    block_mask: Optional[BlockedEllMask] = None,
+    dropout: Optional[Dropout] = None,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The fast backward's batch slices, on the pool.  Each slice walks its
+    row blocks in the fast order and writes its own rows of dQ, dK and dV,
+    so the gradients are bitwise equal to ``fast`` whatever the worker count."""
+    job = NMBackwardJob(
+        q, k, v, d_out, out, shift, denom, selection, pattern=pattern, scale=scale,
+        dtype=dtype, criterion=criterion, block_mask=block_mask, dropout=dropout,
+    )
+    _run_job("nm_attention_bwd", job, job.slices, [(b, 0, job.n_q) for b in job.slices])
+    return job.result()
+
+
+_nm_attention_bwd_multicore.span_args = bwd_span_args

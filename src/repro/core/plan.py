@@ -30,11 +30,13 @@ compiles the chain once per layout and geometry:
   ``engine.AttentionEngine``, the static-mask mechanisms, the serving
   batcher (:mod:`repro.serve.batcher`), and the bench runner.
 
-Backends provide plans through :func:`~repro.core.backend.register_plan_builder`:
-``fast`` builds fused plans, ``reference`` builds plans that dispatch the
-ordinary registry kernels stage by stage and act as the parity oracle, and
-``multicore`` (:mod:`repro.core.multicore`) builds fast plans whose ``_map``
-runs each stage as batch tiles on a worker pool.
+There is one plan class for every backend: a backend is the kernels the
+plan resolves for it (:func:`~repro.core.backend.get_kernel`).  Only
+``reference`` plans are unfused: their CSR chain dispatches the ordinary
+registry kernels stage by stage and acts as the parity oracle.  On
+``multicore`` (:mod:`repro.core.multicore`) the N:M kernels run their tiles
+on a worker pool, and :meth:`AttentionPlan._map` runs each staged layout's
+stage as batch tiles on the same pool.
 
 Bitwise parity between them is by construction, not by accident: the
 fused plan calls the *same* registered kernel functions and the same softmax
@@ -53,14 +55,7 @@ from typing import Callable, ContextManager, Dict, Optional, Tuple
 import numpy as np
 
 from repro.analysis.sanitize import check_grads, check_output, guard_input
-from repro.core.backend import (
-    FAST,
-    REFERENCE,
-    get_kernel,
-    get_plan_builder,
-    register_plan_builder,
-    resolve_backend,
-)
+from repro.core.backend import MULTICORE, REFERENCE, get_kernel, resolve_backend
 from repro.core.patterns import resolve_pattern
 from repro.core.plan_cache import PlanCache
 from repro.core.row_block import Dropout, RowBlockStructure
@@ -94,17 +89,17 @@ class AttentionPlan:
     """A compiled attention pass over one layout, with its backward.
 
     Every registry lookup happens once, at construction.  On the CSR
-    layout's staged chain, ``fused=True`` (the fast builder) runs the
-    softmax in place on the compressed score buffer — the probabilities
-    overwrite the scores, so no intermediate tensor is ever allocated
-    between the stages; ``fused=False`` (the reference builder) dispatches
+    layout's staged chain, a fused plan (every backend but ``reference``)
+    runs the softmax in place on the compressed score buffer — the
+    probabilities overwrite the scores, so no intermediate tensor is ever
+    allocated between the stages; the unfused ``reference`` plan dispatches
     the registered per-stage kernels and is the oracle the parity suite
     compares against.
     """
 
-    def __init__(self, key: PlanKey, fused: bool) -> None:
+    def __init__(self, key: PlanKey) -> None:
         self.key = key
-        self.fused = fused
+        self.fused = key.backend != REFERENCE
         backend = key.backend
         if key.layout == "nm":
             self._nm_forward = get_kernel("nm_attention", backend)
@@ -138,12 +133,15 @@ class AttentionPlan:
         The single execution seam of the stages.  ``layout`` is a compressed
         layout and ``arrays`` are ``(..., rows, cols)`` operands
         (or ``None``) sharing its batch shape; ``fn`` returns ``None``, an
-        array or a tuple of arrays with that batch shape.  A backend that
-        executes plans differently overrides only this method — the
-        multicore plan runs ``fn`` on batch tiles
-        (``layout.batch_slice``) over its worker pool and joins the results.
+        array or a tuple of arrays with that batch shape.  On ``multicore``
+        :func:`~repro.core.multicore.map_tiles` runs ``fn`` on batch tiles
+        (``layout.batch_slice``) over the worker pool and joins the results.
         """
         with self._trace_labels():
+            if self.key.backend == MULTICORE:
+                from repro.core.multicore import map_tiles
+
+                return map_tiles(stage, layout, fn, *arrays)
             return fn(layout, *arrays)
 
     # ------------------------------------------------------------------ fwd
@@ -359,30 +357,13 @@ class AttentionPlan:
         return f"AttentionPlan({self.key!r}, {mode})"
 
 
-@register_plan_builder(FAST)
-def _build_fast_plan(key: PlanKey) -> AttentionPlan:
-    """Fast backend: fused single-pass plan with in-place softmax."""
-    return AttentionPlan(key, fused=True)
-
-
-@register_plan_builder(REFERENCE)
-def _build_reference_plan(key: PlanKey) -> AttentionPlan:
-    """Reference backend: per-stage plan dispatching the loop-oracle kernels."""
-    return AttentionPlan(key, fused=False)
-
-
 # --------------------------------------------------------------------- cache
 _PLAN_CACHE_MAX = 64
 
 
-def build_plan(key: PlanKey) -> AttentionPlan:
-    """Compile a plan for ``key`` via its backend's registered builder (uncached)."""
-    return get_plan_builder(key.backend)(key)
-
-
 #: Process-wide LRU of compiled plans (see :class:`repro.core.plan_cache.PlanCache`).
 PLAN_CACHE: PlanCache[PlanKey, AttentionPlan] = PlanCache(
-    build_plan, max_entries=_PLAN_CACHE_MAX
+    AttentionPlan, max_entries=_PLAN_CACHE_MAX
 )
 
 

@@ -26,6 +26,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from repro.core.nm_attention import _PaddedKeys, pad_keys
 from repro.core.patterns import default_pattern_for_dtype, resolve_pattern
 from repro.core.sddmm import sddmm_nm
 from repro.core.softmax import sparse_softmax
@@ -44,10 +45,18 @@ def GEMM(
 
     ``nonzeros`` is the compressed score matrix (an
     :class:`~repro.core.sparse.NMSparseMatrix`); ``metadata`` is the packed
-    uint16 metadata stream the hardware kernel would write to DRAM.  The key
-    length must be a multiple of M.
+    uint16 metadata stream the hardware kernel would write to DRAM.  A key
+    length that is not a multiple of M is padded to whole M-groups with
+    masked keys, which carry zero weight, as in the N:M forward.
     """
-    sparse_scores = sddmm_nm(query, key, pattern=pattern, dtype=dtype, scale=scale)
+    pattern = default_pattern_for_dtype(dtype) if pattern is None else resolve_pattern(pattern)
+    n_keys = np.shape(key)[-2]
+    n_k = pattern.padded(n_keys)
+    padded = _PaddedKeys(n_keys, None) if n_k != n_keys else None
+    sparse_scores = sddmm_nm(
+        query, pad_keys(key, n_k), pattern=pattern, dtype=dtype, scale=scale,
+        block_mask=padded,
+    )
     return sparse_scores, sparse_scores.packed_metadata()
 
 
@@ -63,6 +72,7 @@ def SpMM(attn: NMSparseMatrix, metadata: np.ndarray, value: np.ndarray) -> np.nd
 
     ``metadata`` is accepted (and sanity-checked) for signature compatibility
     with the paper's snippet; the compressed matrix already carries it.
+    ``value`` is padded with zero rows to the matrix's padded key count.
     """
     if not isinstance(attn, NMSparseMatrix):
         raise TypeError("dspattn.SpMM expects the compressed matrix returned by dspattn.Softmax")
@@ -74,6 +84,8 @@ def SpMM(attn: NMSparseMatrix, metadata: np.ndarray, value: np.ndarray) -> np.nd
                 f"metadata shape {metadata.shape} does not match the compressed matrix "
                 f"(expected {expected.shape})"
             )
+    if np.shape(value)[-2] < attn.dense_cols:
+        value = pad_keys(value, attn.dense_cols)
     return spmm(attn, value)
 
 

@@ -425,11 +425,11 @@ class NystromformerCore(AttentionCore):
         return seg.mean(axis=-2)
 
     def _pinv(self, a: Tensor) -> Tensor:
-        at = a.swapaxes(-1, -2)
-        scale = float(
-            np.max(np.sum(np.abs(a.data), axis=-2)) * np.max(np.sum(np.abs(a.data), axis=-1))
-        )
-        z = at * (1.0 / max(scale, 1e-8))
+        # one Newton–Schulz scale per slice: no slice depends on the batch
+        mag = np.abs(a.data)
+        scale = np.max(mag.sum(-2, keepdims=True), -1, keepdims=True) * np.max(
+            mag.sum(-1, keepdims=True), -2, keepdims=True)
+        z = a.swapaxes(-1, -2) * (1.0 / np.maximum(scale, 1e-8))
         eye = Tensor(np.eye(a.shape[-1], dtype=np.float32))
         for _ in range(self.pinv_iters):
             az = a @ z

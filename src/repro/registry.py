@@ -423,12 +423,12 @@ class MechanismSpec:
     produces_mask: bool = False
     compressed: bool = False
     supports_block_mask: bool = False
-    #: whether the serving layer (:mod:`repro.serve`) may coalesce requests of
-    #: this mechanism into one ragged padded-CSR batch.  True for mask-based
-    #: mechanisms whose ``attention_mask(q, k)`` fully determines the
-    #: computation; mechanisms without a mask (or whose pipeline is not the
-    #: masked-softmax one, e.g. Linformer's projection) fall back to
-    #: per-request execution.
+    #: whether the serving layer (:mod:`repro.serve`) may stack requests of
+    #: this mechanism into one plan call (:mod:`repro.serve.batcher`): DFSS
+    #: on an N:M plan, static masks on a row-block plan, content-dependent
+    #: masks on a padded-CSR plan.  True for DFSS and for the mask-based
+    #: mechanisms whose mask fully determines the computation; the others
+    #: (e.g. Linformer's projection) fall back to per-request execution.
     batchable: bool = False
     #: whether the mask depends only on (config, sequence lengths) — never on
     #: the request content — so the serving structure cache may reuse one

@@ -11,7 +11,7 @@ from repro.analysis.sanitize import (
     sanitize_enabled,
 )
 from repro.core.padded_csr import PaddedCSRMatrix
-from repro.core.plan import PlanKey, build_plan
+from repro.core.plan import AttentionPlan, PlanKey
 from repro.core.softmax import MASKED_LOGIT_THRESHOLD
 from repro.core.sparse import NMSparseMatrix
 from repro.nn.autograd import Tensor
@@ -39,7 +39,7 @@ def _nm_plan():
         dtype="float32",
         shape_class=(8, 16, 8),
     )
-    return build_plan(key)  # uncached: safe to monkey with its kernels
+    return AttentionPlan(key)  # uncached: safe to monkey with its kernels
 
 
 def _csr_plan():
@@ -52,7 +52,7 @@ def _csr_plan():
         dtype="float32",
         shape_class=(8, 16, structure.values.shape[-1]),
     )
-    return build_plan(key), structure
+    return AttentionPlan(key), structure
 
 
 class TestModeSwitch:
@@ -128,7 +128,7 @@ class TestPlantedNonFiniteInputs:
             mechanism="dfss_2:4", layout="nm", backend=backend, dtype="float32",
             shape_class=(8, 16, 8),
         )
-        return build_plan(key)
+        return AttentionPlan(key)
 
     @pytest.mark.parametrize("backend", ["fast", "reference"])
     def test_nan_query_row_is_not_a_leak(self, sanitize, backend):

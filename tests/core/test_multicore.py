@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro.core.attention import dfss_attention
-from repro.core.backend import FAST, MULTICORE
+from repro.core.backend import FAST, MULTICORE, get_kernel
 from repro.core.multicore import (
     WORKERS_ENV_VAR,
     WorkerPool,
@@ -473,6 +473,34 @@ class TestRaggedAndFullyMaskedRows:
             arms[backend] = (out.data, q.grad, k.grad, v.grad)
         for a, b in zip(arms[FAST], arms[MULTICORE]):
             np.testing.assert_array_equal(a, b)
+
+
+class TestRegisteredKernels:
+    @pytest.mark.parametrize("kernel", ["nm_attention", "nm_attention_bwd"])
+    def test_multicore_registers_its_own_nm_kernels(self, kernel):
+        assert get_kernel(kernel, MULTICORE) is not get_kernel(kernel, FAST)
+
+    def test_traced_train_step_kernel_spans_match_fast(self, two_workers):
+        """The registry's tracing wrapper emits the multicore N:M spans: the
+        backend differs from ``fast``, the span arguments do not."""
+        q, k, v = _qkv()
+        spans = {}
+        for backend in (FAST, MULTICORE):
+            qt, kt, vt = (Tensor(a, requires_grad=True) for a in (q, k, v))
+            with trace() as active:
+                out, _ = dfss_sparse_attention(qt, kt, vt, pattern="2:4", backend=backend)
+                (out * out).sum().backward()
+            spans[backend] = {
+                e["name"]: e["args"]
+                for e in active.payload()["traceEvents"]
+                if e.get("cat") == "kernel"
+                and e.get("name") in ("nm_attention", "nm_attention_bwd")
+            }
+        assert set(spans[MULTICORE]) == {"nm_attention", "nm_attention_bwd"}
+        for name, args in spans[MULTICORE].items():
+            fast_args = dict(spans[FAST][name])
+            assert (args.pop("backend"), fast_args.pop("backend")) == (MULTICORE, FAST)
+            assert "tiles" in args and args == fast_args, name
 
 
 class TestTraceIntegration:

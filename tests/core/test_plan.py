@@ -1,24 +1,18 @@
 """Tests for the compiled plan/execute layer (:mod:`repro.core.plan`).
 
-Covers the backend plan-builder registry seam, the LRU plan cache and its
-hit/miss accounting, and the :meth:`AttentionEngine.plan` façade.
+Covers plan construction per backend, the LRU plan cache and its hit/miss
+accounting, and the :meth:`AttentionEngine.plan` façade.
 """
 
 import numpy as np
 import pytest
 
-from repro.core.backend import (
-    FAST,
-    REFERENCE,
-    available_plan_backends,
-    get_plan_builder,
-)
+from repro.core.backend import FAST, MULTICORE, REFERENCE
 from repro.core.padded_csr import PaddedCSRMatrix
 from repro.core.patterns import PATTERN_2_4
 from repro.core.plan import (
     AttentionPlan,
     PlanKey,
-    build_plan,
     clear_plan_cache,
     plan_cache_stats,
     plan_for_nm,
@@ -42,23 +36,20 @@ def _qkv(seq=16, d=8, seed=0):
 
 
 class TestPlanBuilders:
-    def test_both_backends_register_builders(self):
-        assert set(available_plan_backends()) >= {REFERENCE, FAST}
-
     def test_fast_builds_fused_reference_builds_staged(self):
-        key = PlanKey("dfss_2:4", "nm", FAST, "float32", (16, 16, 8))
-        assert build_plan(key).fused is True
-        ref_key = PlanKey("dfss_2:4", "nm", REFERENCE, "float32", (16, 16, 8))
-        assert build_plan(ref_key).fused is False
+        for backend, fused in ((FAST, True), (MULTICORE, True), (REFERENCE, False)):
+            key = PlanKey("dfss_2:4", "nm", backend, "float32", (16, 16, 8))
+            assert AttentionPlan(key).fused is fused
 
     def test_unknown_backend_rejected(self):
+        key = PlanKey("dfss_2:4", "nm", "warp", "float32", (16, 16, 8))
         with pytest.raises(ValueError, match="unknown backend"):
-            get_plan_builder("warp")
+            AttentionPlan(key)
 
     def test_unknown_layout_rejected(self):
         key = PlanKey("dfss_2:4", "blocked", FAST, "float32", (16, 16, 8))
         with pytest.raises(ValueError, match="unknown plan layout"):
-            AttentionPlan(key, fused=True)
+            AttentionPlan(key)
 
     def test_csr_plan_requires_structure_to_score(self):
         mask = np.eye(8, dtype=bool)
@@ -105,9 +96,9 @@ class TestPlanCache:
             "size": 0, "hits": 0, "misses": 0, "evictions": 0,
         }
 
-    def test_build_plan_is_uncached(self):
+    def test_constructed_plans_are_uncached(self):
         key = PlanKey("dfss_2:4", "nm", FAST, "float32", (16, 16, 8))
-        assert build_plan(key) is not build_plan(key)
+        assert AttentionPlan(key) is not AttentionPlan(key)
         assert plan_cache_stats()["size"] == 0
 
 

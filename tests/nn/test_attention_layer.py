@@ -58,6 +58,19 @@ class TestCores:
         out = FullCore()(q, k, ones)
         np.testing.assert_allclose(out.data, 1.0, atol=1e-5)
 
+    @pytest.mark.parametrize("mechanism", ["nystromformer", "nystromformer_dfss"])
+    def test_nystrom_batch_equals_slices_run_alone(self, mechanism):
+        # one slice's queries scaled up: a batch-wide pseudo-inverse scale
+        # would leak it into the other slice's output
+        rng = np.random.default_rng(0)
+        q, k, v = (rng.standard_normal((2, 64, 16)).astype(np.float32) for _ in range(3))
+        q[1] *= 4
+        core = make_core(mechanism, seq_len_hint=64, num_landmarks=8)
+        batch = core(Tensor(q), Tensor(k), Tensor(v)).data
+        for b in range(2):
+            alone = core(Tensor(q[b:b + 1]), Tensor(k[b:b + 1]), Tensor(v[b:b + 1])).data
+            assert np.array_equal(batch[b:b + 1], alone), b
+
     def test_mechanism_gradients_flow_to_queries(self):
         for mechanism in ("dfss_2:4", "performer", "nystromformer", "linformer"):
             q, k, v = _qkv(seed=6)

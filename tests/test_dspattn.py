@@ -25,6 +25,13 @@ class TestFigure3Api:
         out = dspattn.SpMM(attn, metadata, v)
         np.testing.assert_allclose(out, dfss_attention(q, k, v, pattern="2:4"), atol=1e-5)
 
+    @pytest.mark.parametrize("seq, pattern", [(130, "2:4"), (129, "1:2")])
+    def test_key_length_not_a_multiple_of_m(self, seq, pattern):
+        q, k, v = _qkv(seq=seq)
+        nonzeros, metadata = dspattn.GEMM(q, k, pattern=pattern)
+        out = dspattn.SpMM(dspattn.Softmax(nonzeros), metadata, v)
+        np.testing.assert_allclose(out, dfss_attention(q, k, v, pattern=pattern), atol=1e-5)
+
     def test_gemm_returns_compressed_matrix_and_metadata(self):
         q, k, _ = _qkv()
         nonzeros, metadata = dspattn.GEMM(q, k, dtype="bfloat16")

@@ -78,3 +78,18 @@ def test_runtime_packages_do_not_import_scipy():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert result.stdout.strip() == "False"
+
+
+def test_runtime_packages_do_not_import_multicore():
+    """The multicore kernels register on the first ``multicore`` kernel
+    lookup; importing the runtime packages must not start that module."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = (
+        "import sys, repro, repro.engine, repro.nn, repro.serve; "
+        "print('repro.core.multicore' in sys.modules)"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "False"
