@@ -27,7 +27,8 @@ probabilities.  The N:M training op stores none: its backward is the
 ``nm_attention_bwd`` kernel (:mod:`repro.core.nm_attention`), which
 re-scores and re-selects every row tile from the forward's per-row softmax
 statistics, and the static masks' row-block layout has its own backward
-kernel (:mod:`repro.core.row_block`).  ``attention_bwd`` still accepts
+kernel (:mod:`repro.core.row_block`), which re-scores every block too.
+``attention_bwd`` still accepts
 N:M probabilities (``reference`` composes the same primitives that are the
 ``nm_attention_bwd`` oracle).
 """

@@ -14,9 +14,9 @@ interchangeable implementations ("backends") registered against it:
   as the numerical oracle for every other backend.
 * ``fast`` — fully batched implementations with no Python-level loops over
   batch or head dimensions, used by default everywhere.
-* ``multicore`` — the ``fast`` kernels with the N:M pair
-  (``nm_attention``, ``nm_attention_bwd``) run as tiles on a thread pool
-  (:mod:`repro.core.multicore`).  Any kernel it does not register falls
+* ``multicore`` — the ``fast`` kernels with the fused pairs (``nm_attention``,
+  ``row_block_attention`` and their backwards) run as tiles on a thread
+  pool (:mod:`repro.core.multicore`).  Any kernel it does not register falls
   back to ``fast``.  Its module is imported by :func:`get_kernel` on the
   first ``multicore`` lookup, never at package import.
 

@@ -14,12 +14,12 @@ Three layouts carry attention scores, one per kind of mask:
 
 * :class:`repro.core.sparse.NMSparseMatrix` — the hardware N:M layout with a
   constant ``kept = cols // M * N`` lanes per row (the DFSS epilogue output);
-* :class:`repro.core.row_block.RowBlockMatrix` — the static masks (local,
-  strided, truncated, Longformer, BigBird): per 64-row query block, the key
-  ranges the block reads and its allowed sub-mask, declared by the mechanism
-  and built without a dense mask.  It stores whole block tiles rather than
-  per-row lanes, so it does not implement this protocol; its own
-  ``row_block_attention`` kernels run it forward and backward;
+* :class:`repro.core.row_block.RowBlockStructure` — the static masks
+  (local, strided, truncated, Longformer, BigBird): per 64-row query block,
+  the key ranges the block reads and its allowed sub-mask, declared by the
+  mechanism and built without a dense mask.  It stores no values (its own
+  ``row_block_attention`` kernels score whole block tiles and recompute
+  them in the backward), so it does not implement this protocol;
 * :class:`repro.core.padded_csr.PaddedCSRMatrix` — per-row *variable* nnz
   padded to the widest row, the layout the content-dependent masks (TopK,
   Reformer, Routing, Sinkhorn) and explicit boolean masks compress into.

@@ -3,16 +3,16 @@
 The ``multicore`` backend is the ``fast`` backend with two changes, both
 reached through the ordinary :class:`~repro.core.plan.AttentionPlan`:
 
-* its own ``nm_attention`` / ``nm_attention_bwd`` kernels, registered here,
-  run the fast jobs' (:class:`~repro.core.nm_attention.NMForwardJob`,
-  :class:`~repro.core.nm_attention.NMBackwardJob`) row tiles and batch
-  slices on the pool, each worker borrowing one tile buffer.  Every other
-  kernel falls back to ``fast``;
-* :func:`map_tiles`, which the plan's ``_map`` calls for the staged
-  layouts, cuts the flattened batch×head dimension into contiguous slices
-  (:func:`tile_slices`), calls the stage's ``fn`` on each tile —
-  ``layout.batch_slice(sl)`` plus zero-copy slices of the operands — on the
-  pool, and concatenates the tile results.
+* its own fused kernels, registered here (``nm_attention``,
+  ``row_block_attention`` and their backwards), build the fast kernel's job
+  and run its tiles on the pool through one driver, :func:`_run_job`, each
+  worker borrowing one tile buffer.  Every other kernel falls back to
+  ``fast``;
+* :func:`map_tiles`, which the plan's ``_map`` calls for the stages of the
+  padded-CSR layout only, cuts the flattened batch×head dimension into
+  contiguous slices (:func:`tile_slices`), calls the stage's ``fn`` on each
+  tile — ``layout.batch_slice(sl)`` plus zero-copy slices of the operands —
+  on the pool, and concatenates the tile results.
 
 The kernel registry imports this module on the first ``multicore`` lookup,
 never at package import.
@@ -21,7 +21,8 @@ never at package import.
 fast kernel in the chain is per-leading-slice independent — batched BLAS
 matmuls dispatch one GEMM per slice, and every reduction runs over trailing
 extents the slice itself fixes — so tiling the leading dimension cannot
-perturb a bit.  The one genuine hazard, the masked softmax's dispatch
+perturb a bit, and a fused job's tiles run the fast code on disjoint parts
+of its outputs.  The one genuine hazard, the masked softmax's dispatch
 between summation orders, is decided by the plan once for the whole batch
 before ``_map`` runs (see :meth:`AttentionPlan.compute_probs
 <repro.core.plan.AttentionPlan.compute_probs>`).
@@ -38,8 +39,8 @@ stealing.  While a trace session is active each tile runs inside an
 ``mc_tile`` span on its worker's own tid lane (carrying the stage, tile
 index, slice range, shape, and pool size), with the submitting thread's
 phase and plan labels re-applied so worker-lane events stay attributable.
-The N:M kernels' own ``nm_attention`` / ``nm_attention_bwd`` spans are
-emitted by the registry's tracing wrapper, as for every other backend.
+The fused kernels' own spans (``nm_attention``, ``row_block_attention``, …)
+are emitted by the registry's tracing wrapper, as for every other backend.
 The serving batcher's stacked request groups are ordinary plan calls, so
 they tile like any other batch.
 """
@@ -55,6 +56,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.core import row_block
 from repro.core.backend import MULTICORE, register_kernel
 from repro.core.blocked_ell import BlockedEllMask
 from repro.core.nm_attention import (
@@ -307,8 +309,7 @@ def map_tiles(stage: str, layout, fn: Callable, *arrays):
         for a in arrays
     ]
     tiles = [layout.batch_slice(sl) for sl in slices]
-    ref = operands[0] if layout.values is None else layout.values
-    trailing = np.shape(ref)[len(batch_shape):]
+    trailing = np.shape(layout.values)[len(batch_shape):]
 
     def tile_thunk(sl: slice, tile):
         return lambda: fn(tile, *(None if a is None else a[sl] for a in flat))
@@ -329,14 +330,14 @@ def map_tiles(stage: str, layout, fn: Callable, *arrays):
     return _join(parts, batch_shape)
 
 
-# ------------------------------------------------------------ N:M kernels
-def _run_job(stage: str, job, tiles, rows) -> None:
-    """``job.run(tile, buf)`` for every tile on the shared pool; each worker
-    borrows one buffer set from ``job.new_buffer()`` for the tiles it runs.
-    ``rows`` holds each tile's ``(slice, first row, stop row)``."""
+# ---------------------------------------------------------- fused kernels
+def _run_job(stage: str, job, spans: Sequence[Tuple[str, str]]):
+    """``job.run(tile, buf)`` for every tile on the shared pool, each worker
+    borrowing one ``job.new_buffer()``, then ``job.result()``.  ``spans``
+    holds each tile's ``(rows, shape)`` trace labels."""
     pool = get_pool()
-    buffers: "queue.SimpleQueue[Tuple[np.ndarray, ...]]" = queue.SimpleQueue()
-    for _ in range(min(pool.workers, len(tiles))):
+    buffers: "queue.SimpleQueue[Any]" = queue.SimpleQueue()
+    for _ in range(min(pool.workers, len(job.tiles))):
         buffers.put(job.new_buffer())
 
     def tile_thunk(tile):
@@ -349,25 +350,19 @@ def _run_job(stage: str, job, tiles, rows) -> None:
         return thunk
 
     metas = [
-        {"stage": stage, "tile": i, "rows": f"{b}:{r0}:{r1}", "shape": f"{r1 - r0}x{job.n_k}"}
-        for i, (b, r0, r1) in enumerate(rows)
+        {"stage": stage, "tile": i, "rows": rows, "shape": shape}
+        for i, (rows, shape) in enumerate(spans)
     ]
-    pool.run([tile_thunk(tile) for tile in tiles], spans=metas)
+    pool.run([tile_thunk(tile) for tile in job.tiles], spans=metas)
+    return job.result()
 
 
 @register_kernel("nm_attention", MULTICORE)
 def _nm_attention_multicore(
-    q: np.ndarray,
-    k: np.ndarray,
-    v: np.ndarray,
-    pattern=None,
-    scale: Optional[float] = None,
-    dtype: str = "float32",
-    criterion: str = "value",
-    block_mask: Optional[BlockedEllMask] = None,
-    return_probs: bool = False,
-    dropout: Optional[Dropout] = None,
-    return_stats: bool = False,
+    q: np.ndarray, k: np.ndarray, v: np.ndarray, pattern=None, scale: Optional[float] = None,
+    dtype: str = "float32", criterion: str = "value",
+    block_mask: Optional[BlockedEllMask] = None, return_probs: bool = False,
+    dropout: Optional[Dropout] = None, return_stats: bool = False,
 ) -> Tuple[np.ndarray, Union[NMSparseMatrix, NMStats, None]]:
     """The fast kernel's row tiles, on the pool.  The tile list depends only
     on the geometry and each tile runs the fast code, so the output is
@@ -377,8 +372,9 @@ def _nm_attention_multicore(
         block_mask=block_mask, return_probs=return_probs, dropout=dropout,
         return_stats=return_stats,
     )
-    _run_job("nm_attention", job, job.tiles, job.tiles)
-    return job.result()
+    return _run_job("nm_attention", job, [
+        (f"{b}:{r0}:{r1}", f"{r1 - r0}x{job.n_k}") for b, r0, r1 in job.tiles
+    ])
 
 
 _nm_attention_multicore.span_args = tile_span_args
@@ -386,20 +382,10 @@ _nm_attention_multicore.span_args = tile_span_args
 
 @register_kernel("nm_attention_bwd", MULTICORE)
 def _nm_attention_bwd_multicore(
-    q: np.ndarray,
-    k: np.ndarray,
-    v: np.ndarray,
-    d_out: np.ndarray,
-    out: np.ndarray,
-    shift: np.ndarray,
-    denom: np.ndarray,
-    selection: np.ndarray,
-    pattern=None,
-    scale: Optional[float] = None,
-    dtype: str = "float32",
-    criterion: str = "value",
-    block_mask: Optional[BlockedEllMask] = None,
-    dropout: Optional[Dropout] = None,
+    q: np.ndarray, k: np.ndarray, v: np.ndarray, d_out: np.ndarray, out: np.ndarray,
+    shift: np.ndarray, denom: np.ndarray, selection: np.ndarray, pattern=None,
+    scale: Optional[float] = None, dtype: str = "float32", criterion: str = "value",
+    block_mask: Optional[BlockedEllMask] = None, dropout: Optional[Dropout] = None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The fast backward's batch slices, on the pool.  Each slice walks its
     row blocks in the fast order and writes its own rows of dQ, dK and dV,
@@ -408,8 +394,45 @@ def _nm_attention_bwd_multicore(
         q, k, v, d_out, out, shift, denom, selection, pattern=pattern, scale=scale,
         dtype=dtype, criterion=criterion, block_mask=block_mask, dropout=dropout,
     )
-    _run_job("nm_attention_bwd", job, job.slices, [(b, 0, job.n_q) for b in job.slices])
-    return job.result()
+    return _run_job("nm_attention_bwd", job, [
+        (f"{b}:0:{job.n_q}", f"{job.n_q}x{job.n_k}") for b in job.tiles
+    ])
 
 
 _nm_attention_bwd_multicore.span_args = bwd_span_args
+
+
+@register_kernel("row_block_attention", MULTICORE)
+def _row_block_attention_multicore(
+    q: np.ndarray, k: np.ndarray, v: np.ndarray, structure: row_block.RowBlockStructure,
+    scale: Optional[float] = None, dropout: Optional[Dropout] = None, return_stats: bool = False,
+) -> Tuple[np.ndarray, Optional[row_block.RowBlockStats]]:
+    """The fast kernel's blocks, on the pool.  Each block runs the fast code
+    for the whole batch and writes its own output rows, so the output is
+    bitwise equal to ``fast`` whatever the worker count."""
+    job = row_block.forward_job(q, k, v, structure, scale, dropout, return_stats)
+    return _run_job("row_block_attention", job, [
+        (f"{b.start}:{b.stop}", f"{b.rows}x{b.width}") for b in job.tiles
+    ])
+
+
+_row_block_attention_multicore.span_args = row_block.span_args
+
+
+@register_kernel("row_block_attention_bwd", MULTICORE)
+def _row_block_attention_bwd_multicore(
+    q: np.ndarray, k: np.ndarray, v: np.ndarray, d_out: np.ndarray, out: np.ndarray,
+    shift: np.ndarray, denom: np.ndarray, structure: row_block.RowBlockStructure,
+    scale: Optional[float] = None, dropout: Optional[Dropout] = None,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The fast backward's batch slices, on the pool.  Each slice walks every
+    block in the fast order and writes its own dQ, dK and dV, so the
+    gradients are bitwise equal to ``fast`` whatever the worker count."""
+    job = row_block.backward_job(q, k, v, d_out, out, shift, denom, structure, scale, dropout)
+    shape = f"{structure.n_q}x{structure.n_k}"
+    return _run_job("row_block_attention_bwd", job, [
+        (f"{b}:0:{structure.n_q}", shape) for b in job.tiles
+    ])
+
+
+_row_block_attention_bwd_multicore.span_args = row_block.bwd_span_args

@@ -112,6 +112,7 @@ __all__ = [
     "dropout_keep",
     "pad_keys",
     "row_blocks",
+    "run_inline",
     "tile_span_args",
 ]
 
@@ -534,8 +535,8 @@ class NMBackwardJob(_LaneTiles):
 
     dK and dV accumulate in lane-major key order over the row blocks, in a
     fixed order that depends only on the geometry, and are written back in
-    key order once per slice.  Slices are independent, so any executor may
-    run them in any order.
+    key order once per slice.  The :attr:`tiles` are the batch slices;
+    they are independent, so any executor may run them in any order.
     """
 
     def __init__(
@@ -562,7 +563,7 @@ class NMBackwardJob(_LaneTiles):
         self._o = as_batched_3d(np.asarray(out, dtype=np.float32))[0]
         self._shift = np.asarray(shift, dtype=np.float32).reshape(batch, n_q, 1)
         self._denom = np.asarray(denom, dtype=np.float32).reshape(batch, n_q, 1)
-        self.slices = range(batch)
+        self.tiles = range(batch)
         self._dq = np.empty(self._q.shape, dtype=np.float32)
         # zero-filled for a slice without query rows, which no block writes
         self._dk = np.zeros(self._k.shape, dtype=np.float32)
@@ -666,6 +667,15 @@ def _matmul_into(dst: np.ndarray, first: bool, a: np.ndarray, b: np.ndarray) -> 
         dst += np.matmul(a, b)
 
 
+def run_inline(job):
+    """``fast``'s executor of the N:M and row-block jobs: every tile in order
+    on the calling thread, in one ``job.new_buffer()``, then ``job.result()``."""
+    buf = job.new_buffer()
+    for tile in job.tiles:
+        job.run(tile, buf)
+    return job.result()
+
+
 @register_kernel("nm_attention", FAST)
 def _nm_attention_fast(
     q: np.ndarray,
@@ -686,10 +696,7 @@ def _nm_attention_fast(
         block_mask=block_mask, return_probs=return_probs, dropout=dropout,
         return_stats=return_stats,
     )
-    buf = job.new_buffer()
-    for tile in job.tiles:
-        job.run(tile, buf)
-    return job.result()
+    return run_inline(job)
 
 
 def _tile_geometry(q, k, pattern, dtype):
@@ -811,10 +818,7 @@ def _nm_attention_bwd_fast(
         q, k, v, d_out, out, shift, denom, selection, pattern=pattern, scale=scale,
         dtype=dtype, criterion=criterion, block_mask=block_mask, dropout=dropout,
     )
-    buf = job.new_buffer()
-    for b in job.slices:
-        job.run(b, buf)
-    return job.result()
+    return run_inline(job)
 
 
 def bwd_span_args(q, k, v, d_out, out, shift, denom, selection, pattern=None, scale=None,

@@ -23,8 +23,8 @@ compiles the chain once per layout and geometry:
   array, which the softmax overwrites in place), and its summation-order
   branch is decided once for the whole batch.
   The row-block layout of the static masks (:mod:`repro.core.row_block`)
-  runs its ``row_block_attention`` kernels through the same seam, forward
-  and backward.
+  resolves its own ``row_block_attention`` pair, which the plan calls
+  directly as it does the N:M pair, training on per-row statistics too.
 * :func:`plan_for_nm` / :func:`plan_for_blocks` / :func:`plan_for_structure`
   — the cached constructors every layer shares: the autograd ops,
   ``engine.AttentionEngine``, the static-mask mechanisms, the serving
@@ -34,9 +34,9 @@ There is one plan class for every backend: a backend is the kernels the
 plan resolves for it (:func:`~repro.core.backend.get_kernel`).  Only
 ``reference`` plans are unfused: their CSR chain dispatches the ordinary
 registry kernels stage by stage and acts as the parity oracle.  On
-``multicore`` (:mod:`repro.core.multicore`) the N:M kernels run their tiles
-on a worker pool, and :meth:`AttentionPlan._map` runs each staged layout's
-stage as batch tiles on the same pool.
+``multicore`` (:mod:`repro.core.multicore`) the N:M and row-block kernels
+run their tiles on a worker pool, and :meth:`AttentionPlan._map` runs each
+CSR stage as batch tiles on the same pool.
 
 Bitwise parity between them is by construction, not by accident: the
 fused plan calls the *same* registered kernel functions and the same softmax
@@ -128,7 +128,7 @@ class AttentionPlan:
         )
 
     def _map(self, stage: str, layout, fn: Callable, *arrays):
-        """Run one stage: ``fn(layout, *arrays)``.
+        """Run one CSR stage: ``fn(layout, *arrays)``.
 
         The single execution seam of the stages.  ``layout`` is a compressed
         layout and ``arrays`` are ``(..., rows, cols)`` operands
@@ -246,30 +246,26 @@ class AttentionPlan:
         ``nm_attention_bwd`` kernel, which re-scores and recomputes the
         probabilities tile by tile from the per-row statistics and the
         selection, the forward output ``out`` and the forward's
-        ``dropout`` (``(seed, p)``).  Row-block plans take the block
-        probabilities and run ``row_block_attention_bwd``, which also
-        re-derives the keep mask from ``dropout``.  CSR plans take the
-        compressed probabilities and the ``drop_keep`` array over their
-        lanes, and run ``attention_bwd``.
+        ``dropout`` (``(seed, p)``).  Row-block plans take the forward's
+        :class:`~repro.core.row_block.RowBlockStats` and run
+        ``row_block_attention_bwd``, which re-scores each block the same
+        way.  CSR plans take the compressed probabilities and the
+        ``drop_keep`` array over their lanes, and run ``attention_bwd``.
         """
-        if self.key.layout == "nm":
+        if self.key.layout != "csr":
+            operands = [guard_input(x) for x in (q, k, v, d_out, out)]
             with self._trace_labels():
-                grads = self._nm_bwd(
-                    guard_input(q), guard_input(k), guard_input(v), guard_input(d_out),
-                    guard_input(out), saved.shift, saved.denom, saved.selection,
-                    pattern=self._pattern, scale=scale, dtype=self.key.dtype,
-                    criterion=saved.criterion, block_mask=saved.block_mask, dropout=dropout,
-                )
-            return check_grads(grads, "attention gradient", inputs=(q, k, v, d_out))
-        if self.key.layout == "row_block":
-            def row_block_attention_bwd(tile, q, k, v, d_out, out):
-                return self._row_block_bwd(tile, q, k, v, d_out, scale, dropout, out)
-
-            grads = self._map(
-                "row_block_attention_bwd", saved, row_block_attention_bwd,
-                guard_input(q), guard_input(k), guard_input(v), guard_input(d_out),
-                guard_input(out),
-            )
+                if self.key.layout == "nm":
+                    grads = self._nm_bwd(
+                        *operands, saved.shift, saved.denom, saved.selection,
+                        pattern=self._pattern, scale=scale, dtype=self.key.dtype,
+                        criterion=saved.criterion, block_mask=saved.block_mask,
+                        dropout=dropout,
+                    )
+                else:
+                    grads = self._row_block_bwd(
+                        *operands, saved.shift, saved.denom, saved.structure, scale, dropout
+                    )
             return check_grads(grads, "attention gradient", inputs=(q, k, v, d_out))
 
         def attention_bwd(tile, q, k, v, d_out, drop_keep, out):
@@ -309,22 +305,29 @@ class AttentionPlan:
         (:class:`~repro.core.nm_attention.NMStats`) that :meth:`backward`
         recomputes the probabilities from.
         Row-block plans run ``row_block_attention`` over ``structure`` (a
-        :class:`~repro.core.row_block.RowBlockStructure`) through
-        :meth:`_map`, with the same ``return_probs`` and ``dropout``.  CSR
+        :class:`~repro.core.row_block.RowBlockStructure`) with the same
+        ``dropout`` and ``return_stats``, and keep no probabilities.  CSR
         plans compose the three stages and take no dropout.
         """
-        if self.key.layout == "row_block":
-            return self._row_block_forward(q, k, v, structure, scale, return_probs, dropout)
-        if self.key.layout == "nm":
+        if self.key.layout == "row_block" and (
+            return_probs or not isinstance(structure, RowBlockStructure)
+        ):
+            raise ValueError("row-block plans run over a RowBlockStructure, keeping no P")
+        if self.key.layout != "csr":
+            operands = [guard_input(x) for x in (q, k, v)]
             with self._trace_labels():
-                out, probs = self._nm_forward(
-                    guard_input(q), guard_input(k), guard_input(v),
-                    pattern=self._pattern, scale=scale, dtype=self.key.dtype,
-                    criterion=criterion, block_mask=block_mask,
-                    return_probs=return_probs, dropout=dropout, return_stats=return_stats,
-                )
+                if self.key.layout == "nm":
+                    out, saved = self._nm_forward(
+                        *operands, pattern=self._pattern, scale=scale, dtype=self.key.dtype,
+                        criterion=criterion, block_mask=block_mask,
+                        return_probs=return_probs, dropout=dropout, return_stats=return_stats,
+                    )
+                else:
+                    out, saved = self._row_block(
+                        *operands, structure, scale, dropout, return_stats
+                    )
             out = check_output(out, "attention output", inputs=(q, k, v))
-            return (out, probs) if return_probs or return_stats else out
+            return (out, saved) if return_probs or return_stats else out
         if dropout is not None:
             raise ValueError("CSR plans apply dropout in contract(drop_keep=...)")
         scores = self.compute_scores(q, k, structure=structure, scale=scale)
@@ -333,21 +336,6 @@ class AttentionPlan:
         if return_probs:
             return out, probs
         return out
-
-    def _row_block_forward(self, q, k, v, structure, scale, return_probs, dropout):
-        if not isinstance(structure, RowBlockStructure):
-            raise ValueError("row-block plans need the RowBlockStructure to run over")
-        q, k, v = guard_input(q), guard_input(k), guard_input(v)
-        blocks = structure.broadcast_to(np.shape(q)[:-2])
-
-        def row_block_attention(tile, q, k, v):
-            return self._row_block(
-                q, k, v, tile, scale=scale, dropout=dropout, return_probs=return_probs
-            )
-
-        out, values = self._map("row_block_attention", blocks, row_block_attention, q, k, v)
-        out = check_output(out, "attention output", inputs=(q, k, v))
-        return (out, blocks.with_values(values)) if return_probs else out
 
     def __call__(self, q, k, v, **kwargs):
         return self.forward(q, k, v, **kwargs)

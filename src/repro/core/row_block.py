@@ -13,25 +13,26 @@ of their own:
   a build costs O(rows + ranges) and no ``n_q × n_k`` array exists.  One
   density rule, :data:`DENSE_FRACTION`, runs a block whose keys exceed ¾ of
   ``n_k`` as a dense tile over all keys (Longformer's global row, for one).
-* :class:`RowBlockMatrix` — a structure broadcast over a batch, optionally
-  carrying the probabilities of every block: ``(..., size)`` values, each
-  block's ``(rows, width)`` tile raveled at its ``offset``.
+* :class:`RowBlockStats` — what the training forward saves for its
+  backward instead of the probabilities: each query row's softmax shift and
+  denominator.
 
 The fast ``row_block_attention`` kernel runs each block the way the N:M
-kernel runs a row tile: ``Q[rows] @ K[keys]ᵀ``, the masked softmax while the
-tile is in cache, seeded dropout hashed on dense positions, then
-``P @ V[keys]`` into a disjoint row block of the output.  The fast
-``row_block_attention_bwd`` walks the same blocks in a fixed order:
-``dV[keys] += Pᵀ dO``, then ``dS``, then ``dQ[rows] = dS K[keys]``, then
-``dK[keys] += dSᵀ Q[rows]``.  Each block handles every batch slice with one
-batched product, and slices never mix, so a stack of requests, a single
-request and a multicore batch tile (:meth:`RowBlockMatrix.batch_slice`) all
-give the same bits.
+kernel runs a row tile: ``Q[rows] @ K[keys]ᵀ`` for every batch slice in one
+batched product, the masked softmax while the tile is in cache, seeded
+dropout hashed on dense positions, then ``P @ V[keys]`` into the block's
+output rows.  ``row_block_attention_bwd`` walks the blocks one batch slice
+at a time, re-scores each and rebuilds P from the forward's per-row
+statistics, as FlashAttention-2 does (https://arxiv.org/abs/2307.08691),
+then runs the four gradient products.  Both are :class:`RowBlockJob` tiles
+(blocks, batch slices) that ``fast`` runs in order and ``multicore`` on its
+worker pool; slices never mix, so a stack of requests, a single request and
+any worker count all give the same bits.
 
 Operands are float32 throughout, with no tensor-core rounding: the engine,
 the server and the training op share this one precision contract.  The
-``reference`` kernels expand every block to the dense masked oracle over all
-``n_k`` keys and are what the parity tests compare the fast ones against.
+``reference`` kernels are the dense masked oracle over the structure's mask,
+which the parity tests compare the fast ones against.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.core.backend import FAST, REFERENCE, register_kernel
+from repro.core.nm_attention import Dropout, run_inline
 from repro.core.sddmm import _prepare_inputs
 from repro.core.softmax import masked_dense_softmax
 from repro.utils.seeding import attention_dropout_keep
@@ -51,8 +53,12 @@ __all__ = [
     "BLOCK_ROWS",
     "DENSE_FRACTION",
     "KeyBlock",
-    "RowBlockMatrix",
+    "RowBlockJob",
+    "RowBlockStats",
     "RowBlockStructure",
+    "backward_job",
+    "bwd_span_args",
+    "forward_job",
     "span_args",
 ]
 
@@ -70,8 +76,6 @@ Ranges = Callable[[int, int], Sequence[Tuple[int, int]]]
 #: ``allowed(rows, keys)``: broadcast boolean predicate over ``(r, 1)`` query
 #: and ``(1, w)`` key indices, True where the query attends to the key.
 Allowed = Callable[[np.ndarray, np.ndarray], np.ndarray]
-#: Seeded attention dropout of one call: ``(seed, p)``.
-Dropout = Tuple[int, float]
 
 
 @dataclass(frozen=True)
@@ -86,8 +90,6 @@ class KeyBlock:
     #: ``(rows, width)`` bool, True where a (row, key) pair is masked out;
     #: ``None`` when the block attends to every pair
     blocked: Optional[np.ndarray]
-    #: first entry of this block's tile in a slice's flat probabilities
-    offset: int
 
     @property
     def rows(self) -> int:
@@ -125,8 +127,6 @@ class RowBlockStructure:
         self.n_q = int(n_q)
         self.n_k = int(n_k)
         self.blocks = tuple(blocks)
-        #: probability entries per batch slice
-        self.size = sum(b.rows * b.width for b in self.blocks)
         self.max_rows = max((b.rows for b in self.blocks), default=0)
         self.max_width = max((b.width for b in self.blocks), default=0)
 
@@ -139,7 +139,6 @@ class RowBlockStructure:
         grid only.
         """
         blocks = []
-        offset = 0
         for start in range(0, n_q, BLOCK_ROWS):
             stop = min(start + BLOCK_ROWS, n_q)
             merged = _merge(ranges(start, stop), n_k)
@@ -158,26 +157,16 @@ class RowBlockStructure:
                 (stop - start, width),
             )
             blocked = None if ok.all() else ~ok
-            blocks.append(KeyBlock(start, stop, keys, width, blocked, offset))
-            offset += (stop - start) * width
+            blocks.append(KeyBlock(start, stop, keys, width, blocked))
         return cls(n_q, n_k, blocks)
-
-    def block_mask(self, block: KeyBlock) -> np.ndarray:
-        """``(rows, n_k)`` dense boolean mask of one block's rows."""
-        mask = np.zeros((block.rows, self.n_k), dtype=bool)
-        mask[:, block.keys] = True if block.blocked is None else ~block.blocked
-        return mask
 
     def to_mask(self) -> np.ndarray:
         """The ``(n_q, n_k)`` dense boolean mask the structure encodes."""
         mask = np.zeros((self.n_q, self.n_k), dtype=bool)
         for block in self.blocks:
-            mask[block.start:block.stop] = self.block_mask(block)
+            allowed = True if block.blocked is None else ~block.blocked
+            mask[block.start:block.stop, block.keys] = allowed
         return mask
-
-    def broadcast_to(self, batch_shape: Tuple[int, ...]) -> "RowBlockMatrix":
-        """This structure over a batch, without values."""
-        return RowBlockMatrix(self, tuple(batch_shape))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -186,55 +175,35 @@ class RowBlockStructure:
         )
 
 
-class RowBlockMatrix:
-    """A :class:`RowBlockStructure` over a batch, with optional block values.
+@dataclass(frozen=True)
+class RowBlockStats:
+    """What the row-block training forward saves for its backward, instead of P:
+    every query row's softmax shift (its max score, 0 for a row that attends
+    to nothing) and denominator (1 for such a row), ``(..., n_q)`` float32.
+    The backward rebuilds ``P = exp(s − shift) / denom`` from them."""
 
-    ``values`` is ``None`` or ``(*batch_shape, size)`` float32: each batch
-    slice holds every block's ``(rows, width)`` tile raveled at the block's
-    offset.  ``first_slice`` is the flattened index of the first batch slice
-    within the call it belongs to; dropout hashes dense positions from it, so
-    a batch tile draws the same keep mask as the whole batch.
-    """
+    structure: RowBlockStructure
+    shift: np.ndarray
+    denom: np.ndarray
 
-    def __init__(
-        self,
-        structure: RowBlockStructure,
-        batch_shape: Tuple[int, ...],
-        values: Optional[np.ndarray] = None,
-        first_slice: int = 0,
-    ) -> None:
-        self.structure = structure
-        self.batch_shape = tuple(batch_shape)
-        self.values = values
-        self.first_slice = int(first_slice)
 
-    def valid_lanes(self) -> None:
-        """No padding lanes: every stored entry belongs to a block tile."""
+@dataclass(frozen=True)
+class RowBlockJob:
+    """A fast row-block call as tiles, in the protocol of the N:M jobs: ``run(tile,
+    buf)`` for every tile, in any order and on any thread, then ``result()``.
+    Tiles write disjoint parts of the outputs their builder allocates."""
+
+    tiles: Sequence
+    run: Callable[[object, None], None]
+    result: Callable[[], tuple]
+
+    def new_buffer(self) -> None:
+        """No buffer to borrow: each block product allocates its own tile."""
         return None
-
-    def with_values(self, values: np.ndarray) -> "RowBlockMatrix":
-        return RowBlockMatrix(self.structure, self.batch_shape, values, self.first_slice)
-
-    def batch_slice(self, sl: slice) -> "RowBlockMatrix":
-        """The flattened batch slices ``sl``; values are a view."""
-        batch = int(np.prod(self.batch_shape, dtype=np.int64))
-        values = None
-        if self.values is not None:
-            values = self.values.reshape(batch, self.structure.size)[sl]
-        return RowBlockMatrix(
-            self.structure, (sl.stop - sl.start,), values, self.first_slice + sl.start
-        )
-
-    def block_values(self, block: KeyBlock) -> np.ndarray:
-        """``(batch, rows, width)`` view of one block's values."""
-        flat = self.values.reshape(-1, self.structure.size)
-        return flat[:, block.offset:block.offset + block.rows * block.width].reshape(
-            -1, block.rows, block.width
-        )
 
 
 # ------------------------------------------------------------------ kernels
-def _operands(q, k, v, blocks: RowBlockMatrix):
+def _operands(q, k, v, structure: RowBlockStructure):
     """``(q3, k3, v3, batch_shape)``, validated against the structure."""
     q3, k3, batch_shape = _prepare_inputs(q, k)
     v3, v_batch = as_batched_3d(np.asarray(v, dtype=np.float32))
@@ -242,7 +211,6 @@ def _operands(q, k, v, blocks: RowBlockMatrix):
         raise ValueError(f"V batch shape {v_batch} != Q batch shape {batch_shape}")
     if v3.shape[1] != k3.shape[1]:
         raise ValueError(f"V rows ({v3.shape[1]}) must equal the key count ({k3.shape[1]})")
-    structure = blocks.structure
     if (q3.shape[1], k3.shape[1]) != (structure.n_q, structure.n_k):
         raise ValueError(
             f"operands are {q3.shape[1]}x{k3.shape[1]} but the structure is "
@@ -255,123 +223,192 @@ def _scale(q3: np.ndarray, scale: Optional[float]) -> np.float32:
     return np.float32(1.0 / np.sqrt(q3.shape[-1]) if scale is None else scale)
 
 
-def _keep(dropout: Dropout, blocks: RowBlockMatrix, block: KeyBlock, batch: int,
-          cols: np.ndarray) -> np.ndarray:
-    """``(batch, rows, len(cols))`` inverted-dropout keep mask of one block.
+def _keep(dropout: Dropout, structure: RowBlockStructure, slices, rows, cols) -> np.ndarray:
+    """``(len(slices), len(rows), len(cols))`` inverted-dropout keep mask of
+    the given flattened batch slices, query rows and key columns.
 
     Each entry hashes its dense position ``(slice · n_q + row) · n_k + col``,
     the position :func:`repro.nn.functional.dense_masked_attention` hashes.
     """
-    n_q, n_k = np.uint64(blocks.structure.n_q), np.uint64(blocks.structure.n_k)
-    slices = np.arange(blocks.first_slice, blocks.first_slice + batch, dtype=np.uint64)
-    rows = slices[:, None] * n_q + np.arange(block.start, block.stop, dtype=np.uint64)
-    positions = rows[:, :, None] * n_k + cols.astype(np.uint64)
+    n_q, n_k = np.uint64(structure.n_q), np.uint64(structure.n_k)
+    slices, rows, cols = (np.asarray(x, dtype=np.uint64) for x in (slices, rows, cols))
+    positions = (slices[:, None] * n_q + rows)[:, :, None] * n_k + cols
     return attention_dropout_keep(*dropout, positions)
 
 
-def _new_values(batch: int, structure: RowBlockStructure, return_probs: bool):
-    if not return_probs:
-        return None
-    return np.empty((batch, structure.size), dtype=np.float32)
+def _scores(scaled_q: np.ndarray, k3: np.ndarray, block: KeyBlock) -> np.ndarray:
+    """``Q[rows] @ K[keys]ᵀ`` of one block with one batched product
+    (``scaled_q`` is Q times the scale), blocked pairs at ``-inf``: the
+    forward's scores, and what the backward re-scores."""
+    scores = np.matmul(
+        scaled_q[:, block.start:block.stop], np.swapaxes(k3[:, block.keys], -1, -2)
+    )
+    if block.blocked is not None:
+        np.copyto(scores, -np.inf, where=block.blocked)
+    return scores
 
 
-def _result(out, values, batch_shape):
-    if values is not None:
-        values = values.reshape(batch_shape + (values.shape[-1],))
-    return restore_batch_shape(out, batch_shape), values
+def _stats(structure: RowBlockStructure, shift, denom, batch_shape) -> RowBlockStats:
+    shape = batch_shape + (structure.n_q,)
+    return RowBlockStats(structure, shift.reshape(shape), denom.reshape(shape))
 
 
-@register_kernel("row_block_attention", FAST)
-def _row_block_attention_fast(
-    q: np.ndarray,
-    k: np.ndarray,
-    v: np.ndarray,
-    blocks: RowBlockMatrix,
-    scale: Optional[float] = None,
-    dropout: Optional[Dropout] = None,
-    return_probs: bool = False,
-) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-    """Block by block: scores over the block's keys, softmax in cache, ``@ V``.
-
-    Returns ``(out, values)``: ``values`` holds the pre-dropout block
-    probabilities (``(..., size)``) when ``return_probs``, else ``None``.
-    """
-    q3, k3, v3, batch_shape = _operands(q, k, v, blocks)
+def forward_job(
+    q: np.ndarray, k: np.ndarray, v: np.ndarray, structure: RowBlockStructure,
+    scale: Optional[float] = None, dropout: Optional[Dropout] = None, return_stats: bool = False,
+) -> RowBlockJob:
+    """The fast forward, one tile per block: its scores, the row softmax in
+    place, dropout and ``P @ V[keys]`` into the block's output rows, plus the
+    rows' shift and denominator with ``return_stats``.  ``result()`` is
+    ``(out, stats)``, ``stats`` a :class:`RowBlockStats` or ``None``."""
+    q3, k3, v3, batch_shape = _operands(q, k, v, structure)
     scaled_q = q3 * _scale(q3, scale)
-    batch = q3.shape[0]
-    structure = blocks.structure
-    out = np.zeros((batch, structure.n_q, v3.shape[-1]), dtype=np.float32)
-    values = _new_values(batch, structure, return_probs)
-    for block in structure.blocks:
+    batch, n_q = q3.shape[0], structure.n_q
+    out = np.zeros((batch, n_q, v3.shape[-1]), dtype=np.float32)
+    shift = denom = None
+    if return_stats:
+        # rows outside every block keep the shift 0 and the denominator 1
+        shift = np.zeros((batch, n_q), dtype=np.float32)
+        denom = np.ones((batch, n_q), dtype=np.float32)
+
+    def run(block: KeyBlock, buf: None) -> None:
         rows = slice(block.start, block.stop)
-        scores = np.matmul(scaled_q[:, rows], np.swapaxes(k3[:, block.keys], -1, -2))
+        scores = _scores(scaled_q, k3, block)
         # row softmax in place; blocked pairs, and every pair of a row whose
         # keys are all blocked, get exactly zero weight
-        if block.blocked is not None:
-            np.copyto(scores, -np.inf, where=block.blocked)
         row_max = np.max(scores, axis=-1, keepdims=True)
         if block.blocked is not None:
             row_max[row_max == -np.inf] = 0.0  # exp(-inf - 0) = 0
         scores -= row_max
         np.exp(scores, out=scores)
-        denom = np.sum(scores, axis=-1, keepdims=True)
+        row_sum = np.sum(scores, axis=-1, keepdims=True)
         if block.blocked is not None:
-            denom[denom == 0.0] = 1.0
-        scores /= denom
-        if values is not None:
-            values[:, block.offset:block.offset + scores[0].size] = scores.reshape(batch, -1)
+            row_sum[row_sum == 0.0] = 1.0
+        scores /= row_sum
+        if return_stats:
+            shift[:, rows] = row_max[..., 0]
+            denom[:, rows] = row_sum[..., 0]
         if dropout is not None:
-            scores *= _keep(dropout, blocks, block, batch, block.columns())
+            scores *= _keep(dropout, structure, range(batch), range(rows.start, rows.stop),
+                            block.columns())
         np.matmul(scores, v3[:, block.keys], out=out[:, rows])
-    return _result(out, values, batch_shape)
+
+    def result() -> Tuple[np.ndarray, Optional[RowBlockStats]]:
+        stats = _stats(structure, shift, denom, batch_shape) if return_stats else None
+        return restore_batch_shape(out, batch_shape), stats
+
+    return RowBlockJob(structure.blocks, run, result)
+
+
+def backward_job(
+    q: np.ndarray, k: np.ndarray, v: np.ndarray, d_out: np.ndarray, out: np.ndarray,
+    shift: np.ndarray, denom: np.ndarray, structure: RowBlockStructure,
+    scale: Optional[float] = None, dropout: Optional[Dropout] = None,
+) -> RowBlockJob:
+    """The fast backward, one tile per batch slice, walking the blocks in the
+    forward's order.  Per block it rebuilds ``P = exp(s − shift) / denom``
+    with the forward's op sequence, then, with ``D`` the dropout keep mask:
+    ``dV[keys] += (P ∘ D)ᵀ dO``, ``dS = P ∘ ((dO V[keys]ᵀ) ∘ D − rowsum(dO ∘
+    O)) · scale``, ``dQ[rows] = dS K[keys]`` and ``dK[keys] += dSᵀ Q[rows]``.
+    ``result()`` is ``(dQ, dK, dV)``."""
+    q3, k3, v3, batch_shape = _operands(q, k, v, structure)
+    g3, o3 = (as_batched_3d(np.asarray(x, dtype=np.float32))[0] for x in (d_out, out))
+    batch = q3.shape[0]
+    shift, denom = (
+        np.asarray(x, dtype=np.float32).reshape(batch, structure.n_q, 1) for x in (shift, denom)
+    )
+    scale = _scale(q3, scale)
+    # zero-filled: rows outside every block have no gradient
+    d_q, d_k, d_v = (np.zeros(x.shape, dtype=np.float32) for x in (q3, k3, v3))
+
+    def run(b: int, buf: None) -> None:
+        sl = slice(b, b + 1)
+        scaled_q = q3[sl] * scale
+        inner = np.sum(g3[sl] * o3[sl], axis=-1, keepdims=True)
+        for block in structure.blocks:
+            rows = slice(block.start, block.stop)
+            p = _scores(scaled_q, k3[sl], block)
+            p -= shift[sl, rows]
+            np.exp(p, out=p)
+            p /= denom[sl, rows]
+            keep = None
+            if dropout is not None:
+                keep = _keep(dropout, structure, [b], range(rows.start, rows.stop), block.columns())
+            g = g3[sl, rows]
+            d_v[sl, block.keys] += np.matmul(
+                np.swapaxes(p if keep is None else p * keep, -1, -2), g
+            )
+            d_s = np.matmul(g, np.swapaxes(v3[sl, block.keys], -1, -2))
+            if keep is not None:
+                d_s *= keep
+            d_s -= inner[:, rows]
+            d_s *= p
+            d_s *= scale
+            np.matmul(d_s, k3[sl, block.keys], out=d_q[sl, rows])
+            d_k[sl, block.keys] += np.matmul(np.swapaxes(d_s, -1, -2), q3[sl, rows])
+
+    def result() -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return tuple(restore_batch_shape(grad, batch_shape) for grad in (d_q, d_k, d_v))
+
+    return RowBlockJob(range(batch), run, result)
+
+
+@register_kernel("row_block_attention", FAST)
+def _row_block_attention_fast(
+    q: np.ndarray, k: np.ndarray, v: np.ndarray, structure: RowBlockStructure,
+    scale: Optional[float] = None, dropout: Optional[Dropout] = None, return_stats: bool = False,
+) -> Tuple[np.ndarray, Optional[RowBlockStats]]:
+    """:func:`forward_job`'s blocks in order, on the calling thread."""
+    return run_inline(forward_job(q, k, v, structure, scale, dropout, return_stats))
+
+
+def _exp_allowed(scores: np.ndarray, mask: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """``exp(s − shift)`` on the allowed pairs of a dense tile, 0 elsewhere."""
+    return np.exp(np.where(mask, scores - shift[..., None], -np.inf))
 
 
 @register_kernel("row_block_attention", REFERENCE)
 def _row_block_attention_reference(
-    q: np.ndarray,
-    k: np.ndarray,
-    v: np.ndarray,
-    blocks: RowBlockMatrix,
-    scale: Optional[float] = None,
-    dropout: Optional[Dropout] = None,
-    return_probs: bool = False,
-) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-    """Every block expanded to the dense masked oracle over all keys."""
-    q3, k3, v3, batch_shape = _operands(q, k, v, blocks)
-    scale = _scale(q3, scale)
-    batch = q3.shape[0]
-    structure = blocks.structure
-    out = np.zeros((batch, structure.n_q, v3.shape[-1]), dtype=np.float32)
-    values = _new_values(batch, structure, return_probs)
-    all_keys = np.arange(structure.n_k)
-    for block in structure.blocks:
-        rows = slice(block.start, block.stop)
-        scores = np.matmul(q3[:, rows], np.swapaxes(k3, -1, -2)) * scale
-        weights = masked_dense_softmax(scores, structure.block_mask(block))
-        if values is not None:
-            values[:, block.offset:block.offset + block.rows * block.width] = (
-                weights[:, :, block.columns()].reshape(batch, -1)
-            )
-        if dropout is not None:
-            weights = weights * _keep(dropout, blocks, block, batch, all_keys)
-        out[:, rows] = np.matmul(weights, v3)
-    return _result(out, values, batch_shape)
+    q: np.ndarray, k: np.ndarray, v: np.ndarray, structure: RowBlockStructure,
+    scale: Optional[float] = None, dropout: Optional[Dropout] = None, return_stats: bool = False,
+) -> Tuple[np.ndarray, Optional[RowBlockStats]]:
+    """The dense masked oracle over all ``n_q × n_k`` pairs of the
+    structure's mask.  The statistics are each row's max allowed score (0
+    for a row without one) and the sum of its allowed entries'
+    exponentials (1 for a zero sum)."""
+    q3, k3, v3, batch_shape = _operands(q, k, v, structure)
+    batch, n_q, n_k = q3.shape[0], structure.n_q, structure.n_k
+    scores = np.matmul(q3, np.swapaxes(k3, -1, -2)) * _scale(q3, scale)
+    mask = structure.to_mask()
+    weights = masked_dense_softmax(scores, mask)
+    if dropout is not None:
+        weights = weights * _keep(dropout, structure, range(batch), range(n_q), range(n_k))
+    out = restore_batch_shape(np.matmul(weights, v3), batch_shape)
+    if not return_stats:
+        return out, None
+    live = np.max(np.where(mask, scores, -np.inf), axis=-1)
+    shift = np.where(np.isfinite(live), live, 0.0)
+    total = np.sum(_exp_allowed(scores, mask, shift), axis=-1)
+    return out, _stats(structure, shift, np.where(total == 0.0, 1.0, total), batch_shape)
 
 
-def span_args(q, k, v, blocks, scale=None, dropout=None, return_probs=False) -> dict:
+def span_args(q, k, v, structure, scale=None, dropout=None, return_stats=False) -> dict:
     """Trace-span arguments of one forward call: block tiles (batch slices ×
-    blocks), the largest tile and the bytes written (output, plus the block
-    probabilities when requested)."""
-    structure = blocks.structure
+    blocks), the largest tile and the bytes written (the output, plus each
+    row's shift and denominator when asked for)."""
     batch = int(np.prod(np.shape(q)[:-2], dtype=np.int64))
-    out_bytes = 4 * batch * structure.n_q * np.shape(v)[-1]
-    if return_probs:
-        out_bytes += 4 * batch * structure.size
     return {
         "tiles": batch * len(structure.blocks),
         "tile_shape": f"{structure.max_rows}x{structure.max_width}",
-        "out_bytes": int(out_bytes),
+        "out_bytes": 4 * batch * structure.n_q * (np.shape(v)[-1] + (2 if return_stats else 0)),
     }
+
+
+def bwd_span_args(q, k, v, d_out, out, shift, denom, structure, scale=None, dropout=None) -> dict:
+    """Trace-span arguments of one backward call: the forward's tiles and the
+    gradient bytes written (dQ, dK and dV)."""
+    grads = np.size(q) + np.size(k) + np.size(v)
+    return {**span_args(q, k, v, structure), "out_bytes": 4 * grads}
 
 
 _row_block_attention_fast.span_args = span_args
@@ -380,104 +417,39 @@ _row_block_attention_fast.span_args = span_args
 # ----------------------------------------------------------------- backward
 @register_kernel("row_block_attention_bwd", FAST)
 def _row_block_attention_bwd_fast(
-    probs: RowBlockMatrix,
-    q: np.ndarray,
-    k: np.ndarray,
-    v: np.ndarray,
-    d_out: np.ndarray,
-    scale: float,
-    dropout: Optional[Dropout] = None,
-    out: Optional[np.ndarray] = None,
+    q: np.ndarray, k: np.ndarray, v: np.ndarray, d_out: np.ndarray, out: np.ndarray,
+    shift: np.ndarray, denom: np.ndarray, structure: RowBlockStructure,
+    scale: Optional[float] = None, dropout: Optional[Dropout] = None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(dQ, dK, dV)`` block by block, in the forward's block order.
-
-    Per block: ``dV[keys] += Pᵀ dO`` (``P`` after dropout), ``dP = dO
-    V[keys]ᵀ`` times the keep mask, ``dS = P ∘ (dP − rowsum(P ∘ dP)) ·
-    scale``, ``dQ[rows] = dS K[keys]`` and ``dK[keys] += dSᵀ Q[rows]``.  With
-    the forward output ``out`` the row sums read ``rowsum(dO ∘ O)`` instead.
-    """
-    q3, k3, v3, batch_shape = _operands(q, k, v, probs)
-    g3, _ = as_batched_3d(np.asarray(d_out, dtype=np.float32))
-    scale = np.float32(scale)
-    batch = q3.shape[0]
-    inner = None
-    if out is not None:
-        out3, _ = as_batched_3d(np.asarray(out, dtype=np.float32))
-        inner = np.sum(g3 * out3, axis=-1, keepdims=True)
-    # zero-filled: rows outside every block have no gradient
-    d_q = np.zeros(q3.shape, dtype=np.float32)
-    d_k = np.zeros(k3.shape, dtype=np.float32)
-    d_v = np.zeros(v3.shape, dtype=np.float32)
-    for block in probs.structure.blocks:
-        rows = slice(block.start, block.stop)
-        p = probs.block_values(block)
-        keep = None
-        if dropout is not None:
-            keep = _keep(dropout, probs, block, batch, block.columns())
-        g = g3[:, rows]
-        d_v[:, block.keys] += np.matmul(
-            np.swapaxes(p if keep is None else p * keep, -1, -2), g
-        )
-        d_s = np.matmul(g, np.swapaxes(v3[:, block.keys], -1, -2))
-        if keep is not None:
-            d_s *= keep
-        d_s -= (
-            np.sum(p * d_s, axis=-1, keepdims=True) if inner is None else inner[:, rows]
-        )
-        d_s *= p
-        d_s *= scale
-        np.matmul(d_s, k3[:, block.keys], out=d_q[:, rows])
-        d_k[:, block.keys] += np.matmul(np.swapaxes(d_s, -1, -2), q3[:, rows])
-    return tuple(restore_batch_shape(grad, batch_shape) for grad in (d_q, d_k, d_v))
+    """:func:`backward_job`'s batch slices in order, on the calling thread:
+    ``(dQ, dK, dV)`` from the forward's operands, output and statistics."""
+    return run_inline(backward_job(q, k, v, d_out, out, shift, denom, structure, scale, dropout))
 
 
 @register_kernel("row_block_attention_bwd", REFERENCE)
 def _row_block_attention_bwd_reference(
-    probs: RowBlockMatrix,
-    q: np.ndarray,
-    k: np.ndarray,
-    v: np.ndarray,
-    d_out: np.ndarray,
-    scale: float,
-    dropout: Optional[Dropout] = None,
-    out: Optional[np.ndarray] = None,
+    q: np.ndarray, k: np.ndarray, v: np.ndarray, d_out: np.ndarray, out: np.ndarray,
+    shift: np.ndarray, denom: np.ndarray, structure: RowBlockStructure,
+    scale: Optional[float] = None, dropout: Optional[Dropout] = None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Dense-tile backward of every block over all keys (``out`` unused)."""
+    """The dense backward over all ``n_q × n_k`` pairs, P rebuilt from the
+    statistics on the structure's mask (``out`` unused)."""
     del out  # the oracle evaluates the Jacobian on the probabilities
-    q3, k3, v3, batch_shape = _operands(q, k, v, probs)
+    q3, k3, v3, batch_shape = _operands(q, k, v, structure)
     g3, _ = as_batched_3d(np.asarray(d_out, dtype=np.float32))
-    batch = q3.shape[0]
-    structure = probs.structure
-    all_keys = np.arange(structure.n_k)
-    d_q = np.zeros(q3.shape, dtype=np.float32)
-    d_k = np.zeros(k3.shape, dtype=np.float32)
-    d_v = np.zeros(v3.shape, dtype=np.float32)
-    for block in structure.blocks:
-        rows = slice(block.start, block.stop)
-        p = np.zeros((batch, block.rows, structure.n_k), dtype=np.float32)
-        p[:, :, block.keys] = probs.block_values(block)
-        keep = 1.0
-        if dropout is not None:
-            keep = _keep(dropout, probs, block, batch, all_keys)
-        g = g3[:, rows]
-        d_v += np.matmul(np.swapaxes(p * keep, -1, -2), g)
-        d_p = np.matmul(g, np.swapaxes(v3, -1, -2)) * keep
-        d_s = p * (d_p - np.sum(p * d_p, axis=-1, keepdims=True)) * np.float32(scale)
-        d_q[:, rows] = np.matmul(d_s, k3)
-        d_k += np.matmul(np.swapaxes(d_s, -1, -2), q3[:, rows])
-    return tuple(restore_batch_shape(grad, batch_shape) for grad in (d_q, d_k, d_v))
+    batch, n_q, n_k = q3.shape[0], structure.n_q, structure.n_k
+    scale = _scale(q3, scale)
+    shift, denom = (np.asarray(x, dtype=np.float32).reshape(batch, n_q) for x in (shift, denom))
+    scores = np.matmul(q3, np.swapaxes(k3, -1, -2)) * scale
+    p = _exp_allowed(scores, structure.to_mask(), shift) / denom[..., None]
+    keep = 1.0
+    if dropout is not None:
+        keep = _keep(dropout, structure, range(batch), range(n_q), range(n_k))
+    d_v = np.matmul(np.swapaxes(p * keep, -1, -2), g3)
+    d_p = np.matmul(g3, np.swapaxes(v3, -1, -2)) * keep
+    d_s = p * (d_p - np.sum(p * d_p, axis=-1, keepdims=True)) * scale
+    grads = (np.matmul(d_s, k3), np.matmul(np.swapaxes(d_s, -1, -2), q3), d_v)
+    return tuple(restore_batch_shape(grad, batch_shape) for grad in grads)
 
 
-def _bwd_span_args(probs, q, k, v, d_out, scale, dropout=None, out=None) -> dict:
-    """Trace-span arguments of one backward call: the forward's tiles and the
-    gradient bytes written (dQ, dK and dV)."""
-    structure = probs.structure
-    batch = int(np.prod(np.shape(q)[:-2], dtype=np.int64))
-    return {
-        "tiles": batch * len(structure.blocks),
-        "tile_shape": f"{structure.max_rows}x{structure.max_width}",
-        "out_bytes": int(4 * (np.size(q) + np.size(k) + np.size(v))),
-    }
-
-
-_row_block_attention_bwd_fast.span_args = _bwd_span_args
+_row_block_attention_bwd_fast.span_args = bwd_span_args

@@ -402,8 +402,9 @@ class TrainingLatency:
     """Forward + backward latency (seconds) of one training step's attention.
 
     The backward is modelled as the kernel sequence of the analytic
-    compressed backward (``dV``/``dP``/softmax-Jacobian/``dQ``/``dK``); the
-    forward reuses the inference breakdown.
+    backward (``dV``/``dP``/softmax-Jacobian/``dQ``/``dK``), for DFSS after
+    re-scoring from the saved row statistics; the forward reuses the
+    inference breakdown.
     """
 
     mechanism: str
@@ -431,7 +432,7 @@ def _dense_bwd_ops(cfg: AttentionConfig) -> List[OpCost]:
 #: repo actually trains through the compressed pipeline are modelled.
 TRAINING_BACKWARD_MODELS: Dict[str, Callable[[AttentionConfig], List[OpCost]]] = {
     "transformer": _dense_bwd_ops,
-    "dfss": lambda cfg: ops.attention_bwd_nm_ops(
+    "dfss": lambda cfg: ops.nm_attention_bwd_ops(
         cfg.effective_batch, cfg.seq_len, cfg.seq_len, cfg.head_dim, cfg.dtype
     ),
 }

@@ -271,6 +271,28 @@ def nm_attention_bwd_ops(
     ]
 
 
+def row_block_attention_ops(
+    tiles: int, rows: int, width: int, d: int, dtype: str, backward: bool = False
+) -> List[OpCost]:
+    """The row-block forward's kernels over ``tiles`` block tiles, each priced
+    at the largest (``rows × width``): ``Q K[keys]ᵀ``, the tile softmax and
+    ``P V[keys]``.  The recomputing ``backward`` runs the first two to rebuild
+    P from the saved row statistics, then ``dV``, ``dP``, the softmax
+    Jacobian, ``dQ`` and ``dK``."""
+    rescore = [
+        gemm("block_qk", tiles, rows, width, d, dtype), softmax_dense(tiles, rows, width, dtype)
+    ]
+    if not backward:
+        return rescore + [gemm("block_pv", tiles, rows, d, width, dtype)]
+    return rescore + [
+        gemm("block_dv", tiles, width, d, rows, dtype),
+        gemm("block_dp", tiles, rows, width, d, dtype),
+        softmax_dense(tiles, rows, width, dtype),
+        gemm("block_dq", tiles, rows, d, width, dtype),
+        gemm("block_dk", tiles, width, d, rows, dtype),
+    ]
+
+
 # ------------------------------------------------------------- element-wise ops
 def softmax_dense(batch: int, rows: int, cols: int, dtype: str) -> OpCost:
     """Dense softmax: read the score matrix, write the weight matrix."""

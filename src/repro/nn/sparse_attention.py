@@ -21,7 +21,7 @@ kept entries, the row-wise softmax Jacobian, then ``dQ``/``dK``):
   :class:`~repro.core.row_block.RowBlockStructure` names, per 64-row query
   block, the keys the block reads; forward and backward run the
   ``row_block_attention`` kernels block by block, with seeded dropout
-  inside each block.
+  inside each block; like the N:M op, it trains on per-row statistics.
 * :func:`masked_sparse_attention` — the op the content-dependent masks
   (TopK, Reformer, Routing, Sinkhorn) and explicit boolean masks train
   through: the mask is compressed into a
@@ -33,8 +33,8 @@ exactly as the CUDA kernels do — the pruning/masking decision is not
 differentiated through.  The dense score matrix is never materialised by
 autograd; the graph holds a single node per call, whose saved state is
 Q, K, V, the output and what the forward kept: the per-row statistics for
-N:M, the compressed probabilities for the row-block and padded-CSR
-layouts.
+the N:M and row-block layouts, the compressed probabilities for padded
+CSR.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from repro.core.nm_attention import Dropout, NMStats
 from repro.core.padded_csr import PaddedCSRMatrix
 from repro.core.patterns import resolve_pattern
 from repro.core.plan import AttentionPlan, plan_for_blocks, plan_for_nm, plan_for_structure
-from repro.core.row_block import RowBlockMatrix, RowBlockStructure
+from repro.core.row_block import RowBlockStats, RowBlockStructure
 from repro.nn.autograd import Tensor
 from repro.profile.tracer import phase_scope
 from repro.utils.seeding import attention_dropout_keep, draw_dropout_seed
@@ -76,7 +76,7 @@ def _attention_node(
     k: Tensor,
     v: Tensor,
     out_data: np.ndarray,
-    saved: Union[CompressedLayout, NMStats],
+    saved: Union[CompressedLayout, NMStats, RowBlockStats],
     plan: AttentionPlan,
     scale: float,
     drop_keep: Optional[np.ndarray],
@@ -87,7 +87,7 @@ def _attention_node(
 
     ``saved`` is what the forward kept: the compressed (pre-dropout)
     probabilities, with ``drop_keep`` the dropout keep mask over their
-    lanes or ``None``, or, for N:M, the per-row statistics.  N:M and
+    lanes or ``None``, or the per-row statistics, with which the N:M and
     row-block nodes pass the forward's ``dropout`` instead of a keep mask.
     """
 
@@ -197,34 +197,34 @@ def row_block_sparse_attention(
     dropout_p: float = 0.0,
     dropout_rng: Optional[np.random.Generator] = None,
     training: bool = False,
-) -> Tuple[Tensor, RowBlockMatrix]:
+) -> Tuple[Tensor, RowBlockStats]:
     """Differentiable static-mask attention on the row-block layout.
 
     ``structure`` is the mechanism's
     :class:`~repro.core.row_block.RowBlockStructure` for ``(n_q, n_k)``;
     every batch slice shares it.  The forward is
     :meth:`AttentionPlan.forward <repro.core.plan.AttentionPlan.forward>`
-    of :func:`~repro.core.plan.plan_for_blocks` with ``return_probs=True``:
+    of :func:`~repro.core.plan.plan_for_blocks` with ``return_stats=True``:
     each 64-row query block scores only its keys, normalises, applies the
-    seeded dropout and contracts with ``V[keys]``.  The backward walks the
-    same blocks.  Dropout hashes dense positions exactly as in
+    seeded dropout and contracts with ``V[keys]``.  The backward re-scores
+    the same blocks.  Dropout hashes dense positions exactly as in
     :func:`dfss_sparse_attention`, so the dense masked oracle drops the same
     (row, column) entries; fully masked rows get zero output and gradients.
 
-    Returns ``(out, probs)``: the output Tensor and the pre-dropout block
-    probabilities.
+    Returns ``(out, stats)``: the output Tensor and the forward's saved
+    :class:`~repro.core.row_block.RowBlockStats`; no probabilities are kept.
     """
     scale = float(1.0 / np.sqrt(q.shape[-1]) if scale is None else scale)
     dropout = _dropout(dropout_p, dropout_rng, training)
     plan = plan_for_blocks(structure, backend=backend, mechanism=mechanism)
-    out_data, probs = plan.forward(
+    out_data, stats = plan.forward(
         q.data, k.data, v.data, structure=structure, scale=scale,
-        return_probs=True, dropout=dropout,
+        return_stats=True, dropout=dropout,
     )
     out = _attention_node(
-        q, k, v, out_data, probs, plan, scale, None, "row_block_attention", dropout
+        q, k, v, out_data, stats, plan, scale, None, "row_block_attention", dropout
     )
-    return out, probs
+    return out, stats
 
 
 def masked_sparse_attention(

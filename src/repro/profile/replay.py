@@ -191,22 +191,10 @@ def gpusim_cost_fn(device=None, dtype: str = "float32") -> CostFn:
             tile = _parse_tile(node)
             if tile is None:
                 return None
-            tiles, t_rows, width = tile
-            if node.name == "row_block_attention":
-                kernels = [
-                    ops.gemm("block_qk", tiles, t_rows, width, last, dtype),
-                    ops.softmax_dense(tiles, t_rows, width, dtype),
-                    ops.gemm("block_pv", tiles, t_rows, last, width, dtype),
-                ]
-            else:
-                kernels = [
-                    ops.gemm("block_dv", tiles, width, last, t_rows, dtype),
-                    ops.gemm("block_dp", tiles, t_rows, width, last, dtype),
-                    ops.softmax_dense(tiles, t_rows, width, dtype),
-                    ops.gemm("block_dq", tiles, t_rows, last, width, dtype),
-                    ops.gemm("block_dk", tiles, width, last, t_rows, dtype),
-                ]
-            sec = ops.total_latency(kernels, dev)
+            # the recomputing backward re-scores and rebuilds P ahead of
+            # its five block products
+            backward = node.name == "row_block_attention_bwd"
+            sec = ops.total_latency(ops.row_block_attention_ops(*tile, last, dtype, backward), dev)
         elif node.name == "nm_attention_bwd":
             # shape is Q: (..., L, D); the recomputing backward re-scores,
             # re-selects and recomputes P ahead of the five backward kernels

@@ -533,20 +533,21 @@ class TestEveryStageTiles:
     stage as several tiles on several worker lanes."""
 
     @pytest.mark.parametrize(
-        "mechanism, stages",
+        "mechanism, seq, stages",
         [
-            ("dfss_2:4", ("nm_attention", "nm_attention_bwd")),
-            ("longformer", ("row_block_attention", "row_block_attention_bwd")),
+            ("dfss_2:4", 64, ("nm_attention", "nm_attention_bwd")),
+            # the row-block forward's tiles are its 64-row blocks: two of them
+            ("longformer", 128, ("row_block_attention", "row_block_attention_bwd")),
         ],
         ids=["dfss_2:4", "longformer"],
     )
-    def test_train_step_stages_run_as_tiles(self, rendezvous, mechanism, stages):
-        q, k, v = _lattice_tensors(batch=(2, 2), seq=64, d=16)
+    def test_train_step_stages_run_as_tiles(self, rendezvous, mechanism, seq, stages):
+        q, k, v = _lattice_tensors(batch=(2, 2), seq=seq, d=16)
         if mechanism.startswith("dfss"):
             def core(q, k, v):
                 return dfss_sparse_attention(q, k, v, pattern="2:4", backend=MULTICORE)[0]
         else:
-            core = make_core(mechanism, seq_len_hint=64, backend=MULTICORE)
+            core = make_core(mechanism, seq_len_hint=seq, backend=MULTICORE)
         with trace() as active:
             out = core(q, k, v)
             (out * out).sum().backward()

@@ -3,8 +3,8 @@
 The structure each static mechanism declares must expand to exactly its
 dense ``attention_mask`` (built independently, from a full ``n × n`` grid).
 The kernels must match the dense masked oracle forward and backward on every
-backend, with and without dropout, and the multicore plan must equal the
-fast one bit for bit.
+backend, with and without dropout, the training op must keep only per-row
+statistics, and the multicore plan must equal the fast one bit for bit.
 """
 
 import tracemalloc
@@ -12,7 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.core.backend import FAST, MULTICORE, REFERENCE
+from repro.core.backend import FAST, MULTICORE, REFERENCE, get_kernel
 from repro.core.multicore import WORKERS_ENV_VAR
 from repro.core.plan import plan_for_blocks
 from repro.core.row_block import BLOCK_ROWS, RowBlockStructure
@@ -119,7 +119,7 @@ class TestKernels:
         shape = (2, 3, n, 16)
         sparse = [Tensor(_lattice(shape, seed), requires_grad=True) for seed in range(3)]
         dense = [Tensor(_lattice(shape, seed), requires_grad=True) for seed in range(3)]
-        out, probs = row_block_sparse_attention(
+        out, stats = row_block_sparse_attention(
             *sparse, structure, backend=backend, dropout_p=dropout,
             dropout_rng=Dropout(dropout, seed=3).rng, training=True,
         )
@@ -128,8 +128,8 @@ class TestKernels:
             dropout_rng=Dropout(dropout, seed=3).rng,
         )
         np.testing.assert_allclose(out.data, expected.data, atol=1e-5)
-        assert probs.batch_shape == (2, 3)
-        np.testing.assert_array_equal(probs.structure.to_mask(), mech._mask_2d(n, n))
+        assert stats.shift.shape == stats.denom.shape == (2, 3, n)
+        np.testing.assert_array_equal(stats.structure.to_mask(), mech._mask_2d(n, n))
         (out * out).sum().backward()
         (expected * expected).sum().backward()
         for a, b in zip(sparse, dense):
@@ -148,6 +148,21 @@ class TestKernels:
         for row in (0, n - 1):
             assert np.all(q.grad[:, row] == 0.0)
         assert all(np.isfinite(t.grad).all() for t in (q, k, v))
+
+    @pytest.mark.parametrize("backend", [FAST, REFERENCE, MULTICORE])
+    def test_training_op_saves_only_row_statistics(self, backend, monkeypatch):
+        monkeypatch.setenv(WORKERS_ENV_VAR, "2")
+        structure = make_mechanism("longformer", window=16).block_structure(200, 200)
+        q, k, v = (Tensor(_lattice((2, 3, 200, 16), seed), requires_grad=True) for seed in range(3))
+        out, _ = row_block_sparse_attention(q, k, v, structure, backend=backend)
+        # the node's backward closure holds what the forward kept
+        cells = dict(zip(out._backward.__code__.co_freevars, out._backward.__closure__))
+        saved = cells["saved"].cell_contents
+        arrays = [x for x in vars(saved).values() if isinstance(x, np.ndarray)]
+        assert len(arrays) == 2
+        for array in arrays:
+            assert array.shape == (2, 3, 200) and array.dtype == np.float32
+            assert sum(b.rows * b.width for b in structure.blocks) not in array.shape
 
     def test_rows_without_keys_are_zero(self):
         # queries past the key range of a local window read no key at all
@@ -186,6 +201,61 @@ class TestMulticoreBitwise:
             results.append([out.data] + [t.grad for t in tensors])
         for fast, multi in zip(*results):
             assert fast.tobytes() == multi.tobytes()
+
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.25])
+    @pytest.mark.parametrize(
+        "case",
+        [
+            ("longformer", 200, 200),
+            ("local", 200, 40),  # queries past the last key read nothing
+            ("dead", 130, 130),
+        ],
+        ids=lambda case: f"{case[0]}-{case[1]}x{case[2]}",
+    )
+    @pytest.mark.parametrize(
+        "backend, workers", [(FAST, 1), (MULTICORE, 2), (MULTICORE, 3)]
+    )
+    def test_batch_equals_its_slices_run_alone(
+        self, backend, workers, case, dropout, monkeypatch
+    ):
+        monkeypatch.setenv(WORKERS_ENV_VAR, str(workers))
+        mechanism, n_q, n_k = case
+        if mechanism == "dead":
+            structure = _dead_structure(n_q)
+        else:
+            structure = make_mechanism(mechanism, window=2).block_structure(n_q, n_k)
+        rng = np.random.default_rng(5)
+        batch = 4
+        q = rng.standard_normal((batch, n_q, 16), dtype=np.float32)
+        k, v = (rng.standard_normal((batch, n_k, 16), dtype=np.float32) for _ in range(2))
+        g = rng.standard_normal((batch, n_q, 16), dtype=np.float32)
+        drop = (11, dropout) if dropout else None
+        forward = get_kernel("row_block_attention", backend)
+        backward = get_kernel("row_block_attention_bwd", backend)
+
+        def step(q, k, v, g):
+            out, stats = forward(q, k, v, structure, dropout=drop, return_stats=True)
+            grads = backward(
+                q, k, v, g, out, stats.shift, stats.denom, structure, dropout=drop
+            )
+            return (out, stats.shift, stats.denom) + grads
+
+        whole = step(q, k, v, g)
+        for b in range(batch):
+            if drop is None:
+                alone = step(q[b:b + 1], k[b:b + 1], v[b:b + 1], g[b:b + 1])
+                at = 0
+            else:
+                # dropout hashes the flattened slice index, so the slice runs
+                # at its own index, among slices of unrelated data
+                noise = [rng.standard_normal(x.shape, dtype=np.float32) for x in (q, k, v, g)]
+                for x, mine in zip(noise, (q, k, v, g)):
+                    x[b] = mine[b]
+                alone = step(*noise)
+                at = b
+            for full, part in zip(whole, alone):
+                assert full[b].tobytes() == part[at].tobytes()
 
 
 @pytest.mark.parametrize("mechanism", STATIC)

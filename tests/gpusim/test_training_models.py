@@ -75,6 +75,13 @@ class TestTrainingLatency:
             sum(op.latency(AMPERE_A100) for op in lat.backward_kernels)
         )
 
+    def test_dfss_backward_is_the_recomputing_kernel_sequence(self):
+        # the model prices the backward that runs: re-score and recompute
+        # P from the saved row statistics, then the five backward ops
+        lat = training_attention_latency("dfss", CFG)
+        expected = nm_attention_bwd_ops(4 * 8, 1024, 1024, 64, "float32")
+        assert [op.name for op in lat.backward_kernels] == [op.name for op in expected]
+
     def test_dfss_training_faster_than_dense(self):
         speedup = training_attention_speedup("dfss", CFG)
         assert 1.0 < speedup < 3.0

@@ -252,6 +252,7 @@ class TestRowBlockSpans:
     def test_forward_and_backward_spans_carry_block_geometry(self):
         from repro.nn.autograd import parameter
         from repro.nn.sparse_attention import row_block_sparse_attention
+        from repro.gpusim import AMPERE_A100, ops
         from repro.profile.dag import build_dag
         from repro.profile.replay import gpusim_cost_fn
         from repro.registry import make_mechanism
@@ -278,12 +279,27 @@ class TestRowBlockSpans:
         for args in (fwd, bwd):
             assert args["tiles"] == 2 * 16
             assert args["tile_shape"] == "64x1024"
-        entries = 64 * 1024 + 14 * 64 * 129 + 64 * 97
-        assert fwd["out_bytes"] == 4 * 2 * (1024 * 16 + entries)
+        # the training forward writes the output and each row's shift and
+        # denominator, no block probabilities
+        assert fwd["out_bytes"] == 4 * 2 * 1024 * (16 + 2)
         assert bwd["out_bytes"] == 4 * 3 * 2 * 1024 * 16
         cost = gpusim_cost_fn()
-        nodes = [n for n in build_dag(active.payload()).nodes if n.name.startswith("row_block")]
-        assert len(nodes) == 2 and all(cost(n) > 0.0 for n in nodes)
+        nodes = {
+            n.name: n for n in build_dag(active.payload()).nodes if n.name.startswith("row_block")
+        }
+        assert len(nodes) == 2
+        # the backward re-scores and rebuilds P ahead of its five products
+        fwd_ops = ops.row_block_attention_ops(2 * 16, 64, 1024, 16, "float32")
+        bwd_ops = ops.row_block_attention_ops(2 * 16, 64, 1024, 16, "float32", backward=True)
+        assert [op.name for op in fwd_ops] == ["block_qk", "softmax", "block_pv"]
+        assert [op.name for op in bwd_ops] == [
+            "block_qk", "softmax",
+            "block_dv", "block_dp", "softmax", "block_dq", "block_dk",
+        ]
+        priced = {"row_block_attention": fwd_ops, "row_block_attention_bwd": bwd_ops}
+        for name, kernels in priced.items():
+            expected = ops.total_latency(kernels, AMPERE_A100) * 1e6
+            assert cost(nodes[name]) == pytest.approx(expected)
 
 
 class TestCacheStats:
