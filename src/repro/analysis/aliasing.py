@@ -30,6 +30,7 @@ Sinks (each against a tainted target):
 * **AL002** — subscript/slice assignment (``out[valid] = …``).
 * **AL003** — a ``out=`` keyword argument (the numpy ufunc write-through
   convention).
+* **AL004** — ``np.copyto`` into its first argument.
 
 A site is *waived* by a ``# repro: owns-buffer`` comment on the same line or
 the line directly above; text after the marker is kept as the waiver note and
@@ -49,6 +50,7 @@ from repro.analysis.findings import ERROR, Finding, WAIVER_MARKER
 ALIASING_SCOPE = (
     "src/repro/core/plan.py",
     "src/repro/core/attention.py",
+    "src/repro/core/jobs.py",
     "src/repro/core/multicore.py",
     "src/repro/core/nm_attention.py",
     "src/repro/core/row_block.py",
@@ -159,6 +161,15 @@ class _Scope:
             return any(self.expr_tainted(e) for e in node.elts)
         if isinstance(node, ast.NamedExpr):
             return self.expr_tainted(node.value)
+        if isinstance(node, (ast.GeneratorExp, ast.ListComp)):
+            # items of a comprehension over a tainted iterable may be its memory
+            saved = set(self.tainted)
+            for gen in node.generators:
+                self._bind(gen.target, self.expr_tainted(gen.iter), top_level=False)
+            try:
+                return self.expr_tainted(node.elt)
+            finally:
+                self.tainted = saved
         if isinstance(node, ast.Call):
             name = _call_func_name(node.func)
             if isinstance(node.func, ast.Attribute) and name in _VIEW_METHODS:
@@ -207,6 +218,15 @@ class _Scope:
             return "<expr>"
 
     def _check_call(self, call: ast.Call) -> None:
+        if _call_func_name(call.func) == "copyto" and call.args:
+            if self.expr_tainted(call.args[0]):
+                self._flag(
+                    "AL004",
+                    call.lineno,
+                    f"{self.qualname}: copyto({self._describe(call.args[0])}, …) "
+                    f"writes into a buffer that may alias a parameter or cached "
+                    f"structure",
+                )
         for kw in call.keywords:
             if kw.arg == "out" and self.expr_tainted(kw.value):
                 self._flag(

@@ -1,4 +1,9 @@
-"""Kernel-contract checker: AST pass over every ``@register_kernel`` site.
+"""Kernel-contract checker: AST pass over every kernel registration site.
+
+A site is a ``@register_kernel(name, backend)`` function, or a job class
+decorated ``@register_job_kernel(name, …)`` (:mod:`repro.core.jobs`), which
+registers the ``fast`` and ``multicore`` backends of ``name`` with the
+constructor's signature, ``self`` aside.
 
 The whole pipeline rests on the contract that the registry kernels honour the
 same interface regardless of backend and that fast backends never fall back to
@@ -38,6 +43,9 @@ from repro.analysis.findings import ERROR, WARNING, Finding
 #: Backend constant names resolvable without importing the module.
 _BACKEND_CONSTANTS = {"FAST": "fast", "REFERENCE": "reference"}
 
+#: The backends one ``@register_job_kernel`` job class registers.
+_JOB_BACKENDS = ("fast", "multicore")
+
 #: Private layout attributes a kernel body must not touch (KC006).
 _PRIVATE_LAYOUT_ATTRS = (
     "_shared",
@@ -52,7 +60,7 @@ _PRIVATE_LAYOUT_ATTRS = (
 
 @dataclass
 class KernelImpl:
-    """One ``@register_kernel(name, backend)`` implementation site."""
+    """One implementation site: a registered function, or a job class."""
 
     kernel: str
     backend: Optional[str]  # None when not statically resolvable
@@ -60,7 +68,7 @@ class KernelImpl:
     params: Tuple[str, ...]
     file: str
     line: int
-    node: ast.FunctionDef = field(repr=False)
+    node: ast.AST = field(repr=False)
 
 
 def _literal_str(node: ast.AST) -> Optional[str]:
@@ -80,15 +88,17 @@ def _backend_name(node: ast.AST) -> Optional[str]:
     return None
 
 
-def _is_register_kernel(func: ast.AST) -> bool:
-    return (isinstance(func, ast.Name) and func.id == "register_kernel") or (
-        isinstance(func, ast.Attribute) and func.attr == "register_kernel"
-    )
+def _called_name(func: ast.AST) -> Optional[str]:
+    if isinstance(func, ast.Name):
+        return func.id
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    return None
 
 
 def _registration_args(call: ast.Call) -> Optional[Tuple[str, Optional[str]]]:
     """``(kernel, backend)`` of a ``register_kernel(...)`` call, else None."""
-    if not _is_register_kernel(call.func) or not call.args:
+    if _called_name(call.func) != "register_kernel" or not call.args:
         return None
     kernel = _literal_str(call.args[0])
     if kernel is None:
@@ -106,8 +116,9 @@ def _param_names(node: ast.FunctionDef) -> Tuple[str, ...]:
 def collect_kernels(tree: ast.Module, file: str) -> List[KernelImpl]:
     """Every kernel implementation registered in one parsed module.
 
-    Handles both the decorator form and the module-level call form
-    ``register_kernel("name", BACKEND)(existing_function)``.
+    Handles the decorator form, the module-level call form
+    ``register_kernel("name", BACKEND)(existing_function)``, and job classes
+    decorated with ``register_job_kernel("name", …)``.
     """
     impls: List[KernelImpl] = []
     defs: Dict[str, ast.FunctionDef] = {}
@@ -132,6 +143,29 @@ def collect_kernels(tree: ast.Module, file: str) -> List[KernelImpl]:
                                 node=node,
                             )
                         )
+        elif isinstance(node, ast.ClassDef):
+            init = next((n for n in node.body if getattr(n, "name", None) == "__init__"), None)
+            for dec in node.decorator_list:
+                if not (
+                    isinstance(dec, ast.Call)
+                    and _called_name(dec.func) == "register_job_kernel"
+                    and dec.args
+                    and _literal_str(dec.args[0]) is not None
+                    and isinstance(init, ast.FunctionDef)
+                ):
+                    continue
+                for backend in _JOB_BACKENDS:
+                    impls.append(
+                        KernelImpl(
+                            kernel=_literal_str(dec.args[0]),
+                            backend=backend,
+                            func_name=node.name,
+                            params=_param_names(init)[1:],
+                            file=file,
+                            line=node.lineno,
+                            node=node,
+                        )
+                    )
         elif isinstance(node, ast.Call) and isinstance(node.func, ast.Call):
             # register_kernel("name", BACKEND)(fn)
             reg = _registration_args(node.func)

@@ -16,9 +16,12 @@ interchangeable implementations ("backends") registered against it:
   batch or head dimensions, used by default everywhere.
 * ``multicore`` — the ``fast`` kernels with the fused pairs (``nm_attention``,
   ``row_block_attention`` and their backwards) run as tiles on a thread
-  pool (:mod:`repro.core.multicore`).  Any kernel it does not register falls
-  back to ``fast``.  Its module is imported by :func:`get_kernel` on the
-  first ``multicore`` lookup, never at package import.
+  pool.  Each fused kernel is a row-tile job, and
+  :func:`repro.core.jobs.register_job_kernel` registers its ``fast`` and
+  ``multicore`` kernels together; the pool's module,
+  :mod:`repro.core.multicore`, is imported on the first multicore call,
+  never at package import.  Any kernel without a ``multicore``
+  implementation falls back to ``fast``.
 
 Backend selection, in decreasing priority:
 
@@ -36,7 +39,14 @@ Registering a new backend is a one-liner::
         ...
 
 after which ``spmm(w, v, backend="gpu")`` (or ``REPRO_BACKEND=gpu``) picks
-it up without touching any call site.
+it up without touching any call site.  A fused kernel registers its
+``fast`` and ``multicore`` backends with one decorator on its job class,
+whose constructor takes the kernel's arguments::
+
+    @register_job_kernel("row_block_attention", _span_args)
+    class RowBlockForwardJob:
+        def __init__(self, q, k, v, structure, scale=None, dropout=None,
+                     return_stats=False): ...
 
 A compiled :class:`~repro.core.plan.AttentionPlan` resolves its kernels
 through :func:`get_kernel` once, at construction, so a backend is nothing
@@ -48,7 +58,6 @@ from __future__ import annotations
 
 import difflib
 import functools
-import importlib
 import os
 from contextlib import contextmanager
 from typing import Callable, Dict, Iterator, Optional, Tuple
@@ -72,14 +81,10 @@ _REGISTRY: Dict[str, Dict[str, Callable]] = {}
 _OVERRIDE: Optional[str] = None
 
 #: Kernel fallbacks: a backend that registers only some kernels (multicore
-#: registers the N:M pair and tiles the rest through the plan's ``_map``)
+#: registers the fused pairs and tiles the rest through the plan's ``_map``)
 #: delegates every other kernel to the listed backend, so every entry point
 #: stays valid under ``REPRO_BACKEND=multicore``.
 _KERNEL_FALLBACKS: Dict[str, str] = {MULTICORE: FAST}
-
-#: Backends whose kernels live in a module imported on first lookup —
-#: nothing imports :mod:`repro.core.multicore` at package-import time.
-_DEFERRED_KERNEL_MODULES: Dict[str, str] = {MULTICORE: "repro.core.multicore"}
 
 
 def register_kernel(kernel: str, backend: str) -> Callable[[Callable], Callable]:
@@ -144,9 +149,6 @@ def get_kernel(kernel: str, backend: Optional[str] = None) -> Callable:
             f"{', '.join(names) if names else 'none'}"
         )
     name = resolve_backend(backend)
-    if name in _DEFERRED_KERNEL_MODULES:
-        # Importing the module runs its ``@register_kernel`` decorators.
-        importlib.import_module(_DEFERRED_KERNEL_MODULES[name])
     impls = _REGISTRY[kernel]
     if name not in impls and name in _KERNEL_FALLBACKS:
         name = _KERNEL_FALLBACKS[name]

@@ -3,19 +3,20 @@
 The ``multicore`` backend is the ``fast`` backend with two changes, both
 reached through the ordinary :class:`~repro.core.plan.AttentionPlan`:
 
-* its own fused kernels, registered here (``nm_attention``,
-  ``row_block_attention`` and their backwards), build the fast kernel's job
-  and run its tiles on the pool through one driver, :func:`_run_job`, each
-  worker borrowing one tile buffer.  Every other kernel falls back to
-  ``fast``;
+* the fused kernels (``nm_attention``, ``row_block_attention`` and their
+  backwards) are row-tile jobs, and :func:`~repro.core.jobs.register_job_kernel`
+  registers each one's ``multicore`` kernel to run the job's tiles here,
+  through :func:`_run_job`, each worker borrowing one tile buffer.  Every
+  other kernel falls back to ``fast``;
 * :func:`map_tiles`, which the plan's ``_map`` calls for the stages of the
   padded-CSR layout only, cuts the flattened batch×head dimension into
   contiguous slices (:func:`tile_slices`), calls the stage's ``fn`` on each
   tile — ``layout.batch_slice(sl)`` plus zero-copy slices of the operands —
   on the pool, and concatenates the tile results.
 
-The kernel registry imports this module on the first ``multicore`` lookup,
-never at package import.
+This module registers no kernel.  It is imported on the first call of a
+fused ``multicore`` kernel or of a multicore CSR stage, never at package
+import.
 
 **Bitwise parity with ``fast`` is a hard invariant, not a tolerance.**  Every
 fast kernel in the chain is per-leading-slice independent — batched BLAS
@@ -52,22 +53,10 @@ import os
 import queue
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core import row_block
-from repro.core.backend import MULTICORE, register_kernel
-from repro.core.blocked_ell import BlockedEllMask
-from repro.core.nm_attention import (
-    Dropout,
-    NMBackwardJob,
-    NMForwardJob,
-    NMStats,
-    bwd_span_args,
-    tile_span_args,
-)
-from repro.core.sparse import NMSparseMatrix
 from repro.profile.tracer import current_tracer
 
 __all__ = [
@@ -331,10 +320,10 @@ def map_tiles(stage: str, layout, fn: Callable, *arrays):
 
 
 # ---------------------------------------------------------- fused kernels
-def _run_job(stage: str, job, spans: Sequence[Tuple[str, str]]):
+def _run_job(stage: str, job):
     """``job.run(tile, buf)`` for every tile on the shared pool, each worker
-    borrowing one ``job.new_buffer()``, then ``job.result()``.  ``spans``
-    holds each tile's ``(rows, shape)`` trace labels."""
+    borrowing one ``job.new_buffer()``, then ``job.result()``.  Each tile's
+    ``mc_tile`` span carries the job's ``(rows, shape)`` labels for it."""
     pool = get_pool()
     buffers: "queue.SimpleQueue[Any]" = queue.SimpleQueue()
     for _ in range(min(pool.workers, len(job.tiles))):
@@ -351,88 +340,7 @@ def _run_job(stage: str, job, spans: Sequence[Tuple[str, str]]):
 
     metas = [
         {"stage": stage, "tile": i, "rows": rows, "shape": shape}
-        for i, (rows, shape) in enumerate(spans)
+        for i, (rows, shape) in enumerate(map(job.label, job.tiles))
     ]
     pool.run([tile_thunk(tile) for tile in job.tiles], spans=metas)
     return job.result()
-
-
-@register_kernel("nm_attention", MULTICORE)
-def _nm_attention_multicore(
-    q: np.ndarray, k: np.ndarray, v: np.ndarray, pattern=None, scale: Optional[float] = None,
-    dtype: str = "float32", criterion: str = "value",
-    block_mask: Optional[BlockedEllMask] = None, return_probs: bool = False,
-    dropout: Optional[Dropout] = None, return_stats: bool = False,
-) -> Tuple[np.ndarray, Union[NMSparseMatrix, NMStats, None]]:
-    """The fast kernel's row tiles, on the pool.  The tile list depends only
-    on the geometry and each tile runs the fast code, so the output is
-    bitwise equal to ``fast`` whatever the worker count."""
-    job = NMForwardJob(
-        q, k, v, pattern=pattern, scale=scale, dtype=dtype, criterion=criterion,
-        block_mask=block_mask, return_probs=return_probs, dropout=dropout,
-        return_stats=return_stats,
-    )
-    return _run_job("nm_attention", job, [
-        (f"{b}:{r0}:{r1}", f"{r1 - r0}x{job.n_k}") for b, r0, r1 in job.tiles
-    ])
-
-
-_nm_attention_multicore.span_args = tile_span_args
-
-
-@register_kernel("nm_attention_bwd", MULTICORE)
-def _nm_attention_bwd_multicore(
-    q: np.ndarray, k: np.ndarray, v: np.ndarray, d_out: np.ndarray, out: np.ndarray,
-    shift: np.ndarray, denom: np.ndarray, selection: np.ndarray, pattern=None,
-    scale: Optional[float] = None, dtype: str = "float32", criterion: str = "value",
-    block_mask: Optional[BlockedEllMask] = None, dropout: Optional[Dropout] = None,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The fast backward's batch slices, on the pool.  Each slice walks its
-    row blocks in the fast order and writes its own rows of dQ, dK and dV,
-    so the gradients are bitwise equal to ``fast`` whatever the worker count."""
-    job = NMBackwardJob(
-        q, k, v, d_out, out, shift, denom, selection, pattern=pattern, scale=scale,
-        dtype=dtype, criterion=criterion, block_mask=block_mask, dropout=dropout,
-    )
-    return _run_job("nm_attention_bwd", job, [
-        (f"{b}:0:{job.n_q}", f"{job.n_q}x{job.n_k}") for b in job.tiles
-    ])
-
-
-_nm_attention_bwd_multicore.span_args = bwd_span_args
-
-
-@register_kernel("row_block_attention", MULTICORE)
-def _row_block_attention_multicore(
-    q: np.ndarray, k: np.ndarray, v: np.ndarray, structure: row_block.RowBlockStructure,
-    scale: Optional[float] = None, dropout: Optional[Dropout] = None, return_stats: bool = False,
-) -> Tuple[np.ndarray, Optional[row_block.RowBlockStats]]:
-    """The fast kernel's blocks, on the pool.  Each block runs the fast code
-    for the whole batch and writes its own output rows, so the output is
-    bitwise equal to ``fast`` whatever the worker count."""
-    job = row_block.forward_job(q, k, v, structure, scale, dropout, return_stats)
-    return _run_job("row_block_attention", job, [
-        (f"{b.start}:{b.stop}", f"{b.rows}x{b.width}") for b in job.tiles
-    ])
-
-
-_row_block_attention_multicore.span_args = row_block.span_args
-
-
-@register_kernel("row_block_attention_bwd", MULTICORE)
-def _row_block_attention_bwd_multicore(
-    q: np.ndarray, k: np.ndarray, v: np.ndarray, d_out: np.ndarray, out: np.ndarray,
-    shift: np.ndarray, denom: np.ndarray, structure: row_block.RowBlockStructure,
-    scale: Optional[float] = None, dropout: Optional[Dropout] = None,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The fast backward's batch slices, on the pool.  Each slice walks every
-    block in the fast order and writes its own dQ, dK and dV, so the
-    gradients are bitwise equal to ``fast`` whatever the worker count."""
-    job = row_block.backward_job(q, k, v, d_out, out, shift, denom, structure, scale, dropout)
-    shape = f"{structure.n_q}x{structure.n_k}"
-    return _run_job("row_block_attention_bwd", job, [
-        (f"{b}:0:{structure.n_q}", shape) for b in job.tiles
-    ])
-
-
-_row_block_attention_bwd_multicore.span_args = row_block.bwd_span_args

@@ -57,9 +57,12 @@ The oracle rule.  The ``reference`` backend is the staged reference chain
   multicore against ``fast``, a stacked batch against single requests, the
   engine against the server.
 
-The multicore backend maps the same :class:`NMForwardJob` tile list over
-its worker pool, and every tile runs the same code, which keeps its output
-bitwise equal to ``fast`` whatever the worker count.
+Both passes are row-tile jobs (:mod:`repro.core.jobs`):
+:class:`NMForwardJob` and :class:`NMBackwardJob` are registered as the
+``fast`` kernels, which run their tiles in order, and as the ``multicore``
+ones, which run the same tiles on the worker pool; every tile runs the same
+code, which keeps multicore bitwise equal to ``fast`` whatever the worker
+count.
 
 Both backends take any key count: a key axis that is not a multiple of M is
 padded to whole M-groups with zero K and V rows whose score lanes are set to
@@ -75,9 +78,9 @@ probabilities from them, as FlashAttention-2 does
 (https://arxiv.org/abs/2307.08691): :class:`NMBackwardJob` walks the same
 row blocks, re-scores each with the same rounded operands (bit for bit the
 forward's scores), rebuilds ``exp(s − shift)`` on the saved selection, and
-runs the four gradient products on the tile.  Its ``reference`` version re-runs the staged reference chain and
-composes the reference backward primitives.  The multicore backend maps
-the backward's batch slices over its pool.
+runs the four gradient products on the tile; its tiles are the batch
+slices.  Its ``reference`` version re-runs the staged reference chain and
+composes the reference backward primitives.
 """
 
 from __future__ import annotations
@@ -88,12 +91,13 @@ from typing import List, Optional, Tuple, Union
 import numpy as np
 
 from repro.core.attention_grad import _compose_bwd
-from repro.core.backend import FAST, REFERENCE, register_kernel
+from repro.core.backend import REFERENCE, register_kernel
 from repro.core.blocked_ell import BlockedEllMask
+from repro.core.jobs import Dropout, attention_operands, dropout_keep, register_job_kernel
 from repro.core.patterns import NMPattern, default_pattern_for_dtype, resolve_pattern
 from repro.core.precision import tensor_core_operand
 from repro.core.pruning import global_column_indices, nm_compress_lanes, nm_keep_lanes
-from repro.core.sddmm import MASKED_SCORE, _prepare_inputs, sddmm_nm
+from repro.core.sddmm import MASKED_SCORE, sddmm_nm
 from repro.core.softmax import (
     MASKED_LOGIT_THRESHOLD,
     _sparse_softmax_reference,
@@ -101,7 +105,6 @@ from repro.core.softmax import (
 )
 from repro.core.sparse import NMSparseMatrix
 from repro.core.spmm import _spmm_reference
-from repro.utils.seeding import attention_dropout_keep
 from repro.utils.shapes import as_batched_3d, restore_batch_shape
 
 __all__ = [
@@ -109,11 +112,8 @@ __all__ = [
     "NMBackwardJob",
     "NMForwardJob",
     "NMStats",
-    "dropout_keep",
     "pad_keys",
     "row_blocks",
-    "run_inline",
-    "tile_span_args",
 ]
 
 #: Bytes of one float32 score tile: about 1 MiB keeps the lane planes and
@@ -127,9 +127,6 @@ _MASKED_BITS = MASKED_SCORE.view(np.uint32)
 
 #: One tile: ``(flattened batch index, first row, stop row)``.
 Tile = Tuple[int, int, int]
-
-#: Seeded attention dropout of one call: ``(seed, p)``.
-Dropout = Tuple[int, float]
 
 
 def row_blocks(n_q: int, n_k: int) -> List[Tuple[int, int]]:
@@ -153,27 +150,47 @@ def pad_keys(x: np.ndarray, n_k: int) -> np.ndarray:
     return np.pad(x, [(0, 0)] * (x.ndim - 2) + [(0, n_k - x.shape[-2]), (0, 0)])
 
 
-def dropout_keep(
-    dropout: Dropout, indices: np.ndarray, pattern, n_keys: int, first_row: int = 0
-) -> np.ndarray:
-    """Inverted-dropout keep mask over compressed N:M lanes.
+def _resolve(pattern, dtype: str) -> NMPattern:
+    """The call's N:M pattern: ``pattern`` resolved, or ``dtype``'s default."""
+    return default_pattern_for_dtype(dtype) if pattern is None else resolve_pattern(pattern)
 
-    ``indices`` are the in-group indices of ``(..., rows, kept)`` lanes whose
-    flattened rows are dense rows ``first_row, first_row + 1, …``.  Every
-    lane hashes its dense position ``row · n_keys + column`` with the real
-    (unpadded) key count, so the mask agrees with the one
-    :func:`repro.nn.functional.dense_masked_attention` draws over
-    ``(..., n_q, n_keys)``.  Lanes in padded key columns carry zero
-    probability, so their keep value never matters.
-    """
-    seed, p = dropout
+
+def _compressed_keep(dropout: Dropout, indices: np.ndarray, pattern, n_keys: int) -> np.ndarray:
+    """The dropout keep mask of compressed N:M lanes with in-group indices
+    ``indices`` (``(..., rows, kept)``, every row in order): lanes in padded
+    key columns carry zero probability, so their keep value never matters."""
+    rows = np.arange(int(np.prod(indices.shape[:-1]))).reshape(indices.shape[:-1] + (1,))
     cols = global_column_indices(indices, pattern, pattern.padded(n_keys))
-    rows = first_row + np.arange(int(np.prod(indices.shape[:-1])), dtype=np.uint64)
-    positions = (
-        rows.reshape(indices.shape[:-1] + (1,)) * np.uint64(n_keys)
-        + cols.astype(np.uint64)
-    )
-    return attention_dropout_keep(seed, p, positions)
+    return dropout_keep(dropout, rows, cols, n_keys)
+
+
+def _span_args(q, k, v, pattern, dtype, return_probs=False, return_stats=False, d_out=None,
+               **_) -> dict:
+    """Trace-span arguments of one forward call, or of one backward call
+    (given ``d_out``): the row tiles, the tile shape ``rows x padded n_k``
+    and the bytes written — the output, plus the compressed probabilities or
+    the saved statistics when requested; or dQ, and dK and dV over the
+    padded key axis."""
+    pattern = _resolve(pattern, dtype)
+    q_shape, n_k = np.shape(q), pattern.padded(np.shape(k)[-2])
+    n_q, batch = q_shape[-2], int(np.prod(q_shape[:-2], dtype=np.int64))
+    blocks = row_blocks(n_q, n_k)
+    if d_out is not None:
+        out_bytes = 4 * (np.size(q) + batch * n_k * (np.shape(k)[-1] + np.shape(v)[-1]))
+    else:
+        out_bytes = 4 * batch * n_q * np.shape(v)[-1]
+        if return_probs:
+            # float32 values plus int8 in-group indices per kept entry
+            out_bytes += 5 * batch * n_q * pattern.kept(n_k)
+        if return_stats:
+            # float32 shift and denominator per row, a selection code per group
+            code_bytes = np.min_scalar_type((1 << pattern.m) - 1).itemsize
+            out_bytes += batch * n_q * (8 + code_bytes * n_k // pattern.m)
+    return {
+        "tiles": batch * len(blocks),
+        "tile_shape": f"{max((r1 - r0 for r0, r1 in blocks), default=0)}x{n_k}",
+        "out_bytes": int(out_bytes),
+    }
 
 
 class _PaddedKeys:
@@ -256,16 +273,9 @@ class _LaneTiles:
     """
 
     def __init__(self, q, k, v, pattern, scale, dtype, criterion, block_mask, dropout):
-        q3, k3, batch_shape = _prepare_inputs(q, k)
-        v3, v_batch = as_batched_3d(np.asarray(v, dtype=np.float32))
-        if v_batch != batch_shape:
-            raise ValueError(f"V batch shape {v_batch} != Q batch shape {batch_shape}")
+        q3, k3, v3, batch_shape = attention_operands(q, k, v)
         n_q, n_k = q3.shape[1], k3.shape[1]
-        if v3.shape[1] != n_k:
-            raise ValueError(f"V rows ({v3.shape[1]}) must equal the key count ({n_k})")
-        self.pattern = (
-            default_pattern_for_dtype(dtype) if pattern is None else resolve_pattern(pattern)
-        )
+        self.pattern = _resolve(pattern, dtype)
         # the key axis, padded to whole M-groups; an aligned one is used as is
         self.n_keys = n_k
         n_k = self.pattern.padded(n_k)
@@ -322,9 +332,11 @@ class _LaneTiles:
         np.multiply(planes, self.scale, out=planes)
         if self._grid is not None:
             allowed = self._grid[self._row_block[r0:r1], self._col_block]
+            # repro: owns-buffer — the job's reused lane planes
             np.copyto(planes, MASKED_SCORE, where=~allowed)
         if self.n_k != self.n_keys:
             # padded keys are the last lanes of the last group
+            # repro: owns-buffer — the job's reused lane planes
             np.copyto(planes[self.n_keys % self.pattern.m:, :, -1], MASKED_SCORE)
 
     def _row_shift(self, planes: np.ndarray, keep: Tuple[np.ndarray, ...]) -> np.ndarray:
@@ -362,18 +374,8 @@ class _LaneTiles:
             # repro: owns-buffer — a lane of the job's reused lane planes
             np.multiply(bits, kept, out=bits)
 
-    def _lane_dropout(self, lane: int, first_row: int, rows: int) -> np.ndarray:
-        """``(rows, n_k / M)`` keep mask of lane plane ``lane``, hashed on the
-        dense positions of flattened rows ``first_row, …``.
 
-        One plane at a time: the hash's uint64 and float64 temporaries are
-        each twice the bytes of what they cover.
-        """
-        row_base = (first_row + np.arange(rows, dtype=np.uint64)) * np.uint64(self.n_keys)
-        cols = np.arange(lane, self.n_k, self.pattern.m, dtype=np.uint64)
-        return attention_dropout_keep(*self.dropout, row_base[:, None] + cols)
-
-
+@register_job_kernel("nm_attention", _span_args)
 class NMForwardJob(_LaneTiles):
     """One fused N:M forward call, decomposed into independent row tiles.
 
@@ -438,6 +440,11 @@ class NMForwardJob(_LaneTiles):
             np.empty((m, self.tile_rows, self._out.shape[-1]), dtype=np.float32),
         )
 
+    def label(self, tile: Tile) -> Tuple[str, str]:
+        """``(rows, shape)`` trace labels of one row tile."""
+        b, r0, r1 = tile
+        return f"{b}:{r0}:{r1}", f"{r1 - r0}x{self.n_k}"
+
     def run(self, tile: Tile, buf: Tuple[np.ndarray, np.ndarray]) -> None:
         """Execute one tile: score into the lane planes, select, exponentiate
         in place, contract, and normalise the output rows."""
@@ -464,14 +471,19 @@ class NMForwardJob(_LaneTiles):
             self._denom[b, r0:r1] = denom[:, 0]
             # one code per group: bit i set when the group's i-th key is kept
             codes = self._selection[b, r0:r1]
+            # repro: owns-buffer — disjoint row block of the job's own output
             np.copyto(codes, keep[0])
             for lane in range(1, len(keep)):
                 # repro: owns-buffer — disjoint row block of the job's own output
                 codes |= keep[lane].astype(codes.dtype) << lane
         if self.dropout is not None:
+            # one lane plane at a time: the hash's uint64 and float64
+            # temporaries are each twice the bytes of what they cover
+            flat_rows = np.arange(b * self.n_q + r0, b * self.n_q + r1)[:, None]
             for lane, plane in enumerate(planes):
+                cols = np.arange(lane, self.n_k, self.pattern.m)
                 # repro: owns-buffer — a lane of the job's reused lane planes
-                plane *= self._lane_dropout(lane, b * self.n_q + r0, r1 - r0)
+                plane *= dropout_keep(self.dropout, flat_rows, cols, self.n_keys)
         # lane i's keys are rows i, i + M, … of V: one strided view per lane
         # repro: owns-buffer — the job's reused partial-product buffer
         np.matmul(planes, self._v[b].transpose(1, 0, 2), out=partial)
@@ -508,6 +520,7 @@ class NMForwardJob(_LaneTiles):
         return out, probs
 
 
+@register_job_kernel("nm_attention_bwd", _span_args)
 class NMBackwardJob(_LaneTiles):
     """One N:M attention backward, decomposed into independent batch slices.
 
@@ -587,6 +600,10 @@ class NMBackwardJob(_LaneTiles):
             x.reshape(self.n_k // m, m, x.shape[-1]).transpose(1, 0, 2)
         ).reshape(self.n_k, x.shape[-1])
 
+    def label(self, b: int) -> Tuple[str, str]:
+        """``(rows, shape)`` trace labels of one batch slice."""
+        return f"{b}:0:{self.n_q}", f"{self.n_q}x{self.n_k}"
+
     def run(self, b: int, buf: Tuple[Optional[np.ndarray], ...]) -> None:
         """Gradients of slice ``b``, row block by row block."""
         m, groups = self.pattern.m, self.n_k // self.pattern.m
@@ -613,6 +630,7 @@ class NMBackwardJob(_LaneTiles):
             keep = [(codes >> lane) & 1 for lane in range(m)]
             shift, denom = self._shift[b, r0:r1], self._denom[b, r0:r1]
             self._exp_lanes(planes, keep, shift)
+            # repro: owns-buffer — the executor's borrowed probability tile
             np.copyto(tile.reshape(rows, m, groups), planes.transpose(1, 0, 2))
             g = self._g[b, r0:r1]
             inner = np.sum(g * self._o[b, r0:r1], axis=-1, keepdims=True)
@@ -620,21 +638,29 @@ class NMBackwardJob(_LaneTiles):
             if self.dropout is None:
                 g_aug[:rows, :d_v] = g
                 g_aug[:rows, d_v:] = -inner
+                # repro: owns-buffer — the executor's borrowed dS tile
                 np.matmul(g_aug[:rows], v_aug.T, out=d_s)
             else:
                 # dP = (dO Vᵀ) ∘ D, then the row inner products
+                # repro: owns-buffer — the executor's borrowed dS tile
                 np.matmul(g, v_aug[:, :d_v].T, out=d_s)
                 planes = tile.reshape(rows, m, groups).transpose(1, 0, 2)
                 d_s3, dropped3 = (x.reshape(rows, m, groups) for x in (d_s, dropped))
+                flat_rows = np.arange(b * self.n_q + r0, b * self.n_q + r1)[:, None]
                 for lane in range(m):
-                    drop = self._lane_dropout(lane, b * self.n_q + r0, rows)
+                    cols = np.arange(lane, self.n_k, m)
+                    drop = dropout_keep(self.dropout, flat_rows, cols, self.n_keys)
+                    # repro: owns-buffer — the executor's borrowed dropped tile
                     np.multiply(planes[lane], drop, out=dropped3[:, lane])
+                    # repro: owns-buffer — the executor's borrowed dS tile
                     d_s3[:, lane] *= drop
+                # repro: owns-buffer — the executor's borrowed dS tile
                 d_s -= inner
                 applied = dropped
             # dV += (P̃ ∘ D)ᵀ dO / denom, the divide folded into the dO rows
             _matmul_into(grad_v, r0 == 0, applied.T, g / denom)
             # dS' = P̃ ∘ (dP − rowsum(dO ∘ O))
+            # repro: owns-buffer — the executor's borrowed dS tile
             d_s *= tile
             # dQ = dS' K · scale / denom; dK += dS'ᵀ (Q · scale / denom)
             row_scale = scale / denom
@@ -645,6 +671,7 @@ class NMBackwardJob(_LaneTiles):
             # back to key order: lane i's keys are rows i, i + M, …
             for lanes, grad in ((grad_k, self._dk[b]), (grad_v, self._dv[b])):
                 dst = grad.reshape(groups, m, grad.shape[-1])
+                # repro: owns-buffer — this slice of the job's own dK or dV
                 np.copyto(dst, lanes.reshape(m, groups, -1).transpose(1, 0, 2))
 
     def result(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -665,77 +692,6 @@ def _matmul_into(dst: np.ndarray, first: bool, a: np.ndarray, b: np.ndarray) -> 
     else:
         # repro: owns-buffer — the caller's per-slice dK or dV accumulator
         dst += np.matmul(a, b)
-
-
-def run_inline(job):
-    """``fast``'s executor of the N:M and row-block jobs: every tile in order
-    on the calling thread, in one ``job.new_buffer()``, then ``job.result()``."""
-    buf = job.new_buffer()
-    for tile in job.tiles:
-        job.run(tile, buf)
-    return job.result()
-
-
-@register_kernel("nm_attention", FAST)
-def _nm_attention_fast(
-    q: np.ndarray,
-    k: np.ndarray,
-    v: np.ndarray,
-    pattern=None,
-    scale: Optional[float] = None,
-    dtype: str = "float32",
-    criterion: str = "value",
-    block_mask: Optional[BlockedEllMask] = None,
-    return_probs: bool = False,
-    dropout: Optional[Dropout] = None,
-    return_stats: bool = False,
-) -> Tuple[np.ndarray, Union[NMSparseMatrix, NMStats, None]]:
-    """Row-tiled fused forward: one reused tile buffer, no ``n²`` tensor."""
-    job = NMForwardJob(
-        q, k, v, pattern=pattern, scale=scale, dtype=dtype, criterion=criterion,
-        block_mask=block_mask, return_probs=return_probs, dropout=dropout,
-        return_stats=return_stats,
-    )
-    return run_inline(job)
-
-
-def _tile_geometry(q, k, pattern, dtype):
-    """``(batch, n_q, padded n_k, block count, largest block rows, pattern)``
-    of one call."""
-    pattern = (
-        default_pattern_for_dtype(dtype) if pattern is None else resolve_pattern(pattern)
-    )
-    q_shape, n_k = np.shape(q), pattern.padded(np.shape(k)[-2])
-    n_q, batch = q_shape[-2], int(np.prod(q_shape[:-2], dtype=np.int64))
-    blocks = row_blocks(n_q, n_k)
-    rows = max((r1 - r0 for r0, r1 in blocks), default=0)
-    return batch, n_q, n_k, len(blocks), rows, pattern
-
-
-def tile_span_args(
-    q, k, v, pattern=None, scale=None, dtype="float32", criterion="value",
-    block_mask=None, return_probs=False, dropout=None, return_stats=False,
-) -> dict:
-    """Trace-span arguments of one tiled call: tile count, tile shape and the
-    bytes written (output, plus compressed probabilities or the saved
-    statistics when requested)."""
-    batch, n_q, n_k, count, rows, pattern = _tile_geometry(q, k, pattern, dtype)
-    out_bytes = 4 * batch * n_q * np.shape(v)[-1]
-    if return_probs:
-        # float32 values plus int8 in-group indices per kept entry
-        out_bytes += 5 * batch * n_q * pattern.kept(n_k)
-    if return_stats:
-        # float32 shift and denominator per row, a selection code per group
-        code_bytes = np.min_scalar_type((1 << pattern.m) - 1).itemsize
-        out_bytes += batch * n_q * (8 + code_bytes * n_k // pattern.m)
-    return {
-        "tiles": batch * count,
-        "tile_shape": f"{rows}x{n_k}",
-        "out_bytes": int(out_bytes),
-    }
-
-
-_nm_attention_fast.span_args = tile_span_args
 
 
 @register_kernel("nm_attention", REFERENCE)
@@ -761,9 +717,7 @@ def _nm_attention_reference(
     """
     if return_probs and return_stats:
         raise ValueError("return_probs and return_stats are exclusive")
-    pattern = (
-        default_pattern_for_dtype(dtype) if pattern is None else resolve_pattern(pattern)
-    )
+    pattern = _resolve(pattern, dtype)
     n_keys = np.shape(k)[-2]
     n_k = pattern.padded(n_keys)
     mask_source = block_mask
@@ -777,7 +731,7 @@ def _nm_attention_reference(
     probs = _sparse_softmax_reference(scores)
     applied = probs
     if dropout is not None:
-        keep = dropout_keep(dropout, probs.indices, pattern, n_keys)
+        keep = _compressed_keep(dropout, probs.indices, pattern, n_keys)
         applied = probs.with_values(probs.values * keep)
     out = _spmm_reference(applied, v)
     if return_stats:
@@ -792,50 +746,6 @@ def _nm_attention_reference(
             n_keys=n_keys, criterion=criterion, block_mask=block_mask,
         )
     return out, (probs if return_probs else None)
-
-
-@register_kernel("nm_attention_bwd", FAST)
-def _nm_attention_bwd_fast(
-    q: np.ndarray,
-    k: np.ndarray,
-    v: np.ndarray,
-    d_out: np.ndarray,
-    out: np.ndarray,
-    shift: np.ndarray,
-    denom: np.ndarray,
-    selection: np.ndarray,
-    pattern=None,
-    scale: Optional[float] = None,
-    dtype: str = "float32",
-    criterion: str = "value",
-    block_mask: Optional[BlockedEllMask] = None,
-    dropout: Optional[Dropout] = None,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Recomputing backward (:class:`NMBackwardJob`), one slice at a time in
-    one reused set of tile buffers: ``(dQ, dK, dV)`` from the forward's
-    operands, output and saved statistics (:class:`NMStats`)."""
-    job = NMBackwardJob(
-        q, k, v, d_out, out, shift, denom, selection, pattern=pattern, scale=scale,
-        dtype=dtype, criterion=criterion, block_mask=block_mask, dropout=dropout,
-    )
-    return run_inline(job)
-
-
-def bwd_span_args(q, k, v, d_out, out, shift, denom, selection, pattern=None, scale=None,
-                  dtype="float32", criterion="value", block_mask=None, dropout=None) -> dict:
-    """Trace-span arguments of one backward call: the forward's row tiles,
-    the tile shape and the gradient bytes written (dQ, and dK and dV over
-    the padded key axis)."""
-    batch, _, n_k, count, rows, _ = _tile_geometry(q, k, pattern, dtype)
-    d_kv = np.shape(k)[-1] + np.shape(v)[-1]
-    return {
-        "tiles": batch * count,
-        "tile_shape": f"{rows}x{n_k}",
-        "out_bytes": int(4 * (np.size(q) + batch * n_k * d_kv)),
-    }
-
-
-_nm_attention_bwd_fast.span_args = bwd_span_args
 
 
 @register_kernel("nm_attention_bwd", REFERENCE)
@@ -860,16 +770,14 @@ def _nm_attention_bwd_reference(
     backward primitives (:func:`repro.core.attention_grad._compose_bwd`).
     ``out`` and the saved statistics are not read."""
     del out, shift, denom, selection
-    pattern = (
-        default_pattern_for_dtype(dtype) if pattern is None else resolve_pattern(pattern)
-    )
+    pattern = _resolve(pattern, dtype)
     scale = 1.0 / np.sqrt(np.shape(q)[-1]) if scale is None else scale
     _, probs = _nm_attention_reference(
         q, k, v, pattern=pattern, scale=scale, dtype=dtype, criterion=criterion,
         block_mask=block_mask, return_probs=True,
     )
     n_keys = np.shape(k)[-2]
-    keep = None if dropout is None else dropout_keep(dropout, probs.indices, pattern, n_keys)
+    keep = None if dropout is None else _compressed_keep(dropout, probs.indices, pattern, n_keys)
     k, v = pad_keys(k, probs.dense_cols), pad_keys(v, probs.dense_cols)
     d_q, d_k, d_v = _compose_bwd(probs, q, k, v, d_out, scale, keep, REFERENCE)
     return d_q, d_k[..., :n_keys, :], d_v[..., :n_keys, :]

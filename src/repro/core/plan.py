@@ -298,7 +298,7 @@ class AttentionPlan:
         fused forward on ``fast``, the staged reference chain on
         ``reference`` — which computes the compressed probabilities only when
         ``return_probs`` asks for them, and applies ``dropout`` (``(seed,
-        p)``, see :func:`repro.core.nm_attention.dropout_keep`) to the
+        p)``, see :func:`repro.core.jobs.dropout_keep`) to the
         probabilities it contracts.  The training op asks for
         ``return_stats`` instead and gets ``(out, stats)``: the per-row
         softmax statistics and the selection

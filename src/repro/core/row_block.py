@@ -24,10 +24,11 @@ dropout hashed on dense positions, then ``P @ V[keys]`` into the block's
 output rows.  ``row_block_attention_bwd`` walks the blocks one batch slice
 at a time, re-scores each and rebuilds P from the forward's per-row
 statistics, as FlashAttention-2 does (https://arxiv.org/abs/2307.08691),
-then runs the four gradient products.  Both are :class:`RowBlockJob` tiles
-(blocks, batch slices) that ``fast`` runs in order and ``multicore`` on its
-worker pool; slices never mix, so a stack of requests, a single request and
-any worker count all give the same bits.
+then runs the four gradient products.  Both are row-tile jobs
+(:mod:`repro.core.jobs`), :class:`RowBlockForwardJob` over the blocks and
+:class:`RowBlockBackwardJob` over the batch slices, which ``fast`` runs in
+order and ``multicore`` on its worker pool; slices never mix, so a stack of
+requests, a single request and any worker count all give the same bits.
 
 Operands are float32 throughout, with no tensor-core rounding: the engine,
 the server and the training op share this one precision contract.  The
@@ -42,24 +43,19 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.core.backend import FAST, REFERENCE, register_kernel
-from repro.core.nm_attention import Dropout, run_inline
-from repro.core.sddmm import _prepare_inputs
+from repro.core.backend import REFERENCE, register_kernel
+from repro.core.jobs import Dropout, attention_operands, dropout_keep, register_job_kernel
 from repro.core.softmax import masked_dense_softmax
-from repro.utils.seeding import attention_dropout_keep
 from repro.utils.shapes import as_batched_3d, restore_batch_shape
 
 __all__ = [
     "BLOCK_ROWS",
     "DENSE_FRACTION",
     "KeyBlock",
-    "RowBlockJob",
+    "RowBlockBackwardJob",
+    "RowBlockForwardJob",
     "RowBlockStats",
     "RowBlockStructure",
-    "backward_job",
-    "bwd_span_args",
-    "forward_job",
-    "span_args",
 ]
 
 #: Query rows per block.
@@ -120,7 +116,7 @@ class RowBlockStructure:
 
     Query rows of a block without keys (``width`` 0) are left out of
     :attr:`blocks`; they attend to nothing and get exactly zero output and
-    gradients.
+    gradients.  :attr:`pairs` counts the query-key pairs the blocks score.
     """
 
     def __init__(self, n_q: int, n_k: int, blocks: Sequence[KeyBlock]) -> None:
@@ -129,6 +125,7 @@ class RowBlockStructure:
         self.blocks = tuple(blocks)
         self.max_rows = max((b.rows for b in self.blocks), default=0)
         self.max_width = max((b.width for b in self.blocks), default=0)
+        self.pairs = sum(b.rows * b.width for b in self.blocks)
 
     @classmethod
     def build(cls, n_q: int, n_k: int, ranges: Ranges, allowed: Allowed) -> "RowBlockStructure":
@@ -187,53 +184,15 @@ class RowBlockStats:
     denom: np.ndarray
 
 
-@dataclass(frozen=True)
-class RowBlockJob:
-    """A fast row-block call as tiles, in the protocol of the N:M jobs: ``run(tile,
-    buf)`` for every tile, in any order and on any thread, then ``result()``.
-    Tiles write disjoint parts of the outputs their builder allocates."""
-
-    tiles: Sequence
-    run: Callable[[object, None], None]
-    result: Callable[[], tuple]
-
-    def new_buffer(self) -> None:
-        """No buffer to borrow: each block product allocates its own tile."""
-        return None
-
-
 # ------------------------------------------------------------------ kernels
-def _operands(q, k, v, structure: RowBlockStructure):
-    """``(q3, k3, v3, batch_shape)``, validated against the structure."""
-    q3, k3, batch_shape = _prepare_inputs(q, k)
-    v3, v_batch = as_batched_3d(np.asarray(v, dtype=np.float32))
-    if v_batch != batch_shape:
-        raise ValueError(f"V batch shape {v_batch} != Q batch shape {batch_shape}")
-    if v3.shape[1] != k3.shape[1]:
-        raise ValueError(f"V rows ({v3.shape[1]}) must equal the key count ({k3.shape[1]})")
-    if (q3.shape[1], k3.shape[1]) != (structure.n_q, structure.n_k):
-        raise ValueError(
-            f"operands are {q3.shape[1]}x{k3.shape[1]} but the structure is "
-            f"{structure.n_q}x{structure.n_k}"
-        )
-    return q3, k3, v3, batch_shape
-
-
 def _scale(q3: np.ndarray, scale: Optional[float]) -> np.float32:
     return np.float32(1.0 / np.sqrt(q3.shape[-1]) if scale is None else scale)
 
 
-def _keep(dropout: Dropout, structure: RowBlockStructure, slices, rows, cols) -> np.ndarray:
-    """``(len(slices), len(rows), len(cols))`` inverted-dropout keep mask of
-    the given flattened batch slices, query rows and key columns.
-
-    Each entry hashes its dense position ``(slice · n_q + row) · n_k + col``,
-    the position :func:`repro.nn.functional.dense_masked_attention` hashes.
-    """
-    n_q, n_k = np.uint64(structure.n_q), np.uint64(structure.n_k)
-    slices, rows, cols = (np.asarray(x, dtype=np.uint64) for x in (slices, rows, cols))
-    positions = (slices[:, None] * n_q + rows)[:, :, None] * n_k + cols
-    return attention_dropout_keep(*dropout, positions)
+def _flat_rows(slices, start: int, stop: int, n_q: int) -> np.ndarray:
+    """``(slices, rows, 1)`` flattened query rows ``slice · n_q + row`` of
+    the given batch slices and rows ``[start, stop)``: where dropout hashes."""
+    return (np.asarray(slices)[:, None] * n_q + np.arange(start, stop))[:, :, None]
 
 
 def _scores(scaled_q: np.ndarray, k3: np.ndarray, block: KeyBlock) -> np.ndarray:
@@ -253,27 +212,69 @@ def _stats(structure: RowBlockStructure, shift, denom, batch_shape) -> RowBlockS
     return RowBlockStats(structure, shift.reshape(shape), denom.reshape(shape))
 
 
-def forward_job(
-    q: np.ndarray, k: np.ndarray, v: np.ndarray, structure: RowBlockStructure,
-    scale: Optional[float] = None, dropout: Optional[Dropout] = None, return_stats: bool = False,
-) -> RowBlockJob:
-    """The fast forward, one tile per block: its scores, the row softmax in
-    place, dropout and ``P @ V[keys]`` into the block's output rows, plus the
-    rows' shift and denominator with ``return_stats``.  ``result()`` is
-    ``(out, stats)``, ``stats`` a :class:`RowBlockStats` or ``None``."""
-    q3, k3, v3, batch_shape = _operands(q, k, v, structure)
-    scaled_q = q3 * _scale(q3, scale)
-    batch, n_q = q3.shape[0], structure.n_q
-    out = np.zeros((batch, n_q, v3.shape[-1]), dtype=np.float32)
-    shift = denom = None
-    if return_stats:
-        # rows outside every block keep the shift 0 and the denominator 1
-        shift = np.zeros((batch, n_q), dtype=np.float32)
-        denom = np.ones((batch, n_q), dtype=np.float32)
+def _span_args(q, k, v, structure, return_stats=False, d_out=None, **_) -> dict:
+    """Trace-span arguments of one forward call, or of one backward call
+    (given ``d_out``): the block tiles (batch slices × blocks), the largest
+    tile, the query-key pairs the tiles score, and the bytes written — the
+    output, plus each row's shift and denominator when asked for; or dQ, dK
+    and dV."""
+    batch = int(np.prod(np.shape(q)[:-2], dtype=np.int64))
+    if d_out is None:
+        out_bytes = 4 * batch * structure.n_q * (np.shape(v)[-1] + (2 if return_stats else 0))
+    else:
+        out_bytes = 4 * (np.size(q) + np.size(k) + np.size(v))
+    return {
+        "tiles": batch * len(structure.blocks),
+        "tile_shape": f"{structure.max_rows}x{structure.max_width}",
+        "pairs": batch * structure.pairs,
+        "out_bytes": int(out_bytes),
+    }
 
-    def run(block: KeyBlock, buf: None) -> None:
+
+class _BlockTiles:
+    """Operands one row-block call's forward and backward share: Q, K and V
+    checked against the structure, the float32 scale and the dropout."""
+
+    def __init__(self, q, k, v, structure, scale, dropout) -> None:
+        self._q, self._k, self._v, self.batch_shape = attention_operands(q, k, v, structure)
+        self.scale = _scale(self._q, scale)
+        self.structure, self.dropout = structure, dropout
+
+    def new_buffer(self) -> None:
+        """No buffer to borrow: each block product allocates its own tile."""
+        return None
+
+
+@register_job_kernel("row_block_attention", _span_args)
+class RowBlockForwardJob(_BlockTiles):
+    """The fast forward, one tile per block: its scores, the row softmax in
+    place, dropout and ``P @ V[keys]`` into the block's output rows, plus
+    the rows' shift and denominator with ``return_stats``.  :meth:`result`
+    is ``(out, stats)``, ``stats`` a :class:`RowBlockStats` or ``None``."""
+
+    def __init__(
+        self, q: np.ndarray, k: np.ndarray, v: np.ndarray, structure: RowBlockStructure,
+        scale: Optional[float] = None, dropout: Optional[Dropout] = None,
+        return_stats: bool = False,
+    ) -> None:
+        super().__init__(q, k, v, structure, scale, dropout)
+        self._scaled_q = self._q * self.scale
+        self.tiles = structure.blocks
+        batch, n_q = self._q.shape[0], structure.n_q
+        self._out = np.zeros((batch, n_q, self._v.shape[-1]), dtype=np.float32)
+        self._shift = self._denom = None
+        if return_stats:
+            # rows outside every block keep the shift 0 and the denominator 1
+            self._shift = np.zeros((batch, n_q), dtype=np.float32)
+            self._denom = np.ones((batch, n_q), dtype=np.float32)
+
+    def label(self, block: KeyBlock) -> Tuple[str, str]:
+        """``(rows, shape)`` trace labels of one block tile."""
+        return f"{block.start}:{block.stop}", f"{block.rows}x{block.width}"
+
+    def run(self, block: KeyBlock, buf: None) -> None:
         rows = slice(block.start, block.stop)
-        scores = _scores(scaled_q, k3, block)
+        scores = _scores(self._scaled_q, self._k, block)
         # row softmax in place; blocked pairs, and every pair of a row whose
         # keys are all blocked, get exactly zero weight
         row_max = np.max(scores, axis=-1, keepdims=True)
@@ -285,57 +286,73 @@ def forward_job(
         if block.blocked is not None:
             row_sum[row_sum == 0.0] = 1.0
         scores /= row_sum
-        if return_stats:
-            shift[:, rows] = row_max[..., 0]
-            denom[:, rows] = row_sum[..., 0]
-        if dropout is not None:
-            scores *= _keep(dropout, structure, range(batch), range(rows.start, rows.stop),
-                            block.columns())
-        np.matmul(scores, v3[:, block.keys], out=out[:, rows])
+        if self._shift is not None:
+            # repro: owns-buffer — disjoint row block of the job's own statistics
+            self._shift[:, rows] = row_max[..., 0]
+            # repro: owns-buffer — disjoint row block of the job's own statistics
+            self._denom[:, rows] = row_sum[..., 0]
+        if self.dropout is not None:
+            n_q, n_k = self.structure.n_q, self.structure.n_k
+            flat_rows = _flat_rows(range(len(self._out)), block.start, block.stop, n_q)
+            scores *= dropout_keep(self.dropout, flat_rows, block.columns(), n_k)
+        # repro: owns-buffer — disjoint row block of the job's own output
+        np.matmul(scores, self._v[:, block.keys], out=self._out[:, rows])
 
-    def result() -> Tuple[np.ndarray, Optional[RowBlockStats]]:
-        stats = _stats(structure, shift, denom, batch_shape) if return_stats else None
-        return restore_batch_shape(out, batch_shape), stats
+    def result(self) -> Tuple[np.ndarray, Optional[RowBlockStats]]:
+        stats = None
+        if self._shift is not None:
+            stats = _stats(self.structure, self._shift, self._denom, self.batch_shape)
+        return restore_batch_shape(self._out, self.batch_shape), stats
 
-    return RowBlockJob(structure.blocks, run, result)
 
-
-def backward_job(
-    q: np.ndarray, k: np.ndarray, v: np.ndarray, d_out: np.ndarray, out: np.ndarray,
-    shift: np.ndarray, denom: np.ndarray, structure: RowBlockStructure,
-    scale: Optional[float] = None, dropout: Optional[Dropout] = None,
-) -> RowBlockJob:
+@register_job_kernel("row_block_attention_bwd", _span_args)
+class RowBlockBackwardJob(_BlockTiles):
     """The fast backward, one tile per batch slice, walking the blocks in the
     forward's order.  Per block it rebuilds ``P = exp(s − shift) / denom``
     with the forward's op sequence, then, with ``D`` the dropout keep mask:
     ``dV[keys] += (P ∘ D)ᵀ dO``, ``dS = P ∘ ((dO V[keys]ᵀ) ∘ D − rowsum(dO ∘
     O)) · scale``, ``dQ[rows] = dS K[keys]`` and ``dK[keys] += dSᵀ Q[rows]``.
-    ``result()`` is ``(dQ, dK, dV)``."""
-    q3, k3, v3, batch_shape = _operands(q, k, v, structure)
-    g3, o3 = (as_batched_3d(np.asarray(x, dtype=np.float32))[0] for x in (d_out, out))
-    batch = q3.shape[0]
-    shift, denom = (
-        np.asarray(x, dtype=np.float32).reshape(batch, structure.n_q, 1) for x in (shift, denom)
-    )
-    scale = _scale(q3, scale)
-    # zero-filled: rows outside every block have no gradient
-    d_q, d_k, d_v = (np.zeros(x.shape, dtype=np.float32) for x in (q3, k3, v3))
+    :meth:`result` is ``(dQ, dK, dV)``."""
 
-    def run(b: int, buf: None) -> None:
-        sl = slice(b, b + 1)
+    def __init__(
+        self, q: np.ndarray, k: np.ndarray, v: np.ndarray, d_out: np.ndarray, out: np.ndarray,
+        shift: np.ndarray, denom: np.ndarray, structure: RowBlockStructure,
+        scale: Optional[float] = None, dropout: Optional[Dropout] = None,
+    ) -> None:
+        super().__init__(q, k, v, structure, scale, dropout)
+        self._g, self._o = (as_batched_3d(np.asarray(x, dtype=np.float32))[0] for x in (d_out, out))
+        batch = self._q.shape[0]
+        self._shift, self._denom = (
+            np.asarray(x, dtype=np.float32).reshape(batch, structure.n_q, 1) for x in (shift, denom)
+        )
+        self.tiles = range(batch)
+        # zero-filled: rows outside every block have no gradient
+        self._dq, self._dk, self._dv = (
+            np.zeros(x.shape, dtype=np.float32) for x in (self._q, self._k, self._v)
+        )
+
+    def label(self, b: int) -> Tuple[str, str]:
+        """``(rows, shape)`` trace labels of one batch slice."""
+        return f"{b}:0:{self.structure.n_q}", f"{self.structure.n_q}x{self.structure.n_k}"
+
+    def run(self, b: int, buf: None) -> None:
+        sl, scale, n_q = slice(b, b + 1), self.scale, self.structure.n_q
+        q3, k3, v3, shift, denom = self._q, self._k, self._v, self._shift, self._denom
         scaled_q = q3[sl] * scale
-        inner = np.sum(g3[sl] * o3[sl], axis=-1, keepdims=True)
-        for block in structure.blocks:
+        inner = np.sum(self._g[sl] * self._o[sl], axis=-1, keepdims=True)
+        for block in self.structure.blocks:
             rows = slice(block.start, block.stop)
             p = _scores(scaled_q, k3[sl], block)
             p -= shift[sl, rows]
             np.exp(p, out=p)
             p /= denom[sl, rows]
             keep = None
-            if dropout is not None:
-                keep = _keep(dropout, structure, [b], range(rows.start, rows.stop), block.columns())
-            g = g3[sl, rows]
-            d_v[sl, block.keys] += np.matmul(
+            if self.dropout is not None:
+                flat_rows = _flat_rows([b], block.start, block.stop, n_q)
+                keep = dropout_keep(self.dropout, flat_rows, block.columns(), self.structure.n_k)
+            g = self._g[sl, rows]
+            # repro: owns-buffer — the job's own dV, this slice's rows only
+            self._dv[sl, block.keys] += np.matmul(
                 np.swapaxes(p if keep is None else p * keep, -1, -2), g
             )
             d_s = np.matmul(g, np.swapaxes(v3[sl, block.keys], -1, -2))
@@ -344,22 +361,15 @@ def backward_job(
             d_s -= inner[:, rows]
             d_s *= p
             d_s *= scale
-            np.matmul(d_s, k3[sl, block.keys], out=d_q[sl, rows])
-            d_k[sl, block.keys] += np.matmul(np.swapaxes(d_s, -1, -2), q3[sl, rows])
+            # repro: owns-buffer — the job's own dQ, this slice's rows only
+            np.matmul(d_s, k3[sl, block.keys], out=self._dq[sl, rows])
+            # repro: owns-buffer — the job's own dK, this slice's rows only
+            self._dk[sl, block.keys] += np.matmul(np.swapaxes(d_s, -1, -2), q3[sl, rows])
 
-    def result() -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return tuple(restore_batch_shape(grad, batch_shape) for grad in (d_q, d_k, d_v))
-
-    return RowBlockJob(range(batch), run, result)
-
-
-@register_kernel("row_block_attention", FAST)
-def _row_block_attention_fast(
-    q: np.ndarray, k: np.ndarray, v: np.ndarray, structure: RowBlockStructure,
-    scale: Optional[float] = None, dropout: Optional[Dropout] = None, return_stats: bool = False,
-) -> Tuple[np.ndarray, Optional[RowBlockStats]]:
-    """:func:`forward_job`'s blocks in order, on the calling thread."""
-    return run_inline(forward_job(q, k, v, structure, scale, dropout, return_stats))
+    def result(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return tuple(
+            restore_batch_shape(grad, self.batch_shape) for grad in (self._dq, self._dk, self._dv)
+        )
 
 
 def _exp_allowed(scores: np.ndarray, mask: np.ndarray, shift: np.ndarray) -> np.ndarray:
@@ -376,13 +386,14 @@ def _row_block_attention_reference(
     structure's mask.  The statistics are each row's max allowed score (0
     for a row without one) and the sum of its allowed entries'
     exponentials (1 for a zero sum)."""
-    q3, k3, v3, batch_shape = _operands(q, k, v, structure)
+    q3, k3, v3, batch_shape = attention_operands(q, k, v, structure)
     batch, n_q, n_k = q3.shape[0], structure.n_q, structure.n_k
     scores = np.matmul(q3, np.swapaxes(k3, -1, -2)) * _scale(q3, scale)
     mask = structure.to_mask()
     weights = masked_dense_softmax(scores, mask)
     if dropout is not None:
-        weights = weights * _keep(dropout, structure, range(batch), range(n_q), range(n_k))
+        weights = weights * dropout_keep(dropout, _flat_rows(range(batch), 0, n_q, n_q),
+                                         np.arange(n_k), n_k)
     out = restore_batch_shape(np.matmul(weights, v3), batch_shape)
     if not return_stats:
         return out, None
@@ -392,40 +403,7 @@ def _row_block_attention_reference(
     return out, _stats(structure, shift, np.where(total == 0.0, 1.0, total), batch_shape)
 
 
-def span_args(q, k, v, structure, scale=None, dropout=None, return_stats=False) -> dict:
-    """Trace-span arguments of one forward call: block tiles (batch slices ×
-    blocks), the largest tile and the bytes written (the output, plus each
-    row's shift and denominator when asked for)."""
-    batch = int(np.prod(np.shape(q)[:-2], dtype=np.int64))
-    return {
-        "tiles": batch * len(structure.blocks),
-        "tile_shape": f"{structure.max_rows}x{structure.max_width}",
-        "out_bytes": 4 * batch * structure.n_q * (np.shape(v)[-1] + (2 if return_stats else 0)),
-    }
-
-
-def bwd_span_args(q, k, v, d_out, out, shift, denom, structure, scale=None, dropout=None) -> dict:
-    """Trace-span arguments of one backward call: the forward's tiles and the
-    gradient bytes written (dQ, dK and dV)."""
-    grads = np.size(q) + np.size(k) + np.size(v)
-    return {**span_args(q, k, v, structure), "out_bytes": 4 * grads}
-
-
-_row_block_attention_fast.span_args = span_args
-
-
 # ----------------------------------------------------------------- backward
-@register_kernel("row_block_attention_bwd", FAST)
-def _row_block_attention_bwd_fast(
-    q: np.ndarray, k: np.ndarray, v: np.ndarray, d_out: np.ndarray, out: np.ndarray,
-    shift: np.ndarray, denom: np.ndarray, structure: RowBlockStructure,
-    scale: Optional[float] = None, dropout: Optional[Dropout] = None,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`backward_job`'s batch slices in order, on the calling thread:
-    ``(dQ, dK, dV)`` from the forward's operands, output and statistics."""
-    return run_inline(backward_job(q, k, v, d_out, out, shift, denom, structure, scale, dropout))
-
-
 @register_kernel("row_block_attention_bwd", REFERENCE)
 def _row_block_attention_bwd_reference(
     q: np.ndarray, k: np.ndarray, v: np.ndarray, d_out: np.ndarray, out: np.ndarray,
@@ -435,7 +413,7 @@ def _row_block_attention_bwd_reference(
     """The dense backward over all ``n_q × n_k`` pairs, P rebuilt from the
     statistics on the structure's mask (``out`` unused)."""
     del out  # the oracle evaluates the Jacobian on the probabilities
-    q3, k3, v3, batch_shape = _operands(q, k, v, structure)
+    q3, k3, v3, batch_shape = attention_operands(q, k, v, structure)
     g3, _ = as_batched_3d(np.asarray(d_out, dtype=np.float32))
     batch, n_q, n_k = q3.shape[0], structure.n_q, structure.n_k
     scale = _scale(q3, scale)
@@ -444,12 +422,10 @@ def _row_block_attention_bwd_reference(
     p = _exp_allowed(scores, structure.to_mask(), shift) / denom[..., None]
     keep = 1.0
     if dropout is not None:
-        keep = _keep(dropout, structure, range(batch), range(n_q), range(n_k))
+        keep = dropout_keep(dropout, _flat_rows(range(batch), 0, n_q, n_q), np.arange(n_k), n_k)
     d_v = np.matmul(np.swapaxes(p * keep, -1, -2), g3)
     d_p = np.matmul(g3, np.swapaxes(v3, -1, -2)) * keep
     d_s = p * (d_p - np.sum(p * d_p, axis=-1, keepdims=True)) * scale
     grads = (np.matmul(d_s, k3), np.matmul(np.swapaxes(d_s, -1, -2), q3), d_v)
     return tuple(restore_batch_shape(grad, batch_shape) for grad in grads)
 
-
-_row_block_attention_bwd_fast.span_args = bwd_span_args

@@ -272,24 +272,36 @@ def nm_attention_bwd_ops(
 
 
 def row_block_attention_ops(
-    tiles: int, rows: int, width: int, d: int, dtype: str, backward: bool = False
+    tiles: int, rows: int, width: int, pairs: int, d: int, dtype: str, backward: bool = False
 ) -> List[OpCost]:
-    """The row-block forward's kernels over ``tiles`` block tiles, each priced
-    at the largest (``rows × width``): ``Q K[keys]ᵀ``, the tile softmax and
+    """The row-block forward's kernels over ``tiles`` block tiles whose
+    largest is ``rows × width``: ``Q K[keys]ᵀ``, the tile softmax and
     ``P V[keys]``.  The recomputing ``backward`` runs the first two to rebuild
     P from the saved row statistics, then ``dV``, ``dP``, the softmax
-    Jacobian, ``dQ`` and ``dK``."""
-    rescore = [
+    Jacobian, ``dQ`` and ``dK``.
+
+    Each kernel is priced at the largest tile (its tile quantisation
+    included), scaled by the share of that work the tiles do: ``pairs``, the
+    query-key pairs they score (Σ rows·width), over ``tiles·rows·width``.
+    """
+    share = pairs / float(tiles * rows * width)
+    kernels = [
         gemm("block_qk", tiles, rows, width, d, dtype), softmax_dense(tiles, rows, width, dtype)
     ]
     if not backward:
-        return rescore + [gemm("block_pv", tiles, rows, d, width, dtype)]
-    return rescore + [
-        gemm("block_dv", tiles, width, d, rows, dtype),
-        gemm("block_dp", tiles, rows, width, d, dtype),
-        softmax_dense(tiles, rows, width, dtype),
-        gemm("block_dq", tiles, rows, d, width, dtype),
-        gemm("block_dk", tiles, width, d, rows, dtype),
+        kernels.append(gemm("block_pv", tiles, rows, d, width, dtype))
+    else:
+        kernels += [
+            gemm("block_dv", tiles, width, d, rows, dtype),
+            gemm("block_dp", tiles, rows, width, d, dtype),
+            softmax_dense(tiles, rows, width, dtype),
+            gemm("block_dq", tiles, rows, d, width, dtype),
+            gemm("block_dk", tiles, width, d, rows, dtype),
+        ]
+    return [
+        replace(op, flops=op.flops * share, bytes_read=op.bytes_read * share,
+                bytes_written=op.bytes_written * share)
+        for op in kernels
     ]
 
 

@@ -154,7 +154,7 @@ def dfss_sparse_attention(
         layout-independently: one seed is drawn from ``dropout_rng`` per
         call and hashed with the *dense* position of each stored nonzero
         over the real key count
-        (:func:`repro.core.nm_attention.dropout_keep`), so a seeded run
+        (:func:`repro.core.jobs.dropout_keep`), so a seeded run
         through this op and one through
         :func:`repro.nn.functional.dense_masked_attention` drop the same
         (row, column) entries.

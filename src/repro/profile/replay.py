@@ -129,7 +129,8 @@ def _bhld(shape: Tuple[int, ...]) -> Optional[Tuple[int, int, int]]:
 
 
 def _parse_tile(node: OpNode) -> Optional[Tuple[int, int, int]]:
-    """``(tiles, rows, width)`` from a tiled kernel's span arguments."""
+    """``(tiles, rows, width)`` from a tiled kernel's span arguments: the
+    largest tile, ``rows x padded n_k`` for the N:M kernels."""
     tiles, shape = node.args.get("tiles"), node.args.get("tile_shape")
     if not isinstance(tiles, int) or not isinstance(shape, str):
         return None
@@ -146,7 +147,9 @@ def gpusim_cost_fn(device=None, dtype: str = "float32") -> CostFn:
     Each node's problem size is recovered from the ``shape`` its tracing
     wrapper recorded (the first array-like argument of the kernel call: Q for
     the fused N:M forward and backward, V for the SpMM, the compressed value
-    buffer for the fused softmax); the row-block kernels add their tile
+    buffer for the fused softmax).  The fused N:M kernels read their padded
+    key count from ``tile_shape``; the row-block kernels price their block
+    products from the query-key ``pairs`` their tiles score, with the tile
     count and largest tile.  ``masked_softmax`` and ``spmm`` are priced with
     the N:M models only outside a plan of the ``csr`` layout.  Kernels
     without an analytical model — the serving fast paths, CSR-layout ops
@@ -174,32 +177,36 @@ def gpusim_cost_fn(device=None, dtype: str = "float32") -> CostFn:
         elif node.name == "spmm":
             # shape is V: (..., L, D)
             sec = ops.spmm_nm(b, rows, rows, last, dtype).latency(dev)
-        elif node.name == "nm_attention":
-            # shape is Q: (..., L, D); the fused forward is the three
-            # forward kernels back to back
-            sec = ops.total_latency(
-                [
-                    ops.sddmm_nm_fused(b, rows, rows, last, dtype),
-                    ops.softmax_sparse_nm(b, rows, rows, dtype),
-                    ops.spmm_nm(b, rows, rows, last, dtype),
-                ],
-                dev,
-            )
-        elif node.name in ("row_block_attention", "row_block_attention_bwd"):
-            # shape is Q: (..., L, D); the span's tile count and largest tile
-            # bound the block products (every tile costed at the largest)
+        elif node.name in ("nm_attention", "nm_attention_bwd"):
+            # shape is Q: (..., n_q, D); the padded key count is the tile
+            # width (n_q without one)
             tile = _parse_tile(node)
-            if tile is None:
+            n_k = rows if tile is None else tile[2]
+            if node.name == "nm_attention":
+                # the fused forward is the three forward kernels back to back
+                kernels = [
+                    ops.sddmm_nm_fused(b, rows, n_k, last, dtype),
+                    ops.softmax_sparse_nm(b, rows, n_k, dtype),
+                    ops.spmm_nm(b, rows, n_k, last, dtype),
+                ]
+            else:
+                # the recomputing backward re-scores, re-selects and
+                # recomputes P ahead of the five backward kernels
+                kernels = ops.nm_attention_bwd_ops(b, rows, n_k, last, dtype)
+            sec = ops.total_latency(kernels, dev)
+        elif node.name in ("row_block_attention", "row_block_attention_bwd"):
+            # shape is Q: (..., L, D); the span's pair count prices the block
+            # products, its tile count and largest tile their tiling
+            tile, pairs = _parse_tile(node), node.args.get("pairs")
+            if tile is None or not isinstance(pairs, int):
                 return None
+            tiles, tile_rows, width = tile
             # the recomputing backward re-scores and rebuilds P ahead of
             # its five block products
             backward = node.name == "row_block_attention_bwd"
-            sec = ops.total_latency(ops.row_block_attention_ops(*tile, last, dtype, backward), dev)
-        elif node.name == "nm_attention_bwd":
-            # shape is Q: (..., L, D); the recomputing backward re-scores,
-            # re-selects and recomputes P ahead of the five backward kernels
             sec = ops.total_latency(
-                ops.nm_attention_bwd_ops(b, rows, rows, last, dtype), dev
+                ops.row_block_attention_ops(tiles, tile_rows, width, pairs, last, dtype, backward),
+                dev,
             )
         else:
             return None

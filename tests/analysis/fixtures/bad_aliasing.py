@@ -36,6 +36,17 @@ def loop_alias_mutation(planes, keep):
     return planes
 
 
+def copyto_into_param(dst, src):
+    np.copyto(dst, src)  # AL004: copyto into a parameter
+    return dst
+
+
+def comprehension_alias_mutation(bufs, rows):
+    tile, scratch = (b[:rows] for b in bufs)  # slices of the caller's buffers
+    tile += 1.0  # AL001: mutation through a comprehension-derived alias
+    return scratch
+
+
 def waived_site(values):
     acc = values.reshape(-1)  # view: same memory
     # repro: owns-buffer — fixture: documented intentional reuse

@@ -19,6 +19,7 @@ class TestSeededViolations:
         hits = [f for f in _findings() if f.rule == "AL001" and not f.waived]
         assert {f.message.split(":")[0] for f in hits} == {
             "mutates_param", "derived_alias_mutation", "loop_alias_mutation",
+            "comprehension_alias_mutation",
         }
 
     def test_subscript_assignment_on_param(self):
@@ -28,6 +29,10 @@ class TestSeededViolations:
     def test_out_kwarg_on_param(self):
         hits = [f for f in _findings() if f.rule == "AL003" and not f.waived]
         assert [f.message.split(":")[0] for f in hits] == ["ufunc_out_on_param"]
+
+    def test_copyto_into_param(self):
+        hits = [f for f in _findings() if f.rule == "AL004" and not f.waived]
+        assert [f.message.split(":")[0] for f in hits] == ["copyto_into_param"]
 
     def test_waiver_is_inventoried_not_hidden(self):
         waived = [f for f in _findings() if f.waived]
@@ -93,6 +98,18 @@ class TestTaintSemantics:
         )
         assert [f.rule for f in findings] == ["AL003", "AL002", "AL001"]
 
+    def test_comprehensions_propagate_taint_from_their_iterables(self, tmp_path):
+        findings = self._run(
+            tmp_path,
+            "def f(bufs, n):\n"
+            "    a, b = (x[:n] for x in bufs)\n"
+            "    np.copyto(a, 0.0)\n"
+            "    c, d = [np.zeros(x.shape) for x in bufs]\n"
+            "    np.copyto(c, 0.0)\n"
+            "    np.copyto(np.empty(3), bufs[0])\n",
+        )
+        assert [(f.rule, f.line) for f in findings] == [("AL004", 4)]
+
     def test_fresh_local_buffers_are_silent(self, tmp_path):
         findings = self._run(
             tmp_path,
@@ -128,13 +145,16 @@ class TestRepoWaiverInventory:
         waived = sorted((f.file, f.line) for f in findings if f.waived)
         files = {file for file, _ in waived}
         # the fused plan's in-place softmax, the two softmax cores, and the
-        # row-tiled N:M kernels' tile-buffer / own-output writes: the
-        # forward's (six of them through per-lane loop targets over its lane
-        # planes, three for the statistics it saves for the backward) and the
-        # recomputing backward's dQ row blocks and dK/dV accumulators
+        # fused jobs' tile-buffer / own-output writes: the N:M forward's
+        # (six of them through per-lane loop targets over its lane planes,
+        # four for the statistics it saves for the backward, two masking
+        # copies into the lane planes), the recomputing N:M backward's
+        # borrowed tiles, dQ row blocks, dK/dV accumulators and write-back,
+        # and the row-block jobs' statistics, output and gradient blocks
         assert files == {
             "src/repro/core/nm_attention.py",
             "src/repro/core/plan.py",
+            "src/repro/core/row_block.py",
             "src/repro/core/softmax.py",
         }
-        assert len(waived) == 25
+        assert len(waived) == 42

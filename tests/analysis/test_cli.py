@@ -50,7 +50,7 @@ class TestJsonReport:
         assert report["version"] == 1
         assert {"findings", "waivers", "summary"} <= set(report)
         rules = {f["rule"] for f in report["findings"]}
-        assert {"KC001", "KC003", "KC004", "AL001", "AL003"} <= rules
+        assert {"KC001", "KC003", "KC004", "AL001", "AL003", "AL004"} <= rules
         assert len(report["waivers"]) == 1
         assert report["summary"]["errors"] == len(
             [f for f in report["findings"] if f["severity"] == "error"]
@@ -61,5 +61,5 @@ class TestJsonReport:
         assert main(["--strict", "--json", str(report_path)]) == 0
         report = json.loads(report_path.read_text())
         assert report["findings"] == []
-        assert len(report["waivers"]) == 25
+        assert len(report["waivers"]) == 42
         assert report["summary"]["kernels"] >= 8

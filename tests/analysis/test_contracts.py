@@ -2,7 +2,11 @@
 
 from pathlib import Path
 
-from repro.analysis.contracts import check_contracts
+import ast
+
+import pytest
+
+from repro.analysis.contracts import check_contracts, collect_kernels
 from repro.analysis.runner import default_contract_files, repo_root
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -74,6 +78,28 @@ class TestCallFormRegistration:
         assert [f for f in findings if f.rule in ("KC001", "KC002", "KC003")] == []
         assert stats["kernel_registrations"] == 2
 
+    def test_job_class_registers_fast_and_multicore(self, tmp_path):
+        # a job class's constructor, ``self`` aside, is the signature of both
+        # backends it registers, and KC003 compares it with the reference's
+        mod = tmp_path / "jobform.py"
+        mod.write_text(
+            "from repro.core.backend import REFERENCE, register_kernel\n"
+            "from repro.core.jobs import register_job_kernel\n"
+            "@register_kernel('job_kernel', REFERENCE)\n"
+            "def job_ref(q, k, scale=None):\n"
+            "    return q\n"
+            "@register_job_kernel('job_kernel', dict)\n"
+            "class Job:\n"
+            "    def __init__(self, q, v, scale=None):\n"
+            "        self.tiles = ()\n"
+        )
+        findings, stats = check_contracts([mod], root=tmp_path)
+        assert stats["kernel_registrations"] == 3
+        mismatch = [f for f in findings if f.rule == "KC003"]
+        backends = sorted(f.message.split("backend ")[1].split()[0] for f in mismatch)
+        assert backends == ["'fast'", "'multicore'"]
+        assert all("('q', 'v', 'scale')" in f.message for f in mismatch)
+
     def test_syntax_error_reported_not_raised(self, tmp_path):
         bad = tmp_path / "broken.py"
         bad.write_text("def oops(:\n")
@@ -90,3 +116,15 @@ class TestRepoIsClean:
         # the registry the tests exercise is fully covered by the scan
         assert stats["kernels"] >= 8
         assert stats["kernel_registrations"] >= 16
+
+    @pytest.mark.parametrize("kernel", [
+        "nm_attention", "nm_attention_bwd", "row_block_attention", "row_block_attention_bwd",
+    ])
+    def test_fused_kernels_have_all_three_backend_sites(self, kernel):
+        root = repo_root()
+        sites = []
+        for path in default_contract_files(root):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            sites += [i for i in collect_kernels(tree, str(path)) if i.kernel == kernel]
+        assert sorted(i.backend for i in sites) == ["fast", "multicore", "reference"]
+        assert len({i.params for i in sites}) == 1

@@ -20,8 +20,8 @@ from repro.core.softmax import sparse_softmax
 
 # Importing the kernel modules above populates the registry.
 EXPECTED_KERNELS = (
-    "masked_softmax", "nm_attention", "nm_attention_bwd", "nm_prune_mask", "sddmm_csr",
-    "spmm",
+    "masked_softmax", "nm_attention", "nm_attention_bwd", "nm_prune_mask",
+    "row_block_attention", "row_block_attention_bwd", "sddmm_csr", "spmm",
 )
 
 

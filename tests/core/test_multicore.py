@@ -476,31 +476,50 @@ class TestRaggedAndFullyMaskedRows:
 
 
 class TestRegisteredKernels:
-    @pytest.mark.parametrize("kernel", ["nm_attention", "nm_attention_bwd"])
-    def test_multicore_registers_its_own_nm_kernels(self, kernel):
+    @pytest.mark.parametrize("kernel", [
+        "nm_attention", "nm_attention_bwd", "row_block_attention", "row_block_attention_bwd",
+    ])
+    def test_multicore_registers_its_own_fused_kernels(self, kernel):
         assert get_kernel(kernel, MULTICORE) is not get_kernel(kernel, FAST)
 
-    def test_traced_train_step_kernel_spans_match_fast(self, two_workers):
-        """The registry's tracing wrapper emits the multicore N:M spans: the
+    @staticmethod
+    def _assert_spans_match_fast(train_step, names):
+        """The registry's tracing wrapper emits the multicore fused spans: the
         backend differs from ``fast``, the span arguments do not."""
-        q, k, v = _qkv()
         spans = {}
         for backend in (FAST, MULTICORE):
-            qt, kt, vt = (Tensor(a, requires_grad=True) for a in (q, k, v))
             with trace() as active:
-                out, _ = dfss_sparse_attention(qt, kt, vt, pattern="2:4", backend=backend)
-                (out * out).sum().backward()
+                train_step(backend)
             spans[backend] = {
                 e["name"]: e["args"]
                 for e in active.payload()["traceEvents"]
-                if e.get("cat") == "kernel"
-                and e.get("name") in ("nm_attention", "nm_attention_bwd")
+                if e.get("cat") == "kernel" and e.get("name") in names
             }
-        assert set(spans[MULTICORE]) == {"nm_attention", "nm_attention_bwd"}
+        assert set(spans[MULTICORE]) == set(names)
         for name, args in spans[MULTICORE].items():
             fast_args = dict(spans[FAST][name])
             assert (args.pop("backend"), fast_args.pop("backend")) == (MULTICORE, FAST)
             assert "tiles" in args and args == fast_args, name
+
+    def test_traced_train_step_kernel_spans_match_fast(self, two_workers):
+        q, k, v = _qkv()
+
+        def train_step(backend):
+            qt, kt, vt = (Tensor(a, requires_grad=True) for a in (q, k, v))
+            out, _ = dfss_sparse_attention(qt, kt, vt, pattern="2:4", backend=backend)
+            (out * out).sum().backward()
+
+        self._assert_spans_match_fast(train_step, ("nm_attention", "nm_attention_bwd"))
+
+    def test_traced_row_block_train_step_spans_match_fast(self, two_workers):
+        def train_step(backend):
+            q, k, v = _lattice_tensors(batch=(2, 2), seq=128, d=16)
+            out = make_core("longformer", seq_len_hint=128, backend=backend)(q, k, v)
+            (out * out).sum().backward()
+
+        self._assert_spans_match_fast(
+            train_step, ("row_block_attention", "row_block_attention_bwd")
+        )
 
 
 class TestTraceIntegration:

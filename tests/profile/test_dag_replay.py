@@ -191,6 +191,36 @@ class TestReplay:
         five = ops.attention_bwd_nm_ops(b, rows, rows, d, "float32")
         assert gpusim_cost_fn()(node) > ops.total_latency(five, AMPERE_A100) * 1e6
 
+    def test_gpusim_reads_the_key_count_from_the_tile_shape(self):
+        # n_q = 256 queries against 130 keys: the spans' tiles are 256 rows
+        # wide by the 132 padded keys, and both kernels are priced at them
+        from repro.gpusim import AMPERE_A100, ops
+        from repro.nn.autograd import parameter
+        from repro.nn.sparse_attention import dfss_sparse_attention
+
+        rng = np.random.default_rng(0)
+        q = parameter(rng.standard_normal((1, 2, 256, 32), dtype=np.float32))
+        k, v = (parameter(rng.standard_normal((1, 2, 130, 32), dtype=np.float32)) for _ in "kv")
+        with trace() as active:
+            out, _ = dfss_sparse_attention(q, k, v, pattern="2:4", backend="fast")
+            out.sum().backward()
+        nodes = {n.name: n for n in build_dag(active.payload()).nodes}
+        b, n_q, n_k, d = 2, 256, 132, 32
+        expected = {
+            "nm_attention": [
+                ops.sddmm_nm_fused(b, n_q, n_k, d, "float32"),
+                ops.softmax_sparse_nm(b, n_q, n_k, "float32"),
+                ops.spmm_nm(b, n_q, n_k, d, "float32"),
+            ],
+            "nm_attention_bwd": ops.nm_attention_bwd_ops(b, n_q, n_k, d, "float32"),
+        }
+        cost = gpusim_cost_fn()
+        for name, kernels in expected.items():
+            assert nodes[name].args["tile_shape"] == f"{n_q}x{n_k}"
+            assert cost(nodes[name]) == pytest.approx(
+                ops.total_latency(kernels, AMPERE_A100) * 1e6
+            )
+
     def test_gpusim_replays_csr_spans_at_their_measured_time(self):
         # Top-K runs on a CSR plan: its masked softmax and SpMM spans carry
         # the ``csr`` layout label and are not priced with the N:M models

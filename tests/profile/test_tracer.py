@@ -276,9 +276,12 @@ class TestRowBlockSpans:
         # sixteen 64-row blocks per slice; the first is the global row's
         # dense tile, the others read 1 global + 64 + 2 * 32 window keys
         # (the last block's window ends at the last key: 1 + 64 + 32)
+        pairs = 64 * 1024 + 14 * 64 * 129 + 64 * 97
+        assert structure.pairs == pairs
         for args in (fwd, bwd):
             assert args["tiles"] == 2 * 16
             assert args["tile_shape"] == "64x1024"
+            assert args["pairs"] == 2 * pairs
         # the training forward writes the output and each row's shift and
         # denominator, no block probabilities
         assert fwd["out_bytes"] == 4 * 2 * 1024 * (16 + 2)
@@ -288,9 +291,12 @@ class TestRowBlockSpans:
             n.name: n for n in build_dag(active.payload()).nodes if n.name.startswith("row_block")
         }
         assert len(nodes) == 2
-        # the backward re-scores and rebuilds P ahead of its five products
-        fwd_ops = ops.row_block_attention_ops(2 * 16, 64, 1024, 16, "float32")
-        bwd_ops = ops.row_block_attention_ops(2 * 16, 64, 1024, 16, "float32", backward=True)
+        # the backward re-scores and rebuilds P ahead of its five products;
+        # both are priced at the pairs their tiles score
+        fwd_ops = ops.row_block_attention_ops(2 * 16, 64, 1024, 2 * pairs, 16, "float32")
+        bwd_ops = ops.row_block_attention_ops(
+            2 * 16, 64, 1024, 2 * pairs, 16, "float32", backward=True
+        )
         assert [op.name for op in fwd_ops] == ["block_qk", "softmax", "block_pv"]
         assert [op.name for op in bwd_ops] == [
             "block_qk", "softmax",
@@ -300,6 +306,33 @@ class TestRowBlockSpans:
         for name, kernels in priced.items():
             expected = ops.total_latency(kernels, AMPERE_A100) * 1e6
             assert cost(nodes[name]) == pytest.approx(expected)
+
+
+    def test_block_products_are_priced_at_the_scored_pairs(self):
+        # Longformer at L1024, window 32: one dense block among fifteen
+        # window blocks, so pricing every tile at the largest overcounts the
+        # block products by tiles·rows·width / pairs, about 5.6x
+        from repro.gpusim import AMPERE_A100, ops
+        from repro.profile.replay import gpusim_cost_fn
+        from repro.registry import make_mechanism
+
+        structure = make_mechanism("longformer", window=32).block_structure(1024, 1024)
+        d = 64
+        rng = np.random.default_rng(0)
+        q, k, v = (rng.standard_normal((1, 2, 1024, d), dtype=np.float32) for _ in range(3))
+        with trace() as active:
+            get_kernel("row_block_attention", FAST)(q, k, v, structure)
+        (node,) = [n for n in build_dag(active.payload()).nodes if n.name == "row_block_attention"]
+        pairs = node.args["pairs"]
+        assert pairs == 2 * sum(b.rows * b.width for b in structure.blocks)
+        priced = ops.row_block_attention_ops(2 * 16, 64, 1024, pairs, d, "float32")
+        assert priced[0].name == "block_qk"
+        assert priced[0].flops == pytest.approx(2 * d * pairs, rel=1e-12)
+        assert gpusim_cost_fn()(node) == pytest.approx(
+            ops.total_latency(priced, AMPERE_A100) * 1e6
+        )
+        largest = ops.row_block_attention_ops(2 * 16, 64, 1024, 2 * 16 * 64 * 1024, d, "float32")
+        assert largest[0].flops / priced[0].flops == pytest.approx(16 * 64 * 1024 / (pairs / 2))
 
 
 class TestCacheStats:

@@ -81,8 +81,9 @@ def test_runtime_packages_do_not_import_scipy():
 
 
 def test_runtime_packages_do_not_import_multicore():
-    """The multicore kernels register on the first ``multicore`` kernel
-    lookup; importing the runtime packages must not start that module."""
+    """The multicore pool's module is imported on the first ``multicore``
+    fused-kernel call or CSR stage; importing the runtime packages must not
+    start it."""
     src = str(Path(repro.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     code = (
