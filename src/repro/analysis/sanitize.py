@@ -19,6 +19,8 @@ paths the type system cannot see:
 * :func:`check_output` — asserts the ``MASKED_SCORE`` sentinel and NaN/inf
   never leak into outputs or gradients (an attention output row may carry
   the NaN/inf of its own non-finite inputs).
+* :func:`check_adopted` — asserts a gradient an autograd node adopts
+  without a copy shares no memory with a live gradient.
 
 All helpers are no-ops when the mode is off, so production paths pay one env
 lookup per entry point and nothing else.
@@ -136,6 +138,26 @@ def check_grads(grads, context: str, inputs=None):
                 g = g[np.broadcast_to(np.logical_and.reduce(finite), g.shape[:-2])]
             check_output(g, f"{context}[{i}]")
     return grads
+
+
+def check_adopted(grad: np.ndarray, live, context: str) -> None:
+    """Assert an adopted gradient aliases no live gradient (sanitize mode).
+
+    :meth:`Tensor._accumulate <repro.nn.autograd.Tensor._accumulate>`
+    stores an adopted gradient without a copy and later accumulates into it
+    in place, so it must share no memory with ``live`` — the other
+    gradients of the graph being walked, the adopting node's incoming
+    gradient among them.  ``live`` is only iterated when the mode is on.
+    """
+    if not sanitize_enabled():
+        return
+    for other in live:
+        if np.shares_memory(grad, other):
+            raise SanitizerError(
+                f"sanitizer: the gradient adopted by {context!r} shares memory with "
+                f"a live gradient; a backward closure may adopt only an array it "
+                f"has just allocated"
+            )
 
 
 def private_copy(arr: np.ndarray, dtype: Optional[np.dtype] = None) -> np.ndarray:

@@ -23,10 +23,10 @@ fast kernel in the chain is per-leading-slice independent — batched BLAS
 matmuls dispatch one GEMM per slice, and every reduction runs over trailing
 extents the slice itself fixes — so tiling the leading dimension cannot
 perturb a bit, and a fused job's tiles run the fast code on disjoint parts
-of its outputs.  The one genuine hazard, the masked softmax's dispatch
-between summation orders, is decided by the plan once for the whole batch
-before ``_map`` runs (see :meth:`AttentionPlan.compute_probs
-<repro.core.plan.AttentionPlan.compute_probs>`).
+of its outputs.  The masked softmax's choice between summation orders is
+made per slice from that slice's own row lengths
+(:func:`repro.core.softmax.masked_softmax_values`), so a tile cannot flip
+it either.
 
 Workers are threads: the hot kernels are BLAS/ufunc dominated and release
 the GIL.  ``REPRO_MULTICORE_WORKERS`` sets the worker count (default

@@ -64,6 +64,17 @@ ones, which run the same tiles on the worker pool; every tile runs the same
 code, which keeps multicore bitwise equal to ``fast`` whatever the worker
 count.
 
+Operands are read in place and outputs written in Q's layout
+(:mod:`repro.core.jobs`).  Q, K, V, dO and O keep the caller's strides: a
+tile reads its ``(batch·head)`` slice as a ``(rows, d)`` view, so the
+transposed head views of a multi-head layer are not flattened into copies.
+What a tile copies it copies anyway: the tf32-rounded Q rows, the
+lane-major rounded Kᵀ (once per call in the forward, once per slice in the
+backward), and the backward's lane-major K and V.  The output and dQ are
+allocated in Q's memory order, dK in K's and dV in V's, so the layer's head
+merge and autograd's head-split backward reshape them as views.  Contiguous
+operands take the same path.
+
 Both backends take any key count: a key axis that is not a multiple of M is
 padded to whole M-groups with zero K and V rows whose score lanes are set to
 ``MASKED_SCORE`` before the selection, so they carry exactly zero weight.
@@ -93,7 +104,14 @@ import numpy as np
 from repro.core.attention_grad import _compose_bwd
 from repro.core.backend import REFERENCE, register_kernel
 from repro.core.blocked_ell import BlockedEllMask
-from repro.core.jobs import Dropout, attention_operands, dropout_keep, register_job_kernel
+from repro.core.jobs import (
+    Dropout,
+    aligned_empty,
+    attention_operands,
+    batch_slices,
+    dropout_keep,
+    register_job_kernel,
+)
 from repro.core.patterns import NMPattern, default_pattern_for_dtype, resolve_pattern
 from repro.core.precision import tensor_core_operand
 from repro.core.pruning import global_column_indices, nm_compress_lanes, nm_keep_lanes
@@ -105,7 +123,7 @@ from repro.core.softmax import (
 )
 from repro.core.sparse import NMSparseMatrix
 from repro.core.spmm import _spmm_reference
-from repro.utils.shapes import as_batched_3d, restore_batch_shape
+from repro.utils.shapes import restore_batch_shape
 
 __all__ = [
     "TILE_BYTES",
@@ -267,23 +285,25 @@ class _LaneTiles:
 
     Validates the operands, pads the key axis to whole M-groups, views V
     lane-major, prepares the blocked-ELL grid, and cuts the query rows into
-    the :func:`row_blocks` both passes walk.  The tile steps — score,
+    the :func:`row_blocks` both passes walk.  The operands are read in
+    place (:mod:`repro.core.jobs`): ``_q`` and ``_v`` are per-slice views of
+    the caller's arrays, whatever their strides.  The tile steps — score,
     shift, exponentiate, per-lane dropout — are written once here, so the
     backward re-scores bit for bit what the forward scored.
     """
 
     def __init__(self, q, k, v, pattern, scale, dtype, criterion, block_mask, dropout):
-        q3, k3, v3, batch_shape = attention_operands(q, k, v)
-        n_q, n_k = q3.shape[1], k3.shape[1]
+        q, k, v, batch_shape = attention_operands(q, k, v)
+        n_q, n_k = q.shape[-2], k.shape[-2]
         self.pattern = _resolve(pattern, dtype)
         # the key axis, padded to whole M-groups; an aligned one is used as is
         self.n_keys = n_k
         n_k = self.pattern.padded(n_k)
         if n_k != self.n_keys:
-            k3, v3 = pad_keys(k3, n_k), pad_keys(v3, n_k)
+            k, v = pad_keys(k, n_k), pad_keys(v, n_k)
         self.dtype = dtype
         self.criterion = criterion
-        scale = 1.0 / np.sqrt(q3.shape[-1]) if scale is None else scale
+        scale = 1.0 / np.sqrt(q.shape[-1]) if scale is None else scale
         # A scale float32 holds exactly gives the same float32 products as
         # the staged path's float64 multiply (a 24 x 24-bit product is exact
         # in float64 and rounds once either way), at float32 cost.
@@ -293,15 +313,17 @@ class _LaneTiles:
         self.n_k = n_k
         self.dropout = dropout
         self.block_mask = block_mask
-        batch, m = q3.shape[0], self.pattern.m
+        m = self.pattern.m
         groups = n_k // m
         # Q is rounded one row block at a time, in the tile (elementwise, so
         # the bits match rounding it whole).  V is only viewed lane-major:
         # lane i's keys are rows i, i + M, … of ``_v[b]``, a strided BLAS
         # operand, so no copy of V is made.
-        self._q = q3
-        self._k = k3
-        self._v = v3.reshape(batch, groups, m, v3.shape[-1])
+        # the output and dQ are allocated like Q, in its memory order
+        self._layout = q
+        self._q = batch_slices(q)
+        # the (padded) keys and values, which each pass views per slice
+        self._k, self._v = k, v
         self._grid = None
         if block_mask is not None:
             self._grid = block_mask.block_grid(n_q, self.n_keys)
@@ -325,7 +347,7 @@ class _LaneTiles:
     def _score(self, planes: np.ndarray, b: int, r0: int, r1: int, kt: np.ndarray) -> None:
         """Score rows ``r0:r1`` of slice ``b`` into the lane planes against
         the lane-major rounded Kᵀ ``kt``, and mask them."""
-        q = tensor_core_operand(self._q[b, r0:r1], self.dtype)
+        q = tensor_core_operand(self._q[b][r0:r1], self.dtype)
         # repro: owns-buffer — the job's reused lane planes
         np.matmul(q, kt, out=planes)
         # repro: owns-buffer — the job's reused lane planes
@@ -408,15 +430,19 @@ class NMForwardJob(_LaneTiles):
         if return_probs and return_stats:
             raise ValueError("return_probs and return_stats are exclusive")
         super().__init__(q, k, v, pattern, scale, dtype, criterion, block_mask, dropout)
-        batch, n_q = self._q.shape[0], self.n_q
+        batch, n_q, m = len(self._q), self.n_q, self.pattern.m
         # Kᵀ is rounded once for the whole call, as every tile reads it; the
         # tiles read nothing else of K
-        self._kt = self._lane_kt(self._k)
+        kt = self._lane_kt(self._k)
+        self._kt = kt.reshape((batch,) + kt.shape[-3:])
         del self._k
+        d_v = self._v.shape[-1]
+        self._v = [x.reshape(self.n_k // m, m, d_v) for x in batch_slices(self._v)]
         self.tiles: List[Tile] = [
             (b, r0, r1) for b in range(batch) for r0, r1 in self.blocks
         ]
-        self._out = np.empty((batch, n_q, self._v.shape[-1]), dtype=np.float32)
+        self._out = np.empty_like(self._layout, shape=self._layout.shape[:-1] + (d_v,))
+        self._out_rows = batch_slices(self._out)
         kept = self.pattern.kept(self.n_k)
         self._values = self._indices = self._shift = self._denom = self._selection = None
         if return_probs:
@@ -436,8 +462,8 @@ class NMForwardJob(_LaneTiles):
         partial products of P·V."""
         m = self.pattern.m
         return (
-            np.empty((m, self.tile_rows, self.n_k // m), dtype=np.float32),
-            np.empty((m, self.tile_rows, self._out.shape[-1]), dtype=np.float32),
+            aligned_empty((m, self.tile_rows, self.n_k // m)),
+            aligned_empty((m, self.tile_rows, self._out.shape[-1])),
         )
 
     def label(self, tile: Tile) -> Tuple[str, str]:
@@ -488,7 +514,7 @@ class NMForwardJob(_LaneTiles):
         # repro: owns-buffer — the job's reused partial-product buffer
         np.matmul(planes, self._v[b].transpose(1, 0, 2), out=partial)
         # repro: owns-buffer — disjoint row block of the job's own output
-        np.divide(np.sum(partial, axis=0), denom, out=self._out[b, r0:r1])
+        np.divide(np.sum(partial, axis=0), denom, out=self._out_rows[b][r0:r1])
 
     def result(self) -> Tuple[np.ndarray, Union[NMSparseMatrix, NMStats, None]]:
         """``(out, probs)``, ``(out, stats)`` or ``(out, None)``, as requested.
@@ -570,17 +596,20 @@ class NMBackwardJob(_LaneTiles):
         dropout: Optional[Dropout] = None,
     ) -> None:
         super().__init__(q, k, v, pattern, scale, dtype, criterion, block_mask, dropout)
-        batch, n_q = self._q.shape[0], self.n_q
+        batch, n_q = len(self._q), self.n_q
         self._selection = np.asarray(selection).reshape(batch, n_q, -1)
-        self._g = as_batched_3d(np.asarray(d_out, dtype=np.float32))[0]
-        self._o = as_batched_3d(np.asarray(out, dtype=np.float32))[0]
+        self._g, self._o = batch_slices(d_out), batch_slices(out)
         self._shift = np.asarray(shift, dtype=np.float32).reshape(batch, n_q, 1)
         self._denom = np.asarray(denom, dtype=np.float32).reshape(batch, n_q, 1)
         self.tiles = range(batch)
-        self._dq = np.empty(self._q.shape, dtype=np.float32)
-        # zero-filled for a slice without query rows, which no block writes
-        self._dk = np.zeros(self._k.shape, dtype=np.float32)
-        self._dv = np.zeros(self._v.shape, dtype=np.float32)
+        # each gradient in its operand's layout; dK and dV zero-filled for a
+        # slice without query rows, which no block writes
+        self._dq = np.empty_like(self._layout)
+        self._dk, self._dv = np.zeros_like(self._k), np.zeros_like(self._v)
+        self._k, self._v = batch_slices(self._k), batch_slices(self._v)
+        self._dq_rows, self._dk_rows, self._dv_rows = (
+            batch_slices(x) for x in (self._dq, self._dk, self._dv)
+        )
 
     def new_buffer(self) -> Tuple[Optional[np.ndarray], ...]:
         """Tile buffers for :meth:`run`, one set per concurrent executor: the
@@ -588,9 +617,9 @@ class NMBackwardJob(_LaneTiles):
         probability tile (with dropout only)."""
         tile = (self.tile_rows, self.n_k)
         return (
-            np.empty(tile, dtype=np.float32),
-            np.empty(tile, dtype=np.float32),
-            None if self.dropout is None else np.empty(tile, dtype=np.float32),
+            aligned_empty(tile),
+            aligned_empty(tile),
+            None if self.dropout is None else aligned_empty(tile),
         )
 
     def _lane_order(self, x: np.ndarray) -> np.ndarray:
@@ -607,7 +636,7 @@ class NMBackwardJob(_LaneTiles):
     def run(self, b: int, buf: Tuple[Optional[np.ndarray], ...]) -> None:
         """Gradients of slice ``b``, row block by row block."""
         m, groups = self.pattern.m, self.n_k // self.pattern.m
-        d_v = self._v.shape[-1]
+        d_v = self._v[b].shape[-1]
         kt = self._lane_kt(self._k[b])
         k_lanes = self._lane_order(self._k[b])
         # V in lane-major key order and a ones column: without dropout,
@@ -632,8 +661,8 @@ class NMBackwardJob(_LaneTiles):
             self._exp_lanes(planes, keep, shift)
             # repro: owns-buffer — the executor's borrowed probability tile
             np.copyto(tile.reshape(rows, m, groups), planes.transpose(1, 0, 2))
-            g = self._g[b, r0:r1]
-            inner = np.sum(g * self._o[b, r0:r1], axis=-1, keepdims=True)
+            g = self._g[b][r0:r1]
+            inner = np.sum(g * self._o[b][r0:r1], axis=-1, keepdims=True)
             applied = tile
             if self.dropout is None:
                 g_aug[:rows, :d_v] = g
@@ -665,22 +694,20 @@ class NMBackwardJob(_LaneTiles):
             # dQ = dS' K · scale / denom; dK += dS'ᵀ (Q · scale / denom)
             row_scale = scale / denom
             # repro: owns-buffer — disjoint row block of the job's own dQ
-            np.multiply(np.matmul(d_s, k_lanes), row_scale, out=self._dq[b, r0:r1])
-            _matmul_into(grad_k, r0 == 0, d_s.T, self._q[b, r0:r1] * row_scale)
+            np.multiply(np.matmul(d_s, k_lanes), row_scale, out=self._dq_rows[b][r0:r1])
+            _matmul_into(grad_k, r0 == 0, d_s.T, self._q[b][r0:r1] * row_scale)
         if self.blocks:
             # back to key order: lane i's keys are rows i, i + M, …
-            for lanes, grad in ((grad_k, self._dk[b]), (grad_v, self._dv[b])):
+            for lanes, grad in ((grad_k, self._dk_rows[b]), (grad_v, self._dv_rows[b])):
                 dst = grad.reshape(groups, m, grad.shape[-1])
                 # repro: owns-buffer — this slice of the job's own dK or dV
                 np.copyto(dst, lanes.reshape(m, groups, -1).transpose(1, 0, 2))
 
     def result(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(dQ, dK, dV)``, dK and dV cropped to the real keys."""
-        d_k = self._dk[:, : self.n_keys]
-        d_v = self._dv.reshape(self._dv.shape[0], self.n_k, -1)[:, : self.n_keys]
-        return tuple(
-            restore_batch_shape(grad, self.batch_shape) for grad in (self._dq, d_k, d_v)
-        )
+        keys = slice(0, self.n_keys)
+        grads = (self._dq, self._dk[..., keys, :], self._dv[..., keys, :])
+        return tuple(restore_batch_shape(grad, self.batch_shape) for grad in grads)
 
 
 def _matmul_into(dst: np.ndarray, first: bool, a: np.ndarray, b: np.ndarray) -> None:

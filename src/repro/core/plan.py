@@ -172,12 +172,10 @@ class AttentionPlan:
         the probability buffer; pass ``owned=False`` when the caller still
         needs the score values (e.g. precomputed Top-K scores), in which case
         exactly one copy is taken first.  Bitwise-identical to the registry
-        softmax kernel either way — same core, different buffer.
-
-        The softmax's chunked and segmented passes sum row denominators in
-        different orders, and its auto dispatch keys on ``lengths.min()``;
-        the branch is therefore decided here, once for the whole batch, so a
-        stage run as batch tiles cannot flip it.
+        softmax kernel either way — same core, different buffer.  The core
+        picks each slice's summation order from that slice's own row lengths
+        (:func:`~repro.core.softmax.masked_softmax_values`), so a stage run
+        as batch tiles, and a slice run alone, give the same bits.
         """
         if not self.fused:
             with self._trace_labels():
@@ -186,7 +184,6 @@ class AttentionPlan:
         if not owned or not buf.flags.writeable or not buf.flags.c_contiguous:
             buf = np.array(buf, dtype=np.float32)
         probs = scores.with_values(buf)
-        segmented = bool(int(probs.row_lengths().min()) < buf.shape[-1])
         tracer = current_tracer()
 
         def masked_softmax(tile):
@@ -205,8 +202,7 @@ class AttentionPlan:
             with span:
                 # repro: owns-buffer — fused plan reuses the score buffer it owns (or just copied)
                 masked_softmax_values(
-                    tile.values, tile.valid_lanes(), tile.row_lengths(), out=tile.values,
-                    segmented=segmented,
+                    tile.values, tile.valid_lanes(), tile.row_lengths(), out=tile.values
                 )
 
         self._map("masked_softmax", probs, masked_softmax)

@@ -30,6 +30,13 @@ then runs the four gradient products.  Both are row-tile jobs
 order and ``multicore`` on its worker pool; slices never mix, so a stack of
 requests, a single request and any worker count all give the same bits.
 
+Operands are read in place and outputs written in Q's layout
+(:mod:`repro.core.jobs`): the forward runs each block's products over the
+operands' own batch axes and strides, the backward reads each batch slice
+as a view, and the output and dQ follow Q's memory order, dK K's and dV
+V's, so the transposed head views of a multi-head layer are never copied
+and its head merge is a view.
+
 Operands are float32 throughout, with no tensor-core rounding: the engine,
 the server and the training op share this one precision contract.  The
 ``reference`` kernels are the dense masked oracle over the structure's mask,
@@ -44,9 +51,15 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.core.backend import REFERENCE, register_kernel
-from repro.core.jobs import Dropout, attention_operands, dropout_keep, register_job_kernel
+from repro.core.jobs import (
+    Dropout,
+    attention_operands,
+    batch_slices,
+    dropout_keep,
+    register_job_kernel,
+)
 from repro.core.softmax import masked_dense_softmax
-from repro.utils.shapes import as_batched_3d, restore_batch_shape
+from repro.utils.shapes import restore_batch_shape
 
 __all__ = [
     "BLOCK_ROWS",
@@ -185,22 +198,30 @@ class RowBlockStats:
 
 
 # ------------------------------------------------------------------ kernels
-def _scale(q3: np.ndarray, scale: Optional[float]) -> np.float32:
-    return np.float32(1.0 / np.sqrt(q3.shape[-1]) if scale is None else scale)
+def _scale(q: np.ndarray, scale: Optional[float]) -> np.float32:
+    return np.float32(1.0 / np.sqrt(q.shape[-1]) if scale is None else scale)
+
+
+def _slice_index(x: np.ndarray) -> np.ndarray:
+    """The flattened index of every batch slice of a ``(..., rows, cols)``
+    operand, shaped as its batch axes."""
+    lead = x.shape[:-2]
+    return np.arange(int(np.prod(lead))).reshape(lead)
 
 
 def _flat_rows(slices, start: int, stop: int, n_q: int) -> np.ndarray:
-    """``(slices, rows, 1)`` flattened query rows ``slice · n_q + row`` of
-    the given batch slices and rows ``[start, stop)``: where dropout hashes."""
-    return (np.asarray(slices)[:, None] * n_q + np.arange(start, stop))[:, :, None]
+    """``(..., rows, 1)`` flattened query rows ``slice · n_q + row`` of the
+    batch slices ``slices`` (an index or an array of them) and rows
+    ``[start, stop)``: where dropout hashes."""
+    return (np.asarray(slices)[..., None] * n_q + np.arange(start, stop))[..., None]
 
 
-def _scores(scaled_q: np.ndarray, k3: np.ndarray, block: KeyBlock) -> np.ndarray:
-    """``Q[rows] @ K[keys]ᵀ`` of one block with one batched product
+def _scores(scaled_q: np.ndarray, k: np.ndarray, block: KeyBlock) -> np.ndarray:
+    """``Q[rows] @ K[keys]ᵀ`` of one block with one (batched) product
     (``scaled_q`` is Q times the scale), blocked pairs at ``-inf``: the
     forward's scores, and what the backward re-scores."""
     scores = np.matmul(
-        scaled_q[:, block.start:block.stop], np.swapaxes(k3[:, block.keys], -1, -2)
+        scaled_q[..., block.start:block.stop, :], np.swapaxes(k[..., block.keys, :], -1, -2)
     )
     if block.blocked is not None:
         np.copyto(scores, -np.inf, where=block.blocked)
@@ -233,7 +254,8 @@ def _span_args(q, k, v, structure, return_stats=False, d_out=None, **_) -> dict:
 
 class _BlockTiles:
     """Operands one row-block call's forward and backward share: Q, K and V
-    checked against the structure, the float32 scale and the dropout."""
+    checked against the structure and read in place (:mod:`repro.core.jobs`),
+    the float32 scale and the dropout."""
 
     def __init__(self, q, k, v, structure, scale, dropout) -> None:
         self._q, self._k, self._v, self.batch_shape = attention_operands(q, k, v, structure)
@@ -260,13 +282,14 @@ class RowBlockForwardJob(_BlockTiles):
         super().__init__(q, k, v, structure, scale, dropout)
         self._scaled_q = self._q * self.scale
         self.tiles = structure.blocks
-        batch, n_q = self._q.shape[0], structure.n_q
-        self._out = np.zeros((batch, n_q, self._v.shape[-1]), dtype=np.float32)
+        # the output in Q's layout; rows outside every block stay zero
+        self._out = np.zeros_like(self._q, shape=self._q.shape[:-1] + self._v.shape[-1:])
+        self._slices = _slice_index(self._q)
         self._shift = self._denom = None
         if return_stats:
             # rows outside every block keep the shift 0 and the denominator 1
-            self._shift = np.zeros((batch, n_q), dtype=np.float32)
-            self._denom = np.ones((batch, n_q), dtype=np.float32)
+            self._shift = np.zeros(self._q.shape[:-1], dtype=np.float32)
+            self._denom = np.ones(self._q.shape[:-1], dtype=np.float32)
 
     def label(self, block: KeyBlock) -> Tuple[str, str]:
         """``(rows, shape)`` trace labels of one block tile."""
@@ -288,15 +311,15 @@ class RowBlockForwardJob(_BlockTiles):
         scores /= row_sum
         if self._shift is not None:
             # repro: owns-buffer — disjoint row block of the job's own statistics
-            self._shift[:, rows] = row_max[..., 0]
+            self._shift[..., rows] = row_max[..., 0]
             # repro: owns-buffer — disjoint row block of the job's own statistics
-            self._denom[:, rows] = row_sum[..., 0]
+            self._denom[..., rows] = row_sum[..., 0]
         if self.dropout is not None:
             n_q, n_k = self.structure.n_q, self.structure.n_k
-            flat_rows = _flat_rows(range(len(self._out)), block.start, block.stop, n_q)
+            flat_rows = _flat_rows(self._slices, block.start, block.stop, n_q)
             scores *= dropout_keep(self.dropout, flat_rows, block.columns(), n_k)
         # repro: owns-buffer — disjoint row block of the job's own output
-        np.matmul(scores, self._v[:, block.keys], out=self._out[:, rows])
+        np.matmul(scores, self._v[..., block.keys, :], out=self._out[..., rows, :])
 
     def result(self) -> Tuple[np.ndarray, Optional[RowBlockStats]]:
         stats = None
@@ -320,56 +343,57 @@ class RowBlockBackwardJob(_BlockTiles):
         scale: Optional[float] = None, dropout: Optional[Dropout] = None,
     ) -> None:
         super().__init__(q, k, v, structure, scale, dropout)
-        self._g, self._o = (as_batched_3d(np.asarray(x, dtype=np.float32))[0] for x in (d_out, out))
-        batch = self._q.shape[0]
+        # each gradient in its operand's layout, zero-filled: rows outside
+        # every block have no gradient
+        self._dq, self._dk, self._dv = (np.zeros_like(x) for x in (self._q, self._k, self._v))
+        #: per batch slice, the views (Q, K, V, dO, O, dQ, dK, dV) its tile
+        #: reads and writes
+        self._views = list(zip(*(
+            batch_slices(x)
+            for x in (self._q, self._k, self._v, d_out, out, self._dq, self._dk, self._dv)
+        )))
+        batch = len(self._views)
         self._shift, self._denom = (
             np.asarray(x, dtype=np.float32).reshape(batch, structure.n_q, 1) for x in (shift, denom)
         )
         self.tiles = range(batch)
-        # zero-filled: rows outside every block have no gradient
-        self._dq, self._dk, self._dv = (
-            np.zeros(x.shape, dtype=np.float32) for x in (self._q, self._k, self._v)
-        )
 
     def label(self, b: int) -> Tuple[str, str]:
         """``(rows, shape)`` trace labels of one batch slice."""
         return f"{b}:0:{self.structure.n_q}", f"{self.structure.n_q}x{self.structure.n_k}"
 
     def run(self, b: int, buf: None) -> None:
-        sl, scale, n_q = slice(b, b + 1), self.scale, self.structure.n_q
-        q3, k3, v3, shift, denom = self._q, self._k, self._v, self._shift, self._denom
-        scaled_q = q3[sl] * scale
-        inner = np.sum(self._g[sl] * self._o[sl], axis=-1, keepdims=True)
+        scale, n_q = self.scale, self.structure.n_q
+        q, k, v, g_b, o, d_q, d_k, d_v = self._views[b]
+        shift, denom = self._shift[b], self._denom[b]
+        scaled_q = q * scale
+        inner = np.sum(g_b * o, axis=-1, keepdims=True)
         for block in self.structure.blocks:
             rows = slice(block.start, block.stop)
-            p = _scores(scaled_q, k3[sl], block)
-            p -= shift[sl, rows]
+            p = _scores(scaled_q, k, block)
+            p -= shift[rows]
             np.exp(p, out=p)
-            p /= denom[sl, rows]
+            p /= denom[rows]
             keep = None
             if self.dropout is not None:
-                flat_rows = _flat_rows([b], block.start, block.stop, n_q)
+                flat_rows = _flat_rows(b, block.start, block.stop, n_q)
                 keep = dropout_keep(self.dropout, flat_rows, block.columns(), self.structure.n_k)
-            g = self._g[sl, rows]
+            g = g_b[rows]
             # repro: owns-buffer — the job's own dV, this slice's rows only
-            self._dv[sl, block.keys] += np.matmul(
-                np.swapaxes(p if keep is None else p * keep, -1, -2), g
-            )
-            d_s = np.matmul(g, np.swapaxes(v3[sl, block.keys], -1, -2))
+            d_v[block.keys] += np.matmul((p if keep is None else p * keep).T, g)
+            d_s = np.matmul(g, v[block.keys].T)
             if keep is not None:
                 d_s *= keep
-            d_s -= inner[:, rows]
+            d_s -= inner[rows]
             d_s *= p
             d_s *= scale
             # repro: owns-buffer — the job's own dQ, this slice's rows only
-            np.matmul(d_s, k3[sl, block.keys], out=self._dq[sl, rows])
+            np.matmul(d_s, k[block.keys], out=d_q[rows])
             # repro: owns-buffer — the job's own dK, this slice's rows only
-            self._dk[sl, block.keys] += np.matmul(np.swapaxes(d_s, -1, -2), q3[sl, rows])
+            d_k[block.keys] += np.matmul(d_s.T, q[rows])
 
     def result(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return tuple(
-            restore_batch_shape(grad, self.batch_shape) for grad in (self._dq, self._dk, self._dv)
-        )
+        return tuple(restore_batch_shape(grad, self.batch_shape) for grad in (self._dq, self._dk, self._dv))
 
 
 def _exp_allowed(scores: np.ndarray, mask: np.ndarray, shift: np.ndarray) -> np.ndarray:
@@ -386,15 +410,15 @@ def _row_block_attention_reference(
     structure's mask.  The statistics are each row's max allowed score (0
     for a row without one) and the sum of its allowed entries'
     exponentials (1 for a zero sum)."""
-    q3, k3, v3, batch_shape = attention_operands(q, k, v, structure)
-    batch, n_q, n_k = q3.shape[0], structure.n_q, structure.n_k
-    scores = np.matmul(q3, np.swapaxes(k3, -1, -2)) * _scale(q3, scale)
+    q, k, v, batch_shape = attention_operands(q, k, v, structure)
+    n_q, n_k = structure.n_q, structure.n_k
+    scores = np.matmul(q, np.swapaxes(k, -1, -2)) * _scale(q, scale)
     mask = structure.to_mask()
     weights = masked_dense_softmax(scores, mask)
     if dropout is not None:
-        weights = weights * dropout_keep(dropout, _flat_rows(range(batch), 0, n_q, n_q),
+        weights = weights * dropout_keep(dropout, _flat_rows(_slice_index(q), 0, n_q, n_q),
                                          np.arange(n_k), n_k)
-    out = restore_batch_shape(np.matmul(weights, v3), batch_shape)
+    out = restore_batch_shape(np.matmul(weights, v), batch_shape)
     if not return_stats:
         return out, None
     live = np.max(np.where(mask, scores, -np.inf), axis=-1)
@@ -413,19 +437,19 @@ def _row_block_attention_bwd_reference(
     """The dense backward over all ``n_q × n_k`` pairs, P rebuilt from the
     statistics on the structure's mask (``out`` unused)."""
     del out  # the oracle evaluates the Jacobian on the probabilities
-    q3, k3, v3, batch_shape = attention_operands(q, k, v, structure)
-    g3, _ = as_batched_3d(np.asarray(d_out, dtype=np.float32))
-    batch, n_q, n_k = q3.shape[0], structure.n_q, structure.n_k
-    scale = _scale(q3, scale)
-    shift, denom = (np.asarray(x, dtype=np.float32).reshape(batch, n_q) for x in (shift, denom))
-    scores = np.matmul(q3, np.swapaxes(k3, -1, -2)) * scale
+    q, k, v, batch_shape = attention_operands(q, k, v, structure)
+    lead, n_q, n_k = q.shape[:-2], structure.n_q, structure.n_k
+    g = np.asarray(d_out, dtype=np.float32).reshape(lead + (n_q, -1))
+    scale = _scale(q, scale)
+    shift, denom = (np.asarray(x, dtype=np.float32).reshape(lead + (n_q,)) for x in (shift, denom))
+    scores = np.matmul(q, np.swapaxes(k, -1, -2)) * scale
     p = _exp_allowed(scores, structure.to_mask(), shift) / denom[..., None]
     keep = 1.0
     if dropout is not None:
-        keep = dropout_keep(dropout, _flat_rows(range(batch), 0, n_q, n_q), np.arange(n_k), n_k)
-    d_v = np.matmul(np.swapaxes(p * keep, -1, -2), g3)
-    d_p = np.matmul(g3, np.swapaxes(v3, -1, -2)) * keep
+        keep = dropout_keep(dropout, _flat_rows(_slice_index(q), 0, n_q, n_q), np.arange(n_k), n_k)
+    d_v = np.matmul(np.swapaxes(p * keep, -1, -2), g)
+    d_p = np.matmul(g, np.swapaxes(v, -1, -2)) * keep
     d_s = p * (d_p - np.sum(p * d_p, axis=-1, keepdims=True)) * scale
-    grads = (np.matmul(d_s, k3), np.matmul(np.swapaxes(d_s, -1, -2), q3), d_v)
+    grads = (np.matmul(d_s, k), np.matmul(np.swapaxes(d_s, -1, -2), q), d_v)
     return tuple(restore_batch_shape(grad, batch_shape) for grad in grads)
 

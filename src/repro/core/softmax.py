@@ -125,7 +125,11 @@ def denominator_group(layout) -> int:
 
 
 def _chunked_row_softmax(
-    values: np.ndarray, out: np.ndarray, group: int = 1, chunk_rows: int = 2048
+    values: np.ndarray,
+    out: np.ndarray,
+    group: int = 1,
+    chunk_rows: int = 2048,
+    width: Optional[int] = None,
 ) -> np.ndarray:
     """Masked row softmax over full-width rows, written into ``out``.
 
@@ -135,14 +139,18 @@ def _chunked_row_softmax(
     makes the fast backend beat the reference loop at default scale.
     ``group > 1`` sums each row's denominator in the N:M order
     (:func:`grouped_row_sum` over groups of ``group`` consecutive lanes).
+    Given a ``width``, the lanes past it are padding: they get zero weight
+    and the denominators sum the first ``width`` lanes only.
     """
     flat = values.reshape(-1, values.shape[-1])
     oflat = out.reshape(flat.shape)
+    width = flat.shape[-1] if width is None else width
     for start in range(0, flat.shape[0], chunk_rows):
         stop = min(start + chunk_rows, flat.shape[0])
         vals = flat[start:stop]
         o = oflat[start:stop]
         masked = vals <= MASKED_LOGIT_THRESHOLD
+        masked[:, width:] = True
         # without masked lanes both selects are identities; skip them
         any_masked = masked.any()
         live = np.where(masked, -np.inf, vals) if any_masked else vals
@@ -152,7 +160,7 @@ def _chunked_row_softmax(
         np.exp(o, out=o)  # repro: owns-buffer — caller-provided out
         if any_masked:
             o[masked] = 0.0  # repro: owns-buffer — caller-provided out
-        denom = _row_sum(o, group)
+        denom = _row_sum(o[:, :width], group)
         # repro: owns-buffer — caller-provided out
         np.divide(o, np.where(denom == 0.0, 1.0, denom), out=o)
     return out
@@ -205,7 +213,6 @@ def masked_softmax_values(
     valid: Optional[np.ndarray] = None,
     lengths: Optional[np.ndarray] = None,
     out: Optional[np.ndarray] = None,
-    segmented: Optional[bool] = None,
     group: int = 1,
 ) -> np.ndarray:
     """Value-space masked row softmax shared by the fast kernel and the plan.
@@ -216,13 +223,17 @@ def masked_softmax_values(
     fused :class:`~repro.core.plan.AttentionPlan` exploits this to reuse the
     score buffer as the probability buffer.
 
-    ``segmented`` pins the implementation choice: ``None`` keeps the
-    cost-based auto dispatch; ``True``/``False`` force the segmented or
-    chunked pass.  The two passes sum row denominators in different orders
-    (``np.add.reduceat`` vs pairwise ``np.sum``), so a caller executing one
-    logical softmax as several row tiles must decide the branch *once* on the
-    global lengths and pin it for every tile to stay bitwise-identical — a
-    tile's local ``lengths.min()`` can otherwise flip the dispatch.
+    On a padded layout every ``(batch·head)`` slice is normalised in the
+    summation order it gets when run alone, whatever the rest of the batch:
+    a slice whose rows are ragged takes the segmented pass over its valid
+    lanes; one whose rows all hold the same count ``w`` takes the chunked
+    pass with its denominators summed over its first ``w`` lanes (its width
+    alone) and zero weight past them.  The two passes sum denominators in
+    different orders (``np.add.reduceat`` vs pairwise ``np.sum``), and a
+    chunked row sum also depends on the row's width, so deciding once for
+    the whole batch padded to its widest slice would change a slice's bits
+    with its neighbours.  Decided per slice, any cut of the batch into tiles
+    gives the same result.
 
     ``group`` is :func:`denominator_group` of the layout (N on N:M layouts,
     which have no padding lanes).
@@ -231,13 +242,14 @@ def masked_softmax_values(
         out = np.empty_like(values)
     if valid is None:
         return _chunked_row_softmax(values, out, group)
-    if segmented is None:
-        # no padding lanes anywhere: the dense chunked pass is cheaper than
-        # the gather/scatter of the segmented one
-        segmented = int(lengths.min()) < values.shape[-1]
-    if not segmented:
-        return _chunked_row_softmax(values, out)
-    return _segmented_row_softmax(values, valid, lengths, out)
+    for index in np.ndindex(values.shape[:-2]):
+        rows = lengths[index]
+        width = max(int(rows.max(initial=0)), 1)
+        if int(rows.min(initial=width)) < width:
+            _segmented_row_softmax(values[index], valid[index], rows, out[index])
+        else:
+            _chunked_row_softmax(values[index], out[index], width=width)
+    return out
 
 
 def sparse_softmax(scores, backend: Optional[str] = None):

@@ -79,31 +79,50 @@ def end_to_end_peak_memory(mechanism: str, cfg: LayerConfig) -> float:
     return _base_activations_bytes(cfg) + attention_peak_memory(mechanism, cfg)
 
 
-def training_peak_memory(mechanism: str, cfg: LayerConfig) -> float:
-    """Peak activation bytes of one *training* layer (Table-5-style claims).
+def training_attention_memory(mechanism: str, cfg: LayerConfig) -> float:
+    """Peak bytes attributable to attention in one *training* layer.
 
-    Training keeps the forward's attention weights alive for the backward
-    (the saved compressed probabilities), and the backward materialises one
-    gradient tensor of the same structure (``dP``/``dS`` reuse one buffer in
-    the analytic backward) plus gradients for Q, K and V.  The structural
-    compression therefore pays off *twice*: both the saved probabilities and
-    the probability gradient are ``n²/2 + n²/16`` instead of ``n²`` for DFSS.
+    The dense transformer, and the compressed ``fixed`` and ``topk``
+    pipelines, keep the forward's attention weights alive for the backward,
+    and the backward materialises one gradient of the same structure
+    (``dP``/``dS`` reuse one buffer in the analytic backward): twice
+    :func:`attention_peak_memory`.
+
+    DFSS keeps no probabilities.  Its training forward saves each row's
+    softmax shift and denominator (float32) and the N:M selection, one code
+    byte per M-group (the pattern is the dtype's default, 2:4 for
+    bfloat16), and the recomputing backward rebuilds ``P̃ = exp(s − shift)``
+    and ``dS`` one ``DEFAULT_TILE``-row tile at a time, float32, so one
+    tile of each is live.
+
+    The remaining mechanisms keep their attention structures plus the dense
+    gradient of their attention output.
     """
+    from repro.core.patterns import default_pattern_for_dtype
     from repro.gpusim.attention_latency import resolve_latency_model
+    from repro.gpusim.ops import DEFAULT_TILE
 
-    elem = dtype_bytes(cfg.dtype)
-    b, n, dm = cfg.batch_size, cfg.seq_len, cfg.model_dim
-    qkv_grads = 3 * b * n * dm * elem
-    weights = attention_peak_memory(mechanism, cfg)
+    b, h, n = cfg.batch_size, cfg.num_heads, cfg.seq_len
     model = resolve_latency_model(mechanism)
-    # Only mechanisms trained through the compressed pipeline carry a
-    # same-structure probability gradient; the others fall back to the dense
-    # gradient of their attention output.
-    if model in ("transformer", "dfss", "fixed", "topk"):
-        weight_grads = weights
-    else:
-        weight_grads = b * cfg.num_heads * n * cfg.head_dim * elem
-    return _base_activations_bytes(cfg) + weights + weight_grads + qkv_grads
+    if model == "dfss":
+        rows = b * h * n
+        stats = rows * 2 * 4.0
+        selection = rows * math.ceil(n / default_pattern_for_dtype(cfg.dtype).m)
+        tiles = 2 * min(n, DEFAULT_TILE) * n * 4.0
+        return stats + selection + tiles
+    weights = attention_peak_memory(mechanism, cfg)
+    if model in ("transformer", "fixed", "topk"):
+        return 2 * weights
+    return weights + b * h * n * cfg.head_dim * dtype_bytes(cfg.dtype)
+
+
+def training_peak_memory(mechanism: str, cfg: LayerConfig) -> float:
+    """Peak activation bytes of one *training* layer (Table-5-style claims):
+    the layer's activations, the gradients of Q, K and V, and
+    :func:`training_attention_memory`."""
+    elem = dtype_bytes(cfg.dtype)
+    qkv_grads = 3 * cfg.batch_size * cfg.seq_len * cfg.model_dim * elem
+    return _base_activations_bytes(cfg) + qkv_grads + training_attention_memory(mechanism, cfg)
 
 
 def training_memory_reduction(mechanism: str, cfg: LayerConfig) -> float:

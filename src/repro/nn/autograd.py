@@ -8,7 +8,10 @@ exp/log/tanh/erf, softmax building blocks).
 
 Design notes
 ------------
-* Gradients are accumulated into ``Tensor.grad`` (a plain ndarray).
+* Gradients are accumulated into ``Tensor.grad`` (a plain ndarray).  The
+  first accumulation copies, except for an array the backward closure has
+  just allocated, which the node adopts as it is (see
+  :meth:`Tensor._accumulate`).
 * Graphs are built eagerly; :meth:`Tensor.backward` topologically sorts the
   graph and runs the stored backward closures.  Each interior node's
   gradient and closure are released as soon as the node has run, so the
@@ -26,6 +29,7 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.analysis.sanitize import check_adopted
 from repro.profile.tracer import phase_scope
 
 ArrayLike = Union[np.ndarray, float, int, "Tensor"]
@@ -38,6 +42,11 @@ def _released() -> None:
         "interior gradients and closures are released as the first backward "
         "walks it; rebuild the graph with a new forward pass"
     )
+
+
+#: The graph of every running :meth:`Tensor.backward`, innermost last: an
+#: adopted gradient is checked against its live gradients (sanitize mode).
+_walks: List[List["Tensor"]] = []
 
 
 def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
@@ -107,14 +116,34 @@ class Tensor:
     def _wrap(value: ArrayLike) -> "Tensor":
         return value if isinstance(value, Tensor) else Tensor(value)
 
-    def _accumulate(self, grad: np.ndarray) -> None:
+    def _accumulate(self, grad: np.ndarray, adopt: bool = False) -> None:
+        """Add ``grad`` into :attr:`grad`.
+
+        The adoption rule.  The first accumulation stores a copy: a
+        pass-through gradient (``add``, ``reshape``, ``transpose``,
+        :func:`_unbroadcast`) is the outgoing node's gradient or a view of
+        it, and later accumulations write into the stored array in place.
+        A backward closure that has just allocated ``grad`` and keeps no
+        other reference to it passes ``adopt=True`` (``linear``'s dx,
+        ``gelu``, ``layer_norm``'s dx, the attention nodes' dQ, dK and
+        dV): the first accumulation then stores that array itself.  An
+        adopted array must share no memory with the node's incoming
+        gradient or any other live gradient; under ``REPRO_SANITIZE=1`` a
+        backward walk checks that and raises
+        :class:`~repro.analysis.sanitize.SanitizerError`.
+        """
         if not self.requires_grad:
             return
         grad = np.asarray(grad, dtype=np.float32)
-        if self.grad is None:
-            self.grad = grad.copy()
-        else:
+        if self.grad is not None:
             self.grad += grad
+        elif adopt:
+            if _walks:
+                live = (t.grad for t in _walks[-1] if t is not self and t.grad is not None)
+                check_adopted(grad, live, self.name or "tensor")
+            self.grad = grad
+        else:
+            self.grad = grad.copy()
 
     def _make(self, data: np.ndarray, parents: Iterable["Tensor"], backward, name="") -> "Tensor":
         parents = tuple(parents)
@@ -451,14 +480,18 @@ class Tensor:
         self.grad = np.asarray(grad, dtype=np.float32).copy()
         # Kernels dispatched from inside backward closures are attributed to
         # the bwd phase on the trace timeline (no-op when tracing is off).
-        with phase_scope("bwd"):
-            for node in reversed(topo):
-                if node._backward is None:
-                    continue  # a leaf: its gradient is the result
-                if node.grad is not None:
-                    node._backward()
-                node.grad = None
-                node._backward = _released
+        _walks.append(topo)
+        try:
+            with phase_scope("bwd"):
+                for node in reversed(topo):
+                    if node._backward is None:
+                        continue  # a leaf: its gradient is the result
+                    if node.grad is not None:
+                        node._backward()
+                    node.grad = None
+                    node._backward = _released
+        finally:
+            _walks.pop()
 
 
 def parameter(data, name: str = "") -> Tensor:

@@ -96,7 +96,7 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
         def fn():
             grad = node.grad.reshape(-1, out_features)
             if x.requires_grad:
-                x._accumulate((grad @ weight.data.T).reshape(x.shape))
+                x._accumulate((grad @ weight.data.T).reshape(x.shape), adopt=True)
             if weight.requires_grad:
                 weight._accumulate(x.data.reshape(-1, in_features).T @ grad)
             if bias is not None and bias.requires_grad:
@@ -129,7 +129,7 @@ def gelu(x: Tensor) -> Tensor:
             local *= np.float32(1.0 / np.sqrt(2.0 * np.pi))
             local += cdf
             local *= node.grad
-            x._accumulate(local)
+            x._accumulate(local, adopt=True)
 
         return fn
 
@@ -166,7 +166,7 @@ def layer_norm(x: Tensor, weight: Tensor, bias: Tensor, eps: float = 1e-5) -> Te
                 g *= normed
                 dx -= normed * g.mean(axis=-1, keepdims=True)
                 dx *= inv_std
-                x._accumulate(dx)
+                x._accumulate(dx, adopt=True)
 
         return fn
 

@@ -101,12 +101,9 @@ def _attention_node(
                     saved, q.data, k.data, v.data, out.grad, scale,
                     drop_keep=drop_keep, out=out.data, dropout=dropout,
                 )
-            if q.requires_grad:
-                q._accumulate(d_q)
-            if k.requires_grad:
-                k._accumulate(d_k)
-            if v.requires_grad:
-                v._accumulate(d_v)
+            # the kernel's fresh gradients are adopted, not copied
+            for x, grad in ((q, d_q), (k, d_k), (v, d_v)):
+                x._accumulate(grad, adopt=True)
 
         return fn
 

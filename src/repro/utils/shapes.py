@@ -28,9 +28,10 @@ def as_batched_3d(x: np.ndarray) -> Tuple[np.ndarray, Tuple[int, ...]]:
 
 
 def restore_batch_shape(x: np.ndarray, batch_shape: Tuple[int, ...]) -> np.ndarray:
-    """Inverse of :func:`as_batched_3d` for an array shaped ``(B, rows, cols)``."""
-    if x.ndim != 3:
-        raise ValueError(f"expected a 3-D array, got shape {x.shape}")
+    """Inverse of :func:`as_batched_3d` for an array shaped ``(B, rows, cols)``,
+    or ``(..., rows, cols)`` whose batch axes hold ``batch_shape``'s slices."""
+    if x.ndim < 3:
+        raise ValueError(f"expected at least a 3-D array, got shape {x.shape}")
     return x.reshape(*batch_shape, x.shape[-2], x.shape[-1])
 
 

@@ -199,6 +199,48 @@ class TestPlantedNonFiniteInputs:
             check_output(out, "attention output", inputs=(q, k, v))
 
 
+class TestGradientAdoption:
+    """An autograd node adopts a fresh gradient without a copy; one that
+    aliases a live gradient would be written through by later accumulations."""
+
+    @staticmethod
+    def _node(adopted):
+        """``y = f(x)`` whose backward adopts ``adopted(incoming)`` as dx."""
+        x = Tensor(np.ones((4, 3), np.float32), requires_grad=True)
+
+        def backward(out):
+            def fn():
+                x._accumulate(adopted(out.grad), adopt=True)
+
+            return fn
+
+        return x, x._make(x.data * 2.0, (x,), backward, "planted")
+
+    def test_adopting_the_incoming_gradient_raises(self, sanitize):
+        _, y = self._node(lambda incoming: incoming.reshape(3, 4).reshape(4, 3))
+        with pytest.raises(SanitizerError, match="shares memory with a live gradient"):
+            y.backward()
+
+    def test_adopting_a_fresh_gradient_passes(self, sanitize):
+        x, y = self._node(lambda incoming: incoming * 2.0)
+        y.backward()
+        np.testing.assert_array_equal(x.grad, np.full((4, 3), 2.0, np.float32))
+
+    def test_unchecked_when_the_sanitizer_is_off(self, monkeypatch):
+        monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+        x, y = self._node(lambda incoming: incoming)
+        y.backward()
+        assert x.grad is not None
+
+    def test_adoption_saves_the_copy(self):
+        grad = np.ones((4, 3), np.float32)
+        x = Tensor(np.zeros((4, 3), np.float32), requires_grad=True)
+        x._accumulate(grad, adopt=True)
+        assert x.grad is grad
+        x._accumulate(grad)
+        assert x.grad is grad and grad[0, 0] == 2.0
+
+
 class TestWriteOnceStructures:
     def test_padded_csr_structure_is_frozen(self, sanitize):
         mask = np.eye(8, dtype=bool)

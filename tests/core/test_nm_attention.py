@@ -407,10 +407,23 @@ class TestAnyKeyLength:
             np.testing.assert_allclose(dense.sum(-1), 1.0, rtol=1e-6)
 
     def test_aligned_keys_are_not_copied(self):
-        q, k, v = (_normal((2, 16, 8), s) for s in range(3))
-        job = nm_attention.NMForwardJob(q, k, v, pattern="2:4")
-        assert job.n_k == job.n_keys == 16
-        assert np.shares_memory(job._v, v)
+        # contiguous slices, and the transposed head views a multi-head layer
+        # passes: every tile reads its slice of Q, K and V in place
+        heads = [_normal((2, 16, 2, 8), s).transpose(0, 2, 1, 3) for s in range(4)]
+        for q, k, v, g in (heads, [np.ascontiguousarray(x) for x in heads]):
+            fwd = nm_attention.NMForwardJob(q, k, v, pattern="2:4")
+            assert fwd.n_k == fwd.n_keys == 16
+            out, stats = get_kernel("nm_attention", FAST)(
+                q, k, v, pattern="2:4", return_stats=True
+            )
+            bwd = nm_attention.NMBackwardJob(
+                q, k, v, g, out, stats.shift, stats.denom, stats.selection, pattern="2:4"
+            )
+            for job in (fwd, bwd):
+                assert all(np.shares_memory(view, q) for view in job._q)
+                assert all(np.shares_memory(view, v) for view in job._v)
+            assert all(np.shares_memory(view, k) for view in bwd._k)
+            assert all(np.shares_memory(view, g) for view in bwd._g)
 
     def test_facade_runs_at_length_30(self):
         q = _normal((30, 16), 0)
@@ -501,3 +514,19 @@ class TestOneForward:
         q, k, v = (_normal((1, 2, 130, 16), s) for s in range(3))
         mech = make_mechanism(mechanism, pattern="2:4")
         assert self._kernel_spans(lambda: mech(q, k, v)) == ["nm_attention"] * calls
+
+
+def test_tile_buffers_are_cache_line_aligned():
+    # where malloc puts a tile buffer must not decide whether the tile's
+    # elementwise passes split their vector loads
+    q, k, v, g = (_normal((2, 130, 8), s) for s in range(4))
+    fwd = nm_attention.NMForwardJob(q, k, v, pattern="2:4")
+    out, stats = get_kernel("nm_attention", FAST)(q, k, v, pattern="2:4", return_stats=True)
+    bwd = nm_attention.NMBackwardJob(
+        q, k, v, g, out, stats.shift, stats.denom, stats.selection, pattern="2:4",
+        dropout=(0, 0.25),
+    )
+    for _ in range(3):
+        for buf in (*fwd.new_buffer(), *bwd.new_buffer()):
+            assert buf.ctypes.data % 64 == 0
+            assert buf.dtype == np.float32 and buf.flags.c_contiguous

@@ -10,7 +10,8 @@ from repro.gpusim import (
     training_memory_reduction,
     training_peak_memory,
 )
-from repro.gpusim import LayerConfig
+from repro.gpusim import LayerConfig, attention_peak_memory
+from repro.gpusim.memory import training_attention_memory
 from repro.gpusim.ops import (
     attention_bwd_nm_ops,
     nm_attention_bwd_ops,
@@ -98,13 +99,42 @@ class TestTrainingLatency:
 
 
 class TestTrainingMemory:
+    def test_dfss_keeps_row_statistics_selection_and_one_tile(self):
+        # the recomputing step keeps no probabilities: float32 shift and
+        # denominator per row, one selection byte per 2:4 group (bfloat16's
+        # pattern), and one 128-row tile each of recomputed P̃ and dS
+        b, h, n = 4, 8, 1024
+        expected = b * h * n * 8 + b * h * n * (n // 4) + 2 * 128 * n * 4
+        assert training_attention_memory("dfss", LAYER) == expected
+
+    def test_dense_keeps_probabilities_and_their_gradient(self):
+        assert training_attention_memory("transformer", LAYER) == 2 * attention_peak_memory(
+            "transformer", LAYER
+        )
+
     def test_training_memory_reduction_band(self):
         reduction = training_memory_reduction("dfss", LAYER)
-        assert 1.2 < reduction < 2.0
+        assert 3.0 < reduction < 4.0
+
+    def test_reduction_grows_with_seq_len(self):
+        # dense keeps n² weights twice, DFSS n²/M selection bytes
+        reductions = [
+            training_memory_reduction("dfss", LayerConfig(seq_len=n, num_heads=8, batch_size=4))
+            for n in (512, 1024, 2048, 4096)
+        ]
+        assert reductions == sorted(reductions)
+
+    def test_training_adds_qkv_gradients_and_attention_state(self):
+        from repro.gpusim.memory import end_to_end_peak_memory
+
+        for mechanism in ("transformer", "dfss"):
+            inference_base = end_to_end_peak_memory(mechanism, LAYER) - attention_peak_memory(
+                mechanism, LAYER
+            )
+            qkv_grads = 3 * 4 * 1024 * 512 * 2
+            assert training_peak_memory(mechanism, LAYER) == (
+                inference_base + qkv_grads + training_attention_memory(mechanism, LAYER)
+            )
 
     def test_training_needs_more_than_inference(self):
-        from repro.gpusim import attention_peak_memory
-
-        assert training_peak_memory("dfss", LAYER) > attention_peak_memory(
-            "dfss", LAYER
-        )
+        assert training_peak_memory("dfss", LAYER) > attention_peak_memory("dfss", LAYER)
