@@ -1,13 +1,13 @@
 """Aliasing/in-place analyzer: may-alias taint pass over the hot modules.
 
-PR 7's fused :class:`~repro.core.plan.AttentionPlan` reuses the compressed
-score buffer as the probability buffer, and the softmax cores write through
-caller-provided ``out=`` arrays — *intentional* in-place reuse that is
-bit-exact by construction.  The failure mode this pass defends against is the
-*unintentional* version: an in-place op that mutates an array still reachable
-from a function parameter (the caller's data) or from a cached structure (the
-LRU'd ``PaddedCSRMatrix``/``NMSparseMatrix`` index tables shared across
-``with_values`` siblings), corrupting state that outlives the call.
+The fused attention jobs write their tiles into output buffers they own,
+and the softmax cores write through caller-provided ``out=`` arrays —
+*intentional* in-place reuse that is bit-exact by construction.  The failure
+mode this pass defends against is the *unintentional* version: an in-place
+op that mutates an array still reachable from a function parameter (the
+caller's data) or from a cached structure (the ``NMSparseMatrix`` index
+tables shared across ``with_values`` siblings, a row-block structure's
+blocks), corrupting state that outlives the call.
 
 Semantics — a deliberately simple *may-alias* taint pass per function scope:
 

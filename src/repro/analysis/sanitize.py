@@ -10,12 +10,12 @@ paths the type system cannot see:
   statement (``ValueError: assignment destination is read-only``) instead of
   corrupting the caller's tensors.
 * :func:`freeze_structure` — write-once guard on cached structure arrays
-  (padded-CSR ``cols``/``lengths``, N:M ``indices``, and the memoised index
-  tables shared across ``with_values`` siblings): the array's ``writeable``
-  flag is dropped after construction, so the LRU'd structures can never be
-  silently rewritten by a later request.  Value buffers are *never* frozen —
-  the fused plan's in-place softmax owns its score buffer by design (the
-  waived ``# repro: owns-buffer`` sites).
+  (N:M ``indices`` and the memoised index tables shared across
+  ``with_values`` siblings): the array's ``writeable`` flag is dropped after
+  construction, so a shared structure can never be silently rewritten by a
+  later request.  Value buffers are *never* frozen — the softmax cores and
+  the fused jobs write buffers they own by design (the waived
+  ``# repro: owns-buffer`` sites).
 * :func:`check_output` — asserts the ``MASKED_SCORE`` sentinel and NaN/inf
   never leak into outputs or gradients (an attention output row may carry
   the NaN/inf of its own non-finite inputs).

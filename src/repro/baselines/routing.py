@@ -64,9 +64,11 @@ class RoutingTransformerAttention(AttentionMechanism):
         q2 = q.reshape(-1, n_q, q.shape[-1])
         k2 = k.reshape(-1, n_k, k.shape[-1])
         masks = np.empty((q2.shape[0], n_q, n_k), dtype=bool)
-        rng = new_rng(self.seed)
         for b in range(q2.shape[0]):
             joint = np.concatenate([q2[b], k2[b]], axis=0)
+            # each slice draws its initial centroids from a generator seeded
+            # by the mechanism alone, so its mask does not depend on the batch
+            rng = new_rng(self.seed)
             assign = kmeans_assign(joint, n_clusters, self.kmeans_iters, rng)
             q_assign, k_assign = assign[:n_q], assign[n_q:]
             masks[b] = q_assign[:, None] == k_assign[None, :]

@@ -3,8 +3,7 @@
 ``python -m repro.bench`` times the registered ``masked_softmax`` and
 ``spmm`` kernels on N:M scores, the end-to-end multi-head DFSS attention
 (``nm_attention``) and its train step under both the ``reference`` and
-``fast`` backends, the padded-CSR kernel pipeline on a ragged Longformer-style mask
-(``*_csr`` rows), and the per-mechanism train-step matrix
+``fast`` backends, and the per-mechanism train-step matrix
 (``attention_train_matrix``: compressed sparse path vs dense masked autograd
 for every mask-based trainable mechanism).  It verifies that the paths agree
 numerically and emits a machine-readable ``BENCH_kernels.json`` that the CI
@@ -22,13 +21,11 @@ from repro.bench.report import (
 from repro.bench.runner import (
     ALL_BENCH_KERNELS,
     BENCH_KERNELS,
-    CSR_BENCH_KERNELS,
     TRAIN_MATRIX_KERNEL,
     BenchResult,
     BenchShape,
     SCALE_SHAPES,
     run_benchmarks,
-    run_csr_benchmarks,
     run_train_matrix,
 )
 
@@ -36,7 +33,6 @@ __all__ = [
     "SCHEMA_VERSION",
     "ALL_BENCH_KERNELS",
     "BENCH_KERNELS",
-    "CSR_BENCH_KERNELS",
     "TRAIN_MATRIX_KERNEL",
     "BenchResult",
     "BenchShape",
@@ -45,7 +41,6 @@ __all__ = [
     "load_payload",
     "results_to_payload",
     "run_benchmarks",
-    "run_csr_benchmarks",
     "run_train_matrix",
     "write_payload",
 ]

@@ -20,7 +20,6 @@ from repro.bench.report import format_table, results_to_payload, write_payload
 from repro.bench.runner import (
     ALL_BENCH_KERNELS,
     BENCH_KERNELS,
-    CSR_BENCH_KERNELS,
     MULTICORE_BENCH_KERNELS,
     SERVING_KERNEL,
     SERVING_LATENCY_KERNEL,
@@ -28,7 +27,6 @@ from repro.bench.runner import (
     SCALE_SHAPES,
     BenchShape,
     run_benchmarks,
-    run_csr_benchmarks,
     run_multicore_benchmarks,
     run_serving_benchmark,
     run_serving_open_loop,
@@ -65,11 +63,7 @@ def main(argv=None) -> int:
     parser.add_argument("--kernels", nargs="+", default=None,
                         choices=ALL_BENCH_KERNELS,
                         help="subset of kernels to benchmark (default: all; "
-                             "includes the *_csr padded-CSR kernels and the "
-                             "attention_train_matrix mechanism sweep)")
-    parser.add_argument("--csr-window", type=int, default=16,
-                        help="half-width of the Longformer-style band mask the "
-                             "*_csr kernels are timed on (default: 16)")
+                             "includes the attention_train_matrix mechanism sweep)")
     parser.add_argument("--mechanisms", nargs="+", default=None,
                         help="mechanism subset for the attention_train_matrix "
                              "sweep (default: every trainable mask-based "
@@ -110,10 +104,9 @@ def main(argv=None) -> int:
 
     selected = tuple(args.kernels) if args.kernels else ALL_BENCH_KERNELS
     classic = [k for k in selected if k in BENCH_KERNELS]
-    csr = [k for k in selected if k in CSR_BENCH_KERNELS]
     multicore = [k for k in selected if k in MULTICORE_BENCH_KERNELS]
 
-    results = _run_selected(args, classic, csr, multicore, selected)
+    results = _run_selected(args, classic, multicore, selected)
     print(format_table(results))
     if args.output:
         payload = results_to_payload(
@@ -125,7 +118,7 @@ def main(argv=None) -> int:
     return 0
 
 
-def _run_selected(args, classic, csr, multicore, selected):
+def _run_selected(args, classic, multicore, selected):
     results = []
     if classic:
         results += run_benchmarks(
@@ -135,17 +128,6 @@ def _run_selected(args, classic, csr, multicore, selected):
             patterns=tuple(args.patterns),
             backends=tuple(args.backends),
             kernels=classic,
-            seed=args.seed,
-            shape=args.shape,
-        )
-    if csr:
-        results += run_csr_benchmarks(
-            scale=args.scale,
-            repeats=args.repeats,
-            warmup=args.warmup,
-            window=args.csr_window,
-            backends=tuple(args.backends),
-            kernels=csr,
             seed=args.seed,
             shape=args.shape,
         )

@@ -11,10 +11,8 @@
         {
           "kernel": "masked_softmax",     # or spmm|
                                           #   attention_e2e|attention_train_step|
-                                          #   *_csr (padded-CSR pipeline)|
                                           #   attention_train_matrix (per-mechanism)
           "shape": "B2xH4xL256xD64/2:4",  # problem size / N:M pattern — or
-                                          #   /longformer-w16 (csr rows),
                                           #   /<mechanism> (train-matrix rows)
           "backend": "fast",              # reference|fast (dense|sparse on
                                           #   attention_train_matrix rows)

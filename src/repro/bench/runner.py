@@ -20,14 +20,12 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.baselines.dfss import DfssMechanism
-from repro.baselines.longformer import longformer_mask
 from repro.core.attention import dfss_attention
 from repro.core.backend import REFERENCE, get_kernel
-from repro.core.padded_csr import PaddedCSRMatrix
 from repro.core.patterns import resolve_pattern
-from repro.core.sddmm import sddmm_csr, sddmm_nm
+from repro.core.sddmm import sddmm_nm
 from repro.core.softmax import sparse_softmax
-from repro.nn.attention_layer import DfssCore
+from repro.nn.attention_layer import DfssCore, StaticMaskCore, TopKCore
 from repro.nn.autograd import Tensor
 from repro.nn.functional import dense_masked_attention
 from repro.registry import available_mechanisms, make_core
@@ -68,15 +66,6 @@ BENCH_KERNELS = (
     "attention_train_step",
 )
 
-#: Padded-CSR pipeline stages, timed on a Longformer-style band + global
-#: mask (ragged row lengths) by :func:`run_csr_benchmarks`.
-CSR_BENCH_KERNELS = (
-    "sddmm_csr",
-    "masked_softmax_csr",
-    "spmm_csr",
-    "spmm_t_csr",
-)
-
 #: Multicore tiled backend vs the single-core fast backend, forward and
 #: train, produced by :func:`run_multicore_benchmarks`.  The ``multicore``
 #: row's parity against ``fast`` must be exactly 0.0 — the tiled plan runs
@@ -106,7 +95,6 @@ SERVING_LATENCY_KERNEL = "serving_latency"
 #: Everything ``python -m repro.bench`` runs by default.
 ALL_BENCH_KERNELS = (
     BENCH_KERNELS
-    + CSR_BENCH_KERNELS
     + MULTICORE_BENCH_KERNELS
     + (TRAIN_MATRIX_KERNEL, SERVING_KERNEL, SERVING_LATENCY_KERNEL)
 )
@@ -326,90 +314,6 @@ def _row_from_timings(
     )
 
 
-def run_csr_benchmarks(
-    scale: str = "smoke",
-    repeats: int = 5,
-    warmup: int = 1,
-    window: int = 16,
-    backends: Sequence[str] = (REFERENCE, "fast"),
-    kernels: Optional[Sequence[str]] = None,
-    seed: int = 0,
-    shape: Optional[BenchShape] = None,
-) -> List[BenchResult]:
-    """Time the padded-CSR kernels on a Longformer-style ragged band mask.
-
-    The mask (sliding window of half-width ``window`` plus one global token)
-    exercises the layout's ragged row lengths: the global row is full-width,
-    band rows are narrow.  Rows mirror :func:`run_benchmarks` — the first
-    backend is the speedup/parity reference — and land in the same
-    ``BENCH_kernels.json`` under the ``*_csr`` kernel names with shape labels
-    like ``B2xH4xL256xD64/longformer-w16``.
-    """
-    if repeats < 1:
-        raise ValueError(f"repeats must be >= 1, got {repeats}")
-    shape = _resolve_shape(scale, shape)
-    selected = tuple(kernels) if kernels else CSR_BENCH_KERNELS
-    unknown = set(selected) - set(CSR_BENCH_KERNELS)
-    if unknown:
-        raise ValueError(
-            f"unknown kernels {sorted(unknown)}; expected {CSR_BENCH_KERNELS}"
-        )
-    if not backends:
-        raise ValueError("at least one backend is required")
-    baseline_backend = backends[0]
-
-    rng = new_rng(seed)
-    dims = (shape.batch, shape.heads, shape.seq_len, shape.head_dim)
-    q = rng.normal(size=dims).astype(np.float32)
-    k = rng.normal(size=dims).astype(np.float32)
-    v = rng.normal(size=dims).astype(np.float32)
-    g = rng.normal(size=dims).astype(np.float32)
-    mask = longformer_mask(shape.seq_len, shape.seq_len, window, 1)
-    structure = PaddedCSRMatrix.from_mask(mask).broadcast_to(dims[:2])
-    scores = sddmm_csr(q, k, structure)
-    weights = sparse_softmax(scores)
-    label = shape.label(f"longformer-w{window}")
-
-    cases: Dict[str, Tuple[Callable[[str], object], Callable[[object], np.ndarray]]] = {
-        "sddmm_csr": (
-            lambda backend: sddmm_csr(q, k, structure, backend=backend),
-            lambda out: out.to_dense(0.0),
-        ),
-        "masked_softmax_csr": (
-            lambda backend: get_kernel("masked_softmax", backend)(scores),
-            lambda out: out.to_dense(0.0),
-        ),
-        "spmm_csr": (
-            lambda backend: get_kernel("spmm", backend)(weights, v),
-            lambda out: out,
-        ),
-        "spmm_t_csr": (
-            lambda backend: get_kernel("spmm_t", backend)(weights, g),
-            lambda out: out,
-        ),
-    }
-
-    results: List[BenchResult] = []
-    for kernel in selected:
-        run, densify = cases[kernel]
-        baseline_out = densify(run(baseline_backend))
-        baseline_median: Optional[float] = None
-        for backend in backends:
-            parity = (
-                None
-                if backend == baseline_backend
-                else _rel_frobenius(densify(run(backend)), baseline_out)
-            )
-            row = _time_row(
-                kernel, label, backend, lambda: run(backend),
-                repeats, warmup, baseline_median, parity,
-            )
-            if backend == baseline_backend:
-                baseline_median = row.median_s
-            results.append(row)
-    return results
-
-
 @contextlib.contextmanager
 def _scoped_workers(workers: Optional[int]):
     """Temporarily pin ``$REPRO_MULTICORE_WORKERS`` (the pool re-resolves it
@@ -594,8 +498,8 @@ def run_train_matrix(
       numerical oracle and speedup baseline, with the mask derived from its
       autograd scores as the core selects (DFSS-family masks through the
       backend's ``nm_prune_mask`` kernel);
-    * ``sparse`` — the mechanism's trainable core: the compressed N:M
-      pipeline for DFSS-family mechanisms, padded CSR for every other mask.
+    * ``sparse`` — the mechanism's trainable core: the fused N:M kernels
+      for DFSS-family mechanisms, the row-block kernels for every other mask.
 
     Rows land in ``BENCH_kernels.json`` as kernel ``attention_train_matrix``
     with shape labels like ``B2xH4xL256xD64/local``; the ``sparse`` row's
@@ -640,9 +544,15 @@ def run_train_matrix(
                 DfssMechanism(core.pattern, block_mask=core.block_mask)._mask,
                 backend=backend,
             )
+        elif isinstance(core, StaticMaskCore):
+            # the mask depends on the lengths alone: the core's cached one
+            score_mask = core.last_mask()
+        elif isinstance(core, TopKCore):
+            score_mask = core.mechanism._mask
         else:
+            # clustering masks: derived per step from Q and K, as the core does
             def score_mask(scores):
-                return core._mask(scores, q, k)
+                return core.mechanism.attention_mask(q, k)
 
         def dense(qt, kt, vt):
             return dense_masked_attention(qt, kt, vt, score_mask)

@@ -14,8 +14,11 @@ This package implements the paper's primary contribution:
   the three attention stages with the fused pruning epilogue;
 * :mod:`repro.core.plan` — the compiled plan/execute layer: an
   :class:`AttentionPlan` built once per (mechanism, layout, backend, dtype,
-  shape-class) runs the fused sddmm → masked-softmax → spmm chain (and its
-  fused backward) as the one execution entry point every layer shares;
+  shape-class) runs one fused forward and one backward per layout (N:M
+  lanes, or row blocks for every other mask) as the one execution entry
+  point every layer shares;
+* :mod:`repro.core.row_block` — the row-block layout of the static,
+  content-dependent and explicit masks;
 * :mod:`repro.core.attention` — the ``full_attention`` / ``dfss_attention``
   public API and the :class:`DfssAttention` drop-in object;
 * :mod:`repro.core.attention_grad` — the analytic backward pass of DFSS
@@ -47,7 +50,6 @@ from repro.core.plan import (
     plan_cache_stats,
     plan_for_blocks,
     plan_for_nm,
-    plan_for_structure,
 )
 from repro.core.row_block import RowBlockStructure
 from repro.core.blocked_ell import (
@@ -64,11 +66,10 @@ from repro.core.patterns import (
     default_pattern_for_dtype,
     resolve_pattern,
 )
-from repro.core.layout import CompressedLayout, dense_positions
-from repro.core.padded_csr import PaddedCSRMatrix
+from repro.core.layout import CompressedLayout
 from repro.core.precision import quantize, simulate_tensor_core_matmul, to_bfloat16
 from repro.core.pruning import nm_compress, nm_decompress, nm_prune_dense, nm_prune_mask
-from repro.core.sddmm import sddmm_csr, sddmm_dense, sddmm_masked, sddmm_nm, sddmm_nm_tiled
+from repro.core.sddmm import sddmm_dense, sddmm_masked, sddmm_nm, sddmm_nm_tiled
 from repro.core.softmax import dense_softmax, sparse_softmax
 from repro.core.sparse import NMSparseMatrix
 from repro.core.spmm import spmm, spmm_t
@@ -80,8 +81,6 @@ __all__ = [
     "full_attention",
     "softmax_grad_compressed",
     "CompressedLayout",
-    "dense_positions",
-    "PaddedCSRMatrix",
     "available_backends",
     "available_kernels",
     "get_kernel",
@@ -94,7 +93,6 @@ __all__ = [
     "plan_cache_stats",
     "plan_for_blocks",
     "plan_for_nm",
-    "plan_for_structure",
     "RowBlockStructure",
     "BlockedEllMask",
     "bigbird_mask",
@@ -113,7 +111,6 @@ __all__ = [
     "nm_decompress",
     "nm_prune_dense",
     "nm_prune_mask",
-    "sddmm_csr",
     "sddmm_dense",
     "sddmm_masked",
     "sddmm_nm",

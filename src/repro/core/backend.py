@@ -2,11 +2,12 @@
 
 The attention pipeline is built from a small number of named kernels — the
 row-tiled ``nm_attention`` forward (SDDMM, N:M prune, softmax and SpMM per
-row block) and its ``nm_attention_bwd`` backward, the staged kernels of the
-mask layouts (``sddmm_csr``, ``masked_softmax`` over the compressed
-nonzeros, ``spmm`` of compressed weights x dense V, ``attention_bwd``), the
-``row_block_attention`` pair of the static masks, and the ``nm_prune_mask``
-selection used by the DFSS oracle masks.  Each kernel can have several
+row block) and its ``nm_attention_bwd`` backward, the
+``row_block_attention`` pair of every other mask (static, content-dependent
+and explicit), the staged N:M kernels of the reference chain
+(``masked_softmax`` over the compressed nonzeros, ``spmm``/``spmm_t`` of
+compressed weights x dense operands, ``sddmm_masked``), and the
+``nm_prune_mask`` selection used by the DFSS oracle masks.  Each kernel can have several
 interchangeable implementations ("backends") registered against it:
 
 * ``reference`` — the tile-by-tile / per-slice loop implementations that
@@ -81,9 +82,8 @@ _REGISTRY: Dict[str, Dict[str, Callable]] = {}
 _OVERRIDE: Optional[str] = None
 
 #: Kernel fallbacks: a backend that registers only some kernels (multicore
-#: registers the fused pairs and tiles the rest through the plan's ``_map``)
-#: delegates every other kernel to the listed backend, so every entry point
-#: stays valid under ``REPRO_BACKEND=multicore``.
+#: registers the fused pairs only) delegates every other kernel to the listed
+#: backend, so every entry point stays valid under ``REPRO_BACKEND=multicore``.
 _KERNEL_FALLBACKS: Dict[str, str] = {MULTICORE: FAST}
 
 

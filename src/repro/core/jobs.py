@@ -2,8 +2,8 @@
 
 Each fused kernel is one job class — ``nm_attention`` and
 ``nm_attention_bwd`` over N:M lanes (:mod:`repro.core.nm_attention`),
-``row_block_attention`` and ``row_block_attention_bwd`` over static-mask key
-blocks (:mod:`repro.core.row_block`).  The constructor takes the kernel's
+``row_block_attention`` and ``row_block_attention_bwd`` over the key
+blocks of every other mask (:mod:`repro.core.row_block`).  The constructor takes the kernel's
 arguments, checks the operands and allocates the outputs; the job then
 offers:
 
@@ -81,7 +81,8 @@ def attention_operands(q, k, v, structure=None):
     ``(..., rows, cols)`` with its batch axes and strides as given (a 2-D
     operand is viewed with one batch axis), checked to share one batch
     shape, Q and K one feature width, and K and V one key count — and,
-    given a ``structure``, its ``(n_q, n_k)``.  ``batch_shape`` is the
+    given a row-block ``structure``, its ``(n_q, n_k)`` and a batch shape
+    that broadcasts to theirs.  ``batch_shape`` is the
     callers' batch shape, ``()`` for 2-D operands, which
     :func:`~repro.utils.shapes.restore_batch_shape` gives the results."""
     batch_shape = np.shape(q)[:-2]
@@ -93,11 +94,13 @@ def attention_operands(q, k, v, structure=None):
         raise ValueError(f"Q feature dim {q.shape[-1]} != K feature dim {k.shape[-1]}")
     if v.shape[-2] != k.shape[-2]:
         raise ValueError(f"V rows ({v.shape[-2]}) must equal the key count ({k.shape[-2]})")
-    if structure is not None and (q.shape[-2], k.shape[-2]) != (structure.n_q, structure.n_k):
-        raise ValueError(
-            f"operands are {q.shape[-2]}x{k.shape[-2]} but the structure is "
-            f"{structure.n_q}x{structure.n_k}"
-        )
+    if structure is not None:
+        if (q.shape[-2], k.shape[-2]) != (structure.n_q, structure.n_k):
+            raise ValueError(
+                f"operands are {q.shape[-2]}x{k.shape[-2]} but the structure is "
+                f"{structure.n_q}x{structure.n_k}"
+            )
+        structure.slice_index(q.shape[:-2])
     return q, k, v, batch_shape
 
 

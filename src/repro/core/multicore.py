@@ -1,49 +1,35 @@
-"""Multicore tiled backend: attention work executed as tiles on a thread pool.
+"""Multicore tiled backend: fused attention jobs executed on a thread pool.
 
-The ``multicore`` backend is the ``fast`` backend with two changes, both
-reached through the ordinary :class:`~repro.core.plan.AttentionPlan`:
-
-* the fused kernels (``nm_attention``, ``row_block_attention`` and their
-  backwards) are row-tile jobs, and :func:`~repro.core.jobs.register_job_kernel`
-  registers each one's ``multicore`` kernel to run the job's tiles here,
-  through :func:`_run_job`, each worker borrowing one tile buffer.  Every
-  other kernel falls back to ``fast``;
-* :func:`map_tiles`, which the plan's ``_map`` calls for the stages of the
-  padded-CSR layout only, cuts the flattened batch×head dimension into
-  contiguous slices (:func:`tile_slices`), calls the stage's ``fn`` on each
-  tile — ``layout.batch_slice(sl)`` plus zero-copy slices of the operands —
-  on the pool, and concatenates the tile results.
+The ``multicore`` backend is the ``fast`` backend with one change, reached
+through the ordinary :class:`~repro.core.plan.AttentionPlan`: the fused
+kernels (``nm_attention``, ``row_block_attention`` and their backwards) are
+row-tile jobs, and :func:`~repro.core.jobs.register_job_kernel` registers
+each one's ``multicore`` kernel to run the job's tiles here, through
+:func:`_run_job`, each worker borrowing one tile buffer.  Every other
+kernel falls back to ``fast``.
 
 This module registers no kernel.  It is imported on the first call of a
-fused ``multicore`` kernel or of a multicore CSR stage, never at package
-import.
+fused ``multicore`` kernel, never at package import.
 
-**Bitwise parity with ``fast`` is a hard invariant, not a tolerance.**  Every
-fast kernel in the chain is per-leading-slice independent — batched BLAS
-matmuls dispatch one GEMM per slice, and every reduction runs over trailing
-extents the slice itself fixes — so tiling the leading dimension cannot
-perturb a bit, and a fused job's tiles run the fast code on disjoint parts
-of its outputs.  The masked softmax's choice between summation orders is
-made per slice from that slice's own row lengths
-(:func:`repro.core.softmax.masked_softmax_values`), so a tile cannot flip
-it either.
+**Bitwise parity with ``fast`` is a hard invariant, not a tolerance.**  A
+job's tiles run the fast tile code on disjoint parts of its outputs, over
+the same tile list ``fast`` walks in order, so neither the worker count nor
+the order the tiles finish in can perturb a bit.
 
 Workers are threads: the hot kernels are BLAS/ufunc dominated and release
 the GIL.  ``REPRO_MULTICORE_WORKERS`` sets the worker count (default
 ``os.cpu_count()``); ``1`` degenerates to inline single-core execution,
 bit-for-bit the ``fast`` backend with zero pool involvement.
 
-Scheduling: tiles are cost-balanced by per-slice nnz for ragged CSR layouts
-(uniform otherwise), oversubscribed ~4x the worker count and submitted
-heaviest-first — the executor's shared queue then provides the work
-stealing.  While a trace session is active each tile runs inside an
-``mc_tile`` span on its worker's own tid lane (carrying the stage, tile
-index, slice range, shape, and pool size), with the submitting thread's
-phase and plan labels re-applied so worker-lane events stay attributable.
-The fused kernels' own spans (``nm_attention``, ``row_block_attention``, …)
-are emitted by the registry's tracing wrapper, as for every other backend.
-The serving batcher's stacked request groups are ordinary plan calls, so
-they tile like any other batch.
+Scheduling: every tile is submitted to the executor's shared queue, which
+balances them across the workers.  While a trace session is active each
+tile runs inside an ``mc_tile`` span on its worker's own tid lane (carrying
+the kernel, tile index, the job's row and shape labels, and pool size),
+with the submitting thread's phase and plan labels re-applied so
+worker-lane events stay attributable.  The fused kernels' own spans
+(``nm_attention``, ``row_block_attention``, …) are emitted by the registry's
+tracing wrapper, as for every other backend.  The serving batcher's stacked
+request groups are ordinary plan calls, so they tile like any other batch.
 """
 
 from __future__ import annotations
@@ -53,9 +39,7 @@ import os
 import queue
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.profile.tracer import current_tracer
 
@@ -63,19 +47,11 @@ __all__ = [
     "WORKERS_ENV_VAR",
     "WorkerPool",
     "get_pool",
-    "map_tiles",
     "resolve_worker_count",
-    "tile_slices",
 ]
 
 #: Environment variable selecting the worker count (default: ``os.cpu_count()``).
 WORKERS_ENV_VAR = "REPRO_MULTICORE_WORKERS"
-
-#: Tiles submitted per worker: mild oversubscription so the executor queue
-#: load-balances ragged tiles (static slicing would pin the largest tile's
-#: finish time to one worker).
-_OVERSUBSCRIPTION = 4
-
 
 def resolve_worker_count(workers: Optional[int] = None) -> int:
     """Worker count from argument, ``$REPRO_MULTICORE_WORKERS``, or cpu count."""
@@ -91,49 +67,6 @@ def resolve_worker_count(workers: Optional[int] = None) -> int:
     if workers is None:
         workers = os.cpu_count() or 1
     return max(1, int(workers))
-
-
-def tile_slices(
-    batch: int,
-    workers: int,
-    costs: Optional[np.ndarray] = None,
-    oversubscription: int = _OVERSUBSCRIPTION,
-) -> List[slice]:
-    """Contiguous cost-balanced slices of ``range(batch)``.
-
-    Contiguity keeps every tile a zero-copy view of the flattened operands.
-    With ``costs`` (one nonnegative weight per batch index, e.g. per-slice
-    nnz of a ragged CSR structure) the boundaries equalise cumulative cost
-    instead of index count.  Degenerate inputs collapse to one full slice.
-    """
-    batch = int(batch)
-    if batch <= 1 or workers <= 1:
-        return [slice(0, batch)]
-    n_tiles = min(batch, max(2, workers * oversubscription))
-    if costs is None:
-        bounds = np.linspace(0, batch, n_tiles + 1).round().astype(np.int64)
-    else:
-        costs = np.asarray(costs, dtype=np.float64).reshape(-1)
-        if costs.shape[0] != batch:
-            raise ValueError(f"{costs.shape[0]} costs for batch {batch}")
-        total = float(costs.sum())
-        if total <= 0.0:
-            bounds = np.linspace(0, batch, n_tiles + 1).round().astype(np.int64)
-        else:
-            cum = np.cumsum(costs)
-            targets = np.linspace(0.0, total, n_tiles + 1)[1:-1]
-            inner = np.searchsorted(cum, targets, side="left") + 1
-            bounds = np.concatenate(([0], inner, [batch]))
-    bounds = np.unique(np.clip(bounds, 0, batch))
-    return [slice(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:])]
-
-
-def slice_costs(slices: Sequence[slice], costs: Optional[np.ndarray]) -> Optional[List[float]]:
-    """Total cost per slice (``None`` passes through for uniform tiles)."""
-    if costs is None:
-        return None
-    costs = np.asarray(costs, dtype=np.float64).reshape(-1)
-    return [float(costs[s].sum()) for s in slices]
 
 
 class WorkerPool:
@@ -205,16 +138,13 @@ class WorkerPool:
     def run(
         self,
         thunks: Sequence[Callable[[], Any]],
-        costs: Optional[Sequence[float]] = None,
         spans: Optional[Sequence[Optional[Dict[str, Any]]]] = None,
     ) -> List[Any]:
         """Execute ``thunks`` on the pool, returning results in input order.
 
         With one thunk or one worker the call degenerates to inline
-        execution — no pool is started, no thread is touched.  ``costs``
-        orders submission heaviest-first (the executor's shared queue then
-        steals work naturally); ``spans`` attaches per-tile ``mc_tile`` trace
-        spans, and the submitting thread's tracer phase/labels are re-applied
+        execution — no pool is started, no thread is touched.  ``spans``
+        attaches per-tile ``mc_tile`` trace spans, and the submitting thread's tracer phase/labels are re-applied
         on the worker so its lane stays attributable.  Exceptions propagate
         to the caller.
         """
@@ -240,12 +170,9 @@ class WorkerPool:
                 return call
 
             thunks = [_traced(t, m) for t, m in zip(thunks, metas)]
-        order = list(range(len(thunks)))
-        if costs is not None:
-            order.sort(key=lambda i: -float(costs[i]))
         executor = self._ensure()
-        futures = {i: executor.submit(thunks[i]) for i in order}
-        return [futures[i].result() for i in range(len(thunks))]
+        futures = [executor.submit(thunk) for thunk in thunks]
+        return [future.result() for future in futures]
 
 
 #: Process-wide pool shared by every multicore plan (and the serving path).
@@ -255,68 +182,6 @@ _POOL = WorkerPool()
 def get_pool() -> WorkerPool:
     """The shared process-wide :class:`WorkerPool`."""
     return _POOL
-
-
-def _join(parts: Sequence[Any], batch_shape: Tuple[int, ...]):
-    """Concatenate per-tile results along the flattened batch axis."""
-    first = parts[0]
-    if first is None:
-        return None
-    if isinstance(first, tuple):
-        return tuple(_join([p[i] for p in parts], batch_shape) for i in range(len(first)))
-    joined = np.concatenate(parts)
-    return joined.reshape(batch_shape + joined.shape[1:])
-
-
-def map_tiles(stage: str, layout, fn: Callable, *arrays):
-    """``fn(layout, *arrays)``, executed as batch tiles on the shared pool.
-
-    ``layout`` (a compressed layout) and the ``(..., rows, cols)``
-    ``arrays`` (``None`` entries pass through) share one leading batch
-    shape.  The flattened batch is cut by :func:`tile_slices` —
-    cost-balanced by per-slice nnz when the layout has padding lanes — and
-    each tile calls ``fn(layout.batch_slice(sl), *(a[sl] ...))``; the tile
-    results (``None``, arrays or tuples of arrays) are concatenated back
-    into the full batch shape.  Degenerate cases — one worker, one tile, or
-    operands whose batch shapes disagree (the kernel raises its usual
-    error) — call ``fn`` once on the whole batch.
-    """
-    pool = get_pool()
-    operands = [a for a in arrays if a is not None]
-    batch_shape = tuple(layout.batch_shape)
-    batch = int(np.prod(batch_shape, dtype=np.int64))
-    if pool.workers <= 1 or batch <= 1:
-        return fn(layout, *arrays)
-    costs = None
-    if layout.valid_lanes() is not None:
-        costs = layout.row_lengths().reshape(batch, layout.rows).sum(axis=1, dtype=np.int64)
-    slices = tile_slices(batch, pool.workers, costs)
-    if len(slices) <= 1 or any(np.shape(a)[:-2] != batch_shape for a in operands):
-        return fn(layout, *arrays)
-    flat = [
-        None if a is None else np.reshape(a, (batch,) + np.shape(a)[-2:])
-        for a in arrays
-    ]
-    tiles = [layout.batch_slice(sl) for sl in slices]
-    trailing = np.shape(layout.values)[len(batch_shape):]
-
-    def tile_thunk(sl: slice, tile):
-        return lambda: fn(tile, *(None if a is None else a[sl] for a in flat))
-
-    metas = [
-        {
-            "stage": stage,
-            "tile": i,
-            "rows": f"{sl.start}:{sl.stop}",
-            "shape": "x".join(str(d) for d in (sl.stop - sl.start, *trailing)),
-        }
-        for i, sl in enumerate(slices)
-    ]
-    parts = pool.run(
-        [tile_thunk(sl, tile) for sl, tile in zip(slices, tiles)],
-        slice_costs(slices, costs), metas,
-    )
-    return _join(parts, batch_shape)
 
 
 # ---------------------------------------------------------- fused kernels

@@ -101,7 +101,7 @@ from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.core.attention_grad import _compose_bwd
+from repro.core.attention_grad import masked_attention_bwd
 from repro.core.backend import REFERENCE, register_kernel
 from repro.core.blocked_ell import BlockedEllMask
 from repro.core.jobs import (
@@ -794,7 +794,7 @@ def _nm_attention_bwd_reference(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The oracle: re-run the staged reference chain for the compressed
     probabilities and the dropout keep mask, then compose the reference
-    backward primitives (:func:`repro.core.attention_grad._compose_bwd`).
+    backward primitives (:func:`repro.core.attention_grad.masked_attention_bwd`).
     ``out`` and the saved statistics are not read."""
     del out, shift, denom, selection
     pattern = _resolve(pattern, dtype)
@@ -806,5 +806,5 @@ def _nm_attention_bwd_reference(
     n_keys = np.shape(k)[-2]
     keep = None if dropout is None else _compressed_keep(dropout, probs.indices, pattern, n_keys)
     k, v = pad_keys(k, probs.dense_cols), pad_keys(v, probs.dense_cols)
-    d_q, d_k, d_v = _compose_bwd(probs, q, k, v, d_out, scale, keep, REFERENCE)
+    d_q, d_k, d_v = masked_attention_bwd(probs, q, k, v, d_out, scale, keep, REFERENCE)
     return d_q, d_k[..., :n_keys, :], d_v[..., :n_keys, :]

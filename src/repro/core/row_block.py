@@ -1,34 +1,43 @@
-"""Row-block attention over declared key ranges: the static-mask layout.
+"""Row-block attention over per-block key sets: the layout of every non-N:M mask.
 
-A static-mask mechanism (local window, Sparse Transformer strides, truncated
-columns, Longformer, BigBird) knows from the sequence geometry alone which
-keys each query may attend to.  This module gives those mechanisms a layout
-of their own:
+Every mask other than DFSS's dynamic N:M selection runs on this layout:
 
 * :class:`RowBlockStructure` — for each fixed :data:`BLOCK_ROWS`-row query
   block, the keys the block reads and the block's allowed sub-mask over
   them.  The keys are one contiguous range (kept as a slice, so ``K[keys]``
-  is a view) or a short sorted index list.  The mechanism declares them as
-  key ranges plus an allowed predicate (:meth:`RowBlockStructure.build`), so
-  a build costs O(rows + ranges) and no ``n_q × n_k`` array exists.  One
-  density rule, :data:`DENSE_FRACTION`, runs a block whose keys exceed ¾ of
-  ``n_k`` as a dense tile over all keys (Longformer's global row, for one).
+  is a view) or a sorted index list.  One density rule,
+  :data:`DENSE_FRACTION`, runs a block whose keys exceed ¾ of ``n_k`` as a
+  dense tile over all keys (Longformer's global row, for one).  A structure
+  is built two ways:
+
+  - a static mask (local window, Sparse Transformer strides, truncated
+    columns, Longformer, BigBird) knows from the sequence geometry alone
+    which keys each query may attend to, and declares them as key ranges
+    plus an allowed predicate (:meth:`RowBlockStructure.build`): a build
+    costs O(rows + ranges), no ``n_q × n_k`` array exists, and every batch
+    slice shares the one block list;
+  - a content-dependent mask (Top-K, Reformer, Routing, Sinkhorn) or an
+    explicit ``mask=`` is built from the mask itself
+    (:meth:`RowBlockStructure.from_mask`), with one block list per batch
+    slice, each from that slice's mask alone.
+
 * :class:`RowBlockStats` — what the training forward saves for its
   backward instead of the probabilities: each query row's softmax shift and
   denominator.
 
 The fast ``row_block_attention`` kernel runs each block the way the N:M
-kernel runs a row tile: ``Q[rows] @ K[keys]ᵀ`` for every batch slice in one
-batched product, the masked softmax while the tile is in cache, seeded
-dropout hashed on dense positions, then ``P @ V[keys]`` into the block's
-output rows.  ``row_block_attention_bwd`` walks the blocks one batch slice
-at a time, re-scores each and rebuilds P from the forward's per-row
-statistics, as FlashAttention-2 does (https://arxiv.org/abs/2307.08691),
-then runs the four gradient products.  Both are row-tile jobs
-(:mod:`repro.core.jobs`), :class:`RowBlockForwardJob` over the blocks and
-:class:`RowBlockBackwardJob` over the batch slices, which ``fast`` runs in
-order and ``multicore`` on its worker pool; slices never mix, so a stack of
-requests, a single request and any worker count all give the same bits.
+kernel runs a row tile: ``Q[rows] @ K[keys]ᵀ`` (for every batch slice in one
+batched product when the structure is shared, for one slice per tile
+otherwise), the masked softmax while the tile is in cache, seeded dropout
+hashed on dense positions, then ``P @ V[keys]`` into the block's output
+rows.  ``row_block_attention_bwd`` walks each batch slice's blocks,
+re-scores each and rebuilds P from the forward's per-row statistics, as
+FlashAttention-2 does (https://arxiv.org/abs/2307.08691), then runs the four
+gradient products.  Both are row-tile jobs (:mod:`repro.core.jobs`),
+:class:`RowBlockForwardJob` over the blocks and :class:`RowBlockBackwardJob`
+over the batch slices, which ``fast`` runs in order and ``multicore`` on its
+worker pool; slices never mix, so a stack of requests, a single request and
+any worker count all give the same bits.
 
 Operands are read in place and outputs written in Q's layout
 (:mod:`repro.core.jobs`): the forward runs each block's products over the
@@ -50,6 +59,7 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.analysis.sanitize import freeze_structure
 from repro.core.backend import REFERENCE, register_kernel
 from repro.core.jobs import (
     Dropout,
@@ -100,6 +110,12 @@ class KeyBlock:
     #: ``None`` when the block attends to every pair
     blocked: Optional[np.ndarray]
 
+    def __post_init__(self) -> None:
+        # a structure is shared across calls (cached per mechanism and
+        # geometry): under REPRO_SANITIZE=1 its arrays are write-once
+        freeze_structure(self.keys)
+        freeze_structure(self.blocked)
+
     @property
     def rows(self) -> int:
         return self.stop - self.start
@@ -125,20 +141,64 @@ def _merge(ranges: Sequence[Tuple[int, int]], n_k: int) -> List[List[int]]:
 
 
 class RowBlockStructure:
-    """The key blocks of one ``(n_q, n_k)`` static mask; batch-independent.
+    """The key blocks of one ``(n_q, n_k)`` mask.
 
-    Query rows of a block without keys (``width`` 0) are left out of
-    :attr:`blocks`; they attend to nothing and get exactly zero output and
-    gradients.  :attr:`pairs` counts the query-key pairs the blocks score.
+    A *shared* structure — one a mechanism declares (:meth:`build`) or one
+    built from a 2-D mask — has one block list, :attr:`blocks`, that every
+    batch slice reads, and :attr:`batch_shape` ``()``.  One built from a
+    ``(..., n_q, n_k)`` mask (:meth:`from_mask`) has one block list per
+    flattened batch slice of the mask, each derived from that slice's mask
+    alone; its :attr:`batch_shape` broadcasts against the operands' batch
+    shape.  :attr:`slices` holds the block lists either way (one for a
+    shared structure).
+
+    Query rows of a block without keys (``width`` 0) are left out of the
+    block lists; they attend to nothing and get exactly zero output and
+    gradients.  :attr:`slice_pairs` counts the query-key pairs each block
+    list scores, :attr:`pairs` their sum.
     """
 
-    def __init__(self, n_q: int, n_k: int, blocks: Sequence[KeyBlock]) -> None:
+    def __init__(
+        self, n_q: int, n_k: int, blocks: Sequence, batch_shape: Tuple[int, ...] = ()
+    ) -> None:
         self.n_q = int(n_q)
         self.n_k = int(n_k)
-        self.blocks = tuple(blocks)
-        self.max_rows = max((b.rows for b in self.blocks), default=0)
-        self.max_width = max((b.width for b in self.blocks), default=0)
-        self.pairs = sum(b.rows * b.width for b in self.blocks)
+        self.batch_shape = tuple(int(d) for d in batch_shape)
+        self.slices = (
+            tuple(tuple(s) for s in blocks) if self.batch_shape else (tuple(blocks),)
+        )
+        every = [b for s in self.slices for b in s]
+        self.max_rows = max((b.rows for b in every), default=0)
+        self.max_width = max((b.width for b in every), default=0)
+        self.slice_pairs = np.array(
+            [sum(b.rows * b.width for b in s) for s in self.slices], dtype=np.int64
+        )
+        self.pairs = int(self.slice_pairs.sum())
+
+    @property
+    def shared(self) -> bool:
+        """Whether every batch slice reads the one block list :attr:`blocks`."""
+        return not self.batch_shape
+
+    @property
+    def blocks(self) -> Tuple[KeyBlock, ...]:
+        """The block list of a shared structure."""
+        if not self.shared:
+            raise ValueError("a structure built from a batched mask has one block list per slice")
+        return self.slices[0]
+
+    def slice_index(self, batch_shape: Tuple[int, ...]) -> np.ndarray:
+        """The index into :attr:`slices` of every flattened batch slice of
+        operands with batch shape ``batch_shape``, which the structure's
+        batch shape must broadcast to."""
+        ids = np.arange(len(self.slices)).reshape(self.batch_shape)
+        try:
+            return np.broadcast_to(ids, tuple(batch_shape)).reshape(-1)
+        except ValueError:
+            raise ValueError(
+                f"structure batch shape {self.batch_shape} does not broadcast to "
+                f"the operands' batch shape {tuple(batch_shape)}"
+            ) from None
 
     @classmethod
     def build(cls, n_q: int, n_k: int, ranges: Ranges, allowed: Allowed) -> "RowBlockStructure":
@@ -170,18 +230,63 @@ class RowBlockStructure:
             blocks.append(KeyBlock(start, stop, keys, width, blocked))
         return cls(n_q, n_k, blocks)
 
+    @classmethod
+    def from_mask(cls, mask) -> "RowBlockStructure":
+        """Build from a boolean ``(..., n_q, n_k)`` mask, one :data:`BLOCK_ROWS`
+        block of one batch slice at a time.
+
+        A block's keys are the columns any of its rows attends to: one
+        contiguous run is a slice, scattered columns an index list, and more
+        than :data:`DENSE_FRACTION` of ``n_k`` the dense tile over all keys.
+        Its blocked sub-mask is the mask's complement over those keys.  A 2-D
+        mask gives a shared structure; a batched one gives one block list per
+        flattened batch slice, from that slice's mask alone — keys unioned
+        over the batch would change the width a slice's softmax sums over,
+        and with it the slice's bits.
+        """
+        mask = np.asarray(mask, dtype=bool)
+        if mask.ndim < 2:
+            raise ValueError(f"expected a (..., n_q, n_k) mask, got shape {mask.shape}")
+        n_q, n_k = mask.shape[-2:]
+        starts = np.arange(0, n_q, BLOCK_ROWS)
+        slices = []
+        for m in mask.reshape((-1, n_q, n_k)):
+            blocks = []
+            # the columns each block's rows attend to, one row per block
+            cover = np.logical_or.reduceat(m, starts, axis=0) if n_q else ()
+            for start, used in zip(starts.tolist(), cover):
+                cols = np.flatnonzero(used)
+                width = cols.size
+                if width == 0:
+                    continue
+                if width > DENSE_FRACTION * n_k:
+                    keys, width = slice(0, n_k), n_k
+                elif cols[-1] - cols[0] + 1 == width:
+                    keys = slice(int(cols[0]), int(cols[-1]) + 1)
+                else:
+                    keys = cols
+                stop = min(start + BLOCK_ROWS, n_q)
+                blocked = ~m[start:stop, keys]
+                blocks.append(KeyBlock(start, stop, keys, width, blocked if blocked.any() else None))
+            slices.append(blocks)
+        if mask.ndim == 2:
+            return cls(n_q, n_k, slices[0])
+        return cls(n_q, n_k, slices, mask.shape[:-2])
+
     def to_mask(self) -> np.ndarray:
-        """The ``(n_q, n_k)`` dense boolean mask the structure encodes."""
-        mask = np.zeros((self.n_q, self.n_k), dtype=bool)
-        for block in self.blocks:
-            allowed = True if block.blocked is None else ~block.blocked
-            mask[block.start:block.stop, block.keys] = allowed
-        return mask
+        """The ``batch_shape + (n_q, n_k)`` dense boolean mask the structure encodes."""
+        mask = np.zeros((len(self.slices), self.n_q, self.n_k), dtype=bool)
+        for index, blocks in enumerate(self.slices):
+            for block in blocks:
+                allowed = True if block.blocked is None else ~block.blocked
+                mask[index][block.start:block.stop, block.keys] = allowed
+        return mask.reshape(self.batch_shape + (self.n_q, self.n_k))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        batch = f"batch={self.batch_shape}, " if self.batch_shape else ""
         return (
-            f"RowBlockStructure({self.n_q}x{self.n_k}, blocks={len(self.blocks)}, "
-            f"max_tile={self.max_rows}x{self.max_width})"
+            f"RowBlockStructure({self.n_q}x{self.n_k}, {batch}"
+            f"blocks={sum(map(len, self.slices))}, max_tile={self.max_rows}x{self.max_width})"
         )
 
 
@@ -235,19 +340,22 @@ def _stats(structure: RowBlockStructure, shift, denom, batch_shape) -> RowBlockS
 
 def _span_args(q, k, v, structure, return_stats=False, d_out=None, **_) -> dict:
     """Trace-span arguments of one forward call, or of one backward call
-    (given ``d_out``): the block tiles (batch slices × blocks), the largest
-    tile, the query-key pairs the tiles score, and the bytes written — the
-    output, plus each row's shift and denominator when asked for; or dQ, dK
-    and dV."""
-    batch = int(np.prod(np.shape(q)[:-2], dtype=np.int64))
+    (given ``d_out``): the block tiles (each batch slice's blocks), the
+    largest tile, the query-key pairs the tiles score, and the bytes
+    written — the output, plus each row's shift and denominator when asked
+    for; or dQ, dK and dV."""
+    lead = np.shape(q)[:-2] or (1,)
+    batch = int(np.prod(lead, dtype=np.int64))
+    index = structure.slice_index(lead)
     if d_out is None:
         out_bytes = 4 * batch * structure.n_q * (np.shape(v)[-1] + (2 if return_stats else 0))
     else:
         out_bytes = 4 * (np.size(q) + np.size(k) + np.size(v))
+    blocks = np.array([len(s) for s in structure.slices], dtype=np.int64)
     return {
-        "tiles": batch * len(structure.blocks),
+        "tiles": int(blocks[index].sum()),
         "tile_shape": f"{structure.max_rows}x{structure.max_width}",
-        "pairs": batch * structure.pairs,
+        "pairs": int(structure.slice_pairs[index].sum()),
         "out_bytes": int(out_bytes),
     }
 
@@ -255,12 +363,14 @@ def _span_args(q, k, v, structure, return_stats=False, d_out=None, **_) -> dict:
 class _BlockTiles:
     """Operands one row-block call's forward and backward share: Q, K and V
     checked against the structure and read in place (:mod:`repro.core.jobs`),
-    the float32 scale and the dropout."""
+    the float32 scale, the dropout, and the structure slice each flattened
+    batch slice reads."""
 
     def __init__(self, q, k, v, structure, scale, dropout) -> None:
         self._q, self._k, self._v, self.batch_shape = attention_operands(q, k, v, structure)
         self.scale = _scale(self._q, scale)
         self.structure, self.dropout = structure, dropout
+        self._index = structure.slice_index(self._q.shape[:-2])
 
     def new_buffer(self) -> None:
         """No buffer to borrow: each block product allocates its own tile."""
@@ -271,8 +381,11 @@ class _BlockTiles:
 class RowBlockForwardJob(_BlockTiles):
     """The fast forward, one tile per block: its scores, the row softmax in
     place, dropout and ``P @ V[keys]`` into the block's output rows, plus
-    the rows' shift and denominator with ``return_stats``.  :meth:`result`
-    is ``(out, stats)``, ``stats`` a :class:`RowBlockStats` or ``None``."""
+    the rows' shift and denominator with ``return_stats``.  A shared
+    structure's block tile runs every batch slice in one batched product; a
+    per-slice structure's tiles are ``(slice, block)`` pairs, each over its
+    slice's own blocks.  :meth:`result` is ``(out, stats)``, ``stats`` a
+    :class:`RowBlockStats` or ``None``."""
 
     def __init__(
         self, q: np.ndarray, k: np.ndarray, v: np.ndarray, structure: RowBlockStructure,
@@ -280,24 +393,48 @@ class RowBlockForwardJob(_BlockTiles):
         return_stats: bool = False,
     ) -> None:
         super().__init__(q, k, v, structure, scale, dropout)
-        self._scaled_q = self._q * self.scale
-        self.tiles = structure.blocks
+        scaled_q = self._q * self.scale
         # the output in Q's layout; rows outside every block stay zero
-        self._out = np.zeros_like(self._q, shape=self._q.shape[:-1] + self._v.shape[-1:])
-        self._slices = _slice_index(self._q)
-        self._shift = self._denom = None
+        out = np.zeros_like(self._q, shape=self._q.shape[:-1] + self._v.shape[-1:])
+        shift = denom = None
         if return_stats:
             # rows outside every block keep the shift 0 and the denominator 1
-            self._shift = np.zeros(self._q.shape[:-1], dtype=np.float32)
-            self._denom = np.ones(self._q.shape[:-1], dtype=np.float32)
+            shift = np.zeros(self._q.shape[:-1], dtype=np.float32)
+            denom = np.ones(self._q.shape[:-1], dtype=np.float32)
+        self._out, self._shift, self._denom = out, shift, denom
+        if structure.shared:
+            #: ``(slice, block)`` tiles; slice ``None`` is the whole batch
+            self.tiles = [(None, block) for block in structure.blocks]
+            self._whole = (_slice_index(self._q), scaled_q, self._k, self._v, out, shift, denom)
+        else:
+            self.tiles = [
+                (b, block) for b, s in enumerate(self._index) for block in structure.slices[s]
+            ]
+            rows = [None] * len(self._index)
+            shift_rows, denom_rows = (rows, rows) if shift is None else (
+                x.reshape(-1, structure.n_q) for x in (shift, denom)
+            )
+            #: per batch slice, the views (Q·scale, K, V, out, shift, denom) its tiles use
+            self._views = list(zip(
+                *(batch_slices(x) for x in (scaled_q, self._k, self._v, out)),
+                shift_rows, denom_rows,
+            ))
 
-    def label(self, block: KeyBlock) -> Tuple[str, str]:
+    def label(self, tile) -> Tuple[str, str]:
         """``(rows, shape)`` trace labels of one block tile."""
-        return f"{block.start}:{block.stop}", f"{block.rows}x{block.width}"
+        b, block = tile
+        rows = f"{block.start}:{block.stop}" if b is None else f"{b}:{block.start}:{block.stop}"
+        return rows, f"{block.rows}x{block.width}"
 
-    def run(self, block: KeyBlock, buf: None) -> None:
+    def run(self, tile, buf: None) -> None:
+        b, block = tile
+        if b is None:
+            slices, scaled_q, k, v, out, shift, denom = self._whole
+        else:
+            slices = b
+            scaled_q, k, v, out, shift, denom = self._views[b]
         rows = slice(block.start, block.stop)
-        scores = _scores(self._scaled_q, self._k, block)
+        scores = _scores(scaled_q, k, block)
         # row softmax in place; blocked pairs, and every pair of a row whose
         # keys are all blocked, get exactly zero weight
         row_max = np.max(scores, axis=-1, keepdims=True)
@@ -309,17 +446,17 @@ class RowBlockForwardJob(_BlockTiles):
         if block.blocked is not None:
             row_sum[row_sum == 0.0] = 1.0
         scores /= row_sum
-        if self._shift is not None:
+        if shift is not None:
             # repro: owns-buffer — disjoint row block of the job's own statistics
-            self._shift[..., rows] = row_max[..., 0]
+            shift[..., rows] = row_max[..., 0]
             # repro: owns-buffer — disjoint row block of the job's own statistics
-            self._denom[..., rows] = row_sum[..., 0]
+            denom[..., rows] = row_sum[..., 0]
         if self.dropout is not None:
             n_q, n_k = self.structure.n_q, self.structure.n_k
-            flat_rows = _flat_rows(self._slices, block.start, block.stop, n_q)
+            flat_rows = _flat_rows(slices, block.start, block.stop, n_q)
             scores *= dropout_keep(self.dropout, flat_rows, block.columns(), n_k)
         # repro: owns-buffer — disjoint row block of the job's own output
-        np.matmul(scores, self._v[..., block.keys, :], out=self._out[..., rows, :])
+        np.matmul(scores, v[..., block.keys, :], out=out[..., rows, :])
 
     def result(self) -> Tuple[np.ndarray, Optional[RowBlockStats]]:
         stats = None
@@ -330,12 +467,12 @@ class RowBlockForwardJob(_BlockTiles):
 
 @register_job_kernel("row_block_attention_bwd", _span_args)
 class RowBlockBackwardJob(_BlockTiles):
-    """The fast backward, one tile per batch slice, walking the blocks in the
-    forward's order.  Per block it rebuilds ``P = exp(s − shift) / denom``
-    with the forward's op sequence, then, with ``D`` the dropout keep mask:
-    ``dV[keys] += (P ∘ D)ᵀ dO``, ``dS = P ∘ ((dO V[keys]ᵀ) ∘ D − rowsum(dO ∘
-    O)) · scale``, ``dQ[rows] = dS K[keys]`` and ``dK[keys] += dSᵀ Q[rows]``.
-    :meth:`result` is ``(dQ, dK, dV)``."""
+    """The fast backward, one tile per batch slice, walking that slice's
+    blocks in the forward's order.  Per block it rebuilds ``P = exp(s −
+    shift) / denom`` with the forward's op sequence, then, with ``D`` the
+    dropout keep mask: ``dV[keys] += (P ∘ D)ᵀ dO``, ``dS = P ∘ ((dO V[keys]ᵀ)
+    ∘ D − rowsum(dO ∘ O)) · scale``, ``dQ[rows] = dS K[keys]`` and
+    ``dK[keys] += dSᵀ Q[rows]``.  :meth:`result` is ``(dQ, dK, dV)``."""
 
     def __init__(
         self, q: np.ndarray, k: np.ndarray, v: np.ndarray, d_out: np.ndarray, out: np.ndarray,
@@ -368,7 +505,7 @@ class RowBlockBackwardJob(_BlockTiles):
         shift, denom = self._shift[b], self._denom[b]
         scaled_q = q * scale
         inner = np.sum(g_b * o, axis=-1, keepdims=True)
-        for block in self.structure.blocks:
+        for block in self.structure.slices[self._index[b]]:
             rows = slice(block.start, block.stop)
             p = _scores(scaled_q, k, block)
             p -= shift[rows]

@@ -16,8 +16,8 @@ that the ``reference`` ``nm_attention`` kernel runs; the fast N:M forward is
 the row-tiled ``nm_attention`` kernel (:mod:`repro.core.nm_attention`),
 which never writes a compressed score matrix.
 
-The masked SDDMMs (``sddmm_masked``, ``sddmm_csr``) score an existing
-compressed structure and are registered ``reference``/``fast`` kernel pairs.
+The masked SDDMM (``sddmm_masked``) scores an existing compressed structure
+and is a registered ``reference``/``fast`` kernel pair.
 """
 
 from __future__ import annotations
@@ -142,22 +142,13 @@ def sddmm_masked(
 
     Computes ``C[i, k] = A[i, :] · B[col(i, k), :]`` for every stored nonzero
     of ``structure`` and returns a compressed matrix sharing that structure.
-    ``structure`` may be any :class:`~repro.core.layout.CompressedLayout`
-    (N:M or padded CSR; padding lanes of a padded layout come back exactly
-    zero).  This is the backward-pass sibling of :func:`sddmm_nm`: the
+    ``structure`` is a :class:`~repro.core.layout.CompressedLayout` (the
+    N:M layout, whose every lane is a stored entry).  This is the backward-pass sibling of :func:`sddmm_nm`: the
     selection is a constant of the graph, so gradients such as
     ``dP = (dO Vᵀ) ∘ mask`` only ever need the already-chosen positions — no
     pruning epilogue runs here.
     """
     return get_kernel("sddmm_masked", backend)(a, b, structure)
-
-
-def _zero_padding_lanes(values: np.ndarray, structure) -> np.ndarray:
-    """Zero the padding lanes of gathered values (no-op for fixed-width layouts)."""
-    valid = structure.valid_lanes()
-    if valid is None:
-        return values
-    return np.where(valid, values, np.float32(0.0))
 
 
 def _check_masked_operands(a: np.ndarray, b: np.ndarray, structure):
@@ -195,8 +186,7 @@ def _sddmm_masked_reference(
     for s in range(a3.shape[0]):
         gathered = b3[s][cols3[s]]  # (n_q, kept, d)
         out[s] = np.einsum("qd,qkd->qk", a3[s], gathered, optimize=True)
-    values = _zero_padding_lanes(restore_batch_shape(out, batch_shape), structure)
-    return structure.with_values(values)
+    return structure.with_values(restore_batch_shape(out, batch_shape))
 
 
 @register_kernel("sddmm_masked", FAST)
@@ -208,75 +198,7 @@ def _sddmm_masked_fast(
     a3, _ = as_batched_3d(a)
     b3, _ = as_batched_3d(b)
     dense = np.matmul(a3, np.swapaxes(b3, -1, -2))
-    values = _zero_padding_lanes(structure.gather_dense(dense), structure)
-    return structure.with_values(values)
-
-
-def sddmm_csr(
-    q: np.ndarray,
-    k: np.ndarray,
-    structure,
-    scale: Optional[float] = None,
-    backend: Optional[str] = None,
-):
-    """SDDMM writing ``scale * Q Kᵀ`` into an existing padded-CSR structure.
-
-    This is the forward kernel of the mask-based sparse training path: the
-    mechanism's boolean mask is compressed once
-    (:meth:`~repro.core.padded_csr.PaddedCSRMatrix.from_mask`) and the score
-    computation touches only the stored columns.  Padding lanes are written
-    with the ``MASKED_SCORE`` sentinel so the succeeding sparse softmax
-    assigns them exactly zero weight — a fully masked row (length 0) comes
-    out with zero attention everywhere, matching the dense masked softmax.
-
-    ``structure`` may be any :class:`~repro.core.layout.CompressedLayout`;
-    for a fixed-width layout (no padding) the result simply shares its
-    structure, like :func:`sddmm_masked` with the scale applied.
-    """
-    return get_kernel("sddmm_csr", backend)(q, k, structure, scale=scale)
-
-
-def _mask_padding_lanes(values: np.ndarray, structure) -> np.ndarray:
-    """Stamp the masked-score sentinel onto padding lanes of score values."""
-    valid = structure.valid_lanes()
-    if valid is None:
-        return values
-    return np.where(valid, values, MASKED_SCORE)
-
-
-def _csr_scale(q3: np.ndarray, scale: Optional[float]) -> np.float32:
-    return np.float32(1.0 / np.sqrt(q3.shape[-1]) if scale is None else scale)
-
-
-@register_kernel("sddmm_csr", REFERENCE)
-def _sddmm_csr_reference(
-    q: np.ndarray, k: np.ndarray, structure, scale: Optional[float] = None
-):
-    """Per-slice gather + einsum over the stored columns only."""
-    q, k = _check_masked_operands(q, k, structure)
-    q3, batch_shape = as_batched_3d(q)
-    k3, _ = as_batched_3d(k)
-    cols3, _ = as_batched_3d(structure.column_indices())
-    factor = _csr_scale(q3, scale)
-    out = np.empty(cols3.shape, dtype=np.float32)
-    for s in range(q3.shape[0]):
-        gathered = k3[s][cols3[s]]  # (n_q, width, d)
-        out[s] = np.einsum("qd,qkd->qk", q3[s], gathered, optimize=True) * factor
-    values = _mask_padding_lanes(restore_batch_shape(out, batch_shape), structure)
-    return structure.with_values(values)
-
-
-@register_kernel("sddmm_csr", FAST)
-def _sddmm_csr_fast(
-    q: np.ndarray, k: np.ndarray, structure, scale: Optional[float] = None
-):
-    """Batched contraction + one gather of the stored positions."""
-    q, k = _check_masked_operands(q, k, structure)
-    q3, _ = as_batched_3d(q)
-    k3, _ = as_batched_3d(k)
-    scores = np.matmul(q3, np.swapaxes(k3, -1, -2)) * _csr_scale(q3, scale)
-    values = _mask_padding_lanes(structure.gather_dense(scores), structure)
-    return structure.with_values(values)
+    return structure.with_values(structure.gather_dense(dense))
 
 
 def sddmm_dense(

@@ -8,13 +8,9 @@ softmax whose pruned logits were set to ``-inf``.
 
 The sparse softmax is registered as the ``masked_softmax`` kernel with two
 backends: ``reference`` (row-chunked loop, mirroring the long-sequence CUDA
-implementation of Appendix A.4) and ``fast`` (cache-blocked in-place passes
-that, on ragged padded-CSR layouts, reduce over the ``valid_lanes()`` segments
-only instead of the full padded lane width).
-
-:func:`masked_softmax_values` is the shared value-space core: both the fast
-registry kernel and the fused :class:`~repro.core.plan.AttentionPlan` call it,
-which is what makes the fused plan bitwise-identical to the kernel.
+implementation of Appendix A.4) and ``fast`` (cache-blocked in-place passes,
+:func:`masked_softmax_values`).  Both normalise a compressed N:M score
+matrix; the fused attention kernels run their own softmax inside each tile.
 
 N:M denominator order.  On an N:M layout the fast core does not sum a row of
 compressed probabilities left to right: each M-group's N kept values are
@@ -29,7 +25,7 @@ the planes themselves.
 The ``reference`` backend sums in the same order, so the backends agree
 bit for bit on exactly representable inputs.  For 1:2 this is the plain row
 sum; for 2:4 a denominator can differ by a few ulps from a plain ``np.sum``
-over the compressed row.  CSR and row-block rows are plain row sums.
+over the compressed row.  Row-block rows are plain row sums.
 """
 
 from __future__ import annotations
@@ -129,7 +125,6 @@ def _chunked_row_softmax(
     out: np.ndarray,
     group: int = 1,
     chunk_rows: int = 2048,
-    width: Optional[int] = None,
 ) -> np.ndarray:
     """Masked row softmax over full-width rows, written into ``out``.
 
@@ -139,18 +134,14 @@ def _chunked_row_softmax(
     makes the fast backend beat the reference loop at default scale.
     ``group > 1`` sums each row's denominator in the N:M order
     (:func:`grouped_row_sum` over groups of ``group`` consecutive lanes).
-    Given a ``width``, the lanes past it are padding: they get zero weight
-    and the denominators sum the first ``width`` lanes only.
     """
     flat = values.reshape(-1, values.shape[-1])
     oflat = out.reshape(flat.shape)
-    width = flat.shape[-1] if width is None else width
     for start in range(0, flat.shape[0], chunk_rows):
         stop = min(start + chunk_rows, flat.shape[0])
         vals = flat[start:stop]
         o = oflat[start:stop]
         masked = vals <= MASKED_LOGIT_THRESHOLD
-        masked[:, width:] = True
         # without masked lanes both selects are identities; skip them
         any_masked = masked.any()
         live = np.where(masked, -np.inf, vals) if any_masked else vals
@@ -160,107 +151,33 @@ def _chunked_row_softmax(
         np.exp(o, out=o)  # repro: owns-buffer — caller-provided out
         if any_masked:
             o[masked] = 0.0  # repro: owns-buffer — caller-provided out
-        denom = _row_sum(o[:, :width], group)
+        denom = _row_sum(o, group)
         # repro: owns-buffer — caller-provided out
         np.divide(o, np.where(denom == 0.0, 1.0, denom), out=o)
     return out
 
 
-def _segmented_row_softmax(
-    values: np.ndarray,
-    valid: np.ndarray,
-    lengths: np.ndarray,
-    out: np.ndarray,
-) -> np.ndarray:
-    """Masked row softmax reducing over the valid-lane segments only.
-
-    Ragged padded-CSR rows carry on average far fewer valid lanes than the
-    padded width; gathering them into one flat vector and using segmented
-    ``reduceat`` reductions skips the padding entirely.  Padding lanes of
-    ``out`` are exactly zero, fully-masked rows get exactly zero weight.
-    """
-    flat_lengths = lengths.reshape(-1).astype(np.int64, copy=False)
-    # gather before zeroing: ``out`` may alias ``values`` in the fused plan
-    flat = values[valid]
-    out[...] = 0.0  # repro: owns-buffer — caller-provided out, gathered above
-    nonempty = flat_lengths > 0
-    if flat.size == 0 or not nonempty.any():
-        return out
-    starts = np.zeros(flat_lengths.shape[0], dtype=np.int64)
-    np.cumsum(flat_lengths[:-1], out=starts[1:])
-    # reduceat on an empty segment returns the element at its start index, not
-    # an identity — restrict the segment starts to nonempty rows (empty rows
-    # stay zero via the zero-initialised output, matching the fully-masked
-    # row semantics)
-    seg = starts[nonempty]
-    reps = flat_lengths[nonempty]
-    masked = flat <= MASKED_LOGIT_THRESHOLD
-    if masked.any():
-        flat = np.where(masked, -np.inf, flat)
-    row_max = np.maximum.reduceat(flat, seg)
-    row_max = np.where(np.isfinite(row_max), row_max, 0.0)
-    flat = flat - np.repeat(row_max, reps)
-    np.exp(flat, out=flat)  # exp(-inf) = +0.0 exactly at masked valid lanes
-    denom = np.add.reduceat(flat, seg)
-    denom = np.where(denom == 0.0, 1.0, denom)
-    np.divide(flat, np.repeat(denom, reps), out=flat)
-    out[valid] = flat  # repro: owns-buffer — caller-provided out
-    return out
-
-
 def masked_softmax_values(
-    values: np.ndarray,
-    valid: Optional[np.ndarray] = None,
-    lengths: Optional[np.ndarray] = None,
-    out: Optional[np.ndarray] = None,
-    group: int = 1,
+    values: np.ndarray, out: Optional[np.ndarray] = None, group: int = 1
 ) -> np.ndarray:
-    """Value-space masked row softmax shared by the fast kernel and the plan.
+    """Value-space masked row softmax of the fast kernel.
 
-    ``valid``/``lengths`` are the layout's ``valid_lanes()`` and
-    ``row_lengths()`` (``valid is None`` for layouts with no padding lanes,
-    e.g. N:M).  ``out`` may alias ``values`` for in-place execution — the
-    fused :class:`~repro.core.plan.AttentionPlan` exploits this to reuse the
-    score buffer as the probability buffer.
-
-    On a padded layout every ``(batch·head)`` slice is normalised in the
-    summation order it gets when run alone, whatever the rest of the batch:
-    a slice whose rows are ragged takes the segmented pass over its valid
-    lanes; one whose rows all hold the same count ``w`` takes the chunked
-    pass with its denominators summed over its first ``w`` lanes (its width
-    alone) and zero weight past them.  The two passes sum denominators in
-    different orders (``np.add.reduceat`` vs pairwise ``np.sum``), and a
-    chunked row sum also depends on the row's width, so deciding once for
-    the whole batch padded to its widest slice would change a slice's bits
-    with its neighbours.  Decided per slice, any cut of the batch into tiles
-    gives the same result.
-
-    ``group`` is :func:`denominator_group` of the layout (N on N:M layouts,
-    which have no padding lanes).
+    ``out`` may alias ``values`` for in-place execution.  ``group`` is
+    :func:`denominator_group` of the layout (N on N:M layouts).
     """
     if out is None:
         out = np.empty_like(values)
-    if valid is None:
-        return _chunked_row_softmax(values, out, group)
-    for index in np.ndindex(values.shape[:-2]):
-        rows = lengths[index]
-        width = max(int(rows.max(initial=0)), 1)
-        if int(rows.min(initial=width)) < width:
-            _segmented_row_softmax(values[index], valid[index], rows, out[index])
-        else:
-            _chunked_row_softmax(values[index], out[index], width=width)
-    return out
+    return _chunked_row_softmax(values, out, group)
 
 
 def sparse_softmax(scores, backend: Optional[str] = None):
     """Row softmax over the stored nonzeros of a compressed score matrix.
 
-    ``scores`` may be any :class:`~repro.core.layout.CompressedLayout`
-    (N:M or padded CSR) — the kernel only touches ``.values`` and the
-    structure is carried through unchanged.  Entries produced by blocked-ELL
-    or padded-CSR masking (values ≤ ``MASKED_LOGIT_THRESHOLD``, e.g. the
-    padding-lane sentinel) are excluded from the normalisation and receive
-    exactly zero weight.
+    ``scores`` may be any :class:`~repro.core.layout.CompressedLayout` — the
+    kernel only touches ``.values`` and the structure is carried through
+    unchanged.  Entries produced by blocked-ELL masking (values ≤
+    ``MASKED_LOGIT_THRESHOLD``, the masked-score sentinel) are excluded from
+    the normalisation and receive exactly zero weight.
     ``backend`` selects the registered ``masked_softmax`` implementation
     (default: ``$REPRO_BACKEND``, else "fast").
     """
@@ -269,13 +186,9 @@ def sparse_softmax(scores, backend: Optional[str] = None):
 
 @register_kernel("masked_softmax", FAST)
 def _sparse_softmax_fast(scores):
-    """Cache-blocked pass; segmented over ``valid_lanes()`` on ragged layouts."""
-    valid = scores.valid_lanes()
-    lengths = None if valid is None else scores.row_lengths()
+    """Cache-blocked in-place passes over the compressed rows."""
     return scores.with_values(
-        masked_softmax_values(
-            scores.values, valid, lengths, group=denominator_group(scores)
-        )
+        masked_softmax_values(scores.values, group=denominator_group(scores))
     )
 
 

@@ -145,16 +145,6 @@ class NMSparseMatrix:
             self.__dict__["_column_cache"] = freeze_structure(cached)
         return cached
 
-    def row_lengths(self) -> np.ndarray:
-        """Valid lane count per row — constant ``kept`` for the N:M layout."""
-        return np.full(
-            self.batch_shape + (self.rows,), self.kept_cols, dtype=np.int32
-        )
-
-    def valid_lanes(self):
-        """Lane-validity mask; ``None`` because every N:M lane is valid."""
-        return None
-
     def gather_dense(self, dense: np.ndarray) -> np.ndarray:
         """Gather every stored lane's entry out of a dense ``dense_shape`` array."""
         dense = np.asarray(dense, dtype=np.float32)

@@ -3,12 +3,10 @@
 On the A100 this is the ``mma.sp`` sparse-tensor-core instruction consuming
 the (nonzeros, metadata) pair produced by the SDDMM epilogue.  Every kernel
 in this module dispatches on the :class:`~repro.core.layout.CompressedLayout`
-protocol, so the same registry entries serve the N:M layout
-(:class:`~repro.core.sparse.NMSparseMatrix`) and the per-row variable-nnz
-padded-CSR layout (:class:`~repro.core.padded_csr.PaddedCSRMatrix`) — padding
-lanes carry exactly-zero probabilities and clamped in-range columns, so the
-gather formulations contribute nothing there and the scatter formulations
-redirect them to a trash column.  Two backends carry the same contraction:
+protocol of the N:M layout (:class:`~repro.core.sparse.NMSparseMatrix`).
+These staged kernels serve the ``reference`` N:M chain, the ``dspattn``
+API and the bench rows; the fused attention kernels contract inside their
+tiles.  Two backends carry the same contraction:
 
 * ``reference`` — a per-slice Python loop that gathers the addressed rows of
   V and contracts them with an einsum, mirroring how each thread block walks
@@ -85,30 +83,13 @@ def _spmm_reference(weights: CompressedLayout, v: np.ndarray) -> np.ndarray:
     return restore_batch_shape(out, batch_shape)
 
 
-def _scatter_matmul(values: np.ndarray, structure: CompressedLayout, v3: np.ndarray) -> np.ndarray:
-    """Scatter compressed ``values`` into a dense tile and contract with BLAS.
-
-    ``values`` shares the sparsity ``structure`` (column metadata and dense
-    width); ``v3`` is the already-flattened ``(B, n_k, d_v)`` value matrix.
-    When ``values`` is the structure's own value array the cached scatter is
-    reused (one metadata walk per (values, structure) pair).
-    """
-    if values is structure.values:
-        dense, _ = as_batched_3d(structure.to_scattered())
-    else:
-        # the layout owns the scatter: N:M writes every lane, padded CSR
-        # redirects padding lanes to its trash column
-        dense, _ = as_batched_3d(structure.scatter_compressed(values))
-    return np.matmul(dense, v3)
-
-
 @register_kernel("spmm", FAST)
 def _spmm_fast(weights: CompressedLayout, v: np.ndarray) -> np.ndarray:
     """Batched scatter + BLAS contraction, no Python-level loops."""
     v = _check_operands(weights, v)
     v3, batch_shape = as_batched_3d(v)
-    out = _scatter_matmul(weights.values, weights, v3)
-    return restore_batch_shape(out, batch_shape)
+    dense, _ = as_batched_3d(weights.to_scattered())
+    return restore_batch_shape(np.matmul(dense, v3), batch_shape)
 
 
 def spmm_t(

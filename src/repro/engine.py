@@ -190,16 +190,15 @@ class AttentionEngine:
         of its structure (``mechanism().block_structure(n_q, n_k)``, which
         the plan's ``forward`` takes as ``structure=``).  Mechanisms that
         choose their structure from the data (Top-K, Routing, …) cannot be
-        planned from shapes alone — pass their padded-CSR ``structure=``
-        explicitly.  Raises ``ValueError`` for mechanisms with no compressed
+        planned from shapes alone — pass the row-block ``structure=`` of
+        their mask (:meth:`RowBlockStructure.from_mask
+        <repro.core.row_block.RowBlockStructure.from_mask>`) explicitly.  Raises ``ValueError`` for mechanisms with no compressed
         path.
         """
-        from repro.core.plan import plan_for_blocks, plan_for_nm, plan_for_structure
+        from repro.core.plan import plan_for_blocks, plan_for_nm
 
         if structure is not None:
-            return plan_for_structure(
-                structure, backend=self.backend, mechanism=self.name
-            )
+            return plan_for_blocks(structure, backend=self.backend, mechanism=self.name)
         if not self.spec.compressed:
             raise ValueError(
                 f"mechanism {self.name!r} has no compressed execution plan"
@@ -216,7 +215,7 @@ class AttentionEngine:
         if pattern is None:
             raise ValueError(
                 f"mechanism {self.name!r} chooses its structure from the data; "
-                f"pass the compressed structure= explicitly"
+                f"pass the structure= of its mask explicitly"
             )
         return plan_for_nm(pattern, n_q, n_k, backend=self.backend)
 

@@ -14,9 +14,10 @@ flavours:
   through).  Every mask-based core dispatches the whole trainable
   computation — forward and backward — through a compressed sparse op of
   :mod:`repro.nn.sparse_attention`: DFSS through the N:M layout
-  (:func:`dfss_sparse_attention`), the static masks through the row-block
-  layout (:func:`row_block_sparse_attention`), and the content-dependent
-  masks through the padded-CSR layout (:func:`masked_sparse_attention`).
+  (:func:`dfss_sparse_attention`), every other mask through the row-block
+  layout (:func:`row_block_sparse_attention`) — the static masks over
+  their declared structure, the content-dependent masks over one built
+  from this call's mask.
   Their dense ground truth is
   :func:`repro.nn.functional.dense_masked_attention` over the core's
   :meth:`~AttentionCore.last_mask`.
@@ -35,18 +36,12 @@ import numpy as np
 import repro.baselines  # noqa: F401  populate the mechanism registry first
 from repro.core.backend import get_kernel
 from repro.core.blocked_ell import BlockedEllMask
-from repro.core.padded_csr import PaddedCSRMatrix
 from repro.core.patterns import resolve_pattern
-from repro.core.sddmm import MASKED_SCORE
+from repro.core.row_block import RowBlockStructure
 from repro.nn import functional as F
 from repro.nn.autograd import Tensor
 from repro.nn.layers import Dropout, Linear, Module
-from repro.core.row_block import RowBlockStructure
-from repro.nn.sparse_attention import (
-    dfss_sparse_attention,
-    masked_sparse_attention,
-    row_block_sparse_attention,
-)
+from repro.nn.sparse_attention import dfss_sparse_attention, row_block_sparse_attention
 from repro.registry import find_spec, make_core, register_mechanism
 from repro.utils.seeding import new_rng
 
@@ -96,78 +91,38 @@ class MaskedScoreCore(AttentionCore):
     """Shared implementation of the mask-based mechanisms other than DFSS.
 
     Each core wraps the registered numpy mechanism it was built from and
-    derives the boolean mask outside the graph — from the detached scores when
-    the mechanism needs them, from the detached Q and K otherwise — then
-    runs forward and backward through the compressed padded-CSR autograd op
-    (:func:`repro.nn.sparse_attention.masked_sparse_attention`), treating the
-    mask as a constant of the graph.  :class:`StaticMaskCore` replaces the
-    padded-CSR op with the row-block one.  Seeded attention dropout is derived
-    from dense positions, so :func:`repro.nn.functional.dense_masked_attention`
-    reproduces it exactly.
+    derives this call's :class:`~repro.core.row_block.RowBlockStructure`
+    outside the graph (:meth:`_structure`), then runs forward and backward
+    through :func:`repro.nn.sparse_attention.row_block_sparse_attention`,
+    treating the mask as a constant of the graph.  Seeded attention dropout
+    is derived from dense positions, so
+    :func:`repro.nn.functional.dense_masked_attention` reproduces it exactly.
     """
 
     handles_prob_dropout = True
-
-    #: whether :meth:`_mask` reads the score matrix (Top-K) or only the
-    #: sequence structure / detached Q and K (static and clustering masks) —
-    #: the core skips the detached score GEMM when it can.
-    mask_needs_scores = True
 
     def __init__(self, mechanism, backend: Optional[str] = None):
         self.mechanism = mechanism
         self.name = mechanism.name
         self.backend = backend
-        self._last_structure_csr: Optional[PaddedCSRMatrix] = None
+        self._last_structure: Optional[Tuple[RowBlockStructure, Tuple[int, ...]]] = None
 
-    def _mask(self, scores: Optional[np.ndarray], q: np.ndarray, k: np.ndarray) -> np.ndarray:
-        """Boolean mask over the dense score matrix.
-
-        ``scores`` is ``None`` when ``mask_needs_scores`` is ``False``.
-        """
+    def _structure(self, q: np.ndarray, k: np.ndarray) -> RowBlockStructure:
+        """The structure of this call's mask over the detached Q and K."""
         raise NotImplementedError
 
-    def _detached_scores(self, q: np.ndarray, k: np.ndarray) -> np.ndarray:
-        scale = np.float32(1.0 / np.sqrt(q.shape[-1]))
-        return np.matmul(q, np.swapaxes(k, -1, -2)) * scale
-
-    def _sparse_structure(self, q: np.ndarray, k: np.ndarray) -> PaddedCSRMatrix:
-        """Compress this call's mask into a padded-CSR structure (no scores)."""
-        return PaddedCSRMatrix.from_mask(self._mask(None, q, k))
-
-    def _sparse_inputs(
-        self, q: np.ndarray, k: np.ndarray
-    ) -> Tuple[PaddedCSRMatrix, Optional[PaddedCSRMatrix]]:
-        """``(structure, prescored)`` for the compressed op.
-
-        Score-dependent masks (Top-K) already paid the O(n²d) score GEMM to
-        choose their columns, so the detached scores are compressed straight
-        into the structure (padding lanes stamped with the masked-score
-        sentinel) and the op skips its SDDMM; ``prescored`` is ``None`` for
-        masks derived from the sequence structure or detached Q/K alone.
-        """
-        if not self.mask_needs_scores:
-            return self._sparse_structure(q, k), None
-        scores = self._detached_scores(q, k)
-        mask = self._mask(scores, q, k)
-        prescored = PaddedCSRMatrix.from_dense(
-            scores, mask, pad_value=float(MASKED_SCORE)
-        )
-        return prescored, prescored
-
     def __call__(self, q: Tensor, k: Tensor, v: Tensor) -> Tensor:
-        structure, prescored = self._sparse_inputs(q.data, k.data)
-        # keep only the compressed structure for mask introspection —
-        # retaining the dense boolean mask would pin O(n²) memory per head
-        # between training steps; last_mask() re-derives it on demand
-        self._last_structure_csr = structure
+        structure = self._structure(q.data, k.data)
+        # keep the structure, not a dense mask: last_mask() expands it on demand
+        self._last_structure = (structure, q.shape[:-2])
         drop = self.attn_dropout
-        out, _ = masked_sparse_attention(
+        out, _ = row_block_sparse_attention(
             q,
             k,
             v,
             structure,
-            scores=prescored,
             backend=self.backend,
+            mechanism=self.name,
             dropout_p=drop.p if drop is not None else 0.0,
             dropout_rng=drop.rng if drop is not None else None,
             training=bool(drop.training) if drop is not None else False,
@@ -175,8 +130,10 @@ class MaskedScoreCore(AttentionCore):
         return out
 
     def last_mask(self) -> Optional[np.ndarray]:
-        structure = self._last_structure_csr
-        return None if structure is None else structure.to_mask()
+        if self._last_structure is None:
+            return None
+        structure, batch_shape = self._last_structure
+        return np.broadcast_to(structure.to_mask(), batch_shape + (structure.n_q, structure.n_k))
 
 
 @register_mechanism("dfss", role="core")
@@ -237,71 +194,33 @@ class DfssCore(AttentionCore):
         return None if self._last_stats is None else self._last_stats.to_mask()
 
 
-class TopKCore(MaskedScoreCore):
-    """Per-row Top-K of the detached scores, selected by the mechanism."""
-
-    def _mask(self, scores, q, k):
-        return self.mechanism._mask(scores)
-
-
 class StaticMaskCore(MaskedScoreCore):
     """Mechanisms whose mask only depends on the sequence lengths.
 
-    Trains on the row-block layout, not padded CSR: the mechanism's
-    :class:`~repro.core.row_block.RowBlockStructure` (built from its
-    declared key ranges, kept by the mechanism per ``(n_q, n_k)``) is shared
-    by every batch slice, and forward and backward run
-    :func:`repro.nn.sparse_attention.row_block_sparse_attention` block by
-    block.  :meth:`_mask` is the mechanism's dense mask, kept for the dense
-    oracle.
+    The mechanism's structure, built from its declared key ranges and kept
+    by the mechanism per ``(n_q, n_k)``, is shared by every batch slice and
+    every step.
     """
 
-    def __init__(self, mechanism, backend: Optional[str] = None):
-        super().__init__(mechanism, backend=backend)
-        self._cache: Dict[Tuple[int, int], np.ndarray] = {}
-        self._last_structure: Optional[Tuple[RowBlockStructure, Tuple[int, ...]]] = None
+    def _structure(self, q, k):
+        return self.mechanism.cached_structure(q.shape[-2], k.shape[-2])
 
-    def _mask_2d(self, n_q: int, n_k: int) -> np.ndarray:
-        key = (n_q, n_k)
-        if key not in self._cache:
-            self._cache[key] = self.mechanism._mask_2d(n_q, n_k)
-        return self._cache[key]
 
-    def _mask(self, scores, q, k):
-        n_q, n_k = q.shape[-2], k.shape[-2]
-        return np.broadcast_to(self._mask_2d(n_q, n_k), q.shape[:-2] + (n_q, n_k))
+class TopKCore(MaskedScoreCore):
+    """Per-row Top-K of the detached scores, selected by the mechanism."""
 
-    def __call__(self, q: Tensor, k: Tensor, v: Tensor) -> Tensor:
-        structure = self.mechanism.cached_structure(q.shape[-2], k.shape[-2])
-        self._last_structure = (structure, q.shape[:-2])
-        drop = self.attn_dropout
-        out, _ = row_block_sparse_attention(
-            q,
-            k,
-            v,
-            structure,
-            backend=self.backend,
-            mechanism=self.name,
-            dropout_p=drop.p if drop is not None else 0.0,
-            dropout_rng=drop.rng if drop is not None else None,
-            training=bool(drop.training) if drop is not None else False,
-        )
-        return out
-
-    def last_mask(self) -> Optional[np.ndarray]:
-        if self._last_structure is None:
-            return None
-        structure, batch_shape = self._last_structure
-        return np.broadcast_to(structure.to_mask(), batch_shape + (structure.n_q, structure.n_k))
+    def _structure(self, q, k):
+        # scaled in place: one n² score array alive while the mechanism selects
+        scores = np.matmul(q, np.swapaxes(k, -1, -2))
+        scores *= np.float32(1.0 / np.sqrt(q.shape[-1]))
+        return RowBlockStructure.from_mask(self.mechanism._mask(scores))
 
 
 class ClusteringMaskCore(MaskedScoreCore):
-    """Reformer / Routing / Sinkhorn masks derived from the (detached) Q and K."""
+    """Reformer / Routing / Sinkhorn masks derived from the detached Q and K."""
 
-    mask_needs_scores = False
-
-    def _mask(self, scores, q, k):
-        return self.mechanism.attention_mask(q, k)
+    def _structure(self, q, k):
+        return RowBlockStructure.from_mask(self.mechanism.attention_mask(q, k))
 
 
 @register_mechanism("linformer", role="core")

@@ -125,8 +125,8 @@ class Tensor:
         it, and later accumulations write into the stored array in place.
         A backward closure that has just allocated ``grad`` and keeps no
         other reference to it passes ``adopt=True`` (``linear``'s dx,
-        ``gelu``, ``layer_norm``'s dx, the attention nodes' dQ, dK and
-        dV): the first accumulation then stores that array itself.  An
+        ``gelu``, ``layer_norm``'s dx, ``sum``'s broadcast, the attention
+        nodes' dQ, dK and dV): the first accumulation then stores that array itself.  An
         adopted array must share no memory with the node's incoming
         gradient or any other live gradient; under ``REPRO_SANITIZE=1`` a
         backward walk checks that and raises
@@ -346,7 +346,8 @@ class Tensor:
                 grad = out.grad
                 if axis is not None and not keepdims:
                     grad = np.expand_dims(grad, axis=axis)
-                self._accumulate(np.broadcast_to(grad, self.shape).copy())
+                # the broadcast copy is fresh: adopt it rather than copy it again
+                self._accumulate(np.broadcast_to(grad, self.shape).copy(), adopt=True)
 
             return fn
 

@@ -147,14 +147,12 @@ def gpusim_cost_fn(device=None, dtype: str = "float32") -> CostFn:
     Each node's problem size is recovered from the ``shape`` its tracing
     wrapper recorded (the first array-like argument of the kernel call: Q for
     the fused N:M forward and backward, V for the SpMM, the compressed value
-    buffer for the fused softmax).  The fused N:M kernels read their padded
+    buffer for the staged softmax).  The fused N:M kernels read their padded
     key count from ``tile_shape``; the row-block kernels price their block
     products from the query-key ``pairs`` their tiles score, with the tile
     count and largest tile.  ``masked_softmax`` and ``spmm`` are priced with
-    the N:M models only outside a plan of the ``csr`` layout.  Kernels
-    without an analytical model — the serving fast paths, CSR-layout ops
-    such as ``attention_bwd`` and the CSR plans' softmax and SpMM — keep
-    their measured durations, so hybrid traces still replay.
+    the N:M models.  Kernels without an analytical model keep their measured
+    durations, so hybrid traces still replay.
     """
     from repro.gpusim import AMPERE_A100, ops
 
@@ -168,8 +166,6 @@ def gpusim_cost_fn(device=None, dtype: str = "float32") -> CostFn:
         if dims is None:
             return None
         b, rows, last = dims
-        if node.args.get("layout") == "csr":
-            return None
         if node.name == "masked_softmax":
             # shape is the compressed value buffer: (..., L, kept); the
             # sparse softmax model counts cols/2 elements per row

@@ -425,8 +425,9 @@ class MechanismSpec:
     supports_block_mask: bool = False
     #: whether the serving layer (:mod:`repro.serve`) may stack requests of
     #: this mechanism into one plan call (:mod:`repro.serve.batcher`): DFSS
-    #: on an N:M plan, static masks on a row-block plan, content-dependent
-    #: masks on a padded-CSR plan.  True for DFSS and for the mask-based
+    #: on an N:M plan, static masks on a row-block plan over their cached
+    #: structure, content-dependent masks on a row-block plan over the
+    #: structure of their mask.  True for DFSS and for the mask-based
     #: mechanisms whose mask fully determines the computation; the others
     #: (e.g. Linformer's projection) fall back to per-request execution.
     batchable: bool = False

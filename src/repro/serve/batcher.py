@@ -16,8 +16,11 @@ batch runs it on, each an :class:`~repro.core.plan.AttentionPlan` call:
   it are stacked into one :func:`~repro.core.plan.plan_for_blocks` call,
   whose kernel runs every stacked segment over the one batch-independent
   structure.  This is the plan ``AttentionEngine(mechanism)(q, k, v)`` runs.
-* **Content-dependent masks and explicit ``mask=``** — one batched
-  padded-CSR ``from_mask`` at enqueue time, then one plan call per request.
+* **Content-dependent masks and explicit ``mask=``** — the request's own
+  row-block structure, built at enqueue time by one
+  :meth:`~repro.core.row_block.RowBlockStructure.from_mask` (one block list
+  per segment, or one shared list for a 2-D mask), then one
+  :func:`~repro.core.plan.plan_for_blocks` call per request.
 
 Every fast kernel is independent per leading slice, so a request's output is
 bitwise identical whether it is served alone, stacked with others, or run
@@ -30,12 +33,11 @@ server executes them one by one through their
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.padded_csr import PaddedCSRMatrix
-from repro.core.plan import plan_for_blocks, plan_for_nm, plan_for_structure
+from repro.core.plan import plan_for_blocks, plan_for_nm
 from repro.core.row_block import RowBlockStructure
 from repro.registry import DfssConfig
 from repro.serve.cache import StructureCache
@@ -59,9 +61,9 @@ class PreparedRequest:
     q3: Optional[np.ndarray] = None
     k3: Optional[np.ndarray] = None
     v3: Optional[np.ndarray] = None
-    #: the cached row-block structure of a static mask, or the padded-CSR
-    #: ``(segments, n_q, n_k)`` structure of this request's own mask.
-    structure: Optional[Union[RowBlockStructure, PaddedCSRMatrix]] = None
+    #: the cached row-block structure of a static mask, or the row-block
+    #: structure of this request's own mask.
+    structure: Optional[RowBlockStructure] = None
     #: the N:M route's mechanism (its pattern, dtype and block mask).
     nm: Optional[object] = None
     #: True/False for static-mask mechanisms (did the structure cache hit),
@@ -108,10 +110,13 @@ def _flatten(request) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     )
 
 
-def _own_structure(mask, lead: Tuple[int, ...], n_q: int, n_k: int) -> PaddedCSRMatrix:
-    """One batched ``from_mask`` of a request's mask, one slice per segment."""
-    mask = np.broadcast_to(np.asarray(mask, dtype=bool), lead + (n_q, n_k))
-    return PaddedCSRMatrix.from_mask(mask.reshape(-1, n_q, n_k))
+def _own_structure(mask, lead: Tuple[int, ...], n_q: int, n_k: int) -> RowBlockStructure:
+    """The row-block structure of a request's own mask: one block list every
+    segment shares for a 2-D mask, else one per segment."""
+    mask = np.asarray(mask, dtype=bool)
+    if mask.ndim > 2:
+        mask = np.broadcast_to(mask, lead + (n_q, n_k)).reshape(-1, n_q, n_k)
+    return RowBlockStructure.from_mask(mask)
 
 
 def prepare_request(request, engine, cache: StructureCache) -> PreparedRequest:
@@ -192,11 +197,7 @@ def run_ragged_batch(
             out3 = plan.forward(q3, k3, v3, block_mask=nm.block_mask)
         else:
             structure = first.structure
-            planner = (
-                plan_for_blocks if isinstance(structure, RowBlockStructure)
-                else plan_for_structure
-            )
-            plan = planner(structure, backend=backend, mechanism=first.mechanism)
+            plan = plan_for_blocks(structure, backend=backend, mechanism=first.mechanism)
             out3 = plan.forward(q3, k3, v3, structure=structure)
         start = 0
         for i, p in zip(members, stack):

@@ -8,8 +8,8 @@ serves every later request with the same ``(mechanism, config, lengths)``
 key.  A hit skips the build (the mechanism's key-range declaration, and for
 BigBird its random block draw) entirely.  DFSS needs no structure (its plan
 selects the N:M lanes from the scores as it computes them); only the
-content-dependent padded-CSR mechanisms (Top-K, LSH/clustering) and explicit
-masks pay per-request structure costs.
+content-dependent mechanisms (Top-K, LSH/clustering) and explicit masks pay
+per-request structure costs: one row-block structure built from the mask.
 
 Hit/miss/eviction counters are first-class: the server surfaces them through
 ``AttentionServer.stats()`` so a deployment can see whether its traffic mix

@@ -58,7 +58,7 @@ class ServeRequest:
 
     ``k`` and ``v`` default to ``q`` (self-attention on a shared projection);
     ``mask`` bypasses the mechanism registry and serves an explicit boolean
-    attention mask through a padded-CSR plan.  ``max_wait_s`` overrides the
+    attention mask through a row-block plan.  ``max_wait_s`` overrides the
     server's batching deadline for this request; ``arrival_offset_s`` is the
     synthetic-workload arrival time used when replaying a trace.
     """

@@ -10,8 +10,8 @@ from repro.analysis.sanitize import (
     guard_input,
     sanitize_enabled,
 )
-from repro.core.padded_csr import PaddedCSRMatrix
 from repro.core.plan import AttentionPlan, PlanKey
+from repro.core.row_block import RowBlockStructure
 from repro.core.softmax import MASKED_LOGIT_THRESHOLD
 from repro.core.sparse import NMSparseMatrix
 from repro.nn.autograd import Tensor
@@ -42,15 +42,15 @@ def _nm_plan():
     return AttentionPlan(key)  # uncached: safe to monkey with its kernels
 
 
-def _csr_plan():
-    """An uncached CSR plan over a causal 8x16 mask, and the mask's structure."""
-    structure = PaddedCSRMatrix.from_mask(np.tril(np.ones((8, 16), dtype=bool)))
+def _block_plan():
+    """An uncached row-block plan over a causal 8x16 mask, and its structure."""
+    structure = RowBlockStructure.from_mask(np.tril(np.ones((8, 16), dtype=bool)))
     key = PlanKey(
         mechanism="masked",
-        layout="csr",
+        layout="row_block",
         backend="fast",
         dtype="float32",
-        shape_class=(8, 16, structure.values.shape[-1]),
+        shape_class=(8, 16, structure.max_width),
     )
     return AttentionPlan(key), structure
 
@@ -78,39 +78,36 @@ class TestModeSwitch:
 class TestSeededViolations:
     def test_kernel_mutating_its_input_faults(self, sanitize):
         q, k, v = _qkv()
-        plan, structure = _csr_plan()
-        probs = plan.compute_probs(plan.compute_scores(q, k, structure, scale=0.25))
+        plan, structure = _block_plan()
 
-        def mutating_spmm(p, val):
+        def mutating_forward(q, k, val, *args):
             val[0, 0] = 0.0  # the seeded violation
-            return np.zeros((8, val.shape[-1]), dtype=np.float32)
+            return np.zeros((8, val.shape[-1]), dtype=np.float32), None
 
-        plan._spmm = mutating_spmm
+        plan._forward = mutating_forward
         with pytest.raises(ValueError, match="read-only"):
-            plan.contract(probs, v)
+            plan.forward(q, k, v, structure=structure)
         assert v[0, 0] != 0.0  # the caller's array survived the attempt
 
     def test_kernel_leaking_masked_score_detected(self, sanitize):
         q, k, v = _qkv()
-        plan, structure = _csr_plan()
-        probs = plan.compute_probs(plan.compute_scores(q, k, structure, scale=0.25))
-        plan._spmm = lambda p, val: np.full((8, 4), np.float32(-1e30))
+        plan, structure = _block_plan()
+        plan._forward = lambda *args: (np.full((8, 4), np.float32(-1e30)), None)
         with pytest.raises(SanitizerError, match="MASKED_SCORE sentinel"):
-            plan.contract(probs, v)
+            plan.forward(q, k, v, structure=structure)
 
     def test_kernel_leaking_nan_detected(self, sanitize):
         q, k, v = _qkv()
-        plan, structure = _csr_plan()
-        probs = plan.compute_probs(plan.compute_scores(q, k, structure, scale=0.25))
-        plan._spmm = lambda p, val: np.full((8, 4), np.nan, dtype=np.float32)
+        plan, structure = _block_plan()
+        plan._forward = lambda *args: (np.full((8, 4), np.nan, dtype=np.float32), None)
         with pytest.raises(SanitizerError, match="non-finite"):
-            plan.contract(probs, v)
+            plan.forward(q, k, v, structure=structure)
 
     def test_gradient_leak_detected(self, sanitize):
         q, k, v = _qkv()
         plan = _nm_plan()
         out, stats = plan.forward(q, k, v, scale=0.25, return_stats=True)
-        plan._nm_bwd = lambda *a, **kw: (
+        plan._bwd = lambda *a, **kw: (
             np.full((8, 4), np.inf, dtype=np.float32),
             np.zeros((16, 4), dtype=np.float32),
             np.zeros((16, 4), dtype=np.float32),
@@ -155,7 +152,7 @@ class TestPlantedNonFiniteInputs:
             out[6, 2] = np.inf  # the seeded leak: row 6's inputs are finite
             return out, None
 
-        plan._nm_forward = leaking_nm_forward
+        plan._forward = leaking_nm_forward
         with pytest.raises(SanitizerError, match="1 non-finite"):
             plan.forward(q, k, v, scale=0.25)
         q[6, 0] = np.nan  # the same row's query is now non-finite: excused
@@ -180,7 +177,7 @@ class TestPlantedNonFiniteInputs:
         q[0, 2, 1] = np.nan  # slice 0's gradients may be non-finite
         d_q = np.zeros((2, 8, 4), dtype=np.float32)
         d_q[0] = np.nan
-        plan._nm_bwd = lambda *a, **kw: (
+        plan._bwd = lambda *a, **kw: (
             d_q, np.zeros((2, 16, 4), np.float32), np.zeros((2, 16, 4), np.float32)
         )
         d_out = np.ones((2, 8, 4), np.float32)
@@ -242,27 +239,23 @@ class TestGradientAdoption:
 
 
 class TestWriteOnceStructures:
-    def test_padded_csr_structure_is_frozen(self, sanitize):
-        mask = np.eye(8, dtype=bool)
-        s = PaddedCSRMatrix.from_mask(mask)
+    def test_row_block_structure_is_frozen(self, sanitize):
+        # scattered keys (an index list) and a blocked sub-mask
+        mask = np.zeros((8, 64), dtype=bool)
+        mask[:, [1, 5, 9]] = True
+        mask[0, 1] = False
+        (block,) = RowBlockStructure.from_mask(mask).blocks
         with pytest.raises(ValueError, match="read-only"):
-            s.cols[0, 0] = 3
+            block.keys[0] = 3
         with pytest.raises(ValueError, match="read-only"):
-            s.lengths[0] = 5
+            block.blocked[0, 0] = False
 
-    def test_padded_csr_caches_are_frozen(self, sanitize):
-        s = PaddedCSRMatrix.from_mask(~np.eye(8, dtype=bool))
-        with pytest.raises(ValueError, match="read-only"):
-            s.valid_lanes()[0, 0] = False
-        with pytest.raises(ValueError, match="read-only"):
-            s.flat_gather_indices()[0, 0] = 7
-
-    def test_caller_array_stays_writable(self, sanitize):
-        cols = np.zeros((4, 1), dtype=np.int32)
-        lengths = np.ones(4, dtype=np.int32)
-        s = PaddedCSRMatrix(np.zeros((4, 1), np.float32), cols, lengths, 4)
-        cols[0, 0] = 2  # the caller's copy is private and untouched
-        assert s.cols[0, 0] == 0
+    def test_caller_mask_stays_writable(self, sanitize):
+        mask = np.ones((8, 8), dtype=bool)
+        mask[0, 0] = False
+        structure = RowBlockStructure.from_mask(mask)
+        mask[0, 0] = True  # the caller's mask is not the structure's
+        assert structure.blocks[0].blocked[0, 0]
 
     def test_nm_metadata_is_frozen(self, sanitize):
         dense = np.arange(32, dtype=np.float32).reshape(4, 8)
@@ -301,6 +294,24 @@ class TestCleanPathsUnderSanitizer:
         out, _ = masked_sparse_attention(q, k, v, mask)
         out.backward(np.ones_like(out.data))
         assert np.all(np.isfinite(q.grad))
+
+    def test_sum_adopts_its_broadcast_gradient(self, sanitize, monkeypatch):
+        x = Tensor(np.ones((4, 3), np.float32), requires_grad=True)
+        handed = []
+        accumulate = Tensor._accumulate
+
+        def spy(self, grad, adopt=False):
+            if self is x:
+                handed.append((grad, adopt))
+            accumulate(self, grad, adopt)
+
+        monkeypatch.setattr(Tensor, "_accumulate", spy)
+        x.sum(axis=1).sum().backward()
+        ((grad, adopt),) = handed
+        # the sum node hands over its fresh broadcast copy, which is stored
+        # as is: no second copy
+        assert adopt and x.grad is grad
+        np.testing.assert_array_equal(x.grad, np.ones((4, 3), np.float32))
 
     def test_serving_routes_guard_and_pass(self, sanitize):
         from repro.serve import AttentionServer, ServeRequest

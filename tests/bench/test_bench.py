@@ -234,37 +234,6 @@ class TestPerfGate:
         failures, _ = gate.check(fresh, fresh, min_e2e_speedup=0.0, min_train_speedup=0.0)
         assert any("train matrix floor" in f for f in failures)
 
-    def test_regime_sensitive_oracles_exempt_from_timing_diffs(self, payloads):
-        gate = _load_gate()
-        base, fresh = payloads
-        shape = "B1xH2xL32xD16/longformer-w16"
-        for speedup, payload in ((12.0, base), (5.0, fresh)):
-            ref_med = 0.002 * speedup
-            payload["results"] += [
-                {"kernel": "sddmm_csr", "shape": shape, "backend": "reference",
-                 "median_s": ref_med, "p10_s": ref_med, "p90_s": ref_med,
-                 "speedup": 1.0, "parity_max_rel_err": None},
-                {"kernel": "sddmm_csr", "shape": shape, "backend": "fast",
-                 "median_s": 0.002, "p10_s": 0.002, "p90_s": 0.002,
-                 "speedup": speedup, "parity_max_rel_err": 1e-7},
-            ]
-        # a 2.4x reference regime shift (and the speedup drop it induces on
-        # the fast row) must not fail; the fast row's own median is unchanged
-        failures, _ = gate.check(
-            fresh, base, min_e2e_speedup=0.0, min_train_speedup=0.0,
-            min_matrix_speedup=0.0,
-        )
-        assert failures == []
-        # ...but a genuine fast-row median regression still fails
-        for row in fresh["results"]:
-            if row["kernel"] == "sddmm_csr" and row["backend"] == "fast":
-                row["median_s"] *= 10.0
-        failures, _ = gate.check(
-            fresh, base, min_e2e_speedup=0.0, min_train_speedup=0.0,
-            min_matrix_speedup=0.0,
-        )
-        assert any("sddmm_csr" in f and "slowdown" in f for f in failures)
-
     def test_new_rows_warn_and_skip_instead_of_failing(self, payloads):
         gate = _load_gate()
         base, fresh = payloads
@@ -439,22 +408,22 @@ class TestSoftmaxGate:
                     parity_max_rel_err=1e-7)
         return [reference, fast]
 
-    def test_softmax_floor_binds_both_layouts(self):
+    def test_softmax_floor_binds_the_nm_row(self):
         gate = _load_gate()
-        rows = (
-            self._softmax_rows("masked_softmax", 0.7)
-            + self._softmax_rows("masked_softmax_csr", 1.4)
-        )
-        payload = {"schema_version": 1, "results": rows}
+        payload = {"schema_version": 1, "results": self._softmax_rows("masked_softmax", 0.7)}
         failures, _ = gate.check(
             payload, payload, min_e2e_speedup=0.0, min_train_speedup=0.0,
             min_matrix_speedup=0.0, min_softmax_speedup=1.0,
         )
-        # the N:M row is below the floor, the CSR row above it
         assert any(
             "softmax floor" in f and "masked_softmax " in f for f in failures
         )
-        assert not any("masked_softmax_csr" in f for f in failures)
+        payload = {"schema_version": 1, "results": self._softmax_rows("masked_softmax", 1.4)}
+        failures, _ = gate.check(
+            payload, payload, min_e2e_speedup=0.0, min_train_speedup=0.0,
+            min_matrix_speedup=0.0, min_softmax_speedup=1.0,
+        )
+        assert not any("softmax floor" in f for f in failures)
 
     def test_new_floors_default_off_in_check(self):
         # synthetic payloads without the new rows must stay valid for

@@ -10,10 +10,9 @@ import pytest
 
 from repro.core.attention_grad import masked_attention_bwd, softmax_grad_compressed
 from repro.core.backend import FAST, REFERENCE
-from repro.core.padded_csr import PaddedCSRMatrix
 from repro.core.sddmm import sddmm_masked, sddmm_nm
 from repro.core.softmax import sparse_softmax
-from repro.core.spmm import spmm, spmm_t
+from repro.core.spmm import spmm_t
 
 PATTERNS = ["1:2", "2:4"]
 BATCH_SHAPES = [(), (3,), (2, 3)]
@@ -121,15 +120,6 @@ class TestFusedBackward:
         for r, f in zip(ref, fast):
             np.testing.assert_allclose(f, r, rtol=1e-5, atol=1e-6)
 
-    def test_out_hint_matches_plain_path(self):
-        q, k, v, g, probs = _problem((2,), pattern="2:4", seed=17)
-        scale = 0.25
-        out = spmm(probs, v)
-        plain = masked_attention_bwd(probs, q, k, v, g, scale, backend=FAST)
-        hinted = masked_attention_bwd(probs, q, k, v, g, scale, out=out, backend=FAST)
-        for p, h in zip(plain, hinted):
-            np.testing.assert_allclose(h, p, rtol=1e-5, atol=1e-6)
-
     def test_dropout_keep_mask_applied(self):
         q, k, v, g, probs = _problem((2,), pattern="2:4", seed=19)
         scale = 0.25
@@ -145,24 +135,3 @@ class TestFusedBackward:
             np.testing.assert_allclose(f, r, rtol=1e-5, atol=1e-6)
         plain = masked_attention_bwd(probs, q, k, v, g, scale, backend=FAST)
         assert not np.allclose(fast[2], plain[2])
-
-
-class TestCsrScatter:
-    """The padded-CSR scatter the dense-tile backward reads (no memo)."""
-
-    @staticmethod
-    def _csr_probs():
-        _, _, _, _, probs = _problem((2,), pattern="2:4")
-        return PaddedCSRMatrix.from_dense(probs.to_dense(0.0), probs.to_mask())
-
-    def test_scatter_is_fresh_dense_values(self):
-        probs = self._csr_probs()
-        scattered = probs.to_scattered()
-        assert probs.to_scattered() is not scattered
-        np.testing.assert_array_equal(scattered, probs.to_dense(0.0))
-
-    def test_with_values_does_not_share_scatter(self):
-        probs = self._csr_probs()
-        scattered = probs.to_scattered()
-        doubled = probs.with_values(probs.values * 2.0)
-        np.testing.assert_array_equal(doubled.to_scattered(), scattered * 2.0)

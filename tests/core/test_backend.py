@@ -14,14 +14,14 @@ from repro.core.backend import (
     resolve_backend,
     use_backend,
 )
-from repro.core.padded_csr import PaddedCSRMatrix
-from repro.core.sddmm import sddmm_csr
+from repro.core.sddmm import sddmm_masked
+from repro.core.sparse import NMSparseMatrix
 from repro.core.softmax import sparse_softmax
 
 # Importing the kernel modules above populates the registry.
 EXPECTED_KERNELS = (
     "masked_softmax", "nm_attention", "nm_attention_bwd", "nm_prune_mask",
-    "row_block_attention", "row_block_attention_bwd", "sddmm_csr", "spmm",
+    "row_block_attention", "row_block_attention_bwd", "spmm",
 )
 
 
@@ -124,9 +124,9 @@ class TestDispatchIntegration:
         rng = np.random.default_rng(0)
         q = rng.normal(size=(16, 8)).astype(np.float32)
         k = rng.normal(size=(16, 8)).astype(np.float32)
-        structure = PaddedCSRMatrix.from_mask(np.tril(np.ones((16, 16), dtype=bool)))
-        ref = sddmm_csr(q, k, structure, backend=REFERENCE)
-        fast = sddmm_csr(q, k, structure, backend=FAST)
+        structure = NMSparseMatrix.from_dense(np.tril(np.ones((16, 16), np.float32)), "2:4")
+        ref = sddmm_masked(q, k, structure, backend=REFERENCE)
+        fast = sddmm_masked(q, k, structure, backend=FAST)
         np.testing.assert_allclose(ref.values, fast.values, atol=1e-6)
 
 
@@ -143,8 +143,8 @@ class TestErrorMessages:
     def test_unknown_kernel_suggests_close_matches(self):
         with pytest.raises(KeyError, match="did you mean"):
             get_kernel("spm")
-        with pytest.raises(KeyError, match="sddmm_csr"):
-            get_kernel("sddmm_crs")
+        with pytest.raises(KeyError, match="sddmm_masked"):
+            get_kernel("sddmm_maskd")
 
     def test_missing_backend_lists_available_and_selection_paths(self):
         @register_kernel("refonly_probe", REFERENCE)

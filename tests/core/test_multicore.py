@@ -1,9 +1,9 @@
 """Tests for the multicore tiled backend.
 
-Bitwise parity with ``fast`` is the contract, not a tolerance: every kernel
-in the fused chain is per-leading-slice independent, so tiling the flattened
-batch×head dimension must never perturb a bit — forward and backward, N:M
-and ragged CSR, and the serving batcher's plan calls.
+Bitwise parity with ``fast`` is the contract, not a tolerance: a fused job's
+tiles run the fast tile code on disjoint parts of its outputs, so running
+them on a pool must never perturb a bit — forward and backward, N:M and row
+blocks (static and mask-built), and the serving batcher's plan calls.
 The pool itself must start lazily, degenerate to inline execution at one
 worker, survive env reconfiguration, and put each tile on its own worker
 lane in a Chrome trace.
@@ -22,8 +22,6 @@ from repro.core.multicore import (
     WorkerPool,
     get_pool,
     resolve_worker_count,
-    slice_costs,
-    tile_slices,
 )
 from repro.nn.autograd import Tensor
 from repro.nn.layers import Dropout
@@ -62,7 +60,7 @@ def rendezvous(two_workers, monkeypatch):
     pool = get_pool()
     run = pool.run
 
-    def meeting_run(thunks, costs=None, spans=None):
+    def meeting_run(thunks, spans=None):
         barrier = threading.Barrier(2)
         arrivals = itertools.count()
 
@@ -73,7 +71,7 @@ def rendezvous(two_workers, monkeypatch):
                 return thunk()
             return call
 
-        return run([meet(t) for t in thunks], costs, spans)
+        return run([meet(t) for t in thunks], spans)
 
     monkeypatch.setattr(pool, "run", meeting_run)
 
@@ -85,42 +83,6 @@ def _qkv(shape=SHAPE, seed=0):
         rng.standard_normal(shape).astype(np.float32),
         rng.standard_normal(shape).astype(np.float32),
     )
-
-
-class TestTileSlices:
-    def test_degenerate_inputs_collapse_to_one_slice(self):
-        assert tile_slices(1, 8) == [slice(0, 1)]
-        assert tile_slices(8, 1) == [slice(0, 8)]
-        assert tile_slices(0, 4) == [slice(0, 0)]
-
-    def test_uniform_slices_partition_the_batch(self):
-        slices = tile_slices(16, 2)
-        assert slices[0].start == 0 and slices[-1].stop == 16
-        for a, b in zip(slices, slices[1:]):
-            assert a.stop == b.start
-        # oversubscribed beyond the worker count, bounded by the batch
-        assert 2 <= len(slices) <= 16
-
-    def test_cost_balancing_isolates_a_heavy_index(self):
-        costs = np.array([100.0, 1, 1, 1, 1, 1, 1, 1])
-        slices = tile_slices(8, 2, costs)
-        assert slices[0] == slice(0, 1)  # the heavy index gets its own tile
-        assert slices[0].start == 0 and slices[-1].stop == 8
-        for a, b in zip(slices, slices[1:]):
-            assert a.stop == b.start
-
-    def test_cost_length_mismatch_raises(self):
-        with pytest.raises(ValueError):
-            tile_slices(8, 2, np.ones(5))
-
-    def test_zero_costs_fall_back_to_uniform(self):
-        assert tile_slices(8, 2, np.zeros(8)) == tile_slices(8, 2)
-
-    def test_slice_costs(self):
-        costs = np.arange(8, dtype=float)
-        slices = [slice(0, 4), slice(4, 8)]
-        assert slice_costs(slices, costs) == [6.0, 22.0]
-        assert slice_costs(slices, None) is None
 
 
 class TestWorkerPoolLifecycle:
@@ -142,10 +104,10 @@ class TestWorkerPoolLifecycle:
         assert pool.run(thunks) == [0, 1, 2, 3]
         assert not pool.started
 
-    def test_results_keep_input_order_despite_cost_ordering(self, two_workers):
+    def test_results_keep_input_order(self, two_workers):
         pool = WorkerPool()
         thunks = [(lambda i=i: i) for i in range(8)]
-        assert pool.run(thunks, costs=list(range(8))) == list(range(8))
+        assert pool.run(thunks) == list(range(8))
         pool.shutdown()
 
     def test_executor_reused_across_runs(self, two_workers):
@@ -294,25 +256,25 @@ class TestBitwiseParity:
         for fast_arr, tiled_arr in zip(arms[FAST], arms[MULTICORE]):
             assert np.array_equal(fast_arr, tiled_arr)
 
-    def test_ragged_csr_forward(self, two_workers):
+    def test_mask_built_structure_forward(self, two_workers):
         from repro.baselines.longformer import longformer_mask
-        from repro.core.padded_csr import PaddedCSRMatrix
-        from repro.core.plan import plan_for_structure
+        from repro.core.plan import plan_for_blocks
+        from repro.core.row_block import RowBlockStructure
 
-        q, k, v = _qkv()
-        # band + global mask: ragged row lengths exercise the cost-balanced
-        # tile scheduler (the global row is full-width, band rows narrow)
-        mask = longformer_mask(SHAPE[-2], SHAPE[-2], 8, 1)
-        structure = PaddedCSRMatrix.from_mask(mask).broadcast_to(q.shape[:-2])
+        q, k, v = _qkv((3, 2, 200, 32))
+        # band + global mask, one slice per head with its own band width:
+        # each slice's blocks are its own
+        mask = np.stack([longformer_mask(200, 200, w, 1) for w in (4, 40)])
+        structure = RowBlockStructure.from_mask(mask)
         arms = {}
         for backend in (FAST, MULTICORE):
-            plan = plan_for_structure(structure, backend)
+            plan = plan_for_blocks(structure, backend)
             arms[backend] = plan.forward(
                 q, k, v, structure=structure, scale=0.125
             )
         assert np.array_equal(arms[FAST], arms[MULTICORE])
 
-    def test_ragged_csr_train_step(self, two_workers):
+    def test_static_mask_train_step(self, two_workers):
         from repro.registry import make_core
 
         q, k, v = _qkv()
@@ -436,11 +398,11 @@ class TestRaggedAndFullyMaskedRows:
                 dropout_rng=np.random.default_rng(123),
                 training=True,
             )
-        out, probs = masked_sparse_attention(
+        out, stats = masked_sparse_attention(
             q, k, v, self._ragged_mask(), backend=backend, **kwargs
         )
         (out * out).sum().backward()
-        return (out.data, q.grad, k.grad, v.grad), probs
+        return (out.data, q.grad, k.grad, v.grad), stats
 
     def test_ragged_rows_bitwise(self, two_workers):
         fast, _ = self._run(FAST)
@@ -449,10 +411,11 @@ class TestRaggedAndFullyMaskedRows:
             np.testing.assert_array_equal(a, b)
 
     def test_fully_masked_rows_get_exactly_zero_weight(self, two_workers):
-        (out, *_), probs = self._run(MULTICORE)
-        dense = probs.to_dense(0.0)
-        assert np.all(dense[..., 5, :] == 0.0) and np.all(dense[..., 17, :] == 0.0)
+        (out, dq, *_), stats = self._run(MULTICORE)
+        mask = stats.structure.to_mask()
+        assert not mask[..., 5, :].any() and not mask[..., 17, :].any()
         assert np.all(out[..., 5, :] == 0.0) and np.all(out[..., 17, :] == 0.0)
+        assert np.all(dq[..., 5, :] == 0.0) and np.all(dq[..., 17, :] == 0.0)
 
     def test_dropout_bitwise_under_the_same_seed(self, two_workers):
         fast, _ = self._run(FAST, dropout=0.25)

@@ -1,10 +1,12 @@
-"""Tests for the row-block layout of the static masks.
+"""Tests for the row-block layout of every non-N:M mask.
 
 The structure each static mechanism declares must expand to exactly its
-dense ``attention_mask`` (built independently, from a full ``n × n`` grid).
-The kernels must match the dense masked oracle forward and backward on every
-backend, with and without dropout, the training op must keep only per-row
-statistics, and the multicore plan must equal the fast one bit for bit.
+dense ``attention_mask`` (built independently, from a full ``n × n`` grid),
+and a structure built from a mask must expand back to that mask, one block
+list per batch slice.  The kernels must match the dense masked oracle
+forward and backward on every backend, with and without dropout, the
+training op must keep only per-row statistics, and the multicore plan must
+equal the fast one bit for bit.
 """
 
 import tracemalloc
@@ -95,6 +97,78 @@ class TestStructureMatchesMask:
         assert peak < 8 * 2**20  # one 8192² bool mask is 64 MiB
 
 
+def _scattered_mask(shape, seed=0):
+    """Random sparse keys per row, a dead row, a full row and a far band."""
+    rng = np.random.default_rng(seed)
+    mask = rng.random(shape) < 0.02
+    n_q, n_k = shape[-2:]
+    mask[..., min(3, n_q - 1), :] = False
+    mask[..., min(70, n_q - 1), :] = True
+    rows = np.arange(n_q)[:, None]
+    mask |= np.abs(rows - np.arange(n_k)[None, :]) <= 2
+    return mask
+
+
+class TestFromMask:
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 5), (130, 130), (200, 70), (2, 3, 130, 100)])
+    def test_round_trips_the_mask(self, shape):
+        mask = _scattered_mask(shape)
+        structure = RowBlockStructure.from_mask(mask)
+        assert structure.batch_shape == shape[:-2]
+        np.testing.assert_array_equal(structure.to_mask(), mask)
+
+    def test_keys_are_a_slice_an_index_list_or_the_dense_tile(self):
+        n = 256
+        rows, cols = np.arange(n)[:, None], np.arange(n)[None, :]
+        band = np.abs(rows - cols) <= 4
+        two_bands = band | (np.abs(rows + 128 - cols) <= 4)
+        wide = np.abs(rows - cols) <= 120
+        for mask, kind in ((band, slice), (two_bands, np.ndarray), (wide, slice)):
+            structure = RowBlockStructure.from_mask(mask)
+            np.testing.assert_array_equal(structure.to_mask(), mask)
+            assert all(isinstance(b.keys, kind) for b in structure.blocks[:1])
+        assert RowBlockStructure.from_mask(band).max_width == 64 + 8
+        assert RowBlockStructure.from_mask(wide).max_width == n  # over 3/4: dense
+        assert RowBlockStructure.from_mask(band).blocks[0].blocked is not None
+        assert RowBlockStructure.from_mask(np.ones((8, 8), bool)).blocks[0].blocked is None
+
+    def test_rows_without_keys_are_left_out(self):
+        mask = np.zeros((200, 50), dtype=bool)
+        mask[:64, :10] = True
+        structure = RowBlockStructure.from_mask(mask)
+        assert [(b.start, b.stop) for b in structure.blocks] == [(0, 64)]
+        assert structure.pairs == 64 * 10
+
+    def test_each_slice_derives_its_keys_from_its_own_mask(self):
+        masks = np.stack([_scattered_mask((130, 130), seed) for seed in range(3)])
+        masks[1] = np.eye(130, dtype=bool)  # a narrow slice next to wide ones
+        structure = RowBlockStructure.from_mask(masks)
+        assert not structure.shared and len(structure.slices) == 3
+        for blocks, mask in zip(structure.slices, masks):
+            alone = RowBlockStructure.from_mask(mask).blocks
+            assert [(b.start, b.stop, b.width) for b in blocks] == [
+                (b.start, b.stop, b.width) for b in alone
+            ]
+        np.testing.assert_array_equal(structure.slice_pairs, [
+            RowBlockStructure.from_mask(m).pairs for m in masks
+        ])
+
+    def test_batch_shape_broadcasts_to_the_operands(self):
+        structure = RowBlockStructure.from_mask(np.ones((3, 1, 8, 8), dtype=bool))
+        np.testing.assert_array_equal(structure.slice_index((3, 2)), [0, 0, 1, 1, 2, 2])
+        with pytest.raises(ValueError, match="broadcast"):
+            structure.slice_index((2, 2))
+        q = np.zeros((2, 2, 8, 4), dtype=np.float32)
+        with pytest.raises(ValueError, match="broadcast"):
+            plan_for_blocks(structure).forward(q, q, q, structure=structure)
+
+    def test_shared_structure_has_one_block_list(self):
+        structure = make_mechanism("local").block_structure(130, 130)
+        assert structure.shared and structure.slices == (structure.blocks,)
+        with pytest.raises(ValueError, match="per slice"):
+            RowBlockStructure.from_mask(np.ones((2, 8, 8), dtype=bool)).blocks
+
+
 def _dead_structure(n):
     """A local window whose first and last query rows attend to nothing."""
     return RowBlockStructure.build(
@@ -130,6 +204,30 @@ class TestKernels:
         np.testing.assert_allclose(out.data, expected.data, atol=1e-5)
         assert stats.shift.shape == stats.denom.shape == (2, 3, n)
         np.testing.assert_array_equal(stats.structure.to_mask(), mech._mask_2d(n, n))
+        (out * out).sum().backward()
+        (expected * expected).sum().backward()
+        for a, b in zip(sparse, dense):
+            np.testing.assert_allclose(a.grad, b.grad, rtol=1e-5, atol=2e-5)
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.25])
+    @pytest.mark.parametrize("backend", [FAST, REFERENCE, MULTICORE])
+    def test_mask_built_structure_matches_dense_oracle(self, backend, dropout, monkeypatch):
+        monkeypatch.setenv(WORKERS_ENV_VAR, "2")
+        # one block list per slice: scattered keys, dead and full rows, n_q != n_k
+        mask = _scattered_mask((2, 3, 200, 150), seed=4)
+        structure = RowBlockStructure.from_mask(mask)
+        shapes = ((2, 3, 200, 16), (2, 3, 150, 16), (2, 3, 150, 16))
+        sparse = [Tensor(_lattice(x, seed), requires_grad=True) for seed, x in enumerate(shapes)]
+        dense = [Tensor(_lattice(x, seed), requires_grad=True) for seed, x in enumerate(shapes)]
+        out, stats = row_block_sparse_attention(
+            *sparse, structure, backend=backend, dropout_p=dropout,
+            dropout_rng=Dropout(dropout, seed=3).rng, training=True,
+        )
+        expected = F.dense_masked_attention(
+            *dense, mask, dropout_p=dropout, dropout_rng=Dropout(dropout, seed=3).rng,
+        )
+        np.testing.assert_allclose(out.data, expected.data, atol=1e-5)
+        assert stats.shift.shape == stats.denom.shape == (2, 3, 200)
         (out * out).sum().backward()
         (expected * expected).sum().backward()
         for a, b in zip(sparse, dense):
@@ -203,6 +301,24 @@ class TestMulticoreBitwise:
             assert fast.tobytes() == multi.tobytes()
 
 
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_mask_built_train_step_equals_fast(self, workers, monkeypatch):
+        monkeypatch.setenv(WORKERS_ENV_VAR, str(workers))
+        rng = np.random.default_rng(6)
+        structure = RowBlockStructure.from_mask(_scattered_mask((5, 200, 200), seed=2))
+        arrays = [rng.standard_normal((5, 200, 32), dtype=np.float32) for _ in range(3)]
+        results = []
+        for backend in (FAST, MULTICORE):
+            tensors = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+            out, _ = row_block_sparse_attention(
+                *tensors, structure, backend=backend, dropout_p=0.25,
+                dropout_rng=np.random.default_rng(9), training=True,
+            )
+            (out * out).sum().backward()
+            results.append([out.data] + [t.grad for t in tensors])
+        for fast, multi in zip(*results):
+            assert fast.tobytes() == multi.tobytes()
+
     @pytest.mark.parametrize("dropout", [0.0, 0.25])
     @pytest.mark.parametrize(
         "case",
@@ -259,17 +375,16 @@ class TestMulticoreBitwise:
 
 
 @pytest.mark.parametrize("mechanism", STATIC)
-def test_static_masks_never_build_padded_csr_or_dense_masked_attention(mechanism, monkeypatch):
+def test_static_masks_never_build_from_a_mask_or_run_dense_masked_attention(mechanism, monkeypatch):
     from repro.baselines.base import AttentionMechanism
-    from repro.core.padded_csr import PaddedCSRMatrix
     from repro.engine import AttentionEngine
     from repro.registry import make_core
     from repro.serve import ServeRequest, serve
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("static masks run the row-block plan")
+        raise AssertionError("static masks run their declared structure")
 
-    monkeypatch.setattr(PaddedCSRMatrix, "from_mask", forbidden)
+    monkeypatch.setattr(RowBlockStructure, "from_mask", forbidden)
     monkeypatch.setattr(AttentionMechanism, "masked_attention", forbidden)
     q, k, v = (_lattice((2, 96, 16), seed) for seed in range(3))
     AttentionEngine(mechanism)(q, k, v)

@@ -71,22 +71,25 @@ class TestCores:
             alone = core(Tensor(q[b:b + 1]), Tensor(k[b:b + 1]), Tensor(v[b:b + 1])).data
             assert np.array_equal(batch[b:b + 1], alone), b
 
+    @pytest.mark.parametrize("seq", [64, 130])
     @pytest.mark.parametrize("backend", ["fast", "multicore"])
-    def test_csr_batch_equals_slices_run_alone(self, monkeypatch, backend):
-        # slice 1's rows are longer than slice 0's, so the batch pads slice 0
-        # past its own width: its softmax must still sum in the order it
-        # gets alone, on every backend and worker count
+    @pytest.mark.parametrize("mechanism", ["topk", "reformer", "routing", "sinkhorn"])
+    def test_content_mask_batch_equals_slices_run_alone(self, monkeypatch, mechanism, backend, seq):
+        # slice 1's scores are wider-spread than slice 0's, so its mask (and
+        # its blocks' key sets) differ; each slice's mask, key sets and
+        # softmax widths must still be its own, on every backend and worker
+        # count, forward and backward (130 rows: a partial last block)
         monkeypatch.setenv("REPRO_MULTICORE_WORKERS", "2")
         rng = np.random.default_rng(0)
-        q, k, v = (rng.standard_normal((2, 64, 16)).astype(np.float32) for _ in range(3))
+        q, k, v = (rng.standard_normal((2, seq, 16)).astype(np.float32) for _ in range(3))
         q[1] *= 4
         k[1] *= 3
-        core = make_core("sinkhorn", seq_len_hint=64, backend=backend)
+        core = make_core(mechanism, seq_len_hint=seq, backend=backend)
         tensors = [Tensor(x, requires_grad=True) for x in (q, k, v)]
         batch = core(*tensors)
         (batch * batch).sum().backward()
         grads = [t.grad for t in tensors]
-        fast = make_core("sinkhorn", seq_len_hint=64, backend="fast")
+        fast = make_core(mechanism, seq_len_hint=seq, backend="fast")
         for b in range(2):
             alone = [Tensor(x[b:b + 1], requires_grad=True) for x in (q, k, v)]
             out = fast(*alone)

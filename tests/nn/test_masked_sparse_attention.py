@@ -1,8 +1,9 @@
 """Parity of every trainable mask core with the dense masked oracle.
 
 Every mask-based mechanism trains through a compressed autograd op —
-:func:`repro.nn.sparse_attention.masked_sparse_attention` (padded CSR) or the
-N:M op for the DFSS family.  The ground truth is
+:func:`repro.nn.sparse_attention.row_block_sparse_attention` (over a static
+mechanism's declared structure or one built from a content-dependent mask)
+or the N:M op for the DFSS family.  The ground truth is
 :func:`repro.nn.functional.dense_masked_attention` over a mask built without
 the core — the registered numpy mechanism's mask, or for the DFSS family the
 backend's N:M selection of the dense scores — with seeded dropout replayed
@@ -246,8 +247,11 @@ class TestEdgeCases:
         mask[..., 7, 2] = True           # singleton row
         q1, k1, v1 = _tensors(batch=(2, 2), seq=16, seed=6)
         q2, k2, v2 = _tensors(batch=(2, 2), seq=16, seed=6)
-        out_s, probs = masked_sparse_attention(q1, k1, v1, mask)
-        assert probs.width == 16 and probs.row_lengths().min() == 0
+        out_s, stats = masked_sparse_attention(q1, k1, v1, mask)
+        # one block list per slice; the dead row keeps shift 0, denominator 1
+        assert stats.structure.batch_shape == (2, 2)
+        np.testing.assert_array_equal(stats.structure.to_mask(), mask)
+        assert np.all(stats.shift[..., 3] == 0.0) and np.all(stats.denom[..., 3] == 1.0)
         scale = 1.0 / np.sqrt(q2.shape[-1])
         from repro.core.softmax import masked_dense_softmax
 
@@ -265,35 +269,32 @@ class TestEdgeCases:
         from repro.baselines.fixed import local_window_mask
 
         mask2d = local_window_mask(32, 32, 4)
-        out, probs = masked_sparse_attention(q, k, v, mask2d)
+        out, stats = masked_sparse_attention(q, k, v, mask2d)
         assert out.shape == q.shape
-        assert probs.batch_shape == (2, 3)
+        # one structure every slice shares, statistics per slice
+        assert stats.structure.shared
+        assert stats.shift.shape == (2, 3, 32)
+
+    def test_head_broadcast_mask_builds_one_block_list_per_batch_row(self):
+        # a (batch, 1, n, n) mask serves every head of its batch row
+        rng = np.random.default_rng(9)
+        mask = rng.random((2, 1, 32, 32)) < 0.3
+        q1, k1, v1 = _tensors(seed=12)
+        q2, k2, v2 = _tensors(seed=12)
+        out, stats = masked_sparse_attention(q1, k1, v1, mask)
+        assert stats.structure.batch_shape == (2, 1)
+        expected = F.dense_masked_attention(q2, k2, v2, mask)
+        np.testing.assert_allclose(out.data, expected.data, atol=1e-6)
+        (out * out).sum().backward()
+        (expected * expected).sum().backward()
+        for a, b in ((q1, q2), (k1, k2), (v1, v2)):
+            np.testing.assert_allclose(a.grad, b.grad, rtol=1e-5, atol=5e-6)
 
     def test_dropout_requires_seeded_rng(self):
         q, k, v = _tensors(seed=8)
         mask = np.ones((32, 32), dtype=bool)
         with pytest.raises(ValueError, match="dropout_rng"):
             masked_sparse_attention(q, k, v, mask, dropout_p=0.5, training=True)
-
-    def test_prescored_caller_score_buffer_survives(self):
-        # Top-K hands its precomputed compressed scores to the op; the plan's
-        # in-place softmax must copy (owned=False), never overwrite them
-        from repro.core.padded_csr import PaddedCSRMatrix
-        from repro.core.sddmm import sddmm_csr
-
-        q, k, v = _tensors(batch=(), seq=16, d=16, seed=11)
-        mask = np.triu(np.ones((16, 16), dtype=bool), -4)
-        structure = PaddedCSRMatrix.from_mask(mask)
-        scores = sddmm_csr(q.data, k.data, structure, scale=0.25)
-        before = scores.values.copy()
-        out, _ = masked_sparse_attention(
-            q, k, v, structure, scale=0.25, scores=scores
-        )
-        np.testing.assert_array_equal(scores.values, before)
-        unscored_out, _ = masked_sparse_attention(
-            Tensor(q.data), Tensor(k.data), Tensor(v.data), structure, scale=0.25
-        )
-        np.testing.assert_array_equal(out.data, unscored_out.data)
 
 
 class TestDropout:

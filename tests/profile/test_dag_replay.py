@@ -221,10 +221,12 @@ class TestReplay:
                 ops.total_latency(kernels, AMPERE_A100) * 1e6
             )
 
-    def test_gpusim_replays_csr_spans_at_their_measured_time(self):
-        # Top-K runs on a CSR plan: its masked softmax and SpMM spans carry
-        # the ``csr`` layout label and are not priced with the N:M models
+    def test_gpusim_prices_content_mask_spans_as_row_blocks(self):
+        # Top-K runs on a row-block plan over its mask's structure: both
+        # kernels carry the ``row_block`` layout label and are priced from
+        # the query-key pairs their tiles score
         from repro.core.backend import use_backend
+        from repro.gpusim import AMPERE_A100, ops
         from repro.nn.autograd import parameter
         from repro.registry import make_core
 
@@ -239,14 +241,18 @@ class TestReplay:
             with active.span("train_step", "step"):
                 core(q, k, v).sum().backward()
         dag = build_dag(active.payload())
-        csr = [n for n in dag.nodes if n.name in ("masked_softmax", "spmm")]
-        assert {n.name for n in csr} == {"masked_softmax", "spmm"}
-        assert all(n.args["layout"] == "csr" for n in csr)
+        nodes = {n.name: n for n in dag.nodes if n.name.startswith("row_block_attention")}
+        assert set(nodes) == {"row_block_attention", "row_block_attention_bwd"}
+        assert not any(n.name in ("masked_softmax", "spmm") for n in dag.nodes)
         cost = gpusim_cost_fn()
-        assert all(cost(n) is None for n in csr)
-        simulated = replay(dag, cost_fn=cost)
-        for n in csr:
-            assert simulated.cost_us[n.index] == pytest.approx(n.dur_us)
+        for name, node in nodes.items():
+            assert node.args["layout"] == "row_block" and node.args["mechanism"] == "topk"
+            tiles, pairs = node.args["tiles"], node.args["pairs"]
+            rows, width = (int(x) for x in node.args["tile_shape"].split("x"))
+            kernels = ops.row_block_attention_ops(
+                tiles, rows, width, pairs, 32, "float32", name.endswith("_bwd")
+            )
+            assert cost(node) == pytest.approx(ops.total_latency(kernels, AMPERE_A100) * 1e6)
 
     def test_gpusim_cost_fn_keeps_unmodelled_kernels(self):
         node = OpNode(index=0, name="mystery", start_us=0.0, dur_us=7.0, pid=0, tid=0)

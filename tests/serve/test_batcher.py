@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.core.padded_csr import PaddedCSRMatrix
 from repro.core.precision import tensor_core_operand
 from repro.core.row_block import RowBlockStructure
 from repro.engine import AttentionEngine
@@ -90,7 +89,7 @@ class TestPrepareRequest:
             raise AssertionError("N:M requests must not build a mask or structure")
 
         monkeypatch.setattr(AttentionEngine, "attention_mask", forbidden)
-        monkeypatch.setattr(PaddedCSRMatrix, "from_mask", forbidden)
+        monkeypatch.setattr(RowBlockStructure, "from_mask", forbidden)
         rng = np.random.default_rng(2)
         cache = StructureCache()
         request = _request(rng, mechanism="dfss_2:4", options={}, seq=30)
@@ -134,9 +133,17 @@ class TestPrepareRequest:
         prepared = _prepare(_request(rng, heads=3, mask=mask), cache)
         assert prepared.mechanism == "mask"
         assert prepared.batchable
-        assert prepared.structure.batch_shape == (3,)
-        assert np.array_equal(
-            prepared.structure.to_mask(), np.broadcast_to(mask, (3, 32, 32))
+        # a 2-D mask builds one block list every segment shares
+        assert prepared.structure.shared
+        assert np.array_equal(prepared.structure.to_mask(), mask)
+        per_segment = _prepare(
+            _request(np.random.default_rng(4), heads=3, mask=np.broadcast_to(mask, (3, 32, 32))),
+            cache,
+        )
+        assert per_segment.structure.batch_shape == (3,)
+        assert (
+            run_ragged_batch([prepared])[0].tobytes()
+            == run_ragged_batch([per_segment])[0].tobytes()
         )
 
     def test_custom_mask_shape_mismatch_rejected(self):
@@ -247,6 +254,22 @@ class TestRunRaggedBatch:
                 q, k = tensor_core_operand(q), tensor_core_operand(k)
             expected = _dense_oracle(q, k, request.v, mask)
             np.testing.assert_allclose(out, expected, rtol=0, atol=2e-5)
+
+    @pytest.mark.parametrize("per_head", [False, True])
+    def test_explicit_mask_matches_float64_oracle(self, per_head):
+        # scattered keys, a dead row and n_q != n_k; one shared block list
+        # for a 2-D mask, one per segment for a per-head mask
+        rng = np.random.default_rng(15)
+        shape = (3, 130, 90) if per_head else (130, 90)
+        mask = rng.random(shape) < 0.1
+        mask[..., 7, :] = False
+        request = _request(rng, heads=3, seq=130, n_k=90, mask=mask)
+        prepared = _prepare(request, StructureCache())
+        assert prepared.structure.shared is not per_head
+        out = run_ragged_batch([prepared])[0]
+        expected = _dense_oracle(request.q, request.k, request.v, mask)
+        np.testing.assert_allclose(out, expected, rtol=0, atol=2e-5)
+        assert np.all(out[:, 7] == 0.0)
 
     def test_one_cached_structure_serves_every_stack_depth(self):
         rng = np.random.default_rng(12)
