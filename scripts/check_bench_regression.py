@@ -35,9 +35,6 @@ Exit status 0 means "ship it"; 1 means at least one check failed:
   workload) dropped below the absolute floor (CLI default 1.5x, the serving
   acceptance criterion; ``check()`` defaults it off so baseline-only
   payloads stay valid);
-* **softmax floor** — the fast ``masked_softmax`` row fell below the absolute floor over the streaming reference oracle (CLI
-  default 1.0x: the batched softmax must never lose to the chunked loop it
-  replaces; ``check()`` defaults it off);
 * **multicore floor** — an ``attention_multicore`` /
   ``attention_multicore_train`` ``multicore`` row fell below the absolute
   floor over its single-core ``fast`` arm (CLI default 1.0x; the nightly
@@ -134,7 +131,6 @@ def check(
     min_train_speedup: float = 2.0,
     min_matrix_speedup: float = 1.0,
     min_serve_speedup: float = 0.0,
-    min_softmax_speedup: float = 0.0,
     min_multicore_speedup: float = 0.0,
     warnings: Optional[List[str]] = None,
 ) -> Tuple[List[str], float]:
@@ -201,7 +197,6 @@ def check(
          "train matrix floor"),
         ("serving_throughput", "batched", min_serve_speedup,
          "serve throughput floor"),
-        ("masked_softmax", "fast", min_softmax_speedup, "softmax floor"),
         ("attention_multicore", "multicore", min_multicore_speedup,
          "multicore floor"),
         ("attention_multicore_train", "multicore", min_multicore_speedup,
@@ -278,10 +273,6 @@ def main(argv=None) -> int:
                         help="absolute floor for the serving_throughput batched "
                              "requests/sec ratio over sequential serving "
                              "(0 disables; default 1.5)")
-    parser.add_argument("--min-softmax-speedup", type=float, default=1.0,
-                        help="absolute floor for the fast masked_softmax "
-                             "speedup over the streaming reference oracle "
-                             "(0 disables; default 1.0)")
     parser.add_argument("--min-multicore-speedup", type=float, default=1.0,
                         help="absolute floor for the attention_multicore and "
                              "attention_multicore_train multicore-over-fast "
@@ -304,7 +295,6 @@ def main(argv=None) -> int:
         min_train_speedup=args.min_train_speedup,
         min_matrix_speedup=args.min_matrix_speedup,
         min_serve_speedup=args.min_serve_throughput,
-        min_softmax_speedup=args.min_softmax_speedup,
         min_multicore_speedup=args.min_multicore_speedup,
         warnings=warnings,
     )

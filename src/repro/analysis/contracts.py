@@ -20,11 +20,13 @@ pass proves the contract *statically* for every registered kernel:
 * **KC004** — dense materialisation in a fast-path kernel: ``np.zeros((n, n))``
   style allocations whose shape repeats one extent (the dense score-tile
   smell), ``.toarray()`` calls, and ``.to_dense()`` on a compressed operand.
-  Fast kernels must touch compressed operands only through the
-  :class:`~repro.core.layout.CompressedLayout` protocol
-  (``gather_dense`` / ``scatter_compressed`` / ``to_scattered``).
+  Fast kernels work on bounded row tiles and read a compressed operand
+  through its stored values and metadata (``values``, ``indices``,
+  ``column_indices()``, a saved selection or key block), never through a
+  dense copy.
 * **KC006** (warning) — kernel bodies reaching into private layout internals
-  (``_shared``, ``_scatter_cache``, …) instead of the protocol surface.
+  (``_shared``, ``_scatter_cache``, …) instead of the layout's public
+  attributes.
 
 The checker never imports the code it analyses — files are parsed with
 :mod:`ast`, so seeded-violation fixtures can register impossible kernels
@@ -216,8 +218,8 @@ def _dense_materialization_findings(impl: KernelImpl) -> List[Finding]:
                     message=(
                         f"fast kernel {impl.func_name!r} ({impl.kernel}/{impl.backend}) "
                         f"allocates a dense tile whose shape repeats an extent "
-                        f"(np.{func.attr}((n, n))-style O(n²) intermediate); compressed "
-                        f"operands must flow through the CompressedLayout protocol"
+                        f"(np.{func.attr}((n, n))-style O(n²) intermediate); fast "
+                        f"kernels must work on bounded row tiles of their operands"
                     ),
                 )
             )
@@ -230,8 +232,8 @@ def _dense_materialization_findings(impl: KernelImpl) -> List[Finding]:
                     line=node.lineno,
                     message=(
                         f"fast kernel {impl.func_name!r} ({impl.kernel}/{impl.backend}) "
-                        f"densifies a compressed operand via .{func.attr}(); use the "
-                        f"layout's gather/scatter protocol methods instead"
+                        f"densifies a compressed operand via .{func.attr}(); read its "
+                        f"stored values and metadata tile by tile instead"
                     ),
                 )
             )
@@ -250,8 +252,8 @@ def _private_access_findings(impl: KernelImpl) -> List[Finding]:
                     line=node.lineno,
                     message=(
                         f"kernel {impl.func_name!r} ({impl.kernel}/{impl.backend}) reaches "
-                        f"into private layout internal {node.attr!r}; only the "
-                        f"CompressedLayout protocol surface is contract-stable"
+                        f"into private layout internal {node.attr!r}; only the layout's "
+                        f"public attributes are contract-stable"
                     ),
                 )
             )

@@ -1,7 +1,6 @@
 """Benchmark runner for the DFSS kernels and the end-to-end attention layer.
 
-``python -m repro.bench`` times the registered ``masked_softmax`` and
-``spmm`` kernels on N:M scores, the end-to-end multi-head DFSS attention
+``python -m repro.bench`` times the end-to-end multi-head DFSS attention
 (``nm_attention``) and its train step under both the ``reference`` and
 ``fast`` backends, and the per-mechanism train-step matrix
 (``attention_train_matrix``: compressed sparse path vs dense masked autograd

@@ -8,7 +8,7 @@ Smoke-scale run with the JSON artifact the CI perf gate consumes::
 
 Larger problem, one kernel, more repeats::
 
-    PYTHONPATH=src python -m repro.bench --scale default --kernels spmm --repeats 9
+    PYTHONPATH=src python -m repro.bench --scale default --kernels attention_e2e --repeats 9
 """
 
 from __future__ import annotations

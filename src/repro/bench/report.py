@@ -9,8 +9,7 @@
       "repeats": 5,
       "results": [
         {
-          "kernel": "masked_softmax",     # or spmm|
-                                          #   attention_e2e|attention_train_step|
+          "kernel": "attention_e2e",      # or attention_train_step|
                                           #   attention_train_matrix (per-mechanism)
           "shape": "B2xH4xL256xD64/2:4",  # problem size / N:M pattern — or
                                           #   /<mechanism> (train-matrix rows)

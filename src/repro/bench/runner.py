@@ -1,7 +1,7 @@
 """Timing harness comparing kernel backends at a fixed smoke/default/full scale.
 
-Every benchmark times one registered kernel (or the end-to-end attention
-pipeline) under each backend on identical inputs, reports robust order
+Every benchmark times one end-to-end attention pipeline stage under each
+backend on identical inputs, reports robust order
 statistics (median / p10 / p90 over repeats), the speedup of each backend
 over ``reference``, and the relative Frobenius error between the backend's
 output and the reference output — the parity signal the CI gate refuses to
@@ -21,10 +21,8 @@ import numpy as np
 
 from repro.baselines.dfss import DfssMechanism
 from repro.core.attention import dfss_attention
-from repro.core.backend import REFERENCE, get_kernel
+from repro.core.backend import REFERENCE
 from repro.core.patterns import resolve_pattern
-from repro.core.sddmm import sddmm_nm
-from repro.core.softmax import sparse_softmax
 from repro.nn.attention_layer import DfssCore, StaticMaskCore, TopKCore
 from repro.nn.autograd import Tensor
 from repro.nn.functional import dense_masked_attention
@@ -54,14 +52,12 @@ SCALE_SHAPES: Dict[str, BenchShape] = {
     "full": BenchShape(batch=8, heads=8, seq_len=1024, head_dim=64),
 }
 
-#: Benchmarked pipeline stages (registry kernels plus the end-to-end pipeline).
+#: Benchmarked end-to-end pipeline stages: the forward and the train step.
 #: ``attention_train_step`` is the trainable fwd+bwd step; its ``reference``
 #: row times the dense masked autograd path (the numerical oracle for
 #: training) and its ``fast`` row the compressed sparse op, so the reported
 #: speedup is exactly "sparse training step vs dense autograd".
 BENCH_KERNELS = (
-    "masked_softmax",
-    "spmm",
     "attention_e2e",
     "attention_train_step",
 )
@@ -139,14 +135,12 @@ def _rel_frobenius(candidate: np.ndarray, reference: np.ndarray) -> float:
 
 def _bench_cases(
     shape: BenchShape, pattern: str, rng: np.random.Generator
-) -> Dict[str, Tuple[Callable[[str], object], Callable[[object], np.ndarray]]]:
-    """Per-kernel ``(run(backend), densify(output))`` closures on shared inputs."""
+) -> Dict[str, Callable[[str], np.ndarray]]:
+    """Per-kernel ``run(backend)`` closures on shared inputs."""
     dims = (shape.batch, shape.heads, shape.seq_len, shape.head_dim)
     q = rng.normal(size=dims).astype(np.float32)
     k = rng.normal(size=dims).astype(np.float32)
     v = rng.normal(size=dims).astype(np.float32)
-    scores = sddmm_nm(q, k, pattern=pattern)
-    weights = sparse_softmax(scores)
 
     def train_step(backend: str) -> np.ndarray:
         """One fwd+bwd attention step; returns output and input grads for parity.
@@ -170,22 +164,10 @@ def _bench_cases(
         )
 
     return {
-        "masked_softmax": (
-            lambda backend: get_kernel("masked_softmax", backend)(scores),
-            lambda out: out.to_dense(0.0),
+        "attention_e2e": lambda backend: dfss_attention(
+            q, k, v, pattern=pattern, backend=backend
         ),
-        "spmm": (
-            lambda backend: get_kernel("spmm", backend)(weights, v),
-            lambda out: out,
-        ),
-        "attention_e2e": (
-            lambda backend: dfss_attention(q, k, v, pattern=pattern, backend=backend),
-            lambda out: out,
-        ),
-        "attention_train_step": (
-            train_step,
-            lambda out: out,
-        ),
+        "attention_train_step": train_step,
     }
 
 
@@ -242,14 +224,14 @@ def run_benchmarks(
         rng = new_rng(seed)
         cases = _bench_cases(shape, pattern, rng)
         for kernel in selected:
-            run, densify = cases[kernel]
-            baseline_out = densify(run(baseline_backend))
+            run = cases[kernel]
+            baseline_out = run(baseline_backend)
             baseline_median: Optional[float] = None
             for backend in backends:
                 parity = (
                     None
                     if backend == baseline_backend
-                    else _rel_frobenius(densify(run(backend)), baseline_out)
+                    else _rel_frobenius(run(backend), baseline_out)
                 )
                 row = _time_row(
                     kernel, shape.label(pattern), backend, lambda: run(backend),

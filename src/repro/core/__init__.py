@@ -11,7 +11,9 @@ This package implements the paper's primary contribution:
 * :mod:`repro.core.metadata` / :mod:`repro.core.sparse` — the compressed
   (nonzeros, metadata) representation consumed by sparse-tensor-core SpMM;
 * :mod:`repro.core.sddmm`, :mod:`repro.core.softmax`, :mod:`repro.core.spmm` —
-  the three attention stages with the fused pruning epilogue;
+  the three attention stages with the fused pruning epilogue, as the plain
+  functions of the staged reference chain (the oracle of the fused
+  ``nm_attention`` kernels);
 * :mod:`repro.core.plan` — the compiled plan/execute layer: an
   :class:`AttentionPlan` built once per (mechanism, layout, backend, dtype,
   shape-class) runs one fused forward and one backward per layout (N:M
@@ -66,7 +68,6 @@ from repro.core.patterns import (
     default_pattern_for_dtype,
     resolve_pattern,
 )
-from repro.core.layout import CompressedLayout
 from repro.core.precision import quantize, simulate_tensor_core_matmul, to_bfloat16
 from repro.core.pruning import nm_compress, nm_decompress, nm_prune_dense, nm_prune_mask
 from repro.core.sddmm import sddmm_dense, sddmm_masked, sddmm_nm, sddmm_nm_tiled
@@ -80,7 +81,6 @@ __all__ = [
     "masked_attention_bwd",
     "full_attention",
     "softmax_grad_compressed",
-    "CompressedLayout",
     "available_backends",
     "available_kernels",
     "get_kernel",

@@ -12,13 +12,13 @@ compressed nonzeros:
 * ``dQ = dS K · scale`` and ``dK = dSᵀ Q · scale`` — an SpMM and a transposed
   SpMM reusing the same structure.
 
-:func:`masked_attention_bwd` composes the registered primitives (``spmm``,
-``spmm_t``, ``sddmm_masked``) of one backend, stage by stage, on the
-:class:`~repro.core.layout.CompressedLayout` protocol.  Composed from the
-``reference`` primitives it is the oracle of the recomputing
-``nm_attention_bwd`` kernel (:mod:`repro.core.nm_attention`), which the N:M
-training op runs; the row-block layout of every other mask has its own
-recomputing backward (:mod:`repro.core.row_block`).  No training path stores
+:func:`masked_attention_bwd` composes the staged primitives
+(:func:`~repro.core.spmm.spmm`, :func:`~repro.core.spmm.spmm_t`,
+:func:`~repro.core.sddmm.sddmm_masked`), stage by stage, on an
+:class:`~repro.core.sparse.NMSparseMatrix`.  It is the oracle of the
+recomputing ``nm_attention_bwd`` kernel (:mod:`repro.core.nm_attention`),
+which the N:M training op runs; the row-block layout of every other mask
+has its own recomputing backward (:mod:`repro.core.row_block`).  No training path stores
 the probabilities this staged backward reads.
 """
 
@@ -28,8 +28,9 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.core.backend import get_kernel
-from repro.core.layout import CompressedLayout
+from repro.core.sddmm import sddmm_masked
+from repro.core.sparse import NMSparseMatrix
+from repro.core.spmm import spmm, spmm_t
 
 
 def softmax_grad_compressed(
@@ -49,22 +50,20 @@ def softmax_grad_compressed(
 
 
 def masked_attention_bwd(
-    probs: CompressedLayout,
+    probs: NMSparseMatrix,
     q: np.ndarray,
     k: np.ndarray,
     v: np.ndarray,
     d_out: np.ndarray,
     scale: float,
     drop_keep: Optional[np.ndarray] = None,
-    backend: Optional[str] = None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gradients ``(dQ, dK, dV)`` of the staged compressed attention forward.
 
     Parameters
     ----------
     probs:
-        Compressed softmax probabilities (pre-dropout) in any
-        :class:`~repro.core.layout.CompressedLayout`, e.g. the N:M structure
+        Compressed softmax probabilities (pre-dropout) on the N:M structure
         chosen by the forward SDDMM epilogue.
     q, k, v:
         The forward operands, ``(..., seq, d)``.
@@ -75,14 +74,7 @@ def masked_attention_bwd(
     drop_keep:
         Optional inverted-dropout keep mask over the compressed probabilities
         (``keep / (1 - p)`` scaling already applied), or ``None``.
-    backend:
-        Backend of the composed primitives ("reference" or "fast"); defaults
-        to ``$REPRO_BACKEND``, else "fast".
     """
-    spmm = get_kernel("spmm", backend)
-    spmm_t = get_kernel("spmm_t", backend)
-    sddmm_masked = get_kernel("sddmm_masked", backend)
-
     applied = probs if drop_keep is None else probs.with_values(probs.values * drop_keep)
     d_v = spmm_t(applied, d_out)
     d_probs = sddmm_masked(d_out, np.asarray(v, dtype=np.float32), probs).values

@@ -1,14 +1,12 @@
 """Pluggable kernel backend registry.
 
-The attention pipeline is built from a small number of named kernels — the
-row-tiled ``nm_attention`` forward (SDDMM, N:M prune, softmax and SpMM per
-row block) and its ``nm_attention_bwd`` backward, the
-``row_block_attention`` pair of every other mask (static, content-dependent
-and explicit), the staged N:M kernels of the reference chain
-(``masked_softmax`` over the compressed nonzeros, ``spmm``/``spmm_t`` of
-compressed weights x dense operands, ``sddmm_masked``), and the
-``nm_prune_mask`` selection used by the DFSS oracle masks.  Each kernel can have several
-interchangeable implementations ("backends") registered against it:
+The attention pipeline is built from five named kernels — the row-tiled
+``nm_attention`` forward (SDDMM, N:M prune, softmax and SpMM per row block)
+and its ``nm_attention_bwd`` backward, the ``row_block_attention`` pair of
+every other mask (static, content-dependent and explicit), and the
+``nm_prune_mask`` selection used by the DFSS oracle masks.  Each kernel can
+have several interchangeable implementations ("backends") registered
+against it:
 
 * ``reference`` — the tile-by-tile / per-slice loop implementations that
   mirror the CUDA kernels' structure.  They are slow but transparent and act
@@ -35,12 +33,13 @@ Registering a new backend is a one-liner::
 
     from repro.core.backend import register_kernel
 
-    @register_kernel("spmm", "gpu")
-    def spmm_gpu(weights, v):
+    @register_kernel("nm_prune_mask", "gpu")
+    def nm_prune_mask_gpu(x, pattern, criterion="value"):
         ...
 
-after which ``spmm(w, v, backend="gpu")`` (or ``REPRO_BACKEND=gpu``) picks
-it up without touching any call site.  A fused kernel registers its
+after which a ``backend="gpu"`` argument (or ``REPRO_BACKEND=gpu``) selects
+it at every call site that dispatches ``nm_prune_mask``, without touching
+any of them.  A fused kernel registers its
 ``fast`` and ``multicore`` backends with one decorator on its job class,
 whose constructor takes the kernel's arguments::
 

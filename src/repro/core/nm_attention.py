@@ -45,7 +45,7 @@ preallocated ``(values, indices)`` arrays only when the caller asks for
 them.
 
 The oracle rule.  The ``reference`` backend is the staged reference chain
-(``sddmm_nm → masked_softmax → spmm``) and is the one oracle:
+(``sddmm_nm → sparse_softmax → spmm``) and is the one oracle:
 
 * ``fast`` matches it within float32 rounding (the parity suite uses
   ``rtol=1e-5, atol=1e-6``): P·V sums the keys lane by lane and the divide
@@ -91,7 +91,7 @@ row blocks, re-scores each with the same rounded operands (bit for bit the
 forward's scores), rebuilds ``exp(s − shift)`` on the saved selection, and
 runs the four gradient products on the tile; its tiles are the batch
 slices.  Its ``reference`` version re-runs the staged reference chain and
-composes the reference backward primitives.
+composes the staged backward primitives.
 """
 
 from __future__ import annotations
@@ -116,13 +116,9 @@ from repro.core.patterns import NMPattern, default_pattern_for_dtype, resolve_pa
 from repro.core.precision import tensor_core_operand
 from repro.core.pruning import global_column_indices, nm_compress_lanes, nm_keep_lanes
 from repro.core.sddmm import MASKED_SCORE, sddmm_nm
-from repro.core.softmax import (
-    MASKED_LOGIT_THRESHOLD,
-    _sparse_softmax_reference,
-    grouped_row_sum,
-)
+from repro.core.softmax import MASKED_LOGIT_THRESHOLD, grouped_row_sum, sparse_softmax
 from repro.core.sparse import NMSparseMatrix
-from repro.core.spmm import _spmm_reference
+from repro.core.spmm import spmm
 from repro.utils.shapes import restore_batch_shape
 
 __all__ = [
@@ -735,7 +731,7 @@ def _nm_attention_reference(
     dropout: Optional[Dropout] = None,
     return_stats: bool = False,
 ) -> Tuple[np.ndarray, Union[NMSparseMatrix, NMStats, None]]:
-    """The staged reference chain: ``sddmm_nm → masked_softmax → spmm``.
+    """The staged reference chain: ``sddmm_nm → sparse_softmax → spmm``.
 
     A key count that is not a multiple of M is padded as in the fast kernel;
     dropout multiplies the probabilities the SpMM contracts.  The saved
@@ -755,12 +751,12 @@ def _nm_attention_reference(
         q, k, pattern=pattern, scale=scale, dtype=dtype,
         criterion=criterion, block_mask=mask_source,
     )
-    probs = _sparse_softmax_reference(scores)
+    probs = sparse_softmax(scores)
     applied = probs
     if dropout is not None:
         keep = _compressed_keep(dropout, probs.indices, pattern, n_keys)
         applied = probs.with_values(probs.values * keep)
-    out = _spmm_reference(applied, v)
+    out = spmm(applied, v)
     if return_stats:
         masked = scores.values <= MASKED_LOGIT_THRESHOLD
         row_max = np.max(np.where(masked, -np.inf, scores.values), axis=-1, keepdims=True)
@@ -793,7 +789,7 @@ def _nm_attention_bwd_reference(
     dropout: Optional[Dropout] = None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The oracle: re-run the staged reference chain for the compressed
-    probabilities and the dropout keep mask, then compose the reference
+    probabilities and the dropout keep mask, then compose the staged
     backward primitives (:func:`repro.core.attention_grad.masked_attention_bwd`).
     ``out`` and the saved statistics are not read."""
     del out, shift, denom, selection
@@ -806,5 +802,5 @@ def _nm_attention_bwd_reference(
     n_keys = np.shape(k)[-2]
     keep = None if dropout is None else _compressed_keep(dropout, probs.indices, pattern, n_keys)
     k, v = pad_keys(k, probs.dense_cols), pad_keys(v, probs.dense_cols)
-    d_q, d_k, d_v = masked_attention_bwd(probs, q, k, v, d_out, scale, keep, REFERENCE)
+    d_q, d_k, d_v = masked_attention_bwd(probs, q, k, v, d_out, scale, keep)
     return d_q, d_k[..., :n_keys, :], d_v[..., :n_keys, :]

@@ -16,8 +16,9 @@ that the ``reference`` ``nm_attention`` kernel runs; the fast N:M forward is
 the row-tiled ``nm_attention`` kernel (:mod:`repro.core.nm_attention`),
 which never writes a compressed score matrix.
 
-The masked SDDMM (``sddmm_masked``) scores an existing compressed structure
-and is a registered ``reference``/``fast`` kernel pair.
+The masked SDDMM (:func:`sddmm_masked`) scores an existing compressed
+structure; it is a plain function too, the ``dP`` stage of the staged
+reference backward (:func:`repro.core.attention_grad.masked_attention_bwd`).
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.backend import FAST, REFERENCE, get_kernel, register_kernel
 from repro.core.blocked_ell import BlockedEllMask
 from repro.core.patterns import default_pattern_for_dtype, resolve_pattern
 from repro.core.precision import dtype_bytes, simulate_tensor_core_matmul
@@ -132,26 +132,7 @@ def sddmm_nm(
     )
 
 
-def sddmm_masked(
-    a: np.ndarray,
-    b: np.ndarray,
-    structure: "CompressedLayout",
-    backend: Optional[str] = None,
-) -> "CompressedLayout":
-    """SDDMM restricted to an existing compressed structure: ``(A Bᵀ) ∘ mask``.
-
-    Computes ``C[i, k] = A[i, :] · B[col(i, k), :]`` for every stored nonzero
-    of ``structure`` and returns a compressed matrix sharing that structure.
-    ``structure`` is a :class:`~repro.core.layout.CompressedLayout` (the
-    N:M layout, whose every lane is a stored entry).  This is the backward-pass sibling of :func:`sddmm_nm`: the
-    selection is a constant of the graph, so gradients such as
-    ``dP = (dO Vᵀ) ∘ mask`` only ever need the already-chosen positions — no
-    pruning epilogue runs here.
-    """
-    return get_kernel("sddmm_masked", backend)(a, b, structure)
-
-
-def _check_masked_operands(a: np.ndarray, b: np.ndarray, structure):
+def _check_masked_operands(a: np.ndarray, b: np.ndarray, structure: NMSparseMatrix):
     a = np.asarray(a, dtype=np.float32)
     b = np.asarray(b, dtype=np.float32)
     if a.shape[:-2] != structure.batch_shape or b.shape[:-2] != structure.batch_shape:
@@ -173,11 +154,20 @@ def _check_masked_operands(a: np.ndarray, b: np.ndarray, structure):
     return a, b
 
 
-@register_kernel("sddmm_masked", REFERENCE)
-def _sddmm_masked_reference(
-    a: np.ndarray, b: np.ndarray, structure
-):
-    """Per-slice gather + einsum, walking the metadata like each thread block."""
+def sddmm_masked(
+    a: np.ndarray, b: np.ndarray, structure: NMSparseMatrix
+) -> NMSparseMatrix:
+    """SDDMM restricted to an existing compressed structure: ``(A Bᵀ) ∘ mask``.
+
+    Computes ``C[i, k] = A[i, :] · B[col(i, k), :]`` for every stored nonzero
+    of the N:M ``structure`` and returns a compressed matrix sharing that
+    structure.  This is the backward-pass sibling of :func:`sddmm_nm`: the
+    selection is a constant of the graph, so gradients such as
+    ``dP = (dO Vᵀ) ∘ mask`` only ever need the already-chosen positions — no
+    pruning epilogue runs here.  Each batch/head slice gathers the addressed
+    rows of B and contracts them with an einsum, walking the metadata like
+    each thread block.
+    """
     a, b = _check_masked_operands(a, b, structure)
     a3, batch_shape = as_batched_3d(a)
     b3, _ = as_batched_3d(b)
@@ -187,18 +177,6 @@ def _sddmm_masked_reference(
         gathered = b3[s][cols3[s]]  # (n_q, kept, d)
         out[s] = np.einsum("qd,qkd->qk", a3[s], gathered, optimize=True)
     return structure.with_values(restore_batch_shape(out, batch_shape))
-
-
-@register_kernel("sddmm_masked", FAST)
-def _sddmm_masked_fast(
-    a: np.ndarray, b: np.ndarray, structure
-):
-    """Batched dense contraction followed by a gather of the stored positions."""
-    a, b = _check_masked_operands(a, b, structure)
-    a3, _ = as_batched_3d(a)
-    b3, _ = as_batched_3d(b)
-    dense = np.matmul(a3, np.swapaxes(b3, -1, -2))
-    return structure.with_values(structure.gather_dense(dense))
 
 
 def sddmm_dense(

@@ -6,13 +6,12 @@ succeeding softmax is also accelerated").  The sparse variant normalises over
 the *stored* entries only, which is mathematically identical to a dense
 softmax whose pruned logits were set to ``-inf``.
 
-The sparse softmax is registered as the ``masked_softmax`` kernel with two
-backends: ``reference`` (row-chunked loop, mirroring the long-sequence CUDA
-implementation of Appendix A.4) and ``fast`` (cache-blocked in-place passes,
-:func:`masked_softmax_values`).  Both normalise a compressed N:M score
-matrix; the fused attention kernels run their own softmax inside each tile.
+:func:`sparse_softmax` is a plain function, not a registered kernel: it is
+the softmax stage of the staged reference chain, the oracle of the fused
+``nm_attention`` kernels and the ``dspattn`` shim's ``Softmax``.  The fused
+attention kernels run their own softmax inside each tile.
 
-N:M denominator order.  On an N:M layout the fast core does not sum a row of
+N:M denominator order.  :func:`sparse_softmax` does not sum a row of
 compressed probabilities left to right: each M-group's N kept values are
 added first, in ascending lane order, and ``np.sum`` then reduces the
 contiguous per-group sums (:func:`grouped_row_sum`).  The fused
@@ -22,19 +21,17 @@ never rounds, so the tile's denominators equal the compressed ones bit for
 bit.  The tile defers the divide: it normalises its ``(rows, d)`` output
 after P·V, and the compressed probabilities when they are asked for, never
 the planes themselves.
-The ``reference`` backend sums in the same order, so the backends agree
-bit for bit on exactly representable inputs.  For 1:2 this is the plain row
-sum; for 2:4 a denominator can differ by a few ulps from a plain ``np.sum``
-over the compressed row.  Row-block rows are plain row sums.
+For 1:2 this is the plain row sum; for 2:4 a denominator can differ by a
+few ulps from a plain ``np.sum`` over the compressed row.  Row-block rows
+are plain row sums.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from repro.core.backend import FAST, REFERENCE, get_kernel, register_kernel
 from repro.core.sparse import NMSparseMatrix
 
 #: Values at or below this threshold are treated as masked-out logits (they
@@ -79,7 +76,8 @@ def masked_exp_terms(values: np.ndarray, group: int = 1) -> Tuple[np.ndarray, np
     Returns ``(exp, denom)`` where ``exp`` holds the max-subtracted
     exponentials (zero at masked-logit positions) and ``denom`` their row sums
     with fully-masked rows clamped to one.  ``exp / denom`` is the softmax.
-    ``group`` is :func:`denominator_group` of the layout.
+    ``values`` is ``(rows, width)``; ``group`` is the number of lanes per
+    denominator group (N on an N:M layout, see the module note).
     """
     masked = values <= MASKED_LOGIT_THRESHOLD
     safe_vals = np.where(masked, -np.inf, values)
@@ -114,103 +112,15 @@ def _row_sum(x: np.ndarray, group: int) -> np.ndarray:
     return grouped_row_sum([grouped[..., j] for j in range(group)])
 
 
-def denominator_group(layout) -> int:
-    """Lanes per group of ``layout``'s softmax denominator: N on an N:M layout
-    (see the module note), else 1 (a plain row sum)."""
-    return layout.pattern.n if isinstance(layout, NMSparseMatrix) else 1
+def sparse_softmax(scores: NMSparseMatrix) -> NMSparseMatrix:
+    """Row softmax over the stored nonzeros of a compressed N:M score matrix.
 
-
-def _chunked_row_softmax(
-    values: np.ndarray,
-    out: np.ndarray,
-    group: int = 1,
-    chunk_rows: int = 2048,
-) -> np.ndarray:
-    """Masked row softmax over full-width rows, written into ``out``.
-
-    Rows are processed in cache-sized chunks and every elementwise op lands in
-    ``out`` (which may alias ``values``), so the whole pass keeps one chunk of
-    temporaries resident instead of eight full-tensor ones — this is what
-    makes the fast backend beat the reference loop at default scale.
-    ``group > 1`` sums each row's denominator in the N:M order
-    (:func:`grouped_row_sum` over groups of ``group`` consecutive lanes).
-    """
-    flat = values.reshape(-1, values.shape[-1])
-    oflat = out.reshape(flat.shape)
-    for start in range(0, flat.shape[0], chunk_rows):
-        stop = min(start + chunk_rows, flat.shape[0])
-        vals = flat[start:stop]
-        o = oflat[start:stop]
-        masked = vals <= MASKED_LOGIT_THRESHOLD
-        # without masked lanes both selects are identities; skip them
-        any_masked = masked.any()
-        live = np.where(masked, -np.inf, vals) if any_masked else vals
-        row_max = np.max(live, axis=-1, keepdims=True)
-        row_max = np.where(np.isfinite(row_max), row_max, 0.0)
-        np.subtract(vals, row_max, out=o)  # repro: owns-buffer — caller-provided out
-        np.exp(o, out=o)  # repro: owns-buffer — caller-provided out
-        if any_masked:
-            o[masked] = 0.0  # repro: owns-buffer — caller-provided out
-        denom = _row_sum(o, group)
-        # repro: owns-buffer — caller-provided out
-        np.divide(o, np.where(denom == 0.0, 1.0, denom), out=o)
-    return out
-
-
-def masked_softmax_values(
-    values: np.ndarray, out: Optional[np.ndarray] = None, group: int = 1
-) -> np.ndarray:
-    """Value-space masked row softmax of the fast kernel.
-
-    ``out`` may alias ``values`` for in-place execution.  ``group`` is
-    :func:`denominator_group` of the layout (N on N:M layouts).
-    """
-    if out is None:
-        out = np.empty_like(values)
-    return _chunked_row_softmax(values, out, group)
-
-
-def sparse_softmax(scores, backend: Optional[str] = None):
-    """Row softmax over the stored nonzeros of a compressed score matrix.
-
-    ``scores`` may be any :class:`~repro.core.layout.CompressedLayout` — the
-    kernel only touches ``.values`` and the structure is carried through
-    unchanged.  Entries produced by blocked-ELL masking (values ≤
-    ``MASKED_LOGIT_THRESHOLD``, the masked-score sentinel) are excluded from
-    the normalisation and receive exactly zero weight.
-    ``backend`` selects the registered ``masked_softmax`` implementation
-    (default: ``$REPRO_BACKEND``, else "fast").
-    """
-    return get_kernel("masked_softmax", backend)(scores)
-
-
-@register_kernel("masked_softmax", FAST)
-def _sparse_softmax_fast(scores):
-    """Cache-blocked in-place passes over the compressed rows."""
-    return scores.with_values(
-        masked_softmax_values(scores.values, group=denominator_group(scores))
-    )
-
-
-@register_kernel("masked_softmax", REFERENCE)
-def _sparse_softmax_reference(scores):
-    """Row-chunked loop implementation (the Appendix A.4 structure)."""
-    return sparse_softmax_streaming(scores)
-
-
-def sparse_softmax_streaming(scores, chunk_rows: int = 1024):
-    """Chunked variant of :func:`sparse_softmax` for very long sequences.
-
-    Mirrors the "long sequence" softmax implementation discussed in Appendix
-    A.4: rows are processed in chunks so only a bounded slice of the score
-    matrix is resident at once.  Numerically identical to the one-shot version.
+    The structure is carried through unchanged.  Entries produced by
+    blocked-ELL masking (values ≤ ``MASKED_LOGIT_THRESHOLD``, the
+    masked-score sentinel) are excluded from the normalisation and receive
+    exactly zero weight.  Denominators are summed in the N:M order (see the
+    module note).
     """
     vals = scores.values
-    flat = vals.reshape(-1, vals.shape[-1])
-    out = np.empty_like(flat)
-    group = denominator_group(scores)
-    for start in range(0, flat.shape[0], chunk_rows):
-        stop = min(start + chunk_rows, flat.shape[0])
-        exp, denom = masked_exp_terms(flat[start:stop], group)
-        out[start:stop] = exp / denom
-    return scores.with_values(out.reshape(vals.shape))
+    exp, denom = masked_exp_terms(vals.reshape(-1, vals.shape[-1]), scores.pattern.n)
+    return scores.with_values((exp / denom).reshape(vals.shape))

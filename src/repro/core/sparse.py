@@ -145,34 +145,6 @@ class NMSparseMatrix:
             self.__dict__["_column_cache"] = freeze_structure(cached)
         return cached
 
-    def gather_dense(self, dense: np.ndarray) -> np.ndarray:
-        """Gather every stored lane's entry out of a dense ``dense_shape`` array."""
-        dense = np.asarray(dense, dtype=np.float32)
-        return np.take_along_axis(
-            dense.reshape(self.dense_shape), self.column_indices(), axis=-1
-        )
-
-    def scatter_compressed(self, values: np.ndarray) -> np.ndarray:
-        """Scatter compressed ``values`` (sharing this structure) into a dense
-        zero-filled tile — the CompressedLayout scatter primitive."""
-        values = np.asarray(values, dtype=np.float32)
-        if values.shape != self.values.shape:
-            raise ValueError(
-                f"compressed values shape {values.shape} != {self.values.shape}"
-            )
-        dense = np.zeros(values.shape[:-1] + (self.dense_cols,), dtype=np.float32)
-        np.put_along_axis(dense, self.column_indices(), values, axis=-1)
-        return dense
-
-    def to_scattered(self) -> np.ndarray:
-        """Dense zero-filled scatter of the stored values.
-
-        This is the CPU stand-in for the sparse tensor core's metadata walk
-        in the staged ``fast`` kernels: they scatter the compressed nonzeros
-        into a dense tile and hand the contraction to BLAS.
-        """
-        return self.scatter_compressed(self.values)
-
     def _sibling(self, values: np.ndarray, indices: np.ndarray) -> "NMSparseMatrix":
         """Same-pattern matrix over already-validated arrays.
 

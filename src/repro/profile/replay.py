@@ -146,13 +146,11 @@ def gpusim_cost_fn(device=None, dtype: str = "float32") -> CostFn:
 
     Each node's problem size is recovered from the ``shape`` its tracing
     wrapper recorded (the first array-like argument of the kernel call: Q for
-    the fused N:M forward and backward, V for the SpMM, the compressed value
-    buffer for the staged softmax).  The fused N:M kernels read their padded
-    key count from ``tile_shape``; the row-block kernels price their block
-    products from the query-key ``pairs`` their tiles score, with the tile
-    count and largest tile.  ``masked_softmax`` and ``spmm`` are priced with
-    the N:M models.  Kernels without an analytical model keep their measured
-    durations, so hybrid traces still replay.
+    the fused N:M and row-block kernels).  The fused N:M kernels read their
+    padded key count from ``tile_shape``; the row-block kernels price their
+    block products from the query-key ``pairs`` their tiles score, with the
+    tile count and largest tile.  Kernels without an analytical model keep
+    their measured durations, so hybrid traces still replay.
     """
     from repro.gpusim import AMPERE_A100, ops
 
@@ -166,14 +164,7 @@ def gpusim_cost_fn(device=None, dtype: str = "float32") -> CostFn:
         if dims is None:
             return None
         b, rows, last = dims
-        if node.name == "masked_softmax":
-            # shape is the compressed value buffer: (..., L, kept); the
-            # sparse softmax model counts cols/2 elements per row
-            sec = ops.softmax_sparse_nm(b, rows, 2 * last, dtype).latency(dev)
-        elif node.name == "spmm":
-            # shape is V: (..., L, D)
-            sec = ops.spmm_nm(b, rows, rows, last, dtype).latency(dev)
-        elif node.name in ("nm_attention", "nm_attention_bwd"):
+        if node.name in ("nm_attention", "nm_attention_bwd"):
             # shape is Q: (..., n_q, D); the padded key count is the tile
             # width (n_q without one)
             tile = _parse_tile(node)

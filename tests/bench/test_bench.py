@@ -96,12 +96,12 @@ class TestReport:
         out = tmp_path / "BENCH_kernels.json"
         rc = main([
             "--shape", "1x2x32x16", "--repeats", "1", "--warmup", "0",
-            "--patterns", "2:4", "--kernels", "spmm", "--output", str(out),
+            "--patterns", "2:4", "--kernels", "attention_e2e", "--output", str(out),
         ])
         assert rc == 0
         payload = load_payload(out)
-        assert {row["kernel"] for row in payload["results"]} == {"spmm"}
-        assert "spmm" in capsys.readouterr().out
+        assert {row["kernel"] for row in payload["results"]} == {"attention_e2e"}
+        assert "attention_e2e" in capsys.readouterr().out
 
 
 class TestPerfGate:
@@ -123,7 +123,7 @@ class TestPerfGate:
         gate = _load_gate()
         base, fresh = payloads
         for row in fresh["results"]:
-            if row["backend"] == "fast" and row["kernel"] == "spmm":
+            if row["backend"] == "fast" and row["kernel"] == "attention_e2e":
                 row["parity_max_rel_err"] = 0.5
         failures, _ = gate.check(fresh, base, min_e2e_speedup=0.0, min_train_speedup=0.0)
         assert any("parity" in f for f in failures)
@@ -132,7 +132,7 @@ class TestPerfGate:
         gate = _load_gate()
         base, fresh = payloads
         for row in fresh["results"]:
-            if row["kernel"] == "spmm" and row["backend"] == "fast":
+            if row["kernel"] == "attention_e2e" and row["backend"] == "fast":
                 # a real 10x regression moves both the median and the speedup
                 row["median_s"] *= 10.0
                 row["speedup"] /= 10.0
@@ -155,7 +155,7 @@ class TestPerfGate:
     def test_missing_row_fails_coverage(self, payloads):
         gate = _load_gate()
         base, fresh = payloads
-        fresh["results"] = [r for r in fresh["results"] if r["kernel"] != "masked_softmax"]
+        fresh["results"] = [r for r in fresh["results"] if r["kernel"] != "attention_e2e"]
         failures, _ = gate.check(fresh, base, min_e2e_speedup=0.0, min_train_speedup=0.0)
         assert any("coverage" in f for f in failures)
 
@@ -262,6 +262,17 @@ class TestPerfGate:
         assert train and all(r["speedup"] >= 2.0 for r in train)
         failures, factor = gate.check(payload, payload)
         assert failures == [] and factor == 1.0
+
+    def test_new_floors_default_off_in_check(self):
+        # synthetic payloads without the new rows must stay valid for
+        # check() callers with default arguments; the CLI turns the floors on
+        gate = _load_gate()
+        payload = {"schema_version": 1, "results": []}
+        failures, _ = gate.check(
+            payload, payload, min_e2e_speedup=0.0, min_train_speedup=0.0,
+            min_matrix_speedup=0.0,
+        )
+        assert failures == []
 
 
 class TestServingBench:
@@ -393,48 +404,6 @@ class TestServeGate:
         assert serving, "baseline has no serving_throughput batched rows"
         assert all(r["speedup"] >= 1.5 for r in serving)
         assert all(r["parity_max_rel_err"] == 0.0 for r in serving)
-
-
-class TestSoftmaxGate:
-    @staticmethod
-    def _softmax_rows(kernel, speedup):
-        shape = "B1xH2xL32xD16/2:4"
-        reference = {
-            "kernel": kernel, "shape": shape, "backend": "reference",
-            "median_s": 0.01, "p10_s": 0.01, "p90_s": 0.01,
-            "speedup": 1.0, "parity_max_rel_err": None,
-        }
-        fast = dict(reference, backend="fast", speedup=speedup,
-                    parity_max_rel_err=1e-7)
-        return [reference, fast]
-
-    def test_softmax_floor_binds_the_nm_row(self):
-        gate = _load_gate()
-        payload = {"schema_version": 1, "results": self._softmax_rows("masked_softmax", 0.7)}
-        failures, _ = gate.check(
-            payload, payload, min_e2e_speedup=0.0, min_train_speedup=0.0,
-            min_matrix_speedup=0.0, min_softmax_speedup=1.0,
-        )
-        assert any(
-            "softmax floor" in f and "masked_softmax " in f for f in failures
-        )
-        payload = {"schema_version": 1, "results": self._softmax_rows("masked_softmax", 1.4)}
-        failures, _ = gate.check(
-            payload, payload, min_e2e_speedup=0.0, min_train_speedup=0.0,
-            min_matrix_speedup=0.0, min_softmax_speedup=1.0,
-        )
-        assert not any("softmax floor" in f for f in failures)
-
-    def test_new_floors_default_off_in_check(self):
-        # synthetic payloads without the new rows must stay valid for
-        # check() callers with default arguments; the CLI turns the floors on
-        gate = _load_gate()
-        payload = {"schema_version": 1, "results": []}
-        failures, _ = gate.check(
-            payload, payload, min_e2e_speedup=0.0, min_train_speedup=0.0,
-            min_matrix_speedup=0.0,
-        )
-        assert failures == []
 
 
 class TestMulticoreBench:

@@ -1,21 +1,19 @@
-"""Parity tests for the backward-pass kernels of the sparse attention op.
+"""Tests of the staged backward primitives of compressed sparse attention
+(the oracle of the ``nm_attention_bwd`` kernel) against dense math.
 
 Like ``test_backend_parity``, inputs are drawn from coarse lattices so every
-intermediate is exactly representable in float32 and the reference and fast
-backends are exactly (or near-bitwise) comparable, ties included.
+intermediate is exactly representable in float32, ties included.
 """
 
 import numpy as np
 import pytest
 
 from repro.core.attention_grad import masked_attention_bwd, softmax_grad_compressed
-from repro.core.backend import FAST, REFERENCE
 from repro.core.sddmm import sddmm_masked, sddmm_nm
 from repro.core.softmax import sparse_softmax
 from repro.core.spmm import spmm_t
 
 PATTERNS = ["1:2", "2:4"]
-BATCH_SHAPES = [(), (3,), (2, 3)]
 
 
 def _lattice(shape, seed=0, denom=8, span=16):
@@ -34,22 +32,11 @@ def _problem(batch, seq=64, d=32, pattern="2:4", seed=0):
 
 
 class TestSpmmT:
-    @pytest.mark.parametrize("pattern", PATTERNS)
-    @pytest.mark.parametrize("batch", BATCH_SHAPES)
-    def test_backends_agree(self, pattern, batch):
-        _, _, _, g, probs = _problem(batch, pattern=pattern)
-        ref = spmm_t(probs, g, backend=REFERENCE)
-        fast = spmm_t(probs, g, backend=FAST)
-        np.testing.assert_allclose(fast, ref, rtol=1e-5, atol=1e-6)
-
     def test_matches_dense_transpose(self):
         _, _, _, g, probs = _problem((2,), pattern="2:4", seed=5)
         dense = probs.to_dense(0.0)
         expected = np.matmul(np.swapaxes(dense, -1, -2), g)
-        for backend in (REFERENCE, FAST):
-            np.testing.assert_allclose(
-                spmm_t(probs, g, backend=backend), expected, rtol=1e-5, atol=1e-6
-            )
+        np.testing.assert_allclose(spmm_t(probs, g), expected, rtol=1e-5, atol=1e-6)
 
     def test_shape_validation(self):
         _, _, _, g, probs = _problem((2,), pattern="2:4")
@@ -58,22 +45,12 @@ class TestSpmmT:
 
 
 class TestSddmmMasked:
-    @pytest.mark.parametrize("pattern", PATTERNS)
-    @pytest.mark.parametrize("batch", BATCH_SHAPES)
-    def test_backends_agree(self, pattern, batch):
-        _, _, v, g, probs = _problem(batch, pattern=pattern, seed=7)
-        ref = sddmm_masked(g, v, probs, backend=REFERENCE)
-        fast = sddmm_masked(g, v, probs, backend=FAST)
-        np.testing.assert_array_equal(ref.indices, fast.indices)
-        np.testing.assert_allclose(fast.values, ref.values, rtol=1e-5, atol=1e-6)
-
     def test_matches_dense_restriction(self):
         _, _, v, g, probs = _problem((3,), pattern="1:2", seed=9)
         dense = np.matmul(g, np.swapaxes(v, -1, -2))
         restricted = np.take_along_axis(dense, probs.column_indices(), axis=-1)
-        for backend in (REFERENCE, FAST):
-            out = sddmm_masked(g, v, probs, backend=backend)
-            np.testing.assert_allclose(out.values, restricted, rtol=1e-5, atol=1e-6)
+        out = sddmm_masked(g, v, probs)
+        np.testing.assert_allclose(out.values, restricted, rtol=1e-5, atol=1e-6)
 
     def test_structure_is_preserved(self):
         _, _, v, g, probs = _problem((), pattern="2:4", seed=11)
@@ -109,29 +86,31 @@ class TestSoftmaxGrad:
         )
 
 
+def _dense_bwd(probs, q, k, v, g, scale, keep=None):
+    """``(dQ, dK, dV)`` of ``(P ∘ keep) V`` by dense matrix algebra."""
+    p = probs.to_dense(0.0)
+    drop = np.ones_like(p) if keep is None else probs.with_values(keep).to_dense(0.0)
+    d_v = np.swapaxes(p * drop, -1, -2) @ g
+    d_p = (g @ np.swapaxes(v, -1, -2)) * drop * probs.to_mask()
+    d_s = p * (d_p - np.sum(p * d_p, axis=-1, keepdims=True))
+    return d_s @ k * scale, np.swapaxes(d_s, -1, -2) @ q * scale, d_v
+
+
 class TestFusedBackward:
     @pytest.mark.parametrize("pattern", PATTERNS)
-    @pytest.mark.parametrize("batch", BATCH_SHAPES)
-    def test_backends_agree(self, pattern, batch):
-        q, k, v, g, probs = _problem(batch, pattern=pattern, seed=13)
-        scale = 0.25
-        ref = masked_attention_bwd(probs, q, k, v, g, scale, backend=REFERENCE)
-        fast = masked_attention_bwd(probs, q, k, v, g, scale, backend=FAST)
-        for r, f in zip(ref, fast):
-            np.testing.assert_allclose(f, r, rtol=1e-5, atol=1e-6)
+    def test_matches_dense_gradients(self, pattern):
+        q, k, v, g, probs = _problem((2, 3), pattern=pattern, seed=13)
+        grads = masked_attention_bwd(probs, q, k, v, g, 0.25)
+        for ours, dense in zip(grads, _dense_bwd(probs, q, k, v, g, 0.25)):
+            np.testing.assert_allclose(ours, dense, rtol=1e-5, atol=1e-6)
 
     def test_dropout_keep_mask_applied(self):
         q, k, v, g, probs = _problem((2,), pattern="2:4", seed=19)
         scale = 0.25
         rng = np.random.default_rng(0)
         keep = (rng.random(probs.values.shape) >= 0.5).astype(np.float32) * 2.0
-        ref = masked_attention_bwd(
-            probs, q, k, v, g, scale, drop_keep=keep, backend=REFERENCE
-        )
-        fast = masked_attention_bwd(
-            probs, q, k, v, g, scale, drop_keep=keep, backend=FAST
-        )
-        for r, f in zip(ref, fast):
-            np.testing.assert_allclose(f, r, rtol=1e-5, atol=1e-6)
-        plain = masked_attention_bwd(probs, q, k, v, g, scale, backend=FAST)
-        assert not np.allclose(fast[2], plain[2])
+        dropped = masked_attention_bwd(probs, q, k, v, g, scale, drop_keep=keep)
+        for ours, dense in zip(dropped, _dense_bwd(probs, q, k, v, g, scale, keep)):
+            np.testing.assert_allclose(ours, dense, rtol=1e-5, atol=1e-6)
+        plain = masked_attention_bwd(probs, q, k, v, g, scale)
+        assert not np.allclose(dropped[2], plain[2])

@@ -6,12 +6,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.core.patterns import PATTERN_2_4
-from repro.core.softmax import (
-    dense_softmax,
-    masked_dense_softmax,
-    sparse_softmax,
-    sparse_softmax_streaming,
-)
+from repro.core.softmax import dense_softmax, masked_dense_softmax, sparse_softmax
 from repro.core.sparse import NMSparseMatrix
 
 
@@ -90,12 +85,6 @@ class TestSparseSoftmax:
         recon = w.to_dense()
         assert np.all(recon[:, 4:] == 0)
         np.testing.assert_allclose(recon[:, :2].sum(axis=-1), 1.0, atol=1e-6)
-
-    def test_streaming_matches_oneshot(self):
-        _, sp = self._sparse_scores(shape=(64, 64), seed=7)
-        a = sparse_softmax(sp)
-        b = sparse_softmax_streaming(sp, chunk_rows=7)
-        np.testing.assert_allclose(a.values, b.values, atol=1e-7)
 
     def test_batched(self):
         rng = np.random.default_rng(9)

@@ -139,17 +139,17 @@ class TestEventFormat:
 
 class TestDispatchWiring:
     def test_get_kernel_returns_raw_function_when_disabled(self):
-        fn = get_kernel("spmm", FAST)
-        assert get_kernel("spmm", FAST) is fn
+        fn = get_kernel("nm_attention", FAST)
+        assert get_kernel("nm_attention", FAST) is fn
         assert not hasattr(fn, "__wrapped__")
 
     def test_get_kernel_wraps_while_tracing(self):
-        raw = get_kernel("spmm", FAST)
+        raw = get_kernel("nm_attention", FAST)
         with trace():
-            wrapped = get_kernel("spmm", FAST)
+            wrapped = get_kernel("nm_attention", FAST)
             assert wrapped is not raw
             assert wrapped.__wrapped__ is raw
-        assert get_kernel("spmm", FAST) is raw
+        assert get_kernel("nm_attention", FAST) is raw
 
     def test_fused_step_records_pipeline_kernels(self):
         active = _record_fused_step()

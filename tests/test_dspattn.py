@@ -5,6 +5,7 @@ import pytest
 
 from repro import dspattn
 from repro.core.attention import dfss_attention
+from repro.core.backend import REFERENCE, get_kernel
 from repro.core.sparse import NMSparseMatrix
 
 
@@ -31,6 +32,15 @@ class TestFigure3Api:
         nonzeros, metadata = dspattn.GEMM(q, k, pattern=pattern)
         out = dspattn.SpMM(dspattn.Softmax(nonzeros), metadata, v)
         np.testing.assert_allclose(out, dfss_attention(q, k, v, pattern=pattern), atol=1e-5)
+
+    def test_three_calls_are_the_reference_kernel_bit_for_bit(self):
+        # the shim and the reference nm_attention run the one staged chain
+        rng = np.random.default_rng(5)
+        q, k, v = (rng.normal(size=(2, 130, 32)).astype(np.float32) for _ in range(3))
+        nonzeros, metadata = dspattn.GEMM(q, k, pattern="2:4")
+        out = dspattn.SpMM(dspattn.Softmax(nonzeros), metadata, v)
+        expected, _ = get_kernel("nm_attention", REFERENCE)(q, k, v, pattern="2:4")
+        np.testing.assert_array_equal(out, expected)
 
     def test_gemm_returns_compressed_matrix_and_metadata(self):
         q, k, _ = _qkv()
