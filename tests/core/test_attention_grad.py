@@ -9,11 +9,13 @@ import numpy as np
 import pytest
 
 from repro.core.attention_grad import masked_attention_bwd, softmax_grad_compressed
+from repro.core.backend import FAST, get_kernel
 from repro.core.sddmm import sddmm_masked, sddmm_nm
 from repro.core.softmax import sparse_softmax
 from repro.core.spmm import spmm_t
 
 PATTERNS = ["1:2", "2:4"]
+BATCH_SHAPES = [(), (3,), (2, 3)]
 
 
 def _lattice(shape, seed=0, denom=8, span=16):
@@ -38,6 +40,13 @@ class TestSpmmT:
         expected = np.matmul(np.swapaxes(dense, -1, -2), g)
         np.testing.assert_allclose(spmm_t(probs, g), expected, rtol=1e-5, atol=1e-6)
 
+    @pytest.mark.parametrize("pattern", PATTERNS)
+    @pytest.mark.parametrize("batch", BATCH_SHAPES)
+    def test_matches_dense_per_batch(self, pattern, batch):
+        _, _, _, g, probs = _problem(batch, pattern=pattern)
+        expected = np.swapaxes(probs.to_dense(0.0), -1, -2) @ g
+        np.testing.assert_allclose(spmm_t(probs, g), expected, rtol=1e-5, atol=1e-6)
+
     def test_shape_validation(self):
         _, _, _, g, probs = _problem((2,), pattern="2:4")
         with pytest.raises(ValueError, match="rows"):
@@ -51,6 +60,17 @@ class TestSddmmMasked:
         restricted = np.take_along_axis(dense, probs.column_indices(), axis=-1)
         out = sddmm_masked(g, v, probs)
         np.testing.assert_allclose(out.values, restricted, rtol=1e-5, atol=1e-6)
+
+    @pytest.mark.parametrize("pattern", PATTERNS)
+    @pytest.mark.parametrize("batch", BATCH_SHAPES)
+    def test_matches_dense_per_batch(self, pattern, batch):
+        _, _, v, g, probs = _problem(batch, pattern=pattern, seed=7)
+        out = sddmm_masked(g, v, probs)
+        np.testing.assert_array_equal(out.indices, probs.indices)
+        dense = g @ np.swapaxes(v, -1, -2)
+        np.testing.assert_allclose(
+            out.to_dense(0.0), dense * probs.to_mask(), rtol=1e-5, atol=1e-6
+        )
 
     def test_structure_is_preserved(self):
         _, _, v, g, probs = _problem((), pattern="2:4", seed=11)
@@ -98,11 +118,26 @@ def _dense_bwd(probs, q, k, v, g, scale, keep=None):
 
 class TestFusedBackward:
     @pytest.mark.parametrize("pattern", PATTERNS)
-    def test_matches_dense_gradients(self, pattern):
-        q, k, v, g, probs = _problem((2, 3), pattern=pattern, seed=13)
+    @pytest.mark.parametrize("batch", BATCH_SHAPES)
+    def test_matches_dense_gradients(self, pattern, batch):
+        q, k, v, g, probs = _problem(batch, pattern=pattern, seed=13)
         grads = masked_attention_bwd(probs, q, k, v, g, 0.25)
         for ours, dense in zip(grads, _dense_bwd(probs, q, k, v, g, 0.25)):
             np.testing.assert_allclose(ours, dense, rtol=1e-5, atol=1e-6)
+
+    @pytest.mark.parametrize("pattern", PATTERNS)
+    @pytest.mark.parametrize("batch", BATCH_SHAPES)
+    def test_fast_kernel_matches_staged_oracle(self, pattern, batch):
+        # the staged backward is the oracle of the fused fast nm_attention_bwd
+        q, k, v, g, probs = _problem(batch, pattern=pattern, seed=17)
+        scale = 1.0 / np.sqrt(q.shape[-1])
+        fwd, bwd = get_kernel("nm_attention", FAST), get_kernel("nm_attention_bwd", FAST)
+        out, stats = fwd(q, k, v, pattern=pattern, return_stats=True)
+        fused = bwd(q, k, v, g, out, stats.shift, stats.denom, stats.selection,
+                    pattern=pattern)
+        staged = masked_attention_bwd(probs, q, k, v, g, scale)
+        for ours, oracle in zip(fused, staged):
+            np.testing.assert_allclose(ours, oracle, rtol=1e-5, atol=1e-5)
 
     def test_dropout_keep_mask_applied(self):
         q, k, v, g, probs = _problem((2,), pattern="2:4", seed=19)

@@ -24,7 +24,7 @@ from repro.core.pruning import (
     nm_prune_mask_fast,
 )
 from repro.core.sddmm import sddmm_nm
-from repro.core.softmax import sparse_softmax
+from repro.core.softmax import masked_dense_softmax, sparse_softmax
 from repro.core.spmm import spmm
 
 PATTERNS = ["1:2", "2:4"]
@@ -135,6 +135,27 @@ class TestSddmmParity:
 
 
 class TestSoftmaxSpmmParity:
+    # the staged softmax and SpMM are the oracle of the fused kernels; each
+    # is checked against dense masked math over every batch shape
+    @pytest.mark.parametrize("pattern", PATTERNS)
+    @pytest.mark.parametrize("batch", BATCH_SHAPES)
+    def test_sparse_softmax_matches_masked_dense(self, pattern, batch):
+        q, k, _ = _qkv(batch, seed=19)
+        scores = sddmm_nm(q, k, pattern=pattern)
+        probs = sparse_softmax(scores)
+        np.testing.assert_array_equal(probs.indices, scores.indices)
+        expected = masked_dense_softmax(scores.to_dense(0.0), scores.to_mask())
+        np.testing.assert_allclose(probs.to_dense(0.0), expected, atol=1e-6)
+
+    @pytest.mark.parametrize("pattern", PATTERNS)
+    @pytest.mark.parametrize("batch", BATCH_SHAPES)
+    def test_spmm_matches_dense_matmul(self, pattern, batch):
+        q, k, v = _qkv(batch, seed=23)
+        weights = sparse_softmax(sddmm_nm(q, k, pattern=pattern))
+        np.testing.assert_allclose(
+            spmm(weights, v), weights.to_dense(0.0) @ v, rtol=1e-5, atol=1e-6
+        )
+
     @pytest.mark.parametrize("pattern", PATTERNS)
     def test_plan_softmax_contract_matches_unfused(self, pattern):
         # both backends' N:M plans against the standalone staged kernels

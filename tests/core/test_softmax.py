@@ -86,6 +86,19 @@ class TestSparseSoftmax:
         assert np.all(recon[:, 4:] == 0)
         np.testing.assert_allclose(recon[:, :2].sum(axis=-1), 1.0, atol=1e-6)
 
+    def test_streaming_matches_oneshot(self):
+        # the softmax is row-wise: running it over 7-row chunks, as the
+        # former streaming variant did, changes no bit of the one-shot result
+        _, sp = self._sparse_scores(shape=(64, 64), seed=7)
+        oneshot = sparse_softmax(sp)
+        chunks = [
+            sparse_softmax(
+                NMSparseMatrix(sp.values[i:i + 7], sp.indices[i:i + 7], sp.pattern, sp.dense_cols)
+            ).values
+            for i in range(0, 64, 7)
+        ]
+        np.testing.assert_array_equal(np.concatenate(chunks), oneshot.values)
+
     def test_batched(self):
         rng = np.random.default_rng(9)
         dense = rng.normal(size=(2, 3, 8, 16)).astype(np.float32)
