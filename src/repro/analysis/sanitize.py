@@ -143,11 +143,12 @@ def check_grads(grads, context: str, inputs=None):
 def check_adopted(grad: np.ndarray, live, context: str) -> None:
     """Assert an adopted gradient aliases no live gradient (sanitize mode).
 
-    :meth:`Tensor._accumulate <repro.nn.autograd.Tensor._accumulate>`
-    stores an adopted gradient without a copy and later accumulates into it
-    in place, so it must share no memory with ``live`` — the other
-    gradients of the graph being walked, the adopting node's incoming
-    gradient among them.  ``live`` is only iterated when the mode is on.
+    :meth:`Node.accumulate <repro.nn.autograd.Node.accumulate>` stores an
+    adopted gradient without a copy and later accumulates into it in place,
+    so it must share no memory with ``live`` — the gradients the other
+    nodes of the graph being walked hold, the incoming gradient of the node
+    whose closure is running among them.  ``live`` is only iterated when
+    the mode is on.
     """
     if not sanitize_enabled():
         return

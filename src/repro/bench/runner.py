@@ -23,7 +23,7 @@ from repro.baselines.dfss import DfssMechanism
 from repro.core.attention import dfss_attention
 from repro.core.backend import REFERENCE
 from repro.core.patterns import resolve_pattern
-from repro.nn.attention_layer import DfssCore, StaticMaskCore, TopKCore
+from repro.nn.attention_layer import DfssCore, StaticMaskCore
 from repro.nn.autograd import Tensor
 from repro.nn.functional import dense_masked_attention
 from repro.registry import available_mechanisms, make_core
@@ -529,10 +529,10 @@ def run_train_matrix(
         elif isinstance(core, StaticMaskCore):
             # the mask depends on the lengths alone: the core's cached one
             score_mask = core.last_mask()
-        elif isinstance(core, TopKCore):
-            score_mask = core.mechanism._mask
         else:
-            # clustering masks: derived per step from Q and K, as the core does
+            # content masks (Top-K and the clustering masks): the
+            # mechanism's own, derived per step from Q and K as the core
+            # derives it
             def score_mask(scores):
                 return core.mechanism.attention_mask(q, k)
 

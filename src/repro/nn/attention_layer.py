@@ -37,6 +37,7 @@ import repro.baselines  # noqa: F401  populate the mechanism registry first
 from repro.core.backend import get_kernel
 from repro.core.blocked_ell import BlockedEllMask
 from repro.core.patterns import resolve_pattern
+from repro.core.precision import simulate_tensor_core_matmul
 from repro.core.row_block import RowBlockStructure
 from repro.nn import functional as F
 from repro.nn.autograd import Tensor
@@ -207,12 +208,22 @@ class StaticMaskCore(MaskedScoreCore):
 
 
 class TopKCore(MaskedScoreCore):
-    """Per-row Top-K of the detached scores, selected by the mechanism."""
+    """Per-row Top-K of the detached scores, selected by the mechanism.
+
+    The scores carry the mechanism's rounding: tensorfloat-32 operands, and
+    the float32 product scaled in float64 and rounded back to float32 (the
+    selection's :func:`~repro.core.lottery.topk_mask` reads float32), as
+    :meth:`ExplicitTopKAttention.attention_mask
+    <repro.baselines.topk.ExplicitTopKAttention.attention_mask>` scores on
+    :func:`~repro.core.sddmm.sddmm_dense`.  So the core keeps the cells the
+    serving path, the engine and the oracle keep.
+    """
 
     def _structure(self, q, k):
-        # scaled in place: one n² score array alive while the mechanism selects
-        scores = np.matmul(q, np.swapaxes(k, -1, -2))
-        scores *= np.float32(1.0 / np.sqrt(q.shape[-1]))
+        scores = simulate_tensor_core_matmul(q, np.swapaxes(k, -1, -2))
+        # scaled in place: the float64 product exists one ufunc buffer at a
+        # time, so one n² float32 array is alive while the mechanism selects
+        np.multiply(scores, 1.0 / np.sqrt(q.shape[-1]), out=scores, casting="same_kind")
         return RowBlockStructure.from_mask(self.mechanism._mask(scores))
 
 

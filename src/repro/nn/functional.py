@@ -15,7 +15,7 @@ NEG_INF = -1e9
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Numerically stable softmax along ``axis``."""
-    shifted = x - x.max(axis=axis, keepdims=True).detach()
+    shifted = x - Tensor(x.data.max(axis=axis, keepdims=True))
     exp = shifted.exp()
     return exp / exp.sum(axis=axis, keepdims=True)
 
@@ -71,7 +71,7 @@ def dense_masked_attention(
 
 
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    shifted = x - x.max(axis=axis, keepdims=True).detach()
+    shifted = x - Tensor(x.data.max(axis=axis, keepdims=True))
     return shifted - shifted.exp().sum(axis=axis, keepdims=True).log()
 
 
@@ -82,29 +82,32 @@ def relu(x: Tensor) -> Tensor:
 def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     """Affine map ``x @ weight + bias`` over the last axis, as one graph node.
 
-    The node keeps only ``x`` and ``weight``.  Its backward runs on the rows
-    of ``x`` flattened to 2-D: ``dx = grad @ weightᵀ``, ``dW`` is one GEMM
-    ``xᵀ @ grad`` and ``db`` a row sum of ``grad``.
+    The node keeps ``x`` only for ``dW`` and ``weight`` only for ``dx``.  Its
+    backward runs on the rows of ``x`` flattened to 2-D: ``dx = grad @
+    weightᵀ``, ``dW`` is one GEMM ``xᵀ @ grad`` and ``db`` a row sum of
+    ``grad``.
     """
     in_features, out_features = weight.shape
     out = x.data.reshape(-1, in_features) @ weight.data
     if bias is not None:
         out += bias.data
     parents = (x, weight) if bias is None else (x, weight, bias)
+    x_node, w_node = x.node, weight.node
+    b_node = None if bias is None else bias.node
+    x_shape = x.shape
+    data = x.data if w_node.requires_grad else None
+    w = weight.data if x_node.requires_grad else None
 
-    def backward(node):
-        def fn():
-            grad = node.grad.reshape(-1, out_features)
-            if x.requires_grad:
-                x._accumulate((grad @ weight.data.T).reshape(x.shape), adopt=True)
-            if weight.requires_grad:
-                weight._accumulate(x.data.reshape(-1, in_features).T @ grad)
-            if bias is not None and bias.requires_grad:
-                bias._accumulate(grad.sum(axis=0))
+    def backward(grad):
+        grad = grad.reshape(-1, out_features)
+        if x_node.requires_grad:
+            x_node.accumulate((grad @ w.T).reshape(x_shape), adopt=True)
+        if w_node.requires_grad:
+            w_node.accumulate(data.reshape(-1, in_features).T @ grad)
+        if b_node is not None and b_node.requires_grad:
+            b_node.accumulate(grad.sum(axis=0))
 
-        return fn
-
-    return x._make(out.reshape(x.shape[:-1] + (out_features,)), parents, backward, "linear")
+    return Tensor._make(out.reshape(x_shape[:-1] + (out_features,)), parents, backward, "linear")
 
 
 def gelu(x: Tensor) -> Tensor:
@@ -115,33 +118,32 @@ def gelu(x: Tensor) -> Tensor:
     """
     from scipy.special import erf
 
-    data = x.data
+    x_node, data = x.node, x.data
     cdf = erf(data * np.float32(1.0 / np.sqrt(2.0)))
     cdf += 1.0
     cdf *= 0.5
 
-    def backward(node):
-        def fn():
-            local = data * data
-            local *= -0.5
-            np.exp(local, out=local)
-            local *= data
-            local *= np.float32(1.0 / np.sqrt(2.0 * np.pi))
-            local += cdf
-            local *= node.grad
-            x._accumulate(local, adopt=True)
+    def backward(grad):
+        local = data * data
+        local *= -0.5
+        np.exp(local, out=local)
+        local *= data
+        local *= np.float32(1.0 / np.sqrt(2.0 * np.pi))
+        local += cdf
+        local *= grad
+        x_node.accumulate(local, adopt=True)
 
-        return fn
-
-    return x._make(data * cdf, (x,), backward, "gelu")
+    return Tensor._make(data * cdf, (x,), backward, "gelu")
 
 
 def layer_norm(x: Tensor, weight: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Layer normalisation over the last axis, as one graph node.
 
-    The node keeps the normalised input ``x̂`` and the per-row ``1/σ``; the
-    backward is ``dx = (g - mean(g) - x̂·mean(g·x̂)) / σ`` with ``g = grad·w``,
-    ``dw`` the row sum of ``grad·x̂`` and ``db`` the row sum of ``grad``.
+    The node keeps the normalised input ``x̂`` and the per-row ``1/σ``, not
+    ``x``; the backward is ``dx = (g - mean(g) - x̂·mean(g·x̂)) / σ`` with
+    ``g = grad·w``, ``dw`` the row sum of ``grad·x̂`` and ``db`` the row sum
+    of ``grad``.  It holds two input-sized arrays besides ``x̂``: ``dx`` and
+    ``g``, whose buffer takes ``x̂·mean(g·x̂)`` once its mean is read.
     """
     dim = x.shape[-1]
     normed = x.data - x.data.mean(axis=-1, keepdims=True)
@@ -152,25 +154,23 @@ def layer_norm(x: Tensor, weight: Tensor, bias: Tensor, eps: float = 1e-5) -> Te
     normed *= inv_std
     out = normed * weight.data
     out += bias.data
+    x_node, w_node, b_node = x.node, weight.node, bias.node
+    w = weight.data if x_node.requires_grad else None
 
-    def backward(node):
-        def fn():
-            grad = node.grad
-            if weight.requires_grad:
-                weight._accumulate((grad * normed).reshape(-1, dim).sum(axis=0))
-            if bias.requires_grad:
-                bias._accumulate(grad.reshape(-1, dim).sum(axis=0))
-            if x.requires_grad:
-                g = grad * weight.data
-                dx = g - g.mean(axis=-1, keepdims=True)
-                g *= normed
-                dx -= normed * g.mean(axis=-1, keepdims=True)
-                dx *= inv_std
-                x._accumulate(dx, adopt=True)
+    def backward(grad):
+        if w_node.requires_grad:
+            w_node.accumulate((grad * normed).reshape(-1, dim).sum(axis=0))
+        if b_node.requires_grad:
+            b_node.accumulate(grad.reshape(-1, dim).sum(axis=0))
+        if x_node.requires_grad:
+            g = grad * w
+            dx = g - g.mean(axis=-1, keepdims=True)
+            g *= normed
+            dx -= np.multiply(normed, g.mean(axis=-1, keepdims=True), out=g)
+            dx *= inv_std
+            x_node.accumulate(dx, adopt=True)
 
-        return fn
-
-    return x._make(out, (x, weight, bias), backward, "layer_norm")
+    return Tensor._make(out, (x, weight, bias), backward, "layer_norm")
 
 
 def dropout(x: Tensor, p: float, rng: np.random.Generator, training: bool = True) -> Tensor:

@@ -30,7 +30,8 @@ tensor and no probability matrix is kept between them:
 In every case the sparsity selection is treated as a constant of the graph,
 exactly as the CUDA kernels do — the pruning/masking decision is not
 differentiated through.  The graph holds a single node per call, whose
-saved state is Q, K, V, the output and the forward's per-row statistics.
+backward closure keeps the arrays of Q, K, V and the output and the
+forward's per-row statistics.
 """
 
 from __future__ import annotations
@@ -77,25 +78,26 @@ def _attention_node(
     dropout: Optional[Dropout] = None,
 ) -> Tensor:
     """Autograd node over a finished forward; its backward is ``plan.backward``
-    on the forward's per-row statistics ``saved`` and its ``dropout``."""
+    on the forward's per-row statistics ``saved`` and its ``dropout``.
 
-    def backward(out):
-        def fn():
-            # Tensor.backward already runs inside a bwd phase scope; the
-            # explicit scope here keeps attribution correct when the closure
-            # is driven directly (e.g. gradcheck harnesses).
-            with phase_scope("bwd"):
-                d_q, d_k, d_v = plan.backward(
-                    saved, q.data, k.data, v.data, out.grad, scale,
-                    out=out.data, dropout=dropout,
-                )
-            # the kernel's fresh gradients are adopted, not copied
-            for x, grad in ((q, d_q), (k, d_k), (v, d_v)):
-                x._accumulate(grad, adopt=True)
+    The closure keeps Q's, K's and V's arrays, the output array and
+    ``saved``, and accumulates into the three operands' nodes."""
+    nodes = (q.node, k.node, v.node)
+    arrays = (q.data, k.data, v.data)
 
-        return fn
+    def backward(grad):
+        # Tensor.backward already runs inside a bwd phase scope; the explicit
+        # scope here keeps attribution correct when the closure is driven
+        # directly (e.g. gradcheck harnesses).
+        with phase_scope("bwd"):
+            grads = plan.backward(
+                saved, *arrays, grad, scale, out=out_data, dropout=dropout,
+            )
+        # the kernel's fresh gradients are adopted, not copied
+        for node, g in zip(nodes, grads):
+            node.accumulate(g, adopt=True)
 
-    return q._make(out_data, (q, k, v), backward, name)
+    return Tensor._make(out_data, (q, k, v), backward, name)
 
 
 def dfss_sparse_attention(

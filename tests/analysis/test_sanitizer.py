@@ -14,7 +14,7 @@ from repro.core.plan import AttentionPlan, PlanKey
 from repro.core.row_block import RowBlockStructure
 from repro.core.softmax import MASKED_LOGIT_THRESHOLD
 from repro.core.sparse import NMSparseMatrix
-from repro.nn.autograd import Tensor
+from repro.nn.autograd import Node, Tensor
 from repro.nn.sparse_attention import dfss_sparse_attention, masked_sparse_attention
 
 
@@ -204,14 +204,12 @@ class TestGradientAdoption:
     def _node(adopted):
         """``y = f(x)`` whose backward adopts ``adopted(incoming)`` as dx."""
         x = Tensor(np.ones((4, 3), np.float32), requires_grad=True)
+        node = x.node
 
-        def backward(out):
-            def fn():
-                x._accumulate(adopted(out.grad), adopt=True)
+        def backward(grad):
+            node.accumulate(adopted(grad), adopt=True)
 
-            return fn
-
-        return x, x._make(x.data * 2.0, (x,), backward, "planted")
+        return x, Tensor._make(x.data * 2.0, (x,), backward, "planted")
 
     def test_adopting_the_incoming_gradient_raises(self, sanitize):
         _, y = self._node(lambda incoming: incoming.reshape(3, 4).reshape(4, 3))
@@ -232,9 +230,9 @@ class TestGradientAdoption:
     def test_adoption_saves_the_copy(self):
         grad = np.ones((4, 3), np.float32)
         x = Tensor(np.zeros((4, 3), np.float32), requires_grad=True)
-        x._accumulate(grad, adopt=True)
+        x.node.accumulate(grad, adopt=True)
         assert x.grad is grad
-        x._accumulate(grad)
+        x.node.accumulate(grad)
         assert x.grad is grad and grad[0, 0] == 2.0
 
 
@@ -298,14 +296,14 @@ class TestCleanPathsUnderSanitizer:
     def test_sum_adopts_its_broadcast_gradient(self, sanitize, monkeypatch):
         x = Tensor(np.ones((4, 3), np.float32), requires_grad=True)
         handed = []
-        accumulate = Tensor._accumulate
+        accumulate = Node.accumulate
 
         def spy(self, grad, adopt=False):
-            if self is x:
+            if self is x.node:
                 handed.append((grad, adopt))
             accumulate(self, grad, adopt)
 
-        monkeypatch.setattr(Tensor, "_accumulate", spy)
+        monkeypatch.setattr(Node, "accumulate", spy)
         x.sum(axis=1).sum().backward()
         ((grad, adopt),) = handed
         # the sum node hands over its fresh broadcast copy, which is stored

@@ -254,7 +254,8 @@ class TestKernels:
         q, k, v = (Tensor(_lattice((2, 3, 200, 16), seed), requires_grad=True) for seed in range(3))
         out, _ = row_block_sparse_attention(q, k, v, structure, backend=backend)
         # the node's backward closure holds what the forward kept
-        cells = dict(zip(out._backward.__code__.co_freevars, out._backward.__closure__))
+        backward = out.node.backward
+        cells = dict(zip(backward.__code__.co_freevars, backward.__closure__))
         saved = cells["saved"].cell_contents
         arrays = [x for x in vars(saved).values() if isinstance(x, np.ndarray)]
         assert len(arrays) == 2

@@ -140,7 +140,7 @@ class TestGraphMechanics:
     def test_no_grad_tracking_for_constants(self):
         x = Tensor(np.ones(3))
         y = x * 2.0
-        assert not y.requires_grad and y._backward is None
+        assert not y.requires_grad and y.node.backward is None
 
     def test_parameter_helper(self):
         p = parameter(np.zeros(3), name="w")
@@ -162,23 +162,40 @@ class TestGraphMechanics:
         assert x.grad is None
 
 
-def _run_without_release(root):
-    """The backward walk with every interior gradient kept: the oracle the
-    releasing :meth:`Tensor.backward` must match bit for bit."""
+def _graph(root):
+    """Every node reachable from ``root``'s node that requires a gradient,
+    in topological order (parents first)."""
     topo, seen = [], set()
 
     def visit(node):
         seen.add(id(node))
-        for child in node._prev:
+        for child in node.parents:
             if id(child) not in seen and child.requires_grad:
                 visit(child)
         topo.append(node)
 
-    visit(root)
+    visit(root.node)
+    return topo
+
+
+def _run_without_release(root):
+    """The backward walk with every interior gradient kept: the oracle the
+    releasing :meth:`Tensor.backward` must match bit for bit."""
+    topo = _graph(root)
     root.grad = np.ones_like(root.data)
     for node in reversed(topo):
-        if node._backward is not None and node.grad is not None:
-            node._backward()
+        if node.backward is not None and node.grad is not None:
+            node.backward(node.grad)
+
+
+def _classifier(mechanism, num_layers=1):
+    from repro.nn import SequenceClassifier, TransformerEncoder
+
+    encoder = TransformerEncoder(
+        50, 16, mechanism=mechanism, seed=0, model_dim=16, num_heads=2,
+        num_layers=num_layers, ffn_dim=32,
+    )
+    return SequenceClassifier(encoder, 2, seed=1)
 
 
 class TestGraphRelease:
@@ -190,15 +207,10 @@ class TestGraphRelease:
         assert h.grad is None and y.grad is None
         np.testing.assert_allclose(x.grad, 8.0 * np.arange(3.0))
 
-    def test_encoder_step_leaf_grads_unchanged(self):
-        from repro.nn import SequenceClassifier, TransformerEncoder
-
+    @pytest.mark.parametrize("mechanism", ["dfss_2:4", "full"])
+    def test_encoder_step_leaf_grads_unchanged(self, mechanism):
         def model_and_loss():
-            encoder = TransformerEncoder(
-                50, 16, mechanism="dfss_2:4", seed=0, model_dim=16, num_heads=2,
-                num_layers=1, ffn_dim=32,
-            )
-            model = SequenceClassifier(encoder, 2, seed=1)
+            model = _classifier(mechanism)
             tokens = np.random.default_rng(2).integers(0, 50, (2, 16))
             return model, model.loss(tokens, np.array([0, 1]))
 
@@ -227,6 +239,71 @@ class TestGraphRelease:
             # x is reached through a live node before the released h
             (h * 3.0 + x).sum().backward()
         np.testing.assert_allclose(x.grad, 2.0)  # no partial gradient landed
+
+
+def _closure_values(fn):
+    """The objects ``fn``'s closure cells hold, tuples and lists unpacked."""
+    values = [cell.cell_contents for cell in fn.__closure__ or ()]
+    for value in list(values):
+        if isinstance(value, (tuple, list)):
+            values.extend(value)
+    return values
+
+
+def _slot_values(node):
+    """What ``node`` holds, its parents unpacked."""
+    return [getattr(node, slot) for slot in type(node).__slots__] + list(node.parents)
+
+
+class TestGraphKeepsOnlyWhatBackwardReads:
+    """Nodes hold no arrays of their own tensors and closures no Tensor, so
+    an activation no backward reads dies with the forward's last name for it."""
+
+    @pytest.mark.parametrize("mechanism", ["dfss_2:4", "full"])
+    def test_no_closure_holds_a_tensor(self, mechanism):
+        model = _classifier(mechanism, num_layers=2)
+        loss = model.loss(np.random.default_rng(2).integers(0, 50, (2, 16)), np.array([0, 1]))
+        interior = [node for node in _graph(loss) if node.backward is not None]
+        assert len(interior) > 20
+        for node in interior:
+            assert not any(isinstance(v, Tensor) for v in _closure_values(node.backward)), node
+            assert not any(isinstance(v, Tensor) for v in _slot_values(node)), node
+
+    @pytest.mark.parametrize("mechanism", ["dfss_2:4", "full"])
+    def test_unread_activations_die_with_the_forward(self, mechanism, monkeypatch):
+        import gc
+        import weakref
+
+        model = _classifier(mechanism, num_layers=2)
+        tokens = np.random.default_rng(2).integers(0, 50, (2, 16))
+        sums = []
+        add = Tensor.__add__
+
+        def spy(self, other):
+            out = add(self, other)
+            if out.shape == (2, 16, 16):  # the embedding sum and the residual adds
+                sums.append((weakref.ref(out), weakref.ref(out.data)))
+            return out
+
+        monkeypatch.setattr(Tensor, "__add__", spy)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            loss = model.loss(tokens, np.array([0, 1]))
+            assert len(sums) == 5
+            assert all(t() is None and a() is None for t, a in sums)
+            loss.backward()
+        finally:
+            if enabled:
+                gc.enable()
+        assert all(p.grad is not None for p in model.parameters())
+
+    def test_mul_by_a_constant_keeps_nothing_of_the_variable(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        c = Tensor(np.full(3, 2.0))
+        out = x * c
+        kept = [v for v in _closure_values(out.node.backward) if isinstance(v, np.ndarray)]
+        assert len(kept) == 1 and kept[0] is c.data
 
 
 @settings(max_examples=30, deadline=None)
@@ -335,8 +412,8 @@ class TestSingleNodeLayers:
         fused, _, arrays = _layer_case(layer, shape, bias)
         leaves = [Tensor(a, requires_grad=True) for a in arrays]
         out = fused(*leaves)
-        assert out._prev == tuple(leaves)
-        assert all(leaf._prev == () for leaf in leaves)
+        assert out.node.parents == tuple(leaf.node for leaf in leaves)
+        assert all(leaf.node.parents == () for leaf in leaves)
         assert out.name == layer
 
 
@@ -348,7 +425,7 @@ def test_linear_module_is_one_node(bias):
     x = Tensor(RNG.normal(size=(2, 4, 5)).astype(np.float32), requires_grad=True)
     out = layer(x)
     params = (layer.weight,) if not bias else (layer.weight, layer.bias)
-    assert out._prev == (x, *params) and out.name == "linear"
+    assert out.node.parents == tuple(t.node for t in (x, *params)) and out.name == "linear"
 
 
 def test_layer_norm_module_is_one_node():
@@ -357,4 +434,5 @@ def test_layer_norm_module_is_one_node():
     norm = LayerNorm(5)
     x = Tensor(RNG.normal(size=(2, 4, 5)).astype(np.float32), requires_grad=True)
     out = norm(x)
-    assert out._prev == (x, norm.weight, norm.bias) and out.name == "layer_norm"
+    parents = tuple(t.node for t in (x, norm.weight, norm.bias))
+    assert out.node.parents == parents and out.name == "layer_norm"

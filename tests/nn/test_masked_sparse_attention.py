@@ -399,3 +399,19 @@ class TestBigBirdBlockSize:
         np.testing.assert_array_equal(
             combo.bigbird.attention_mask(q.data, k.data)[0], mask
         )
+
+
+@pytest.mark.parametrize("d", [64, 48])
+def test_topk_core_selects_the_mechanisms_cells_on_random_scores(d):
+    # Random-normal scores have no lattice ties, so a core that selected on
+    # unrounded float32 scores would keep other cells than the mechanism's
+    # tf32-rounded ones; d=48 also checks the scale's rounding (1/√48 is not
+    # a float32).  Q and K are transposed head views, as the layer passes.
+    rng = np.random.default_rng(0)
+    q, k = (
+        rng.standard_normal((2, 256, 2, d)).astype(np.float32).transpose(0, 2, 1, 3)
+        for _ in range(2)
+    )
+    core = make_core("topk", seq_len_hint=256)
+    core(Tensor(q), Tensor(k), Tensor(k))
+    np.testing.assert_array_equal(core.last_mask(), make_mechanism("topk").attention_mask(q, k))
