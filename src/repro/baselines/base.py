@@ -3,9 +3,20 @@
 An :class:`AttentionMechanism` maps ``(Q, K, V)`` — arrays of shape
 ``(..., seq, head_dim)`` sharing their leading batch dimensions — to an output
 of shape ``(..., seq, head_dim_v)``.  Mechanisms that operate by sparsifying
-the full attention matrix can additionally report the boolean mask they
-induce (:meth:`AttentionMechanism.attention_mask`), which feeds the
-lottery-ticket quality analysis of Section 4.
+the full attention matrix report the boolean mask they induce
+(:meth:`AttentionMechanism.attention_mask`): it is the mechanism's
+definition, the tests' oracle input, and feeds the lottery-ticket quality
+analysis of Section 4.
+
+A mask mechanism runs one forward wherever it is called — the engine, the
+server and the trainable core all take the row-block structure of the call
+(:meth:`AttentionMechanism.mask_structure`) and run the row-block plan
+(:func:`repro.core.plan.plan_for_blocks`) over it, so no ``n_q × n_k``
+score or probability matrix is formed.  A content-dependent mask (Top-K,
+Reformer, Routing, Sinkhorn) builds its structure from this call's mask; a
+static one (:class:`StaticMaskAttention`) keeps the structure it declares
+per sequence length.  Mechanisms with another computation (DFSS's N:M
+plan, the kernel and low-rank methods) override ``__call__``.
 """
 
 from __future__ import annotations
@@ -16,12 +27,15 @@ import numpy as np
 
 from repro.core.plan import plan_for_blocks
 from repro.core.row_block import Allowed, Ranges, RowBlockStructure
-from repro.core.softmax import masked_dense_softmax
-from repro.core.sddmm import sddmm_dense
 
 
 class AttentionMechanism:
-    """Base class for forward-pass attention mechanisms."""
+    """Base class for forward-pass attention mechanisms.
+
+    The default ``__call__`` is the mask route: attention restricted to
+    :meth:`attention_mask`, run on row-block tiles over
+    :meth:`mask_structure`.
+    """
 
     #: Registry key; subclasses override.
     name: str = "base"
@@ -30,11 +44,21 @@ class AttentionMechanism:
     produces_mask: bool = False
 
     def __call__(self, q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        """Attention restricted to the mask, on the row-block plan of this
+        call's :meth:`mask_structure`."""
+        self._validate(q, k, v)
+        structure = self.mask_structure(q, k)
+        plan = plan_for_blocks(structure, mechanism=self.name)
+        return plan.forward(q, k, v, structure=structure)
 
     def attention_mask(self, q: np.ndarray, k: np.ndarray) -> Optional[np.ndarray]:
         """Boolean mask over the dense score matrix, if the mechanism defines one."""
         return None
+
+    def mask_structure(self, q: np.ndarray, k: np.ndarray) -> RowBlockStructure:
+        """The row-block structure of this call's mask: one block list per
+        batch slice of :meth:`attention_mask`."""
+        return RowBlockStructure.from_mask(self.attention_mask(q, k))
 
     # -------------------------------------------------------------- utilities
     @staticmethod
@@ -45,14 +69,6 @@ class AttentionMechanism:
             raise ValueError("Q and K must share the head dimension")
         if k.shape[-2] != v.shape[-2]:
             raise ValueError("K and V must share the sequence length")
-
-    def masked_attention(
-        self, q: np.ndarray, k: np.ndarray, v: np.ndarray, mask: np.ndarray
-    ) -> np.ndarray:
-        """Dense attention restricted to ``mask`` (the content-dependent masks)."""
-        scores = sddmm_dense(q, k)
-        weights = masked_dense_softmax(scores, mask)
-        return np.matmul(weights, np.asarray(v, dtype=np.float32))
 
     def approximation_error(
         self, q: np.ndarray, k: np.ndarray, v: np.ndarray
@@ -75,11 +91,11 @@ class StaticMaskAttention(AttentionMechanism):
     Subclasses define the mask twice, independently: :meth:`_mask_2d` builds
     the dense boolean mask (:meth:`attention_mask`, the tests' oracle), and
     :meth:`row_block_keys` declares the key ranges and allowed predicate the
-    row-block structure is built from.  A call runs the row-block plan
-    (:func:`repro.core.plan.plan_for_blocks`) over the structure, keeping the
-    last :data:`STRUCTURES_KEPT` structures by ``(n_q, n_k)`` — the
-    configuration is fixed at construction.  The trainable core shares them;
-    the server keeps its own in its structure cache.
+    row-block structure is built from.  :meth:`mask_structure` is the
+    declared structure, the last :data:`STRUCTURES_KEPT` of them kept by
+    ``(n_q, n_k)`` — the configuration is fixed at construction — so a call
+    and the trainable core share them, and no mask is built; the server
+    keeps its own in its structure cache.
     """
 
     produces_mask = True
@@ -113,11 +129,8 @@ class StaticMaskAttention(AttentionMechanism):
             kept.pop(next(iter(kept)))
         return structure
 
-    def __call__(self, q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
-        self._validate(q, k, v)
-        structure = self.cached_structure(q.shape[-2], k.shape[-2])
-        plan = plan_for_blocks(structure, mechanism=self.name)
-        return plan.forward(q, k, v, structure=structure)
+    def mask_structure(self, q: np.ndarray, k: np.ndarray) -> RowBlockStructure:
+        return self.cached_structure(q.shape[-2], k.shape[-2])
 
 
 #: name -> mechanism class registry, populated by ``register``.

@@ -10,9 +10,10 @@ shows three combinations (Figures 17 and 18):
 * :class:`DfssLinformerAttention` — the ``Q (E K)ᵀ`` score matrix is pruned to
   N:M before the softmax and the SpMM with ``F V`` (Figure 18 B).
 
-The N:M kernels of the Nyströmformer and Linformer combinations run as
-:func:`~repro.core.attention.dfss_attention` calls, so they take any key
-length that dense attention takes.
+The N:M kernels of all three combinations run as
+:func:`~repro.core.attention.dfss_attention` calls — BigBird's with its
+blocked-ELL layout as ``block_mask`` — so the Nyströmformer and Linformer
+ones take any key length that dense attention takes.
 """
 
 from __future__ import annotations
@@ -107,17 +108,22 @@ class DfssBigBirdAttention(AttentionMechanism):
         self.pattern = resolve_pattern(pattern)
         self.dtype = dtype
 
-    def attention_mask(self, q: np.ndarray, k: np.ndarray) -> np.ndarray:
-        """The DFSS keep-mask under BigBird's blocked-ELL layout as block mask."""
+    def _dfss(self, q: np.ndarray, k: np.ndarray) -> DfssMechanism:
+        """DFSS with BigBird's blocked-ELL layout of this length as block mask."""
         n_q, n_k = q.shape[-2], k.shape[-2]
         if n_q != n_k:
             raise ValueError("BigBird attention expects self-attention (n_q == n_k)")
-        dfss = DfssMechanism(self.pattern, self.dtype, block_mask=self.bigbird.block_mask(n_q))
-        return dfss.attention_mask(q, k)
+        return DfssMechanism(self.pattern, self.dtype, block_mask=self.bigbird.block_mask(n_q))
+
+    def attention_mask(self, q: np.ndarray, k: np.ndarray) -> np.ndarray:
+        """The DFSS keep-mask under BigBird's blocked-ELL layout as block mask."""
+        return self._dfss(q, k).attention_mask(q, k)
 
     def __call__(self, q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """The N:M plan with the block mask — the forward
+        :class:`~repro.nn.attention_layer.BigBirdDfssCore` runs."""
         self._validate(q, k, v)
-        return self.masked_attention(q, k, v, self.attention_mask(q, k))
+        return self._dfss(q, k)(q, k, v)
 
 
 @register_mechanism(

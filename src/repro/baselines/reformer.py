@@ -69,7 +69,3 @@ class ReformerAttention(AttentionMechanism):
             eye = np.eye(n_q, dtype=bool)
             mask = mask | eye
         return mask
-
-    def __call__(self, q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
-        self._validate(q, k, v)
-        return self.masked_attention(q, k, v, self.attention_mask(q, k))

@@ -76,7 +76,3 @@ class RoutingTransformerAttention(AttentionMechanism):
             if n_q == n_k:
                 np.fill_diagonal(masks[b], True)
         return masks.reshape(batch_shape + (n_q, n_k))
-
-    def __call__(self, q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
-        self._validate(q, k, v)
-        return self.masked_attention(q, k, v, self.attention_mask(q, k))

@@ -76,7 +76,3 @@ class SinkhornAttention(AttentionMechanism):
                 kb = int(matched[b, qb])
                 masks[b, rows, kb * block : (kb + 1) * block] = True
         return masks.reshape(batch_shape + (n_q, n_k))
-
-    def __call__(self, q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
-        self._validate(q, k, v)
-        return self.masked_attention(q, k, v, self.attention_mask(q, k))

@@ -11,7 +11,7 @@ import numpy as np
 
 from repro.baselines.base import AttentionMechanism, register
 from repro.core.lottery import topk_mask
-from repro.core.sddmm import sddmm_dense
+from repro.core.precision import simulate_tensor_core_matmul
 from repro.registry import TopKConfig, register_mechanism
 
 
@@ -38,17 +38,16 @@ class ExplicitTopKAttention(AttentionMechanism):
         self.density = density
         self.k = k
 
-    def _mask(self, scores: np.ndarray) -> np.ndarray:
-        if self.k is not None:
-            density = min(1.0, self.k / scores.shape[-1])
-        else:
-            density = self.density
-        return topk_mask(scores, density)
-
-    def __call__(self, q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
-        self._validate(q, k, v)
-        scores = sddmm_dense(q, k)
-        return self.masked_attention(q, k, v, self._mask(scores))
-
     def attention_mask(self, q: np.ndarray, k: np.ndarray) -> np.ndarray:
-        return self._mask(sddmm_dense(q, k))
+        """The Top-K of the tensorfloat-32 scores ``Q Kᵀ / √d``.
+
+        The float32 product is scaled in place through the float64 loop, so
+        it is rounded as :func:`~repro.core.sddmm.sddmm_dense` rounds it
+        before :func:`~repro.core.lottery.topk_mask` reads float32, and one
+        ``n_q × n_k`` float32 array is alive while the selection runs.
+        """
+        scores = simulate_tensor_core_matmul(q, np.swapaxes(k, -1, -2))
+        np.multiply(scores, 1.0 / np.sqrt(q.shape[-1]), out=scores, casting="same_kind")
+        n_k = scores.shape[-1]
+        density = self.density if self.k is None else min(1.0, self.k / n_k)
+        return topk_mask(scores, density)

@@ -23,10 +23,10 @@ from repro.baselines.dfss import DfssMechanism
 from repro.core.attention import dfss_attention
 from repro.core.backend import REFERENCE
 from repro.core.patterns import resolve_pattern
-from repro.nn.attention_layer import DfssCore, StaticMaskCore
+from repro.nn.attention_layer import DfssCore
 from repro.nn.autograd import Tensor
 from repro.nn.functional import dense_masked_attention
-from repro.registry import available_mechanisms, make_core
+from repro.registry import available_mechanisms, find_spec, make_core
 from repro.utils.seeding import new_rng
 
 
@@ -526,7 +526,7 @@ def run_train_matrix(
                 DfssMechanism(core.pattern, block_mask=core.block_mask)._mask,
                 backend=backend,
             )
-        elif isinstance(core, StaticMaskCore):
+        elif find_spec(mechanism).static_mask:
             # the mask depends on the lengths alone: the core's cached one
             score_mask = core.last_mask()
         else:

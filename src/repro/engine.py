@@ -171,7 +171,13 @@ class AttentionEngine:
         return stack
 
     def __call__(self, q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Numpy forward pass through the mechanism, under the engine backend."""
+        """Numpy forward pass through the mechanism, under the engine backend.
+
+        This is the plan the server and the trainable core run: DFSS's N:M
+        plan, or for every other mask the row-block plan over the call's
+        :meth:`~repro.baselines.base.AttentionMechanism.mask_structure`
+        (BigBird + DFSS runs the N:M plan with its blocked-ELL block mask).
+        """
         with self._backend_scope():
             return self.mechanism()(q, k, v)
 
@@ -190,10 +196,9 @@ class AttentionEngine:
         of its structure (``mechanism().block_structure(n_q, n_k)``, which
         the plan's ``forward`` takes as ``structure=``).  Mechanisms that
         choose their structure from the data (Top-K, Routing, …) cannot be
-        planned from shapes alone — pass the row-block ``structure=`` of
-        their mask (:meth:`RowBlockStructure.from_mask
-        <repro.core.row_block.RowBlockStructure.from_mask>`) explicitly.  Raises ``ValueError`` for mechanisms with no compressed
-        path.
+        planned from shapes alone — pass ``structure=mechanism().mask_structure(q, k)``,
+        the structure :meth:`__call__` runs, explicitly.  Raises
+        ``ValueError`` for mechanisms with no compressed path.
         """
         from repro.core.plan import plan_for_blocks, plan_for_nm
 

@@ -15,9 +15,11 @@ flavours:
   computation — forward and backward — through a compressed sparse op of
   :mod:`repro.nn.sparse_attention`: DFSS through the N:M layout
   (:func:`dfss_sparse_attention`), every other mask through the row-block
-  layout (:func:`row_block_sparse_attention`) — the static masks over
-  their declared structure, the content-dependent masks over one built
-  from this call's mask.
+  layout (:func:`row_block_sparse_attention`) over the structure its numpy
+  mechanism gives for the call
+  (:meth:`~repro.baselines.base.AttentionMechanism.mask_structure`) — the
+  one structure the engine's forward and the server run, so the core's
+  forward equals theirs bit for bit.
   Their dense ground truth is
   :func:`repro.nn.functional.dense_masked_attention` over the core's
   :meth:`~AttentionCore.last_mask`.
@@ -37,7 +39,6 @@ import repro.baselines  # noqa: F401  populate the mechanism registry first
 from repro.core.backend import get_kernel
 from repro.core.blocked_ell import BlockedEllMask
 from repro.core.patterns import resolve_pattern
-from repro.core.precision import simulate_tensor_core_matmul
 from repro.core.row_block import RowBlockStructure
 from repro.nn import functional as F
 from repro.nn.autograd import Tensor
@@ -89,14 +90,18 @@ class FullCore(AttentionCore):
 
 
 class MaskedScoreCore(AttentionCore):
-    """Shared implementation of the mask-based mechanisms other than DFSS.
+    """The trainable core of every mask-based mechanism other than DFSS.
 
-    Each core wraps the registered numpy mechanism it was built from and
-    derives this call's :class:`~repro.core.row_block.RowBlockStructure`
-    outside the graph (:meth:`_structure`), then runs forward and backward
-    through :func:`repro.nn.sparse_attention.row_block_sparse_attention`,
-    treating the mask as a constant of the graph.  Seeded attention dropout
-    is derived from dense positions, so
+    The core wraps the registered numpy mechanism it was built from and
+    takes this call's :class:`~repro.core.row_block.RowBlockStructure` from
+    it outside the graph
+    (:meth:`~repro.baselines.base.AttentionMechanism.mask_structure`: a
+    static mask's declared structure, kept per length and shared by every
+    batch slice and step, or one built from a content-dependent mask of the
+    detached Q and K), then runs forward and backward through
+    :func:`repro.nn.sparse_attention.row_block_sparse_attention`, treating
+    the mask as a constant of the graph.  Seeded attention dropout is
+    derived from dense positions, so
     :func:`repro.nn.functional.dense_masked_attention` reproduces it exactly.
     """
 
@@ -108,12 +113,8 @@ class MaskedScoreCore(AttentionCore):
         self.backend = backend
         self._last_structure: Optional[Tuple[RowBlockStructure, Tuple[int, ...]]] = None
 
-    def _structure(self, q: np.ndarray, k: np.ndarray) -> RowBlockStructure:
-        """The structure of this call's mask over the detached Q and K."""
-        raise NotImplementedError
-
     def __call__(self, q: Tensor, k: Tensor, v: Tensor) -> Tensor:
-        structure = self._structure(q.data, k.data)
+        structure = self.mechanism.mask_structure(q.data, k.data)
         # keep the structure, not a dense mask: last_mask() expands it on demand
         self._last_structure = (structure, q.shape[:-2])
         drop = self.attn_dropout
@@ -193,45 +194,6 @@ class DfssCore(AttentionCore):
 
     def last_mask(self) -> Optional[np.ndarray]:
         return None if self._last_stats is None else self._last_stats.to_mask()
-
-
-class StaticMaskCore(MaskedScoreCore):
-    """Mechanisms whose mask only depends on the sequence lengths.
-
-    The mechanism's structure, built from its declared key ranges and kept
-    by the mechanism per ``(n_q, n_k)``, is shared by every batch slice and
-    every step.
-    """
-
-    def _structure(self, q, k):
-        return self.mechanism.cached_structure(q.shape[-2], k.shape[-2])
-
-
-class TopKCore(MaskedScoreCore):
-    """Per-row Top-K of the detached scores, selected by the mechanism.
-
-    The scores carry the mechanism's rounding: tensorfloat-32 operands, and
-    the float32 product scaled in float64 and rounded back to float32 (the
-    selection's :func:`~repro.core.lottery.topk_mask` reads float32), as
-    :meth:`ExplicitTopKAttention.attention_mask
-    <repro.baselines.topk.ExplicitTopKAttention.attention_mask>` scores on
-    :func:`~repro.core.sddmm.sddmm_dense`.  So the core keeps the cells the
-    serving path, the engine and the oracle keep.
-    """
-
-    def _structure(self, q, k):
-        scores = simulate_tensor_core_matmul(q, np.swapaxes(k, -1, -2))
-        # scaled in place: the float64 product exists one ufunc buffer at a
-        # time, so one n² float32 array is alive while the mechanism selects
-        np.multiply(scores, 1.0 / np.sqrt(q.shape[-1]), out=scores, casting="same_kind")
-        return RowBlockStructure.from_mask(self.mechanism._mask(scores))
-
-
-class ClusteringMaskCore(MaskedScoreCore):
-    """Reformer / Routing / Sinkhorn masks derived from the detached Q and K."""
-
-    def _structure(self, q, k):
-        return RowBlockStructure.from_mask(self.mechanism.attention_mask(q, k))
 
 
 @register_mechanism("linformer", role="core")
@@ -417,18 +379,18 @@ def _mechanism_of(name: str, cfg):
     return find_spec(name).build_mechanism(replace(cfg, backend=None))
 
 
-def _register_mask_core(name: str, core_cls) -> None:
+def _register_mask_core(name: str) -> None:
     def build(cfg, seq_len_hint: int) -> AttentionCore:
-        return core_cls(_mechanism_of(name, cfg), backend=cfg.backend)
+        return MaskedScoreCore(_mechanism_of(name, cfg), backend=cfg.backend)
 
     register_mechanism(name, role="core")(build)
 
 
-_register_mask_core("topk", TopKCore)
-for _name in ("local", "sparse_transformer", "fixed_truncated", "longformer", "bigbird"):
-    _register_mask_core(_name, StaticMaskCore)
-for _name in ("reformer", "routing", "sinkhorn"):
-    _register_mask_core(_name, ClusteringMaskCore)
+for _name in (
+    "topk", "local", "sparse_transformer", "fixed_truncated", "longformer", "bigbird",
+    "reformer", "routing", "sinkhorn",
+):
+    _register_mask_core(_name)
 
 
 # ------------------------------------------------- Appendix A.7 combo cores

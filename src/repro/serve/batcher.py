@@ -15,16 +15,20 @@ batch runs it on, each an :class:`~repro.core.plan.AttentionPlan` call:
   cached in the :class:`~repro.serve.cache.StructureCache`; requests sharing
   it are stacked into one :func:`~repro.core.plan.plan_for_blocks` call,
   whose kernel runs every stacked segment over the one batch-independent
-  structure.  This is the plan ``AttentionEngine(mechanism)(q, k, v)`` runs.
-* **Content-dependent masks and explicit ``mask=``** — the request's own
-  row-block structure, built at enqueue time by one
-  :meth:`~repro.core.row_block.RowBlockStructure.from_mask` (one block list
-  per segment, or one shared list for a 2-D mask), then one
-  :func:`~repro.core.plan.plan_for_blocks` call per request.
+  structure.
+* **Content-dependent masks** — the request's own row-block structure,
+  built at enqueue time by the mechanism
+  (:meth:`~repro.baselines.base.AttentionMechanism.mask_structure`: one
+  block list per segment), then one :func:`~repro.core.plan.plan_for_blocks`
+  call per request.
+* **Explicit ``mask=``** — the same, with the structure built by one
+  :meth:`~repro.core.row_block.RowBlockStructure.from_mask` of the mask
+  (one shared block list for a 2-D mask).
 
-Every fast kernel is independent per leading slice, so a request's output is
-bitwise identical whether it is served alone, stacked with others, or run
-through its engine.
+Each mechanism route is the plan ``AttentionEngine(mechanism)(q, k, v)``
+runs, and every fast kernel is independent per leading slice, so a
+request's output is bitwise identical whether it is served alone, stacked
+with others, or run through its engine.
 Requests whose mechanism is not ``batchable`` never reach this path; the
 server executes them one by one through their
 :class:`~repro.engine.AttentionEngine`.
@@ -155,13 +159,7 @@ def prepare_request(request, engine, cache: StructureCache) -> PreparedRequest:
             lambda: engine.mechanism().block_structure(q3.shape[1], k3.shape[1]),
         )
     else:
-        mask = engine.attention_mask(q3, k3)
-        if mask is None:
-            raise ValueError(
-                f"mechanism {spec.name!r} is flagged batchable but produced no "
-                f"attention mask"
-            )
-        prepared.structure = _own_structure(mask, q3.shape[:1], q3.shape[1], k3.shape[1])
+        prepared.structure = engine.mechanism().mask_structure(q3, k3)
     return prepared
 
 

@@ -377,7 +377,7 @@ class TestMulticoreBitwise:
 
 @pytest.mark.parametrize("mechanism", STATIC)
 def test_static_masks_never_build_from_a_mask_or_run_dense_masked_attention(mechanism, monkeypatch):
-    from repro.baselines.base import AttentionMechanism
+    from repro.baselines.base import StaticMaskAttention
     from repro.engine import AttentionEngine
     from repro.registry import make_core
     from repro.serve import ServeRequest, serve
@@ -386,7 +386,8 @@ def test_static_masks_never_build_from_a_mask_or_run_dense_masked_attention(mech
         raise AssertionError("static masks run their declared structure")
 
     monkeypatch.setattr(RowBlockStructure, "from_mask", forbidden)
-    monkeypatch.setattr(AttentionMechanism, "masked_attention", forbidden)
+    # nor the dense mask a dense masked attention would read
+    monkeypatch.setattr(StaticMaskAttention, "attention_mask", forbidden)
     q, k, v = (_lattice((2, 96, 16), seed) for seed in range(3))
     AttentionEngine(mechanism)(q, k, v)
     serve([ServeRequest(q=q, k=k, v=v, mechanism=mechanism)])

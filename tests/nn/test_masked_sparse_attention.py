@@ -27,7 +27,6 @@ from repro.nn.attention_layer import (
     DfssCore,
     LinformerDfssCore,
     MaskedScoreCore,
-    StaticMaskCore,
 )
 from repro.nn.autograd import Tensor
 from repro.nn.layers import Dropout
@@ -122,7 +121,7 @@ PARITY_CASES = {
     "dfss_2:4": _registered("dfss_2:4", _nm_selection(DfssMechanism("2:4"))),
     "bigbird_dfss": _registered("bigbird_dfss", _bigbird_selection(8), block_size=8),
     "dead_row": (
-        lambda backend: StaticMaskCore(DeadRowLocal(window=4), backend=backend),
+        lambda backend: MaskedScoreCore(DeadRowLocal(window=4), backend=backend),
         lambda q, k, backend: DeadRowLocal(window=4).attention_mask(q, k),
     ),
     "dfss_block_mask_8": _block_dfss(8),
@@ -228,7 +227,7 @@ class TestOracleParity:
 class TestEdgeCases:
     def test_fully_masked_row_zero_output_and_gradients(self):
         q, k, v = _tensors(seed=3)
-        core = StaticMaskCore(DeadRowLocal(window=4))
+        core = MaskedScoreCore(DeadRowLocal(window=4))
         out = core(q, k, v)
         np.testing.assert_array_equal(out.data[..., 0, :], 0.0)
         (out * out).sum().backward()

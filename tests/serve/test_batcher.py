@@ -220,13 +220,12 @@ class TestRunRaggedBatch:
             expected = plan.forward(request.q, request.k, request.v, structure=structure)
             assert out.tobytes() == expected.tobytes()
 
-    @pytest.mark.parametrize(
-        "mechanism", ["local", "sparse_transformer", "fixed_truncated", "longformer", "bigbird"]
-    )
+    @pytest.mark.parametrize("mechanism", [m for m in BATCHABLE if m != "dfss"])
     def test_engine_equals_served_static_bitwise_on_float32_operands(self, mechanism):
-        # one precision contract for a static mask, wherever it runs: float32
-        # operands, so the engine and the server give the same bits, and both
-        # sit within float32 rounding of the float64 oracle
+        # one precision contract for every row-block mask, static or
+        # content-dependent, wherever it runs: float32 operands, so the
+        # engine and the server give the same bits, and both sit within
+        # float32 rounding of the float64 oracle
         rng = np.random.default_rng(14)
         requests = [
             _request(rng, mechanism, {}, heads=2, seq=n, d=64) for n in (255, 255, 130, 318)

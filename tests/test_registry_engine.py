@@ -6,6 +6,7 @@ bit-for-bit on tie-exact lattice inputs, and unknown keyword arguments must
 keep raising ``TypeError``.
 """
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -26,6 +27,19 @@ TABLE4_NAMES = (
 
 ALL_NAMES = registry.available_mechanisms()
 TRAINABLE_NAMES = registry.available_mechanisms(trainable=True)
+#: every compressed mask mechanism; the DFSS pattern spelled out, since a
+#: bare "dfss" engine resolves it from the dtype and its core defaults to 2:4
+MASK_NAMES = tuple(
+    name
+    for m in registry.available_mechanisms(produces_mask=True, compressed=True)
+    for name in (("dfss_1:2", "dfss_2:4") if m == "dfss" else (m,))
+)
+#: the masks chosen from Q and K (Top-K and the clustering masks)
+CONTENT_MASK_NAMES = tuple(
+    m for m in registry.available_mechanisms(batchable=True, static_mask=False) if m != "dfss"
+)
+#: mechanisms defined for self-attention only
+SELF_ONLY = ("bigbird", "sinkhorn", "bigbird_dfss")
 
 
 def _lattice_qkv(batch=(2,), seq=32, d=16, seed=0):
@@ -169,6 +183,49 @@ class TestCoreRoundTrip:
         out_ref = engine(q, k, v)
         out_fast = AttentionEngine("dfss", pattern="2:4", backend="fast")(q, k, v)
         np.testing.assert_allclose(out_ref, out_fast, atol=1e-6)  # backend parity
+
+
+class TestEngineMaskRoute:
+    """The engine's forward of a mask mechanism is the core's and the server's."""
+
+    @pytest.mark.parametrize("n_q, n_k", [(130, 130), (130, 90)])
+    @pytest.mark.parametrize("name", MASK_NAMES)
+    def test_engine_forward_equals_core_forward_bitwise(self, name, n_q, n_k):
+        # lengths that are no multiple of an N:M group or a row block
+        rng = np.random.default_rng(12)
+        q = rng.standard_normal((2, 2, n_q, 16), dtype=np.float32)
+        k, v = (rng.standard_normal((2, 2, n_k, 16), dtype=np.float32) for _ in range(2))
+        engine = AttentionEngine(name)
+        if n_q != n_k and registry.find_spec(name).name in SELF_ONLY:
+            with pytest.raises(ValueError, match="self-attention"):
+                engine(q, k, v)
+            return
+        core = engine.core()  # a bare core: no attention dropout
+        out = core(Tensor(q), Tensor(k), Tensor(v)).data
+        assert engine(q, k, v).tobytes() == out.tobytes()
+
+    @pytest.mark.parametrize("name", CONTENT_MASK_NAMES)
+    def test_engine_forward_peaks_at_its_mask(self, name):
+        # the forward holds the mask's own arrays and, past them, at most its
+        # row-block structure (one bool per mask cell) and the output: no
+        # dense score or probability matrix
+        batch, heads, n, d = 1, 2, 1024, 64
+        rng = np.random.default_rng(13)
+        q, k, v = (rng.standard_normal((batch, heads, n, d), dtype=np.float32) for _ in range(3))
+        engine = AttentionEngine(name)
+        engine(q, k, v)  # compile the plan outside the measurement
+
+        def peak(fn):
+            tracemalloc.start()
+            try:
+                fn()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        mask_peak = peak(lambda: engine.attention_mask(q, k))
+        slack = batch * heads * n * n + 4 * batch * heads * n * d
+        assert peak(lambda: engine(q, k, v)) <= mask_peak + slack
 
 
 class TestKwargValidation:
