@@ -60,12 +60,23 @@ class ReformerAttention(AttentionMechanism):
         # shared-QK attention; we hash K with the same rotations for generality.
         rng2 = new_rng(self.seed)
         k_ids = lsh_bucket_ids(k, n_buckets, self.n_hashes, rng2)
-        # mask[..., i, j] = any_h q_ids[..., i, h] == k_ids[..., j, h]
-        same = q_ids[..., :, None, :] == k_ids[..., None, :, :]
-        mask = np.any(same, axis=-1)
-        # always allow self-attention so no row is empty
-        n_q, n_k = q.shape[-2], k.shape[-2]
-        if n_q == n_k:
-            eye = np.eye(n_q, dtype=bool)
-            mask = mask | eye
-        return mask
+        return shared_bucket_mask(q_ids, k_ids)
+
+
+def shared_bucket_mask(q_ids: np.ndarray, k_ids: np.ndarray) -> np.ndarray:
+    """``mask[..., i, j] = any_h q_ids[..., i, h] == k_ids[..., j, h]``, with
+    the diagonal set when queries and keys have the same length.
+
+    One ``n_q × n_k`` comparison per hash round is OR-ed into the mask, so
+    two ``n_q × n_k`` bool arrays are alive at most, not a
+    ``(…, n_q, n_k, n_hashes)`` one; the diagonal is set in place, so every
+    row of a self-attention mask has its own key and none is empty.
+    """
+    mask = q_ids[..., :, None, 0] == k_ids[..., None, :, 0]
+    for h in range(1, q_ids.shape[-1]):
+        mask |= q_ids[..., :, None, h] == k_ids[..., None, :, h]
+    n_q, n_k = mask.shape[-2:]
+    if n_q == n_k:
+        diagonal = np.arange(n_q)
+        mask[..., diagonal, diagonal] = True
+    return mask

@@ -22,6 +22,15 @@ Design notes
   no backward reads (a residual sum, a LayerNorm input, an output
   projection) is freed by reference counting as soon as the forward drops
   its last name for it, also with the cycle collector disabled.
+* A node may carry a *rebuild recipe* (:attr:`Node.rebuild`): a
+  zero-argument callable that rebuilds its tensor's data bit for bit from
+  arrays the node's own backward already keeps.  ``layer_norm`` (``x̂·w +
+  b``) and ``gelu`` (``x·Φ(x)``) set one; a ``linear`` fed by such a node
+  captures the recipe instead of its input and rebuilds the input in its
+  backward for ``dW``, so its input dies with the forward, at the price of
+  one elementwise pass.  This is recomputation for memory (Chen et al.,
+  "Training Deep Nets with Sublinear Memory Cost") without a GEMM or an
+  ``erf``.
 * Gradients are accumulated into ``Node.grad`` (a plain ndarray, read and
   written as ``Tensor.grad``).  The first accumulation copies, except for
   an array the backward closure has just allocated, which the node adopts
@@ -29,8 +38,8 @@ Design notes
 * Graphs are built eagerly; :meth:`Tensor.backward` topologically sorts the
   nodes and runs their backward closures.  Each interior node's gradient
   and closure are released as soon as the node has run, so the graph's
-  gradients and saved arrays never all live at once; leaves keep their
-  gradients.  A released graph cannot be walked again.
+  gradients, saved arrays and rebuild recipes never all live at once;
+  leaves keep their gradients.  A released graph cannot be walked again.
 * Broadcasting is handled by summing gradients back onto the original shape
   (:func:`_unbroadcast`).
 * Only float32 data participates in differentiation; integer arrays (token
@@ -82,10 +91,14 @@ class Node:
 
     ``backward`` is ``None`` for a leaf; for an op's result it is a closure
     taking this node's gradient and accumulating into ``parents``, and
-    ``_released`` once a backward walk has run it.
+    ``_released`` once a backward walk has run it.  ``rebuild`` is ``None``
+    or a zero-argument callable returning the tensor's data, bit for bit,
+    from arrays ``backward`` already keeps; it is set only on a node that
+    requires a gradient, and the walk clears it with the closure, so the
+    recipe never keeps those arrays alive past the node's own backward.
     """
 
-    __slots__ = ("grad", "requires_grad", "backward", "parents", "name", "shape")
+    __slots__ = ("grad", "requires_grad", "backward", "parents", "name", "shape", "rebuild")
 
     def __init__(self, shape: Tuple[int, ...], requires_grad: bool = False, name: str = ""):
         self.grad: Optional[np.ndarray] = None
@@ -94,6 +107,7 @@ class Node:
         self.parents: Tuple["Node", ...] = ()
         self.name = name
         self.shape = shape
+        self.rebuild: Optional[Callable[[], np.ndarray]] = None
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Node(shape={self.shape}, requires_grad={self.requires_grad}, name={self.name!r})"
@@ -201,17 +215,20 @@ class Tensor:
         parents: Sequence["Tensor"],
         backward: Callable[[np.ndarray], None],
         name: str = "",
+        rebuild: Optional[Callable[[], np.ndarray]] = None,
     ) -> "Tensor":
         """The tensor of ``data`` computed from ``parents``.
 
-        Its node keeps ``backward`` and the parents' nodes only when a
-        parent requires a gradient; ``backward`` must capture no Tensor.
+        Its node keeps ``backward``, the parents' nodes and the ``rebuild``
+        recipe only when a parent requires a gradient; neither callable may
+        capture a Tensor.
         """
         nodes = tuple(p.node for p in parents)
         out = Tensor(data, requires_grad=any(n.requires_grad for n in nodes), name=name)
         if out.node.requires_grad:
             out.node.parents = nodes
             out.node.backward = backward
+            out.node.rebuild = rebuild
         return out
 
     # ------------------------------------------------------------ arithmetic
@@ -444,9 +461,10 @@ class Tensor:
         """Back-propagate from this tensor (default seed gradient: ones).
 
         Interior nodes (results of an op, this tensor's included) drop their
-        ``grad`` and backward closure as soon as they have run, so only the
-        leaves' gradients survive the call.  Calling ``backward()`` again
-        through any part of the released graph raises ``RuntimeError``.
+        ``grad``, backward closure and rebuild recipe as soon as they have
+        run, so only the leaves' gradients survive the call.  Calling
+        ``backward()`` again through any part of the released graph raises
+        ``RuntimeError``.
         """
         root = self.node
         if not root.requires_grad:
@@ -483,6 +501,7 @@ class Tensor:
                         node.backward(node.grad)
                     node.grad = None
                     node.backward = _released
+                    node.rebuild = None
         finally:
             _walks.pop()
 

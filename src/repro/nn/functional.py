@@ -82,10 +82,13 @@ def relu(x: Tensor) -> Tensor:
 def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     """Affine map ``x @ weight + bias`` over the last axis, as one graph node.
 
-    The node keeps ``x`` only for ``dW`` and ``weight`` only for ``dx``.  Its
-    backward runs on the rows of ``x`` flattened to 2-D: ``dx = grad @
-    weightᵀ``, ``dW`` is one GEMM ``xᵀ @ grad`` and ``db`` a row sum of
-    ``grad``.
+    The node keeps ``weight`` only for ``dx`` and ``x`` only for ``dW``.
+    When ``x``'s node carries a rebuild recipe (the output of ``layer_norm``
+    or ``gelu``), it keeps the recipe instead of ``x`` and calls it in the
+    backward, so ``x`` dies with the forward and ``dW`` reads a bitwise
+    copy of it rebuilt from the producer's saved arrays.  Its backward runs
+    on the rows of ``x`` flattened to 2-D: ``dx = grad @ weightᵀ``, ``dW``
+    is one GEMM ``xᵀ @ grad`` and ``db`` a row sum of ``grad``.
     """
     in_features, out_features = weight.shape
     out = x.data.reshape(-1, in_features) @ weight.data
@@ -95,15 +98,19 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     x_node, w_node = x.node, weight.node
     b_node = None if bias is None else bias.node
     x_shape = x.shape
-    data = x.data if w_node.requires_grad else None
+    rebuild = x_node.rebuild if w_node.requires_grad else None
+    data = x.data if w_node.requires_grad and rebuild is None else None
     w = weight.data if x_node.requires_grad else None
 
     def backward(grad):
         grad = grad.reshape(-1, out_features)
+        # dW first: a rebuilt input dies with this expression, before dx exists
+        if w_node.requires_grad:
+            w_node.accumulate(
+                (data if rebuild is None else rebuild()).reshape(-1, in_features).T @ grad
+            )
         if x_node.requires_grad:
             x_node.accumulate((grad @ w.T).reshape(x_shape), adopt=True)
-        if w_node.requires_grad:
-            w_node.accumulate(data.reshape(-1, in_features).T @ grad)
         if b_node is not None and b_node.requires_grad:
             b_node.accumulate(grad.sum(axis=0))
 
@@ -115,6 +122,8 @@ def gelu(x: Tensor) -> Tensor:
 
     The node keeps its input and the normal CDF ``Φ(x)``; the backward is
     ``grad · (Φ(x) + x·φ(x))`` with the normal density ``φ`` computed there.
+    Its rebuild recipe is the forward's own product ``x·Φ(x)`` of those two
+    arrays, so a consuming ``linear`` keeps no copy of the output.
     """
     from scipy.special import erf
 
@@ -133,7 +142,7 @@ def gelu(x: Tensor) -> Tensor:
         local *= grad
         x_node.accumulate(local, adopt=True)
 
-    return Tensor._make(data * cdf, (x,), backward, "gelu")
+    return Tensor._make(data * cdf, (x,), backward, "gelu", rebuild=lambda: data * cdf)
 
 
 def layer_norm(x: Tensor, weight: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -143,7 +152,9 @@ def layer_norm(x: Tensor, weight: Tensor, bias: Tensor, eps: float = 1e-5) -> Te
     ``x``; the backward is ``dx = (g - mean(g) - x̂·mean(g·x̂)) / σ`` with
     ``g = grad·w``, ``dw`` the row sum of ``grad·x̂`` and ``db`` the row sum
     of ``grad``.  It holds two input-sized arrays besides ``x̂``: ``dx`` and
-    ``g``, whose buffer takes ``x̂·mean(g·x̂)`` once its mean is read.
+    ``g``, whose buffer takes ``x̂·mean(g·x̂)`` once its mean is read.  Its
+    rebuild recipe repeats the forward's ``x̂·w + b``, same ops in the same
+    order, so a consuming ``linear`` keeps no copy of the output.
     """
     dim = x.shape[-1]
     normed = x.data - x.data.mean(axis=-1, keepdims=True)
@@ -152,10 +163,15 @@ def layer_norm(x: Tensor, weight: Tensor, bias: Tensor, eps: float = 1e-5) -> Te
     np.sqrt(inv_std, out=inv_std)
     np.reciprocal(inv_std, out=inv_std)
     normed *= inv_std
-    out = normed * weight.data
-    out += bias.data
+    w_data, b_data = weight.data, bias.data
+
+    def affine():
+        out = normed * w_data
+        out += b_data
+        return out
+
     x_node, w_node, b_node = x.node, weight.node, bias.node
-    w = weight.data if x_node.requires_grad else None
+    w = w_data if x_node.requires_grad else None
 
     def backward(grad):
         if w_node.requires_grad:
@@ -170,7 +186,7 @@ def layer_norm(x: Tensor, weight: Tensor, bias: Tensor, eps: float = 1e-5) -> Te
             dx *= inv_std
             x_node.accumulate(dx, adopt=True)
 
-    return Tensor._make(out, (x, weight, bias), backward, "layer_norm")
+    return Tensor._make(affine(), (x, weight, bias), backward, "layer_norm", rebuild=affine)
 
 
 def dropout(x: Tensor, p: float, rng: np.random.Generator, training: bool = True) -> Tensor:

@@ -63,8 +63,9 @@ class TransformerEncoderLayer(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         x = x + self.attention(self.norm1(x))
-        hidden = F.gelu(self.ffn_in(self.norm2(x)))
-        return x + self.dropout(self.ffn_out(hidden))
+        # no name for the GELU output: the graph does not keep it, so it dies
+        # as soon as ffn_out has read it, before the residual sum
+        return x + self.dropout(self.ffn_out(F.gelu(self.ffn_in(self.norm2(x)))))
 
 
 class TransformerEncoder(Module):

@@ -8,7 +8,10 @@ Subcommands:
 * ``serve`` — trace one serving burst over a synthetic workload;
 * ``report`` — analyze a previously recorded ``.trace.json``;
 * ``overhead`` — measure the tracing overhead on the fused path
-  (enabled vs disabled), the number quoted in EXPERIMENTS.md.
+  (enabled vs disabled), the number quoted in EXPERIMENTS.md;
+* ``memory`` — weigh one encoder training step with ``tracemalloc`` and
+  print the MiB above the step's start at every backward node
+  (:mod:`repro.profile.memory`), the table in README.md.
 
 ``--check`` turns the replay self-check into a gate: exit non-zero when the
 replayed prediction for the *recorded* configuration deviates from the
@@ -186,6 +189,17 @@ def _cmd_overhead(args) -> int:
     return 0
 
 
+def _cmd_memory(args) -> int:
+    from repro.profile.memory import encoder_step_memory, format_step_memory
+
+    print(
+        f"perfbench train_short's {args.mechanism} step (B4·L512, d256·H4, 2 layers, "
+        f"ffn 512, Adam, seed 1): MiB above the step's start"
+    )
+    print(format_step_memory(encoder_step_memory(args.mechanism), args.rows))
+    return 0
+
+
 def _add_analysis_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--check", action="store_true",
@@ -256,6 +270,17 @@ def main(argv: Optional[List[str]] = None) -> int:
     _add_shape_flags(overhead)
     overhead.add_argument("--repeats", type=int, default=9)
     overhead.set_defaults(fn=_cmd_overhead)
+
+    memory = commands.add_parser(
+        "memory", help="tracemalloc MiB at every backward node of an encoder step"
+    )
+    memory.add_argument(
+        "--mechanism", default="dfss_2:4", help="attention mechanism (default dfss_2:4)"
+    )
+    memory.add_argument(
+        "--rows", type=int, default=0, help="print the first ROWS nodes only (default all)"
+    )
+    memory.set_defaults(fn=_cmd_memory)
 
     args = parser.parse_args(argv)
     return args.fn(args)

@@ -35,7 +35,7 @@ from dataclasses import dataclass, fields, replace
 from typing import Callable, ClassVar, Dict, Mapping, Optional, Tuple
 
 from repro.core.blocked_ell import BlockedEllMask
-from repro.core.patterns import resolve_pattern
+from repro.core.patterns import default_pattern_for_dtype, resolve_pattern
 
 __all__ = [
     "MechanismConfig",
@@ -172,9 +172,10 @@ class FullConfig(MechanismConfig):
 class DfssConfig(MaskedCoreConfig):
     """Dynamic N:M structured sparse attention (the paper's mechanism).
 
-    ``pattern=None`` defers to the hardware default: the numpy mechanism
-    resolves it from ``dtype`` (1:2 for float32, 2:4 for bfloat16), the
-    trainable core defaults to 2:4.
+    ``pattern=None`` defers to the hardware default of ``dtype``,
+    :func:`~repro.core.patterns.default_pattern_for_dtype` (1:2 for float32,
+    2:4 for bfloat16), for the numpy mechanism and the trainable core
+    alike, so both prune with one pattern.
     """
 
     pattern: object = None
@@ -190,7 +191,7 @@ class DfssConfig(MaskedCoreConfig):
     def core_kwargs(self, seq_len_hint: int) -> Dict[str, object]:
         kwargs = super().core_kwargs(seq_len_hint)
         if kwargs["pattern"] is None:
-            kwargs["pattern"] = "2:4"
+            kwargs["pattern"] = default_pattern_for_dtype(self.dtype)
         return kwargs
 
 

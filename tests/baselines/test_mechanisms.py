@@ -5,6 +5,7 @@ import pytest
 
 import repro.baselines as B
 from repro.baselines.base import MECHANISM_REGISTRY
+from repro.baselines.reformer import lsh_bucket_ids, shared_bucket_mask
 from repro.core.attention import full_attention
 from repro.registry import make_mechanism
 
@@ -21,6 +22,13 @@ def _qkv(batch=(2,), seq=64, d=32, seed=0, scale=0.5, peak=0.0):
 
 
 ALL_MECHANISMS = sorted(MECHANISM_REGISTRY)
+
+
+def _broadcast_bucket_mask(q_ids, k_ids):
+    """The Reformer mask as one broadcast comparison over every hash round."""
+    mask = np.any(q_ids[..., :, None, :] == k_ids[..., None, :, :], axis=-1)
+    n_q, n_k = mask.shape[-2:]
+    return mask | np.eye(n_q, dtype=bool) if n_q == n_k else mask
 
 
 class TestRegistry:
@@ -176,6 +184,55 @@ class TestSpecificMechanisms:
         q, k, _ = _qkv(seq=64, d=16, seed=4)
         mask = B.ReformerAttention(n_buckets=8, n_hashes=2, seed=0).attention_mask(q, q)
         np.testing.assert_array_equal(mask, np.swapaxes(mask, -1, -2))
+
+    def test_reformer_mask_equals_the_broadcast_formula(self):
+        q, k, _ = _qkv(batch=(2, 2), seq=96, d=16, seed=6)
+        mech = B.ReformerAttention(n_buckets=8, n_hashes=3, seed=2)
+        q_ids = lsh_bucket_ids(q, 8, 3, np.random.default_rng(2))
+        k_ids = lsh_bucket_ids(k, 8, 3, np.random.default_rng(2))
+        got = mech.attention_mask(q, k)
+        assert got.dtype == bool and got.flags.c_contiguous
+        assert got.tobytes() == _broadcast_bucket_mask(q_ids, k_ids).tobytes()
+
+    @pytest.mark.parametrize("n_q, n_k", [(40, 40), (40, 24)])
+    @pytest.mark.parametrize("n_buckets", [1, 2, 16])  # 1: every id tied
+    @pytest.mark.parametrize("n_hashes", [1, 2, 4])
+    def test_shared_bucket_mask_on_random_and_tied_ids(self, n_q, n_k, n_buckets, n_hashes):
+        rng = np.random.default_rng(n_q + n_k + n_buckets + n_hashes)
+        q_ids = rng.integers(0, n_buckets, (2, 3, n_q, n_hashes))
+        k_ids = rng.integers(0, n_buckets, (2, 3, n_k, n_hashes))
+        got = shared_bucket_mask(q_ids, k_ids)
+        assert got.tobytes() == _broadcast_bucket_mask(q_ids, k_ids).tobytes()
+
+    def test_reformer_mask_peaks_at_two_masks(self):
+        import tracemalloc
+
+        # B1·H2·L1024: the (…, n, n, n_hashes) comparison of the broadcast
+        # formula alone is twice the mask; OR-ing one round at a time holds
+        # the mask and one comparison, plus the small LSH arrays
+        q, k, _ = _qkv(batch=(1, 2), seq=1024, d=64, seed=7)
+        mech = B.ReformerAttention(n_buckets=16, n_hashes=2, seed=0)
+        tracemalloc.start()
+        try:
+            mask = mech.attention_mask(q, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * mask.nbytes + (1 << 20)
+
+    @pytest.mark.parametrize("d", [16, 32, 64])
+    def test_topk_mask_equals_the_float64_loop_mask(self, d):
+        from repro.core.lottery import topk_mask
+        from repro.core.precision import simulate_tensor_core_matmul
+
+        q, k, _ = _qkv(batch=(1, 2), seq=160, d=d, seed=d)
+        scores = simulate_tensor_core_matmul(q, np.swapaxes(k, -1, -2))
+        loop = scores.copy()
+        np.multiply(loop, 1.0 / np.sqrt(d), out=loop, casting="same_kind")
+        if d != 32:  # 1/√d is a float32: the float32 product has the same bits
+            assert (scores * np.float32(1.0 / np.sqrt(d))).tobytes() == loop.tobytes()
+        got = B.ExplicitTopKAttention(density=0.1).attention_mask(q, k)
+        assert got.tobytes() == topk_mask(loop, 0.1).tobytes()
 
     def test_routing_clusters_partition_rows(self):
         q, k, _ = _qkv(seq=64, d=16, seed=5)

@@ -436,3 +436,139 @@ def test_layer_norm_module_is_one_node():
     out = norm(x)
     parents = tuple(t.node for t in (x, norm.weight, norm.bias))
     assert out.node.parents == parents and out.name == "layer_norm"
+
+
+# ------------------------------------------------------- rebuilt linear inputs
+def _producer(kind, x):
+    """``layer_norm`` or ``gelu`` of ``x`` on fresh parameters."""
+    import repro.nn.functional as F
+
+    if kind == "gelu":
+        return F.gelu(x)
+    dim = x.shape[-1]
+    w = parameter(np.random.default_rng(5).normal(1.0, 0.3, size=dim).astype(np.float32))
+    b = parameter(np.random.default_rng(6).normal(size=dim).astype(np.float32))
+    return F.layer_norm(x, w, b)
+
+
+@pytest.mark.parametrize("kind", ["layer_norm", "gelu"])
+class TestLinearRebuildsItsInput:
+    """A ``linear`` fed by ``layer_norm`` or ``gelu`` keeps the producer's
+    rebuild recipe instead of its input, and the walk drops the recipe
+    with the producer's closure."""
+
+    def test_keeps_no_input_sized_array(self, kind):
+        import repro.nn.functional as F
+
+        x = Tensor(RNG.normal(size=(3, 4, 8)).astype(np.float32), requires_grad=True)
+        w = parameter(RNG.normal(size=(8, 5)).astype(np.float32))
+        h = _producer(kind, x)
+        assert h.node.rebuild is not None
+        out = F.linear(h, w)
+        kept = [v for v in _closure_values(out.node.backward) if isinstance(v, np.ndarray)]
+        assert len(kept) == 1 and kept[0] is w.data
+        assert h.node.rebuild in _closure_values(out.node.backward)
+        # a plain input has no recipe and is kept as it is
+        plain = Tensor(h.data.copy())
+        kept = _closure_values(F.linear(plain, w).node.backward)
+        assert any(v is plain.data for v in kept)
+
+    def test_producer_arrays_die_once_its_node_has_run(self, kind):
+        import gc
+        import weakref
+
+        import repro.nn.functional as F
+
+        x = parameter(RNG.normal(size=(3, 4, 8)).astype(np.float32))
+        w1 = parameter(RNG.normal(size=(8, 8)).astype(np.float32))
+        w2 = parameter(RNG.normal(size=(8, 5)).astype(np.float32))
+
+        def forward():
+            h = _producer(kind, F.linear(x, w1))
+            saved = [
+                weakref.ref(v) for v in _closure_values(h.node.backward)
+                if isinstance(v, np.ndarray) and v.shape == h.shape
+            ]
+            return F.linear(h, w2).sum(), saved
+
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            loss, saved = forward()
+            # x̂ for layer_norm; x and Φ for gelu
+            assert len(saved) == (1 if kind == "layer_norm" else 2)
+            assert all(ref() is not None for ref in saved)
+            loss.backward()
+            # the graph is still reachable from loss: only the cleared slot
+            # and the released closure let the saved arrays die
+            assert all(ref() is None for ref in saved)
+        finally:
+            if enabled:
+                gc.enable()
+
+    def test_dw_equals_the_same_linear_on_a_plain_copy(self, kind):
+        import repro.nn.functional as F
+
+        x = Tensor(RNG.normal(size=(2, 5, 8)).astype(np.float32), requires_grad=True)
+        seed = RNG.normal(size=(2, 5, 6)).astype(np.float32)
+        weight = RNG.normal(size=(8, 6)).astype(np.float32)
+        bias = RNG.normal(size=6).astype(np.float32)
+        h = _producer(kind, x)
+        plain = Tensor(h.data.copy(), requires_grad=True)
+        grads = []
+        for inp in (h, plain):
+            w, b = parameter(weight), parameter(bias)
+            F.linear(inp, w, b).backward(seed)
+            grads.append((w.grad, b.grad))
+        for got, want in zip(*grads):
+            assert got.tobytes() == want.tobytes()
+        assert x.grad is not None and plain.grad is not None
+
+
+@pytest.mark.parametrize("mechanism", ["dfss_2:4", "full"])
+def test_encoder_graph_keeps_no_linear_input(mechanism, monkeypatch):
+    """After the forward, a 2-layer encoder step holds, per layer, the two
+    LayerNorm outputs and the GELU output fewer than when every ``linear``
+    keeps its input, less a few hundred bytes of recipes."""
+    import gc
+    import tracemalloc
+
+    from repro.nn import SequenceClassifier, TransformerEncoder
+
+    batch, seq, dim, ffn, layers = 2, 64, 32, 64, 2
+    tokens = np.random.default_rng(2).integers(0, 50, (batch, seq))
+    labels = np.array([0, 1])
+    encoder = TransformerEncoder(
+        50, seq, mechanism=mechanism, seed=0, model_dim=dim, num_heads=2,
+        num_layers=layers, ffn_dim=ffn,
+    )
+    model = SequenceClassifier(encoder, 2, seed=1)
+    model.loss(tokens, labels).backward()  # warm the plan caches
+
+    def held():
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            loss = model.loss(tokens, labels)
+            graph = tracemalloc.get_traced_memory()[0] - base
+            loss.backward()
+            return graph
+        finally:
+            tracemalloc.stop()
+
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        rebuilt = held()
+        make = Tensor._make
+        monkeypatch.setattr(
+            Tensor, "_make",
+            staticmethod(lambda *args, rebuild=None, **kw: make(*args, **kw)),
+        )
+        kept = held()
+    finally:
+        if enabled:
+            gc.enable()
+    saved = layers * batch * seq * (dim + dim + ffn) * 4
+    assert kept - saved <= rebuilt <= kept - saved + 2048 * layers

@@ -70,3 +70,48 @@ class TestOverhead:
     def test_overhead_runs(self, capsys):
         assert main(["overhead", *TINY, "--repeats", "2"]) == 0
         assert "tracing overhead" in capsys.readouterr().out
+
+
+class TestMemory:
+    def test_memory_prints_the_node_table(self, capsys):
+        assert main(["memory", "--rows", "5"]) == 0
+        out = capsys.readouterr().out
+        assert "| # | node (backward order) | output shape | start | peak | end |" in out
+        assert out.count("\n| ") == 2 + 5  # header, rule, five nodes
+        assert "step peak" in out
+
+    def test_rows_follow_the_walk(self):
+        from repro.profile.memory import encoder_step_memory
+
+        memory = encoder_step_memory("full", 2, 32, 16, 2, 1, 32, warmup=1)
+        names = [node.name for node in memory.nodes]
+        assert names[0] == "neg"  # the cross-entropy's last op runs first
+        assert {"layer_norm", "gelu", "linear"} <= set(names)
+        for node in memory.nodes:
+            assert node.peak_mib >= max(node.start_mib, node.end_mib)
+        assert memory.peak_mib >= memory.graph_mib > 0
+
+    def test_a_weighed_step_trains_as_a_plain_one(self):
+        import numpy as np
+
+        from repro.nn import Adam, SequenceClassifier, TransformerEncoder
+        from repro.profile.memory import step_memory
+
+        tokens = np.random.default_rng(0).integers(0, 50, (2, 16))
+        labels = np.array([0, 1])
+        params = []
+        for weigh in (True, False):
+            encoder = TransformerEncoder(
+                50, 16, mechanism="dfss_2:4", seed=0, model_dim=16, num_heads=2,
+                num_layers=1, ffn_dim=32,
+            )
+            model = SequenceClassifier(encoder, 2, seed=1)
+            opt = Adam(model.parameters(), lr=1e-2)
+            if weigh:
+                step_memory(lambda: model.loss(tokens, labels), opt)
+            else:
+                opt.zero_grad()
+                model.loss(tokens, labels).backward()
+                opt.step()
+            params.append([p.data.tobytes() for p in model.parameters()])
+        assert params[0] == params[1]

@@ -27,8 +27,8 @@ TABLE4_NAMES = (
 
 ALL_NAMES = registry.available_mechanisms()
 TRAINABLE_NAMES = registry.available_mechanisms(trainable=True)
-#: every compressed mask mechanism; the DFSS pattern spelled out, since a
-#: bare "dfss" engine resolves it from the dtype and its core defaults to 2:4
+#: every compressed mask mechanism, the DFSS patterns spelled out (a bare
+#: "dfss" resolves its pattern from the float32 dtype: 1:2)
 MASK_NAMES = tuple(
     name
     for m in registry.available_mechanisms(produces_mask=True, compressed=True)
@@ -162,7 +162,7 @@ class TestCoreRoundTrip:
         core = registry.make_core("dfss_2:4", pattern="1:2")
         assert core.pattern.name == "1:2"  # explicit kwarg beats the suffix
         core = registry.make_core("dfss")
-        assert core.pattern.name == "2:4"  # legacy default
+        assert core.pattern.name == "1:2"  # the float32 default, as the mechanism's
 
     def test_backend_forwarded_into_core_config(self):
         core = AttentionEngine("dfss", backend="reference").core()
@@ -201,6 +201,17 @@ class TestEngineMaskRoute:
                 engine(q, k, v)
             return
         core = engine.core()  # a bare core: no attention dropout
+        out = core(Tensor(q), Tensor(k), Tensor(v)).data
+        assert engine(q, k, v).tobytes() == out.tobytes()
+
+    def test_bare_dfss_engine_forward_equals_its_core_forward_bitwise(self):
+        # pattern=None resolves once, from the dtype, for the engine's numpy
+        # mechanism and its trainable core alike
+        rng = np.random.default_rng(14)
+        q, k, v = (rng.standard_normal((2, 2, 130, 16), dtype=np.float32) for _ in range(3))
+        engine = AttentionEngine("dfss")
+        core = engine.core()
+        assert core.pattern == engine.mechanism().pattern
         out = core(Tensor(q), Tensor(k), Tensor(v)).data
         assert engine(q, k, v).tobytes() == out.tobytes()
 
