@@ -41,21 +41,13 @@ class ExplicitTopKAttention(AttentionMechanism):
     def attention_mask(self, q: np.ndarray, k: np.ndarray) -> np.ndarray:
         """The Top-K of the tensorfloat-32 scores ``Q Kᵀ / √d``.
 
-        The float32 product is scaled in place, so it is rounded as
-        :func:`~repro.core.sddmm.sddmm_dense` rounds it before
-        :func:`~repro.core.lottery.topk_mask` reads float32, and one
-        ``n_q × n_k`` float32 array is alive while the selection runs.  When
-        ``1/√d`` is a float32 (``d`` a power of four) the scaling is a
-        float32 multiply: the float64 product of two float32 numbers is
-        exact, so rounding it to float32 gives the same bits as the float32
-        product.  Any other ``d`` scales through the float64 loop.
+        The float32 product is scaled in place through the float64 loop, so
+        it is rounded as :func:`~repro.core.sddmm.sddmm_dense` rounds it
+        before :func:`~repro.core.lottery.topk_mask` reads float32, and one
+        ``n_q × n_k`` float32 array is alive while the selection runs.
         """
         scores = simulate_tensor_core_matmul(q, np.swapaxes(k, -1, -2))
-        scale = 1.0 / np.sqrt(q.shape[-1])
-        if np.float32(scale) == scale:
-            scores *= np.float32(scale)
-        else:
-            np.multiply(scores, scale, out=scores, casting="same_kind")
+        np.multiply(scores, 1.0 / np.sqrt(q.shape[-1]), out=scores, casting="same_kind")
         n_k = scores.shape[-1]
         density = self.density if self.k is None else min(1.0, self.k / n_k)
         return topk_mask(scores, density)

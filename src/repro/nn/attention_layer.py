@@ -38,7 +38,7 @@ import numpy as np
 import repro.baselines  # noqa: F401  populate the mechanism registry first
 from repro.core.backend import get_kernel
 from repro.core.blocked_ell import BlockedEllMask
-from repro.core.patterns import resolve_pattern
+from repro.core.patterns import default_pattern_for_dtype, resolve_pattern
 from repro.core.row_block import RowBlockStructure
 from repro.nn import functional as F
 from repro.nn.autograd import Tensor
@@ -149,6 +149,10 @@ class DfssCore(AttentionCore):
     constant of the graph, exactly as the paper's kernel treats it;
     :meth:`last_mask` reads the selection the forward wrote.
 
+    ``pattern=None`` is the float32 hardware default,
+    :func:`~repro.core.patterns.default_pattern_for_dtype` (1:2), as it is
+    for the numpy mechanism: the core computes in float32.
+
     ``block_mask`` optionally adds the hybrid blocked-ELL coarse sparsity on
     top of the N:M selection.
 
@@ -166,11 +170,13 @@ class DfssCore(AttentionCore):
 
     def __init__(
         self,
-        pattern="2:4",
+        pattern=None,
         backend: Optional[str] = None,
         block_mask: Optional[BlockedEllMask] = None,
     ):
-        self.pattern = resolve_pattern(pattern)
+        self.pattern = (
+            default_pattern_for_dtype("float32") if pattern is None else resolve_pattern(pattern)
+        )
         self.backend = backend
         self.block_mask = block_mask
         self._last_stats = None

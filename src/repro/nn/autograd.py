@@ -28,7 +28,9 @@ Design notes
   b``) and ``gelu`` (``x·Φ(x)``) set one; a ``linear`` fed by such a node
   captures the recipe instead of its input and rebuilds the input in its
   backward for ``dW``, so its input dies with the forward, at the price of
-  one elementwise pass.  This is recomputation for memory (Chen et al.,
+  one elementwise rebuild per consuming ``linear``: an encoder layer's Q, K
+  and V projections each rebuild the LN1 output, so a layer pays five
+  rebuilds (LN1's three times, LN2's and GELU's once).  This is recomputation for memory (Chen et al.,
   "Training Deep Nets with Sublinear Memory Cost") without a GEMM or an
   ``erf``.
 * Gradients are accumulated into ``Node.grad`` (a plain ndarray, read and

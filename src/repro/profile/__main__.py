@@ -190,13 +190,16 @@ def _cmd_overhead(args) -> int:
 
 
 def _cmd_memory(args) -> int:
-    from repro.profile.memory import encoder_step_memory, format_step_memory
+    from repro.profile import memory
 
+    model = memory.TRAIN_SHORT_MODEL
     print(
-        f"perfbench train_short's {args.mechanism} step (B4·L512, d256·H4, 2 layers, "
-        f"ffn 512, Adam, seed 1): MiB above the step's start"
+        f"train_short {args.mechanism} step (B{memory.TRAIN_SHORT_BATCH}"
+        f"·L{memory.TRAIN_SHORT_SEQ}, d{model['model_dim']}·H{model['num_heads']}, "
+        f"{model['num_layers']} layers, ffn {model['ffn_dim']}, Adam, "
+        f"seed {memory.TRAIN_SHORT_SEED}): MiB above the step's start"
     )
-    print(format_step_memory(encoder_step_memory(args.mechanism), args.rows))
+    print(memory.format_step_memory(memory.encoder_step_memory(args.mechanism)))
     return 0
 
 
@@ -276,9 +279,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     memory.add_argument(
         "--mechanism", default="dfss_2:4", help="attention mechanism (default dfss_2:4)"
-    )
-    memory.add_argument(
-        "--rows", type=int, default=0, help="print the first ROWS nodes only (default all)"
     )
     memory.set_defaults(fn=_cmd_memory)
 

@@ -116,37 +116,32 @@ def step_memory(loss_fn: Callable, optimizer) -> StepMemory:
     )
 
 
-def encoder_step_memory(
-    mechanism: str = "dfss_2:4",
-    batch: int = 4,
-    seq: int = 512,
-    model_dim: int = 256,
-    num_heads: int = 4,
-    num_layers: int = 2,
-    ffn_dim: int = 512,
-    seed: int = 1,
-    warmup: int = 2,
-) -> StepMemory:
-    """:func:`step_memory` of a sequence classifier trained with Adam.
+#: ``perfbench``'s ``train_short`` model and batch: a two-class sequence
+#: classifier over a 1000-token vocabulary, a B4·L512 batch and seed 1.
+TRAIN_SHORT_BATCH, TRAIN_SHORT_SEQ, TRAIN_SHORT_VOCAB, TRAIN_SHORT_CLASSES = 4, 512, 1000, 2
+TRAIN_SHORT_MODEL = dict(model_dim=256, num_heads=4, num_layers=2, ffn_dim=512)
+TRAIN_SHORT_SEED = 1
 
-    The defaults are ``perfbench``'s ``train_short`` DFSS arm (vocabulary
-    1000, two classes).  ``warmup`` steps run first, so the optimizer's
-    moments and the plan caches exist before the measured step.  As there,
-    the cycle collector is off and each step ends with one full collection.
+
+def encoder_step_memory(mechanism: str = "dfss_2:4") -> StepMemory:
+    """:func:`step_memory` of the ``train_short`` classifier trained with Adam.
+
+    Two warm-up steps run first, so the optimizer's moments and the plan
+    caches exist before the measured step.  As in ``perfbench``, the cycle
+    collector is off and each step ends with one full collection.
     """
     import numpy as np
 
     from repro.nn import Adam, SequenceClassifier, TransformerEncoder
 
-    vocab, classes = 1000, 2
-    rng = np.random.default_rng(seed)
-    tokens = rng.integers(0, vocab, (batch, seq))
-    labels = rng.integers(0, classes, batch)
+    rng = np.random.default_rng(TRAIN_SHORT_SEED)
+    tokens = rng.integers(0, TRAIN_SHORT_VOCAB, (TRAIN_SHORT_BATCH, TRAIN_SHORT_SEQ))
+    labels = rng.integers(0, TRAIN_SHORT_CLASSES, TRAIN_SHORT_BATCH)
     encoder = TransformerEncoder(
-        vocab, seq, mechanism=mechanism, seed=seed, model_dim=model_dim,
-        num_heads=num_heads, num_layers=num_layers, ffn_dim=ffn_dim,
+        TRAIN_SHORT_VOCAB, TRAIN_SHORT_SEQ, mechanism=mechanism, seed=TRAIN_SHORT_SEED,
+        **TRAIN_SHORT_MODEL,
     )
-    model = SequenceClassifier(encoder, classes, seed=seed + 1)
+    model = SequenceClassifier(encoder, TRAIN_SHORT_CLASSES, seed=TRAIN_SHORT_SEED + 1)
     optimizer = Adam(model.parameters(), lr=1e-4)
 
     def loss_fn():
@@ -155,7 +150,7 @@ def encoder_step_memory(
     enabled = gc.isenabled()
     gc.disable()
     try:
-        for _ in range(max(warmup, 0)):
+        for _ in range(2):
             optimizer.zero_grad()
             loss_fn().backward()
             optimizer.step()
@@ -167,16 +162,14 @@ def encoder_step_memory(
             gc.enable()
 
 
-def format_step_memory(memory: StepMemory, rows: int = 0) -> str:
-    """A Markdown table of the backward nodes (the first ``rows``, or all)
-    and the step's totals."""
-    nodes = memory.nodes[:rows] if rows > 0 else memory.nodes
+def format_step_memory(memory: StepMemory) -> str:
+    """A Markdown table of the backward nodes and the step's totals."""
     peak = memory.backward_peak_mib
     lines = [
         "| # | node (backward order) | output shape | start | peak | end |",
         "| --- | --- | --- | --- | --- | --- |",
     ]
-    for i, node in enumerate(nodes):
+    for i, node in enumerate(memory.nodes):
         high = f"**{node.peak_mib:.2f}**" if node.peak_mib == peak else f"{node.peak_mib:.2f}"
         shape = "·".join(map(str, node.shape)) or "scalar"
         lines.append(

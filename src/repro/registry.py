@@ -35,7 +35,7 @@ from dataclasses import dataclass, fields, replace
 from typing import Callable, ClassVar, Dict, Mapping, Optional, Tuple
 
 from repro.core.blocked_ell import BlockedEllMask
-from repro.core.patterns import default_pattern_for_dtype, resolve_pattern
+from repro.core.patterns import resolve_pattern
 
 __all__ = [
     "MechanismConfig",
@@ -174,8 +174,8 @@ class DfssConfig(MaskedCoreConfig):
 
     ``pattern=None`` defers to the hardware default of ``dtype``,
     :func:`~repro.core.patterns.default_pattern_for_dtype` (1:2 for float32,
-    2:4 for bfloat16), for the numpy mechanism and the trainable core
-    alike, so both prune with one pattern.
+    2:4 for bfloat16).  The trainable core accepts only float32 and resolves
+    ``None`` by the same rule, so both prune with one pattern.
     """
 
     pattern: object = None
@@ -187,12 +187,6 @@ class DfssConfig(MaskedCoreConfig):
     def __post_init__(self) -> None:
         if self.pattern is not None:
             resolve_pattern(self.pattern)  # raises ValueError on unknown patterns
-
-    def core_kwargs(self, seq_len_hint: int) -> Dict[str, object]:
-        kwargs = super().core_kwargs(seq_len_hint)
-        if kwargs["pattern"] is None:
-            kwargs["pattern"] = default_pattern_for_dtype(self.dtype)
-        return kwargs
 
 
 @dataclass(frozen=True)

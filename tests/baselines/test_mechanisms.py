@@ -229,8 +229,6 @@ class TestSpecificMechanisms:
         scores = simulate_tensor_core_matmul(q, np.swapaxes(k, -1, -2))
         loop = scores.copy()
         np.multiply(loop, 1.0 / np.sqrt(d), out=loop, casting="same_kind")
-        if d != 32:  # 1/√d is a float32: the float32 product has the same bits
-            assert (scores * np.float32(1.0 / np.sqrt(d))).tobytes() == loop.tobytes()
         got = B.ExplicitTopKAttention(density=0.1).attention_mask(q, k)
         assert got.tobytes() == topk_mask(loop, 0.1).tobytes()
 

@@ -72,18 +72,38 @@ class TestOverhead:
         assert "tracing overhead" in capsys.readouterr().out
 
 
+def _small_classifier(mechanism="dfss_2:4"):
+    """A one-layer classifier and a batch small enough to weigh in a test."""
+    import numpy as np
+
+    from repro.nn import Adam, SequenceClassifier, TransformerEncoder
+
+    encoder = TransformerEncoder(
+        50, 16, mechanism=mechanism, seed=0, model_dim=16, num_heads=2, num_layers=1,
+        ffn_dim=32,
+    )
+    model = SequenceClassifier(encoder, 2, seed=1)
+    tokens = np.random.default_rng(0).integers(0, 50, (2, 16))
+    labels = np.array([0, 1])
+    return (lambda: model.loss(tokens, labels)), model, Adam(model.parameters(), lr=1e-2)
+
+
 class TestMemory:
     def test_memory_prints_the_node_table(self, capsys):
-        assert main(["memory", "--rows", "5"]) == 0
+        assert main(["memory"]) == 0
         out = capsys.readouterr().out
         assert "| # | node (backward order) | output shape | start | peak | end |" in out
-        assert out.count("\n| ") == 2 + 5  # header, rule, five nodes
+        nodes = int(out.split(" nodes)")[0].rsplit("(", 1)[1])
+        assert out.count("\n| ") == 2 + nodes  # header, rule, one line per node
         assert "step peak" in out
 
     def test_rows_follow_the_walk(self):
-        from repro.profile.memory import encoder_step_memory
+        from repro.profile.memory import step_memory
 
-        memory = encoder_step_memory("full", 2, 32, 16, 2, 1, 32, warmup=1)
+        loss_fn, _, opt = _small_classifier("full")
+        loss_fn().backward()  # a warm-up step, so Adam's moments exist
+        opt.step()
+        memory = step_memory(loss_fn, opt)
         names = [node.name for node in memory.nodes]
         assert names[0] == "neg"  # the cross-entropy's last op runs first
         assert {"layer_norm", "gelu", "linear"} <= set(names)
@@ -92,26 +112,33 @@ class TestMemory:
         assert memory.peak_mib >= memory.graph_mib > 0
 
     def test_a_weighed_step_trains_as_a_plain_one(self):
-        import numpy as np
-
-        from repro.nn import Adam, SequenceClassifier, TransformerEncoder
         from repro.profile.memory import step_memory
 
-        tokens = np.random.default_rng(0).integers(0, 50, (2, 16))
-        labels = np.array([0, 1])
         params = []
         for weigh in (True, False):
-            encoder = TransformerEncoder(
-                50, 16, mechanism="dfss_2:4", seed=0, model_dim=16, num_heads=2,
-                num_layers=1, ffn_dim=32,
-            )
-            model = SequenceClassifier(encoder, 2, seed=1)
-            opt = Adam(model.parameters(), lr=1e-2)
+            loss_fn, model, opt = _small_classifier()
             if weigh:
-                step_memory(lambda: model.loss(tokens, labels), opt)
+                step_memory(loss_fn, opt)
             else:
                 opt.zero_grad()
-                model.loss(tokens, labels).backward()
+                loss_fn().backward()
                 opt.step()
             params.append([p.data.tobytes() for p in model.parameters()])
         assert params[0] == params[1]
+
+    def test_the_weighed_model_is_perfbench_train_short(self, monkeypatch):
+        # the tool names train_short's model and batch once; read them back
+        # from the benchmark's workload so the two cannot drift apart
+        import importlib
+        import pathlib
+
+        from repro.profile import memory
+
+        perfbench = pathlib.Path(__file__).resolve().parents[2] / "perfbench"
+        monkeypatch.syspath_prepend(str(perfbench))
+        train_short = importlib.import_module("workloads").TrainShort
+        assert (
+            memory.TRAIN_SHORT_BATCH, memory.TRAIN_SHORT_SEQ,
+            memory.TRAIN_SHORT_VOCAB, memory.TRAIN_SHORT_CLASSES,
+        ) == (train_short.BATCH, train_short.SEQ, train_short.VOCAB, train_short.CLASSES)
+        assert memory.TRAIN_SHORT_MODEL == train_short.MODEL

@@ -163,6 +163,7 @@ class TestCoreRoundTrip:
         assert core.pattern.name == "1:2"  # explicit kwarg beats the suffix
         core = registry.make_core("dfss")
         assert core.pattern.name == "1:2"  # the float32 default, as the mechanism's
+        assert DfssCore().pattern == core.pattern  # direct construction agrees
 
     def test_backend_forwarded_into_core_config(self):
         core = AttentionEngine("dfss", backend="reference").core()
