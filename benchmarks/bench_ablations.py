@@ -12,11 +12,17 @@ import repro
 # criterion= is an ablation-only knob of the raw kernel pipeline, not a
 # registry config field, so that one bench stays on the core API
 from repro.core.attention import dfss_attention
-from repro.core.blocked_ell import sliding_window_mask
 from repro.core.lottery import qp_nm_monte_carlo
 from repro.core.patterns import NMPattern
 from repro.core.theory import speedup_dfss_exact, speedup_topk_exact
 from repro.utils.seeding import new_rng
+
+
+#: the ablation's hybrid: N:M inside ``sliding_window_mask(512, 128, 1)``
+HYBRID_WINDOW = dict(
+    mechanism="bigbird_dfss", pattern="2:4", block_size=128, window_blocks=1,
+    num_global_blocks=0, num_random_blocks=0,
+)
 
 
 def _qkv(seq=256, d=64, seed=0):
@@ -62,16 +68,18 @@ def test_bench_ablation_nm_ratio_sweep(benchmark):
 
 
 def test_bench_ablation_blocked_ell_hybrid(benchmark):
-    """Hybrid blocked-ELL + N:M vs pure N:M at a longer sequence length."""
+    """Hybrid blocked-ELL + N:M vs pure N:M at a longer sequence length.
+
+    The hybrid is BigBird + DFSS over a band of 128-wide blocks only (no
+    global or random blocks): N:M selects inside the blocked-ELL sliding
+    window, and nothing outside the band is scored.
+    """
     q, k, v = _qkv(seq=512, d=64, seed=1)
     ref = repro.attention(q, k, v, mechanism="full")
-    window = sliding_window_mask(512, block_size=128, window_blocks=1)
 
     def run():
         pure = repro.attention(q, k, v, mechanism="dfss_2:4")
-        hybrid = repro.attention(
-            q, k, v, mechanism="dfss_2:4", block_mask=window
-        )
+        hybrid = repro.attention(q, k, v, **HYBRID_WINDOW)
         return pure, hybrid
 
     pure, hybrid = benchmark(run)

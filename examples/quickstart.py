@@ -34,7 +34,7 @@ def main() -> None:
     engine = repro.AttentionEngine("dfss", pattern="2:4", dtype="bfloat16")
     info = engine.describe()
     flags = {key: info[key] for key in
-             ("trainable", "produces_mask", "compressed", "supports_block_mask")}
+             ("trainable", "produces_mask", "compressed", "batchable")}
     print(f"engine                      : {engine!r} flags={flags}")
     print(f"registered mechanisms       : {', '.join(repro.available_mechanisms())}")
 

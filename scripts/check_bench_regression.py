@@ -15,9 +15,9 @@ Exit status 0 means "ship it"; 1 means at least one check failed:
   missing from the fresh run;
 * **median slowdown** — a row's median runtime grew by more than the
   threshold (default 30%) relative to the baseline, after normalising out
-  overall machine-speed differences (the geometric mean ratio across all
-  ``reference`` rows), so a uniformly slower CI box does not trip the gate
-  but a single regressed kernel does;
+  overall machine-speed differences (the geometric mean ratio of the four
+  ``reference`` rows in ``MACHINE_FACTOR_ROWS``), so a uniformly slower CI
+  box does not trip the gate but a single regressed kernel does;
 * **speedup regression** — a ``fast`` row's speedup over ``reference`` fell
   more than the threshold below its baseline value (this ratio is
   machine-independent, making it the strongest cross-machine signal);
@@ -89,15 +89,27 @@ def index_rows(payload: Dict) -> Dict[Key, Dict]:
     return rows
 
 
+#: The reference rows the machine factor is read from: the four the
+#: baseline holds.  A fixed set keeps the factor still when other reference
+#: rows come or go; a mean over whichever rows existed moved from 2.05 to
+#: 1.77 on one box when two rows were dropped.
+MACHINE_FACTOR_ROWS: Tuple[Key, ...] = tuple(
+    (kernel, f"B2xH4xL256xD64/{pattern}", "reference")
+    for kernel in ("attention_e2e", "attention_train_step")
+    for pattern in ("1:2", "2:4")
+)
+
+
 def machine_factor(fresh: Dict[Key, Dict], base: Dict[Key, Dict]) -> float:
-    """Geometric-mean runtime ratio of shared reference rows (fresh / base)."""
+    """Geometric-mean runtime ratio (fresh / base) of the
+    :data:`MACHINE_FACTOR_ROWS`; ``KeyError`` names a row either payload
+    lacks."""
     logs: List[float] = []
-    for key, fresh_row in fresh.items():
-        if key[2] != "reference" or key not in base:
-            continue
-        fresh_med, base_med = fresh_row["median_s"], base[key]["median_s"]
-        if fresh_med > 0 and base_med > 0:
-            logs.append(math.log(fresh_med / base_med))
+    for key in MACHINE_FACTOR_ROWS:
+        for name, rows in (("fresh", fresh), ("baseline", base)):
+            if key not in rows:
+                raise KeyError(f"machine-factor row {key} is missing from the {name} payload")
+        logs.append(math.log(fresh[key]["median_s"] / base[key]["median_s"]))
     return math.exp(sum(logs) / len(logs)) if logs else 1.0
 
 

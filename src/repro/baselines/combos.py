@@ -11,8 +11,9 @@ shows three combinations (Figures 17 and 18):
   N:M before the softmax and the SpMM with ``F V`` (Figure 18 B).
 
 The N:M kernels of all three combinations run as
-:func:`~repro.core.attention.dfss_attention` calls — BigBird's with its
-blocked-ELL layout as ``block_mask`` — so the Nyströmformer and Linformer
+:func:`~repro.core.attention.dfss_attention` calls — BigBird's over its
+row-block structure as ``structure``, so N:M selects inside BigBird's blocks
+and nothing outside them is scored — and the Nyströmformer and Linformer
 ones take any key length that dense attention takes.
 """
 
@@ -27,6 +28,7 @@ from repro.baselines.linformer import LinformerAttention
 from repro.baselines.nystromformer import NystromformerAttention, newton_schulz_pinv, segment_means
 from repro.core.attention import dfss_attention
 from repro.core.patterns import resolve_pattern
+from repro.core.sddmm import sddmm_dense
 from repro.core.softmax import dense_softmax
 from repro.registry import (
     BigBirdDfssConfig,
@@ -94,7 +96,6 @@ class DfssNystromformerAttention(AttentionMechanism):
     aliases=("dfss_bigbird",),
     produces_mask=True,
     compressed=True,
-    supports_block_mask=True,
 )
 @register
 class DfssBigBirdAttention(AttentionMechanism):
@@ -108,22 +109,20 @@ class DfssBigBirdAttention(AttentionMechanism):
         self.pattern = resolve_pattern(pattern)
         self.dtype = dtype
 
-    def _dfss(self, q: np.ndarray, k: np.ndarray) -> DfssMechanism:
-        """DFSS with BigBird's blocked-ELL layout of this length as block mask."""
-        n_q, n_k = q.shape[-2], k.shape[-2]
-        if n_q != n_k:
-            raise ValueError("BigBird attention expects self-attention (n_q == n_k)")
-        return DfssMechanism(self.pattern, self.dtype, block_mask=self.bigbird.block_mask(n_q))
-
     def attention_mask(self, q: np.ndarray, k: np.ndarray) -> np.ndarray:
-        """The DFSS keep-mask under BigBird's blocked-ELL layout as block mask."""
-        return self._dfss(q, k).attention_mask(q, k)
+        """The DFSS keep-mask of the dense scores with BigBird's blocked
+        scores masked before the N:M selection: the rule the N:M kernels
+        apply over BigBird's structure."""
+        scores = sddmm_dense(q, k, dtype=self.dtype)
+        allowed = self.bigbird._mask_2d(*scores.shape[-2:])
+        return DfssMechanism(self.pattern, self.dtype)._mask(scores, allowed=allowed)
 
     def __call__(self, q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """The N:M plan with the block mask — the forward
+        """The N:M plan over BigBird's row-block structure — the forward
         :class:`~repro.nn.attention_layer.BigBirdDfssCore` runs."""
         self._validate(q, k, v)
-        return self._dfss(q, k)(q, k, v)
+        structure = self.bigbird.cached_structure(q.shape[-2], k.shape[-2])
+        return dfss_attention(q, k, v, pattern=self.pattern, dtype=self.dtype, structure=structure)
 
 
 @register_mechanism(

@@ -9,7 +9,6 @@ import numpy as np
 from repro.baselines.base import AttentionMechanism, register
 from repro.core.attention import dfss_attention
 from repro.core.backend import get_kernel
-from repro.core.blocked_ell import BlockedEllMask
 from repro.core.patterns import default_pattern_for_dtype, resolve_pattern
 from repro.core.sddmm import MASKED_SCORE, sddmm_dense
 from repro.registry import DfssConfig, register_mechanism
@@ -22,7 +21,6 @@ from repro.registry import DfssConfig, register_mechanism
     description="Dynamic N:M fine-grained structured sparse attention (ours)",
     produces_mask=True,
     compressed=True,
-    supports_block_mask=True,
     batchable=True,
     latency_model="dfss",
 )
@@ -33,37 +31,28 @@ class DfssMechanism(AttentionMechanism):
     name = "dfss"
     produces_mask = True
 
-    def __init__(
-        self,
-        pattern=None,
-        dtype: str = "float32",
-        block_mask: Optional[BlockedEllMask] = None,
-    ):
+    def __init__(self, pattern=None, dtype: str = "float32"):
         self.dtype = dtype
         self.pattern = (
             default_pattern_for_dtype(dtype) if pattern is None else resolve_pattern(pattern)
         )
-        self.block_mask = block_mask
 
     def __call__(self, q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
         self._validate(q, k, v)
-        return dfss_attention(
-            q, k, v, pattern=self.pattern, dtype=self.dtype, block_mask=self.block_mask
-        )
+        return dfss_attention(q, k, v, pattern=self.pattern, dtype=self.dtype)
 
-    def _mask(self, scores: np.ndarray, backend: Optional[str] = None) -> np.ndarray:
+    def _mask(self, scores: np.ndarray, backend: Optional[str] = None, allowed=None) -> np.ndarray:
         """The N:M keep-mask of precomputed dense ``scores``.
 
         Selected as the ``sddmm_nm`` epilogue selects, with ``backend``'s
-        ``nm_prune_mask``: blocked scores are masked before the selection (a
-        group straddling a block boundary promotes allowed runners-up), and
-        a key axis that is not a multiple of M is padded with masked lanes up
-        to whole groups, then cropped.
+        ``nm_prune_mask``: scores outside the ``allowed`` mask (a hybrid's
+        blocks) are masked before the selection (a group straddling a block
+        boundary promotes allowed runners-up), and a key axis that is not a
+        multiple of M is padded with masked lanes up to whole groups, then
+        cropped.
         """
         n_k = scores.shape[-1]
-        allowed = None
-        if self.block_mask is not None:
-            allowed = self.block_mask.dense_mask(scores.shape[-2], n_k)
+        if allowed is not None:
             scores = np.where(allowed, scores, MASKED_SCORE)
         pad = self.pattern.padded(n_k) - n_k
         if pad:

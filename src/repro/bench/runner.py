@@ -518,13 +518,14 @@ def run_train_matrix(
                 [out.data.ravel(), qt.grad.ravel(), kt.grad.ravel(), vt.grad.ravel()]
             )
 
-        # the first sparse step also fixes the per-length core state the
-        # dense arm's mask reads (the BigBird + DFSS block layout)
         sparse_out = step(core)
         if isinstance(core, DfssCore):
+            # N:M over the dense arm's own scores, inside the key blocks the
+            # core selects in (BigBird's for the BigBird + DFSS core)
+            structure = core.structure(shape.seq_len, shape.seq_len)
             score_mask = functools.partial(
-                DfssMechanism(core.pattern, block_mask=core.block_mask)._mask,
-                backend=backend,
+                DfssMechanism(core.pattern)._mask, backend=backend,
+                allowed=None if structure is None else structure.to_mask(),
             )
         elif find_spec(mechanism).static_mask:
             # the mask depends on the lengths alone: the core's cached one

@@ -28,7 +28,9 @@ This package implements the paper's primary contribution:
   compressed softmax Jacobian);
 * :mod:`repro.core.lottery`, :mod:`repro.core.theory`, :mod:`repro.core.mse` —
   the analytical results of Section 4 and the appendices;
-* :mod:`repro.core.blocked_ell` — hybrid blocked-ELL + N:M sparsity.
+* :mod:`repro.core.blocked_ell` — the blocked-ELL layouts BigBird lays its
+  blocks out with; the hybrid blocked-ELL + N:M runs over their row-block
+  structure (``dfss_attention(..., structure=...)``).
 """
 
 from repro.core.attention import DfssAttention, dfss_attention, full_attention
@@ -57,8 +59,6 @@ from repro.core.row_block import RowBlockStructure
 from repro.core.blocked_ell import (
     BlockedEllMask,
     bigbird_mask,
-    full_mask,
-    global_tokens_mask,
     sliding_window_mask,
 )
 from repro.core.patterns import (
@@ -96,8 +96,6 @@ __all__ = [
     "RowBlockStructure",
     "BlockedEllMask",
     "bigbird_mask",
-    "full_mask",
-    "global_tokens_mask",
     "sliding_window_mask",
     "NMPattern",
     "PATTERN_1_2",

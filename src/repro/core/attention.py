@@ -21,9 +21,9 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.core.blocked_ell import BlockedEllMask
 from repro.core.patterns import default_pattern_for_dtype, resolve_pattern
 from repro.core.plan import plan_for_nm
+from repro.core.row_block import RowBlockStructure
 from repro.core.sddmm import sddmm_dense
 from repro.core.softmax import dense_softmax, masked_dense_softmax
 
@@ -72,7 +72,7 @@ def dfss_attention(
     scale: Optional[float] = None,
     dtype: str = "float32",
     criterion: str = "value",
-    block_mask: Optional[BlockedEllMask] = None,
+    structure: Optional[RowBlockStructure] = None,
     return_weights: bool = False,
     backend: Optional[str] = None,
 ):
@@ -88,11 +88,14 @@ def dfss_attention(
     key axis is padded to whole M-groups whose padding carries zero weight.
 
     Parameters mirror :func:`full_attention`; ``pattern`` defaults to the
-    hardware pattern for ``dtype`` (1:2 for float32, 2:4 for bfloat16) and
-    ``block_mask`` optionally adds the hybrid blocked-ELL coarse sparsity.
-    When ``return_weights`` is true the compressed
-    :class:`~repro.core.sparse.NMSparseMatrix` of attention weights is returned
-    alongside the output.  ``backend`` selects the kernel implementations
+    hardware pattern for ``dtype`` (1:2 for float32, 2:4 for bfloat16).
+    A :class:`~repro.core.row_block.RowBlockStructure` as ``structure`` runs
+    the hybrid blocked-ELL + N:M sparsity of Appendix A.1.2: each tile
+    scores one key block of the structure (BigBird's for ``bigbird_dfss``),
+    widened to whole M-groups, and N:M selects among its allowed keys.
+    ``return_weights`` (without a structure) also returns the compressed
+    :class:`~repro.core.sparse.NMSparseMatrix` of attention weights.
+    ``backend`` selects the kernel implementations
     ("reference" or "fast"; default ``$REPRO_BACKEND``, else "fast").
     """
     pattern = (
@@ -100,7 +103,7 @@ def dfss_attention(
     )
     plan = plan_for_nm(pattern, q.shape[-2], k.shape[-2], backend=backend, dtype=dtype)
     return plan.forward(
-        q, k, v, scale=scale, criterion=criterion, block_mask=block_mask,
+        q, k, v, structure=structure, scale=scale, criterion=criterion,
         return_probs=return_weights,
     )
 
@@ -124,7 +127,6 @@ class DfssAttention:
     dtype: str = "float32"
     criterion: str = "value"
     scale: Optional[float] = None
-    block_mask: Optional[BlockedEllMask] = None
     backend: Optional[str] = None
 
     def __post_init__(self) -> None:
@@ -144,7 +146,6 @@ class DfssAttention:
             scale=self.scale,
             dtype=self.dtype,
             criterion=self.criterion,
-            block_mask=self.block_mask,
             return_weights=return_weights,
             backend=self.backend,
         )

@@ -1,4 +1,4 @@
-"""Hybrid blocked-ELL + N:M sparsity (Appendix A.1.2, "Blocked-ELL Sparsity").
+"""Blocked-ELL layouts (Appendix A.1.2, "Blocked-ELL Sparsity").
 
 For very long sequences the paper combines the 50% fine-grained structured
 sparsity with a coarse blocked-ELL pattern: the attention matrix is divided
@@ -8,15 +8,20 @@ pruned to N:M as usual.  This gives BigBird-style asymptotic savings while
 keeping the fine-grained selection inside each block.
 
 :class:`BlockedEllMask` represents the coarse pattern: for every block-row, a
-fixed-length list of block-column indices (the ELL format).  Helper
-constructors build the sliding-window / global-token / random-block layouts
-used by BigBird and Longformer.
+fixed-length list of block-column indices (the ELL format).
+:func:`bigbird_mask` lays out BigBird's window/global/random blocks and
+:func:`sliding_window_mask` a band of blocks.  The kernels never read this
+format: BigBird declares its row-block structure from
+:meth:`BlockedEllMask.block_grid`
+(:meth:`repro.baselines.bigbird.BigBirdAttention.row_block_keys`), and the
+hybrid runs N:M over that structure
+(:func:`repro.core.attention.dfss_attention` with ``structure=``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -51,15 +56,6 @@ class BlockedEllMask:
     def block_rows(self) -> int:
         return self.block_columns.shape[0]
 
-    @property
-    def ell_cols(self) -> int:
-        return self.block_columns.shape[1]
-
-    def density(self, total_block_cols: int) -> float:
-        """Fraction of blocks kept, ignoring padded ``-1`` slots."""
-        valid = self.block_columns >= 0
-        return float(valid.sum()) / (self.block_rows * total_block_cols)
-
     def dense_mask(self, rows: int, cols: int) -> np.ndarray:
         """Boolean dense mask of shape ``(rows, cols)`` for the kept blocks."""
         grid = self.block_grid(rows, cols)
@@ -90,13 +86,6 @@ class BlockedEllMask:
         mask[kept_rows, kept_cols] = True
         return mask
 
-    def iter_blocks(self) -> Iterable:
-        """Yield ``(block_row, block_col)`` pairs of kept blocks."""
-        for br in range(self.block_rows):
-            for bc in self.block_columns[br]:
-                if bc >= 0:
-                    yield br, int(bc)
-
 
 def _pad_rows(rows: Sequence[Sequence[int]]) -> np.ndarray:
     rows = [np.unique(np.asarray(r, dtype=np.int64)) for r in rows]
@@ -119,23 +108,6 @@ def sliding_window_mask(
         lo = max(0, br - window_blocks)
         hi = min(block_rows, br + window_blocks + 1)
         rows.append(list(range(lo, hi)))
-    return BlockedEllMask(block_size, _pad_rows(rows))
-
-
-def global_tokens_mask(
-    seq_len: int, block_size: int, num_global_blocks: int = 1
-) -> BlockedEllMask:
-    """Global-attention blocks: the first ``num_global_blocks`` block rows/columns are dense."""
-    if seq_len % block_size:
-        raise ValueError("seq_len must be divisible by block_size")
-    block_rows = seq_len // block_size
-    rows = []
-    for br in range(block_rows):
-        cols = set(range(min(num_global_blocks, block_rows)))
-        if br < num_global_blocks:
-            cols.update(range(block_rows))
-        cols.add(br)  # always keep the diagonal block
-        rows.append(sorted(cols))
     return BlockedEllMask(block_size, _pad_rows(rows))
 
 
@@ -166,13 +138,4 @@ def bigbird_mask(
             )
             kept[np.atleast_1d(picks)] = True
         rows.append(np.flatnonzero(kept))
-    return BlockedEllMask(block_size, _pad_rows(rows))
-
-
-def full_mask(seq_len: int, block_size: int) -> BlockedEllMask:
-    """Degenerate mask keeping every block (pure N:M sparsity)."""
-    if seq_len % block_size:
-        raise ValueError("seq_len must be divisible by block_size")
-    block_rows = seq_len // block_size
-    rows = [list(range(block_rows)) for _ in range(block_rows)]
     return BlockedEllMask(block_size, _pad_rows(rows))

@@ -11,8 +11,8 @@ M-group), in preallocated buffers reused across blocks:
 
 1. ``tensor_core_operand(q)[rows] @ Kᵀ * scale`` as one batched product
    over a lane-major ``(M, d, n_k / M)`` copy of the rounded Kᵀ, which
-   writes the scores straight into the lane planes; the rows of a
-   blocked-ELL ``block_mask`` are applied and padded key lanes masked;
+   writes the scores straight into the lane planes; padded key lanes are
+   masked;
 2. per-lane keep bools from :func:`~repro.core.pruning.nm_keep_lanes` — the
    tie-breaking of the ``sddmm_nm`` epilogue (:func:`~repro.core.pruning.nm_compress`);
 3. the unnormalised masked softmax on the planes, in place: the row max
@@ -75,6 +75,17 @@ allocated in Q's memory order, dK in K's and dV in V's, so the layer's head
 merge and autograd's head-split backward reshape them as views.  Contiguous
 operands take the same path.
 
+The hybrid of Appendix A.1.2 (blocked-ELL + N:M; BigBird + DFSS in Figure
+18A) passes a :class:`~repro.core.row_block.RowBlockStructure` as
+``structure``: each tile is then one of its key blocks, and scores, selects,
+exponentiates and contracts only the block's keys, widened to whole
+M-groups.  A widened lane the block does not allow scores ``MASKED_SCORE``
+before the selection — the dense rule "mask, then select per group", also
+for a group that straddles a block edge — and a group outside every tile is
+never scored.  The training forward then saves its tiles' selection codes
+only (:class:`NMStats`).  Without a structure the tiles are the
+:func:`row_blocks` over all keys.
+
 Both backends take any key count: a key axis that is not a multiple of M is
 padded to whole M-groups with zero K and V rows whose score lanes are set to
 ``MASKED_SCORE`` before the selection, so they carry exactly zero weight.
@@ -97,13 +108,12 @@ composes the staged backward primitives.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple, Union
+from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.core.attention_grad import masked_attention_bwd
 from repro.core.backend import REFERENCE, register_kernel
-from repro.core.blocked_ell import BlockedEllMask
 from repro.core.jobs import (
     Dropout,
     aligned_empty,
@@ -115,6 +125,7 @@ from repro.core.jobs import (
 from repro.core.patterns import NMPattern, default_pattern_for_dtype, resolve_pattern
 from repro.core.precision import tensor_core_operand
 from repro.core.pruning import global_column_indices, nm_compress_lanes, nm_keep_lanes
+from repro.core.row_block import KeyBlock, RowBlockStructure
 from repro.core.sddmm import MASKED_SCORE, sddmm_nm
 from repro.core.softmax import MASKED_LOGIT_THRESHOLD, grouped_row_sum, sparse_softmax
 from repro.core.sparse import NMSparseMatrix
@@ -128,6 +139,7 @@ __all__ = [
     "NMStats",
     "pad_keys",
     "row_blocks",
+    "staged_scores",
 ]
 
 #: Bytes of one float32 score tile: about 1 MiB keeps the lane planes and
@@ -138,9 +150,6 @@ TILE_BYTES = 1 << 20
 
 #: ``MASKED_SCORE``'s bit pattern, written into dropped lanes' uint32 views.
 _MASKED_BITS = MASKED_SCORE.view(np.uint32)
-
-#: One tile: ``(flattened batch index, first row, stop row)``.
-Tile = Tuple[int, int, int]
 
 
 def row_blocks(n_q: int, n_k: int) -> List[Tuple[int, int]]:
@@ -164,6 +173,25 @@ def pad_keys(x: np.ndarray, n_k: int) -> np.ndarray:
     return np.pad(x, [(0, 0)] * (x.ndim - 2) + [(0, n_k - x.shape[-2]), (0, 0)])
 
 
+def staged_scores(
+    q, k, pattern, scale=None, dtype: str = "float32", criterion: str = "value",
+    structure: Optional[RowBlockStructure] = None,
+) -> NMSparseMatrix:
+    """The staged chain's compressed scores: :func:`~repro.core.sddmm.sddmm_nm`
+    over the key axis padded to whole M-groups, the padded keys and the keys
+    ``structure`` does not allow scoring ``MASKED_SCORE`` before the
+    selection."""
+    n_q, n_keys = np.shape(q)[-2], np.shape(k)[-2]
+    n_k = pattern.padded(n_keys)
+    allowed = None
+    if structure is not None or n_k != n_keys:
+        batch_shape = () if structure is None else structure.batch_shape
+        allowed = np.zeros(batch_shape + (n_q, n_k), dtype=bool)
+        allowed[..., :n_keys] = True if structure is None else structure.to_mask()
+    return sddmm_nm(q, pad_keys(k, n_k), pattern=pattern, scale=scale, dtype=dtype,
+                    criterion=criterion, mask=allowed)
+
+
 def _resolve(pattern, dtype: str) -> NMPattern:
     """The call's N:M pattern: ``pattern`` resolved, or ``dtype``'s default."""
     return default_pattern_for_dtype(dtype) if pattern is None else resolve_pattern(pattern)
@@ -178,17 +206,83 @@ def _compressed_keep(dropout: Dropout, indices: np.ndarray, pattern, n_keys: int
     return dropout_keep(dropout, rows, cols, n_keys)
 
 
-def _span_args(q, k, v, pattern, dtype, return_probs=False, return_stats=False, d_out=None,
-               **_) -> dict:
+class _Tile(NamedTuple):
+    """One N:M tile of a batch slice: query rows ``[start, stop)``; the
+    ``width`` M-groups of the padded key axis it scores, ``groups`` (a
+    slice, or a sorted index array); ``masked``, the ``(M, rows, width)``
+    lanes that score ``MASKED_SCORE`` (keys its block does not allow;
+    ``None`` when it allows all); and ``offset``, where its ``rows × width``
+    selection codes start in the slice's row of codes."""
+
+    start: int
+    stop: int
+    groups: Union[slice, np.ndarray]
+    width: int
+    masked: Optional[np.ndarray]
+    offset: int
+
+    @property
+    def rows(self) -> int:
+        return self.stop - self.start
+
+
+def _block_tiles(blocks: Sequence[KeyBlock], m: int) -> List[_Tile]:
+    """One tile per key block: the block's keys widened to whole M-groups,
+    with the widened lanes it does not allow masked."""
+    tiles, offset = [], 0
+    for block in blocks:
+        cols = block.columns()
+        ids = np.unique(cols // m)
+        width = ids.size
+        groups = slice(int(ids[0]), int(ids[-1]) + 1) if ids[-1] - ids[0] + 1 == width else ids
+        masked = None
+        if block.blocked is not None or cols.size != width * m:
+            allowed = np.zeros((block.rows, width, m), dtype=bool)
+            allowed[:, np.searchsorted(ids, cols // m), cols % m] = (
+                True if block.blocked is None else ~block.blocked
+            )
+            if not allowed.all():
+                masked = np.ascontiguousarray(np.moveaxis(~allowed, -1, 0))
+        tiles.append(_Tile(block.start, block.stop, groups, width, masked, offset))
+        offset += block.rows * width
+    return tiles
+
+
+def _slice_tiles(structure, lead: Tuple[int, ...], n_q: int, n_k: int, m: int) -> List[List[_Tile]]:
+    """The tiles of every flattened batch slice of operands with batch shape
+    ``lead`` over a padded key axis of ``n_k``: the :func:`row_blocks` over
+    all groups without a structure, else the tiles of the slice's block list."""
+    batch = int(np.prod(lead, dtype=np.int64))
+    if structure is None:
+        groups = n_k // m
+        plain = [_Tile(r0, r1, slice(0, groups), groups, None, r0 * groups)
+                 for r0, r1 in row_blocks(n_q, n_k)]
+        return [plain] * batch
+    index = structure.slice_index(lead)
+    lists = {int(s): _block_tiles(structure.slices[s], m) for s in np.unique(index)}
+    return [lists[int(s)] for s in index]
+
+
+def _code_count(slices: List[List[_Tile]]) -> int:
+    """The selection codes of the longest slice's tiles."""
+    return max((t.offset + t.rows * t.width for tiles in slices for t in tiles), default=0)
+
+
+def _span_args(q, k, v, pattern, dtype, structure=None, return_probs=False, return_stats=False,
+               d_out=None, **_) -> dict:
     """Trace-span arguments of one forward call, or of one backward call
-    (given ``d_out``): the row tiles, the tile shape ``rows x padded n_k``
-    and the bytes written — the output, plus the compressed probabilities or
-    the saved statistics when requested; or dQ, and dK and dV over the
-    padded key axis."""
+    (given ``d_out``): the row tiles, the largest tile ``rows x widened
+    keys``, the query-key ``pairs`` the tiles score (``n_q ×`` the padded
+    key count per slice without a structure, Σ rows × group-widened width
+    with one) and the bytes written — the output, plus the compressed
+    probabilities or the saved statistics when requested; or dQ, and dK and
+    dV over the padded key axis."""
     pattern = _resolve(pattern, dtype)
+    m = pattern.m
     q_shape, n_k = np.shape(q), pattern.padded(np.shape(k)[-2])
     n_q, batch = q_shape[-2], int(np.prod(q_shape[:-2], dtype=np.int64))
-    blocks = row_blocks(n_q, n_k)
+    slices = _slice_tiles(structure, q_shape[:-2] or (1,), n_q, n_k, m)
+    tiles = [t for s in slices for t in s]
     if d_out is not None:
         out_bytes = 4 * (np.size(q) + batch * n_k * (np.shape(k)[-1] + np.shape(v)[-1]))
     else:
@@ -198,34 +292,15 @@ def _span_args(q, k, v, pattern, dtype, return_probs=False, return_stats=False, 
             out_bytes += 5 * batch * n_q * pattern.kept(n_k)
         if return_stats:
             # float32 shift and denominator per row, a selection code per group
-            code_bytes = np.min_scalar_type((1 << pattern.m) - 1).itemsize
-            out_bytes += batch * n_q * (8 + code_bytes * n_k // pattern.m)
+            code_bytes = np.min_scalar_type((1 << m) - 1).itemsize
+            out_bytes += batch * (8 * n_q + code_bytes * _code_count(slices))
     return {
-        "tiles": batch * len(blocks),
-        "tile_shape": f"{max((r1 - r0 for r0, r1 in blocks), default=0)}x{n_k}",
+        "tiles": len(tiles),
+        "tile_shape": f"{max((t.rows for t in tiles), default=0)}x"
+                      f"{m * max((t.width for t in tiles), default=0)}",
+        "pairs": m * sum(t.rows * t.width for t in tiles),
         "out_bytes": int(out_bytes),
     }
-
-
-class _PaddedKeys:
-    """Mask source of the reference chain over a padded key axis.
-
-    Stands in for the caller's blocked-ELL mask, the only thing the
-    reference SDDMM asks of which is ``dense_mask``: the real keys keep that
-    mask (or are all allowed), and every padded key is masked, so its lanes
-    score ``MASKED_SCORE`` before the selection just as in the fast tiles.
-    """
-
-    def __init__(self, n_keys: int, block_mask: Optional[BlockedEllMask]) -> None:
-        self.n_keys = n_keys
-        self.block_mask = block_mask
-
-    def dense_mask(self, rows: int, cols: int) -> np.ndarray:
-        allowed = np.zeros((rows, cols), dtype=bool)
-        allowed[:, : self.n_keys] = (
-            True if self.block_mask is None else self.block_mask.dense_mask(rows, self.n_keys)
-        )
-        return allowed
 
 
 @dataclass(frozen=True)
@@ -234,12 +309,14 @@ class NMStats:
 
     ``shift`` and ``denom`` are every row's softmax shift and denominator,
     ``(..., n_q)`` float32.  ``selection`` is the N:M selection, one code
-    per M-group of the key axis padded to whole groups (``(..., n_q,
-    n_k / M)``, bit i set when the group's i-th key is kept).  The backward
-    re-scores each tile and recomputes its probabilities as
-    ``exp(s − shift) / denom`` on the saved selection; :meth:`to_mask`
-    reads it for mask introspection.  ``criterion`` and ``block_mask`` are
-    the forward's selection options; ``n_keys`` is the real key count.
+    per scored M-group (bit i set when the group's i-th key is kept): ``(...,
+    n_q, n_k / M)`` over the key axis padded to whole groups without a
+    ``structure``; with one, each batch slice's tile codes one after the
+    other (``(..., codes)``, every tile's ``rows × groups`` in row order).
+    The backward re-scores each tile and recomputes its probabilities as
+    ``exp(s − shift) / denom`` on the saved selection; :meth:`to_mask` reads
+    it for mask introspection.  ``criterion`` and ``structure`` are the
+    forward's selection options; ``n_keys`` is the real key count.
     """
 
     shift: np.ndarray
@@ -248,24 +325,29 @@ class NMStats:
     pattern: NMPattern
     n_keys: int
     criterion: str = "value"
-    block_mask: Optional[BlockedEllMask] = None
+    structure: Optional[RowBlockStructure] = None
 
     @property
     def dense_cols(self) -> int:
         """The key axis padded to whole M-groups."""
-        return self.selection.shape[-1] * self.pattern.m
+        return self.pattern.padded(self.n_keys)
 
     def to_mask(self) -> np.ndarray:
         """``(..., n_q, n_keys)`` bool mask of the entries that carry weight:
-        the selection, cropped to the real keys, without the block-masked
-        entries a fully masked group still stores."""
-        lanes = np.arange(self.pattern.m, dtype=self.selection.dtype)
-        kept = (self.selection[..., None] >> lanes) & 1
-        mask = kept.astype(bool).reshape(self.selection.shape[:-1] + (-1,))
-        mask = mask[..., : self.n_keys]
-        if self.block_mask is not None:
-            mask &= self.block_mask.dense_mask(mask.shape[-2], self.n_keys)
-        return mask
+        the selection, cropped to the real keys, without the masked lanes a
+        group that the structure allows only in part still stores."""
+        m, selection = self.pattern.m, self.selection
+        if self.structure is not None:
+            # the tiles' codes over every group; a group no tile scored keeps none
+            lead, n_q, groups = self.shift.shape[:-1], self.shift.shape[-1], self.dense_cols // m
+            codes = selection.reshape(-1, selection.shape[-1])
+            every = np.zeros((len(codes), n_q * groups), dtype=codes.dtype)
+            for b, pos in enumerate(_code_positions(self.structure, lead or (1,), n_q, groups, m)):
+                every[b, pos] = codes[b, :pos.size]
+            selection = every.reshape(lead + (n_q, groups))
+        kept = (selection[..., None] >> np.arange(m, dtype=selection.dtype)) & 1
+        mask = kept.astype(bool).reshape(selection.shape[:-1] + (-1,))[..., : self.n_keys]
+        return mask if self.structure is None else mask & self.structure.to_mask()
 
 
 def _selection_codes(mask: np.ndarray, pattern) -> np.ndarray:
@@ -276,20 +358,43 @@ def _selection_codes(mask: np.ndarray, pattern) -> np.ndarray:
     return np.sum(groups.astype(dtype) << np.arange(m, dtype=dtype), axis=-1, dtype=dtype)
 
 
+def _code_positions(structure, lead, n_q: int, groups: int, m: int) -> List[np.ndarray]:
+    """Per flattened batch slice, where its tile codes, in order, sit in the
+    flattened ``(n_q, groups)`` codes of every group."""
+    ids = np.arange(groups)
+    return [
+        np.concatenate([(np.arange(t.start, t.stop)[:, None] * groups + ids[t.groups]).ravel()
+                        for t in tiles] or [np.zeros(0, dtype=np.int64)])
+        for tiles in _slice_tiles(structure, lead, n_q, groups * m, m)
+    ]
+
+
+def _tile_codes(codes: np.ndarray, structure: RowBlockStructure, m: int) -> np.ndarray:
+    """The ``(..., codes)`` selection of ``structure``'s tiles, gathered
+    from the ``(..., n_q, n_k / M)`` codes of every group."""
+    lead, (n_q, groups) = codes.shape[:-2], codes.shape[-2:]
+    positions = _code_positions(structure, lead or (1,), n_q, groups, m)
+    flat = codes.reshape(len(positions), -1)
+    out = np.zeros((len(positions), max(p.size for p in positions)), dtype=codes.dtype)
+    for b, pos in enumerate(positions):
+        out[b, :pos.size] = flat[b, pos]
+    return out.reshape(lead + out.shape[-1:])
+
+
 class _LaneTiles:
     """Operands and geometry one fused N:M call's forward and backward share.
 
-    Validates the operands, pads the key axis to whole M-groups, views V
-    lane-major, prepares the blocked-ELL grid, and cuts the query rows into
-    the :func:`row_blocks` both passes walk.  The operands are read in
-    place (:mod:`repro.core.jobs`): ``_q`` and ``_v`` are per-slice views of
-    the caller's arrays, whatever their strides.  The tile steps — score,
-    shift, exponentiate, per-lane dropout — are written once here, so the
-    backward re-scores bit for bit what the forward scored.
+    Validates the operands (against the ``structure`` too, given one), pads
+    the key axis to whole M-groups, views V lane-major, and cuts each batch
+    slice into the tiles both passes walk (:func:`_slice_tiles`).  The
+    operands are read in place (:mod:`repro.core.jobs`): ``_q`` and ``_v``
+    are per-slice views of the caller's arrays, whatever their strides.  The
+    tile steps — score, shift, exponentiate, per-lane dropout — are written
+    once here, so the backward re-scores bit for bit what the forward scored.
     """
 
-    def __init__(self, q, k, v, pattern, scale, dtype, criterion, block_mask, dropout):
-        q, k, v, batch_shape = attention_operands(q, k, v)
+    def __init__(self, q, k, v, pattern, scale, dtype, criterion, structure, dropout):
+        q, k, v, batch_shape = attention_operands(q, k, v, structure)
         n_q, n_k = q.shape[-2], k.shape[-2]
         self.pattern = _resolve(pattern, dtype)
         # the key axis, padded to whole M-groups; an aligned one is used as is
@@ -308,9 +413,7 @@ class _LaneTiles:
         self.n_q = n_q
         self.n_k = n_k
         self.dropout = dropout
-        self.block_mask = block_mask
-        m = self.pattern.m
-        groups = n_k // m
+        self.structure = structure
         # Q is rounded one row block at a time, in the tile (elementwise, so
         # the bits match rounding it whole).  V is only viewed lane-major:
         # lane i's keys are rows i, i + M, … of ``_v[b]``, a strided BLAS
@@ -320,17 +423,14 @@ class _LaneTiles:
         self._q = batch_slices(q)
         # the (padded) keys and values, which each pass views per slice
         self._k, self._v = k, v
-        self._grid = None
-        if block_mask is not None:
-            self._grid = block_mask.block_grid(n_q, self.n_keys)
-            size = block_mask.block_size
-            self._row_block = (np.arange(n_q) // size)[:, None]
-            # the block column of every lane, as ``(M, 1, n_k / M)``; padded
-            # keys borrow the last real key's block and are masked below
-            cols = np.minimum(np.arange(n_k), self.n_keys - 1).reshape(groups, m)
-            self._col_block = (cols.T // size)[:, None, :]
-        self.blocks = row_blocks(n_q, n_k)
-        self.tile_rows = max((r1 - r0 for r0, r1 in self.blocks), default=0)
+        self._slice_tiles = _slice_tiles(structure, q.shape[:-2], n_q, n_k, self.pattern.m)
+        every = [t for tiles in self._slice_tiles for t in tiles]
+        self.tile_rows = max((t.rows for t in every), default=0)
+        self.tile_width = max((t.width for t in every), default=0)
+        self.codes = _code_count(self._slice_tiles)
+        # rows outside every tile of a structure attend to nothing: their
+        # outputs and gradients are zero-filled
+        self._alloc = np.empty_like if structure is None else np.zeros_like
 
     def _lane_kt(self, k: np.ndarray) -> np.ndarray:
         """Rounded Kᵀ laid out lane-major: ``(..., n_k, d)`` becomes
@@ -340,19 +440,22 @@ class _LaneTiles:
         groups = k.reshape(k.shape[:-2] + (self.n_k // m, m, k.shape[-1]))
         return tensor_core_operand(np.moveaxis(groups, -3, -1), self.dtype)
 
-    def _score(self, planes: np.ndarray, b: int, r0: int, r1: int, kt: np.ndarray) -> None:
-        """Score rows ``r0:r1`` of slice ``b`` into the lane planes against
-        the lane-major rounded Kᵀ ``kt``, and mask them."""
-        q = tensor_core_operand(self._q[b][r0:r1], self.dtype)
+    def _group_ids(self, tile: _Tile) -> np.ndarray:
+        """The indices of the groups ``tile`` scores."""
+        return np.arange(self.n_k // self.pattern.m)[tile.groups]
+
+    def _score(self, planes: np.ndarray, b: int, tile: _Tile, kt: np.ndarray) -> None:
+        """Score ``tile``'s rows of slice ``b`` into the lane planes against
+        its groups of the lane-major rounded Kᵀ ``kt``, and mask them."""
+        q = tensor_core_operand(self._q[b][tile.start:tile.stop], self.dtype)
         # repro: owns-buffer — the job's reused lane planes
-        np.matmul(q, kt, out=planes)
+        np.matmul(q, kt[..., tile.groups], out=planes)
         # repro: owns-buffer — the job's reused lane planes
         np.multiply(planes, self.scale, out=planes)
-        if self._grid is not None:
-            allowed = self._grid[self._row_block[r0:r1], self._col_block]
+        if tile.masked is not None:
             # repro: owns-buffer — the job's reused lane planes
-            np.copyto(planes, MASKED_SCORE, where=~allowed)
-        if self.n_k != self.n_keys:
+            np.copyto(planes, MASKED_SCORE, where=tile.masked)
+        if self.structure is None and self.n_k != self.n_keys:
             # padded keys are the last lanes of the last group
             # repro: owns-buffer — the job's reused lane planes
             np.copyto(planes[self.n_keys % self.pattern.m:, :, -1], MASKED_SCORE)
@@ -399,7 +502,8 @@ class NMForwardJob(_LaneTiles):
 
     Construction validates the operands, rounds them to tensor-core
     precision, lays the rounded Kᵀ out lane-major, and allocates the output.
-    ``return_probs`` also allocates the compressed probabilities;
+    ``return_probs`` also allocates the compressed probabilities (without a
+    ``structure`` only: a structured call keeps no dense-width P);
     ``return_stats`` (the training forward) instead allocates what the
     backward recomputes them from, :class:`NMStats`: per-row shift and
     denominator plus the selection, and no probability values.
@@ -418,14 +522,14 @@ class NMForwardJob(_LaneTiles):
         scale: Optional[float] = None,
         dtype: str = "float32",
         criterion: str = "value",
-        block_mask: Optional[BlockedEllMask] = None,
+        structure: Optional[RowBlockStructure] = None,
         return_probs: bool = False,
         dropout: Optional[Dropout] = None,
         return_stats: bool = False,
     ) -> None:
-        if return_probs and return_stats:
-            raise ValueError("return_probs and return_stats are exclusive")
-        super().__init__(q, k, v, pattern, scale, dtype, criterion, block_mask, dropout)
+        if return_probs and (return_stats or structure is not None):
+            raise ValueError(_NO_PROBS)
+        super().__init__(q, k, v, pattern, scale, dtype, criterion, structure, dropout)
         batch, n_q, m = len(self._q), self.n_q, self.pattern.m
         # Kᵀ is rounded once for the whole call, as every tile reads it; the
         # tiles read nothing else of K
@@ -434,45 +538,45 @@ class NMForwardJob(_LaneTiles):
         del self._k
         d_v = self._v.shape[-1]
         self._v = [x.reshape(self.n_k // m, m, d_v) for x in batch_slices(self._v)]
-        self.tiles: List[Tile] = [
-            (b, r0, r1) for b in range(batch) for r0, r1 in self.blocks
+        self.tiles: List[Tuple[int, _Tile]] = [
+            (b, tile) for b, tiles in enumerate(self._slice_tiles) for tile in tiles
         ]
-        self._out = np.empty_like(self._layout, shape=self._layout.shape[:-1] + (d_v,))
+        self._out = self._alloc(self._layout, shape=self._layout.shape[:-1] + (d_v,))
         self._out_rows = batch_slices(self._out)
-        kept = self.pattern.kept(self.n_k)
-        self._values = self._indices = self._shift = self._denom = self._selection = None
+        self._values = self._indices = self._shift = self._denom = None
         if return_probs:
+            kept = self.pattern.kept(self.n_k)
             self._values = np.empty((batch, n_q, kept), dtype=np.float32)
             self._indices = np.empty((batch, n_q, kept), dtype=np.int8)
         if return_stats:
-            self._shift = np.empty((batch, n_q), dtype=np.float32)
-            self._denom = np.empty((batch, n_q), dtype=np.float32)
-            self._selection = np.empty(
-                (batch, n_q, self.n_k // self.pattern.m),
-                dtype=np.min_scalar_type((1 << self.pattern.m) - 1),
-            )
+            # rows outside every tile of a structure keep the shift 0 and
+            # the denominator 1; each slice's tile codes fill one row
+            self._shift = np.zeros((batch, n_q), dtype=np.float32)
+            self._denom = np.ones((batch, n_q), dtype=np.float32)
+            self._codes = np.zeros((batch, self.codes), dtype=np.min_scalar_type((1 << m) - 1))
 
     def new_buffer(self) -> Tuple[np.ndarray, np.ndarray]:
         """Tile buffers for :meth:`run`, one pair per concurrent executor: the
-        ``(M, rows, n_k / M)`` lane planes and the ``(M, rows, d)`` per-lane
+        ``(M, rows, groups)`` lane planes and the ``(M, rows, d)`` per-lane
         partial products of P·V."""
         m = self.pattern.m
         return (
-            aligned_empty((m, self.tile_rows, self.n_k // m)),
+            aligned_empty((m, self.tile_rows, self.tile_width)),
             aligned_empty((m, self.tile_rows, self._out.shape[-1])),
         )
 
-    def label(self, tile: Tile) -> Tuple[str, str]:
+    def label(self, tile: Tuple[int, _Tile]) -> Tuple[str, str]:
         """``(rows, shape)`` trace labels of one row tile."""
-        b, r0, r1 = tile
-        return f"{b}:{r0}:{r1}", f"{r1 - r0}x{self.n_k}"
+        b, t = tile
+        return f"{b}:{t.start}:{t.stop}", f"{t.rows}x{t.width * self.pattern.m}"
 
-    def run(self, tile: Tile, buf: Tuple[np.ndarray, np.ndarray]) -> None:
+    def run(self, tile: Tuple[int, _Tile], buf: Tuple[np.ndarray, np.ndarray]) -> None:
         """Execute one tile: score into the lane planes, select, exponentiate
         in place, contract, and normalise the output rows."""
-        b, r0, r1 = tile
-        planes, partial = buf[0][:, : r1 - r0], buf[1][:, : r1 - r0]
-        self._score(planes, b, r0, r1, self._kt[b])
+        b, t = tile
+        r0, r1 = t.start, t.stop
+        planes, partial = buf[0][:, : t.rows, : t.width], buf[1][:, : t.rows]
+        self._score(planes, b, t, self._kt[b])
         keep = nm_keep_lanes(planes, self.pattern, self.criterion)
         shift = self._row_shift(planes, keep)
         self._exp_lanes(planes, keep, shift)
@@ -492,7 +596,7 @@ class NMForwardJob(_LaneTiles):
             # repro: owns-buffer — disjoint row block of the job's own output
             self._denom[b, r0:r1] = denom[:, 0]
             # one code per group: bit i set when the group's i-th key is kept
-            codes = self._selection[b, r0:r1]
+            codes = self._codes[b, t.offset:t.offset + t.rows * t.width].reshape(t.rows, t.width)
             # repro: owns-buffer — disjoint row block of the job's own output
             np.copyto(codes, keep[0])
             for lane in range(1, len(keep)):
@@ -502,13 +606,13 @@ class NMForwardJob(_LaneTiles):
             # one lane plane at a time: the hash's uint64 and float64
             # temporaries are each twice the bytes of what they cover
             flat_rows = np.arange(b * self.n_q + r0, b * self.n_q + r1)[:, None]
+            cols = self._group_ids(t) * self.pattern.m
             for lane, plane in enumerate(planes):
-                cols = np.arange(lane, self.n_k, self.pattern.m)
                 # repro: owns-buffer — a lane of the job's reused lane planes
-                plane *= dropout_keep(self.dropout, flat_rows, cols, self.n_keys)
+                plane *= dropout_keep(self.dropout, flat_rows, cols + lane, self.n_keys)
         # lane i's keys are rows i, i + M, … of V: one strided view per lane
         # repro: owns-buffer — the job's reused partial-product buffer
-        np.matmul(planes, self._v[b].transpose(1, 0, 2), out=partial)
+        np.matmul(planes, self._v[b][t.groups].transpose(1, 0, 2), out=partial)
         # repro: owns-buffer — disjoint row block of the job's own output
         np.divide(np.sum(partial, axis=0), denom, out=self._out_rows[b][r0:r1])
 
@@ -524,11 +628,14 @@ class NMForwardJob(_LaneTiles):
             return out, NMStats(
                 shift=self._shift.reshape(self.batch_shape + (self.n_q,)),
                 denom=self._denom.reshape(self.batch_shape + (self.n_q,)),
-                selection=restore_batch_shape(self._selection, self.batch_shape),
+                selection=self._codes.reshape(self.batch_shape + (
+                    (self.n_q, self.n_k // self.pattern.m) if self.structure is None
+                    else (self.codes,)
+                )),
                 pattern=self.pattern,
                 n_keys=self.n_keys,
                 criterion=self.criterion,
-                block_mask=self.block_mask,
+                structure=self.structure,
             )
         if self._values is None:
             return out, None
@@ -547,19 +654,19 @@ class NMBackwardJob(_LaneTiles):
     """One N:M attention backward, decomposed into independent batch slices.
 
     Nothing of the forward's probabilities is stored: each slice walks the
-    forward's row blocks and, per block, re-scores with the same tf32-rounded
+    forward's tiles and, per tile, re-scores with the same tf32-rounded
     Q rows and lane-major Kᵀ (rounded one slice at a time) and recomputes
     the unnormalised probabilities ``P̃ = exp(s − shift)`` on the saved
     selection from the saved shift — bit for bit the forward's.  Reading the
     saved selection costs a shift and a mask per lane, where re-running
     ``nm_keep_lanes`` on the re-scored lanes cost several times that.
-    The tile is one ``(rows, n_k)`` array whose columns are in lane-major
-    key order (all keys of lane 0, then of lane 1, …): the re-scoring
-    product writes its M lane planes as strided views of it, and every
-    other product is one GEMM against lane-major copies of K and V, which
-    ran faster than M per-lane GEMMs over strided lane views.  With
-    ``P = P̃ / denom`` and the keep mask ``D`` of the seeded dropout
-    (re-hashed per lane plane):
+    The tile is one ``(rows, widened keys)`` array whose columns are in
+    lane-major key order (all the tile's keys of lane 0, then of lane 1, …):
+    the re-scoring product writes its M lane planes as strided views of it,
+    and every other product is one GEMM against lane-major copies of K and V
+    (the tile's rows of them with a structure), which ran faster than M
+    per-lane GEMMs over strided lane views.  With ``P = P̃ / denom`` and the
+    keep mask ``D`` of the seeded dropout (re-hashed per lane plane):
 
     * ``dV += (P̃ ∘ D)ᵀ (dO / denom)``;
     * ``dP = (dO Vᵀ) ∘ D``, and without dropout ``dP − rowsum(dO ∘ O)`` as
@@ -568,9 +675,10 @@ class NMBackwardJob(_LaneTiles):
     * ``dQ = dS K``, the row factor ``scale / denom`` applied to the
       ``(rows, d)`` product, and ``dK += dS'ᵀ (Q · scale / denom)``.
 
-    dK and dV accumulate in lane-major key order over the row blocks, in a
-    fixed order that depends only on the geometry, and are written back in
-    key order once per slice.  The :attr:`tiles` are the batch slices;
+    dK and dV accumulate over the tiles in a fixed order that depends only
+    on the geometry: in lane-major key order, written back in key order once
+    per slice, without a structure; at each tile's keys of the zero-filled
+    dK and dV with one.  The :attr:`tiles` are the batch slices;
     they are independent, so any executor may run them in any order.
     """
 
@@ -588,19 +696,19 @@ class NMBackwardJob(_LaneTiles):
         scale: Optional[float] = None,
         dtype: str = "float32",
         criterion: str = "value",
-        block_mask: Optional[BlockedEllMask] = None,
+        structure: Optional[RowBlockStructure] = None,
         dropout: Optional[Dropout] = None,
     ) -> None:
-        super().__init__(q, k, v, pattern, scale, dtype, criterion, block_mask, dropout)
+        super().__init__(q, k, v, pattern, scale, dtype, criterion, structure, dropout)
         batch, n_q = len(self._q), self.n_q
-        self._selection = np.asarray(selection).reshape(batch, n_q, -1)
+        self._codes = np.asarray(selection).reshape(batch, self.codes)
         self._g, self._o = batch_slices(d_out), batch_slices(out)
         self._shift = np.asarray(shift, dtype=np.float32).reshape(batch, n_q, 1)
         self._denom = np.asarray(denom, dtype=np.float32).reshape(batch, n_q, 1)
         self.tiles = range(batch)
         # each gradient in its operand's layout; dK and dV zero-filled for a
-        # slice without query rows, which no block writes
-        self._dq = np.empty_like(self._layout)
+        # slice without query rows, which no tile writes
+        self._dq = self._alloc(self._layout)
         self._dk, self._dv = np.zeros_like(self._k), np.zeros_like(self._v)
         self._k, self._v = batch_slices(self._k), batch_slices(self._v)
         self._dq_rows, self._dk_rows, self._dv_rows = (
@@ -609,9 +717,9 @@ class NMBackwardJob(_LaneTiles):
 
     def new_buffer(self) -> Tuple[Optional[np.ndarray], ...]:
         """Tile buffers for :meth:`run`, one set per concurrent executor: the
-        ``(rows, n_k)`` probability and ``dS`` tiles, and the dropped
-        probability tile (with dropout only)."""
-        tile = (self.tile_rows, self.n_k)
+        ``(rows, widened keys)`` probability and ``dS`` tiles, and the
+        dropped probability tile (with dropout only)."""
+        tile = (self.tile_rows, self.tile_width * self.pattern.m)
         return (
             aligned_empty(tile),
             aligned_empty(tile),
@@ -630,33 +738,54 @@ class NMBackwardJob(_LaneTiles):
         return f"{b}:0:{self.n_q}", f"{self.n_q}x{self.n_k}"
 
     def run(self, b: int, buf: Tuple[Optional[np.ndarray], ...]) -> None:
-        """Gradients of slice ``b``, row block by row block."""
+        """Gradients of slice ``b``, tile by tile."""
         m, groups = self.pattern.m, self.n_k // self.pattern.m
         d_v = self._v[b].shape[-1]
         kt = self._lane_kt(self._k[b])
-        k_lanes = self._lane_order(self._k[b])
-        # V in lane-major key order and a ones column: without dropout,
-        # [dO, −rowsum(dO ∘ O)] @ [V, 1]ᵀ is dP − rowsum(dO ∘ O) in one GEMM
+        plain = self.structure is None
+        # Without a structure every tile reads all keys: K and V are copied
+        # in lane-major key order, and dK and dV accumulate in that order
+        # and are written back once.  A structure's tile gathers its keys in
+        # lane-major order from K and V as they are and adds straight into
+        # the zero-filled dK and dV.
+        k_keys = self._lane_order(self._k[b]) if plain else self._k[b]
+        # V and a ones column: without dropout, [dO, −rowsum(dO ∘ O)] @
+        # [V, 1]ᵀ is dP − rowsum(dO ∘ O) in one GEMM
         v_aug = np.concatenate(
-            [self._lane_order(self._v[b]), np.ones((self.n_k, 1), np.float32)], axis=1
+            [self._lane_order(self._v[b]) if plain else self._v[b],
+             np.ones((self.n_k, 1), np.float32)], axis=1,
         )
         g_aug = np.empty((self.tile_rows, d_v + 1), dtype=np.float32)
-        grad_k = np.empty_like(k_lanes)
-        grad_v = np.empty((self.n_k, d_v), dtype=np.float32)
+        if plain:
+            grad_k = np.empty_like(k_keys)
+            grad_v = np.empty((self.n_k, d_v), dtype=np.float32)
+        else:
+            grad_k, grad_v = self._dk_rows[b], self._dv_rows[b]
         scale = np.float32(self.scale)
-        for r0, r1 in self.blocks:
-            rows = r1 - r0
-            tile, d_s, dropped = (None if x is None else x[:rows] for x in buf)
+        tiles = self._slice_tiles[b]
+        for t in tiles:
+            rows, width, r0, r1 = t.rows, t.width, t.start, t.stop
+            tile, d_s, dropped = (
+                None if x is None else x.ravel()[: rows * width * m].reshape(rows, width * m)
+                for x in buf
+            )
             # score and exponentiate in contiguous lane planes (the dS tile,
             # free until dP), then lay P̃ out in lane-major key order
-            planes = d_s.reshape(m, rows, groups)
-            self._score(planes, b, r0, r1, kt)
-            codes = self._selection[b, r0:r1]
+            planes = d_s.reshape(m, rows, width)
+            self._score(planes, b, t, kt)
+            codes = self._codes[b, t.offset:t.offset + rows * width].reshape(rows, width)
             keep = [(codes >> lane) & 1 for lane in range(m)]
             shift, denom = self._shift[b, r0:r1], self._denom[b, r0:r1]
             self._exp_lanes(planes, keep, shift)
             # repro: owns-buffer — the executor's borrowed probability tile
-            np.copyto(tile.reshape(rows, m, groups), planes.transpose(1, 0, 2))
+            np.copyto(tile.reshape(rows, m, width), planes.transpose(1, 0, 2))
+            # the tile's keys in lane-major order: all of them without a
+            # structure, else lane i of each of its groups, lane after lane
+            keys = (
+                slice(None) if plain
+                else (self._group_ids(t) * m + np.arange(m)[:, None]).ravel()
+            )
+            k_tile, v_tile = k_keys[keys], v_aug[keys]
             g = self._g[b][r0:r1]
             inner = np.sum(g * self._o[b][r0:r1], axis=-1, keepdims=True)
             applied = tile
@@ -664,17 +793,17 @@ class NMBackwardJob(_LaneTiles):
                 g_aug[:rows, :d_v] = g
                 g_aug[:rows, d_v:] = -inner
                 # repro: owns-buffer — the executor's borrowed dS tile
-                np.matmul(g_aug[:rows], v_aug.T, out=d_s)
+                np.matmul(g_aug[:rows], v_tile.T, out=d_s)
             else:
                 # dP = (dO Vᵀ) ∘ D, then the row inner products
                 # repro: owns-buffer — the executor's borrowed dS tile
-                np.matmul(g, v_aug[:, :d_v].T, out=d_s)
-                planes = tile.reshape(rows, m, groups).transpose(1, 0, 2)
-                d_s3, dropped3 = (x.reshape(rows, m, groups) for x in (d_s, dropped))
+                np.matmul(g, v_tile[:, :d_v].T, out=d_s)
+                planes = tile.reshape(rows, m, width).transpose(1, 0, 2)
+                d_s3, dropped3 = (x.reshape(rows, m, width) for x in (d_s, dropped))
                 flat_rows = np.arange(b * self.n_q + r0, b * self.n_q + r1)[:, None]
+                cols = self._group_ids(t) * m
                 for lane in range(m):
-                    cols = np.arange(lane, self.n_k, m)
-                    drop = dropout_keep(self.dropout, flat_rows, cols, self.n_keys)
+                    drop = dropout_keep(self.dropout, flat_rows, cols + lane, self.n_keys)
                     # repro: owns-buffer — the executor's borrowed dropped tile
                     np.multiply(planes[lane], drop, out=dropped3[:, lane])
                     # repro: owns-buffer — the executor's borrowed dS tile
@@ -682,17 +811,18 @@ class NMBackwardJob(_LaneTiles):
                 # repro: owns-buffer — the executor's borrowed dS tile
                 d_s -= inner
                 applied = dropped
+            first = plain and r0 == 0
             # dV += (P̃ ∘ D)ᵀ dO / denom, the divide folded into the dO rows
-            _matmul_into(grad_v, r0 == 0, applied.T, g / denom)
+            _matmul_into(grad_v, keys, first, applied.T, g / denom)
             # dS' = P̃ ∘ (dP − rowsum(dO ∘ O))
             # repro: owns-buffer — the executor's borrowed dS tile
             d_s *= tile
             # dQ = dS' K · scale / denom; dK += dS'ᵀ (Q · scale / denom)
             row_scale = scale / denom
             # repro: owns-buffer — disjoint row block of the job's own dQ
-            np.multiply(np.matmul(d_s, k_lanes), row_scale, out=self._dq_rows[b][r0:r1])
-            _matmul_into(grad_k, r0 == 0, d_s.T, self._q[b][r0:r1] * row_scale)
-        if self.blocks:
+            np.multiply(np.matmul(d_s, k_tile), row_scale, out=self._dq_rows[b][r0:r1])
+            _matmul_into(grad_k, keys, first, d_s.T, self._q[b][r0:r1] * row_scale)
+        if plain and tiles:
             # back to key order: lane i's keys are rows i, i + M, …
             for lanes, grad in ((grad_k, self._dk_rows[b]), (grad_v, self._dv_rows[b])):
                 dst = grad.reshape(groups, m, grad.shape[-1])
@@ -706,15 +836,22 @@ class NMBackwardJob(_LaneTiles):
         return tuple(restore_batch_shape(grad, self.batch_shape) for grad in grads)
 
 
-def _matmul_into(dst: np.ndarray, first: bool, a: np.ndarray, b: np.ndarray) -> None:
-    """``dst = a @ b`` for a slice's first row block, ``dst += a @ b`` for
-    the blocks after it."""
+def _matmul_into(
+    dst: np.ndarray, keys: Union[slice, np.ndarray], first: bool, a: np.ndarray, b: np.ndarray
+) -> None:
+    """``dst = a @ b`` for a slice's first row block over every key, else
+    ``dst[keys] += a @ b`` (over every key, ``keys`` a full slice, this adds
+    in place: numpy skips assigning the view back onto itself)."""
     if first:
         # repro: owns-buffer — the caller's per-slice dK or dV accumulator
         np.matmul(a, b, out=dst)
     else:
         # repro: owns-buffer — the caller's per-slice dK or dV accumulator
-        dst += np.matmul(a, b)
+        dst[keys] += np.matmul(a, b)
+
+
+#: Why ``return_probs`` goes with neither ``return_stats`` nor a structure.
+_NO_PROBS = "return_probs is exclusive with return_stats and with a structure (no dense-width P)"
 
 
 @register_kernel("nm_attention", REFERENCE)
@@ -726,7 +863,7 @@ def _nm_attention_reference(
     scale: Optional[float] = None,
     dtype: str = "float32",
     criterion: str = "value",
-    block_mask: Optional[BlockedEllMask] = None,
+    structure: Optional[RowBlockStructure] = None,
     return_probs: bool = False,
     dropout: Optional[Dropout] = None,
     return_stats: bool = False,
@@ -736,37 +873,34 @@ def _nm_attention_reference(
     A key count that is not a multiple of M is padded as in the fast kernel;
     dropout multiplies the probabilities the SpMM contracts.  The saved
     statistics are each row's max stored score (0 for a row without a live
-    one) and the sum of its stored entries' exponentials (1 for a zero sum).
+    one) and the sum of its stored entries' exponentials (1 for a zero sum);
+    with a ``structure`` the selection keeps the codes of its tiles only.
     """
-    if return_probs and return_stats:
-        raise ValueError("return_probs and return_stats are exclusive")
+    if return_probs and (return_stats or structure is not None):
+        raise ValueError(_NO_PROBS)
+    attention_operands(q, k, v, structure)
     pattern = _resolve(pattern, dtype)
     n_keys = np.shape(k)[-2]
-    n_k = pattern.padded(n_keys)
-    mask_source = block_mask
-    if n_k != n_keys:
-        k, v = pad_keys(k, n_k), pad_keys(v, n_k)
-        mask_source = _PaddedKeys(n_keys, block_mask)
-    scores = sddmm_nm(
-        q, k, pattern=pattern, scale=scale, dtype=dtype,
-        criterion=criterion, block_mask=mask_source,
-    )
+    scores = staged_scores(q, k, pattern, scale, dtype, criterion, structure)
     probs = sparse_softmax(scores)
     applied = probs
     if dropout is not None:
         keep = _compressed_keep(dropout, probs.indices, pattern, n_keys)
         applied = probs.with_values(probs.values * keep)
-    out = spmm(applied, v)
+    out = spmm(applied, pad_keys(v, probs.dense_cols))
     if return_stats:
         masked = scores.values <= MASKED_LOGIT_THRESHOLD
         row_max = np.max(np.where(masked, -np.inf, scores.values), axis=-1, keepdims=True)
         shift = np.where(np.isfinite(row_max), row_max, 0.0).astype(np.float32)
         exp = np.where(masked, 0.0, np.exp(scores.values - shift))
         denom = np.sum(exp, axis=-1, dtype=np.float32)
+        selection = _selection_codes(probs.to_mask(), pattern)
+        if structure is not None:
+            selection = _tile_codes(selection, structure, pattern.m)
         return out, NMStats(
             shift=shift[..., 0], denom=np.where(denom == 0.0, np.float32(1.0), denom),
-            selection=_selection_codes(probs.to_mask(), pattern), pattern=pattern,
-            n_keys=n_keys, criterion=criterion, block_mask=block_mask,
+            selection=selection, pattern=pattern, n_keys=n_keys, criterion=criterion,
+            structure=structure,
         )
     return out, (probs if return_probs else None)
 
@@ -785,7 +919,7 @@ def _nm_attention_bwd_reference(
     scale: Optional[float] = None,
     dtype: str = "float32",
     criterion: str = "value",
-    block_mask: Optional[BlockedEllMask] = None,
+    structure: Optional[RowBlockStructure] = None,
     dropout: Optional[Dropout] = None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The oracle: re-run the staged reference chain for the compressed
@@ -795,10 +929,7 @@ def _nm_attention_bwd_reference(
     del out, shift, denom, selection
     pattern = _resolve(pattern, dtype)
     scale = 1.0 / np.sqrt(np.shape(q)[-1]) if scale is None else scale
-    _, probs = _nm_attention_reference(
-        q, k, v, pattern=pattern, scale=scale, dtype=dtype, criterion=criterion,
-        block_mask=block_mask, return_probs=True,
-    )
+    probs = sparse_softmax(staged_scores(q, k, pattern, scale, dtype, criterion, structure))
     n_keys = np.shape(k)[-2]
     keep = None if dropout is None else _compressed_keep(dropout, probs.indices, pattern, n_keys)
     k, v = pad_keys(k, probs.dense_cols), pad_keys(v, probs.dense_cols)

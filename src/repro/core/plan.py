@@ -14,7 +14,9 @@ compiles that pass once per layout and geometry:
   fused forward and one backward.  An N:M plan runs ``nm_attention`` and
   ``nm_attention_bwd`` (:mod:`repro.core.nm_attention`: row-tiled on
   ``fast``, so no ``n²`` tensor exists, and the backward recomputes the
-  probabilities instead of reading stored ones).  A row-block plan — every
+  probabilities instead of reading stored ones), over all keys or, given a
+  row-block ``structure``, over its key blocks only (the blocked-ELL + N:M
+  hybrid, ``bigbird_dfss``).  A row-block plan — every
   other mask: the static masks' declared structures, the content-dependent
   masks' and explicit masks' structures built from the mask
   (:mod:`repro.core.row_block`) — runs ``row_block_attention`` and
@@ -157,7 +159,7 @@ class AttentionPlan:
                 grads = self._bwd(
                     *operands, saved.shift, saved.denom, saved.selection,
                     pattern=self._pattern, scale=scale, dtype=self.key.dtype,
-                    criterion=saved.criterion, block_mask=saved.block_mask,
+                    criterion=saved.criterion, structure=saved.structure,
                     dropout=dropout,
                 )
             else:
@@ -175,7 +177,6 @@ class AttentionPlan:
         structure: Optional[RowBlockStructure] = None,
         scale: Optional[float] = None,
         criterion: str = "value",
-        block_mask=None,
         return_probs: bool = False,
         dropout: Optional[Dropout] = None,
         return_stats: bool = False,
@@ -187,7 +188,10 @@ class AttentionPlan:
         ``reference`` — which computes the compressed probabilities only when
         ``return_probs`` asks for them, and applies ``dropout`` (``(seed,
         p)``, see :func:`repro.core.jobs.dropout_keep`) to the
-        probabilities it contracts.  The training op asks for
+        probabilities it contracts.  Given a ``structure``, an N:M plan runs
+        the blocked-ELL + N:M hybrid: each tile is one of the structure's
+        key blocks, and N:M selects inside the block's keys, widened to
+        whole M-groups (no ``return_probs`` then).  The training op asks for
         ``return_stats`` instead and gets ``(out, stats)``: the per-row
         softmax statistics and the selection
         (:class:`~repro.core.nm_attention.NMStats`) that :meth:`backward`
@@ -205,7 +209,7 @@ class AttentionPlan:
             if self.key.layout == "nm":
                 out, saved = self._forward(
                     *operands, pattern=self._pattern, scale=scale, dtype=self.key.dtype,
-                    criterion=criterion, block_mask=block_mask,
+                    criterion=criterion, structure=structure,
                     return_probs=return_probs, dropout=dropout, return_stats=return_stats,
                 )
             else:

@@ -28,15 +28,15 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.blocked_ell import BlockedEllMask
 from repro.core.patterns import default_pattern_for_dtype, resolve_pattern
 from repro.core.precision import dtype_bytes, simulate_tensor_core_matmul
 from repro.core.pruning import nm_compress
 from repro.core.sparse import NMSparseMatrix
 from repro.utils.shapes import as_batched_3d, restore_batch_shape
 
-#: Sentinel written to score positions excluded by a blocked-ELL mask; large
-#: and negative so the sparse softmax assigns them exactly zero weight.
+#: Sentinel written to score positions a mask excludes (a block a structure
+#: does not allow, a padded key); large and negative so the sparse softmax
+#: assigns them exactly zero weight.
 MASKED_SCORE = np.float32(-1e30)
 
 
@@ -71,7 +71,7 @@ def sddmm_nm(
     scale: Optional[float] = None,
     dtype: str = "float32",
     criterion: str = "value",
-    block_mask: Optional[BlockedEllMask] = None,
+    mask: Optional[np.ndarray] = None,
 ) -> NMSparseMatrix:
     """Compute ``scale * Q Kᵀ`` and prune it to N:M sparsity in one step.
 
@@ -93,10 +93,11 @@ def sddmm_nm(
         precision before the multiply.
     criterion:
         "value" (default, what the attention epilogue does) or "magnitude".
-    block_mask:
-        Optional hybrid blocked-ELL mask; score blocks outside the mask are
-        never computed and their groups keep the first N entries with value
-        ``-inf`` replaced by a large negative number so softmax ignores them.
+    mask:
+        Optional boolean mask broadcastable to ``(..., seq_q, seq_k)``:
+        scores where it is False become ``MASKED_SCORE`` before the
+        selection, so a group keeps allowed runners-up first and softmax
+        gives the masked entries it still stores exactly zero weight.
 
     Returns
     -------
@@ -108,6 +109,9 @@ def sddmm_nm(
     )
     # output tiles of whole M-groups: 126 keys wide for M = 6, say
     ntile = pattern.m * max(1, 128 // pattern.m)
+    if mask is not None:
+        shape = np.shape(mask)[-2:]
+        mask = np.broadcast_to(mask, batch_shape + shape).reshape((-1,) + shape)
     slices = [
         sddmm_nm_tiled(
             q3[b],
@@ -117,7 +121,7 @@ def sddmm_nm(
             dtype=dtype,
             criterion=criterion,
             ntile=ntile,
-            block_mask=block_mask,
+            mask=None if mask is None else mask[b],
         )
         for b in range(q3.shape[0])
     ]
@@ -205,7 +209,7 @@ def sddmm_nm_tiled(
     ntile: int = 128,
     ktile: int = 32,
     traffic: Optional[SddmmTraffic] = None,
-    block_mask: Optional[BlockedEllMask] = None,
+    mask: Optional[np.ndarray] = None,
 ) -> NMSparseMatrix:
     """Tile-by-tile SDDMM mirroring the CUDA kernel's blocking.
 
@@ -215,7 +219,8 @@ def sddmm_nm_tiled(
     which the analytical model in :mod:`repro.gpusim` must reproduce.
 
     Only 2-D (single head) inputs are supported; batching is the caller's
-    loop, exactly as ``blockIdx.z`` is in the kernel.
+    loop, exactly as ``blockIdx.z`` is in the kernel.  ``mask`` is the
+    slice's ``(n_q, n_k)`` allowed mask, as in :func:`sddmm_nm`.
     """
     q = np.asarray(q, dtype=np.float32)
     k = np.asarray(k, dtype=np.float32)
@@ -231,9 +236,6 @@ def sddmm_nm_tiled(
         default_pattern_for_dtype(dtype) if pattern is None else resolve_pattern(pattern)
     )
     pattern.validate_length(n_k)
-    dense_mask = None
-    if block_mask is not None:
-        dense_mask = block_mask.dense_mask(n_q, n_k)
 
     elem = dtype_bytes(dtype)
     kept_total = pattern.kept(n_k)
@@ -259,8 +261,8 @@ def sddmm_nm_tiled(
                 if traffic is not None:
                     traffic.bytes_read += a_frag.size * elem + b_frag.size * elem
             acc *= scale
-            if dense_mask is not None:
-                acc = np.where(dense_mask[i0:i1, j0:j1], acc, MASKED_SCORE)
+            if mask is not None:
+                acc = np.where(mask[i0:i1, j0:j1], acc, MASKED_SCORE)
             # epilogue: prune the tile while it is still "in registers"
             tile_vals, tile_idx = nm_compress(acc, pattern, criterion)
             kept_cols = tile_vals.shape[-1]

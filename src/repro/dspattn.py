@@ -26,9 +26,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.core.nm_attention import _PaddedKeys, pad_keys
+from repro.core.nm_attention import pad_keys, staged_scores
 from repro.core.patterns import default_pattern_for_dtype, resolve_pattern
-from repro.core.sddmm import sddmm_nm
 from repro.core.softmax import sparse_softmax
 from repro.core.sparse import NMSparseMatrix
 from repro.core.spmm import spmm
@@ -50,13 +49,7 @@ def GEMM(
     masked keys, which carry zero weight, as in the N:M forward.
     """
     pattern = default_pattern_for_dtype(dtype) if pattern is None else resolve_pattern(pattern)
-    n_keys = np.shape(key)[-2]
-    n_k = pattern.padded(n_keys)
-    padded = _PaddedKeys(n_keys, None) if n_k != n_keys else None
-    sparse_scores = sddmm_nm(
-        query, pad_keys(key, n_k), pattern=pattern, dtype=dtype, scale=scale,
-        block_mask=padded,
-    )
+    sparse_scores = staged_scores(query, key, pattern, scale=scale, dtype=dtype)
     return sparse_scores, sparse_scores.packed_metadata()
 
 

@@ -26,7 +26,7 @@ the mechanism itself takes a ``backend`` argument (DFSS, Nyströmformer).
 from __future__ import annotations
 
 from contextlib import ExitStack
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, Mapping, Optional
 
 import numpy as np
@@ -52,7 +52,6 @@ class AttentionConfig:
 
     mechanism: str = "dfss_2:4"
     backend: Optional[str] = None
-    block_mask: Optional[object] = None
     seq_len_hint: int = 512
     options: Mapping[str, object] = field(default_factory=dict)
 
@@ -81,8 +80,6 @@ class AttentionEngine:
         backend: Optional[str] = None,
         seq_len_hint: int = 512,
         _options: Optional[Mapping[str, object]] = None,
-        *,
-        block_mask: Optional[object] = None,
         **options,
     ):
         # _options carries a pre-assembled mechanism-option mapping (used by
@@ -90,14 +87,6 @@ class AttentionEngine:
         # config field that would collide with the engine-level parameter)
         merged = {**dict(_options or {}), **options}
         self.spec, self.config = registry.make_config(mechanism, **merged)
-        # block_mask= is accepted uniformly by every construction surface
-        # and validated through the registry's shared override validator:
-        # mechanisms without the config field raise the same TypeError a bad
-        # **options key does (an explicit option always wins over the
-        # engine-level override)
-        self.config = registry.apply_config_overrides(
-            self.spec, self.config, {"block_mask": block_mask}
-        )
         self.backend = backend
         self.seq_len_hint = int(seq_len_hint)
         self._mechanism = None
@@ -112,7 +101,6 @@ class AttentionEngine:
             backend=config.backend,
             seq_len_hint=config.seq_len_hint,
             _options=config.options,
-            block_mask=config.block_mask,
         )
 
     # -------------------------------------------------------------- properties
@@ -132,33 +120,18 @@ class AttentionEngine:
             self._mechanism = self.spec.build_mechanism(self.config)
         return self._mechanism
 
-    def core(
-        self,
-        seq_len_hint: Optional[int] = None,
-        *,
-        backend: Optional[str] = None,
-        block_mask: Optional[object] = None,
-    ):
+    def core(self, seq_len_hint: Optional[int] = None, *, backend: Optional[str] = None):
         """Build a trainable :class:`~repro.nn.attention_layer.AttentionCore`.
 
-        ``backend=`` / ``block_mask=`` override the engine-level settings for
-        this core only, through the same shared validator as engine
-        construction.  ``backend`` is lenient — mechanisms without a
-        ``backend`` config field still honour it as a kernel-registry scope on
-        the numpy path, so it never raises — while an inapplicable
-        ``block_mask`` raises the registry's uniform ``TypeError``.  Raises
-        ``ValueError`` for mechanisms without a registered core
-        (``spec.trainable`` is ``False``).
+        ``backend=`` overrides the engine-level backend for this core: it
+        fills the mechanism's ``backend`` config field unless an option set
+        it, and never raises.  Raises ``ValueError`` for mechanisms without
+        a registered core (``spec.trainable`` is ``False``).
         """
-        config = registry.apply_config_overrides(
-            self.spec,
-            self.config,
-            {
-                "backend": self.backend if backend is None else backend,
-                "block_mask": block_mask,
-            },
-            lenient=("backend",),
-        )
+        backend = self.backend if backend is None else backend
+        config = self.config
+        if backend is not None and getattr(config, "backend", backend) is None:
+            config = replace(config, backend=backend)
         return self.spec.build_core(
             config, self.seq_len_hint if seq_len_hint is None else int(seq_len_hint)
         )
@@ -176,7 +149,7 @@ class AttentionEngine:
         This is the plan the server and the trainable core run: DFSS's N:M
         plan, or for every other mask the row-block plan over the call's
         :meth:`~repro.baselines.base.AttentionMechanism.mask_structure`
-        (BigBird + DFSS runs the N:M plan with its blocked-ELL block mask).
+        (BigBird + DFSS runs the N:M plan over BigBird's row-block structure).
         """
         with self._backend_scope():
             return self.mechanism()(q, k, v)
@@ -192,7 +165,10 @@ class AttentionEngine:
         The plan is the executable the autograd ops, the serving batcher, and
         the bench runner share; this method exposes it for introspection and
         direct execution.  ``n_q`` / ``n_k`` default to ``seq_len_hint``.
-        DFSS plans the N:M layout; a static mask plans the row-block layout
+        DFSS plans the N:M layout, and so does BigBird + DFSS, whose
+        ``forward`` takes BigBird's structure as ``structure=``
+        (``mechanism().bigbird.cached_structure(n_q, n_k)``); a static mask
+        plans the row-block layout
         of its structure (``mechanism().block_structure(n_q, n_k)``, which
         the plan's ``forward`` takes as ``structure=``).  Mechanisms that
         choose their structure from the data (Top-K, Routing, …) cannot be
@@ -258,18 +234,15 @@ def attention(
     v: np.ndarray,
     mechanism: str = "dfss_2:4",
     backend: Optional[str] = None,
-    block_mask: Optional[object] = None,
     **options,
 ) -> np.ndarray:
     """One-shot attention through any registered mechanism.
 
     ``repro.attention(q, k, v)`` is the paper's drop-in replacement; pass
     ``mechanism="full"`` for the dense reference or any name from
-    :func:`repro.available_mechanisms` for a baseline.  ``backend=`` /
-    ``block_mask=`` are accepted uniformly with
-    :meth:`AttentionEngine.core` and :class:`AttentionConfig`; a knob the
-    mechanism does not support raises the registry's uniform ``TypeError``.
+    :func:`repro.available_mechanisms` for a baseline.  ``backend=`` is
+    accepted uniformly with :meth:`AttentionEngine.core` and
+    :class:`AttentionConfig`; a knob the mechanism does not support raises
+    the registry's uniform ``TypeError``.
     """
-    return AttentionEngine(
-        mechanism, backend=backend, block_mask=block_mask, **options
-    )(q, k, v)
+    return AttentionEngine(mechanism, backend=backend, **options)(q, k, v)

@@ -37,7 +37,6 @@ import numpy as np
 
 import repro.baselines  # noqa: F401  populate the mechanism registry first
 from repro.core.backend import get_kernel
-from repro.core.blocked_ell import BlockedEllMask
 from repro.core.patterns import default_pattern_for_dtype, resolve_pattern
 from repro.core.row_block import RowBlockStructure
 from repro.nn import functional as F
@@ -153,8 +152,9 @@ class DfssCore(AttentionCore):
     :func:`~repro.core.patterns.default_pattern_for_dtype` (1:2), as it is
     for the numpy mechanism: the core computes in float32.
 
-    ``block_mask`` optionally adds the hybrid blocked-ELL coarse sparsity on
-    top of the N:M selection.
+    A subclass restricts the N:M selection to key blocks by returning a
+    :class:`~repro.core.row_block.RowBlockStructure` from
+    :meth:`structure` (:class:`BigBirdDfssCore`, the blocked-ELL hybrid).
 
     Attention dropout is derived layout-independently: one seed per forward
     call from the layer's dropout generator, hashed with the *dense* position
@@ -172,14 +172,17 @@ class DfssCore(AttentionCore):
         self,
         pattern=None,
         backend: Optional[str] = None,
-        block_mask: Optional[BlockedEllMask] = None,
     ):
         self.pattern = (
             default_pattern_for_dtype("float32") if pattern is None else resolve_pattern(pattern)
         )
         self.backend = backend
-        self.block_mask = block_mask
         self._last_stats = None
+
+    def structure(self, n_q: int, n_k: int) -> Optional[RowBlockStructure]:
+        """The key blocks N:M selects in for an ``(n_q, n_k)`` call; ``None``
+        selects over all keys."""
+        return None
 
     def __call__(self, q: Tensor, k: Tensor, v: Tensor) -> Tensor:
         drop = self.attn_dropout
@@ -189,7 +192,7 @@ class DfssCore(AttentionCore):
             v,
             pattern=self.pattern,
             backend=self.backend,
-            block_mask=self.block_mask,
+            structure=self.structure(q.shape[-2], k.shape[-2]),
             dropout_p=drop.p if drop is not None else 0.0,
             dropout_rng=drop.rng if drop is not None else None,
             training=bool(drop.training) if drop is not None else False,
@@ -404,13 +407,11 @@ class BigBirdDfssCore(DfssCore):
     """BigBird block sparsity with dynamic N:M pruning inside the blocks.
 
     The trainable counterpart of
-    :class:`repro.baselines.combos.DfssBigBirdAttention`: the BigBird
-    window/global/random pattern becomes a blocked-ELL coarse mask fed to the
-    compressed DFSS op (the mask excludes score blocks *before* the N:M
-    selection, exactly like the fused epilogue), so forward and backward run
-    on the compressed N:M representation.  The blocked-ELL mask comes from
-    :meth:`repro.baselines.bigbird.BigBirdAttention.block_mask` per observed
-    sequence length and is cached.
+    :class:`repro.baselines.combos.DfssBigBirdAttention`: the compressed
+    DFSS op runs over BigBird's row-block structure
+    (:meth:`~repro.baselines.base.StaticMaskAttention.cached_structure`, the
+    one the ``bigbird`` route runs), so each forward and backward tile
+    scores one block's keys only and N:M selects inside them.
     """
 
     name = "bigbird_dfss"
@@ -418,14 +419,9 @@ class BigBirdDfssCore(DfssCore):
     def __init__(self, bigbird, pattern="2:4", backend: Optional[str] = None):
         super().__init__(pattern, backend=backend)
         self.bigbird = bigbird
-        self._block_masks: Dict[int, BlockedEllMask] = {}
 
-    def __call__(self, q: Tensor, k: Tensor, v: Tensor) -> Tensor:
-        nq = q.shape[-2]
-        if nq not in self._block_masks:
-            self._block_masks[nq] = self.bigbird.block_mask(nq)
-        self.block_mask = self._block_masks[nq]
-        return super().__call__(q, k, v)
+    def structure(self, n_q: int, n_k: int) -> RowBlockStructure:
+        return self.bigbird.cached_structure(n_q, n_k)
 
 
 @register_mechanism("bigbird_dfss", role="core")

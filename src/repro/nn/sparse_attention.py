@@ -14,7 +14,9 @@ tensor and no probability matrix is kept between them:
   ``@ V`` run one query-row block at a time, and the forward saves each
   row's softmax shift and denominator plus the selection, which the
   ``nm_attention_bwd`` kernel walks again.  Any key count trains: the
-  kernels pad the key axis to whole M-groups.
+  kernels pad the key axis to whole M-groups.  Over a row-block
+  ``structure`` it selects inside the structure's key blocks only: the
+  blocked-ELL + N:M hybrid (``bigbird_dfss``).
 * :func:`row_block_sparse_attention` — the op of every other mask.  A
   :class:`~repro.core.row_block.RowBlockStructure` names, per 64-row query
   block, the keys the block reads: the static masks (local/strided,
@@ -40,7 +42,6 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from repro.core.blocked_ell import BlockedEllMask
 from repro.core.nm_attention import Dropout, NMStats
 from repro.core.patterns import resolve_pattern
 from repro.core.plan import AttentionPlan, plan_for_blocks, plan_for_nm
@@ -107,7 +108,7 @@ def dfss_sparse_attention(
     pattern="2:4",
     scale: Optional[float] = None,
     backend: Optional[str] = None,
-    block_mask: Optional[BlockedEllMask] = None,
+    structure: Optional[RowBlockStructure] = None,
     dropout_p: float = 0.0,
     dropout_rng: Optional[np.random.Generator] = None,
     training: bool = False,
@@ -125,12 +126,12 @@ def dfss_sparse_attention(
     backend:
         Kernel backend for every dispatched stage, forward and backward
         ("reference" or "fast"; default ``$REPRO_BACKEND``, else "fast").
-    block_mask:
-        Optional hybrid blocked-ELL coarse mask (the same argument the
-        inference-path :func:`repro.core.attention.dfss_attention` takes):
-        score blocks outside the mask are excluded before the N:M selection
-        and carry exactly zero probability; the backward kernels already zero
-        the sentinel entries of fully-masked groups.
+    structure:
+        Optional :class:`~repro.core.row_block.RowBlockStructure` for the
+        hybrid blocked-ELL + N:M sparsity, as
+        :func:`repro.core.attention.dfss_attention` takes it: each tile
+        scores one key block, widened to whole M-groups, and the keys the
+        structure does not allow carry exactly zero probability.
     dropout_p, dropout_rng, training:
         Optional inverted dropout applied to the compressed attention
         probabilities (the masked analogue of dropout on the dense attention
@@ -164,7 +165,7 @@ def dfss_sparse_attention(
 
     plan = plan_for_nm(pattern, q.shape[-2], k.shape[-2], backend=backend)
     out_data, stats = plan.forward(
-        q.data, k.data, v.data, scale=scale, block_mask=block_mask,
+        q.data, k.data, v.data, structure=structure, scale=scale,
         return_stats=True, dropout=dropout,
     )
     out = _attention_node(q, k, v, out_data, stats, plan, scale, "dfss_attention", dropout)

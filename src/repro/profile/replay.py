@@ -130,7 +130,7 @@ def _bhld(shape: Tuple[int, ...]) -> Optional[Tuple[int, int, int]]:
 
 def _parse_tile(node: OpNode) -> Optional[Tuple[int, int, int]]:
     """``(tiles, rows, width)`` from a tiled kernel's span arguments: the
-    largest tile, ``rows x padded n_k`` for the N:M kernels."""
+    tile count and the largest tile."""
     tiles, shape = node.args.get("tiles"), node.args.get("tile_shape")
     if not isinstance(tiles, int) or not isinstance(shape, str):
         return None
@@ -146,9 +146,10 @@ def gpusim_cost_fn(device=None, dtype: str = "float32") -> CostFn:
 
     Each node's problem size is recovered from the ``shape`` its tracing
     wrapper recorded (the first array-like argument of the kernel call: Q for
-    the fused N:M and row-block kernels).  The fused N:M kernels read their
-    padded key count from ``tile_shape``; the row-block kernels price their
-    block products from the query-key ``pairs`` their tiles score, with the
+    the fused N:M and row-block kernels), and its work from the query-key
+    ``pairs`` its tiles score: the N:M kernels at ``pairs / (batch · n_q)``
+    keys per row (the padded key count, or the mean group-widened block
+    width over a structure), the row-block kernels from ``pairs`` with the
     tile count and largest tile.  Kernels without an analytical model keep
     their measured durations, so hybrid traces still replay.
     """
@@ -164,11 +165,11 @@ def gpusim_cost_fn(device=None, dtype: str = "float32") -> CostFn:
         if dims is None:
             return None
         b, rows, last = dims
+        pairs = node.args.get("pairs")
         if node.name in ("nm_attention", "nm_attention_bwd"):
-            # shape is Q: (..., n_q, D); the padded key count is the tile
-            # width (n_q without one)
-            tile = _parse_tile(node)
-            n_k = rows if tile is None else tile[2]
+            # shape is Q: (..., n_q, D); each row scores pairs / (b · n_q)
+            # keys on average (n_q keys without the count)
+            n_k = pairs / (b * rows) if isinstance(pairs, int) and b * rows else rows
             if node.name == "nm_attention":
                 # the fused forward is the three forward kernels back to back
                 kernels = [
@@ -184,7 +185,7 @@ def gpusim_cost_fn(device=None, dtype: str = "float32") -> CostFn:
         elif node.name in ("row_block_attention", "row_block_attention_bwd"):
             # shape is Q: (..., L, D); the span's pair count prices the block
             # products, its tile count and largest tile their tiling
-            tile, pairs = _parse_tile(node), node.args.get("pairs")
+            tile = _parse_tile(node)
             if tile is None or not isinstance(pairs, int):
                 return None
             tiles, tile_rows, width = tile

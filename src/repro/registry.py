@@ -8,7 +8,7 @@ replaces all of them with a single declarative catalogue:
 
 * :class:`MechanismSpec` — one record per mechanism: canonical name, aliases,
   capability flags (``trainable``, ``produces_mask``, ``compressed``,
-  ``supports_block_mask``, ``batchable``, ``static_mask``), a typed config
+  ``batchable``, ``static_mask``), a typed config
   dataclass, and constructors for both the forward-only numpy mechanism
   (:mod:`repro.baselines`) and the trainable autograd core
   (:mod:`repro.nn.attention_layer`);
@@ -31,10 +31,9 @@ time instead of surfacing deep inside a forward pass.
 from __future__ import annotations
 
 import inspect
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Callable, ClassVar, Dict, Mapping, Optional, Tuple
 
-from repro.core.blocked_ell import BlockedEllMask
 from repro.core.patterns import resolve_pattern
 
 __all__ = [
@@ -49,7 +48,6 @@ __all__ = [
     "make_config",
     "make_mechanism",
     "make_core",
-    "apply_config_overrides",
 ]
 
 
@@ -79,7 +77,10 @@ class MechanismConfig:
         valid = {f.name for f in fields(cls)}
         unknown = sorted(set(mapped) - valid)
         if unknown:
-            raise _unexpected_kwargs_error(mechanism, unknown, valid)
+            raise TypeError(
+                f"unexpected keyword arguments {unknown} for attention mechanism "
+                f"{mechanism!r}; accepted: {sorted(valid)}"
+            )
         return cls(**mapped)
 
     # ------------------------------------------------------------- kwarg views
@@ -117,20 +118,6 @@ class MechanismConfig:
             value = getattr(self, f.name)
             out[f.name] = getattr(value, "name", value)
         return out
-
-
-def _unexpected_kwargs_error(mechanism: str, unknown, accepted) -> TypeError:
-    """The one ``TypeError`` every construction surface raises for bad kwargs.
-
-    Shared by :meth:`MechanismConfig.from_kwargs` (the registry's own
-    validation) and :func:`apply_config_overrides` (the engine-level
-    ``backend=`` / ``block_mask=`` normalisation), so a typo or an
-    unsupported knob reads identically no matter which API surfaced it.
-    """
-    return TypeError(
-        f"unexpected keyword arguments {sorted(unknown)} for attention mechanism "
-        f"{mechanism!r}; accepted: {sorted(accepted)}"
-    )
 
 
 def _check_positive(value, name: str) -> None:
@@ -180,7 +167,6 @@ class DfssConfig(MaskedCoreConfig):
 
     pattern: object = None
     dtype: str = "float32"
-    block_mask: Optional[BlockedEllMask] = None
 
     _MECHANISM_ONLY = ("dtype",)
 
@@ -384,7 +370,9 @@ class NystromDfssConfig(MechanismConfig):
 
 @dataclass(frozen=True)
 class BigBirdDfssConfig(MaskedCoreConfig):
-    """BigBird block mask combined with N:M pruning inside the blocks."""
+    """BigBird's blocks with N:M pruning inside them: the N:M kernels run
+    over BigBird's row-block structure (``structure=``), so only its blocks
+    are scored."""
 
     pattern: object = "2:4"
     dtype: str = "float32"
@@ -417,7 +405,6 @@ class MechanismSpec:
     aliases: Tuple[str, ...] = ()
     produces_mask: bool = False
     compressed: bool = False
-    supports_block_mask: bool = False
     #: whether the serving layer (:mod:`repro.serve`) may stack requests of
     #: this mechanism into one plan call (:mod:`repro.serve.batcher`): DFSS
     #: on an N:M plan, static masks on a row-block plan over their cached
@@ -446,7 +433,6 @@ class MechanismSpec:
             "trainable": self.trainable,
             "produces_mask": self.produces_mask,
             "compressed": self.compressed,
-            "supports_block_mask": self.supports_block_mask,
             "batchable": self.batchable,
             "static_mask": self.static_mask,
         }
@@ -488,7 +474,6 @@ def register_mechanism(
     aliases: Tuple[str, ...] = (),
     produces_mask: bool = False,
     compressed: bool = False,
-    supports_block_mask: bool = False,
     batchable: bool = False,
     static_mask: bool = False,
     latency_model: Optional[str] = None,
@@ -527,7 +512,6 @@ def register_mechanism(
                 aliases=tuple(a.lower() for a in aliases),
                 produces_mask=produces_mask,
                 compressed=compressed,
-                supports_block_mask=supports_block_mask,
                 batchable=batchable,
                 static_mask=static_mask,
                 latency_model=latency_model,
@@ -611,7 +595,6 @@ def available_mechanisms(
     trainable: Optional[bool] = None,
     produces_mask: Optional[bool] = None,
     compressed: Optional[bool] = None,
-    supports_block_mask: Optional[bool] = None,
     batchable: Optional[bool] = None,
     static_mask: Optional[bool] = None,
 ) -> Tuple[str, ...]:
@@ -624,8 +607,6 @@ def available_mechanisms(
         if produces_mask is not None and spec.produces_mask != produces_mask:
             continue
         if compressed is not None and spec.compressed != compressed:
-            continue
-        if supports_block_mask is not None and spec.supports_block_mask != supports_block_mask:
             continue
         if batchable is not None and spec.batchable != batchable:
             continue
@@ -666,41 +647,6 @@ def make_config(name: str, **kwargs) -> Tuple[MechanismSpec, MechanismConfig]:
     spec = _REGISTRY[key]
     merged = {**{k: v for k, v in implied.items() if k not in kwargs}, **kwargs}
     return spec, spec.config_cls.from_kwargs(spec.name, **merged)
-
-
-def apply_config_overrides(
-    spec: MechanismSpec,
-    config: MechanismConfig,
-    overrides: Mapping[str, object],
-    lenient: Tuple[str, ...] = (),
-) -> MechanismConfig:
-    """Fill config fields from engine-level overrides with uniform validation.
-
-    The one normalisation path behind ``repro.attention(backend=...,
-    block_mask=...)``, ``AttentionEngine.core(...)`` and
-    :class:`repro.engine.AttentionConfig`: ``overrides`` maps config field
-    names to values, where ``None`` means "no override".  A non-``None``
-    override of a field the mechanism's config does not declare raises the
-    same ``TypeError`` as :meth:`MechanismConfig.from_kwargs` — unless the
-    name is listed in ``lenient`` (knobs like ``backend`` that stay meaningful
-    for every mechanism because they also scope the kernel registry).  An
-    override only fills a field still at its declared default: an explicit
-    per-mechanism option always wins.
-    """
-    field_map = {f.name: f for f in fields(type(config))}
-    unknown = sorted(
-        name for name, value in overrides.items()
-        if value is not None and name not in field_map and name not in lenient
-    )
-    if unknown:
-        raise _unexpected_kwargs_error(spec.name, unknown, field_map)
-    updates = {
-        name: value
-        for name, value in overrides.items()
-        if value is not None and name in field_map
-        and getattr(config, name) == field_map[name].default
-    }
-    return replace(config, **updates) if updates else config
 
 
 def make_mechanism(name: str, **kwargs):

@@ -7,7 +7,7 @@ batch runs it on, each an :class:`~repro.core.plan.AttentionPlan` call:
 
 * **N:M (DFSS)** — no structure at all: the plan selects the N:M lanes from
   the scores as it computes them, so the request pays no per-request mask or
-  compression.  Requests with the same pattern, dtype, block mask and
+  compression.  Requests with the same pattern, dtype and
   geometry are stacked into one :func:`~repro.core.plan.plan_for_nm` call.
 * **Static masks** — the row-block structure
   (:class:`~repro.core.row_block.RowBlockStructure`) depends only on
@@ -68,7 +68,7 @@ class PreparedRequest:
     #: the cached row-block structure of a static mask, or the row-block
     #: structure of this request's own mask.
     structure: Optional[RowBlockStructure] = None
-    #: the N:M route's mechanism (its pattern, dtype and block mask).
+    #: the N:M route's mechanism (its pattern and dtype).
     nm: Optional[object] = None
     #: True/False for static-mask mechanisms (did the structure cache hit),
     #: None when no cache lookup happened.
@@ -81,7 +81,7 @@ class PreparedRequest:
         shape = (self.q3.shape[1:], self.k3.shape[1], self.v3.shape[-1])
         if self.nm is not None:
             nm = self.nm
-            return ("nm", nm.pattern, nm.dtype, id(nm.block_mask)) + shape
+            return ("nm", nm.pattern, nm.dtype) + shape
         return ("structure", id(self.structure)) + shape
 
 
@@ -90,9 +90,9 @@ def structure_cache_key(
 ) -> Tuple[Hashable, ...]:
     """Cache key of a static mask: mechanism, full config, sequence lengths.
 
-    Config values are keyed by ``repr`` so unhashable members (e.g. a blocked
-    mask object) cannot poison the key; two configs with equal reprs build
-    identical masks for static mechanisms.
+    Config values are keyed by ``repr`` so unhashable members cannot poison
+    the key; two configs with equal reprs build identical masks for static
+    mechanisms.
     """
     described = config.describe()
     return (
@@ -192,7 +192,7 @@ def run_ragged_batch(
             plan = plan_for_nm(
                 nm.pattern, q3.shape[1], k3.shape[1], backend=backend, dtype=nm.dtype
             )
-            out3 = plan.forward(q3, k3, v3, block_mask=nm.block_mask)
+            out3 = plan.forward(q3, k3, v3)
         else:
             structure = first.structure
             plan = plan_for_blocks(structure, backend=backend, mechanism=first.mechanism)

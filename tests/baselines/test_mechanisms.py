@@ -271,6 +271,22 @@ class TestSpecificMechanisms:
         assert np.all(~nm_mask | block_mask)  # nm_mask implies block_mask
         assert nm_mask.sum() < block_mask.sum()
 
+    def test_ablation_hybrid_is_the_blocked_ell_sliding_window(self):
+        # the hybrid of benchmarks/bench_ablations.py (HYBRID_WINDOW): BigBird
+        # + DFSS without global or random blocks lays out the blocked-ELL
+        # sliding window the ablation measured with a block mask before
+        from repro.core.blocked_ell import sliding_window_mask
+
+        combo = make_mechanism(
+            "bigbird_dfss", pattern="2:4", block_size=128, window_blocks=1,
+            num_global_blocks=0, num_random_blocks=0,
+        )
+        expected = sliding_window_mask(512, 128, 1).dense_mask(512, 512)
+        np.testing.assert_array_equal(combo.bigbird._mask_2d(512, 512), expected)
+        np.testing.assert_array_equal(
+            combo.bigbird.cached_structure(512, 512).to_mask(), expected
+        )
+
     def test_linformer_dfss_matches_output_shape(self):
         q, k, v = _qkv(seq=64, d=32, seed=9)
         out = B.DfssLinformerAttention(proj_dim=32, pattern="2:4")(q, k, v)

@@ -9,6 +9,7 @@ from repro.core.attention import (
     full_attention,
 )
 from repro.core.blocked_ell import sliding_window_mask
+from repro.core.row_block import RowBlockStructure
 from repro.core.patterns import PATTERN_1_2, PATTERN_2_4
 from repro.core.softmax import masked_dense_softmax
 from repro.core.pruning import nm_prune_mask
@@ -103,10 +104,11 @@ class TestDfssAttention:
         assert w.dense_shape == (32, 32)
         np.testing.assert_allclose(w.values.sum(axis=-1), 1.0, atol=1e-5)
 
-    def test_block_mask_combination(self):
+    def test_structure_combination(self):
         q, k, v = _qkv(batch=(), seq=64, d=16)
         mask = sliding_window_mask(64, block_size=16, window_blocks=1)
-        out = dfss_attention(q, k, v, pattern="2:4", block_mask=mask)
+        structure = RowBlockStructure.from_mask(mask.dense_mask(64, 64))
+        out = dfss_attention(q, k, v, pattern="2:4", structure=structure)
         assert out.shape == (64, 16)
         assert np.all(np.isfinite(out))
 

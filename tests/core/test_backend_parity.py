@@ -14,6 +14,7 @@ import pytest
 from repro.core.attention import dfss_attention
 from repro.core.backend import FAST, REFERENCE, get_kernel
 from repro.core.blocked_ell import sliding_window_mask
+from repro.core.row_block import RowBlockStructure
 from repro.core.patterns import resolve_pattern
 from repro.core.plan import plan_for_nm
 from repro.core.pruning import (
@@ -124,10 +125,17 @@ class TestSddmmParity:
         q, k, v = _qkv((2,), seq=96, d=24, seed=11)
         _assert_selects_as_sddmm(q, k, v, pattern)
 
-    def test_block_mask_parity(self):
+    def test_structure_parity(self):
+        # the fused forward over a structure keeps the entries the sddmm_nm
+        # oracle keeps under the structure's mask, wherever that is allowed
         q, k, v = _qkv((2,), seq=64, d=16, seed=13)
-        mask = sliding_window_mask(64, block_size=16, window_blocks=1)
-        _assert_selects_as_sddmm(q, k, v, "2:4", block_mask=mask)
+        allowed = sliding_window_mask(64, block_size=16, window_blocks=1).dense_mask(64, 64)
+        scores = sddmm_nm(q, k, pattern="2:4", mask=allowed)
+        _, stats = get_kernel("nm_attention", FAST)(
+            q, k, v, pattern="2:4", structure=RowBlockStructure.from_mask(allowed),
+            return_stats=True,
+        )
+        np.testing.assert_array_equal(stats.to_mask(), scores.to_mask() & allowed)
 
     def test_magnitude_criterion_parity(self):
         q, k, v = _qkv((3,), seq=32, d=16, seed=17)
@@ -170,12 +178,14 @@ class TestSoftmaxSpmmParity:
             )
 
     def test_fused_with_fully_masked_rows(self):
-        # a zero-window block mask leaves most score groups entirely at the
-        # sentinel; both backends' plans must agree on them
+        # a zero-window structure leaves most score groups unscored in the
+        # fast tiles and entirely at the sentinel in the reference chain;
+        # both backends' plans must agree on them
         q, k, v = _qkv((), seq=64, d=16, seed=31)
         mask = sliding_window_mask(64, block_size=16, window_blocks=0)
-        ref = dfss_attention(q, k, v, pattern="2:4", block_mask=mask, backend=REFERENCE)
-        fast = dfss_attention(q, k, v, pattern="2:4", block_mask=mask, backend=FAST)
+        structure = RowBlockStructure.from_mask(mask.dense_mask(64, 64))
+        ref = dfss_attention(q, k, v, pattern="2:4", structure=structure, backend=REFERENCE)
+        fast = dfss_attention(q, k, v, pattern="2:4", structure=structure, backend=FAST)
         np.testing.assert_allclose(fast, ref, atol=1e-6)
 
 

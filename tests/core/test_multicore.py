@@ -85,6 +85,15 @@ def _qkv(shape=SHAPE, seed=0):
     )
 
 
+
+def _window_structure(seq, block_size):
+    """The row-block structure of a blocked-ELL sliding window."""
+    from repro.core.blocked_ell import sliding_window_mask
+    from repro.core.row_block import RowBlockStructure
+
+    mask = sliding_window_mask(seq, block_size, 1).dense_mask(seq, seq)
+    return RowBlockStructure.from_mask(mask)
+
 class TestWorkerPoolLifecycle:
     def test_lazy_start_and_clean_shutdown(self, two_workers):
         pool = WorkerPool()
@@ -179,15 +188,13 @@ class TestBitwiseParity:
             tiled, dfss_attention(q, k, v, pattern=pattern, backend=MULTICORE)
         )
 
-    def test_nm_forward_row_tiles_with_block_mask(self, monkeypatch):
-        from repro.core.blocked_ell import sliding_window_mask
-
+    def test_nm_forward_tiles_over_a_structure(self, monkeypatch):
         monkeypatch.setenv(WORKERS_ENV_VAR, "3")
         q, k, v = _qkv((2, 1024, 32))
-        mask = sliding_window_mask(1024, 64, 1)
-        fast = dfss_attention(q, k, v, pattern="2:4", block_mask=mask, backend=FAST)
+        structure = _window_structure(1024, 64)
+        fast = dfss_attention(q, k, v, pattern="2:4", structure=structure, backend=FAST)
         tiled = dfss_attention(
-            q, k, v, pattern="2:4", block_mask=mask, backend=MULTICORE
+            q, k, v, pattern="2:4", structure=structure, backend=MULTICORE
         )
         assert np.array_equal(fast, tiled)
 
@@ -207,18 +214,16 @@ class TestBitwiseParity:
         for fast_arr, tiled_arr in zip(arms[FAST], arms[MULTICORE]):
             assert np.array_equal(fast_arr, tiled_arr)
 
-    def test_nm_train_step_with_block_mask(self, two_workers):
-        from repro.core.blocked_ell import sliding_window_mask
-
+    def test_nm_train_step_over_a_structure(self, two_workers):
         q, k, v = _qkv()
-        mask = sliding_window_mask(SHAPE[-2], 16, 1)
+        structure = _window_structure(SHAPE[-2], 16)
         arms = {}
         for backend in (FAST, MULTICORE):
             qt = Tensor(q, requires_grad=True)
             kt = Tensor(k, requires_grad=True)
             vt = Tensor(v, requires_grad=True)
             out, stats = dfss_sparse_attention(
-                qt, kt, vt, pattern="2:4", backend=backend, block_mask=mask
+                qt, kt, vt, pattern="2:4", backend=backend, structure=structure
             )
             (out * out).sum().backward()
             arms[backend] = (
@@ -228,24 +233,23 @@ class TestBitwiseParity:
             assert np.array_equal(fast_arr, tiled_arr)
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
-    @pytest.mark.parametrize("case", ["aligned", "unaligned_dropout", "block_mask"])
+    @pytest.mark.parametrize("case", ["aligned", "unaligned_dropout", "structure"])
     def test_nm_train_step_row_tiles(self, monkeypatch, workers, case):
         # several row blocks per slice, so dK and dV accumulate over blocks;
         # the block list depends only on the geometry, never on the workers
-        from repro.core.blocked_ell import sliding_window_mask
         from repro.core.nm_attention import row_blocks
 
         monkeypatch.setenv(WORKERS_ENV_VAR, str(workers))
         seq = 1030 if case == "unaligned_dropout" else 1024
         assert len(row_blocks(seq, seq)) > 1
-        mask = sliding_window_mask(seq, 64, 1) if case == "block_mask" else None
+        structure = _window_structure(seq, 64) if case == "structure" else None
         dropout_p = 0.25 if case == "unaligned_dropout" else 0.0
         q, k, v = _qkv((3, seq, 16), seed=3)
         arms = {}
         for backend in (FAST, MULTICORE):
             qt, kt, vt = (Tensor(a, requires_grad=True) for a in (q, k, v))
             out, stats = dfss_sparse_attention(
-                qt, kt, vt, pattern="2:4", backend=backend, block_mask=mask,
+                qt, kt, vt, pattern="2:4", backend=backend, structure=structure,
                 dropout_p=dropout_p, dropout_rng=np.random.default_rng(7),
                 training=True,
             )

@@ -28,6 +28,7 @@ from repro.core.attention import dfss_attention, full_attention
 from repro.core.backend import FAST, MULTICORE, REFERENCE, get_kernel
 from repro.core.multicore import WORKERS_ENV_VAR
 from repro.core.blocked_ell import BlockedEllMask, sliding_window_mask
+from repro.core.row_block import RowBlockStructure
 from repro.core.patterns import resolve_pattern
 from repro.core.plan import plan_for_nm
 from repro.core.sparse import NMSparseMatrix
@@ -43,24 +44,48 @@ def _lattice(shape, seed):
     return (rng.integers(-8, 9, size=shape) / 4).astype(np.float32)
 
 
-def _assert_same(out, probs, ref_out, ref_probs):
+def _blocked(mask: BlockedEllMask, n_q: int, n_k: int) -> RowBlockStructure:
+    """The row-block structure of a blocked-ELL mask."""
+    return RowBlockStructure.from_mask(mask.dense_mask(n_q, n_k))
+
+
+def _returns(kwargs) -> dict:
+    """What a call saves: a structured call keeps no dense-width P, so it
+    returns its statistics; every other call its compressed probabilities."""
+    return {"return_stats": True} if "structure" in kwargs else {"return_probs": True}
+
+
+def _parts(saved):
+    """``(selection, values)`` of compressed probabilities or statistics:
+    what must match bitwise, and what within float32 rounding."""
+    if isinstance(saved, NMSparseMatrix):
+        return (saved.indices,), (saved.values,)
+    return (saved.selection,), (saved.shift, saved.denom)
+
+
+def _assert_same(out, saved, ref_out, ref_saved):
     np.testing.assert_array_equal(out, ref_out)
-    np.testing.assert_array_equal(probs.indices, ref_probs.indices)
-    np.testing.assert_array_equal(probs.values, ref_probs.values)
+    for a, b in zip(sum(_parts(saved), ()), sum(_parts(ref_saved), ())):
+        np.testing.assert_array_equal(a, b)
 
 
 def _reference(pattern, q, k, v, **kwargs):
-    """``(out, probs)`` of the ``reference`` chain, the forward's oracle."""
+    """``(out, probs)`` (``(out, stats)`` over a structure) of the
+    ``reference`` chain, the forward's oracle."""
     return get_kernel("nm_attention", REFERENCE)(
-        q, k, v, pattern=pattern, return_probs=True, **kwargs
+        q, k, v, pattern=pattern, **_returns(kwargs), **kwargs
     )
 
 
-def _assert_matches_reference(out, probs, ref_out, ref_probs):
+def _assert_matches_reference(out, saved, ref_out, ref_saved):
     """The oracle rule: the selection is bitwise the reference's, the
-    probabilities and the output agree within float32 rounding."""
-    np.testing.assert_array_equal(probs.indices, ref_probs.indices)
-    np.testing.assert_allclose(probs.values, ref_probs.values, rtol=1e-5, atol=1e-6)
+    probabilities (or statistics) and the output agree within float32
+    rounding."""
+    (exact, close), (ref_exact, ref_close) = _parts(saved), _parts(ref_saved)
+    for a, b in zip(exact, ref_exact):
+        np.testing.assert_array_equal(a, b)
+    for a, b in zip(close, ref_close):
+        np.testing.assert_allclose(a, b, rtol=1e-5, atol=1e-6)
     np.testing.assert_allclose(out, ref_out, rtol=1e-5, atol=1e-6)
 
 
@@ -93,14 +118,14 @@ class TestAgainstReferenceChain:
         ref = _reference("2:4", q, k, v, criterion="magnitude")
         _assert_matches_reference(out, probs, *ref)
 
-    def test_block_mask(self):
+    def test_structure(self):
         q, k, v = (_normal((2, 1024, 32), s) for s in range(3))
-        mask = sliding_window_mask(1024, 64, 1)
+        structure = _blocked(sliding_window_mask(1024, 64, 1), 1024, 1024)
         plan = plan_for_nm("2:4", 1024, 1024, backend=FAST)
-        out, probs = plan.forward(q, k, v, block_mask=mask, return_probs=True)
-        _assert_matches_reference(out, probs, *_reference("2:4", q, k, v, block_mask=mask))
+        out, stats = plan.forward(q, k, v, structure=structure, return_stats=True)
+        _assert_matches_reference(out, stats, *_reference("2:4", q, k, v, structure=structure))
         # blocks outside the band get exactly zero weight
-        assert np.all(probs.to_dense()[..., :64, 128:] == 0.0)
+        assert not stats.to_mask()[..., :64, 128:].any()
 
     def test_explicit_scale(self):
         q, k, v = (_normal((2, 600, 32), s) for s in range(3))
@@ -157,14 +182,15 @@ def _random_block_mask(block_size, block_rows, block_cols, empty_rows=(), seed=0
 
 
 def _forward_all_ways(monkeypatch, pattern, q, k, v, **kwargs):
-    """``(fused, reference, multicore)`` runs of one call, each ``(out, probs)``."""
+    """``(fused, reference, multicore)`` runs of one call, each ``(out,
+    probs)``, or ``(out, stats)`` over a structure."""
     n_q, n_keys = q.shape[-2], k.shape[-2]
     fast = plan_for_nm(pattern, n_q, n_keys, backend=FAST)
-    fused = fast.forward(q, k, v, return_probs=True, **kwargs)
+    fused = fast.forward(q, k, v, **_returns(kwargs), **kwargs)
     reference = _reference(pattern, q, k, v, **kwargs)
     monkeypatch.setenv(WORKERS_ENV_VAR, "2")
     tiled = plan_for_nm(pattern, n_q, n_keys, backend=MULTICORE).forward(
-        q, k, v, return_probs=True, **kwargs
+        q, k, v, **_returns(kwargs), **kwargs
     )
     return fused, reference, tiled
 
@@ -180,27 +206,29 @@ class TestAdversarialBitwise:
         _assert_same(*fused, *tiled)
         return fused
 
-    def test_block_mask_rows_without_keys(self, monkeypatch):
+    def test_structure_rows_without_keys(self, monkeypatch):
         q = _normal((2, 640, 32), 0)
         k, v = _normal((2, 1024, 32), 1), _normal((2, 1024, 32), 2)
-        mask = _random_block_mask(64, 10, 16, empty_rows=(1, 7))
-        out, probs = self._check(monkeypatch, "2:4", q, k, v, block_mask=mask)
+        structure = _blocked(_random_block_mask(64, 10, 16, empty_rows=(1, 7)), 640, 1024)
+        out, stats = self._check(monkeypatch, "2:4", q, k, v, structure=structure)
         for br in (1, 7):
             rows = slice(64 * br, 64 * (br + 1))
             assert np.all(out[:, rows] == 0.0)
-            assert np.all(probs.values[:, rows] == 0.0)
+            assert not stats.to_mask()[:, rows].any()
+            assert np.all(stats.denom[:, rows] == 1.0) and np.all(stats.shift[:, rows] == 0.0)
         assert np.all(out[:, :64] != 0.0)
 
     @pytest.mark.parametrize(
         "pattern,block,n_q,n_keys", [("2:4", 30, 600, 990), ("2:6", 64, 640, 1024)]
     )
-    def test_unaligned_keys_with_block_mask(self, monkeypatch, pattern, block, n_q, n_keys):
+    def test_unaligned_keys_with_structure(self, monkeypatch, pattern, block, n_q, n_keys):
         assert n_keys % resolve_pattern(pattern).m
         q = _normal((2, n_q, 32), 0)
         k, v = _normal((2, n_keys, 32), 1), _normal((2, n_keys, 32), 2)
         mask = _random_block_mask(block, n_q // block, n_keys // block, empty_rows=(3,))
-        _, probs = self._check(monkeypatch, pattern, q, k, v, block_mask=mask)
-        assert np.all(probs.to_dense()[..., n_keys:] == 0.0)
+        structure = _blocked(mask, n_q, n_keys)
+        _, stats = self._check(monkeypatch, pattern, q, k, v, structure=structure)
+        assert not stats.to_mask()[..., ~mask.dense_mask(n_q, n_keys)].any()
 
     def test_magnitude_drops_the_largest_lane(self, monkeypatch):
         # lane 0 of every key group scores about +16 and lanes 1-3 about
@@ -257,7 +285,9 @@ ORACLE_CASES = {
     "1:4": ((1, 4), 1024, {}),
     "2:6": ("2:6", 1020, {}),
     "magnitude": ("2:4", 1024, {"criterion": "magnitude"}),
-    "block_mask": ("2:4", 1024, {"block_mask": _random_block_mask(64, 10, 16, empty_rows=(2,))}),
+    "structure": ("2:4", 1024, {"structure": _blocked(
+        _random_block_mask(64, 10, 16, empty_rows=(2,)), 640, 1024
+    )}),
     "scale": ("2:4", 1024, {"scale": 0.3}),
     "unaligned": ("2:4", 1021, {}),
     "dropout": ("2:4", 1021, {"dropout": (99, 0.2)}),
@@ -271,13 +301,13 @@ class TestOracleRule:
         q = _normal((2, 640, 32), 0)
         k, v = _normal((2, n_keys, 32), 1), _normal((2, n_keys, 32), 2)
         fast = plan_for_nm(pattern, 640, n_keys, backend=FAST).forward(
-            q, k, v, return_probs=True, **kwargs
+            q, k, v, **_returns(kwargs), **kwargs
         )
         _assert_matches_reference(*fast, *_reference(pattern, q, k, v, **kwargs))
         for workers in ("1", "2", "3"):
             monkeypatch.setenv(WORKERS_ENV_VAR, workers)
             tiled = plan_for_nm(pattern, 640, n_keys, backend=MULTICORE).forward(
-                q, k, v, return_probs=True, **kwargs
+                q, k, v, **_returns(kwargs), **kwargs
             )
             _assert_same(*fast, *tiled)
 

@@ -17,6 +17,7 @@ import pytest
 from repro.core import nm_attention
 from repro.core.backend import FAST, MULTICORE, REFERENCE, get_kernel
 from repro.core.blocked_ell import BlockedEllMask
+from repro.core.row_block import RowBlockStructure
 from repro.core.multicore import WORKERS_ENV_VAR
 from repro.core.patterns import resolve_pattern
 from repro.core.plan import plan_for_nm
@@ -34,16 +35,23 @@ def _lattice(shape, seed):
     return (rng.integers(-2, 3, size=shape) / 2).astype(np.float32)
 
 
-def _block_mask(block, n_q, n_k, empty_rows):
-    """Blocked-ELL mask keeping a random half of each block row's columns;
-    the block rows ``empty_rows`` keep none, so their query rows see no key."""
+def _block_structure(block, n_q, n_k, empty_rows):
+    """The structure of a blocked-ELL mask keeping a random half of each
+    block row's columns; the block rows ``empty_rows`` keep none, so their
+    query rows see no key."""
     rng = np.random.default_rng(5)
     block_cols = n_k // block
     cols = np.stack(
         [rng.permutation(block_cols)[: block_cols // 2] for _ in range(n_q // block)]
     )
     cols[list(empty_rows)] = -1
-    return BlockedEllMask(block, cols)
+    return RowBlockStructure.from_mask(BlockedEllMask(block, cols).dense_mask(n_q, n_k))
+
+
+def _random_structure(shape, density, seed=6):
+    """The structure of a random mask: scattered keys in every block, and
+    with a batch shape one block list per slice."""
+    return RowBlockStructure.from_mask(np.random.default_rng(seed).random(shape) < density)
 
 
 def _train(backend, pattern, q, k, v, g, scale=0.25, **kwargs):
@@ -67,14 +75,19 @@ def _assert_bitwise(a, b):
 
 
 # (pattern, n_q, n_keys, forward options): n_keys 130 is no multiple of 4 or
-# 6, and n_q != n_keys; the block mask's rows 1 and 4 (of 16 rows each)
-# keep no key, so those query rows carry no weight
+# 6, and n_q != n_keys; the blocked structure's rows 1 and 4 (of 16 rows
+# each) keep no key, so those query rows carry no weight
 CASES = {
     "1:2": ("1:2", 96, 130, {}),
     "2:4": ("2:4", 96, 130, {}),
     "2:6": ("2:6", 96, 130, {}),
     "magnitude": ("2:4", 96, 128, {"criterion": "magnitude"}),
-    "block_mask": ("2:4", 96, 128, {"block_mask": _block_mask(16, 96, 128, (1, 4))}),
+    "structure": ("2:4", 96, 128, {"structure": _block_structure(16, 96, 128, (1, 4))}),
+    "structure_unaligned": ("2:6", 96, 130, {"structure": _random_structure((96, 130), 0.3)}),
+    "structure_dropout": ("1:2", 96, 130, {
+        "structure": _random_structure((96, 130), 0.3), "dropout": (321, 0.25),
+    }),
+    "batched_structure": ("2:4", 96, 130, {"structure": _random_structure((2, 96, 130), 0.2)}),
     "dropout": ("2:4", 96, 130, {"dropout": (321, 0.25)}),
 }
 
@@ -109,7 +122,7 @@ class TestParityMatrix:
             _assert_bitwise(fast, _train(MULTICORE, pattern, q, k, v, g, **dict(kwargs)))
 
     def test_fully_masked_rows_get_zero_gradient(self, row_tiles):
-        _, n_q, n_keys, kwargs = CASES["block_mask"]
+        _, n_q, n_keys, kwargs = CASES["structure"]
         q = _normal((2, n_q, 16), 0)
         k, v = _normal((2, n_keys, 16), 1), _normal((2, n_keys, 16), 2)
         out, stats, d_q, d_k, d_v = _train(

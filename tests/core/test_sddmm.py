@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.blocked_ell import sliding_window_mask
+from repro.core.row_block import RowBlockStructure
 from repro.core.patterns import PATTERN_1_2, PATTERN_2_4
 from repro.core.pruning import nm_prune_mask
 from repro.core.sddmm import SddmmTraffic, sddmm_dense, sddmm_nm, sddmm_nm_tiled
@@ -69,10 +70,11 @@ class TestSddmmNM:
         with pytest.raises(ValueError):
             sddmm_nm(q, k)
 
-    def test_block_mask_zeroes_outside_blocks(self):
+    def test_structure_mask_zeroes_outside_blocks(self):
         q, k = _qk(seq=64, d=16)
         mask = sliding_window_mask(64, block_size=16, window_blocks=0)
-        sp = sddmm_nm(q, k, pattern=PATTERN_2_4, block_mask=mask)
+        structure = RowBlockStructure.from_mask(mask.dense_mask(64, 64))
+        sp = sddmm_nm(q, k, pattern=PATTERN_2_4, mask=structure.to_mask())
         dense = sp.to_dense()
         block_dense = mask.dense_mask(64, 64)
         # every surviving *finite, non-sentinel* score lies inside the block mask

@@ -81,25 +81,28 @@ def _lookup(mechanism, **options):
     return lambda q, k, backend: numpy_mechanism.attention_mask(q, k)
 
 
-def _nm_selection(dfss):
+def _nm_selection(dfss, allowed=None):
     """Independent N:M oracle mask: dense scores through ``backend``'s selection.
 
-    ``dfss._mask`` excludes blocked scores before ``nm_prune_mask``, so a
-    kernel that selected first and excluded afterwards would disagree.
+    ``dfss._mask`` excludes the scores outside ``allowed`` before
+    ``nm_prune_mask``, so a kernel that selected first and excluded
+    afterwards would disagree.
     """
-    return lambda q, k, backend: dfss._mask(sddmm_dense(q, k), backend)
+    return lambda q, k, backend: dfss._mask(sddmm_dense(q, k), backend, allowed=allowed)
 
 
 def _bigbird_selection(block_size):
     bigbird = make_mechanism("bigbird", block_size=block_size)
-    return _nm_selection(DfssMechanism("2:4", block_mask=bigbird.block_mask(32)))
+    return _nm_selection(DfssMechanism("2:4"), bigbird._mask_2d(32, 32))
 
 
-def _block_dfss(block_size):
-    block = sliding_window_mask(seq_len=32, block_size=block_size, window_blocks=1)
-    return (
-        lambda backend: DfssCore("2:4", backend=backend, block_mask=block),
-        _nm_selection(DfssMechanism("2:4", block_mask=block)),
+def _window_dfss(block_size):
+    """BigBird + DFSS over a band of blocks, against N:M inside the
+    blocked-ELL sliding window."""
+    window = sliding_window_mask(seq_len=32, block_size=block_size, window_blocks=1)
+    return _registered(
+        "bigbird_dfss", _nm_selection(DfssMechanism("2:4"), window.dense_mask(32, 32)),
+        block_size=block_size, num_global_blocks=0, num_random_blocks=0,
     )
 
 
@@ -112,9 +115,10 @@ def _registered(mechanism, oracle=None, **options):
 
 #: ``(core(backend), oracle mask(q, k, backend))`` per trainable core with a
 #: compressed path: every registered mask mechanism, both DFSS patterns, plus
-#: a dead query row and blocked-ELL coarse masks (block_size=2 puts a block
-#: boundary inside every 2:4 group, so blocked scores must be excluded before
-#: the N:M selection).  Every oracle mask is built without the core.
+#: a dead query row and BigBird + DFSS over blocked-ELL windows (block_size=2
+#: puts a block boundary inside every 2:4 group, so blocked scores must be
+#: excluded before the N:M selection).  Every oracle mask is built without
+#: the core.
 PARITY_CASES = {
     **{name: _registered(name, **options) for name, options in MASK_MECHANISMS.items()},
     "dfss_1:2": _registered("dfss_1:2", _nm_selection(DfssMechanism("1:2"))),
@@ -124,8 +128,8 @@ PARITY_CASES = {
         lambda backend: MaskedScoreCore(DeadRowLocal(window=4), backend=backend),
         lambda q, k, backend: DeadRowLocal(window=4).attention_mask(q, k),
     ),
-    "dfss_block_mask_8": _block_dfss(8),
-    "dfss_block_mask_2": _block_dfss(2),
+    "bigbird_dfss_window_8": _window_dfss(8),
+    "bigbird_dfss_window_2": _window_dfss(2),
 }
 
 
@@ -353,12 +357,12 @@ class TestComboCores:
     def test_bigbird_dfss_core_type(self):
         assert isinstance(make_core("bigbird_dfss", seq_len_hint=32), BigBirdDfssCore)
 
-    def test_bigbird_dfss_mask_respects_block_mask(self):
+    def test_bigbird_dfss_mask_respects_its_structure(self):
         q, k, v = _tensors(seed=41)
         core = make_core("bigbird_dfss", seq_len_hint=32, block_size=8,
                          num_random_blocks=0)
         core(q, k, v)
-        allowed = core.block_mask.dense_mask(32, 32)
+        allowed = core.structure(32, 32).to_mask()
         mask = core.last_mask()
         assert not mask[..., ~allowed].any()
 
@@ -393,7 +397,7 @@ class TestBigBirdBlockSize:
         np.testing.assert_array_equal(core.last_mask()[0], mask)
         dfss_core = make_core("bigbird_dfss", seq_len_hint=n, block_size=block_size)
         dfss_core(q, k, v)
-        np.testing.assert_array_equal(dfss_core.block_mask.dense_mask(n, n), mask)
+        np.testing.assert_array_equal(dfss_core.structure(n, n).to_mask(), mask)
         combo = make_mechanism("bigbird_dfss", block_size=block_size)
         np.testing.assert_array_equal(
             combo.bigbird.attention_mask(q.data, k.data)[0], mask

@@ -18,6 +18,7 @@ from repro.core.blocked_ell import sliding_window_mask
 from repro.core.patterns import resolve_pattern
 from repro.core.plan import plan_for_nm
 from repro.core.pruning import nm_prune_mask
+from repro.core.row_block import RowBlockStructure
 from repro.nn import functional as F
 from repro.nn.attention_layer import DfssCore, MultiHeadSelfAttention
 from repro.nn.autograd import Tensor
@@ -287,64 +288,71 @@ class TestDropoutLayoutIndependence:
             attention_dropout_keep(7, 1.0, np.arange(4, dtype=np.uint64))
 
 
-class TestBlockMaskTrainableOp:
-    """The trainable op accepts the blocked-ELL coarse mask (ROADMAP item)."""
+def _window_core(seq, block_size, pattern="2:4", backend=None):
+    """BigBird + DFSS over a band of blocks only: N:M inside the blocked-ELL
+    ``sliding_window_mask(seq, block_size, 1)``."""
+    return make_core(
+        "bigbird_dfss", seq_len_hint=seq, pattern=pattern, backend=backend,
+        block_size=block_size, num_global_blocks=0, num_random_blocks=0,
+    )
 
-    def _block_mask(self, seq=32):
-        return sliding_window_mask(seq_len=seq, block_size=8, window_blocks=1)
+
+class TestStructureTrainableOp:
+    """The trainable N:M op selects inside a row-block structure's key blocks."""
+
+    def _window(self, seq=32, block_size=8):
+        return sliding_window_mask(seq_len=seq, block_size=block_size, window_blocks=1)
 
     def test_masked_positions_carry_zero_probability(self):
-        # the op keeps no probabilities: read them from the plan's forward,
-        # whose output is bitwise the op's
         q, k, v = _tensors(seed=30)
-        block = self._block_mask()
-        out, stats = dfss_sparse_attention(q, k, v, pattern="2:4", block_mask=block)
-        plan_out, probs = plan_for_nm("2:4", 32, 32).forward(
-            q.data, k.data, v.data, scale=0.25, block_mask=block, return_probs=True
+        inside = self._window().dense_mask(32, 32)
+        structure = RowBlockStructure.from_mask(inside)
+        out, stats = dfss_sparse_attention(q, k, v, pattern="2:4", structure=structure)
+        plan_out, plan_stats = plan_for_nm("2:4", 32, 32).forward(
+            q.data, k.data, v.data, structure=structure, scale=0.25, return_stats=True
         )
         np.testing.assert_array_equal(out.data, plan_out)
-        inside = block.dense_mask(32, 32)
-        np.testing.assert_array_equal(stats.to_mask(), probs.to_mask() & inside)
-        np.testing.assert_array_equal(probs.to_dense(0.0)[..., ~inside], 0.0)
+        np.testing.assert_array_equal(stats.to_mask(), plan_stats.to_mask())
+        assert not stats.to_mask()[..., ~inside].any()
+        # a structured call scores only its blocks: no dense-width P
+        with pytest.raises(ValueError, match="structure"):
+            plan_for_nm("2:4", 32, 32).forward(
+                q.data, k.data, v.data, structure=structure, return_probs=True
+            )
 
     def test_mechanism_mask_excludes_before_selection(self):
-        # the numpy DfssMechanism must agree with dfss_attention's epilogue
-        # on block boundaries that do not align with N:M groups
+        # the numpy DfssMechanism's selection under an allowed mask must be
+        # the kernel's on block edges that do not align with N:M groups
         from repro.baselines.dfss import DfssMechanism
-        from repro.core.attention import dfss_attention
+        from repro.core.sddmm import sddmm_dense
 
         rng = np.random.default_rng(40)
         q = (rng.integers(-2, 3, size=(2, 32, 16)) / 2).astype(np.float32)
         k = (rng.integers(-2, 3, size=(2, 32, 16)) / 2).astype(np.float32)
         v = rng.normal(size=(2, 32, 16)).astype(np.float32)
-        block = sliding_window_mask(seq_len=32, block_size=2, window_blocks=1)
-        mech = DfssMechanism(pattern="2:4", block_mask=block)
-        _, weights = dfss_attention(q, k, v, pattern="2:4", block_mask=block,
-                                    return_weights=True)
-        kernel_mask = weights.to_dense(0.0) > 0
-        mech_mask = mech.attention_mask(q, k)
-        # every position the kernel assigns weight must be in the mask
-        assert not (kernel_mask & ~mech_mask).any()
+        allowed = self._window(block_size=2).dense_mask(32, 32)
+        _, stats = plan_for_nm("2:4", 32, 32).forward(
+            q, k, v, structure=RowBlockStructure.from_mask(allowed), return_stats=True
+        )
+        mech_mask = DfssMechanism(pattern="2:4")._mask(sddmm_dense(q, k), allowed=allowed)
+        np.testing.assert_array_equal(stats.to_mask(), mech_mask)
 
-    def test_last_mask_respects_block_mask(self):
-        block = self._block_mask()
+    def test_last_mask_respects_the_structure(self):
         q, k, v = _tensors(seed=32)
-        core = DfssCore("2:4", block_mask=block)
+        core = _window_core(32, 8)
         core(q, k, v)
         mask = core.last_mask()
-        assert not mask[..., ~block.dense_mask(32, 32)].any()
+        assert not mask[..., ~self._window().dense_mask(32, 32)].any()
 
-    def test_engine_forwards_block_mask_to_core(self):
+    def test_engine_rejects_block_mask(self):
         from repro.engine import AttentionEngine
 
-        block = self._block_mask()
-        core = AttentionEngine("dfss", pattern="2:4", block_mask=block).core()
-        assert core.block_mask is block
+        with pytest.raises(TypeError, match="block_mask"):
+            AttentionEngine("dfss", pattern="2:4", block_mask=self._window())
 
-    def test_block_mask_with_dropout(self):
-        block = self._block_mask()
+    def test_structure_with_dropout(self):
         q, k, v = _tensors(seed=33)
-        core = DfssCore("2:4", block_mask=block)
+        core = _window_core(32, 8)
         core.attn_dropout = Dropout(0.3, seed=5)
         out = core(q, k, v)
         assert np.all(np.isfinite(out.data))
@@ -373,19 +381,22 @@ class TestUnalignedKeys:
         from repro.core.sddmm import sddmm_dense
 
         # block sizes that divide the key count but split M-groups
-        block = (
+        allowed = (
             sliding_window_mask(seq_len=seq, block_size=block_size, window_blocks=1)
-            if blocked else None
+            .dense_mask(seq, seq) if blocked else None
         )
-        core = DfssCore(pattern, backend=backend, block_mask=block)
+        core = (
+            _window_core(seq, block_size, pattern, backend) if blocked
+            else DfssCore(pattern, backend=backend)
+        )
         oracle_rng = None
         if dropout:
             core.attn_dropout = Dropout(dropout, seed=5)
             oracle_rng = Dropout(dropout, seed=5).rng
         q1, k1, v1 = _tensors(seq=seq, seed=50)
         q2, k2, v2 = _tensors(seq=seq, seed=50)
-        mask = DfssMechanism(pattern, block_mask=block)._mask(
-            sddmm_dense(q2.data, k2.data), backend
+        mask = DfssMechanism(pattern)._mask(
+            sddmm_dense(q2.data, k2.data), backend, allowed=allowed
         )
         out = core(q1, k1, v1)
         np.testing.assert_array_equal(core.last_mask(), mask)

@@ -8,6 +8,7 @@ from repro.profile.dag import OpDag, OpNode, StepSpan, build_dag, critical_path,
 from repro.profile.replay import gpusim_cost_fn, replay
 from repro.profile.report import format_report, kernel_attribution, phase_attribution
 from repro.profile.tracer import trace
+from repro.registry import make_mechanism
 
 
 def _record_step_payload(shape=(1, 2, 64, 32), pattern="2:4", seed=0):
@@ -30,6 +31,27 @@ def _record_step_payload(shape=(1, 2, 64, 32), pattern="2:4", seed=0):
         with active.span("train_step", "step"):
             out, _ = dfss_sparse_attention(q, k, v, pattern=pattern)
             out.sum().backward()
+    return active.payload()
+
+
+def _record_core_step(mechanism, n, seed=0):
+    """The trace of one fast core train step (fwd + bwd) at B1·H2·L``n``·D64."""
+    from repro.core.backend import use_backend
+    from repro.nn.autograd import parameter
+    from repro.registry import make_core
+
+    rng = np.random.default_rng(seed)
+    q, k, v = (
+        parameter(rng.standard_normal((1, 2, n, 64), dtype=np.float32)) for _ in range(3)
+    )
+    core = make_core(mechanism, seq_len_hint=n)
+    clear_plan_cache()
+    with use_backend("fast"), trace() as active:
+        # warm-up outside the step span: the recorded step reuses the
+        # core's structure, as every step after the first does
+        core(q, k, v).sum().backward()
+        with active.span("train_step", "step"):
+            core(q, k, v).sum().backward()
     return active.payload()
 
 
@@ -191,9 +213,10 @@ class TestReplay:
         five = ops.attention_bwd_nm_ops(b, rows, rows, d, "float32")
         assert gpusim_cost_fn()(node) > ops.total_latency(five, AMPERE_A100) * 1e6
 
-    def test_gpusim_reads_the_key_count_from_the_tile_shape(self):
+    def test_gpusim_prices_nm_spans_from_their_pairs(self):
         # n_q = 256 queries against 130 keys: the spans' tiles are 256 rows
-        # wide by the 132 padded keys, and both kernels are priced at them
+        # wide by the 132 padded keys, they score n_q x 132 pairs per slice,
+        # and both kernels are priced at that key count
         from repro.gpusim import AMPERE_A100, ops
         from repro.nn.autograd import parameter
         from repro.nn.sparse_attention import dfss_sparse_attention
@@ -217,9 +240,39 @@ class TestReplay:
         cost = gpusim_cost_fn()
         for name, kernels in expected.items():
             assert nodes[name].args["tile_shape"] == f"{n_q}x{n_k}"
+            assert nodes[name].args["pairs"] == b * n_q * n_k
             assert cost(nodes[name]) == pytest.approx(
                 ops.total_latency(kernels, AMPERE_A100) * 1e6
             )
+
+    def test_hybrid_spans_score_only_bigbirds_blocks(self):
+        # the blocked-ELL + N:M hybrid's spans report the pairs of BigBird's
+        # structure, each key block widened to whole 2:4 groups, and the
+        # replay prices its N:M kernels at them, below a plain DFSS step's
+        # n_q x n_k.  The whole predicted step is not compared: at L1024 it
+        # is mostly the host time between the kernels, which the replay keeps
+        # as measured
+        trace_of = {name: _record_core_step(name, n=1024) for name in ("bigbird_dfss", "dfss_2:4")}
+        structure = make_mechanism("bigbird_dfss").bigbird.cached_structure(1024, 1024)
+        widened = sum(
+            block.rows * 4 * np.unique(block.columns() // 4).size for block in structure.blocks
+        )
+        cost = gpusim_cost_fn()
+        priced = {}
+        for name, payload in trace_of.items():
+            dag = build_dag(payload)
+            nodes = {n.name: n for n in dag.nodes if n.name.startswith("nm_attention")}
+            assert set(nodes) == {"nm_attention", "nm_attention_bwd"}
+            pairs = {n.args["pairs"] for n in nodes.values()}
+            assert pairs == {2 * (widened if name == "bigbird_dfss" else 1024 * 1024)}
+            priced[name] = replay(dag, cost_fn=cost)
+        assert 2 * widened < 0.5 * 2 * 1024 * 1024
+        modelled = {
+            name: sum(result.cost_us[n.index] for n in build_dag(trace_of[name]).nodes
+                      if n.name.startswith("nm_attention"))
+            for name, result in priced.items()
+        }
+        assert modelled["bigbird_dfss"] < modelled["dfss_2:4"]
 
     def test_gpusim_prices_content_mask_spans_as_row_blocks(self):
         # Top-K runs on a row-block plan over its mask's structure: both

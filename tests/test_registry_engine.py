@@ -57,7 +57,7 @@ class TestCatalogue:
         for name in TABLE4_NAMES:
             assert name in names, name
             info = repro.describe_mechanism(name)
-            for flag in ("trainable", "produces_mask", "compressed", "supports_block_mask"):
+            for flag in ("trainable", "produces_mask", "compressed", "batchable"):
                 assert isinstance(info[flag], bool), (name, flag)
 
     def test_registry_matches_legacy_mechanism_registry(self):
@@ -76,8 +76,8 @@ class TestCatalogue:
             assert name in compressed, name
         assert "full" not in compressed
         assert set(registry.available_mechanisms(produces_mask=True)) <= set(ALL_NAMES)
-        block = registry.available_mechanisms(supports_block_mask=True)
-        assert "dfss" in block and "full" not in block
+        batchable = registry.available_mechanisms(batchable=True)
+        assert "dfss" in batchable and "full" not in batchable
 
     def test_aliases_resolve(self):
         assert registry.canonical_name("transformer") == "full"
