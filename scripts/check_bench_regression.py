@@ -15,9 +15,11 @@ Exit status 0 means "ship it"; 1 means at least one check failed:
   missing from the fresh run;
 * **median slowdown** — a row's median runtime grew by more than the
   threshold (default 30%) relative to the baseline, after normalising out
-  overall machine-speed differences (the geometric mean ratio of the four
-  ``reference`` rows in ``MACHINE_FACTOR_ROWS``), so a uniformly slower CI
-  box does not trip the gate but a single regressed kernel does;
+  overall machine-speed differences (the geometric mean ratio of four named
+  ``reference`` rows: ``attention_e2e`` and ``attention_train_step`` at
+  1:2 and 2:4, at the baseline's shape), so a uniformly slower CI box does
+  not trip the gate but a single regressed kernel does; a fresh run that
+  lacks one of them fails;
 * **speedup regression** — a ``fast`` row's speedup over ``reference`` fell
   more than the threshold below its baseline value (this ratio is
   machine-independent, making it the strongest cross-machine signal);
@@ -89,26 +91,45 @@ def index_rows(payload: Dict) -> Dict[Key, Dict]:
     return rows
 
 
-#: The reference rows the machine factor is read from: the four the
-#: baseline holds.  A fixed set keeps the factor still when other reference
-#: rows come or go; a mean over whichever rows existed moved from 2.05 to
-#: 1.77 on one box when two rows were dropped.
-MACHINE_FACTOR_ROWS: Tuple[Key, ...] = tuple(
-    (kernel, f"B2xH4xL256xD64/{pattern}", "reference")
-    for kernel in ("attention_e2e", "attention_train_step")
-    for pattern in ("1:2", "2:4")
-)
+#: The kernels and N:M patterns whose ``reference`` rows the machine factor
+#: is read from, at the shape of the baseline's own reference rows of those
+#: kernels (smoke and default-scale baselines differ in shape).  A fixed set
+#: keeps the factor still when other reference rows come or go; a mean over
+#: whichever rows existed moved from 2.05 to 1.77 on one box when two rows
+#: were dropped.
+MACHINE_FACTOR_KERNELS = ("attention_e2e", "attention_train_step")
+MACHINE_FACTOR_PATTERNS = ("1:2", "2:4")
+
+
+def machine_factor_rows(base: Dict[Key, Dict]) -> List[Key]:
+    """The named reference rows at each shape of the baseline's reference
+    rows of :data:`MACHINE_FACTOR_KERNELS` (none when it has no such row)."""
+    shapes = sorted({
+        shape.split("/")[0] for kernel, shape, backend in base
+        if kernel in MACHINE_FACTOR_KERNELS and backend == "reference"
+    })
+    return [
+        (kernel, f"{shape}/{pattern}", "reference")
+        for shape in shapes
+        for kernel in MACHINE_FACTOR_KERNELS
+        for pattern in MACHINE_FACTOR_PATTERNS
+    ]
 
 
 def machine_factor(fresh: Dict[Key, Dict], base: Dict[Key, Dict]) -> float:
     """Geometric-mean runtime ratio (fresh / base) of the
-    :data:`MACHINE_FACTOR_ROWS`; ``KeyError`` names a row either payload
-    lacks."""
+    :func:`machine_factor_rows`, or 1.0 when the baseline has none.
+    ``KeyError`` names a row either payload lacks; ``ValueError`` one with a
+    non-positive median."""
     logs: List[float] = []
-    for key in MACHINE_FACTOR_ROWS:
+    for key in machine_factor_rows(base):
         for name, rows in (("fresh", fresh), ("baseline", base)):
             if key not in rows:
                 raise KeyError(f"machine-factor row {key} is missing from the {name} payload")
+            if not rows[key]["median_s"] > 0:
+                raise ValueError(
+                    f"machine-factor row {key} has a non-positive median in the {name} payload"
+                )
         logs.append(math.log(fresh[key]["median_s"] / base[key]["median_s"]))
     return math.exp(sum(logs) / len(logs)) if logs else 1.0
 
@@ -298,18 +319,23 @@ def main(argv=None) -> int:
     fresh_payload = load(args.fresh)
     base_payload = load(args.baseline)
     warnings: List[str] = []
-    failures, factor = check(
-        fresh_payload,
-        base_payload,
-        threshold=args.threshold,
-        parity_tol=args.parity_tol,
-        min_e2e_speedup=args.min_e2e_speedup,
-        min_train_speedup=args.min_train_speedup,
-        min_matrix_speedup=args.min_matrix_speedup,
-        min_serve_speedup=args.min_serve_throughput,
-        min_multicore_speedup=args.min_multicore_speedup,
-        warnings=warnings,
-    )
+    try:
+        failures, factor = check(
+            fresh_payload,
+            base_payload,
+            threshold=args.threshold,
+            parity_tol=args.parity_tol,
+            min_e2e_speedup=args.min_e2e_speedup,
+            min_train_speedup=args.min_train_speedup,
+            min_matrix_speedup=args.min_matrix_speedup,
+            min_serve_speedup=args.min_serve_throughput,
+            min_multicore_speedup=args.min_multicore_speedup,
+            warnings=warnings,
+        )
+    except (KeyError, ValueError) as exc:
+        # no machine factor: the slowdown checks cannot be normalised
+        print(f"FAIL — machine factor: {exc.args[0]}")
+        return 1
     print(f"perf gate: {len(fresh_payload.get('results', []))} fresh rows vs "
           f"{len(base_payload.get('results', []))} baseline rows "
           f"(machine factor {factor:.2f}x)")

@@ -70,10 +70,11 @@ tile reads its ``(batch·head)`` slice as a ``(rows, d)`` view, so the
 transposed head views of a multi-head layer are not flattened into copies.
 What a tile copies it copies anyway: the tf32-rounded Q rows, the
 lane-major rounded Kᵀ (once per call in the forward, once per slice in the
-backward), and the backward's lane-major K and V.  The output and dQ are
-allocated in Q's memory order, dK in K's and dV in V's, so the layer's head
-merge and autograd's head-split backward reshape them as views.  Contiguous
-operands take the same path.
+backward), and the backward's lane-major K and V (once per slice; a tile
+over fewer than all groups gathers its rows of them).  The output and dQ
+are allocated in Q's memory order, dK in K's and dV in V's, so the layer's
+head merge and autograd's head-split backward reshape them as views.
+Contiguous operands take the same path.
 
 The hybrid of Appendix A.1.2 (blocked-ELL + N:M; BigBird + DFSS in Figure
 18A) passes a :class:`~repro.core.row_block.RowBlockStructure` as
@@ -313,6 +314,10 @@ class NMStats:
     n_q, n_k / M)`` over the key axis padded to whole groups without a
     ``structure``; with one, each batch slice's tile codes one after the
     other (``(..., codes)``, every tile's ``rows × groups`` in row order).
+    The plain grid is its row tiles' codes in the same order, kept 2-D as
+    plain DFSS has always saved them; a structure's tiles cover no grid, and
+    a zero-filled one would cost n_q·n_k/M codes per slice — 4 MiB at
+    L4096, where BigBird's tiles (defaults, 2:4) save 0.37 MiB.
     The backward re-scores each tile and recomputes its probabilities as
     ``exp(s − shift) / denom`` on the saved selection; :meth:`to_mask` reads
     it for mask introspection.  ``criterion`` and ``structure`` are the
@@ -428,9 +433,6 @@ class _LaneTiles:
         self.tile_rows = max((t.rows for t in every), default=0)
         self.tile_width = max((t.width for t in every), default=0)
         self.codes = _code_count(self._slice_tiles)
-        # rows outside every tile of a structure attend to nothing: their
-        # outputs and gradients are zero-filled
-        self._alloc = np.empty_like if structure is None else np.zeros_like
 
     def _lane_kt(self, k: np.ndarray) -> np.ndarray:
         """Rounded Kᵀ laid out lane-major: ``(..., n_k, d)`` becomes
@@ -541,7 +543,8 @@ class NMForwardJob(_LaneTiles):
         self.tiles: List[Tuple[int, _Tile]] = [
             (b, tile) for b, tiles in enumerate(self._slice_tiles) for tile in tiles
         ]
-        self._out = self._alloc(self._layout, shape=self._layout.shape[:-1] + (d_v,))
+        # zero-filled: a row outside every tile of a structure attends to nothing
+        self._out = np.zeros_like(self._layout, shape=self._layout.shape[:-1] + (d_v,))
         self._out_rows = batch_slices(self._out)
         self._values = self._indices = self._shift = self._denom = None
         if return_probs:
@@ -664,9 +667,10 @@ class NMBackwardJob(_LaneTiles):
     lane-major key order (all the tile's keys of lane 0, then of lane 1, …):
     the re-scoring product writes its M lane planes as strided views of it,
     and every other product is one GEMM against lane-major copies of K and V
-    (the tile's rows of them with a structure), which ran faster than M
-    per-lane GEMMs over strided lane views.  With ``P = P̃ / denom`` and the
-    keep mask ``D`` of the seeded dropout (re-hashed per lane plane):
+    (a tile over fewer than all groups gathers its rows of them), which ran
+    faster than M per-lane GEMMs over strided lane views.  With
+    ``P = P̃ / denom`` and the keep mask ``D`` of the seeded dropout
+    (re-hashed per lane plane):
 
     * ``dV += (P̃ ∘ D)ᵀ (dO / denom)``;
     * ``dP = (dO Vᵀ) ∘ D``, and without dropout ``dP − rowsum(dO ∘ O)`` as
@@ -676,10 +680,10 @@ class NMBackwardJob(_LaneTiles):
       ``(rows, d)`` product, and ``dK += dS'ᵀ (Q · scale / denom)``.
 
     dK and dV accumulate over the tiles in a fixed order that depends only
-    on the geometry: in lane-major key order, written back in key order once
-    per slice, without a structure; at each tile's keys of the zero-filled
-    dK and dV with one.  The :attr:`tiles` are the batch slices;
-    they are independent, so any executor may run them in any order.
+    on the geometry, in lane-major key order, each tile's product added at
+    its keys, and are written back in key order once per slice.  The
+    :attr:`tiles` are the batch slices; they are independent, so any
+    executor may run them in any order.
     """
 
     def __init__(
@@ -706,10 +710,11 @@ class NMBackwardJob(_LaneTiles):
         self._shift = np.asarray(shift, dtype=np.float32).reshape(batch, n_q, 1)
         self._denom = np.asarray(denom, dtype=np.float32).reshape(batch, n_q, 1)
         self.tiles = range(batch)
-        # each gradient in its operand's layout; dK and dV zero-filled for a
-        # slice without query rows, which no tile writes
-        self._dq = self._alloc(self._layout)
-        self._dk, self._dv = np.zeros_like(self._k), np.zeros_like(self._v)
+        # each gradient in its operand's layout; dQ zero-filled, as a row
+        # outside every tile of a structure gets none, while every slice
+        # writes its dK and dV back whole
+        self._dq = np.zeros_like(self._layout)
+        self._dk, self._dv = np.empty_like(self._k), np.empty_like(self._v)
         self._k, self._v = batch_slices(self._k), batch_slices(self._v)
         self._dq_rows, self._dk_rows, self._dv_rows = (
             batch_slices(x) for x in (self._dq, self._dk, self._dv)
@@ -737,33 +742,32 @@ class NMBackwardJob(_LaneTiles):
         """``(rows, shape)`` trace labels of one batch slice."""
         return f"{b}:0:{self.n_q}", f"{self.n_q}x{self.n_k}"
 
+    def _lane_keys(self, tile: _Tile) -> Union[slice, np.ndarray]:
+        """Where ``tile``'s keys sit in lane-major key order: lane i of each
+        of its groups, lane after lane; every key for a tile over all groups."""
+        groups = self.n_k // self.pattern.m
+        if tile.width == groups:
+            return slice(None)
+        return (self._group_ids(tile) + groups * np.arange(self.pattern.m)[:, None]).ravel()
+
     def run(self, b: int, buf: Tuple[Optional[np.ndarray], ...]) -> None:
         """Gradients of slice ``b``, tile by tile."""
         m, groups = self.pattern.m, self.n_k // self.pattern.m
         d_v = self._v[b].shape[-1]
         kt = self._lane_kt(self._k[b])
-        plain = self.structure is None
-        # Without a structure every tile reads all keys: K and V are copied
-        # in lane-major key order, and dK and dV accumulate in that order
-        # and are written back once.  A structure's tile gathers its keys in
-        # lane-major order from K and V as they are and adds straight into
-        # the zero-filled dK and dV.
-        k_keys = self._lane_order(self._k[b]) if plain else self._k[b]
+        # K and V in lane-major key order, and dK and dV accumulated in that
+        # order: a tile over every key reads and adds the whole arrays
+        k_lanes = self._lane_order(self._k[b])
         # V and a ones column: without dropout, [dO, −rowsum(dO ∘ O)] @
         # [V, 1]ᵀ is dP − rowsum(dO ∘ O) in one GEMM
         v_aug = np.concatenate(
-            [self._lane_order(self._v[b]) if plain else self._v[b],
-             np.ones((self.n_k, 1), np.float32)], axis=1,
+            [self._lane_order(self._v[b]), np.ones((self.n_k, 1), np.float32)], axis=1
         )
         g_aug = np.empty((self.tile_rows, d_v + 1), dtype=np.float32)
-        if plain:
-            grad_k = np.empty_like(k_keys)
-            grad_v = np.empty((self.n_k, d_v), dtype=np.float32)
-        else:
-            grad_k, grad_v = self._dk_rows[b], self._dv_rows[b]
+        grad_k = np.zeros_like(k_lanes)
+        grad_v = np.zeros((self.n_k, d_v), dtype=np.float32)
         scale = np.float32(self.scale)
-        tiles = self._slice_tiles[b]
-        for t in tiles:
+        for t in self._slice_tiles[b]:
             rows, width, r0, r1 = t.rows, t.width, t.start, t.stop
             tile, d_s, dropped = (
                 None if x is None else x.ravel()[: rows * width * m].reshape(rows, width * m)
@@ -779,13 +783,8 @@ class NMBackwardJob(_LaneTiles):
             self._exp_lanes(planes, keep, shift)
             # repro: owns-buffer — the executor's borrowed probability tile
             np.copyto(tile.reshape(rows, m, width), planes.transpose(1, 0, 2))
-            # the tile's keys in lane-major order: all of them without a
-            # structure, else lane i of each of its groups, lane after lane
-            keys = (
-                slice(None) if plain
-                else (self._group_ids(t) * m + np.arange(m)[:, None]).ravel()
-            )
-            k_tile, v_tile = k_keys[keys], v_aug[keys]
+            keys = self._lane_keys(t)
+            k_tile, v_tile = k_lanes[keys], v_aug[keys]
             g = self._g[b][r0:r1]
             inner = np.sum(g * self._o[b][r0:r1], axis=-1, keepdims=True)
             applied = tile
@@ -811,9 +810,8 @@ class NMBackwardJob(_LaneTiles):
                 # repro: owns-buffer — the executor's borrowed dS tile
                 d_s -= inner
                 applied = dropped
-            first = plain and r0 == 0
             # dV += (P̃ ∘ D)ᵀ dO / denom, the divide folded into the dO rows
-            _matmul_into(grad_v, keys, first, applied.T, g / denom)
+            grad_v[keys] += np.matmul(applied.T, g / denom)
             # dS' = P̃ ∘ (dP − rowsum(dO ∘ O))
             # repro: owns-buffer — the executor's borrowed dS tile
             d_s *= tile
@@ -821,33 +819,18 @@ class NMBackwardJob(_LaneTiles):
             row_scale = scale / denom
             # repro: owns-buffer — disjoint row block of the job's own dQ
             np.multiply(np.matmul(d_s, k_tile), row_scale, out=self._dq_rows[b][r0:r1])
-            _matmul_into(grad_k, keys, first, d_s.T, self._q[b][r0:r1] * row_scale)
-        if plain and tiles:
-            # back to key order: lane i's keys are rows i, i + M, …
-            for lanes, grad in ((grad_k, self._dk_rows[b]), (grad_v, self._dv_rows[b])):
-                dst = grad.reshape(groups, m, grad.shape[-1])
-                # repro: owns-buffer — this slice of the job's own dK or dV
-                np.copyto(dst, lanes.reshape(m, groups, -1).transpose(1, 0, 2))
+            grad_k[keys] += np.matmul(d_s.T, self._q[b][r0:r1] * row_scale)
+        # back to key order: lane i's keys are rows i, i + M, …
+        for lanes, grad in ((grad_k, self._dk_rows[b]), (grad_v, self._dv_rows[b])):
+            dst = grad.reshape(groups, m, grad.shape[-1])
+            # repro: owns-buffer — this slice of the job's own dK or dV
+            np.copyto(dst, lanes.reshape(m, groups, -1).transpose(1, 0, 2))
 
     def result(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(dQ, dK, dV)``, dK and dV cropped to the real keys."""
         keys = slice(0, self.n_keys)
         grads = (self._dq, self._dk[..., keys, :], self._dv[..., keys, :])
         return tuple(restore_batch_shape(grad, self.batch_shape) for grad in grads)
-
-
-def _matmul_into(
-    dst: np.ndarray, keys: Union[slice, np.ndarray], first: bool, a: np.ndarray, b: np.ndarray
-) -> None:
-    """``dst = a @ b`` for a slice's first row block over every key, else
-    ``dst[keys] += a @ b`` (over every key, ``keys`` a full slice, this adds
-    in place: numpy skips assigning the view back onto itself)."""
-    if first:
-        # repro: owns-buffer — the caller's per-slice dK or dV accumulator
-        np.matmul(a, b, out=dst)
-    else:
-        # repro: owns-buffer — the caller's per-slice dK or dV accumulator
-        dst[keys] += np.matmul(a, b)
 
 
 #: Why ``return_probs`` goes with neither ``return_stats`` nor a structure.

@@ -61,5 +61,5 @@ class TestJsonReport:
         assert main(["--strict", "--json", str(report_path)]) == 0
         report = json.loads(report_path.read_text())
         assert report["findings"] == []
-        assert len(report["waivers"]) == 35
+        assert len(report["waivers"]) == 33
         assert report["summary"]["kernels"] == 5

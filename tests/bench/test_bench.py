@@ -22,28 +22,18 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 TINY = BenchShape(batch=1, heads=2, seq_len=32, head_dim=16)
 
 
-#: the machine-factor rows of payloads built at the TINY shape
-TINY_FACTOR_ROWS = tuple(
-    (kernel, f"{TINY.label('2:4')}", "reference")
-    for kernel in ("attention_e2e", "attention_train_step")
-)
-
-
-def _load_gate(factor_rows=None):
-    """The gate module; ``factor_rows`` replaces its machine-factor rows for
-    synthetic payloads that lack the baseline's (``()``: no normalising)."""
+def _load_gate():
     path = REPO_ROOT / "scripts" / "check_bench_regression.py"
     spec = importlib.util.spec_from_file_location("check_bench_regression", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    if factor_rows is not None:
-        module.MACHINE_FACTOR_ROWS = tuple(factor_rows)
     return module
 
 
 @pytest.fixture(scope="module")
 def tiny_results():
-    return run_benchmarks(repeats=2, warmup=0, patterns=("2:4",), shape=TINY)
+    # both patterns: the gate's machine factor reads the 1:2 and 2:4 rows
+    return run_benchmarks(repeats=2, warmup=0, patterns=("1:2", "2:4"), shape=TINY)
 
 
 class TestRunner:
@@ -122,7 +112,7 @@ class TestPerfGate:
         return payload, copy.deepcopy(payload)
 
     def test_identical_payloads_pass(self, payloads):
-        gate = _load_gate(TINY_FACTOR_ROWS)
+        gate = _load_gate()
         base, fresh = payloads
         failures, _ = gate.check(
             fresh, base, min_e2e_speedup=0.0, min_train_speedup=0.0,
@@ -131,7 +121,7 @@ class TestPerfGate:
         assert failures == []
 
     def test_parity_mismatch_fails(self, payloads):
-        gate = _load_gate(TINY_FACTOR_ROWS)
+        gate = _load_gate()
         base, fresh = payloads
         for row in fresh["results"]:
             if row["backend"] == "fast" and row["kernel"] == "attention_e2e":
@@ -140,7 +130,7 @@ class TestPerfGate:
         assert any("parity" in f for f in failures)
 
     def test_single_kernel_slowdown_fails(self, payloads):
-        gate = _load_gate(TINY_FACTOR_ROWS)
+        gate = _load_gate()
         base, fresh = payloads
         for row in fresh["results"]:
             if row["kernel"] == "attention_e2e" and row["backend"] == "fast":
@@ -151,7 +141,7 @@ class TestPerfGate:
         assert any("slowdown" in f or "speedup" in f for f in failures)
 
     def test_uniform_machine_slowdown_passes(self, payloads):
-        gate = _load_gate(TINY_FACTOR_ROWS)
+        gate = _load_gate()
         base, fresh = payloads
         for row in fresh["results"]:
             row["median_s"] *= 3.0
@@ -164,15 +154,17 @@ class TestPerfGate:
         assert failures == []
 
     def test_missing_row_fails_coverage(self, payloads):
-        # the factor reads the rows that stay: a dropped factor row raises
-        gate = _load_gate(TINY_FACTOR_ROWS[1:])
+        gate = _load_gate()
         base, fresh = payloads
-        fresh["results"] = [r for r in fresh["results"] if r["kernel"] != "attention_e2e"]
+        fresh["results"] = [
+            r for r in fresh["results"]
+            if (r["kernel"], r["backend"]) != ("attention_e2e", "fast")
+        ]
         failures, _ = gate.check(fresh, base, min_e2e_speedup=0.0, min_train_speedup=0.0)
         assert any("coverage" in f for f in failures)
 
     def test_speedup_collapse_fails(self, payloads):
-        gate = _load_gate(TINY_FACTOR_ROWS)
+        gate = _load_gate()
         base, fresh = payloads
         for row in fresh["results"]:
             if row["backend"] == "fast":
@@ -181,7 +173,7 @@ class TestPerfGate:
         assert any("speedup" in f for f in failures)
 
     def test_e2e_floor(self, payloads):
-        gate = _load_gate(TINY_FACTOR_ROWS)
+        gate = _load_gate()
         base, fresh = payloads
         for row in fresh["results"]:
             if row["kernel"] == "attention_e2e" and row["backend"] == "fast":
@@ -190,7 +182,7 @@ class TestPerfGate:
         assert any("e2e floor" in f for f in failures)
 
     def test_train_floor(self, payloads):
-        gate = _load_gate(TINY_FACTOR_ROWS)
+        gate = _load_gate()
         base, fresh = payloads
         for row in fresh["results"]:
             if row["kernel"] == "attention_train_step" and row["backend"] == "fast":
@@ -201,10 +193,11 @@ class TestPerfGate:
         assert any("train floor" in f for f in failures)
 
     def test_train_floor_requires_rows(self, payloads):
-        gate = _load_gate(TINY_FACTOR_ROWS[:1])
+        gate = _load_gate()
         base, fresh = payloads
         fresh["results"] = [
-            r for r in fresh["results"] if r["kernel"] != "attention_train_step"
+            r for r in fresh["results"]
+            if (r["kernel"], r["backend"]) != ("attention_train_step", "fast")
         ]
         failures, _ = gate.check(
             fresh, fresh, min_e2e_speedup=0.0, min_train_speedup=2.0
@@ -224,7 +217,7 @@ class TestPerfGate:
         return [dense, sparse]
 
     def test_matrix_floor_binds_band_masks(self, payloads):
-        gate = _load_gate(TINY_FACTOR_ROWS)
+        gate = _load_gate()
         base, fresh = payloads
         fresh["results"] += self._matrix_rows("local", 0.8)
         base["results"] += self._matrix_rows("local", 0.8)
@@ -232,7 +225,7 @@ class TestPerfGate:
         assert any("train matrix floor" in f for f in failures)
 
     def test_matrix_floor_ignores_data_dependent_masks(self, payloads):
-        gate = _load_gate(TINY_FACTOR_ROWS)
+        gate = _load_gate()
         base, fresh = payloads
         extra = self._matrix_rows("local", 1.2) + self._matrix_rows("routing", 0.7)
         fresh["results"] += extra
@@ -241,13 +234,13 @@ class TestPerfGate:
         assert failures == []
 
     def test_matrix_floor_requires_band_rows(self, payloads):
-        gate = _load_gate(TINY_FACTOR_ROWS)
+        gate = _load_gate()
         base, fresh = payloads  # the fixture payload has no matrix rows at all
         failures, _ = gate.check(fresh, fresh, min_e2e_speedup=0.0, min_train_speedup=0.0)
         assert any("train matrix floor" in f for f in failures)
 
     def test_new_rows_warn_and_skip_instead_of_failing(self, payloads):
-        gate = _load_gate(TINY_FACTOR_ROWS)
+        gate = _load_gate()
         base, fresh = payloads
         # rows with no baseline counterpart: diff checks skipped with a
         # warning (absolute floors still apply), never a KeyError/failure
@@ -260,32 +253,57 @@ class TestPerfGate:
         assert failures == []
         assert any("no baseline entry" in w for w in warnings)
 
-    def test_machine_factor_ignores_extra_reference_rows(self):
+    @staticmethod
+    def _baseline_rows(gate, name):
+        return gate.index_rows(gate.load(str(REPO_ROOT / "benchmarks" / name)))
+
+    @pytest.mark.parametrize(
+        "name", ["baseline_kernels.json", "baseline_kernels_default.json"]
+    )
+    def test_machine_factor_ignores_extra_reference_rows(self, name):
         gate = _load_gate()
-        base = gate.index_rows(
-            gate.load(str(REPO_ROOT / "benchmarks" / "baseline_kernels.json"))
-        )
+        base = self._baseline_rows(gate, name)
+        rows = gate.machine_factor_rows(base)
+        assert len(rows) == 4 and all(key in base for key in rows)
         fresh = copy.deepcopy(base)
-        for key in gate.MACHINE_FACTOR_ROWS:
+        for key in rows:
             fresh[key]["median_s"] *= 2.0
         factor = gate.machine_factor(fresh, base)
         assert factor == pytest.approx(2.0)
         # a reference row outside the named four, however slow, moves nothing
         fresh[("attention_e2e", "B9xH9xL9xD9/2:4", "reference")] = {"median_s": 100.0}
-        base[("attention_e2e", "B9xH9xL9xD9/2:4", "reference")] = {"median_s": 1.0}
         assert gate.machine_factor(fresh, base) == factor
 
     @pytest.mark.parametrize("side", ["fresh", "baseline"])
     def test_machine_factor_raises_on_a_missing_row(self, side):
         gate = _load_gate()
-        base = gate.index_rows(
-            gate.load(str(REPO_ROOT / "benchmarks" / "baseline_kernels.json"))
-        )
+        base = self._baseline_rows(gate, "baseline_kernels.json")
         fresh = copy.deepcopy(base)
-        missing = gate.MACHINE_FACTOR_ROWS[2]
+        missing = gate.machine_factor_rows(base)[2]
         del (fresh if side == "fresh" else base)[missing]
         with pytest.raises(KeyError, match=f"{missing[1]}.*{side}"):
             gate.machine_factor(fresh, base)
+
+    def test_machine_factor_raises_on_a_zero_median(self):
+        gate = _load_gate()
+        base = self._baseline_rows(gate, "baseline_kernels.json")
+        fresh = copy.deepcopy(base)
+        fresh[gate.machine_factor_rows(base)[0]]["median_s"] = 0.0
+        with pytest.raises(ValueError, match="non-positive median in the fresh"):
+            gate.machine_factor(fresh, base)
+
+    def test_cli_fails_on_a_missing_factor_row(self, tmp_path, capsys):
+        gate = _load_gate()
+        base_path = REPO_ROOT / "benchmarks" / "baseline_kernels_default.json"
+        fresh = gate.load(str(base_path))
+        fresh["results"] = [
+            r for r in fresh["results"]
+            if (r["kernel"], r["backend"]) != ("attention_e2e", "reference")
+        ]
+        fresh_path = tmp_path / "fresh.json"
+        fresh_path.write_text(json.dumps(fresh))
+        assert gate.main([str(fresh_path), str(base_path)]) == 1
+        assert "machine factor" in capsys.readouterr().out
 
     def test_committed_baseline_is_valid(self):
         gate = _load_gate()
@@ -305,7 +323,7 @@ class TestPerfGate:
     def test_new_floors_default_off_in_check(self):
         # synthetic payloads without the new rows must stay valid for
         # check() callers with default arguments; the CLI turns the floors on
-        gate = _load_gate(())
+        gate = _load_gate()
         payload = {"schema_version": 1, "results": []}
         failures, _ = gate.check(
             payload, payload, min_e2e_speedup=0.0, min_train_speedup=0.0,
@@ -381,7 +399,7 @@ class TestServeGate:
         return [sequential, batched]
 
     def test_serve_floor_fires_below_threshold(self):
-        gate = _load_gate(())
+        gate = _load_gate()
         payload = {"schema_version": 1, "results": self._serving_rows(1.2)}
         failures, _ = gate.check(
             payload, payload, min_e2e_speedup=0.0, min_train_speedup=0.0,
@@ -390,7 +408,7 @@ class TestServeGate:
         assert any("serve throughput floor" in f for f in failures)
 
     def test_serve_floor_passes_above_threshold(self):
-        gate = _load_gate(())
+        gate = _load_gate()
         payload = {"schema_version": 1, "results": self._serving_rows(2.0)}
         failures, _ = gate.check(
             payload, payload, min_e2e_speedup=0.0, min_train_speedup=0.0,
@@ -401,7 +419,7 @@ class TestServeGate:
     def test_serving_parity_must_be_exactly_zero(self):
         # a tiny-but-nonzero parity error would pass the generic 1e-2
         # tolerance; the serving contract is bitwise, so the gate must fail
-        gate = _load_gate(())
+        gate = _load_gate()
         rows = self._serving_rows(2.0)
         rows[1]["parity_max_rel_err"] = 1e-6
         payload = {"schema_version": 1, "results": rows}
@@ -412,7 +430,7 @@ class TestServeGate:
         assert any("exact bitwise parity" in f for f in failures)
 
     def test_serve_floor_requires_rows(self):
-        gate = _load_gate(())
+        gate = _load_gate()
         payload = {"schema_version": 1, "results": []}
         failures, _ = gate.check(
             payload, payload, min_e2e_speedup=0.0, min_train_speedup=0.0,
@@ -424,7 +442,7 @@ class TestServeGate:
         # baseline-only payloads (no serving rows) must stay valid for
         # check() callers that predate the serving benchmark; the CLI is
         # what turns the floor on (default 1.5)
-        gate = _load_gate(())
+        gate = _load_gate()
         payload = {"schema_version": 1, "results": []}
         failures, _ = gate.check(
             payload, payload, min_e2e_speedup=0.0, min_train_speedup=0.0,
@@ -515,7 +533,7 @@ class TestMulticoreGate:
         return row
 
     def _check(self, rows, **kwargs):
-        gate = _load_gate(())
+        gate = _load_gate()
         warnings = []
         failures, _ = gate.check(
             {"schema_version": 1, "results": rows},

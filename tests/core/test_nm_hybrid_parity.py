@@ -7,8 +7,13 @@ Each draw checks it against the dense rule "mask, then select per group"
 (``DfssBigBirdAttention.attention_mask``, built without the kernels):
 
 * forward and backward match :func:`repro.nn.functional.dense_masked_attention`
-  under that mask (``rtol=1e-5, atol=1e-6``), with seeded dropout replayed
-  from the same generator;
+  under that mask, with seeded dropout replayed from the same generator: the
+  output within ``rtol=1e-5, atol=1e-6``, the gradients within ``rtol=1e-5,
+  atol=5e-6``, the tolerance of the other gradient checks against that
+  oracle.  A gradient of a global key sums every row's terms in float32, so
+  both sides round by about 1e-6 there: 2 of 1000 draws missed ``atol=1e-6``,
+  and in the pinned draw the kernel is nearer the float64 value than the
+  oracle;
 * ``NMStats.to_mask()`` is bitwise that mask;
 * ``multicore`` at 2 workers is bitwise ``fast``;
 * a batch is bitwise its slices run alone.
@@ -25,7 +30,7 @@ import os
 from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.backend import FAST, MULTICORE, use_backend
@@ -75,6 +80,8 @@ def _assert_bitwise(a, b):
     dropout_p=st.sampled_from([0.0, 0.25]),
     seed=st.integers(0, 2**16),
 )
+@example(pattern="2:4", n=97, block_size=8, batch=(2,), kind="normal", dropout_p=0.25,
+         seed=163)
 def test_hybrid_matches_the_dense_rule(
     pattern, n, block_size, batch, kind, dropout_p, seed
 ):
@@ -98,7 +105,8 @@ def test_hybrid_matches_the_dense_rule(
         ("out", "dQ", "dK", "dV"), (fast[0], *fast[4:]),
         (expected.data, qt.grad, kt.grad, vt.grad),
     ):
-        np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-6, err_msg=name)
+        atol = 1e-6 if name == "out" else 5e-6
+        np.testing.assert_allclose(got, want, rtol=1e-5, atol=atol, err_msg=name)
 
     with mock.patch.dict(os.environ, {WORKERS_ENV_VAR: "2"}):
         tiled, _ = _train(MULTICORE, q, k, v, g, pattern, structure, dropout_p, seed)
