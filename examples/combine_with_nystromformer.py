@@ -3,7 +3,7 @@
 Pretrains a Nyströmformer on the synthetic pixel-sequence image task, then
 finetunes it briefly with and without DFSS pruning of the two large Nyström
 kernels, and also shows the forward-only combination operators
-(DfssNystromformerAttention / DfssBigBirdAttention / DfssLinformerAttention).
+(`nystromformer_dfss`, `bigbird_dfss` and `linformer_dfss`, built by name).
 
 Run with ``python examples/combine_with_nystromformer.py [--scale smoke|default|full]``.
 """

@@ -15,13 +15,15 @@ server and the trainable core all take the row-block structure of the call
 score or probability matrix is formed.  A content-dependent mask (Top-K,
 Reformer, Routing, Sinkhorn) builds its structure from this call's mask; a
 static one (:class:`StaticMaskAttention`) keeps the structure it declares
-per sequence length.  Mechanisms with another computation (DFSS's N:M
-plan, the kernel and low-rank methods) override ``__call__``.
+per sequence length.  Mechanisms with another computation override
+``__call__``: DFSS runs its N:M plan, and each kernel or low-rank method
+runs its trainable core without gradients
+(:class:`repro.nn.attention_layer.CoreMechanism`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple, Type
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -132,14 +134,3 @@ class StaticMaskAttention(AttentionMechanism):
     def mask_structure(self, q: np.ndarray, k: np.ndarray) -> RowBlockStructure:
         return self.cached_structure(q.shape[-2], k.shape[-2])
 
-
-#: name -> mechanism class registry, populated by ``register``.
-MECHANISM_REGISTRY: Dict[str, Type[AttentionMechanism]] = {}
-
-
-def register(cls: Type[AttentionMechanism]) -> Type[AttentionMechanism]:
-    """Class decorator adding a mechanism to :data:`MECHANISM_REGISTRY`."""
-    if not cls.name or cls.name == "base":
-        raise ValueError(f"{cls.__name__} must define a unique .name")
-    MECHANISM_REGISTRY[cls.name] = cls
-    return cls

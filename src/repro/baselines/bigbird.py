@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.baselines.base import StaticMaskAttention, register
+from repro.baselines.base import StaticMaskAttention
 from repro.core.blocked_ell import BlockedEllMask, bigbird_mask
 from repro.registry import BigBirdConfig, register_mechanism
 from repro.utils.seeding import SeedLike
@@ -21,7 +21,6 @@ from repro.utils.seeding import SeedLike
     static_mask=True,
     latency_model="bigbird",
 )
-@register
 class BigBirdAttention(StaticMaskAttention):
     """Blocked window/global/random pattern of Zaheer et al."""
 

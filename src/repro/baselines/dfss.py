@@ -6,11 +6,11 @@ from typing import Optional
 
 import numpy as np
 
-from repro.baselines.base import AttentionMechanism, register
+from repro.baselines.base import AttentionMechanism
 from repro.core.attention import dfss_attention
-from repro.core.backend import get_kernel
 from repro.core.patterns import default_pattern_for_dtype, resolve_pattern
-from repro.core.sddmm import MASKED_SCORE, sddmm_dense
+from repro.core.pruning import MASKED_SCORE, nm_prune_mask_any_width
+from repro.core.sddmm import sddmm_dense
 from repro.registry import DfssConfig, register_mechanism
 
 
@@ -24,7 +24,6 @@ from repro.registry import DfssConfig, register_mechanism
     batchable=True,
     latency_model="dfss",
 )
-@register
 class DfssMechanism(AttentionMechanism):
     """Dynamic N:M fine-grained structured sparse attention ("ours")."""
 
@@ -51,14 +50,9 @@ class DfssMechanism(AttentionMechanism):
         multiple of M is padded with masked lanes up to whole groups, then
         cropped.
         """
-        n_k = scores.shape[-1]
         if allowed is not None:
             scores = np.where(allowed, scores, MASKED_SCORE)
-        pad = self.pattern.padded(n_k) - n_k
-        if pad:
-            widths = [(0, 0)] * (scores.ndim - 1) + [(0, pad)]
-            scores = np.pad(scores, widths, constant_values=MASKED_SCORE)
-        mask = get_kernel("nm_prune_mask", backend)(scores, self.pattern)[..., :n_k]
+        mask = nm_prune_mask_any_width(scores, self.pattern, backend)
         return mask if allowed is None else mask & allowed
 
     def attention_mask(self, q: np.ndarray, k: np.ndarray) -> np.ndarray:

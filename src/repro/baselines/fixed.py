@@ -17,7 +17,7 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.baselines.base import StaticMaskAttention, register
+from repro.baselines.base import StaticMaskAttention
 from repro.registry import (
     LocalConfig,
     StridedConfig,
@@ -73,7 +73,6 @@ def in_window(rows: np.ndarray, keys: np.ndarray, window: int) -> np.ndarray:
     static_mask=True,
     latency_model="local",
 )
-@register
 class LocalWindowAttention(StaticMaskAttention):
     """Sliding-window attention with half-width ``window``."""
 
@@ -106,7 +105,6 @@ class LocalWindowAttention(StaticMaskAttention):
     batchable=True,
     static_mask=True,
 )
-@register
 class StridedSparseAttention(StaticMaskAttention):
     """Sparse-Transformer-style local + strided pattern."""
 
@@ -142,7 +140,6 @@ class StridedSparseAttention(StaticMaskAttention):
     static_mask=True,
     latency_model="fixed",
 )
-@register
 class TruncatedAttention(StaticMaskAttention):
     """Keep a fixed leading fraction of key columns (Appendix A.4 fixed pattern)."""
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.baselines.base import AttentionMechanism, register
+from repro.baselines.base import AttentionMechanism
 from repro.core.attention import full_attention
 from repro.registry import FullConfig, register_mechanism
 
@@ -18,7 +18,6 @@ from repro.registry import FullConfig, register_mechanism
     produces_mask=True,
     latency_model="transformer",
 )
-@register
 class FullAttention(AttentionMechanism):
     """``softmax(Q Kᵀ / sqrt(d)) V`` computed densely (Eq. 1)."""
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.baselines.base import StaticMaskAttention, register
+from repro.baselines.base import StaticMaskAttention
 from repro.baselines.fixed import in_window, local_window_mask, window_keys
 from repro.registry import LongformerConfig, register_mechanism
 
@@ -29,7 +29,6 @@ def longformer_mask(n_q: int, n_k: int, window: int, num_global: int) -> np.ndar
     static_mask=True,
     latency_model="longformer",
 )
-@register
 class LongformerAttention(StaticMaskAttention):
     """Fixed window + global-token pattern (Beltagy et al.)."""
 

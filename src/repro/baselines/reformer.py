@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.baselines.base import AttentionMechanism, register
+from repro.baselines.base import AttentionMechanism
 from repro.registry import ReformerConfig, register_mechanism
 from repro.utils.seeding import new_rng
 
@@ -38,7 +38,6 @@ def lsh_bucket_ids(x: np.ndarray, n_buckets: int, n_hashes: int, rng) -> np.ndar
     batchable=True,
     latency_model="reformer",
 )
-@register
 class ReformerAttention(AttentionMechanism):
     """LSH-bucketed attention mask (shared-bucket pairs attend to each other)."""
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.baselines.base import AttentionMechanism, register
+from repro.baselines.base import AttentionMechanism
 from repro.registry import RoutingConfig, register_mechanism
 from repro.utils.seeding import new_rng
 
@@ -43,7 +43,6 @@ def kmeans_assign(points: np.ndarray, n_clusters: int, iters: int, rng) -> np.nd
     batchable=True,
     latency_model="routing",
 )
-@register
 class RoutingTransformerAttention(AttentionMechanism):
     """k-means routed attention: attend within the shared cluster."""
 

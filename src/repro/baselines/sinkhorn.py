@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.baselines.base import AttentionMechanism, register
+from repro.baselines.base import AttentionMechanism
 from repro.registry import SinkhornConfig, register_mechanism
 
 
@@ -35,7 +35,6 @@ def sinkhorn_normalise(scores: np.ndarray, iters: int = 8) -> np.ndarray:
     batchable=True,
     latency_model="sinkhorn",
 )
-@register
 class SinkhornAttention(AttentionMechanism):
     """Block-local attention plus one Sinkhorn-matched block per query block."""
 

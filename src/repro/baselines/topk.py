@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.baselines.base import AttentionMechanism, register
+from repro.baselines.base import AttentionMechanism
 from repro.core.lottery import topk_mask
 from repro.core.precision import simulate_tensor_core_matmul
 from repro.registry import TopKConfig, register_mechanism
@@ -25,7 +25,6 @@ from repro.registry import TopKConfig, register_mechanism
     batchable=True,
     latency_model="topk",
 )
-@register
 class ExplicitTopKAttention(AttentionMechanism):
     """Per-row Top-K masking of the dense score matrix."""
 

@@ -125,9 +125,9 @@ from repro.core.jobs import (
 )
 from repro.core.patterns import NMPattern, default_pattern_for_dtype, resolve_pattern
 from repro.core.precision import tensor_core_operand
-from repro.core.pruning import global_column_indices, nm_compress_lanes, nm_keep_lanes
+from repro.core.pruning import MASKED_SCORE, global_column_indices, nm_compress_lanes, nm_keep_lanes
 from repro.core.row_block import KeyBlock, RowBlockStructure
-from repro.core.sddmm import MASKED_SCORE, sddmm_nm
+from repro.core.sddmm import sddmm_nm
 from repro.core.softmax import MASKED_LOGIT_THRESHOLD, grouped_row_sum, sparse_softmax
 from repro.core.sparse import NMSparseMatrix
 from repro.core.spmm import spmm
@@ -264,9 +264,39 @@ def _slice_tiles(structure, lead: Tuple[int, ...], n_q: int, n_k: int, m: int) -
     return [lists[int(s)] for s in index]
 
 
-def _code_count(slices: List[List[_Tile]]) -> int:
-    """The selection codes of the longest slice's tiles."""
-    return max((t.offset + t.rows * t.width for tiles in slices for t in tiles), default=0)
+def _group_count(block: KeyBlock, m: int) -> int:
+    """How many M-groups of the padded key axis ``block``'s sorted keys
+    fall in, without building them."""
+    if isinstance(block.keys, slice):
+        return (block.keys.stop - 1) // m - block.keys.start // m + 1
+    groups = block.keys // m
+    return 1 + int(np.count_nonzero(groups[1:] != groups[:-1]))
+
+
+class _TileShape(NamedTuple):
+    """A tile's query ``rows`` and the ``width`` M-groups it scores."""
+
+    rows: int
+    width: int
+
+
+def _slice_shapes(structure, lead: Tuple[int, ...], n_q: int, n_k: int, m: int) -> List[List[_TileShape]]:
+    """The shapes of the tiles :func:`_slice_tiles` cuts, from each block's
+    key groups alone: no tile's masked lanes are built."""
+    batch = int(np.prod(lead, dtype=np.int64))
+    if structure is None:
+        return [[_TileShape(r1 - r0, n_k // m) for r0, r1 in row_blocks(n_q, n_k)]] * batch
+    index = structure.slice_index(lead)
+    shapes = {
+        int(s): [_TileShape(b.rows, _group_count(b, m)) for b in structure.slices[s]]
+        for s in np.unique(index)
+    }
+    return [shapes[int(s)] for s in index]
+
+
+def _code_count(slices) -> int:
+    """The selection codes of the longest slice's tiles (or tile shapes)."""
+    return max((sum(t.rows * t.width for t in tiles) for tiles in slices), default=0)
 
 
 def _span_args(q, k, v, pattern, dtype, structure=None, return_probs=False, return_stats=False,
@@ -282,7 +312,7 @@ def _span_args(q, k, v, pattern, dtype, structure=None, return_probs=False, retu
     m = pattern.m
     q_shape, n_k = np.shape(q), pattern.padded(np.shape(k)[-2])
     n_q, batch = q_shape[-2], int(np.prod(q_shape[:-2], dtype=np.int64))
-    slices = _slice_tiles(structure, q_shape[:-2] or (1,), n_q, n_k, m)
+    slices = _slice_shapes(structure, q_shape[:-2] or (1,), n_q, n_k, m)
     tiles = [t for s in slices for t in s]
     if d_out is not None:
         out_bytes = 4 * (np.size(q) + batch * n_k * (np.shape(k)[-1] + np.shape(v)[-1]))

@@ -16,11 +16,16 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.core.backend import FAST, REFERENCE, register_kernel
+from repro.core.backend import FAST, REFERENCE, get_kernel, register_kernel
 from repro.core.patterns import NMPattern, resolve_pattern
 
 #: Selection criteria supported by :func:`nm_group_topn_indices`.
 CRITERIA = ("value", "magnitude")
+
+#: Sentinel written to score positions a mask excludes (a block a structure
+#: does not allow, a padded key); large and negative so the sparse softmax
+#: assigns them exactly zero weight.
+MASKED_SCORE = np.float32(-1e30)
 
 
 def _group_view(x: np.ndarray, pattern: NMPattern) -> np.ndarray:
@@ -238,6 +243,22 @@ def nm_prune_mask_fast(x: np.ndarray, pattern, criterion: str = "value") -> np.n
 
 
 register_kernel("nm_prune_mask", REFERENCE)(nm_prune_mask)
+
+
+def nm_prune_mask_any_width(x: np.ndarray, pattern, backend=None) -> np.ndarray:
+    """``backend``'s ``nm_prune_mask`` of scores ``x`` at any last-axis width.
+
+    The rule the N:M kernels select by: a width that is not a multiple of M
+    is padded with ``MASKED_SCORE`` lanes up to whole groups, selected, and
+    cropped back, so the last group keeps its N largest real scores (all of
+    them when it holds N or fewer).  A width M divides is selected as it is.
+    """
+    pattern = resolve_pattern(pattern)
+    width = x.shape[-1]
+    pad = pattern.padded(width) - width
+    if pad:
+        x = np.pad(x, [(0, 0)] * (x.ndim - 1) + [(0, pad)], constant_values=MASKED_SCORE)
+    return get_kernel("nm_prune_mask", backend)(x, pattern)[..., :width]
 
 
 def nm_decompress(

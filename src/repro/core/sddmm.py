@@ -30,14 +30,10 @@ import numpy as np
 
 from repro.core.patterns import default_pattern_for_dtype, resolve_pattern
 from repro.core.precision import dtype_bytes, simulate_tensor_core_matmul
-from repro.core.pruning import nm_compress
+from repro.core.pruning import MASKED_SCORE, nm_compress
 from repro.core.sparse import NMSparseMatrix
 from repro.utils.shapes import as_batched_3d, restore_batch_shape
 
-#: Sentinel written to score positions a mask excludes (a block a structure
-#: does not allow, a padded key); large and negative so the sparse softmax
-#: assigns them exactly zero weight.
-MASKED_SCORE = np.float32(-1e30)
 
 
 @dataclass

@@ -20,7 +20,8 @@ mechanism's typed config dataclass, so a typo fails immediately with a
 ``TypeError`` instead of deep inside a forward pass.  ``backend=`` scopes the
 kernel-registry backend (reusing :func:`repro.core.backend.use_backend`) around
 every call the engine makes, and is forwarded into the mechanism config when
-the mechanism itself takes a ``backend`` argument (DFSS, Nyströmformer).
+the mechanism itself takes a ``backend`` argument (the mask mechanisms'
+cores, Nyströmformer + DFSS).
 """
 
 from __future__ import annotations
@@ -115,7 +116,7 @@ class AttentionEngine:
 
     # ------------------------------------------------------------------ pieces
     def mechanism(self):
-        """The forward-only numpy mechanism (constructed lazily, cached)."""
+        """The forward-only mechanism (constructed lazily, cached)."""
         if self._mechanism is None:
             self._mechanism = self.spec.build_mechanism(self.config)
         return self._mechanism
@@ -146,10 +147,12 @@ class AttentionEngine:
     def __call__(self, q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Numpy forward pass through the mechanism, under the engine backend.
 
-        This is the plan the server and the trainable core run: DFSS's N:M
-        plan, or for every other mask the row-block plan over the call's
+        This is the forward the server and the trainable core run: DFSS's
+        N:M plan, or for every other mask the row-block plan over the call's
         :meth:`~repro.baselines.base.AttentionMechanism.mask_structure`
-        (BigBird + DFSS runs the N:M plan over BigBird's row-block structure).
+        (BigBird + DFSS runs the N:M plan over BigBird's row-block
+        structure); a kernel or low-rank mechanism runs its trainable core
+        without gradients.
         """
         with self._backend_scope():
             return self.mechanism()(q, k, v)

@@ -21,8 +21,8 @@ from repro.utils.formatting import format_table
 
 VARIANTS = (
     ("Nystromformer", "nystromformer", {"num_landmarks": 16}),
-    ("Nystromformer + Dfss 1:2", "nystromformer_dfss", {"num_landmarks": 16, "dfss_pattern": "1:2"}),
-    ("Nystromformer + Dfss 2:4", "nystromformer_dfss", {"num_landmarks": 16, "dfss_pattern": "2:4"}),
+    ("Nystromformer + Dfss 1:2", "nystromformer_dfss", {"num_landmarks": 16, "pattern": "1:2"}),
+    ("Nystromformer + Dfss 2:4", "nystromformer_dfss", {"num_landmarks": 16, "pattern": "2:4"}),
 )
 
 

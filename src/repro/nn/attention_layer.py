@@ -25,7 +25,10 @@ flavours:
   :meth:`~AttentionCore.last_mask`.
 * *kernel / low-rank* — the attention output is computed through a different
   differentiable computation graph: Linformer, Linear Transformer, Performer,
-  Nyströmformer and the DFSS + Nyströmformer combination.
+  Nyströmformer, Synthesizer and the DFSS + Nyströmformer and DFSS +
+  Linformer combinations.  The core is each one's only definition: its
+  forward-only mechanism (:class:`CoreMechanism`) runs the core without
+  gradients.
 """
 
 from __future__ import annotations
@@ -36,14 +39,26 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 import repro.baselines  # noqa: F401  populate the mechanism registry first
-from repro.core.backend import get_kernel
+from repro.baselines.base import AttentionMechanism
 from repro.core.patterns import default_pattern_for_dtype, resolve_pattern
+from repro.core.pruning import nm_prune_mask_any_width
 from repro.core.row_block import RowBlockStructure
 from repro.nn import functional as F
 from repro.nn.autograd import Tensor
 from repro.nn.layers import Dropout, Linear, Module
 from repro.nn.sparse_attention import dfss_sparse_attention, row_block_sparse_attention
-from repro.registry import find_spec, make_core, register_mechanism
+from repro.registry import (
+    LinearTransformerConfig,
+    LinformerConfig,
+    LinformerDfssConfig,
+    NystromDfssConfig,
+    NystromformerConfig,
+    PerformerConfig,
+    SynthesizerConfig,
+    find_spec,
+    make_core,
+    register_mechanism,
+)
 from repro.utils.seeding import new_rng
 
 
@@ -205,9 +220,57 @@ class DfssCore(AttentionCore):
         return None if self._last_stats is None else self._last_stats.to_mask()
 
 
-@register_mechanism("linformer", role="core")
+# ------------------------------------------- kernel and low-rank mechanisms
+class CoreMechanism(AttentionMechanism):
+    """The forward-only mechanism of a kernel or low-rank method: its
+    trainable core, run without gradients.
+
+    These methods have one definition, the core.  A call validates Q, K and
+    V as every mechanism does, runs the core on :class:`Tensor` operands
+    that need no gradient, so no graph is kept, and returns the output
+    array: the engine, :func:`~repro.registry.make_mechanism`,
+    :meth:`approximation_error` and the server's per-request fallback all
+    run the forward the layer trains.
+    """
+
+    def __init__(self, name: str, core: AttentionCore):
+        self.name = name
+        self.core = core
+
+    def __call__(self, q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
+        self._validate(q, k, v)
+        return self.core(Tensor(q), Tensor(k), Tensor(v)).data
+
+
+def _register_core_defined(name: str, **metadata):
+    """Register mechanism ``name`` with the decorated core class as its one
+    definition: the core side is the class, the mechanism side a
+    :class:`CoreMechanism` over the class built from the config's
+    forward-only keyword arguments (Synthesizer's 4096-row table)."""
+
+    def decorator(core_cls):
+        register_mechanism(name, **metadata)(
+            lambda cfg: CoreMechanism(name, core_cls(**cfg.mechanism_kwargs()))
+        )
+        return register_mechanism(name, role="core")(core_cls)
+
+    return decorator
+
+
+@_register_core_defined(
+    "linformer",
+    config=LinformerConfig,
+    label="Linformer",
+    description="Low-rank key/value projection (Wang et al.)",
+)
 class LinformerCore(AttentionCore):
-    """Low-rank projection of keys/values with a fixed random projection."""
+    """Low-rank projection of keys/values with a fixed random projection.
+
+    ``O = softmax(Q (E K)ᵀ / sqrt(d)) (E V)`` with one seeded Gaussian
+    ``E ∈ R^{k x n}`` (``k = min(proj_dim, n)``), the way Linformer
+    initialises its projection, shared by keys and values and kept per
+    key length.
+    """
 
     name = "linformer"
 
@@ -238,9 +301,15 @@ class LinformerCore(AttentionCore):
         return weights @ v_proj
 
 
-@register_mechanism("linear_transformer", role="core")
+@_register_core_defined(
+    "linear_transformer",
+    config=LinearTransformerConfig,
+    label="Linear Trans.",
+    description="Kernelised linear attention with the elu+1 feature map",
+)
 class LinearTransformerCore(AttentionCore):
-    """Kernelised linear attention with the elu+1 feature map."""
+    """Kernelised linear attention with the elu+1 feature map
+    (Katharopoulos et al.): ``phi(Q) (phi(K)ᵀ V)`` with a row normaliser."""
 
     name = "linear_transformer"
 
@@ -259,9 +328,37 @@ class LinearTransformerCore(AttentionCore):
         return out / (normaliser + 1e-6)
 
 
-@register_mechanism("performer", role="core")
+def orthogonal_random_features(num_features: int, dim: int, rng) -> np.ndarray:
+    """Blocks of orthogonalised Gaussian rows, re-scaled to chi-distributed norms."""
+    blocks = []
+    remaining = num_features
+    while remaining > 0:
+        gauss = rng.normal(size=(dim, dim))
+        q_mat, _ = np.linalg.qr(gauss)
+        take = min(remaining, dim)
+        blocks.append(q_mat[:take])
+        remaining -= take
+    w = np.concatenate(blocks, axis=0)
+    norms = np.sqrt(rng.chisquare(df=dim, size=(num_features, 1)))
+    return (w * norms).astype(np.float32)
+
+
+@_register_core_defined(
+    "performer",
+    config=PerformerConfig,
+    label="Performer",
+    description="FAVOR+ positive orthogonal random features (Choromanski et al.)",
+    latency_model="performer",
+)
 class PerformerCore(AttentionCore):
-    """FAVOR+ positive random features (features fixed, not trained)."""
+    """FAVOR+ positive orthogonal random features (features fixed, not trained).
+
+    ``phi(x) = exp(Wx / d^{1/4} - ||x||² / (2 sqrt(d)) - stab) / sqrt(m)``,
+    the computation graph of Eq. (32) in Appendix A.5, and the output
+    ``phi(Q) (phi(K)ᵀ V)`` with a row normaliser.  The stabiliser is per
+    row for the query features (it cancels in the row normaliser) and
+    global for the key features (a per-key constant would re-weight keys).
+    """
 
     name = "performer"
 
@@ -272,8 +369,6 @@ class PerformerCore(AttentionCore):
 
     def _features(self, d: int) -> np.ndarray:
         if d not in self._w:
-            from repro.baselines.performer import orthogonal_random_features
-
             m = self.num_features or max(1, int(round(d * np.log(max(d, 2)))))
             self._w[d] = orthogonal_random_features(m, d, new_rng(self.seed))
         return self._w[d]
@@ -300,18 +395,47 @@ class PerformerCore(AttentionCore):
         return out / (normaliser + 1e-6)
 
 
-@register_mechanism("nystromformer", role="core")
-@register_mechanism("nystromformer_dfss", role="core")
+@_register_core_defined(
+    "nystromformer_dfss",
+    config=NystromDfssConfig,
+    label="Nystromformer + Dfss",
+    description="Nyströmformer with DFSS-pruned softmax kernels (Appendix A.7)",
+    aliases=("nystrom_dfss",),
+    compressed=True,
+)
+@_register_core_defined(
+    "nystromformer",
+    config=NystromformerConfig,
+    label="Nystromformer",
+    description="Nyström landmark approximation (Xiong et al.)",
+    aliases=("nystrom",),
+    latency_model="nystromformer",
+)
 class NystromformerCore(AttentionCore):
-    """Differentiable Nyström attention with segment-mean landmarks."""
+    """Differentiable Nyström attention with segment-mean landmarks
+    (Xiong et al., Figure 17 of the paper).
+
+    ``A ≈ softmax(Q K̃ᵀ) · pinv(softmax(Q̃ K̃ᵀ)) · softmax(Q̃ Kᵀ)`` with
+    ``m`` landmark rows, each the mean of one of ``m`` equal segments (a
+    tail that does not fill a segment is left out), and the pseudo-inverse
+    by the Newton–Schulz iteration of the reference implementation.
+
+    With a ``pattern`` (``nystromformer_dfss``, Appendix A.7 and Table 6)
+    the two ``n x m`` / ``m x n`` kernels circled in Figure 17 are pruned to
+    dynamic N:M sparsity before their softmax, at any width
+    (:func:`~repro.core.pruning.nm_prune_mask_any_width`); the small
+    ``m x m`` kernel stays dense.  Without finetuning the pruned landmark
+    kernel perturbs the factorisation, which the pseudo-inverse amplifies,
+    so the paper always finetunes the combination.
+    """
 
     name = "nystromformer"
 
-    def __init__(self, num_landmarks: int = 32, pinv_iters: int = 6, dfss_pattern=None,
+    def __init__(self, num_landmarks: int = 32, pinv_iters: int = 6, pattern=None,
                  backend: Optional[str] = None):
         self.num_landmarks = num_landmarks
         self.pinv_iters = pinv_iters
-        self.dfss_pattern = resolve_pattern(dfss_pattern) if dfss_pattern else None
+        self.pattern = None if pattern is None else resolve_pattern(pattern)
         self.backend = backend
 
     def _landmarks(self, x: Tensor) -> Tensor:
@@ -339,26 +463,42 @@ class NystromformerCore(AttentionCore):
 
     def _softmax_kernel(self, a: Tensor, b: Tensor, scale: float, prune: bool) -> Tensor:
         scores = (a @ b.swapaxes(-1, -2)) * scale
-        if prune and self.dfss_pattern is not None:
-            mask = get_kernel("nm_prune_mask", self.backend)(scores.data, self.dfss_pattern)
+        if prune and self.pattern is not None:
+            mask = nm_prune_mask_any_width(scores.data, self.pattern, self.backend)
             return F.masked_softmax(scores, mask, axis=-1)
         return F.softmax(scores, axis=-1)
 
-    def __call__(self, q: Tensor, k: Tensor, v: Tensor) -> Tensor:
-        d = q.shape[-1]
-        scale = 1.0 / np.sqrt(d)
+    def kernels(self, q: Tensor, k: Tensor) -> Tuple[Tensor, Tensor, Tensor]:
+        """The three softmax kernels of the factorisation: ``n x m``,
+        ``m x m`` and ``m x n``."""
+        scale = 1.0 / np.sqrt(q.shape[-1])
         q_land = self._landmarks(q)
         k_land = self._landmarks(k)
-        kernel1 = self._softmax_kernel(q, k_land, scale, prune=True)   # n x m
-        kernel2 = self._softmax_kernel(q_land, k_land, scale, prune=False)  # m x m
-        kernel3 = self._softmax_kernel(q_land, k, scale, prune=True)   # m x n
+        return (
+            self._softmax_kernel(q, k_land, scale, prune=True),
+            self._softmax_kernel(q_land, k_land, scale, prune=False),
+            self._softmax_kernel(q_land, k, scale, prune=True),
+        )
+
+    def __call__(self, q: Tensor, k: Tensor, v: Tensor) -> Tensor:
+        kernel1, kernel2, kernel3 = self.kernels(q, k)
         pinv = self._pinv(kernel2)
         return (kernel1 @ pinv) @ (kernel3 @ v)
 
 
-@register_mechanism("synthesizer", role="core")
+@_register_core_defined(
+    "synthesizer",
+    config=SynthesizerConfig,
+    label="Synthesizer",
+    description="Random content-independent attention weights (Tay et al.)",
+)
 class SynthesizerCore(AttentionCore):
-    """Random Synthesizer: a trainable content-independent attention matrix."""
+    """Random Synthesizer: a trainable content-independent attention matrix.
+
+    The ``max_len x max_len`` table is drawn from a seeded N(0, 0.02) at
+    construction, as a learned one is initialised; a call of ``n_q``
+    queries over ``n_k`` keys reads its ``[:n_q, :n_k]`` corner.
+    """
 
     name = "synthesizer"
 
@@ -372,17 +512,20 @@ class SynthesizerCore(AttentionCore):
     handles_prob_dropout = True
 
     def __call__(self, q: Tensor, k: Tensor, v: Tensor) -> Tensor:
-        n = q.shape[-2]
-        if n > self.max_len:
-            raise ValueError(f"sequence length {n} exceeds synthesizer table {self.max_len}")
-        weights = self._apply_prob_dropout(F.softmax(self.weight[:n, :n], axis=-1))
+        n_q, n_k = q.shape[-2], k.shape[-2]
+        if max(n_q, n_k) > self.max_len:
+            raise ValueError(
+                f"sequence length {max(n_q, n_k)} exceeds the synthesizer table ({self.max_len})"
+            )
+        weights = self._apply_prob_dropout(F.softmax(self.weight[:n_q, :n_k], axis=-1))
         return weights @ v
 
 
 # -------------------------------------------------- registered core builders
 # Mask cores wrap the numpy mechanism the registry builds from the same
-# config, so each mask is defined once, in :mod:`repro.baselines`; class-shaped
-# cores (DFSS and the kernel / low-rank mechanisms) are decorated directly.
+# config, so each mask is defined once, in :mod:`repro.baselines`; DFSS's
+# core class is decorated directly, and the kernel / low-rank cores above
+# define their mechanisms too.
 def _mechanism_of(name: str, cfg):
     """The registered numpy mechanism of ``name`` built from a core config."""
     return find_spec(name).build_mechanism(replace(cfg, backend=None))
@@ -406,7 +549,7 @@ for _name in (
 class BigBirdDfssCore(DfssCore):
     """BigBird block sparsity with dynamic N:M pruning inside the blocks.
 
-    The trainable counterpart of
+    The trainable side of
     :class:`repro.baselines.combos.DfssBigBirdAttention`: the compressed
     DFSS op runs over BigBird's row-block structure
     (:meth:`~repro.baselines.base.StaticMaskAttention.cached_structure`, the
@@ -432,16 +575,24 @@ def _bigbird_dfss_core(cfg, seq_len_hint: int) -> AttentionCore:
     )
 
 
+@_register_core_defined(
+    "linformer_dfss",
+    config=LinformerDfssConfig,
+    label="Linformer + Dfss",
+    description="Linformer with the projected score matrix pruned to N:M",
+    aliases=("dfss_linformer",),
+    compressed=True,
+)
 class LinformerDfssCore(DfssCore):
-    """Linformer projection with the projected scores pruned to N:M on the fly.
+    """Linformer projection with the projected scores pruned to N:M on the fly
+    (Appendix A.7, Figure 18 B).
 
-    The trainable counterpart of
-    :class:`repro.baselines.combos.DfssLinformerAttention`: keys and values
-    are projected with the fixed random map ``E`` (a constant of the graph,
-    shared with :class:`LinformerCore`'s seeding), then the whole attention
-    over the projected length runs through the compressed N:M op of
-    :class:`DfssCore` — the ``nm_attention`` forward over ``Q``, ``EK`` and
-    ``EV``, and its recomputing ``nm_attention_bwd`` backward.
+    Keys and values are projected with the fixed random map ``E`` (a
+    constant of the graph, shared with :class:`LinformerCore`'s seeding),
+    then the whole attention over the projected length runs through the
+    compressed N:M op of :class:`DfssCore` — the ``nm_attention`` forward
+    over ``Q``, ``EK`` and ``EV``, and its recomputing ``nm_attention_bwd``
+    backward.
 
     The projected length is rounded down to a multiple of the N:M group size
     so the pattern applies cleanly.
@@ -474,14 +625,6 @@ class LinformerDfssCore(DfssCore):
     def last_mask(self) -> Optional[np.ndarray]:
         # the N:M selection indexes the projected keys, not the dense key axis
         return None
-
-
-@register_mechanism("linformer_dfss", role="core")
-def _linformer_dfss_core(cfg, seq_len_hint: int) -> AttentionCore:
-    return LinformerDfssCore(
-        proj_dim=cfg.proj_dim, pattern=cfg.pattern or "2:4", seed=cfg.seed,
-        backend=cfg.backend,
-    )
 
 
 # ------------------------------------------------------------- the nn layer

@@ -1,16 +1,17 @@
 """Unified attention-mechanism registry: one catalogue for every construction API.
 
 Historically the repo grew three parallel ways to build the same mechanism —
-the ``dspattn`` Figure-3 shim, the numpy ``MECHANISM_REGISTRY`` baselines
-surface, and a 16-branch ``if/elif`` factory chain in the nn layer —
-plus a fourth ad-hoc naming scheme in the experiment tables.  This module
-replaces all of them with a single declarative catalogue:
+the ``dspattn`` Figure-3 shim, a second numpy-class catalogue in
+:mod:`repro.baselines`, and a 16-branch ``if/elif`` factory chain in the nn
+layer — plus a fourth ad-hoc naming scheme in the experiment tables.  This
+module replaces all of them with a single declarative catalogue:
 
 * :class:`MechanismSpec` — one record per mechanism: canonical name, aliases,
   capability flags (``trainable``, ``produces_mask``, ``compressed``,
   ``batchable``, ``static_mask``), a typed config
   dataclass, and constructors for both the forward-only numpy mechanism
-  (:mod:`repro.baselines`) and the trainable autograd core
+  (:mod:`repro.baselines` for the masks; for the kernel and low-rank
+  methods an adapter over their core) and the trainable autograd core
   (:mod:`repro.nn.attention_layer`);
 * :func:`register_mechanism` — the decorator each baseline class / core
   builder registers itself with;
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass, fields
-from typing import Callable, ClassVar, Dict, Mapping, Optional, Tuple
+from typing import Callable, ClassVar, Dict, Optional, Tuple
 
 from repro.core.patterns import resolve_pattern
 
@@ -63,8 +64,6 @@ class MechanismConfig:
     legacy factories, which never silently dropped keyword arguments).
     """
 
-    #: alternate keyword spellings accepted by :meth:`from_kwargs`.
-    _KW_ALIASES: ClassVar[Mapping[str, str]] = {}
     #: fields consumed only by the numpy mechanism constructor.
     _MECHANISM_ONLY: ClassVar[Tuple[str, ...]] = ()
     #: fields consumed only by the trainable core constructor.
@@ -73,15 +72,14 @@ class MechanismConfig:
     @classmethod
     def from_kwargs(cls, mechanism: str = "?", /, **kwargs) -> "MechanismConfig":
         """Build a config from loose kwargs; unknown keys raise ``TypeError``."""
-        mapped = {cls._KW_ALIASES.get(key, key): value for key, value in kwargs.items()}
         valid = {f.name for f in fields(cls)}
-        unknown = sorted(set(mapped) - valid)
+        unknown = sorted(set(kwargs) - valid)
         if unknown:
             raise TypeError(
                 f"unexpected keyword arguments {unknown} for attention mechanism "
                 f"{mechanism!r}; accepted: {sorted(valid)}"
             )
-        return cls(**mapped)
+        return cls(**kwargs)
 
     # ------------------------------------------------------------- kwarg views
     def _field_dict(self, exclude: Tuple[str, ...]) -> Dict[str, object]:
@@ -247,8 +245,10 @@ class BigBirdConfig(MaskedCoreConfig):
 class SynthesizerConfig(MechanismConfig):
     """Random Synthesizer (content-independent attention matrix).
 
-    ``max_len=None`` defers to the constructor default: 4096 for the numpy
-    mechanism, the layer's ``seq_len_hint`` for the trainable core.
+    ``max_len=None`` sizes the table by use: 4096 rows for the forward-only
+    mechanism, so it takes every length up to 4096, and the layer's
+    ``seq_len_hint`` for the trainable core.  The two tables differ unless
+    ``max_len`` is set (or the hint is 4096).
     """
 
     max_len: Optional[int] = None
@@ -289,9 +289,6 @@ class PerformerConfig(MechanismConfig):
 
     num_features: Optional[int] = None
     seed: object = 0
-    eps: float = 1e-6
-
-    _MECHANISM_ONLY = ("eps",)
 
     def __post_init__(self) -> None:
         _check_positive(self.num_features, "num_features")
@@ -335,14 +332,10 @@ class SinkhornConfig(MaskedCoreConfig):
 
 @dataclass(frozen=True)
 class NystromformerConfig(MechanismConfig):
-    """Nyström landmark attention; the core optionally N:M-prunes its kernels."""
+    """Nyström landmark attention."""
 
     num_landmarks: int = 32
     pinv_iters: int = 6
-    dfss_pattern: object = None
-    backend: Optional[str] = None
-
-    _CORE_ONLY = ("dfss_pattern", "backend")
 
     def __post_init__(self) -> None:
         _check_positive(self.num_landmarks, "num_landmarks")
@@ -350,22 +343,19 @@ class NystromformerConfig(MechanismConfig):
 
 @dataclass(frozen=True)
 class NystromDfssConfig(MechanismConfig):
-    """Nyströmformer with DFSS-pruned softmax kernels (Appendix A.7 combo)."""
+    """Nyströmformer with DFSS-pruned softmax kernels (Appendix A.7 combo);
+    ``backend`` (core-only) selects the backend of the N:M selection."""
 
     num_landmarks: int = 32
     pinv_iters: int = 6
     pattern: object = "2:4"
-    dtype: str = "float32"
     backend: Optional[str] = None
 
-    _KW_ALIASES = {"dfss_pattern": "pattern"}
-    _MECHANISM_ONLY = ("dtype",)
     _CORE_ONLY = ("backend",)
 
-    def core_kwargs(self, seq_len_hint: int) -> Dict[str, object]:
-        kwargs = super().core_kwargs(seq_len_hint)
-        kwargs["dfss_pattern"] = kwargs.pop("pattern") or "2:4"
-        return kwargs
+    def __post_init__(self) -> None:
+        _check_positive(self.num_landmarks, "num_landmarks")
+        resolve_pattern(self.pattern)  # the combination always prunes
 
 
 @dataclass(frozen=True)
@@ -389,8 +379,11 @@ class LinformerDfssConfig(MaskedCoreConfig):
 
     proj_dim: int = 64
     pattern: object = "2:4"
-    dtype: str = "float32"
     seed: object = 0
+
+    def __post_init__(self) -> None:
+        _check_positive(self.proj_dim, "proj_dim")
+        resolve_pattern(self.pattern)
 
 
 # ------------------------------------------------------------------- the spec
@@ -486,7 +479,8 @@ def register_mechanism(
     ``builder(config, seq_len_hint)`` function) attaches the trainable
     constructor to the existing spec — core registrations therefore follow
     their mechanism registration, which the import order of
-    :mod:`repro.baselines` before :mod:`repro.nn.attention_layer` guarantees.
+    :mod:`repro.baselines` before :mod:`repro.nn.attention_layer` guarantees
+    (a kernel or low-rank core registers its own mechanism first).
     """
 
     if role not in ("mechanism", "core"):
@@ -550,8 +544,8 @@ def _ensure_populated() -> None:
     global _POPULATED
     if _POPULATED:
         return
-    import repro.baselines  # noqa: F401  registers the numpy mechanisms
-    import repro.nn.attention_layer  # noqa: F401  registers the trainable cores
+    import repro.baselines  # noqa: F401  registers the mask mechanisms
+    import repro.nn.attention_layer  # noqa: F401  registers the cores and core-defined mechanisms
 
     _POPULATED = True
 

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 import repro.baselines as B
-from repro.baselines.base import MECHANISM_REGISTRY
 from repro.baselines.reformer import lsh_bucket_ids, shared_bucket_mask
 from repro.core.attention import full_attention
-from repro.registry import make_mechanism
+from repro.nn.autograd import Tensor
+from repro.registry import available_mechanisms, find_spec, make_core, make_mechanism
 
 
 def _qkv(batch=(2,), seq=64, d=32, seed=0, scale=0.5, peak=0.0):
@@ -21,7 +21,7 @@ def _qkv(batch=(2,), seq=64, d=32, seed=0, scale=0.5, peak=0.0):
     return q, k, v
 
 
-ALL_MECHANISMS = sorted(MECHANISM_REGISTRY)
+ALL_MECHANISMS = sorted(available_mechanisms())
 
 
 def _broadcast_bucket_mask(q_ids, k_ids):
@@ -39,11 +39,11 @@ class TestRegistry:
             "reformer", "sinkhorn", "synthesizer", "bigbird", "linear_transformer",
             "performer", "dfss",
         ):
-            assert name in MECHANISM_REGISTRY, name
+            assert name in ALL_MECHANISMS, name
 
     def test_appendix_combinations_present(self):
         for name in ("nystromformer", "nystromformer_dfss", "bigbird_dfss", "linformer_dfss"):
-            assert name in MECHANISM_REGISTRY, name
+            assert name in ALL_MECHANISMS, name
 
     def test_make_mechanism(self):
         mech = make_mechanism("dfss", pattern="2:4")
@@ -75,7 +75,7 @@ class TestAllMechanismsForward:
             mech(q[..., :8], k, v)  # Q and K head dimensions differ
 
     @pytest.mark.parametrize(
-        "name", [n for n in ALL_MECHANISMS if MECHANISM_REGISTRY[n].produces_mask]
+        "name", [n for n in ALL_MECHANISMS if find_spec(n).produces_mask]
     )
     def test_masks_have_no_empty_rows(self, name):
         q, k, v = _qkv(seq=64, d=32, seed=3)
@@ -86,13 +86,11 @@ class TestAllMechanismsForward:
 
 
 class TestApproximationQuality:
-    def test_dfss_better_than_fixed_and_synthesizer(self):
+    def test_dfss_better_than_fixed_truncated(self):
         q, k, v = _qkv(seq=128, d=64, peak=1.0, seed=5)
         err_dfss = make_mechanism("dfss", pattern="2:4").approximation_error(q, k, v)
         err_fixed = make_mechanism("fixed_truncated", density=0.5).approximation_error(q, k, v)
-        err_synth = make_mechanism("synthesizer").approximation_error(q, k, v)
         assert err_dfss < err_fixed
-        assert err_dfss < err_synth
 
     def test_topk_oracle_beats_dfss_at_same_density(self):
         q, k, v = _qkv(seq=128, d=64, peak=1.0, seed=6)
@@ -164,21 +162,20 @@ class TestSpecificMechanisms:
     def test_synthesizer_independent_of_queries(self):
         q1, k, v = _qkv(seq=32, d=16, seed=1)
         q2, _, _ = _qkv(seq=32, d=16, seed=2)
-        mech = B.SynthesizerAttention(max_len=64, seed=0)
+        mech = make_mechanism("synthesizer", max_len=64, seed=0)
         np.testing.assert_allclose(mech(q1, k, v), mech(q2, k, v), atol=1e-6)
 
     def test_synthesizer_rejects_long_sequences(self):
         q, k, v = _qkv(seq=32, d=16)
         with pytest.raises(ValueError):
-            B.SynthesizerAttention(max_len=16)(q, k, v)
+            make_mechanism("synthesizer", max_len=16)(q, k, v)
 
     def test_linformer_projection_cached_and_seeded(self):
-        a = B.LinformerAttention(proj_dim=16, seed=3)
-        b = B.LinformerAttention(proj_dim=16, seed=3)
-        e1, f1 = a._projections(64)
-        e2, f2 = b._projections(64)
-        np.testing.assert_array_equal(e1, e2)
-        assert a._projections(64) is a._projections(64)
+        a = make_core("linformer", proj_dim=16, seed=3)
+        b = make_core("linformer", proj_dim=16, seed=3)
+        np.testing.assert_array_equal(a._projection(64), b._projection(64))
+        assert a._projection(64).shape == (16, 64)
+        assert a._projection(64) is a._projection(64)
 
     def test_reformer_mask_symmetric_for_shared_qk(self):
         q, k, _ = _qkv(seq=64, d=16, seed=4)
@@ -249,18 +246,19 @@ class TestSpecificMechanisms:
         for b in range(4):
             assert np.all(mask[..., b * 16 : (b + 1) * 16, b * 16 : (b + 1) * 16])
 
-    def test_nystromformer_kernels_are_row_stochastic(self):
-        q, k, _ = _qkv(seq=64, d=16, seed=7)
-        k1, k2, k3 = B.NystromformerAttention(num_landmarks=16).kernels(q, k)
-        for kern in (k1, k2, k3):
-            np.testing.assert_allclose(kern.sum(-1), 1.0, atol=1e-5)
+    @pytest.mark.parametrize("name, seq", [
+        ("nystromformer", 64), ("nystromformer", 130), ("nystromformer_dfss", 130),
+    ])
+    def test_nystromformer_kernels_are_row_stochastic(self, name, seq):
+        q, k, _ = _qkv(seq=seq, d=16, seed=7)
+        core = make_core(name, num_landmarks=16)
+        for kern in core.kernels(Tensor(q), Tensor(k)):
+            np.testing.assert_allclose(kern.data.sum(-1), 1.0, atol=1e-5)
 
     def test_newton_schulz_pinv_converges_on_well_conditioned_input(self):
-        from repro.baselines.nystromformer import newton_schulz_pinv
-
         rng = np.random.default_rng(0)
         a = np.eye(16, dtype=np.float32) + 0.01 * rng.normal(size=(16, 16)).astype(np.float32)
-        pinv = newton_schulz_pinv(a, iters=12)
+        pinv = make_core("nystromformer", pinv_iters=12)._pinv(Tensor(a)).data
         assert np.abs(a @ pinv - np.eye(16)).max() < 1e-3
 
     def test_bigbird_dfss_mask_subset_of_bigbird(self):
@@ -289,7 +287,7 @@ class TestSpecificMechanisms:
 
     def test_linformer_dfss_matches_output_shape(self):
         q, k, v = _qkv(seq=64, d=32, seed=9)
-        out = B.DfssLinformerAttention(proj_dim=32, pattern="2:4")(q, k, v)
+        out = make_mechanism("linformer_dfss", proj_dim=32, pattern="2:4")(q, k, v)
         assert out.shape == q.shape and np.all(np.isfinite(out))
 
 
@@ -304,36 +302,59 @@ def _dfss_dense(a, b, c, pattern):
     return masked_dense_softmax(sddmm_dense(a, b), mask) @ c
 
 
+def nm_keep_loop(scores, pattern):
+    """The N:M keep-mask by a loop over the M-groups of the last axis: the N
+    largest scores of each group (every score of a last group of N or
+    fewer), ties to the lower index."""
+    from repro.core.patterns import resolve_pattern
+
+    pattern = resolve_pattern(pattern)
+    mask = np.zeros(scores.shape, dtype=bool)
+    for g0 in range(0, scores.shape[-1], pattern.m):
+        order = np.argsort(-scores[..., g0:g0 + pattern.m], axis=-1, kind="stable")
+        np.put_along_axis(mask[..., g0:g0 + pattern.m], order[..., :pattern.n], True, axis=-1)
+    return mask
+
+
+def _float32_dfss_dense(a, b, c, pattern):
+    """:func:`_dfss_dense` on float32 scores, as the trainable cores score."""
+    from repro.core.softmax import masked_dense_softmax
+
+    scores = (a @ np.swapaxes(b, -1, -2)) * (1.0 / np.sqrt(a.shape[-1]))
+    return masked_dense_softmax(scores, nm_keep_loop(scores, pattern)) @ c
+
+
 class TestDfssCombosAnyKeyLength:
-    """The numpy DFSS combos accept every key length dense attention does,
-    and match the same formula with a dense masked softmax."""
+    """The DFSS combos accept every key length dense attention does, and
+    match the same formula with a dense masked softmax."""
 
-    CASES = [(130, "2:4"), (129, "1:2")]
+    CASES = [(130, 130, "2:4"), (129, 129, "1:2"), (130, 90, "2:4")]
 
-    @pytest.mark.parametrize("seq,pattern", CASES)
-    def test_nystromformer_dfss_matches_dense_oracle(self, seq, pattern):
-        from repro.baselines.nystromformer import newton_schulz_pinv, segment_means
+    @pytest.mark.parametrize("n_q,n_k,pattern", CASES)
+    def test_nystromformer_dfss_matches_dense_oracle(self, n_q, n_k, pattern):
         from repro.core.softmax import dense_softmax
 
-        q, k, v = _qkv(batch=(1, 2), seq=seq, d=32, seed=21)
+        q, _, _ = _qkv(batch=(1, 2), seq=n_q, d=32, seed=21)
+        _, k, v = _qkv(batch=(1, 2), seq=n_k, d=32, seed=22)
         mech = make_mechanism("nystromformer_dfss", pattern=pattern)
-        landmarks = mech.base.num_landmarks
-        q_land, k_land = segment_means(q, landmarks), segment_means(k, landmarks)
+        core = mech.core
+        q_land, k_land = (core._landmarks(Tensor(x)).data for x in (q, k))
         kernel2 = dense_softmax(q_land @ np.swapaxes(k_land, -1, -2) / np.sqrt(32))
-        pinv = newton_schulz_pinv(kernel2, mech.base.pinv_iters)
-        expected = _dfss_dense(
-            q, k_land, pinv @ _dfss_dense(q_land, k, v, pattern), pattern
+        pinv = core._pinv(Tensor(kernel2)).data
+        expected = _float32_dfss_dense(
+            q, k_land, pinv @ _float32_dfss_dense(q_land, k, v, pattern), pattern
         )
         np.testing.assert_allclose(mech(q, k, v), expected, rtol=1e-4, atol=1e-5)
 
     @pytest.mark.parametrize(
-        "seq,pattern,proj_dim", [c + (64,) for c in CASES] + [(130, "2:4", 30)]
+        "n_q,n_k,pattern,proj_dim", [c + (64,) for c in CASES] + [(130, 130, "2:4", 30)]
     )
-    def test_linformer_dfss_matches_dense_oracle(self, seq, pattern, proj_dim):
-        q, k, v = _qkv(batch=(1, 2), seq=seq, d=32, seed=22)
+    def test_linformer_dfss_matches_dense_oracle(self, n_q, n_k, pattern, proj_dim):
+        q, _, _ = _qkv(batch=(1, 2), seq=n_q, d=32, seed=22)
+        _, k, v = _qkv(batch=(1, 2), seq=n_k, d=32, seed=23)
         mech = make_mechanism("linformer_dfss", pattern=pattern, proj_dim=proj_dim)
-        e, f = mech.linformer._projections(seq)
-        expected = _dfss_dense(q, e @ k, f @ v, pattern)
+        e = mech.core._projection(n_k)
+        expected = _dfss_dense(q, e @ k, e @ v, pattern)
         np.testing.assert_allclose(mech(q, k, v), expected, rtol=1e-4, atol=1e-5)
 
     @pytest.mark.parametrize("mechanism", ["nystromformer_dfss", "linformer_dfss"])

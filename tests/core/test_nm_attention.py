@@ -535,15 +535,18 @@ class TestOneForward:
         names = self._kernel_spans(step)
         assert sorted(set(names)) == ["nm_attention", "nm_attention_bwd"]
 
-    @pytest.mark.parametrize(
-        "mechanism,calls", [("nystromformer_dfss", 2), ("linformer_dfss", 1)]
-    )
-    def test_combos_run_only_nm_attention(self, mechanism, calls):
+    @pytest.mark.parametrize("mechanism,kernels", [
+        # the trainable Nyström formula: its two large kernels N:M-selected
+        # on dense scores, then a masked softmax
+        ("nystromformer_dfss", ["nm_prune_mask"] * 2),
+        ("linformer_dfss", ["nm_attention"]),
+    ])
+    def test_combos_run_only_their_core_kernels(self, mechanism, kernels):
         from repro.registry import make_mechanism
 
         q, k, v = (_normal((1, 2, 130, 16), s) for s in range(3))
         mech = make_mechanism(mechanism, pattern="2:4")
-        assert self._kernel_spans(lambda: mech(q, k, v)) == ["nm_attention"] * calls
+        assert self._kernel_spans(lambda: mech(q, k, v)) == kernels
 
 
 def test_tile_buffers_are_cache_line_aligned():

@@ -106,6 +106,76 @@ class TestCores:
             assert q.grad is not None and np.abs(q.grad).sum() > 0, mechanism
 
 
+def _nm_keep_loop(scores, pattern):
+    """The N:M keep-mask by a loop over the M-groups of the last axis: each
+    group's N largest scores (every score of a last group of N or fewer),
+    ties to the lower index."""
+    n, m = (int(x) for x in pattern.split(":"))
+    mask = np.zeros(scores.shape, dtype=bool)
+    for g0 in range(0, scores.shape[-1], m):
+        order = np.argsort(-scores[..., g0:g0 + m], axis=-1, kind="stable")
+        np.put_along_axis(mask[..., g0:g0 + m], order[..., :n], True, axis=-1)
+    return mask
+
+
+class TestKernelCoresAtAnyLength:
+    """The kernel and low-rank cores take every (n_q, n_k) dense attention
+    takes, forward and backward."""
+
+    @pytest.mark.parametrize("pattern", ["1:2", "2:4"])
+    @pytest.mark.parametrize("n_q, n_k", [(130, 130), (129, 129), (130, 90)])
+    def test_nystromformer_dfss_matches_dense_masked_oracle(self, n_q, n_k, pattern):
+        from repro.nn import functional as F
+
+        rng = np.random.default_rng(n_q + n_k)
+        arrays = [rng.standard_normal((1, 2, n, 16), dtype=np.float32) for n in (n_q, n_k, n_k)]
+        grad = rng.standard_normal((1, 2, n_q, 16), dtype=np.float32)
+        core = make_core("nystromformer_dfss", pattern=pattern, num_landmarks=16)
+
+        def run(attention):
+            q, k, v = (Tensor(x, requires_grad=True) for x in arrays)
+            out = attention(q, k, v)
+            (out * Tensor(grad)).sum().backward()
+            return out.data, q.grad, k.grad, v.grad
+
+        def oracle(q, k, v):
+            # the same landmarks and pseudo-inverse; each pruned kernel a
+            # dense masked attention under the loop's keep-mask
+            q_land, k_land = core._landmarks(q), core._landmarks(k)
+            kernel2 = F.softmax((q_land @ k_land.swapaxes(-1, -2)) * (1.0 / np.sqrt(16)))
+            keep = lambda scores: _nm_keep_loop(scores, pattern)
+            right = core._pinv(kernel2) @ F.dense_masked_attention(q_land, k, v, keep)
+            return F.dense_masked_attention(q, k_land, right, keep)
+
+        for got, want in zip(run(core), run(oracle)):
+            np.testing.assert_allclose(got, want, rtol=1e-4, atol=1e-4)
+
+    @pytest.mark.parametrize("n_q, n_k", [(40, 24), (24, 40)])
+    def test_synthesizer_reads_its_table_corner(self, n_q, n_k):
+        from repro.nn import functional as F
+
+        rng = np.random.default_rng(0)
+        q = Tensor(rng.standard_normal((2, n_q, 8), dtype=np.float32))
+        k = Tensor(rng.standard_normal((2, n_k, 8), dtype=np.float32))
+        v = Tensor(rng.standard_normal((2, n_k, 8), dtype=np.float32), requires_grad=True)
+        core = make_core("synthesizer", seq_len_hint=64)
+        out = core(q, k, v)
+        assert out.shape == (2, n_q, 8)
+        out.sum().backward()
+        corner = Tensor(core.weight.data[:n_q, :n_k].copy(), requires_grad=True)
+        want = F.softmax(corner, axis=-1) @ Tensor(v.data)
+        want.sum().backward()
+        np.testing.assert_allclose(out.data, want.data, rtol=1e-6, atol=1e-7)
+        np.testing.assert_allclose(core.weight.grad[:n_q, :n_k], corner.grad, rtol=1e-5, atol=1e-7)
+        assert not core.weight.grad[n_q:].any() and not core.weight.grad[:, n_k:].any()
+
+    def test_synthesizer_rejects_a_length_past_its_table(self):
+        core = make_core("synthesizer", seq_len_hint=16)
+        q, k, v = (Tensor(np.zeros((1, n, 4), np.float32)) for n in (8, 20, 20))
+        with pytest.raises(ValueError, match="synthesizer table"):
+            core(q, k, v)
+
+
 class TestMultiHeadSelfAttention:
     def test_forward_shape(self):
         layer = MultiHeadSelfAttention(model_dim=32, num_heads=4, mechanism="dfss_2:4", seed=0)

@@ -245,6 +245,31 @@ class TestTiledBackwardSpan:
         assert args["out_bytes"] == 4 * 2 * 16 * (1030 + 2 * 1032)
 
 
+    def test_bigbird_dfss_spans_count_the_structure_tiles(self):
+        # the span arguments come from each block's key groups, not from the
+        # tiles the job builds; pinned to the values of the job's own tiles
+        from repro.nn.autograd import parameter
+        from repro.registry import make_core
+
+        rng = np.random.default_rng(0)
+        q, k, v = (
+            parameter(rng.standard_normal((1, 2, 1024, 16), dtype=np.float32))
+            for _ in range(3)
+        )
+        core = make_core("bigbird_dfss", backend=FAST)
+        with trace() as active:
+            core(q, k, v).sum().backward()
+        spans = {
+            e["name"]: e["args"] for e in active.events
+            if e.get("cat") == "kernel" and e["name"].startswith("nm_attention")
+        }
+        for name, out_bytes in (("nm_attention", 329728), ("nm_attention_bwd", 393216)):
+            args = spans[name]
+            assert (args["tiles"], args["tile_shape"], args["pairs"], args["out_bytes"]) == (
+                32, "64x1024", 729088, out_bytes
+            ), name
+
+
 class TestRowBlockSpans:
     """The static-mask kernels walk key blocks; both spans carry the block
     tiles, the largest tile and the bytes they write, and gpusim costs them."""

@@ -6,6 +6,7 @@ bit-for-bit on tie-exact lattice inputs, and unknown keyword arguments must
 keep raising ``TypeError``.
 """
 
+import inspect
 import tracemalloc
 import warnings
 
@@ -14,7 +15,6 @@ import pytest
 
 import repro
 from repro import registry
-from repro.baselines.base import MECHANISM_REGISTRY
 from repro.engine import AttentionConfig, AttentionEngine
 from repro.nn.attention_layer import DfssCore
 from repro.nn.autograd import Tensor
@@ -33,6 +33,14 @@ MASK_NAMES = tuple(
     name
     for m in registry.available_mechanisms(produces_mask=True, compressed=True)
     for name in (("dfss_1:2", "dfss_2:4") if m == "dfss" else (m,))
+)
+#: the kernel and low-rank mechanisms, whose trainable core defines them
+CORE_DEFINED_NAMES = tuple(
+    m for m in registry.available_mechanisms(trainable=True, produces_mask=False) if m != "full"
+)
+#: mechanisms whose forward-only side is a class of :mod:`repro.baselines`
+CLASS_NAMES = tuple(
+    m for m in ALL_NAMES if inspect.isclass(registry.find_spec(m).mechanism_builder)
 )
 #: the masks chosen from Q and K (Top-K and the clustering masks)
 CONTENT_MASK_NAMES = tuple(
@@ -60,8 +68,19 @@ class TestCatalogue:
             for flag in ("trainable", "produces_mask", "compressed", "batchable"):
                 assert isinstance(info[flag], bool), (name, flag)
 
-    def test_registry_matches_legacy_mechanism_registry(self):
-        assert set(ALL_NAMES) == set(MECHANISM_REGISTRY)
+    def test_every_mechanism_has_one_definition(self):
+        # a mask mechanism is a class of repro.baselines; a kernel or
+        # low-rank one is its trainable core, which its mechanism side runs
+        assert set(CLASS_NAMES) | set(CORE_DEFINED_NAMES) == set(ALL_NAMES)
+        assert not set(CLASS_NAMES) & set(CORE_DEFINED_NAMES)
+        assert set(CORE_DEFINED_NAMES) == {
+            "linformer", "linear_transformer", "performer", "nystromformer",
+            "synthesizer", "linformer_dfss", "nystromformer_dfss",
+        }
+        for name in CORE_DEFINED_NAMES:
+            mechanism = registry.make_mechanism(name)
+            assert type(mechanism.core) is registry.find_spec(name).core_builder, name
+            assert mechanism.name == name
 
     def test_capability_filters(self):
         # the Appendix-A.7 combo mechanisms gained trainable cores with the
@@ -108,12 +127,11 @@ class TestNumpyRoundTrip:
         factory_out = registry.make_mechanism(name)(q, k, v)
         np.testing.assert_array_equal(engine_out, factory_out)
 
-    @pytest.mark.parametrize("name", ALL_NAMES)
+    @pytest.mark.parametrize("name", CLASS_NAMES)
     def test_engine_matches_direct_class_construction(self, name):
         q, k, v = _lattice_qkv(seed=2)
-        np.testing.assert_array_equal(
-            AttentionEngine(name)(q, k, v), MECHANISM_REGISTRY[name]()(q, k, v)
-        )
+        cls = registry.find_spec(name).mechanism_builder
+        np.testing.assert_array_equal(AttentionEngine(name)(q, k, v), cls()(q, k, v))
 
     def test_one_shot_attention_facade(self):
         q, k, v = _lattice_qkv(seed=3)
@@ -187,16 +205,20 @@ class TestCoreRoundTrip:
 
 
 class TestEngineMaskRoute:
-    """The engine's forward of a mask mechanism is the core's and the server's."""
+    """The engine's forward of a trainable mechanism is the core's (and, for
+    a mask, the server's)."""
 
     @pytest.mark.parametrize("n_q, n_k", [(130, 130), (130, 90)])
-    @pytest.mark.parametrize("name", MASK_NAMES)
+    @pytest.mark.parametrize("name", MASK_NAMES + CORE_DEFINED_NAMES)
     def test_engine_forward_equals_core_forward_bitwise(self, name, n_q, n_k):
         # lengths that are no multiple of an N:M group or a row block
         rng = np.random.default_rng(12)
         q = rng.standard_normal((2, 2, n_q, 16), dtype=np.float32)
         k, v = (rng.standard_normal((2, 2, n_k, 16), dtype=np.float32) for _ in range(2))
-        engine = AttentionEngine(name)
+        # the Synthesizer's forward-only table has 4096 rows and its core's
+        # seq_len_hint rows unless max_len sets one size for both
+        options = {"max_len": 256} if name == "synthesizer" else {}
+        engine = AttentionEngine(name, **options)
         if n_q != n_k and registry.find_spec(name).name in SELF_ONLY:
             with pytest.raises(ValueError, match="self-attention"):
                 engine(q, k, v)
